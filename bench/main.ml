@@ -10,6 +10,7 @@
 
 module Registry = Pbse_targets.Registry
 module Driver = Pbse.Driver
+module Session = Pbse_session.Session
 module Klee = Pbse.Klee
 module Executor = Pbse_exec.Executor
 module Coverage = Pbse_exec.Coverage
@@ -56,7 +57,7 @@ let heading title =
 
 (* Every pbSE driver run performed by the harness contributes one CSV row
    of solver/fault/retry/phase telemetry, harvested through the same
-   Driver.run_report mapping the CLI's --report uses (docs/telemetry.md
+   Session.run_report mapping the CLI's --report uses (docs/telemetry.md
    documents the column <-> metric correspondence). *)
 let run_csv_metrics =
   [
@@ -76,7 +77,7 @@ let run_csv_metrics =
 let () =
   List.iter
     (fun m ->
-      if not (List.mem m Driver.Session.scalar_metric_names) then
+      if not (List.mem m Session.scalar_metric_names) then
         failwith ("runs.csv column not in the counter manifest: " ^ m))
     run_csv_metrics
 
@@ -86,10 +87,10 @@ let () =
    close every row: single runs are always jobs=1, lease=1 and
    unmeasured (0), the pool --jobs sweep fills in the timing and
    contention columns, the crash-resume drill the durability ones, and
-   the session-store and serve drills the session-layer ones (including
+   the serve drill the response-store and server ones (including
    admission rejections and warm-restart store reloads). The contention
-   and session columns come from the pool-report diagnostics and the
-   store/server stats, which are wall-clock-side and deliberately absent
+   and serve columns come from the pool-report diagnostics and the
+   server stats, which are wall-clock-side and deliberately absent
    from the byte-identical report JSON (docs/parallelism.md). *)
 let run_csv_header =
   String.concat ","
@@ -103,7 +104,7 @@ let run_csv_header =
 let run_rows : string list ref = ref []
 
 let note_run ~suite ~name ~deadline report =
-  let rr = Driver.run_report report in
+  let rr = Session.run_report report in
   let row =
     String.concat ","
       ([
@@ -169,9 +170,9 @@ let klee_cell prog searcher sym_size =
   (List.assoc hour r.Klee.checkpoints, List.assoc ten_hours r.Klee.checkpoints)
 
 let pbse_row ~suite ~name prog seed =
-  let report = Driver.run prog ~seed ~deadline:ten_hours in
+  let report = Session.run prog ~seed ~deadline:ten_hours in
   note_run ~suite ~name ~deadline:ten_hours report;
-  let cov1 = Driver.coverage_at report hour in
+  let cov1 = Session.coverage_at report hour in
   let cov10 = Coverage.count (Executor.coverage report.Driver.executor) in
   (report, cov1, cov10)
 
@@ -329,7 +330,7 @@ let table3 () =
       List.iter
         (fun label ->
           let seed = Registry.seed t label in
-          let report = Driver.run prog ~seed ~deadline:ten_hours in
+          let report = Session.run prog ~seed ~deadline:ten_hours in
           note_run ~suite:"table3" ~name ~deadline:ten_hours report;
           let traps = report.Driver.division.Phase.trap_count in
           (* rank same-(function, kind) bugs by faulting block so labels
@@ -522,7 +523,7 @@ let fig5 () =
   ignore (run_seed "buggy" (Registry.seed t "buggy-cielab"));
   (* the case study: pbSE finds the CIELab bug; KLEE's default searcher
      does not, even in 10x the budget *)
-  let report = Driver.run prog ~seed:(Registry.seed t "small") ~deadline:ten_hours in
+  let report = Session.run prog ~seed:(Registry.seed t "small") ~deadline:ten_hours in
   note_run ~suite:"fig5" ~name:"tiff2rgba" ~deadline:ten_hours report;
   let pbse_found =
     List.filter (fun ((b : Bug.t), _) -> b.Bug.kind = "oob-read") report.Driver.bugs
@@ -549,28 +550,28 @@ let ablate () =
   let seed = Registry.default_seed t in
   let table = Tablefmt.create [ "variant"; "traps"; "cov 1h"; "cov 10h"; "bugs" ] in
   let run label config =
-    let report = Driver.run ~config prog ~seed ~deadline:ten_hours in
+    let report = Session.run ~config prog ~seed ~deadline:ten_hours in
     note_run ~suite:"ablate" ~name:label ~deadline:ten_hours report;
     Tablefmt.add_row table
       [
         label;
         string_of_int report.Driver.division.Phase.trap_count;
-        string_of_int (Driver.coverage_at report hour);
+        string_of_int (Session.coverage_at report hour);
         string_of_int (Coverage.count (Executor.coverage report.Driver.executor));
         string_of_int (List.length report.Driver.bugs);
       ];
     Printf.printf "  ... %s done\n%!" label
   in
-  run "pbSE (default)" Driver.default_config;
+  run "pbSE (default)" Session.default_config;
   run "BBV-only vectors"
-    Driver.(with_concolic (fun c -> { c with mode = Phase.Bbv_only }) default_config);
+    Session.(with_concolic (fun c -> { c with mode = Phase.Bbv_only }) default_config);
   run "no seedState dedup"
-    Driver.(with_search (fun s -> { s with dedup_seed_states = false }) default_config);
+    Session.(with_search (fun s -> { s with dedup_seed_states = false }) default_config);
   run "sequential phases"
-    Driver.(with_search (fun s -> { s with scheduler = "sequential" }) default_config);
+    Session.(with_search (fun s -> { s with scheduler = "sequential" }) default_config);
   run "coverage-greedy phases"
-    Driver.(with_search (fun s -> { s with scheduler = "coverage-greedy" }) default_config);
-  run "fixed k = 4" Driver.(with_search (fun s -> { s with max_k = 4 }) default_config);
+    Session.(with_search (fun s -> { s with scheduler = "coverage-greedy" }) default_config);
+  run "fixed k = 4" Session.(with_search (fun s -> { s with max_k = 4 }) default_config);
   Tablefmt.print table
 
 (* --- Robustness: fault-injected sweep ------------------------------------------- *)
@@ -585,7 +586,7 @@ let robust () =
     | Error e -> failwith e
   in
   Printf.printf "  plan: %s\n%!" (Inject.to_string plan);
-  let config = Driver.(with_robust (fun r -> { r with inject = plan }) default_config) in
+  let config = Session.(with_robust (fun r -> { r with inject = plan }) default_config) in
   let table =
     Tablefmt.create
       [ "target"; "cov clean"; "cov injected"; "bugs"; "faults"; "evicted" ]
@@ -594,9 +595,9 @@ let robust () =
     (fun t ->
       let prog = Registry.program t in
       let seed = Registry.default_seed t in
-      let clean = Driver.run prog ~seed ~deadline:hour in
+      let clean = Session.run prog ~seed ~deadline:hour in
       note_run ~suite:"robust-clean" ~name:t.Registry.name ~deadline:hour clean;
-      let faulty = Driver.run ~config prog ~seed ~deadline:hour in
+      let faulty = Session.run ~config prog ~seed ~deadline:hour in
       note_run ~suite:"robust-injected" ~name:t.Registry.name ~deadline:hour faulty;
       Tablefmt.add_row table
         [
@@ -628,11 +629,11 @@ let bechamel () =
   in
   let t2_kernel () =
     let t = target "gif2tiff" in
-    ignore (Driver.run (Registry.program t) ~seed:(Registry.default_seed t) ~deadline:small)
+    ignore (Session.run (Registry.program t) ~seed:(Registry.default_seed t) ~deadline:small)
   in
   let t3_kernel () =
     let t = target "tiff2bw" in
-    ignore (Driver.run (Registry.program t) ~seed:(Registry.default_seed t) ~deadline:small)
+    ignore (Session.run (Registry.program t) ~seed:(Registry.default_seed t) ~deadline:small)
   in
   let fig1_kernel () =
     let t = target "pngtest" in
@@ -732,7 +733,7 @@ let pool_bench () =
      merged bug count must match and merged coverage must not regress
      with the features on (docs/subsumption.md). *)
   let off_config =
-    Driver.(
+    Session.(
       with_pathcond
         (fun _ -> { subsumption = false; loop_summaries = false })
         default_config)
@@ -792,14 +793,14 @@ let pathcond_ab () =
   let seed = Registry.default_seed t in
   let deadline = ten_hours in
   let off_config =
-    Driver.(
+    Session.(
       with_pathcond
         (fun _ -> { subsumption = false; loop_summaries = false })
         default_config)
   in
-  let on_r = Driver.run prog ~seed ~deadline in
+  let on_r = Session.run prog ~seed ~deadline in
   note_run ~suite:"pathcond-ab" ~name:(t.Registry.name ^ "/on") ~deadline on_r;
-  let off_r = Driver.run ~config:off_config prog ~seed ~deadline in
+  let off_r = Session.run ~config:off_config prog ~seed ~deadline in
   note_run ~suite:"pathcond-ab" ~name:(t.Registry.name ^ "/off") ~deadline off_r;
   let bug_set r =
     List.sort_uniq compare
@@ -831,7 +832,7 @@ let pathcond_ab () =
       0 on_r.Driver.bugs
   in
   let parity_t = max cov_parity_t last_bug_t in
-  let work r = Report.metric (Driver.run_report r) "solver.work" in
+  let work r = Report.metric (Session.run_report r) "solver.work" in
   let w_on = work on_r and w_off = work off_r in
   let w_parity = w_on * parity_t / deadline in
   let reduction_pct =
@@ -1008,62 +1009,14 @@ let crash_resume_bench ?(jobs = 2) ?(lease = 2) () =
        (%d bytes)\n%!"
       (String.length base_json)
 
-(* --- Session store: cold vs warm campaigns ---------------------------------------- *)
-
-(* The session-layer fast path: the same campaign run twice against one
-   Session_store — the second run must be served from the campaign memo
-   (store hits > 0), produce byte-identical report JSON, and cost less
-   wall-clock than the cold bootstrap (docs/architecture.md). *)
-let session_store_bench () =
-  heading "Session store: cold vs warm campaign (byte-identity and wall-clock)";
-  let t = target "dwarfdump" in
-  let prog = Registry.program t in
-  let seeds = List.map snd t.Registry.seeds in
-  let deadline = ten_hours in
-  let store = Pbse_session.Session_store.create () in
-  let campaign label =
-    Telemetry.set_enabled true;
-    let t0 = Unix.gettimeofday () in
-    let pool =
-      Driver.run_pool ~store ~target:t.Registry.name prog ~seeds ~deadline
-    in
-    let wall_ms = int_of_float (1000. *. (Unix.gettimeofday () -. t0)) in
-    Telemetry.set_enabled false;
-    Printf.printf "  ... %s campaign done (%d ms, %d store hit(s))\n%!" label
-      wall_ms
-      (Pbse_session.Session_store.hits store);
-    (pool, wall_ms, Report.to_json (Driver.pool_run_report pool))
-  in
-  let cold, cold_ms, cold_json = campaign "cold" in
-  let warm, warm_ms, warm_json = campaign "warm" in
-  if warm_json <> cold_json then begin
-    prerr_endline "warm campaign report diverged from the cold run";
-    exit 1
-  end;
-  let hits = Pbse_session.Session_store.hits store in
-  let evictions = Pbse_session.Session_store.evictions store in
-  if hits = 0 then begin
-    prerr_endline "warm campaign was not served from the session store";
-    exit 1
-  end;
-  note_pool_run ~wall_ms:cold_ms ~suite:"session-store"
-    ~name:(t.Registry.name ^ "/cold") ~deadline cold;
-  note_pool_run ~wall_ms:warm_ms ~session_hits:hits ~session_evictions:evictions
-    ~suite:"session-store" ~name:(t.Registry.name ^ "/warm") ~deadline warm;
-  Printf.printf
-    "  warm reuse: %d -> %d ms (%d session hit(s), %d eviction(s)); reports \
-     byte-identical (%d bytes)\n%!"
-    cold_ms warm_ms hits evictions (String.length cold_json)
-
 (* --- Serve: concurrent socket campaigns ------------------------------------------- *)
 
 (* The server drill the CI serve-smoke job also drives end-to-end with
    the real binary: here the server runs in-process on a temp socket,
    two clients request the same campaign concurrently over pbse-serve/2,
    and both responses must be byte-identical to the CLI `run --pool
-   --report` recipe for the same parameters. A third (v1 one-liner)
-   request measures the warm (store-served) latency and keeps the
-   deprecated framing exercised. Two further legs mirror the new CI
+   --report` recipe for the same parameters. A third request measures
+   the warm (store-served) latency. Two further legs mirror the new CI
    gates: a quota-capped server must reject a burst with a structured
    over-capacity error, and a --store-file restart must serve the warm
    body from the reloaded residue cache. *)
@@ -1149,9 +1102,6 @@ let serve_bench () =
         rq_share = false;
       }
   in
-  let v1_line =
-    Printf.sprintf "{\"target\": %S, \"deadline\": %d}" t.Registry.name deadline
-  in
   let timed_request line =
     let t0 = Unix.gettimeofday () in
     let r = Pbse.Serve.request ~connect:endpoint line in
@@ -1169,7 +1119,7 @@ let serve_bench () =
         exit 1
       end
   in
-  (* leg 1: two concurrent v2 clients + one warm v1 one-liner *)
+  (* leg 1: two concurrent clients + one warm repeat *)
   let (timings, stats) =
     with_server (fun () ->
         let unset =
@@ -1184,10 +1134,10 @@ let serve_bench () =
         let b, b_ms = timed_request v2_line in
         Thread.join client_a;
         let a, a_ms = !slot_a in
-        let warm, warm_ms = timed_request v1_line in
+        let warm, warm_ms = timed_request v2_line in
         check "A" a;
         check "B" b;
-        check "warm-v1" warm;
+        check "warm" warm;
         (a_ms, b_ms, warm_ms))
   in
   let a_ms, b_ms, warm_ms = timings in
@@ -1240,12 +1190,13 @@ let serve_bench () =
   end;
   note_pool_run ~jobs:2 ~wall_ms:(max a_ms b_ms)
     ~session_hits:stats.Pbse.Serve.sv_store_hits
+    ~session_evictions:stats.Pbse.Serve.sv_store_evictions
     ~serve_clients:stats.Pbse.Serve.sv_clients
     ~serve_rejections:quota_stats.Pbse.Serve.sv_rejections
     ~store_reloads:warm_stats.Pbse.Serve.sv_store_reloads ~suite:"serve"
     ~name:t.Registry.name ~deadline local;
   Printf.printf
-    "  2 concurrent v2 clients (%d / %d ms) + warm v1 reuse (%d ms): all \
+    "  2 concurrent clients (%d / %d ms) + warm reuse (%d ms): all \
      responses byte-identical to the CLI report (%d bytes); %d client(s), %d \
      store hit(s)\n%!"
     a_ms b_ms warm_ms (String.length local_json) stats.Pbse.Serve.sv_clients
@@ -1271,12 +1222,12 @@ let smoke ?(jobs = 1) () =
   let t = target "gif2tiff" in
   Telemetry.set_enabled true;
   let report =
-    Driver.run (Registry.program t) ~seed:(Registry.default_seed t) ~deadline:small
+    Session.run (Registry.program t) ~seed:(Registry.default_seed t) ~deadline:small
   in
   Telemetry.set_enabled false;
   note_run ~suite:"smoke" ~name:t.Registry.name ~deadline:small report;
   let rr =
-    Driver.run_report
+    Session.run_report
       ~meta:
         [
           ("target", t.Registry.name);
@@ -1292,14 +1243,14 @@ let smoke ?(jobs = 1) () =
      sets must match, and the off-side report is written for the CI
      solver.work gate (docs/subsumption.md) *)
   let off_config =
-    Driver.(
+    Session.(
       with_pathcond
         (fun _ -> { subsumption = false; loop_summaries = false })
         default_config)
   in
   Telemetry.set_enabled true;
   let off_report =
-    Driver.run ~config:off_config (Registry.program t)
+    Session.run ~config:off_config (Registry.program t)
       ~seed:(Registry.default_seed t) ~deadline:small
   in
   Telemetry.set_enabled false;
@@ -1316,7 +1267,7 @@ let smoke ?(jobs = 1) () =
     exit 1
   end;
   let orr =
-    Driver.run_report
+    Session.run_report
       ~meta:
         [
           ("target", t.Registry.name);
@@ -1389,7 +1340,6 @@ let () =
    | "pathcond-ab" -> pathcond_ab ()
    | "pool-jobs" -> pool_jobs_bench ~lease ()
    | "crash-resume" -> crash_resume_bench ~jobs ()
-   | "session-store" -> session_store_bench ()
    | "serve" -> serve_bench ()
    | "smoke" -> smoke ~jobs ()
    | "bechamel" -> bechamel ()
@@ -1406,13 +1356,12 @@ let () =
      pathcond_ab ();
      pool_jobs_bench ();
      crash_resume_bench ();
-     session_store_bench ();
      serve_bench ();
      bechamel ()
    | other ->
      Printf.eprintf
        "unknown benchmark %s (try \
-        table1|table2|table3|fig1|fig4|fig5|ablate|robust|pool|pathcond-ab|pool-jobs|crash-resume|session-store|serve|smoke|bechamel|all)\n"
+        table1|table2|table3|fig1|fig4|fig5|ablate|robust|pool|pathcond-ab|pool-jobs|crash-resume|serve|smoke|bechamel|all)\n"
        other;
      exit 1);
   flush_runs ()

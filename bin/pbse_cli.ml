@@ -16,6 +16,7 @@
 open Cmdliner
 module Registry = Pbse_targets.Registry
 module Driver = Pbse.Driver
+module Session = Pbse_session.Session
 module Klee = Pbse.Klee
 module Executor = Pbse_exec.Executor
 module Coverage = Pbse_exec.Coverage
@@ -77,21 +78,21 @@ let scheduler_arg =
   in
   Arg.(
     value
-    & opt string Driver.default_config.Driver.search.Driver.scheduler
+    & opt string Session.default_config.Session.search.Session.scheduler
     & info [ "scheduler" ] ~docv:"POLICY" ~doc)
 
 let max_strikes_arg =
   let doc = "Faults a state survives before it is quarantined." in
   Arg.(
     value
-    & opt int Driver.default_config.Driver.robust.Driver.max_strikes
+    & opt int Session.default_config.Session.robust.Session.max_strikes
     & info [ "max-strikes" ] ~docv:"N" ~doc)
 
 let intervals_target_arg =
   let doc = "BBVs aimed for when auto-sizing the concolic interval." in
   Arg.(
     value
-    & opt int Driver.default_config.Driver.concolic.Driver.intervals_target
+    & opt int Session.default_config.Session.concolic.Session.intervals_target
     & info [ "intervals-target" ] ~docv:"N" ~doc)
 
 let prefix_cap_arg =
@@ -101,7 +102,7 @@ let prefix_cap_arg =
   in
   Arg.(
     value
-    & opt int Driver.default_config.Driver.solver.Driver.prefix_cap
+    & opt int Session.default_config.Session.solver.Session.prefix_cap
     & info [ "prefix-cap" ] ~docv:"N" ~doc)
 
 let no_subsumption_arg =
@@ -137,7 +138,7 @@ let write_report_json ~path json =
 (* One shared term assembles the driver configuration for every
    subcommand that runs the engine, so flags compose identically
    everywhere and new ones are added in exactly one place. Evaluates to
-   a [(Driver.config, string) result]. *)
+   a [(Session.config, string) result]. *)
 let config_term =
   let combine inject max_strikes scheduler intervals_target prefix_cap
       no_subsumption no_loop_summaries =
@@ -147,15 +148,15 @@ let config_term =
            (String.concat ", " Pbse_sched.Scheduler.names))
     else
       let config =
-        Driver.default_config
-        |> Driver.with_search (fun s -> { s with Driver.scheduler })
-        |> Driver.with_robust (fun r -> { r with Driver.max_strikes })
-        |> Driver.with_concolic (fun c -> { c with Driver.intervals_target })
-        |> Driver.with_solver (fun s -> { s with Driver.prefix_cap })
-        |> Driver.with_pathcond (fun p ->
+        Session.default_config
+        |> Session.with_search (fun s -> { s with Session.scheduler })
+        |> Session.with_robust (fun r -> { r with Session.max_strikes })
+        |> Session.with_concolic (fun c -> { c with Session.intervals_target })
+        |> Session.with_solver (fun s -> { s with Session.prefix_cap })
+        |> Session.with_pathcond (fun p ->
                {
-                 Driver.subsumption = p.Driver.subsumption && not no_subsumption;
-                 loop_summaries = p.Driver.loop_summaries && not no_loop_summaries;
+                 Session.subsumption = p.Session.subsumption && not no_subsumption;
+                 loop_summaries = p.Session.loop_summaries && not no_loop_summaries;
                })
       in
       match inject with
@@ -163,7 +164,7 @@ let config_term =
       | Some spec -> (
         match Inject.parse spec with
         | Ok plan ->
-          Ok (Driver.with_robust (fun r -> { r with Driver.inject = plan }) config)
+          Ok (Session.with_robust (fun r -> { r with Session.inject = plan }) config)
         | Error e -> Error (Printf.sprintf "bad --inject plan: %s" e))
   in
   Term.(
@@ -199,22 +200,22 @@ let targets_cmd =
 
 (* --- run (pbSE) ---------------------------------------------------------------- *)
 
-let print_report (report : Driver.report) =
-  Printf.printf "seed: %d bytes; BBV interval: %d units\n" report.Driver.seed_size
-    report.Driver.interval_length;
+let print_report (report : Session.report) =
+  Printf.printf "seed: %d bytes; BBV interval: %d units\n" report.Session.seed_size
+    report.Session.interval_length;
   Printf.printf "concolic time (c-time): %d; phase analysis (p-time): %d\n"
-    report.Driver.c_time report.Driver.p_time;
-  let division = report.Driver.division in
+    report.Session.c_time report.Session.p_time;
+  let division = report.Session.division in
   Printf.printf "phases: k=%d, %d trap phase(s); strip: %s\n" division.Phase.k
     division.Phase.trap_count
     (Phase.render_strip division);
-  Printf.printf "seedStates scheduled: %d\n" report.Driver.seed_state_count;
+  Printf.printf "seedStates scheduled: %d\n" report.Session.seed_state_count;
   Printf.printf "blocks covered: %d\n"
-    (Coverage.count (Executor.coverage report.Driver.executor));
-  Printf.printf "faults contained: %s\n" (Fault.summary report.Driver.faults);
+    (Coverage.count (Executor.coverage report.Session.executor));
+  Printf.printf "faults contained: %s\n" (Fault.summary report.Session.faults);
   Printf.printf "quarantine: %d state(s) evicted, %d strike(s)\n"
-    report.Driver.quarantined report.Driver.strikes;
-  match report.Driver.bugs with
+    report.Session.quarantined report.Session.strikes;
+  match report.Session.bugs with
   | [] -> print_endline "no bugs found"
   | bugs ->
     Printf.printf "%d bug(s):\n" (List.length bugs);
@@ -365,15 +366,14 @@ let run_cmd =
       if pool then begin
         let config =
           if share then
-            Driver.with_search
-              (fun s -> { s with Driver.share_seed_states = true })
+            Session.with_search
+              (fun s -> { s with Session.share_seed_states = true })
               config
           else config
         in
         let report =
           Driver.run_pool ~config ~scheduler:pool_scheduler ~jobs ~lease
             ?checkpoint:(build_checkpoint ~target:name ck)
-            ~target:name
             (Registry.program t)
             ~seeds:(List.map snd t.Registry.seeds)
             ~deadline
@@ -392,12 +392,12 @@ let run_cmd =
           prerr_endline e;
           1
         | Ok seed ->
-          let report = Driver.run ~config (Registry.program t) ~seed ~deadline in
+          let report = Session.run ~config (Registry.program t) ~seed ~deadline in
           print_report report;
           (match report_file with
            | Some path ->
              write_report_json ~path
-               (Report.to_json (Driver.run_report ~meta:(meta seed_label) report))
+               (Report.to_json (Session.run_report ~meta:(meta seed_label) report))
            | None -> ());
           0
       end
@@ -571,15 +571,15 @@ let phases_cmd =
         let clock = Pbse_util.Vclock.create () in
         let exec = Executor.create ~clock prog ~input:seed in
         (* same interval sizing as the driver, honouring --intervals-target *)
-        let interval_length = Driver.interval_length_for config prog ~seed in
+        let interval_length = Session.interval_length_for config prog ~seed in
         let concolic =
           Pbse_concolic.Concolic.run ~interval_length exec
             (Pbse_concolic.Trace.indexer ())
         in
         let division =
-          Phase.divide ~mode:config.Driver.concolic.Driver.mode
-            ~max_k:config.Driver.search.Driver.max_k
-            (Pbse_util.Rng.create config.Driver.rng_seed)
+          Phase.divide ~mode:config.Session.concolic.Session.mode
+            ~max_k:config.Session.search.Session.max_k
+            (Pbse_util.Rng.create config.Session.rng_seed)
             concolic.Pbse_concolic.Concolic.bbvs
         in
         Printf.printf "concolic run: %d virtual time units, %d BBVs, %d seedStates\n"
@@ -626,10 +626,10 @@ let bugs_cmd =
         1
       | Ok seed ->
         let report =
-          Driver.run ~config (Registry.program t) ~seed
+          Session.run ~config (Registry.program t) ~seed
             ~deadline:(deadline_of_hours hours)
         in
-        (match report.Driver.bugs with
+        (match report.Session.bugs with
          | [] -> print_endline "no bugs found"
          | bugs ->
            List.iter
@@ -760,7 +760,7 @@ let serve_cmd =
     Arg.(value & opt int 2 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
   in
   let store_cap_arg =
-    let doc = "Live sessions kept in the server's session store (LRU)." in
+    let doc = "Rendered responses kept in the server's response store (LRU)." in
     Arg.(value & opt (some int) None & info [ "store-cap" ] ~docv:"N" ~doc)
   in
   let listen_arg =
@@ -844,12 +844,12 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Campaign server speaking pbse-serve/2 (and the deprecated v1 \
-          one-liner) over a Unix-domain socket and optionally TCP \
-          (--listen). pbse-report/1 responses byte-identical to `run --pool \
-          --report' on every transport; admission control via \
-          --max-inflight/--quota; --store-file keeps the response cache warm \
-          across restarts. Stops immediately on SIGTERM/SIGINT.")
+         "Campaign server speaking pbse-serve/2 over a Unix-domain socket \
+          and optionally TCP (--listen). pbse-report/1 responses \
+          byte-identical to `run --pool --report' on every transport; \
+          admission control via --max-inflight/--quota; --store-file keeps \
+          the response cache warm across restarts. Stops immediately on \
+          SIGTERM/SIGINT.")
     Term.(
       const run $ socket_arg $ listen_arg $ jobs_arg $ store_cap_arg
       $ store_file_arg $ max_inflight_arg $ quota_arg)
@@ -857,8 +857,8 @@ let serve_cmd =
 let request_cmd =
   let json_arg =
     let doc =
-      "Raw request JSON (one object; see docs/architecture.md). Overrides \
-       the individual request flags."
+      "Raw pbse-serve/2 request envelope (one JSON object; see \
+       docs/serve.md). Overrides the individual request flags."
     in
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"JSON" ~doc)
   in
@@ -961,8 +961,8 @@ let request_cmd =
     (Cmd.info "request"
        ~doc:
          "Send one campaign request to a running `pbse serve' (pbse-serve/2 \
-          envelope; falls back to v1 against an old server). Errors are \
-          structured `code: message' lines on stderr with a non-zero exit.")
+          envelope). Errors are structured `code: message' lines on stderr \
+          with a non-zero exit.")
     Term.(
       const run $ socket_arg $ connect_arg $ json_arg $ target_arg
       $ deadline_arg $ pool_scheduler_arg $ lease_arg $ id_arg $ client_arg

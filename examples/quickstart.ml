@@ -38,18 +38,18 @@ let () =
   let program = Pbse_lang.Frontend.compile source in
   (* a benign seed: two small records *)
   let seed = Bytes.of_string "RX\002\001\010\002\020" in
-  let report = Pbse.Driver.run program ~seed ~deadline:60_000 in
+  let report = Pbse_session.Session.run program ~seed ~deadline:60_000 in
 
-  let division = report.Pbse.Driver.division in
+  let division = report.Pbse_session.Session.division in
   Printf.printf "phases found: %d (of which %d trap phases)\n"
     (List.length division.Pbse_phase.Phase.phases)
     division.Pbse_phase.Phase.trap_count;
   Printf.printf "phase strip:  %s\n" (Pbse_phase.Phase.render_strip division);
   Printf.printf "blocks covered: %d\n"
     (Pbse_exec.Coverage.count
-       (Pbse_exec.Executor.coverage report.Pbse.Driver.executor));
+       (Pbse_exec.Executor.coverage report.Pbse_session.Session.executor));
 
-  match report.Pbse.Driver.bugs with
+  match report.Pbse_session.Session.bugs with
   | [] -> print_endline "no bugs found (try a larger --deadline)"
   | bugs ->
     List.iter

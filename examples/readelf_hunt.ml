@@ -8,6 +8,7 @@
 
 module Registry = Pbse_targets.Registry
 module Driver = Pbse.Driver
+module Session = Pbse_session.Session
 
 let hour = 120_000
 
@@ -25,18 +26,18 @@ let () =
   Printf.printf "selected seed: %d bytes (out of %d candidates)\n" (Bytes.length seed)
     (List.length pool);
 
-  let report = Driver.run prog ~seed ~deadline:hour in
+  let report = Session.run prog ~seed ~deadline:hour in
   let pbse_cov =
-    Pbse_exec.Coverage.count (Pbse_exec.Executor.coverage report.Driver.executor)
+    Pbse_exec.Coverage.count (Pbse_exec.Executor.coverage report.Session.executor)
   in
   Printf.printf "pbSE: %d blocks in 1h (c-time %d, %d trap phases), %d bug(s)\n"
-    pbse_cov report.Driver.c_time
-    report.Driver.division.Pbse_phase.Phase.trap_count
-    (List.length report.Driver.bugs);
+    pbse_cov report.Session.c_time
+    report.Session.division.Pbse_phase.Phase.trap_count
+    (List.length report.Session.bugs);
   List.iter
     (fun ((bug : Pbse_exec.Bug.t), phase) ->
       Printf.printf "  phase %d: %s\n" phase (Pbse_exec.Bug.to_string bug))
-    report.Driver.bugs;
+    report.Session.bugs;
 
   let klee =
     Pbse.Klee.run prog ~searcher:"random-path" ~input:(Bytes.make 1000 '\000')

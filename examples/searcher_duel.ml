@@ -39,9 +39,12 @@ let () =
       Printf.printf "  ... %s done\n%!" searcher)
     Searcher.names;
   let report =
-    Pbse.Driver.run prog ~seed:(Registry.default_seed t)
+    Pbse_session.Session.run prog ~seed:(Registry.default_seed t)
       ~deadline:(List.fold_left max 0 budgets)
   in
   Tablefmt.add_row table
-    ("pbSE" :: List.map (fun b -> string_of_int (Pbse.Driver.coverage_at report b)) budgets);
+    ("pbSE"
+    :: List.map
+         (fun b -> string_of_int (Pbse_session.Session.coverage_at report b))
+         budgets);
   Tablefmt.print table

@@ -78,7 +78,7 @@ val to_string : t -> string
     payload). Deterministic: [of_string] followed by [to_string]
     reproduces the bytes exactly. *)
 
-type error =
+type error = Pbse_telemetry.Checked_file.error =
   | Corrupt of string (* unparsable, truncated, or failed its checksum *)
   | Version_mismatch of string (* a schema other than {!schema} *)
 
@@ -87,12 +87,9 @@ val error_message : error -> string
 val of_string : string -> (t, error) result
 
 val save : path:string -> t -> unit
-(** Atomic write: the document goes to [path].tmp, any existing [path]
-    rotates to [path].bak, then the tmp renames into place. *)
-
-val save_string : path:string -> string -> unit
-(** {!save} for pre-rendered (possibly deliberately corrupted — fault
-    injection) document bytes. *)
+(** Atomic write ({!Pbse_telemetry.Checked_file.write}): the document
+    goes to [path].tmp, any existing [path] rotates to [path].bak, then
+    the tmp renames into place. *)
 
 val load : path:string -> (t, error) result
 (** Read and validate [path]; I/O errors surface as [Corrupt]. *)

@@ -12,75 +12,14 @@ module Quarantine = Pbse_robust.Quarantine
 module Expr = Pbse_smt.Expr
 module Telemetry = Pbse_telemetry.Telemetry
 module Report = Pbse_telemetry.Report
+module Checked_file = Pbse_telemetry.Checked_file
 module Session = Pbse_session.Session
-module Session_store = Pbse_session.Session_store
+module Runtime = Pbse_session.Runtime
 
-(* --- session layer re-exports ----------------------------------------------
-
-   The whole single-run lifecycle — configuration, open/step/finish,
-   run reports — lives in {!Pbse_session.Session}; the driver re-exports
-   it so [Driver.run] / [Driver.open_session] remain the engine-level
-   entry points, and keeps for itself only what is genuinely
-   campaign-shaped: seed pools, round scheduling, checkpoints, resume. *)
-
-type concolic_config = Session.concolic_config = {
-  interval_length : int option;
-  intervals_target : int;
-  time_period : int;
-  mode : Pbse_phase.Phase.mode;
-}
-
-type search_config = Session.search_config = {
-  phase_searcher : string;
-  scheduler : string;
-  max_live : int;
-  dedup_seed_states : bool;
-  max_k : int;
-  share_seed_states : bool;
-}
-
-type solver_config = Session.solver_config = {
-  budget : int;
-  retry_cap : int;
-  prefix_cap : int;
-}
-
-type robust_config = Session.robust_config = {
-  confirm_bugs : bool;
-  max_strikes : int;
-  inject : Inject.plan;
-  watchdog_factor : int;
-  watchdog_strikes : int;
-  degrade_after : int;
-}
-
-type pathcond_config = Session.pathcond_config = {
-  subsumption : bool;
-  loop_summaries : bool;
-}
-
-type config = Session.config = {
-  concolic : concolic_config;
-  search : search_config;
-  solver : solver_config;
-  robust : robust_config;
-  pathcond : pathcond_config;
-  rng_seed : int;
-}
-
-let default_config = Session.default_config
-let with_concolic = Session.with_concolic
-let with_search = Session.with_search
-let with_solver = Session.with_solver
-let with_robust = Session.with_robust
-let with_pathcond = Session.with_pathcond
-let with_rng_seed = Session.with_rng_seed
-let config_to_kvs = Session.config_to_kvs
-let config_of_kvs = Session.config_of_kvs
-let interval_length_for = Session.interval_length_for
-
+(* A pool campaign's runs carry single-run reports; the record is
+   re-exported so [pool_report.runs] reads without a second module. *)
 type report = Session.report = {
-  config : config;
+  config : Session.config;
   seed_size : int;
   c_time : int;
   p_time : int;
@@ -99,22 +38,6 @@ type report = Session.report = {
   phase_stats : Report.phase_row list;
   registry : Telemetry.Registry.t;
 }
-
-let coverage_at = Session.coverage_at
-let run = Session.run
-
-type session = Session.t
-
-let open_session = Session.open_session
-let step_session = Session.step_session
-let session_time = Session.session_time
-let session_drained = Session.session_drained
-let session_executor = Session.session_executor
-let session_runtime = Session.session_runtime
-let finish_session = Session.finish_session
-let run_report = Session.run_report
-let scalar_metrics = Session.scalar_metrics
-let span_metrics = Session.span_metrics
 
 (* --- seed pools ------------------------------------------------------------ *)
 
@@ -206,23 +129,15 @@ type turn_exec = {
    turns (spent > factor x budget), injected turn kills and contained
    turn exceptions all strike their seed toward forced retirement and
    step the effective [--jobs] and prefix cap down (graceful
-   degradation) without ever aborting the campaign.
+   degradation) without ever aborting the campaign. *)
 
-   On top sits the session-store fast path: with [store] (and no
-   checkpointing, resume or preloaded faults — durability features
-   describe one concrete execution, not a cacheable one), a finished
-   campaign memoises its sessions and pool report under a campaign
-   fingerprint, and an identical later call recalls them — re-finishing
-   the live sessions instead of re-running concolic bootstrap — with
-   byte-identical report JSON. *)
-(* Everything a later identical call must agree on to be served the
-   memoised campaign. [jobs] is deliberately absent: reports are
-   jobs-invariant, so any width may reuse any width's campaign. The
-   serve layer computes the same digest up front to key its
-   restart-persistent residue cache. *)
-let campaign_fingerprint ?(config = default_config)
-    ?(scheduler = Pool_scheduler.default) ?(lease = 1) ?(registry_enabled = true)
-    ~target ~seeds ~deadline () =
+(* The digest under which the serve layer caches a campaign's rendered
+   report. [jobs] is deliberately absent: reports are jobs-invariant, so
+   any width may reuse any width's campaign. The constant "1" stands
+   where a telemetry-enablement flag was once hashed; it stays so store
+   files written before keep their keys. *)
+let campaign_fingerprint ?(config = Session.default_config)
+    ?(scheduler = Pool_scheduler.default) ?(lease = 1) ~target ~seeds ~deadline () =
   let ordered =
     List.sort (fun a b -> Int.compare (Bytes.length a) (Bytes.length b)) seeds
   in
@@ -237,14 +152,14 @@ let campaign_fingerprint ?(config = default_config)
        scheduler;
        string_of_int (max 1 lease);
        string_of_int deadline;
-       (if registry_enabled then "1" else "0");
+       "1";
      ]
     @ List.map (fun seed -> Digest.to_hex (Digest.bytes seed)) ordered);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let run_pool ?(config = default_config) ?(scheduler = Pool_scheduler.default)
+let run_pool ?(config = Session.default_config) ?(scheduler = Pool_scheduler.default)
     ?runtime ?(jobs = 1) ?(lease = 1) ?checkpoint ?resume ?(preload_faults = [])
-    ?pool:ext_pool ?store ?target ?round_wrap prog ~seeds ~deadline =
+    ?pool:ext_pool ?share ?round_wrap prog ~seeds ~deadline =
   let factory =
     match Pool_scheduler.by_name scheduler with
     | Some f -> f
@@ -254,715 +169,664 @@ let run_pool ?(config = default_config) ?(scheduler = Pool_scheduler.default)
   let ordered =
     List.sort (fun a b -> Int.compare (Bytes.length a) (Bytes.length b)) seeds
   in
-  let registry_enabled =
-    match runtime with
-    | Some rt -> Telemetry.Registry.enabled rt.Runtime.registry
-    | None -> Telemetry.Registry.enabled (Telemetry.Registry.default ())
-  in
-  (* The campaign-wide share table consulted by every [open_session]
-     (config-gated). A store-backed share outlives this campaign, so
-     repeated campaigns against one store share across campaigns too. *)
+  (* The share table consulted by every [open_session] (config-gated):
+     the caller's, which may span campaigns, or one for this campaign. *)
   let share =
     if config.search.share_seed_states then
-      Some
-        (match store with
-         | Some st -> Session_store.share st
-         | None -> Session.share_create ())
+      Some (match share with Some sh -> sh | None -> Session.share_create ())
     else None
   in
   let share_hits0 =
     match share with Some sh -> snd (Session.share_stats sh) | None -> 0
   in
-  let target_name = match target with Some t -> t | None -> "" in
-  let config_fp = Session.config_fingerprint config in
-  let run_cold () =
-    (* Per-domain minor heaps below ~8 MB thrash the stop-the-world minor
-       collection once several domains allocate at engine rates (every
-       domain must reach the barrier for every collection); widen once,
-       process-wide, and never shrink a user-tuned size. *)
-    let g = Gc.get () in
-    if g.Gc.minor_heap_size < 1 lsl 20 then
-      Gc.set { g with Gc.minor_heap_size = 1 lsl 20 };
-    (* One persistent worker pool for the whole campaign — replay and every
-       round reuse its domains; sessions are homed on their slot ordinal.
-       A caller-supplied pool (the serve layer's) is reused as-is and left
-       running; steal/pinned diagnostics are deltas either way. *)
-    let own_pool = Option.is_none ext_pool in
-    let pool =
-      match ext_pool with Some p -> p | None -> Domain_pool.create ~jobs
+  (* Per-domain minor heaps below ~8 MB thrash the stop-the-world minor
+     collection once several domains allocate at engine rates (every
+     domain must reach the barrier for every collection); widen once,
+     process-wide, and never shrink a user-tuned size. *)
+  let g = Gc.get () in
+  if g.Gc.minor_heap_size < 1 lsl 20 then
+    Gc.set { g with Gc.minor_heap_size = 1 lsl 20 };
+  (* One persistent worker pool for the whole campaign — replay and every
+     round reuse its domains; sessions are homed on their slot ordinal.
+     A caller-supplied pool (the serve layer's) is reused as-is and left
+     running; steal/pinned diagnostics are deltas either way. *)
+  let own_pool = Option.is_none ext_pool in
+  let pool =
+    match ext_pool with Some p -> p | None -> Domain_pool.create ~jobs
+  in
+  let steals0 = Domain_pool.steals pool in
+  let pinned0 = Domain_pool.pinned pool in
+  let id_refills0 = Expr.id_block_refills () in
+  Fun.protect ~finally:(fun () -> if own_pool then Domain_pool.shutdown pool)
+  @@ fun () ->
+  let pool_rt =
+    match runtime with
+    | Some rt -> rt
+    | None ->
+      Runtime.create ~rng_seed:config.rng_seed ~inject:config.robust.inject
+        ~max_strikes:config.robust.max_strikes
+        ~prefix_cap:config.solver.prefix_cap ()
+  in
+  let pool_registry = pool_rt.Runtime.registry in
+  if Telemetry.Registry.enabled pool_registry then
+    Telemetry.Registry.reset pool_registry;
+  let tm_rounds = Telemetry.Registry.counter pool_registry "pool.rounds" in
+  let tm_parallel_turns =
+    Telemetry.Registry.counter pool_registry "pool.parallel_turns"
+  in
+  let tm_merge_blocks = Telemetry.Registry.counter pool_registry "pool.merge_blocks" in
+  let tm_merge_bugs = Telemetry.Registry.counter pool_registry "pool.merge_bugs" in
+  let tm_merge_registries =
+    Telemetry.Registry.counter pool_registry "pool.merge_registries"
+  in
+  (* contention diagnostics (width-dependent; excluded from report JSON) *)
+  let tm_steal_count = Telemetry.Registry.counter pool_registry "pool.steal_count" in
+  let tm_pinned_turns = Telemetry.Registry.counter pool_registry "pool.pinned_turns" in
+  let tm_id_refills = Telemetry.Registry.counter pool_registry "smt.id_block_refills" in
+  let pool_faults = Fault.log_create ~registry:pool_registry () in
+  let slots =
+    List.mapi (fun i seed -> Seed_slot.create ~ordinal:(i + 1) seed) ordered
+  in
+  let nslots = List.length slots in
+  let slot_arr = Array.of_list slots in
+  let merged = Hashtbl.create 1024 in
+  let bug_keys = Hashtbl.create 32 in
+  let merged_bugs = ref [] in
+  let bug_refs = ref [] in
+  (* Sessions indexed by slot ordinal. A cell is written once, by the
+     worker domain running its slot's first turn, and only ever touched
+     by that slot's turns afterwards; distinct slots use distinct cells
+     and [Domain_pool.map]'s join publishes the writes before the
+     barrier reads them, so the array needs no lock. *)
+  let sessions : (Runtime.t * Session.t) option array = Array.make (nslots + 1) None in
+  (* Turn-crash injection draws from a per-slot stream (plan seed +
+     ordinal) so a draw's position never depends on which domain ran
+     which turn; the snapshot-corruption channel draws once per
+     checkpoint write, on the coordinating domain. *)
+  let slot_plan ordinal =
+    { config.robust.inject with Inject.seed = config.robust.inject.Inject.seed + ordinal }
+  in
+  let crash_injects = Array.init (nslots + 1) (fun i -> Inject.create (slot_plan i)) in
+  let pool_inject = Inject.create config.robust.inject in
+  (* Per-ordinal durability records: RNG draws to re-burn on resume, the
+     granted-turn ledger (newest first) and the prefix cap each session
+     opened under (-1 = unbounded). *)
+  let crash_draws = Array.make (nslots + 1) 0 in
+  let turn_events : Snapshot.turn_event list array = Array.make (nslots + 1) [] in
+  let opened_caps = Array.make (nslots + 1) (-1) in
+  let opened = ref [] in
+  let rounds = ref 0 in
+  let parallel_turns = ref 0 in
+  let merge_blocks = ref 0 in
+  let merge_bug_count = ref 0 in
+  let merge_registries = ref 0 in
+  let base_spent = ref 0 in
+  let spent_acc = ref 0 in
+  let turns_since_ck = ref 0 in
+  let checkpoints_written = ref 0 in
+  let degrade_faults = ref 0 in
+  (* Graceful degradation: every watchdog strike, crashed turn or
+     pool-level fault widens [degrade_faults]; each [degrade_after]
+     faults halve the domain-pool width and the solver prefix cap.
+     Neither knob is visible to plans or merges, so reports are
+     unaffected. *)
+  let degrade_steps () =
+    if config.robust.degrade_after <= 0 then 0
+    else !degrade_faults / config.robust.degrade_after
+  in
+  let eff_jobs () = max 1 (jobs asr degrade_steps ()) in
+  let eff_prefix_cap () =
+    match pool_rt.Runtime.prefix_cap with
+    | None -> None
+    | Some cap -> Some (max 16 (cap asr degrade_steps ()))
+  in
+  let watchdog_overran ~budget ~spent =
+    config.robust.watchdog_factor > 0 && spent > config.robust.watchdog_factor * budget
+  in
+  (* The watchdog fires at the merge barrier (and identically during
+     resume replay): a turn that ran past factor x budget records a
+     session-level fault and strikes its seed. *)
+  let watchdog_check s ~start ~budget =
+    let spent = Session.session_time s - start in
+    if watchdog_overran ~budget ~spent then begin
+      Fault.record
+        (Executor.faults (Session.session_executor s))
+        ~detail:"turn-timeout" ~vtime:(Session.session_time s) Fault.Turn_timeout;
+      true
+    end
+    else false
+  in
+  let derive_session_rt ~prefix_cap =
+    let registry =
+      Telemetry.Registry.create ~enabled:(Telemetry.Registry.enabled pool_registry) ()
     in
-    let steals0 = Domain_pool.steals pool in
-    let pinned0 = Domain_pool.pinned pool in
-    let id_refills0 = Expr.id_block_refills () in
-    Fun.protect ~finally:(fun () -> if own_pool then Domain_pool.shutdown pool)
-    @@ fun () ->
-    let pool_rt =
-      match runtime with
-      | Some rt -> rt
-      | None ->
-        Runtime.create ~rng_seed:config.rng_seed ~inject:config.robust.inject
-          ~max_strikes:config.robust.max_strikes
-          ~prefix_cap:config.solver.prefix_cap ()
-    in
-    let pool_registry = pool_rt.Runtime.registry in
-    if Telemetry.Registry.enabled pool_registry then
-      Telemetry.Registry.reset pool_registry;
-    let tm_rounds = Telemetry.Registry.counter pool_registry "pool.rounds" in
-    let tm_parallel_turns =
-      Telemetry.Registry.counter pool_registry "pool.parallel_turns"
-    in
-    let tm_merge_blocks = Telemetry.Registry.counter pool_registry "pool.merge_blocks" in
-    let tm_merge_bugs = Telemetry.Registry.counter pool_registry "pool.merge_bugs" in
-    let tm_merge_registries =
-      Telemetry.Registry.counter pool_registry "pool.merge_registries"
-    in
-    (* contention diagnostics (width-dependent; excluded from report JSON) *)
-    let tm_steal_count = Telemetry.Registry.counter pool_registry "pool.steal_count" in
-    let tm_pinned_turns = Telemetry.Registry.counter pool_registry "pool.pinned_turns" in
-    let tm_id_refills = Telemetry.Registry.counter pool_registry "smt.id_block_refills" in
-    let pool_faults = Fault.log_create ~registry:pool_registry () in
-    let slots =
-      List.mapi (fun i seed -> Seed_slot.create ~ordinal:(i + 1) seed) ordered
-    in
-    let nslots = List.length slots in
-    let slot_arr = Array.of_list slots in
-    let merged = Hashtbl.create 1024 in
-    let bug_keys = Hashtbl.create 32 in
-    let merged_bugs = ref [] in
-    let bug_refs = ref [] in
-    (* Sessions indexed by slot ordinal. A cell is written once, by the
-       worker domain running its slot's first turn, and only ever touched
-       by that slot's turns afterwards; distinct slots use distinct cells
-       and [Domain_pool.map]'s join publishes the writes before the
-       barrier reads them, so the array needs no lock. *)
-    let sessions : (Runtime.t * Session.t) option array = Array.make (nslots + 1) None in
-    (* Turn-crash injection draws from a per-slot stream (plan seed +
-       ordinal) so a draw's position never depends on which domain ran
-       which turn; the snapshot-corruption channel draws once per
-       checkpoint write, on the coordinating domain. *)
-    let slot_plan ordinal =
-      { config.robust.inject with Inject.seed = config.robust.inject.Inject.seed + ordinal }
-    in
-    let crash_injects = Array.init (nslots + 1) (fun i -> Inject.create (slot_plan i)) in
-    let pool_inject = Inject.create config.robust.inject in
-    (* Per-ordinal durability records: RNG draws to re-burn on resume, the
-       granted-turn ledger (newest first) and the prefix cap each session
-       opened under (-1 = unbounded). *)
-    let crash_draws = Array.make (nslots + 1) 0 in
-    let turn_events : Snapshot.turn_event list array = Array.make (nslots + 1) [] in
-    let opened_caps = Array.make (nslots + 1) (-1) in
-    let opened = ref [] in
-    let rounds = ref 0 in
-    let parallel_turns = ref 0 in
-    let merge_blocks = ref 0 in
-    let merge_bug_count = ref 0 in
-    let merge_registries = ref 0 in
-    let base_spent = ref 0 in
-    let spent_acc = ref 0 in
-    let turns_since_ck = ref 0 in
-    let checkpoints_written = ref 0 in
-    let degrade_faults = ref 0 in
-    (* Graceful degradation: every watchdog strike, crashed turn or
-       pool-level fault widens [degrade_faults]; each [degrade_after]
-       faults halve the domain-pool width and the solver prefix cap.
-       Neither knob is visible to plans or merges, so reports are
-       unaffected. *)
-    let degrade_steps () =
-      if config.robust.degrade_after <= 0 then 0
-      else !degrade_faults / config.robust.degrade_after
-    in
-    let eff_jobs () = max 1 (jobs asr degrade_steps ()) in
-    let eff_prefix_cap () =
-      match pool_rt.Runtime.prefix_cap with
-      | None -> None
-      | Some cap -> Some (max 16 (cap asr degrade_steps ()))
-    in
-    let watchdog_overran ~budget ~spent =
-      config.robust.watchdog_factor > 0 && spent > config.robust.watchdog_factor * budget
-    in
-    (* The watchdog fires at the merge barrier (and identically during
-       resume replay): a turn that ran past factor x budget records a
-       session-level fault and strikes its seed. *)
-    let watchdog_check s ~start ~budget =
-      let spent = Session.session_time s - start in
-      if watchdog_overran ~budget ~spent then begin
-        Fault.record
-          (Executor.faults (Session.session_executor s))
-          ~detail:"turn-timeout" ~vtime:(Session.session_time s) Fault.Turn_timeout;
-        true
-      end
-      else false
-    in
-    let derive_session_rt ~prefix_cap =
-      let registry =
-        Telemetry.Registry.create ~enabled:(Telemetry.Registry.enabled pool_registry) ()
+    match prefix_cap with
+    | Some cap -> Runtime.derive ~registry ~rng_seed:config.rng_seed ~prefix_cap:cap pool_rt
+    | None -> Runtime.derive ~registry ~rng_seed:config.rng_seed pool_rt
+  in
+  (* Re-execute one opened session's ledger from scratch: open under the
+     recorded prefix cap, then grant exactly the recorded turns. Runs on
+     a worker domain (the session is slot-private). *)
+  let replay_slot (slot : Seed_slot.t) (st : Snapshot.slot_state) =
+    match st.Snapshot.sl_events with
+    | [] -> None
+    | Snapshot.Crash _ :: _ -> None (* the opening turn is always a Step *)
+    | Snapshot.Step { deadline = first_deadline; budget = first_budget } :: rest ->
+      let prefix_cap =
+        if st.Snapshot.sl_prefix_cap >= 0 then Some st.Snapshot.sl_prefix_cap else None
       in
-      match prefix_cap with
-      | Some cap -> Runtime.derive ~registry ~rng_seed:config.rng_seed ~prefix_cap:cap pool_rt
-      | None -> Runtime.derive ~registry ~rng_seed:config.rng_seed pool_rt
-    in
-    (* Re-execute one opened session's ledger from scratch: open under the
-       recorded prefix cap, then grant exactly the recorded turns. Runs on
-       a worker domain (the session is slot-private). *)
-    let replay_slot (slot : Seed_slot.t) (st : Snapshot.slot_state) =
-      match st.Snapshot.sl_events with
-      | [] -> None
-      | Snapshot.Crash _ :: _ -> None (* the opening turn is always a Step *)
-      | Snapshot.Step { deadline = first_deadline; budget = first_budget } :: rest ->
-        let prefix_cap =
-          if st.Snapshot.sl_prefix_cap >= 0 then Some st.Snapshot.sl_prefix_cap else None
-        in
-        let rt = derive_session_rt ~prefix_cap in
-        let s =
-          Session.open_session ~config ~runtime:rt ~reset_telemetry:false ?share prog
-            ~seed:slot.Seed_slot.seed ~deadline:first_deadline
-        in
-        ignore (Session.step_contained s ~deadline:first_deadline);
-        ignore (watchdog_check s ~start:0 ~budget:first_budget);
-        List.iter
-          (fun ev ->
-            match ev with
-            | Snapshot.Crash detail -> Session.record_crash s ~detail
-            | Snapshot.Step { deadline; budget } ->
-              let start = Session.session_time s in
-              ignore (Session.step_contained s ~deadline);
-              ignore (watchdog_check s ~start ~budget))
-          rest;
-        Some (rt, s)
-    in
-    (* --- resume: reinstate the snapshot, then replay the ledgers ------- *)
-    let apply_resume (sn : Snapshot.t) fallback =
-      let compatible =
-        List.length sn.Snapshot.sn_slots = nslots
-        && List.for_all2
-             (fun (st : Snapshot.slot_state) (slot : Seed_slot.t) ->
-               st.Snapshot.sl_ordinal = slot.Seed_slot.ordinal
-               && st.Snapshot.sl_bytes = slot.Seed_slot.size)
-             sn.Snapshot.sn_slots slots
+      let rt = derive_session_rt ~prefix_cap in
+      let s =
+        Session.open_session ~config ~runtime:rt ~reset_telemetry:false ?share prog
+          ~seed:slot.Seed_slot.seed ~deadline:first_deadline
       in
-      if not compatible then begin
-        (* the snapshot describes a different pool: degrade to a fresh
-           start with the mismatch on record, never a crash *)
-        Fault.record pool_faults ~detail:"pool-shape" ~vtime:0 Fault.Resume_mismatch;
-        incr degrade_faults
-      end
-      else begin
-        Fault.restore_counts pool_faults sn.Snapshot.sn_pool_faults;
-        Telemetry.Registry.restore_counters pool_registry sn.Snapshot.sn_counters;
-        base_spent := sn.Snapshot.sn_spent;
-        spent_acc := sn.Snapshot.sn_spent;
-        rounds := sn.Snapshot.sn_rounds;
-        parallel_turns := sn.Snapshot.sn_parallel_turns;
-        merge_blocks := sn.Snapshot.sn_merge_blocks;
-        merge_bug_count := sn.Snapshot.sn_merge_bugs;
-        checkpoints_written := sn.Snapshot.sn_checkpoints;
-        degrade_faults := sn.Snapshot.sn_degrade_faults;
-        (match fallback with
-         | Some detail ->
-           (* the primary checkpoint was bad; we are running from [.bak] *)
-           Fault.record pool_faults ~detail ~vtime:sn.Snapshot.sn_spent
-             Fault.Snapshot_corrupt;
-           incr degrade_faults
-         | None -> ());
-        (* reposition the injection streams where the original left them *)
-        for _ = 1 to sn.Snapshot.sn_checkpoints do
-          ignore (Inject.fire_snapshot_corrupt pool_inject)
-        done;
-        List.iter2
-          (fun (st : Snapshot.slot_state) (slot : Seed_slot.t) ->
-            let ordinal = slot.Seed_slot.ordinal in
-            slot.Seed_slot.turns <- st.Snapshot.sl_turns;
-            slot.Seed_slot.granted <- st.Snapshot.sl_granted;
-            slot.Seed_slot.dwell <- st.Snapshot.sl_dwell;
-            slot.Seed_slot.new_blocks <- st.Snapshot.sl_new_blocks;
-            slot.Seed_slot.bugs <- st.Snapshot.sl_bugs;
-            slot.Seed_slot.quarantined <- st.Snapshot.sl_quarantined;
-            slot.Seed_slot.strikes <- st.Snapshot.sl_strikes;
-            slot.Seed_slot.timeouts <- st.Snapshot.sl_timeouts;
-            slot.Seed_slot.retired <- st.Snapshot.sl_retired;
-            opened_caps.(ordinal) <- st.Snapshot.sl_prefix_cap;
-            crash_draws.(ordinal) <- st.Snapshot.sl_crash_draws;
-            turn_events.(ordinal) <- List.rev st.Snapshot.sl_events;
-            for _ = 1 to st.Snapshot.sl_crash_draws do
-              ignore (Inject.fire_turn_crash crash_injects.(ordinal))
-            done)
-          sn.Snapshot.sn_slots slots;
-        let by_ordinal = Array.make (nslots + 1) None in
-        List.iter
-          (fun (st : Snapshot.slot_state) -> by_ordinal.(st.Snapshot.sl_ordinal) <- Some st)
-          sn.Snapshot.sn_slots;
-        (* replay opened sessions concurrently, like the turns they rerun —
-           homed on their ordinal so each lands on its campaign-long home
-           domain straight away *)
-        let replayed =
-          Domain_pool.run pool ~jobs:(eff_jobs ())
-            ~home:(fun ordinal -> ordinal - 1)
-            (fun ordinal ->
-              match by_ordinal.(ordinal) with
-              | Some st when ordinal >= 1 && ordinal <= nslots ->
-                (ordinal, replay_slot slot_arr.(ordinal - 1) st)
-              | _ -> (ordinal, None))
-            sn.Snapshot.sn_opened
-        in
-        List.iter
-          (fun (ordinal, result) ->
-            match result with
-            | None ->
-              Fault.record pool_faults ~detail:"missing-session" ~vtime:!base_spent
-                Fault.Resume_mismatch;
-              incr degrade_faults
-            | Some (rt, s) ->
-              sessions.(ordinal) <- Some (rt, s);
-              opened := slot_arr.(ordinal - 1) :: !opened;
-              (* the replayed engine must land exactly where the snapshot
-                 recorded it; divergence is survivable but on record *)
-              let st = Option.get by_ordinal.(ordinal) in
-              if Session.session_time s <> st.Snapshot.sl_clock then begin
-                Fault.record pool_faults ~detail:"clock" ~vtime:!base_spent
-                  Fault.Resume_mismatch;
-                incr degrade_faults
-              end;
-              if
-                Coverage.count (Executor.coverage (Session.session_executor s))
-                <> st.Snapshot.sl_coverage
-              then begin
-                Fault.record pool_faults ~detail:"coverage" ~vtime:!base_spent
-                  Fault.Resume_mismatch;
-                incr degrade_faults
-              end)
-          replayed;
-        (* the merged coverage set is the union over the replayed sessions
-           (membership is order-insensitive; the fresh-block counters were
-           restored above, so later merges count against the same set) *)
-        List.iter
-          (fun (ordinal, _) ->
-            match sessions.(ordinal) with
-            | Some (_, s) ->
-              List.iter
-                (fun gid -> Hashtbl.replace merged gid ())
-                (Coverage.covered_ids (Executor.coverage (Session.session_executor s)))
-            | None -> ())
-          replayed;
-        (* merged bugs, reattached in recorded harvest order *)
-        List.iter
-          (fun (br : Snapshot.bug_ref) ->
-            let key = (br.Snapshot.br_gid, br.Snapshot.br_kind) in
-            Hashtbl.replace bug_keys key ();
-            bug_refs := (br.Snapshot.br_slot, br.Snapshot.br_gid, br.Snapshot.br_kind) :: !bug_refs;
-            let reattached =
-              match sessions.(br.Snapshot.br_slot) with
-              | Some (_, s) -> (
-                match
-                  List.find_opt
-                    (fun b -> Bug.dedup_key b = key)
-                    (Executor.bugs (Session.session_executor s))
-                with
-                | Some bug ->
-                  merged_bugs := (bug, Session.session_bug_phase s bug) :: !merged_bugs;
-                  true
-                | None -> false)
-              | None -> false
-            in
-            if not reattached then begin
-              Fault.record pool_faults ~detail:"bug" ~vtime:!base_spent
-                Fault.Resume_mismatch;
-              incr degrade_faults
-            end)
-          sn.Snapshot.sn_bugs
-      end
-    in
-    (match resume with Some (sn, fallback) -> apply_resume sn fallback | None -> ());
-    List.iter
-      (fun (kind, detail) ->
-        Fault.record pool_faults ~detail ~vtime:0 kind;
-        incr degrade_faults)
-      preload_faults;
-    let merge_coverage session =
-      let fresh =
-        List.fold_left
-          (fun fresh gid ->
-            if Hashtbl.mem merged gid then fresh
-            else begin
-              Hashtbl.replace merged gid ();
-              fresh + 1
-            end)
-          0
-          (Coverage.covered_ids (Executor.coverage (Session.session_executor session)))
-      in
-      merge_blocks := !merge_blocks + fresh;
-      Telemetry.add tm_merge_blocks fresh;
-      fresh
-    in
-    let harvest_bugs (slot : Seed_slot.t) session =
+      ignore (Session.step_contained s ~deadline:first_deadline);
+      ignore (watchdog_check s ~start:0 ~budget:first_budget);
       List.iter
-        (fun bug ->
-          let ((gid, bkind) as key) = Bug.dedup_key bug in
-          if not (Hashtbl.mem bug_keys key) then begin
-            Hashtbl.replace bug_keys key ();
-            slot.Seed_slot.bugs <- slot.Seed_slot.bugs + 1;
-            incr merge_bug_count;
-            Telemetry.incr tm_merge_bugs;
-            merged_bugs := (bug, Session.session_bug_phase session bug) :: !merged_bugs;
-            bug_refs := (slot.Seed_slot.ordinal, gid, bkind) :: !bug_refs
-          end)
-        (Executor.bugs (Session.session_executor session))
+        (fun ev ->
+          match ev with
+          | Snapshot.Crash detail -> Session.record_crash s ~detail
+          | Snapshot.Step { deadline; budget } ->
+            let start = Session.session_time s in
+            ignore (Session.step_contained s ~deadline);
+            ignore (watchdog_check s ~start ~budget))
+        rest;
+      Some (rt, s)
+  in
+  (* --- resume: reinstate the snapshot, then replay the ledgers ------- *)
+  let apply_resume (sn : Snapshot.t) fallback =
+    let compatible =
+      List.length sn.Snapshot.sn_slots = nslots
+      && List.for_all2
+           (fun (st : Snapshot.slot_state) (slot : Seed_slot.t) ->
+             st.Snapshot.sl_ordinal = slot.Seed_slot.ordinal
+             && st.Snapshot.sl_bytes = slot.Seed_slot.size)
+           sn.Snapshot.sn_slots slots
     in
-    (* The worker half of a turn: everything here touches only the slot's
-       own session, its private runtime and its own cells of the
-       per-ordinal arrays, so it is safe on any domain. *)
-    let exec_turn (slot : Seed_slot.t) ~budget =
-      let ordinal = slot.Seed_slot.ordinal in
-      crash_draws.(ordinal) <- crash_draws.(ordinal) + 1;
-      let crashed = Inject.fire_turn_crash crash_injects.(ordinal) in
-      match sessions.(ordinal) with
-      | Some (rt, s) ->
-        let start = Session.session_time s in
-        let ev0 = Quarantine.evicted rt.Runtime.quarantine in
-        let st0 = Quarantine.total_strikes rt.Runtime.quarantine in
-        let status =
-          if crashed then begin
-            Session.record_crash s ~detail:"injected-crash";
-            `Injected
-          end
-          else (Session.step_contained s ~deadline:(start + budget) :> [ `Stepped | `Failed | `Injected | `Entry_crash ])
-        in
-        {
-          tx_start = start;
-          tx_stop = Session.session_time s;
-          tx_ev0 = ev0;
-          tx_ev1 = Quarantine.evicted rt.Runtime.quarantine;
-          tx_st0 = st0;
-          tx_st1 = Quarantine.total_strikes rt.Runtime.quarantine;
-          tx_opened = false;
-          tx_status = status;
-        }
-      | None ->
-        if crashed then
-          (* killed before the session ever opened: nothing to ledger *)
-          { tx_start = 0; tx_stop = 0; tx_ev0 = 0; tx_ev1 = 0; tx_st0 = 0;
-            tx_st1 = 0; tx_opened = false; tx_status = `Entry_crash }
-        else begin
-          (* first turn: the session's setup (concolic pass, phase
-             division, seeding) is charged against this turn's budget. The
-             session's runtime is private — fresh registry, RNG reseeded
-             from the config so every seed's run is reproducible in
-             isolation, fresh quarantine, fresh arena — and its prefix cap
-             is the pool's current (possibly degraded) one, recorded for
-             replay. *)
-          let cap = eff_prefix_cap () in
-          opened_caps.(ordinal) <- (match cap with Some c -> c | None -> -1);
-          let rt = derive_session_rt ~prefix_cap:cap in
-          let s =
-            Session.open_session ~config ~runtime:rt ~reset_telemetry:false ?share prog
-              ~seed:slot.Seed_slot.seed ~deadline:budget
-          in
-          sessions.(ordinal) <- Some (rt, s);
-          let status =
-            (Session.step_contained s ~deadline:budget
-              :> [ `Stepped | `Failed | `Injected | `Entry_crash ])
-          in
-          {
-            tx_start = 0;
-            tx_stop = Session.session_time s;
-            tx_ev0 = 0;
-            tx_ev1 = Quarantine.evicted rt.Runtime.quarantine;
-            tx_st0 = 0;
-            tx_st1 = Quarantine.total_strikes rt.Runtime.quarantine;
-            tx_opened = true;
-            tx_status = status;
-          }
-        end
-    in
-    (* The barrier half: runs on the coordinating domain, in plan order,
-       after every turn of the round has been joined. Works only from the
-       [turn_exec] capture — by merge time, later sub-turns of the same
-       lease have already advanced the session. *)
-    let merge_turn (slot : Seed_slot.t) ~budget tx =
-      let ordinal = slot.Seed_slot.ordinal in
-      incr turns_since_ck;
-      match tx.tx_status with
-      | `Entry_crash ->
-        (* charge one tick (a zero-spent turn would silently retire the
-           seed; this way it retries opening next round) and record the
-           kill at pool level — there is no session to carry the fault *)
-        spent_acc := !spent_acc + 1;
-        Fault.record pool_faults ~detail:"injected-crash" ~vtime:!spent_acc
-          Fault.Exec_exception;
-        slot.Seed_slot.timeouts <- slot.Seed_slot.timeouts + 1;
-        incr degrade_faults;
-        let force_retire =
-          config.robust.watchdog_strikes > 0
-          && slot.Seed_slot.timeouts >= config.robust.watchdog_strikes
-        in
-        { Campaign.spent = 1; new_blocks = 0; finished = force_retire }
-      | (`Stepped | `Failed | `Injected) as status ->
-        let _rt, session =
-          match sessions.(ordinal) with Some pair -> pair | None -> assert false
-        in
-        if tx.tx_opened then opened := slot :: !opened;
-        let spent = tx.tx_stop - tx.tx_start in
-        (* ledger the turn for resume replay: injected kills replay as a
-           tick, everything else (including real contained crashes, which
-           are deterministic) replays as a normal step *)
-        let event =
-          match status with
-          | `Injected -> Snapshot.Crash "injected-crash"
-          | `Stepped | `Failed ->
-            Snapshot.Step { deadline = tx.tx_start + budget; budget }
-        in
-        turn_events.(ordinal) <- event :: turn_events.(ordinal);
-        slot.Seed_slot.quarantined <-
-          slot.Seed_slot.quarantined + (tx.tx_ev1 - tx.tx_ev0);
-        slot.Seed_slot.strikes <- slot.Seed_slot.strikes + (tx.tx_st1 - tx.tx_st0);
-        harvest_bugs slot session;
-        let fresh = merge_coverage session in
-        let overran =
-          match status with
-          | `Injected -> false
-          | `Stepped | `Failed ->
-            (* same decision — and the same session fault — the replay's
-               [watchdog_check] reaches right after re-running this step *)
-            if watchdog_overran ~budget ~spent then begin
-              Fault.record
-                (Executor.faults (Session.session_executor session))
-                ~detail:"turn-timeout" ~vtime:tx.tx_stop Fault.Turn_timeout;
-              true
-            end
-            else false
-        in
-        let struck = overran || status <> `Stepped in
-        if struck then begin
-          slot.Seed_slot.timeouts <- slot.Seed_slot.timeouts + 1;
-          incr degrade_faults
-        end;
-        spent_acc := !spent_acc + spent;
-        let force_retire =
-          config.robust.watchdog_strikes > 0
-          && slot.Seed_slot.timeouts >= config.robust.watchdog_strikes
-        in
-        {
-          Campaign.spent;
-          new_blocks = fresh;
-          finished = Session.session_drained session || force_retire;
-        }
-    in
-    let on_round n =
-      incr rounds;
-      Telemetry.incr tm_rounds;
-      if n >= 2 then begin
-        parallel_turns := !parallel_turns + n;
-        Telemetry.add tm_parallel_turns n
-      end
-    in
-    let sched =
-      factory ~registry:pool_registry ~time_period:config.concolic.time_period
-        (List.filter (fun (sl : Seed_slot.t) -> not sl.Seed_slot.retired) slots)
-    in
-    (match resume with
-     | Some (sn, _) ->
-       sched.Pool_scheduler.stats.Pool_scheduler.turns <- sn.Snapshot.sn_sched_turns;
-       sched.Pool_scheduler.stats.Pool_scheduler.rotations <- sn.Snapshot.sn_sched_rotations;
-       sched.Pool_scheduler.stats.Pool_scheduler.retirements <-
-         sn.Snapshot.sn_sched_retirements;
-       sched.Pool_scheduler.restore_state sn.Snapshot.sn_sched_state
-     | None -> ());
-    let slot_state (slot : Seed_slot.t) =
-      let ordinal = slot.Seed_slot.ordinal in
-      let clock, coverage =
-        match sessions.(ordinal) with
-        | Some (_, s) ->
-          ( Session.session_time s,
-            Coverage.count (Executor.coverage (Session.session_executor s)) )
-        | None -> (0, 0)
+    if not compatible then begin
+      (* the snapshot describes a different pool: degrade to a fresh
+         start with the mismatch on record, never a crash *)
+      Fault.record pool_faults ~detail:"pool-shape" ~vtime:0 Fault.Resume_mismatch;
+      incr degrade_faults
+    end
+    else begin
+      Fault.restore_counts pool_faults sn.Snapshot.sn_pool_faults;
+      Telemetry.Registry.restore_counters pool_registry sn.Snapshot.sn_counters;
+      base_spent := sn.Snapshot.sn_spent;
+      spent_acc := sn.Snapshot.sn_spent;
+      rounds := sn.Snapshot.sn_rounds;
+      parallel_turns := sn.Snapshot.sn_parallel_turns;
+      merge_blocks := sn.Snapshot.sn_merge_blocks;
+      merge_bug_count := sn.Snapshot.sn_merge_bugs;
+      checkpoints_written := sn.Snapshot.sn_checkpoints;
+      degrade_faults := sn.Snapshot.sn_degrade_faults;
+      (match fallback with
+       | Some detail ->
+         (* the primary checkpoint was bad; we are running from [.bak] *)
+         Fault.record pool_faults ~detail ~vtime:sn.Snapshot.sn_spent
+           Fault.Snapshot_corrupt;
+         incr degrade_faults
+       | None -> ());
+      (* reposition the injection streams where the original left them *)
+      for _ = 1 to sn.Snapshot.sn_checkpoints do
+        ignore (Inject.fire_snapshot_corrupt pool_inject)
+      done;
+      List.iter2
+        (fun (st : Snapshot.slot_state) (slot : Seed_slot.t) ->
+          let ordinal = slot.Seed_slot.ordinal in
+          slot.Seed_slot.turns <- st.Snapshot.sl_turns;
+          slot.Seed_slot.granted <- st.Snapshot.sl_granted;
+          slot.Seed_slot.dwell <- st.Snapshot.sl_dwell;
+          slot.Seed_slot.new_blocks <- st.Snapshot.sl_new_blocks;
+          slot.Seed_slot.bugs <- st.Snapshot.sl_bugs;
+          slot.Seed_slot.quarantined <- st.Snapshot.sl_quarantined;
+          slot.Seed_slot.strikes <- st.Snapshot.sl_strikes;
+          slot.Seed_slot.timeouts <- st.Snapshot.sl_timeouts;
+          slot.Seed_slot.retired <- st.Snapshot.sl_retired;
+          opened_caps.(ordinal) <- st.Snapshot.sl_prefix_cap;
+          crash_draws.(ordinal) <- st.Snapshot.sl_crash_draws;
+          turn_events.(ordinal) <- List.rev st.Snapshot.sl_events;
+          for _ = 1 to st.Snapshot.sl_crash_draws do
+            ignore (Inject.fire_turn_crash crash_injects.(ordinal))
+          done)
+        sn.Snapshot.sn_slots slots;
+      let by_ordinal = Array.make (nslots + 1) None in
+      List.iter
+        (fun (st : Snapshot.slot_state) -> by_ordinal.(st.Snapshot.sl_ordinal) <- Some st)
+        sn.Snapshot.sn_slots;
+      (* replay opened sessions concurrently, like the turns they rerun —
+         homed on their ordinal so each lands on its campaign-long home
+         domain straight away *)
+      let replayed =
+        Domain_pool.run pool ~jobs:(eff_jobs ())
+          ~home:(fun ordinal -> ordinal - 1)
+          (fun ordinal ->
+            match by_ordinal.(ordinal) with
+            | Some st when ordinal >= 1 && ordinal <= nslots ->
+              (ordinal, replay_slot slot_arr.(ordinal - 1) st)
+            | _ -> (ordinal, None))
+          sn.Snapshot.sn_opened
       in
-      {
-        Snapshot.sl_ordinal = ordinal;
-        sl_bytes = slot.Seed_slot.size;
-        sl_turns = slot.Seed_slot.turns;
-        sl_granted = slot.Seed_slot.granted;
-        sl_dwell = slot.Seed_slot.dwell;
-        sl_new_blocks = slot.Seed_slot.new_blocks;
-        sl_bugs = slot.Seed_slot.bugs;
-        sl_quarantined = slot.Seed_slot.quarantined;
-        sl_strikes = slot.Seed_slot.strikes;
-        sl_timeouts = slot.Seed_slot.timeouts;
-        sl_retired = slot.Seed_slot.retired;
-        sl_clock = clock;
-        sl_coverage = coverage;
-        sl_prefix_cap = opened_caps.(ordinal);
-        sl_crash_draws = crash_draws.(ordinal);
-        sl_events = List.rev turn_events.(ordinal);
-      }
-    in
-    let write_checkpoint ck =
-      let t0 = Sys.time () in
-      let sn =
-        {
-          Snapshot.sn_meta =
-            ck.ck_meta
-            @ [
-                ("scheduler", scheduler);
-                ("jobs", string_of_int jobs);
-                ("lease", string_of_int lease);
-                ("deadline", string_of_int deadline);
-                ( "telemetry",
-                  if Telemetry.Registry.enabled pool_registry then "1" else "0" );
-              ]
-            @ config_to_kvs config;
-          sn_deadline = deadline;
-          sn_spent = !spent_acc;
-          sn_rounds = !rounds;
-          sn_parallel_turns = !parallel_turns;
-          sn_merge_blocks = !merge_blocks;
-          sn_merge_bugs = !merge_bug_count;
-          (* count this write too: resume burns one snapshot-channel draw
-             per write, including the one just below *)
-          sn_checkpoints = !checkpoints_written + 1;
-          sn_degrade_faults = !degrade_faults;
-          sn_sched_turns = sched.Pool_scheduler.stats.Pool_scheduler.turns;
-          sn_sched_rotations = sched.Pool_scheduler.stats.Pool_scheduler.rotations;
-          sn_sched_retirements = sched.Pool_scheduler.stats.Pool_scheduler.retirements;
-          sn_sched_state = sched.Pool_scheduler.state ();
-          sn_pool_faults =
-            List.map (fun k -> (Fault.label k, Fault.count pool_faults k)) Fault.all;
-          sn_opened =
-            List.rev_map (fun (sl : Seed_slot.t) -> sl.Seed_slot.ordinal) !opened;
-          sn_counters = Telemetry.Registry.snapshot_counters pool_registry;
-          sn_slots = List.map slot_state slots;
-          sn_bugs =
-            List.rev_map
-              (fun (ordinal, gid, kind) ->
-                { Snapshot.br_slot = ordinal; br_gid = gid; br_kind = kind })
-              !bug_refs;
-        }
-      in
-      let doc = Snapshot.to_string sn in
-      let doc =
-        if Inject.fire_snapshot_corrupt pool_inject then begin
-          (* flip one byte mid-document; the checksum catches it on load *)
-          let b = Bytes.of_string doc in
-          Bytes.set b (Bytes.length b / 2) '#';
-          Bytes.to_string b
-        end
-        else doc
-      in
-      Snapshot.save_string ~path:ck.ck_path doc;
-      incr checkpoints_written;
-      turns_since_ck := 0;
-      match ck.ck_note_ms with
-      | Some note -> note (int_of_float ((Sys.time () -. t0) *. 1000.0))
-      | None -> ()
-    in
-    let after_round () =
-      match checkpoint with
-      | None -> true
-      | Some ck ->
-        let halt =
-          match ck.ck_halt_after with Some n -> !rounds >= n | None -> false
-        in
-        if halt || !turns_since_ck >= ck.ck_every then write_checkpoint ck;
-        not halt
-    in
-    let spent =
-      Campaign.run_rounds ~on_round ~after_round ~lease ?round_wrap ~pool ~sched
-        ~deadline:(deadline - !base_spent) ~jobs:eff_jobs ~run:exec_turn
-        ~merge:merge_turn ()
-    in
-    List.iter
-      (fun (slot : Seed_slot.t) ->
-        match sessions.(slot.Seed_slot.ordinal) with
-        | Some (rt, s) ->
-          slot.Seed_slot.faults <-
-            Fault.total (Executor.faults (Session.session_executor s));
-          (* publish the session's solver residue for future sessions of
-             this share (ordinal order, first writer per prefix wins) *)
-          (match share with
-           | Some sh -> Session.share_publish_hints sh (Session.export_prefix_hints s)
-           | None -> ());
-          (* fold the session's instruments into the pool registry, in
-             ordinal order — the aggregate report covers the campaign *)
-          Telemetry.Registry.merge_into ~into:pool_registry rt.Runtime.registry;
-          incr merge_registries;
-          Telemetry.incr tm_merge_registries
-        | None -> ())
-      slots;
-    let runs =
-      List.rev_map
-        (fun (slot : Seed_slot.t) ->
-          match sessions.(slot.Seed_slot.ordinal) with
-          | Some (_, s) -> (slot.Seed_slot.seed, Session.finish_session s)
-          | None -> assert false)
-        !opened
-    in
-    (* store members, in the same first-turn order as [runs] *)
-    let members =
-      List.rev_map
-        (fun (slot : Seed_slot.t) ->
-          match sessions.(slot.Seed_slot.ordinal) with
+      List.iter
+        (fun (ordinal, result) ->
+          match result with
+          | None ->
+            Fault.record pool_faults ~detail:"missing-session" ~vtime:!base_spent
+              Fault.Resume_mismatch;
+            incr degrade_faults
+          | Some (rt, s) ->
+            sessions.(ordinal) <- Some (rt, s);
+            opened := slot_arr.(ordinal - 1) :: !opened;
+            (* the replayed engine must land exactly where the snapshot
+               recorded it; divergence is survivable but on record *)
+            let st = Option.get by_ordinal.(ordinal) in
+            if Session.session_time s <> st.Snapshot.sl_clock then begin
+              Fault.record pool_faults ~detail:"clock" ~vtime:!base_spent
+                Fault.Resume_mismatch;
+              incr degrade_faults
+            end;
+            if
+              Coverage.count (Executor.coverage (Session.session_executor s))
+              <> st.Snapshot.sl_coverage
+            then begin
+              Fault.record pool_faults ~detail:"coverage" ~vtime:!base_spent
+                Fault.Resume_mismatch;
+              incr degrade_faults
+            end)
+        replayed;
+      (* the merged coverage set is the union over the replayed sessions
+         (membership is order-insensitive; the fresh-block counters were
+         restored above, so later merges count against the same set) *)
+      List.iter
+        (fun (ordinal, _) ->
+          match sessions.(ordinal) with
           | Some (_, s) ->
-            ( Session_store.session_key ~target:target_name ~seed:slot.Seed_slot.seed
-                ~config_fp,
-              slot.Seed_slot.seed,
-              s )
-          | None -> assert false)
-        !opened
-    in
-    let steal_count = Domain_pool.steals pool - steals0 in
-    let pinned_turns = Domain_pool.pinned pool - pinned0 in
-    let id_refills = Expr.id_block_refills () - id_refills0 in
-    Telemetry.add tm_steal_count steal_count;
-    Telemetry.add tm_pinned_turns pinned_turns;
-    Telemetry.add tm_id_refills id_refills;
-    ( {
-        runs;
-        merged_coverage = Hashtbl.length merged;
-        merged_bugs = List.rev !merged_bugs;
-        pool_scheduler = sched.Pool_scheduler.name;
-        seed_rows = List.map Seed_slot.stat_row slots;
-        pool_stats = sched.Pool_scheduler.stats;
-        pool_deadline = deadline;
-        pool_spent = !base_spent + spent;
-        pool_rounds = !rounds;
-        pool_parallel_turns = !parallel_turns;
-        pool_merge_blocks = !merge_blocks;
-        pool_merge_bugs = !merge_bug_count;
-        pool_merge_registries = !merge_registries;
-        pool_faults;
-        pool_registry;
-        pool_steal_count = steal_count;
-        pool_pinned_turns = pinned_turns;
-        pool_id_refills = id_refills;
-        pool_shared_seedstates =
-          (match share with
-           | Some sh -> snd (Session.share_stats sh) - share_hits0
-           | None -> 0);
-      },
-      members )
+            List.iter
+              (fun gid -> Hashtbl.replace merged gid ())
+              (Coverage.covered_ids (Executor.coverage (Session.session_executor s)))
+          | None -> ())
+        replayed;
+      (* merged bugs, reattached in recorded harvest order *)
+      List.iter
+        (fun (br : Snapshot.bug_ref) ->
+          let key = (br.Snapshot.br_gid, br.Snapshot.br_kind) in
+          Hashtbl.replace bug_keys key ();
+          bug_refs := (br.Snapshot.br_slot, br.Snapshot.br_gid, br.Snapshot.br_kind) :: !bug_refs;
+          let reattached =
+            match sessions.(br.Snapshot.br_slot) with
+            | Some (_, s) -> (
+              match
+                List.find_opt
+                  (fun b -> Bug.dedup_key b = key)
+                  (Executor.bugs (Session.session_executor s))
+              with
+              | Some bug ->
+                merged_bugs := (bug, Session.session_bug_phase s bug) :: !merged_bugs;
+                true
+              | None -> false)
+            | None -> false
+          in
+          if not reattached then begin
+            Fault.record pool_faults ~detail:"bug" ~vtime:!base_spent
+              Fault.Resume_mismatch;
+            incr degrade_faults
+          end)
+        sn.Snapshot.sn_bugs
+    end
   in
-  (* The warm path: only a plain campaign is cacheable — checkpointing,
-     resume and preloaded faults describe one concrete execution. On a
-     hit the memoised sessions are re-finished (valid at any time; no
-     engine work) into runs byte-identical to the cold campaign's. *)
-  let cacheable =
-    Option.is_none checkpoint && Option.is_none resume && preload_faults = []
-  in
-  match store with
-  | Some st when cacheable -> (
-    let fingerprint =
-      campaign_fingerprint ~config ~scheduler ~lease ~registry_enabled
-        ~target:target_name ~seeds ~deadline ()
+  (match resume with Some (sn, fallback) -> apply_resume sn fallback | None -> ());
+  List.iter
+    (fun (kind, detail) ->
+      Fault.record pool_faults ~detail ~vtime:0 kind;
+      incr degrade_faults)
+    preload_faults;
+  let merge_coverage session =
+    let fresh =
+      List.fold_left
+        (fun fresh gid ->
+          if Hashtbl.mem merged gid then fresh
+          else begin
+            Hashtbl.replace merged gid ();
+            fresh + 1
+          end)
+        0
+        (Coverage.covered_ids (Executor.coverage (Session.session_executor session)))
     in
-    match Session_store.find_campaign st ~fingerprint with
-    | Some (members, residue) ->
+    merge_blocks := !merge_blocks + fresh;
+    Telemetry.add tm_merge_blocks fresh;
+    fresh
+  in
+  let harvest_bugs (slot : Seed_slot.t) session =
+    List.iter
+      (fun bug ->
+        let ((gid, bkind) as key) = Bug.dedup_key bug in
+        if not (Hashtbl.mem bug_keys key) then begin
+          Hashtbl.replace bug_keys key ();
+          slot.Seed_slot.bugs <- slot.Seed_slot.bugs + 1;
+          incr merge_bug_count;
+          Telemetry.incr tm_merge_bugs;
+          merged_bugs := (bug, Session.session_bug_phase session bug) :: !merged_bugs;
+          bug_refs := (slot.Seed_slot.ordinal, gid, bkind) :: !bug_refs
+        end)
+      (Executor.bugs (Session.session_executor session))
+  in
+  (* The worker half of a turn: everything here touches only the slot's
+     own session, its private runtime and its own cells of the
+     per-ordinal arrays, so it is safe on any domain. *)
+  let exec_turn (slot : Seed_slot.t) ~budget =
+    let ordinal = slot.Seed_slot.ordinal in
+    crash_draws.(ordinal) <- crash_draws.(ordinal) + 1;
+    let crashed = Inject.fire_turn_crash crash_injects.(ordinal) in
+    match sessions.(ordinal) with
+    | Some (rt, s) ->
+      let start = Session.session_time s in
+      let ev0 = Quarantine.evicted rt.Runtime.quarantine in
+      let st0 = Quarantine.total_strikes rt.Runtime.quarantine in
+      let status =
+        if crashed then begin
+          Session.record_crash s ~detail:"injected-crash";
+          `Injected
+        end
+        else (Session.step_contained s ~deadline:(start + budget) :> [ `Stepped | `Failed | `Injected | `Entry_crash ])
+      in
       {
-        residue with
-        runs = List.map (fun (seed, s) -> (seed, Session.finish_session s)) members;
+        tx_start = start;
+        tx_stop = Session.session_time s;
+        tx_ev0 = ev0;
+        tx_ev1 = Quarantine.evicted rt.Runtime.quarantine;
+        tx_st0 = st0;
+        tx_st1 = Quarantine.total_strikes rt.Runtime.quarantine;
+        tx_opened = false;
+        tx_status = status;
       }
     | None ->
-      let result, members = run_cold () in
-      Session_store.put_campaign st ~fingerprint ~sessions:members result;
-      result)
-  | _ -> fst (run_cold ())
+      if crashed then
+        (* killed before the session ever opened: nothing to ledger *)
+        { tx_start = 0; tx_stop = 0; tx_ev0 = 0; tx_ev1 = 0; tx_st0 = 0;
+          tx_st1 = 0; tx_opened = false; tx_status = `Entry_crash }
+      else begin
+        (* first turn: the session's setup (concolic pass, phase
+           division, seeding) is charged against this turn's budget. The
+           session's runtime is private — fresh registry, RNG reseeded
+           from the config so every seed's run is reproducible in
+           isolation, fresh quarantine, fresh arena — and its prefix cap
+           is the pool's current (possibly degraded) one, recorded for
+           replay. *)
+        let cap = eff_prefix_cap () in
+        opened_caps.(ordinal) <- (match cap with Some c -> c | None -> -1);
+        let rt = derive_session_rt ~prefix_cap:cap in
+        let s =
+          Session.open_session ~config ~runtime:rt ~reset_telemetry:false ?share prog
+            ~seed:slot.Seed_slot.seed ~deadline:budget
+        in
+        sessions.(ordinal) <- Some (rt, s);
+        let status =
+          (Session.step_contained s ~deadline:budget
+            :> [ `Stepped | `Failed | `Injected | `Entry_crash ])
+        in
+        {
+          tx_start = 0;
+          tx_stop = Session.session_time s;
+          tx_ev0 = 0;
+          tx_ev1 = Quarantine.evicted rt.Runtime.quarantine;
+          tx_st0 = 0;
+          tx_st1 = Quarantine.total_strikes rt.Runtime.quarantine;
+          tx_opened = true;
+          tx_status = status;
+        }
+      end
+  in
+  (* The barrier half: runs on the coordinating domain, in plan order,
+     after every turn of the round has been joined. Works only from the
+     [turn_exec] capture — by merge time, later sub-turns of the same
+     lease have already advanced the session. *)
+  let merge_turn (slot : Seed_slot.t) ~budget tx =
+    let ordinal = slot.Seed_slot.ordinal in
+    incr turns_since_ck;
+    match tx.tx_status with
+    | `Entry_crash ->
+      (* charge one tick (a zero-spent turn would silently retire the
+         seed; this way it retries opening next round) and record the
+         kill at pool level — there is no session to carry the fault *)
+      spent_acc := !spent_acc + 1;
+      Fault.record pool_faults ~detail:"injected-crash" ~vtime:!spent_acc
+        Fault.Exec_exception;
+      slot.Seed_slot.timeouts <- slot.Seed_slot.timeouts + 1;
+      incr degrade_faults;
+      let force_retire =
+        config.robust.watchdog_strikes > 0
+        && slot.Seed_slot.timeouts >= config.robust.watchdog_strikes
+      in
+      { Campaign.spent = 1; new_blocks = 0; finished = force_retire }
+    | (`Stepped | `Failed | `Injected) as status ->
+      let _rt, session =
+        match sessions.(ordinal) with Some pair -> pair | None -> assert false
+      in
+      if tx.tx_opened then opened := slot :: !opened;
+      let spent = tx.tx_stop - tx.tx_start in
+      (* ledger the turn for resume replay: injected kills replay as a
+         tick, everything else (including real contained crashes, which
+         are deterministic) replays as a normal step *)
+      let event =
+        match status with
+        | `Injected -> Snapshot.Crash "injected-crash"
+        | `Stepped | `Failed ->
+          Snapshot.Step { deadline = tx.tx_start + budget; budget }
+      in
+      turn_events.(ordinal) <- event :: turn_events.(ordinal);
+      slot.Seed_slot.quarantined <-
+        slot.Seed_slot.quarantined + (tx.tx_ev1 - tx.tx_ev0);
+      slot.Seed_slot.strikes <- slot.Seed_slot.strikes + (tx.tx_st1 - tx.tx_st0);
+      harvest_bugs slot session;
+      let fresh = merge_coverage session in
+      let overran =
+        match status with
+        | `Injected -> false
+        | `Stepped | `Failed ->
+          (* same decision — and the same session fault — the replay's
+             [watchdog_check] reaches right after re-running this step *)
+          if watchdog_overran ~budget ~spent then begin
+            Fault.record
+              (Executor.faults (Session.session_executor session))
+              ~detail:"turn-timeout" ~vtime:tx.tx_stop Fault.Turn_timeout;
+            true
+          end
+          else false
+      in
+      let struck = overran || status <> `Stepped in
+      if struck then begin
+        slot.Seed_slot.timeouts <- slot.Seed_slot.timeouts + 1;
+        incr degrade_faults
+      end;
+      spent_acc := !spent_acc + spent;
+      let force_retire =
+        config.robust.watchdog_strikes > 0
+        && slot.Seed_slot.timeouts >= config.robust.watchdog_strikes
+      in
+      {
+        Campaign.spent;
+        new_blocks = fresh;
+        finished = Session.session_drained session || force_retire;
+      }
+  in
+  let on_round n =
+    incr rounds;
+    Telemetry.incr tm_rounds;
+    if n >= 2 then begin
+      parallel_turns := !parallel_turns + n;
+      Telemetry.add tm_parallel_turns n
+    end
+  in
+  let sched =
+    factory ~registry:pool_registry ~time_period:config.concolic.time_period
+      (List.filter (fun (sl : Seed_slot.t) -> not sl.Seed_slot.retired) slots)
+  in
+  (match resume with
+   | Some (sn, _) ->
+     sched.Pool_scheduler.stats.Pool_scheduler.turns <- sn.Snapshot.sn_sched_turns;
+     sched.Pool_scheduler.stats.Pool_scheduler.rotations <- sn.Snapshot.sn_sched_rotations;
+     sched.Pool_scheduler.stats.Pool_scheduler.retirements <-
+       sn.Snapshot.sn_sched_retirements;
+     sched.Pool_scheduler.restore_state sn.Snapshot.sn_sched_state
+   | None -> ());
+  let slot_state (slot : Seed_slot.t) =
+    let ordinal = slot.Seed_slot.ordinal in
+    let clock, coverage =
+      match sessions.(ordinal) with
+      | Some (_, s) ->
+        ( Session.session_time s,
+          Coverage.count (Executor.coverage (Session.session_executor s)) )
+      | None -> (0, 0)
+    in
+    {
+      Snapshot.sl_ordinal = ordinal;
+      sl_bytes = slot.Seed_slot.size;
+      sl_turns = slot.Seed_slot.turns;
+      sl_granted = slot.Seed_slot.granted;
+      sl_dwell = slot.Seed_slot.dwell;
+      sl_new_blocks = slot.Seed_slot.new_blocks;
+      sl_bugs = slot.Seed_slot.bugs;
+      sl_quarantined = slot.Seed_slot.quarantined;
+      sl_strikes = slot.Seed_slot.strikes;
+      sl_timeouts = slot.Seed_slot.timeouts;
+      sl_retired = slot.Seed_slot.retired;
+      sl_clock = clock;
+      sl_coverage = coverage;
+      sl_prefix_cap = opened_caps.(ordinal);
+      sl_crash_draws = crash_draws.(ordinal);
+      sl_events = List.rev turn_events.(ordinal);
+    }
+  in
+  let write_checkpoint ck =
+    let t0 = Sys.time () in
+    let sn =
+      {
+        Snapshot.sn_meta =
+          ck.ck_meta
+          @ [
+              ("scheduler", scheduler);
+              ("jobs", string_of_int jobs);
+              ("lease", string_of_int lease);
+              ("deadline", string_of_int deadline);
+              ( "telemetry",
+                if Telemetry.Registry.enabled pool_registry then "1" else "0" );
+            ]
+          @ Session.config_to_kvs config;
+        sn_deadline = deadline;
+        sn_spent = !spent_acc;
+        sn_rounds = !rounds;
+        sn_parallel_turns = !parallel_turns;
+        sn_merge_blocks = !merge_blocks;
+        sn_merge_bugs = !merge_bug_count;
+        (* count this write too: resume burns one snapshot-channel draw
+           per write, including the one just below *)
+        sn_checkpoints = !checkpoints_written + 1;
+        sn_degrade_faults = !degrade_faults;
+        sn_sched_turns = sched.Pool_scheduler.stats.Pool_scheduler.turns;
+        sn_sched_rotations = sched.Pool_scheduler.stats.Pool_scheduler.rotations;
+        sn_sched_retirements = sched.Pool_scheduler.stats.Pool_scheduler.retirements;
+        sn_sched_state = sched.Pool_scheduler.state ();
+        sn_pool_faults =
+          List.map (fun k -> (Fault.label k, Fault.count pool_faults k)) Fault.all;
+        sn_opened =
+          List.rev_map (fun (sl : Seed_slot.t) -> sl.Seed_slot.ordinal) !opened;
+        sn_counters = Telemetry.Registry.snapshot_counters pool_registry;
+        sn_slots = List.map slot_state slots;
+        sn_bugs =
+          List.rev_map
+            (fun (ordinal, gid, kind) ->
+              { Snapshot.br_slot = ordinal; br_gid = gid; br_kind = kind })
+            !bug_refs;
+      }
+    in
+    let doc = Snapshot.to_string sn in
+    let doc =
+      if Inject.fire_snapshot_corrupt pool_inject then begin
+        (* flip one byte mid-document; the checksum catches it on load *)
+        let b = Bytes.of_string doc in
+        Bytes.set b (Bytes.length b / 2) '#';
+        Bytes.to_string b
+      end
+      else doc
+    in
+    Checked_file.write ~path:ck.ck_path doc;
+    incr checkpoints_written;
+    turns_since_ck := 0;
+    match ck.ck_note_ms with
+    | Some note -> note (int_of_float ((Sys.time () -. t0) *. 1000.0))
+    | None -> ()
+  in
+  let after_round () =
+    match checkpoint with
+    | None -> true
+    | Some ck ->
+      let halt =
+        match ck.ck_halt_after with Some n -> !rounds >= n | None -> false
+      in
+      if halt || !turns_since_ck >= ck.ck_every then write_checkpoint ck;
+      not halt
+  in
+  let spent =
+    Campaign.run_rounds ~on_round ~after_round ~lease ?round_wrap ~pool ~sched
+      ~deadline:(deadline - !base_spent) ~jobs:eff_jobs ~run:exec_turn
+      ~merge:merge_turn ()
+  in
+  List.iter
+    (fun (slot : Seed_slot.t) ->
+      match sessions.(slot.Seed_slot.ordinal) with
+      | Some (rt, s) ->
+        slot.Seed_slot.faults <-
+          Fault.total (Executor.faults (Session.session_executor s));
+        (* publish the session's solver residue for future sessions of
+           this share (ordinal order, first writer per prefix wins) *)
+        (match share with
+         | Some sh -> Session.share_publish_hints sh (Session.export_prefix_hints s)
+         | None -> ());
+        (* fold the session's instruments into the pool registry, in
+           ordinal order — the aggregate report covers the campaign *)
+        Telemetry.Registry.merge_into ~into:pool_registry rt.Runtime.registry;
+        incr merge_registries;
+        Telemetry.incr tm_merge_registries
+      | None -> ())
+    slots;
+  let runs =
+    List.rev_map
+      (fun (slot : Seed_slot.t) ->
+        match sessions.(slot.Seed_slot.ordinal) with
+        | Some (_, s) -> (slot.Seed_slot.seed, Session.finish_session s)
+        | None -> assert false)
+      !opened
+  in
+  let steal_count = Domain_pool.steals pool - steals0 in
+  let pinned_turns = Domain_pool.pinned pool - pinned0 in
+  let id_refills = Expr.id_block_refills () - id_refills0 in
+  Telemetry.add tm_steal_count steal_count;
+  Telemetry.add tm_pinned_turns pinned_turns;
+  Telemetry.add tm_id_refills id_refills;
+  {
+    runs;
+    merged_coverage = Hashtbl.length merged;
+    merged_bugs = List.rev !merged_bugs;
+    pool_scheduler = sched.Pool_scheduler.name;
+    seed_rows = List.map Seed_slot.stat_row slots;
+    pool_stats = sched.Pool_scheduler.stats;
+    pool_deadline = deadline;
+    pool_spent = !base_spent + spent;
+    pool_rounds = !rounds;
+    pool_parallel_turns = !parallel_turns;
+    pool_merge_blocks = !merge_blocks;
+    pool_merge_bugs = !merge_bug_count;
+    pool_merge_registries = !merge_registries;
+    pool_faults;
+    pool_registry;
+    pool_steal_count = steal_count;
+    pool_pinned_turns = pinned_turns;
+    pool_id_refills = id_refills;
+    pool_shared_seedstates =
+      (match share with
+       | Some sh -> snd (Session.share_stats sh) - share_hits0
+       | None -> 0);
+  }
 
 (* Aggregate pool report: pool-level metrics first (merged coverage and
    deduplicated bugs replace the per-run values, which would double
@@ -973,7 +837,7 @@ let run_pool ?(config = default_config) ?(scheduler = Pool_scheduler.default)
 let pool_run_report ?(meta = []) pool =
   let reports = List.map snd pool.runs in
   let summed =
-    match List.map scalar_metrics reports with
+    match List.map Session.scalar_metrics reports with
     | [] -> []
     | first :: rest ->
       List.fold_left
@@ -1013,7 +877,7 @@ let pool_run_report ?(meta = []) pool =
         (fun kind -> ("pool.fault." ^ Fault.label kind, Fault.count pool.pool_faults kind))
         Fault.all
     @ summed
-    @ span_metrics pool.pool_registry
+    @ Session.span_metrics pool.pool_registry
   in
   {
     Report.meta = ("pool_scheduler", pool.pool_scheduler) :: meta;
@@ -1046,7 +910,7 @@ let load_snapshot ~path =
 
 let resume_pool ?jobs ?lease ?checkpoint ?fallback snapshot prog ~seeds =
   let meta = snapshot.Snapshot.sn_meta in
-  match config_of_kvs meta with
+  match Session.config_of_kvs meta with
   | Error e -> Error ("snapshot config: " ^ e)
   | Ok config -> (
     let scheduler =

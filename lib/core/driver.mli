@@ -1,120 +1,17 @@
-(** The pbSE driver — the paper's contribution (Algorithms 1 and 3).
+(** The pbSE campaign layer — Algorithm 1's outer loop over a seed
+    pool.
 
     The single-run lifecycle (configuration, [run], resumable sessions,
-    run reports) lives in the session layer ({!Pbse_session.Session})
-    and is re-exported here verbatim, so [Driver.run] /
-    [Driver.open_session] remain the engine-level entry points. What the
-    driver owns is the campaign layer: {!run_pool} drives a seed pool
-    through seed-level scheduling policies
-    ({!Pbse_campaign.Pool_scheduler}) built on resumable
-    {!type:session}s — checkpointed, resumable, optionally warmed by a
-    {!Session_store} and shared-seedState-aware — and
+    run reports) lives in {!Pbse_session.Session}; callers use it
+    directly. What the driver owns is the campaign: {!run_pool} drives
+    a seed pool through seed-level scheduling policies
+    ({!Pbse_campaign.Pool_scheduler}) built on resumable sessions —
+    checkpointed, resumable and shared-seedState-aware — and
     {!pool_run_report} renders the aggregate into the same
     [pbse-report/1] document single runs use. *)
 
-module Session = Pbse_session.Session
-module Session_store = Pbse_session.Session_store
-
-(** {1 Configuration}
-
-    Re-exported from {!Session}. Build one from {!default_config} with
-    the [with_*] helpers:
-    {[
-      Driver.default_config
-      |> Driver.with_concolic (fun c -> { c with time_period = 500 })
-      |> Driver.with_search (fun s -> { s with scheduler = "sequential" })
-    ]} *)
-
-type concolic_config = Session.concolic_config = {
-  interval_length : int option; (* BBV interval; None sizes it from a
-                                   concrete pre-run of the seed *)
-  intervals_target : int; (* BBVs aimed for when auto-sizing (default 120) *)
-  time_period : int; (* Algorithm 3's TimePeriod; also the seed-level
-                        turn quantum of pool schedulers *)
-  mode : Pbse_phase.Phase.mode; (* BBV-only or coverage-augmented vectors *)
-}
-(** The concolic pass and phase-division inputs. *)
-
-type search_config = Session.search_config = {
-  phase_searcher : string; (* searcher used inside each phase *)
-  scheduler : string; (* scheduling policy (Pbse_sched.Scheduler.names);
-                         "round-robin" is the paper's Algorithm 3,
-                         "sequential" the ablation, "coverage-greedy"
-                         the greedy alternative, "trap-first" the
-                         trap-prioritising rotation *)
-  max_live : int;
-  dedup_seed_states : bool; (* keep earliest per fork point (paper) *)
-  max_k : int; (* k-means upper bound (paper: 20) *)
-  share_seed_states : bool; (* campaign-wide seedState dedup across
-                               seeds (Session.share); default false *)
-}
-(** State search and phase scheduling. *)
-
-type solver_config = Session.solver_config = {
-  budget : int; (* work units per query *)
-  retry_cap : int; (* upper bound for escalating solver retries *)
-  prefix_cap : int; (* prefix-context LRU bound (Pbse_smt.Prefix_ctx) *)
-}
-
-type robust_config = Session.robust_config = {
-  confirm_bugs : bool;
-  max_strikes : int; (* faults a state survives before quarantine *)
-  inject : Pbse_robust.Inject.plan; (* deterministic fault injection *)
-  watchdog_factor : int; (* a campaign turn spending more than
-                            factor x budget records a Turn_timeout and
-                            strikes its seed; 0 disables the watchdog *)
-  watchdog_strikes : int; (* watchdog/crash strikes before a seed is
-                             force-retired from the pool; 0 = never *)
-  degrade_after : int; (* pool-level faults per degradation step: each
-                          step halves the effective --jobs and the
-                          solver prefix cap; 0 disables degradation *)
-}
-
-type pathcond_config = Session.pathcond_config = {
-  subsumption : bool; (* block-boundary unsat-core subsumption cache *)
-  loop_summaries : bool; (* closed-form counting-loop summaries *)
-}
-(** Path-condition layer pruning (docs/subsumption.md). Both on by
-    default; both are coverage- and bug-transparent. *)
-
-type config = Session.config = {
-  concolic : concolic_config;
-  search : search_config;
-  solver : solver_config;
-  robust : robust_config;
-  pathcond : pathcond_config;
-  rng_seed : int;
-}
-
-val default_config : config
-
-val with_concolic : (concolic_config -> concolic_config) -> config -> config
-val with_search : (search_config -> search_config) -> config -> config
-val with_solver : (solver_config -> solver_config) -> config -> config
-val with_robust : (robust_config -> robust_config) -> config -> config
-val with_pathcond : (pathcond_config -> pathcond_config) -> config -> config
-val with_rng_seed : int -> config -> config
-
-val config_to_kvs : config -> (string * string) list
-(** Flat [(key, value)] rendering of every config field (e.g.
-    [("solver.prefix_cap", "256")]), stored in campaign snapshots so a
-    resumed process rebuilds the exact configuration. *)
-
-val config_of_kvs : (string * string) list -> (config, string) result
-(** Inverse of {!config_to_kvs} over {!default_config}. Unknown keys
-    are ignored (snapshot metadata carries non-config entries such as
-    the target name); a malformed value for a known key is an error. *)
-
-val interval_length_for :
-  config -> Pbse_ir.Types.program -> seed:bytes -> int
-(** The BBV interval the driver will use for [seed]: the configured
-    [interval_length] if set, otherwise sized from a concrete pre-run so
-    the run yields about [intervals_target] BBVs. *)
-
-(** {1 Single runs} *)
-
-type report = Session.report = {
-  config : config;
+type report = Pbse_session.Session.report = {
+  config : Pbse_session.Session.config;
   seed_size : int;
   c_time : int; (* virtual time of the concolic step *)
   p_time : int; (* virtual time charged for phase analysis *)
@@ -131,85 +28,10 @@ type report = Session.report = {
   strikes : int; (* faults charged against states this run *)
   sched_stats : Pbse_sched.Scheduler.stats; (* turns/rotations/evictions *)
   phase_stats : Pbse_telemetry.Report.phase_row list;
-      (* per-phase scheduling stats in ordinal order: turns granted,
-         slices run, new-cover slices, dwell time, quarantine evictions.
-         Always collected (a few ints per phase). *)
   registry : Pbse_telemetry.Telemetry.Registry.t;
-      (* the session's instruments; {!run_report} snapshots its spans
-         and histograms *)
 }
-
-val coverage_at : report -> int -> int
-(** [coverage_at report t] — blocks covered by virtual time [t]
-    (monotone interpolation of the samples). *)
-
-val run :
-  ?config:config ->
-  ?quarantine:Pbse_robust.Quarantine.t ->
-  ?runtime:Runtime.t ->
-  Pbse_ir.Types.program ->
-  seed:bytes ->
-  deadline:int ->
-  report
-(** End-to-end pbSE on one seed ({!Session.run}). *)
-
-(** {1 Resumable sessions}
-
-    [run] is [open_session] + one [step_session] + [finish_session]. The
-    split lets a caller (the campaign layer) grant a seed's engine
-    budget in turns rather than one deadline: the scheduling policy's
-    rotation state survives between steps, so a resumed session
-    continues exactly where it paused. *)
-
-type session = Session.t
-(** One seed's engine with setup done (concolic pass, phase division,
-    seeded queues) and scheduling state live. *)
-
-val open_session :
-  ?config:config ->
-  ?quarantine:Pbse_robust.Quarantine.t ->
-  ?runtime:Runtime.t ->
-  ?reset_telemetry:bool ->
-  ?share:Session.share ->
-  Pbse_ir.Types.program ->
-  seed:bytes ->
-  deadline:int ->
-  session
-(** {!Session.open_session}: runs the concolic and phase-analysis steps
-    (charged to the session's clock) and seeds the phase queues;
-    [deadline] bounds the concolic pass only. [share] is the
-    campaign-wide seedState/solver-residue table, consulted only when
-    [config.search.share_seed_states] is on. *)
-
-val step_session : session -> deadline:int -> unit
-(** Phase-scheduled symbolic execution until [deadline] on the
-    session's own clock (an absolute virtual time, not a delta).
-    Returns early if the scheduler drains. *)
-
-val session_time : session -> int
-(** Current virtual time of the session's clock. *)
-
-val session_drained : session -> bool
-(** True when every phase queue has left the rotation; further steps
-    are no-ops. *)
-
-val session_executor : session -> Pbse_exec.Executor.t
-
-val session_runtime : session -> Runtime.t
-(** The context the session was opened with. *)
-
-val finish_session : session -> report
-(** Assemble the run report from the session's current state. The
-    session stays usable; finishing again after more steps is valid. *)
-
-val run_report :
-  ?meta:(string * string) list -> report -> Pbse_telemetry.Report.t
-(** Assemble the structured run report: solver query/retry/escalation
-    counts, executor and verification totals, per-phase turn/coverage
-    stats, fault and quarantine totals, plus span and histogram
-    snapshots from the telemetry registry (populated only when telemetry
-    was enabled during the run). Deterministic: identical seeded runs
-    yield byte-identical {!Pbse_telemetry.Report.to_json} output. *)
+(** One seed's run report ({!Pbse_session.Session.report}), re-exported
+    because {!pool_report}'s [runs] carry it. *)
 
 val select_seed : bytes list -> coverage_of:(bytes -> int) -> bytes option
 (** The paper's seed-selection heuristic (§III-B4): consider the 10
@@ -252,7 +74,8 @@ type pool_report = {
          ({!Pbse_smt.Expr.id_block_refills}) *)
   pool_shared_seedstates : int;
       (* seedStates skipped because another session of this campaign
-         already published their fork point ({!Session.share_stats}
+         already published their fork point
+         ({!Pbse_session.Session.share_stats}
          hits, as a delta over this campaign). Diagnostic like the
          above: 0 unless [search.share_seed_states] is on *)
 }
@@ -280,36 +103,31 @@ val checkpoint :
     cost in milliseconds. *)
 
 val campaign_fingerprint :
-  ?config:config ->
+  ?config:Pbse_session.Session.config ->
   ?scheduler:string ->
   ?lease:int ->
-  ?registry_enabled:bool ->
   target:string ->
   seeds:bytes list ->
   deadline:int ->
   unit ->
   string
-(** The digest under which {!run_pool} memoises (and the serve layer
-    persists) a campaign: target, config fingerprint, pool policy,
-    lease, deadline, telemetry enablement and the seed digests
-    (size-ordered). [jobs] is deliberately excluded — reports are
-    jobs-invariant, so any width may reuse any width's campaign.
-    Defaults mirror {!run_pool}'s ([registry_enabled] — whether the
-    campaign's runtime registry records telemetry — defaults to true,
-    the serve layer's case). *)
+(** The digest under which the serve layer caches (and persists) a
+    campaign's rendered report: target, config fingerprint, pool
+    policy, lease, deadline and the seed digests (size-ordered). [jobs]
+    is deliberately excluded — reports are jobs-invariant, so any width
+    may reuse any width's campaign. Defaults mirror {!run_pool}'s. *)
 
 val run_pool :
-  ?config:config ->
+  ?config:Pbse_session.Session.config ->
   ?scheduler:string ->
-  ?runtime:Runtime.t ->
+  ?runtime:Pbse_session.Runtime.t ->
   ?jobs:int ->
   ?lease:int ->
   ?checkpoint:checkpoint ->
   ?resume:Pbse_campaign.Snapshot.t * string option ->
   ?preload_faults:(Pbse_robust.Fault.kind * string) list ->
   ?pool:Pbse_campaign.Domain_pool.t ->
-  ?store:pool_report Session_store.t ->
-  ?target:string ->
+  ?share:Pbse_session.Session.share ->
   ?round_wrap:((unit -> unit) -> unit) ->
   Pbse_ir.Types.program ->
   seeds:bytes list ->
@@ -325,9 +143,9 @@ val run_pool :
     {!Pbse_campaign.Campaign.run_rounds} — a persistent, domain-affine
     worker pool: each slot is homed on one domain for the whole
     campaign, with work-stealing only when a worker runs dry — each
-    seed's session under its own private {!Runtime} (registry, RNG,
-    quarantine, arena), and results merge at the round barrier in plan
-    order: coverage into a global block union, bugs deduplicated on
+    seed's session under its own private {!Pbse_session.Runtime}
+    (registry, RNG, quarantine, arena), and results merge at the round
+    barrier in plan order: coverage into a global block union, bugs deduplicated on
     (location, kind) and attributed to the seed whose turn first
     surfaced them. [lease] (default 1) grants each planned turn up to
     that many consecutive same-budget sub-turns, run unbroken on the
@@ -361,21 +179,13 @@ val run_pool :
     by default the campaign creates and shuts down its own), and
     [round_wrap] brackets each executed round (dispatch through merges)
     — together they let a server multiplex several campaigns onto one
-    shared pool with round-granular fair sharing. [store] memoises the
-    finished campaign's sessions and pool report under a campaign
-    fingerprint ([target], config fingerprint, policy, lease, deadline,
-    telemetry enablement and the seed digests; [jobs] deliberately
-    excluded — reports are jobs-invariant), and an identical later call
-    is served from the store: live sessions are re-finished instead of
-    re-running concolic bootstrap, with byte-identical report JSON.
-    Checkpointing, resuming or preloading faults disables the memo for
-    that call (durability features describe one concrete execution).
-    With [config.search.share_seed_states] on, every session of the
-    campaign publishes and consults a shared seedState table (the
-    store's campaign-spanning one when [store] is given): fork points
-    already published by another session are scheduled once
-    campaign-wide, and finished sessions' solver prefix residue seeds
-    fresh ones. *)
+    shared pool with round-granular fair sharing. With
+    [config.search.share_seed_states] on, every session of the campaign
+    publishes and consults a shared seedState table — [share] when
+    given (the serve layer passes one that spans its campaigns), a
+    fresh one otherwise: fork points already published by another
+    session are scheduled once campaign-wide, and finished sessions'
+    solver prefix residue seeds fresh ones. *)
 
 val load_snapshot :
   path:string -> (Pbse_campaign.Snapshot.t * string option, string) result

@@ -2,7 +2,9 @@ module Pool_scheduler = Pbse_campaign.Pool_scheduler
 module Domain_pool = Pbse_campaign.Domain_pool
 module Telemetry = Pbse_telemetry.Telemetry
 module Report = Pbse_telemetry.Report
+module Session = Pbse_session.Session
 module Session_store = Pbse_session.Session_store
+module Runtime = Pbse_session.Runtime
 module Protocol = Pbse_serve.Protocol
 module Transport = Pbse_serve.Transport
 module Admission = Pbse_serve.Admission
@@ -66,18 +68,19 @@ let arbiter_wrap arb f =
 (* --- campaign execution ----------------------------------------------------
 
    The CLI's exact `run --pool --report` recipe, against the server's
-   shared pool and store: default config (plus the request's phase
-   scheduler and sharing switch), a fresh runtime per request over a
-   private telemetry-enabled registry — concurrent requests share no
-   registry — and the same report metadata the CLI writes. *)
+   shared pool and seedState share table: default config (plus the
+   request's phase scheduler and sharing switch), a fresh runtime per
+   request over a private telemetry-enabled registry — concurrent
+   requests share no registry — and the same report metadata the CLI
+   writes. *)
 
 let config_of_request (req : Protocol.request) =
-  Driver.default_config
-  |> Driver.with_search (fun s ->
+  Session.default_config
+  |> Session.with_search (fun s ->
          {
            s with
-           Driver.scheduler =
-             Option.value req.Protocol.rq_scheduler ~default:s.Driver.scheduler;
+           Session.scheduler =
+             Option.value req.Protocol.rq_scheduler ~default:s.Session.scheduler;
            share_seed_states = req.Protocol.rq_share;
          })
 
@@ -101,15 +104,15 @@ let validate (req : Protocol.request) =
             (String.concat ", " Pbse_sched.Scheduler.names) )
     | _ -> Ok ()
 
-let run_request ~pool ~store ~arb ~jobs ?on_round (req : Protocol.request) prog
+let run_request ~pool ~share ~arb ~jobs ?on_round (req : Protocol.request) prog
     seeds =
   let config = config_of_request req in
   let runtime =
     Runtime.create
       ~registry:(Telemetry.Registry.create ~enabled:true ())
-      ~rng_seed:config.Driver.rng_seed ~inject:config.Driver.robust.Driver.inject
-      ~max_strikes:config.Driver.robust.Driver.max_strikes
-      ~prefix_cap:config.Driver.solver.Driver.prefix_cap ()
+      ~rng_seed:config.Session.rng_seed ~inject:config.Session.robust.Session.inject
+      ~max_strikes:config.Session.robust.Session.max_strikes
+      ~prefix_cap:config.Session.solver.Session.prefix_cap ()
   in
   let round_wrap f =
     arbiter_wrap arb f;
@@ -118,8 +121,8 @@ let run_request ~pool ~store ~arb ~jobs ?on_round (req : Protocol.request) prog
   match
     Driver.run_pool ~config ~scheduler:(pool_scheduler_of req) ~runtime
       ~jobs:(Option.value req.Protocol.rq_jobs ~default:jobs)
-      ~lease:req.Protocol.rq_lease ~pool ~store ~target:req.Protocol.rq_target
-      ~round_wrap prog ~seeds ~deadline:req.Protocol.rq_deadline
+      ~lease:req.Protocol.rq_lease ~pool ~share ~round_wrap prog ~seeds
+      ~deadline:req.Protocol.rq_deadline
   with
   | report ->
     let meta =
@@ -146,7 +149,8 @@ let write_all fd s =
 
 type server = {
   srv_pool : Domain_pool.t;
-  srv_store : Driver.pool_report Session_store.t;
+  srv_store : Session_store.t;
+  srv_share : Session.share; (* seedState/prefix-hint table spanning campaigns *)
   srv_arb : arbiter;
   srv_admission : Admission.t;
   srv_jobs : int;
@@ -171,56 +175,37 @@ let save_store srv =
         with Sys_error _ -> () (* an unwritable store file degrades to none *)))
 
 (* One request per connection. Everything the client can get wrong is
-   answered in its own dialect: a v1 request (or a broken line that was
-   recognisably v1) gets the one-line v1 error, everything else gets a
-   v2 error frame with a structured code. A client that disconnects
-   mid-campaign only marks its connection dead — the campaign runs to
-   completion so the shared pool, arbiter and store stay healthy. *)
+   answered with a v2 error frame carrying a structured code. A client
+   that disconnects mid-campaign only marks its connection dead — the
+   campaign runs to completion so the shared pool, arbiter and store
+   stay healthy. *)
 let handle srv fd =
   Atomic.incr srv.srv_clients;
   Telemetry.incr srv.ctr_clients;
   let rd = Transport.reader fd in
-  let respond_error ~version ~id code message retry_after =
+  let respond_error ~id code message retry_after =
     Atomic.incr srv.srv_errors;
     Telemetry.incr srv.ctr_errors;
-    match version with
-    | Protocol.V1 -> write_all fd (Protocol.render_v1_error message)
-    | Protocol.V2 ->
-      write_all fd
-        (Protocol.render_frame
-           (Protocol.Error_frame { id; code; message; retry_after }))
+    write_all fd
+      (Protocol.render_frame (Protocol.Error_frame { id; code; message; retry_after }))
   in
-  let respond_body ~version ~id body =
+  let respond_body ~id body =
     Atomic.incr srv.srv_requests;
     Telemetry.incr srv.ctr_requests;
-    (match version with
-     | Protocol.V1 ->
-       write_all fd (Protocol.render_v1_ok_header (String.length body))
-     | Protocol.V2 ->
-       write_all fd
-         (Protocol.render_frame
-            (Protocol.Report { id; bytes = String.length body })));
+    write_all fd
+      (Protocol.render_frame (Protocol.Report { id; bytes = String.length body }));
     write_all fd body
   in
-  let serve_request version (req : Protocol.request) =
+  let serve_request (req : Protocol.request) =
     let id = req.Protocol.rq_id in
-    let fail (code, message) = respond_error ~version ~id code message None in
+    let fail (code, message) = respond_error ~id code message None in
     match
       Admission.admit srv.srv_admission
         ~client:(Option.value req.Protocol.rq_client ~default:"")
     with
     | Admission.Reject { retry_after } ->
       Telemetry.incr srv.ctr_rejections;
-      (* the retry hint travels in the structured retry_after field; v1
-         clients only see the message, so spell it out for them *)
-      let message =
-        match version with
-        | Protocol.V2 -> "over capacity"
-        | Protocol.V1 ->
-          Printf.sprintf "over capacity: retry after %ds" retry_after
-      in
-      respond_error ~version ~id Protocol.Over_capacity message
-        (Some retry_after)
+      respond_error ~id Protocol.Over_capacity "over capacity" (Some retry_after)
     | Admission.Admit ticket ->
       Fun.protect ~finally:(fun () -> Admission.release ticket) @@ fun () -> (
       match validate req with
@@ -239,7 +224,7 @@ let handle srv fd =
               ~deadline:req.Protocol.rq_deadline ()
           in
           match Session_store.find_residue srv.srv_store ~fingerprint with
-          | Some body -> respond_body ~version ~id body
+          | Some body -> respond_body ~id body
           | None ->
             (* progress frames ride the handler thread: [round_wrap]
                brackets each round on this thread, so frame writes never
@@ -248,8 +233,7 @@ let handle srv fd =
             let dead = ref false in
             let round = ref 0 in
             let on_round () =
-              if (not !dead) && version = Protocol.V2 && req.Protocol.rq_progress
-              then begin
+              if (not !dead) && req.Protocol.rq_progress then begin
                 incr round;
                 try
                   write_all fd
@@ -259,14 +243,14 @@ let handle srv fd =
               end
             in
             (match
-               run_request ~pool:srv.srv_pool ~store:srv.srv_store
+               run_request ~pool:srv.srv_pool ~share:srv.srv_share
                  ~arb:srv.srv_arb ~jobs:srv.srv_jobs ~on_round req prog seeds
              with
              | Error e -> fail e
              | Ok body ->
                Session_store.put_residue srv.srv_store ~fingerprint body;
                save_store srv;
-               if not !dead then respond_body ~version ~id body))))
+               if not !dead then respond_body ~id body))))
   in
   (try
      (match Transport.read_line rd with
@@ -276,16 +260,13 @@ let handle srv fd =
         (* consume the rest of the line first: closing with unread bytes
            pending resets the peer and can discard the error frame *)
         Transport.drain_line rd;
-        respond_error ~version:Protocol.V2 ~id:None Protocol.Oversized_request
+        respond_error ~id:None Protocol.Oversized_request
           (Printf.sprintf "request line exceeds %d bytes" Protocol.max_line)
           None
       | Ok line -> (
         match Protocol.parse_request line with
-        | Error (version, code, message) ->
-          respond_error
-            ~version:(Option.value version ~default:Protocol.V2)
-            ~id:None code message None
-        | Ok (version, req) -> serve_request version req))
+        | Error (code, message) -> respond_error ~id:None code message None
+        | Ok req -> serve_request req))
    with Sys_error _ | Unix.Unix_error _ -> ());
   try Unix.close fd with Sys_error _ | Unix.Unix_error _ -> ()
 
@@ -322,6 +303,7 @@ let serve ~endpoints ?(jobs = 2) ?store_cap ?store_file ?(max_inflight = 0)
     {
       srv_pool = Domain_pool.create ~jobs;
       srv_store = store;
+      srv_share = Session.share_create ();
       srv_arb = arbiter_create ();
       srv_admission =
         Admission.create ~max_inflight ~quota_burst ~quota_refill ();
@@ -338,18 +320,32 @@ let serve ~endpoints ?(jobs = 2) ?store_cap ?store_file ?(max_inflight = 0)
       ctr_rejections = Telemetry.Registry.counter registry "serve.rejections";
     }
   in
-  let threads_mutex = Mutex.create () in
-  let threads = ref [] in
+  (* in-flight handler threads, counted so shutdown can drain them *)
+  let inflight_mutex = Mutex.create () in
+  let drained = Condition.create () in
+  let inflight = ref 0 in
+  let finished () =
+    Mutex.protect inflight_mutex (fun () ->
+        decr inflight;
+        if !inflight = 0 then Condition.broadcast drained)
+  in
   let dispatch fd =
-    let t = Thread.create (handle srv) fd in
-    Mutex.protect threads_mutex (fun () -> threads := t :: !threads)
+    Mutex.protect inflight_mutex (fun () -> incr inflight);
+    let run fd = Fun.protect ~finally:finished (fun () -> handle srv fd) in
+    match Thread.create run fd with
+    | _ -> ()
+    | exception e ->
+      finished ();
+      raise e
   in
   Fun.protect
     ~finally:(fun () ->
       List.iter (fun (ep, fd) -> Transport.close_listener ep fd) listeners;
       (* drain in-flight requests before releasing their domain pool *)
-      List.iter Thread.join
-        (Mutex.protect threads_mutex (fun () -> !threads));
+      Mutex.protect inflight_mutex (fun () ->
+          while !inflight > 0 do
+            Condition.wait drained inflight_mutex
+          done);
       save_store srv;
       Domain_pool.shutdown srv.srv_pool)
     (fun () ->
@@ -380,72 +376,41 @@ let read_failure = function
   | Transport.Overflow -> transport_error "oversized response frame"
   | Transport.Fail e -> transport_error e
 
-(* One exchange. The response dialect is detected from the first line:
-   a [pbse-serve/1] header is the legacy framing, anything else must
-   parse as v2 frames (progress frames invoke [on_progress] and keep
-   reading). When a v2 envelope meets a pre-v2 server the server answers
-   with a v1 error — the line is downgraded to the v1 one-liner and
-   retried once on a fresh connection. *)
+(* One exchange: progress frames invoke [on_progress] and keep reading
+   until a report or error frame ends the response. *)
 let request ?timeout ?on_progress ~connect line =
   let line =
     if String.length line > 0 && line.[String.length line - 1] = '\n' then line
     else line ^ "\n"
   in
-  let exchange line =
-    match Transport.connect ?timeout connect with
-    | Error e -> Error { err_code = "connect"; err_message = e; err_retry_after = None }
-    | Ok fd ->
-      Fun.protect
-        ~finally:(fun () ->
-          try Unix.close fd with Sys_error _ | Unix.Unix_error _ -> ())
-        (fun () ->
-          match write_all fd line with
-          | exception Unix.Unix_error (err, _, _) ->
-            Error (transport_error (Unix.error_message err))
-          | () ->
-            let rd = Transport.reader fd in
-            let rec next_frame () =
-              match Transport.read_line rd with
-              | Error e -> Error (read_failure e)
-              | Ok header -> (
-                match Protocol.parse_v1_header header with
-                | Some (Protocol.V1_ok n) -> (
-                  match Transport.read_exact rd n with
-                  | Ok body -> Ok (`Body body)
-                  | Error e -> Error (read_failure e))
-                | Some (Protocol.V1_error msg) -> Ok (`V1_error msg)
-                | None -> (
-                  match Protocol.parse_frame header with
-                  | Error e -> Error (transport_error e)
-                  | Ok (Protocol.Progress { round; _ }) ->
-                    (match on_progress with Some f -> f round | None -> ());
-                    next_frame ()
-                  | Ok (Protocol.Report { bytes; _ }) -> (
-                    match Transport.read_exact rd bytes with
-                    | Ok body -> Ok (`Body body)
-                    | Error e -> Error (read_failure e))
-                  | Ok (Protocol.Error_frame { code; message; retry_after; _ })
-                    ->
-                    Error
-                      {
-                        err_code = Protocol.error_label code;
-                        err_message = message;
-                        err_retry_after = retry_after;
-                      }))
-            in
-            next_frame ())
-  in
-  match exchange line with
-  | Ok (`Body body) -> Ok body
-  | Ok (`V1_error msg) -> (
-    (* a v1 error to a v2 envelope: the server predates v2 — fall back *)
-    match Protocol.downgrade_request line with
-    | Some v1_line -> (
-      match exchange (v1_line ^ "\n") with
-      | Ok (`Body body) -> Ok body
-      | Ok (`V1_error msg) ->
-        Error { err_code = "error"; err_message = msg; err_retry_after = None }
-      | Error e -> Error e)
-    | None ->
-      Error { err_code = "error"; err_message = msg; err_retry_after = None })
-  | Error e -> Error e
+  match Transport.connect ?timeout connect with
+  | Error e -> Error { err_code = "connect"; err_message = e; err_retry_after = None }
+  | Ok fd ->
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Sys_error _ | Unix.Unix_error _ -> ())
+      (fun () ->
+        match write_all fd line with
+        | exception Unix.Unix_error (err, _, _) ->
+          Error (transport_error (Unix.error_message err))
+        | () ->
+          let rd = Transport.reader fd in
+          let rec next_frame () =
+            match Transport.read_line rd with
+            | Error e -> Error (read_failure e)
+            | Ok header -> (
+              match Protocol.parse_frame header with
+              | Error e -> Error (transport_error e)
+              | Ok (Protocol.Progress { round; _ }) ->
+                (match on_progress with Some f -> f round | None -> ());
+                next_frame ()
+              | Ok (Protocol.Report { bytes; _ }) ->
+                Result.map_error read_failure (Transport.read_exact rd bytes)
+              | Ok (Protocol.Error_frame { code; message; retry_after; _ }) ->
+                Error
+                  {
+                    err_code = Protocol.error_label code;
+                    err_message = message;
+                    err_retry_after = retry_after;
+                  })
+          in
+          next_frame ())

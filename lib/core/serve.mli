@@ -2,8 +2,9 @@
     [pbse-serve/2] (docs/serve.md) over Unix-domain and/or TCP
     endpoints.
 
-    One process holds one persistent {!Pbse_campaign.Domain_pool} and
-    one {!Pbse_session.Session_store}; each client connection carries
+    One process holds one persistent {!Pbse_campaign.Domain_pool}, one
+    seedState share table and one {!Pbse_session.Session_store} of
+    rendered responses; each client connection carries
     one campaign request, passes an admission arbiter (global in-flight
     cap plus per-client token-bucket quotas — rejected requests get a
     structured [over-capacity] error with [retry_after] seconds instead
@@ -11,14 +12,16 @@
     multiplexed onto the shared pool with fair-share round scheduling,
     and streams back a [pbse-report/1] document byte-identical to what
     [pbse run TARGET --pool --report] writes for the same parameters —
-    over every transport. Repeated requests hit the store's campaign
-    memo; with [store_file], rendered responses also persist across a
-    server restart (reloaded on boot, so a deploy keeps the cache warm).
+    over every transport. A repeated request (same campaign fingerprint,
+    any [jobs]) is answered from the store without running the engine;
+    with [store_file], rendered responses also persist across a server
+    restart (reloaded on boot, so a deploy keeps the cache warm).
 
-    The wire protocol lives in {!Pbse_serve.Protocol}: v2 requests are
-    typed envelopes with structured error codes and optional progress
-    frames at round barriers; the v1 one-liner remains served for old
-    clients (deprecated). Shutdown is immediate: the accept loop blocks
+    The wire protocol lives in {!Pbse_serve.Protocol}: requests are
+    typed v2 envelopes with structured error codes and optional progress
+    frames at round barriers; a line that is not a v2 envelope (the
+    retired v1 one-liner included) gets an [unsupported-version] error
+    frame. Shutdown is immediate: the accept loop blocks
     on a self-pipe ({!Pbse_serve.Transport.control}), not a poll. *)
 
 type stats = {
@@ -26,7 +29,7 @@ type stats = {
   sv_requests : int;  (** campaigns served successfully *)
   sv_errors : int;  (** error responses written *)
   sv_rejections : int;  (** admission rejections (subset of errors) *)
-  sv_store_hits : int;  (** session-store hits over the server's life *)
+  sv_store_hits : int;  (** response-store hits over the server's life *)
   sv_store_misses : int;
   sv_store_evictions : int;
   sv_store_reloads : int;  (** residues reloaded from [store_file] at boot *)
@@ -52,8 +55,8 @@ val serve :
     [store_file]), release the domain pool, unlink Unix sockets and
     return the lifetime {!stats}.
 
-    [jobs] (default 2) sizes the shared domain pool; [store_cap] bounds
-    the session store. [store_file] names a [pbse-store/1] file:
+    [jobs] (default 2) sizes the shared domain pool; [store_cap]
+    (default 64) bounds the rendered responses the store keeps (LRU). [store_file] names a [pbse-store/1] file:
     rendered response bodies are reloaded from it at boot (counted in
     [sv_store_reloads]; a corrupt file degrades to a cold boot) and
     checkpointed after every successful request and at shutdown.
@@ -65,8 +68,8 @@ val serve :
 
     Each client is handled on its own thread; every campaign runs under
     a private runtime and telemetry registry, so requests share only
-    the domain pool (arbitrated per round), the admission arbiter and
-    the mutex-guarded store. A client that disconnects mid-campaign
+    the domain pool (arbitrated per round), the admission arbiter, the
+    seedState share table and the mutex-guarded store. A client that disconnects mid-campaign
     stops receiving frames but its campaign completes — the shared pool
     stays healthy. Raises [Invalid_argument] on an empty endpoint
     list. *)
@@ -76,8 +79,7 @@ val serve :
 type error_info = {
   err_code : string;
       (** a {!Pbse_serve.Protocol.error_code} label, or ["connect"] /
-          ["transport"] for client-side failures, or ["error"] for a
-          bare v1 server error *)
+          ["transport"] for client-side failures *)
   err_message : string;
   err_retry_after : int option;  (** seconds; [over-capacity] only *)
 }
@@ -92,8 +94,5 @@ val request :
     to the server at [connect], return the report bytes or a structured
     error. [timeout] (seconds) bounds the connect and every read.
     [on_progress] receives each progress frame's round number as it
-    arrives. The response dialect is auto-detected; if a v2 envelope is
-    answered by a v1-only server (a v1 error to a line it cannot have
-    understood), the request is downgraded to the v1 one-liner and
-    retried once on a fresh connection. Used by [pbse request], the
+    arrives. Used by [pbse request], the
     serve tests and the bench drills. *)

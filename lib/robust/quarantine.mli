@@ -9,7 +9,7 @@
     A quarantine can outlive one run: {!epoch} clears the per-state
     strike counts (state ids restart per run) while the cumulative
     totals and the per-site eviction records persist. Callers that run
-    seeds sequentially ([Driver.run ?quarantine] across invocations) can
+    seeds sequentially ([Session.run ?quarantine] across invocations) can
     thread one quarantine this way so a fork site that struck out under
     one seed fails fast under the next. [Driver.run_pool] does {e not}:
     each pool session owns a private quarantine inside its runtime

@@ -6,8 +6,9 @@ module Json = Pbse_telemetry.Json
    and the campaign parameters under "params" — and are parsed strictly:
    unknown fields, duplicated fields and mistyped values are rejected
    with a structured error code, so a v3 client can't be silently
-   half-understood. Requests without a "pbse" member are the deprecated
-   v1 one-liner and keep their lenient parse. Responses are framed
+   half-understood. A line without a "pbse" member is a pbse-serve/1
+   one-liner; that dialect is retired and answered with
+   unsupported-version like any other version. Responses are framed
    events; the report frame announces a byte count and is followed by
    exactly that many raw bytes of pbse-report/1 JSON — raw, never
    embedded in the frame, so the payload stays byte-identical to what
@@ -47,8 +48,6 @@ let error_code_of_label = function
   | "oversized-request" -> Some Oversized_request
   | "internal" -> Some Internal
   | _ -> None
-
-type wire_version = V1 | V2
 
 type request = {
   rq_id : string option;
@@ -163,59 +162,25 @@ let parse_v2 fields =
       rq_share = share;
     }
 
-(* The deprecated-but-served v1 request: a flat object, parsed leniently
-   (unknown fields ignored, wrong types fall back to defaults) exactly
-   as pbse-serve/1 always did. *)
-let parse_v1 json =
-  let str k = Option.bind (Json.member k json) Json.to_str in
-  let int k = Option.bind (Json.member k json) Json.to_int in
-  let bool k = Option.bind (Json.member k json) Json.to_bool in
-  match str "target" with
-  | None -> Error (Bad_request, "request needs a \"target\" field")
-  | Some target ->
-    Ok
-      {
-        rq_id = None;
-        rq_client = None;
-        rq_progress = false;
-        rq_target = target;
-        rq_deadline = Option.value (int "deadline") ~default:default_deadline;
-        rq_pool_scheduler = Option.value (str "pool_scheduler") ~default:"";
-        rq_scheduler = str "scheduler";
-        rq_jobs = int "jobs";
-        rq_lease = max 1 (Option.value (int "lease") ~default:1);
-        rq_share = Option.value (bool "share") ~default:false;
-      }
-
-(* Parse errors carry the request's wire version when it could be told
-   apart (so the server can answer a broken v1 request with v1 framing);
-   [None] means undeterminable — the server answers those in v2. *)
 let parse_request line =
   match Json.parse line with
-  | Error e -> Error (None, Bad_json, "bad request JSON: " ^ e)
+  | Error e -> Error (Bad_json, "bad request JSON: " ^ e)
   | Ok json -> (
     match fields_of json with
-    | None -> Error (None, Bad_request, "request must be a JSON object")
+    | None -> Error (Bad_request, "request must be a JSON object")
     | Some fields -> (
+      let unsupported what =
+        Error
+          ( Unsupported_version,
+            Printf.sprintf "%s not supported (supported: %d)" what version )
+      in
       match List.assoc_opt "pbse" fields with
-      | None ->
-        Result.map_error
-          (fun (code, msg) -> (Some V1, code, msg))
-          (Result.map (fun r -> (V1, r)) (parse_v1 json))
+      | None -> unsupported "pbse-serve/1 (a request without \"pbse\")"
       | Some v -> (
         match Json.to_int v with
-        | Some 2 ->
-          Result.map_error
-            (fun (code, msg) -> (Some V2, code, msg))
-            (Result.map (fun r -> (V2, r)) (parse_v2 fields))
-        | Some n ->
-          Error
-            ( None,
-              Unsupported_version,
-              Printf.sprintf "protocol version %d not supported (supported: 1 2)"
-                n )
-        | None ->
-          Error (None, Bad_request, "envelope field \"pbse\" must be an integer"))))
+        | Some n when n = version -> parse_v2 fields
+        | Some n -> unsupported (Printf.sprintf "protocol version %d" n)
+        | None -> Error (Bad_request, "envelope field \"pbse\" must be an integer"))))
 
 (* --- rendering -------------------------------------------------------------- *)
 
@@ -249,19 +214,6 @@ let render_request r =
             (if r.rq_progress then [ ("progress", Json.Bool true) ] else []);
             [ ("params", params_json r) ];
           ]))
-
-(* A v2 line downgraded to the v1 one-liner, for client-side fallback
-   against a server that predates the envelope. Progress streaming has
-   no v1 spelling, so a progress request refuses to downgrade. *)
-let downgrade_request line =
-  match parse_request line with
-  | Error _ | Ok (V1, _) -> None
-  | Ok (V2, r) ->
-    if r.rq_progress then None
-    else (
-      match params_json r with
-      | Json.Obj fields -> Some (Json.to_string (Json.Obj fields))
-      | _ -> None)
 
 (* --- response frames -------------------------------------------------------- *)
 
@@ -332,22 +284,3 @@ let parse_frame line =
              })
       | Some e -> Error (Printf.sprintf "unknown response event %S" e)
       | None -> Error "response frame without an \"event\" member"))
-
-(* --- v1 framing (deprecated, still served) ---------------------------------- *)
-
-let sanitize msg =
-  String.map (fun c -> if c = '\n' || c = '\r' then ' ' else c) msg
-
-let render_v1_ok_header bytes = Printf.sprintf "pbse-serve/1 ok %d\n" bytes
-let render_v1_error msg = "pbse-serve/1 error " ^ sanitize msg ^ "\n"
-
-type v1_header = V1_ok of int | V1_error of string
-
-let parse_v1_header header =
-  match String.split_on_char ' ' header with
-  | "pbse-serve/1" :: "ok" :: n :: _ -> (
-    match int_of_string_opt n with
-    | Some n when n >= 0 -> Some (V1_ok n)
-    | _ -> None)
-  | "pbse-serve/1" :: "error" :: rest -> Some (V1_error (String.concat " " rest))
-  | _ -> None

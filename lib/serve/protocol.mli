@@ -1,13 +1,14 @@
 (** The [pbse-serve/2] wire protocol: typed request envelopes, framed
-    responses, structured error codes, and the deprecated-but-served v1
-    one-liner (docs/serve.md has the full grammar).
+    responses and structured error codes (docs/serve.md has the full
+    grammar).
 
     Every v2 message is one JSON object on one line. A request envelope
     is [{"pbse": 2, "id": ..., "client": ..., "progress": ...,
     "params": {...}}] and is parsed {e strictly}: unknown fields,
     duplicated fields and mistyped values are structured errors, never
-    silently ignored. A request without a ["pbse"] member takes the
-    lenient v1 parse. Responses are framed events ([report] /
+    silently ignored. A request without a ["pbse"] member (the retired
+    [pbse-serve/1] one-liner) is an [Unsupported_version] error like any
+    other version but 2. Responses are framed events ([report] /
     [progress] / [error]); the report frame is followed by exactly
     [bytes] raw bytes of [pbse-report/1] JSON — raw rather than
     embedded, so the payload stays byte-identical to the CLI's. *)
@@ -38,8 +39,6 @@ type error_code =
 val error_label : error_code -> string
 val error_code_of_label : string -> error_code option
 
-type wire_version = V1 | V2
-
 type request = {
   rq_id : string option;  (** echoed verbatim in every response frame *)
   rq_client : string option;  (** admission (quota) identity *)
@@ -53,25 +52,14 @@ type request = {
   rq_share : bool;
 }
 
-val parse_request :
-  string ->
-  (wire_version * request, wire_version option * error_code * string) result
-(** Parse one request line, dispatching on the ["pbse"] member: absent
-    → lenient v1, [2] → strict v2, anything else →
-    [Unsupported_version] / [Bad_request]. A parse error carries the
-    request's wire version when determinable (so a server can answer a
-    broken v1 request in v1 framing); [None] when the line was not
-    attributable to either version. *)
+val parse_request : string -> (request, error_code * string) result
+(** Parse one request line, dispatching on the ["pbse"] member: [2] →
+    strict v2; absent or any other integer → [Unsupported_version]; not
+    an integer → [Bad_request]. *)
 
 val render_request : request -> string
 (** The canonical v2 envelope for [r] (no trailing newline); omitted
     optional members are left out, not rendered as null. *)
-
-val downgrade_request : string -> string option
-(** Rewrite a v2 request line as the equivalent v1 one-liner, for
-    client-side fallback against a pre-v2 server. [None] if the line is
-    not a valid v2 request or asks for progress streaming (which v1
-    cannot express). *)
 
 (** One v2 response frame. [id] echoes the request's id (null on the
     wire when the request carried none). *)
@@ -90,15 +78,3 @@ val render_frame : frame -> string
 (** One JSON line, newline-terminated. *)
 
 val parse_frame : string -> (frame, string) result
-
-(** {2 v1 framing — deprecated, still served} *)
-
-val sanitize : string -> string
-(** Newlines flattened to spaces, for single-line v1 error messages. *)
-
-val render_v1_ok_header : int -> string
-val render_v1_error : string -> string
-
-type v1_header = V1_ok of int | V1_error of string
-
-val parse_v1_header : string -> v1_header option

@@ -1,6 +1,6 @@
 (** The session layer — one seed's resumable pbSE engine, extracted
-    from the driver so sessions can outlive a campaign, be cached in a
-    {!Session_store}, and be multiplexed by a server.
+    from the driver so a campaign can grant it budget in turns and a
+    server can multiplex many of them.
 
     Pipeline per session: concolic execution of the seed (gathering
     BBVs and seedStates), phase division with trap identification, then
@@ -24,8 +24,8 @@
     (the rotation fails over to the remaining queues). Degenerate phase
     division (no BBVs) falls back to a single phase instead of raising.
 
-    The campaign layer ([Pbse.Driver]) re-exports everything here, so
-    existing callers keep using [Driver.run] / [Driver.open_session]. *)
+    The campaign layer ([Pbse.Driver]) builds seed-pool campaigns on
+    these sessions; single-seed callers use {!run} directly. *)
 
 (** {1 Configuration}
 

@@ -1,16 +1,8 @@
-(** A cache of live {!Session.t}s keyed by (target, seed digest, config
-    fingerprint), with strict LRU eviction — so repeated campaigns over
-    the same seeds resume warm sessions instead of re-running concolic
-    bootstrap — plus a campaign-level memo: a whole campaign's sessions
-    and residue (the caller's aggregate result, ['r] — the driver stores
-    its pool report) can be recalled in one lookup while every member
-    session is still live.
-
-    Alongside the live caches sits a restart-persistent layer: rendered
-    campaign {e residues} (final response bodies as plain strings, keyed
-    by campaign fingerprint) that {!save}/{!load} carry across a server
-    restart as a checksummed [pbse-store/1] document — so a deploy does
-    not flush the warm cache.
+(** The serve layer's warm cache: rendered campaign {e residues} (final
+    response bodies as plain strings, keyed by campaign fingerprint)
+    under strict LRU eviction. {!save}/{!load} carry them across a
+    server restart as a checksummed [pbse-store/1] document, so a deploy
+    does not flush the cache.
 
     Telemetry: hit/miss/evict/reload totals are exposed directly and
     mirrored into the [session.store_hits] / [session.store_misses] /
@@ -18,79 +10,42 @@
     registry given at {!create}. All operations are mutex-guarded; one
     store may be shared by concurrent server clients. *)
 
-type 'r t
+type t
 
-val create :
-  ?cap:int ->
-  ?residue_cap:int ->
-  ?registry:Pbse_telemetry.Telemetry.Registry.t ->
-  unit ->
-  'r t
-(** [cap] (default 32, clamped to at least 1) bounds the number of live
-    sessions; the least-recently-used session beyond it is evicted, and
-    any campaign memo referencing an evicted session is dropped with it.
-    [residue_cap] (default [max 64 (2 * cap)]) separately bounds the
-    rendered-residue cache, LRU likewise. [registry] (default the
-    process-global one) receives the [session.store_*] counters. *)
+val create : ?cap:int -> ?registry:Pbse_telemetry.Telemetry.Registry.t -> unit -> t
+(** [cap] (default 64, clamped to at least 1) bounds the number of
+    residues; the least-recently-used one beyond it is evicted.
+    [registry] (default the process-global one) receives the
+    [session.store_*] counters. *)
 
-val session_key : target:string -> seed:bytes -> config_fp:string -> string
-(** The cache key of one session: target name, seed digest and
-    {!Session.config_fingerprint} — a config change can never alias a
-    cached session. *)
+val find_residue : t -> fingerprint:string -> string option
+(** Recall a rendered residue (counts a hit or miss, touches LRU
+    order). *)
 
-val find_session : 'r t -> string -> Session.t option
-(** Lookup (counts a hit or miss, touches LRU order). *)
-
-val put_session : 'r t -> string -> Session.t -> unit
-(** Insert or refresh; may evict the least-recently-used session. *)
-
-val find_campaign : 'r t -> fingerprint:string -> ((bytes * Session.t) list * 'r) option
-(** Recall a memoised campaign: its sessions in run order (each counted
-    as a hit and LRU-touched) and its residue — served only while every
-    member session is live; a partially-evicted memo is dropped and
-    counted as one miss. *)
-
-val put_campaign :
-  'r t -> fingerprint:string -> sessions:(string * bytes * Session.t) list -> 'r -> unit
-(** Memoise a finished campaign: [(session key, seed, session)] members
-    in run order plus the residue. If inserting the members itself
-    evicts one of them (cap smaller than the campaign), the memo is not
-    kept. *)
-
-val find_residue : _ t -> fingerprint:string -> string option
-(** Recall a rendered residue (a hit counts into [session.store_hits],
-    exactly like a live-session hit — the serve layer's warm-restart
-    gate reads that counter). *)
-
-val put_residue : _ t -> fingerprint:string -> string -> unit
+val put_residue : t -> fingerprint:string -> string -> unit
 (** Record the rendered response body of a finished campaign; may evict
-    the least-recently-used residue beyond [residue_cap]. *)
+    the least-recently-used residue beyond [cap]. *)
 
-val save : _ t -> path:string -> unit
+val save : t -> path:string -> unit
 (** Write every rendered residue to [path] as a [pbse-store/1] document
-    (FNV-1a-64 checksum over the payload; atomic tmp + rename, previous
-    file rotated to [path].bak), in LRU order so a capped reload keeps
-    the most recently useful entries. *)
+    ({!Pbse_telemetry.Checked_file}: FNV-1a-64 checksum over the
+    payload; atomic tmp + rename, previous file rotated to [path].bak),
+    in LRU order so a capped reload keeps the most recently useful
+    entries. *)
 
-val load : _ t -> path:string -> (int, string) result
+val load : t -> path:string -> (int, string) result
 (** Reload residues saved by {!save} into the store, returning how many
     were loaded (each also counts into [reloads] and
     [session.store_reloads]). A missing, corrupt or checksum-mismatched
-    file is an [Error] and leaves the store unchanged. *)
+    file, or one whose payload has no [entries] list, is an [Error] and
+    leaves the store unchanged. *)
 
-val share : 'r t -> Session.share
-(** The store's seedState/prefix-hint share table, spanning every
-    campaign run against this store. *)
+val hits : t -> int
+val misses : t -> int
+val evictions : t -> int
 
-val hits : _ t -> int
-val misses : _ t -> int
-val evictions : _ t -> int
-
-val reloads : _ t -> int
+val reloads : t -> int
 (** Residues reloaded from store files over this store's lifetime. *)
 
-val size : _ t -> int
-(** Live sessions currently cached. *)
-
-val residue_size : _ t -> int
+val residue_size : t -> int
 (** Rendered residues currently cached. *)

@@ -6,6 +6,7 @@ module Seed_slot = Pbse_campaign.Seed_slot
 module Pool_scheduler = Pbse_campaign.Pool_scheduler
 module Campaign = Pbse_campaign.Campaign
 module Driver = Pbse.Driver
+module Session = Pbse_session.Session
 module Executor = Pbse_exec.Executor
 module Coverage = Pbse_exec.Coverage
 module Report = Pbse_telemetry.Report
@@ -176,7 +177,7 @@ let test_run_pool_single_seed () =
   Alcotest.(check bool) "the seed got budget" true (row.Report.granted > 0);
   Alcotest.(check bool) "coverage merged" true (pool.Driver.merged_coverage > 0);
   (* a single-seed pool matches a solo run's coverage at the same deadline *)
-  let solo = Driver.run (mini_program ()) ~seed:(mini_seed ()) ~deadline:100_000 in
+  let solo = Session.run (mini_program ()) ~seed:(mini_seed ()) ~deadline:100_000 in
   Alcotest.(check int) "same blocks as a solo run"
     (Coverage.count (Executor.coverage solo.Driver.executor))
     pool.Driver.merged_coverage

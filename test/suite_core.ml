@@ -1,4 +1,5 @@
 module Driver = Pbse.Driver
+module Session = Pbse_session.Session
 module Klee = Pbse.Klee
 module Registry = Pbse_targets.Registry
 module Coverage = Pbse_exec.Coverage
@@ -64,8 +65,8 @@ let test_klee_unknown_searcher () =
        false
      with Invalid_argument _ -> true)
 
-let run_driver ?(config = Driver.default_config) ?(deadline = 150_000) () =
-  Driver.run ~config (mini_program ()) ~seed:(mini_seed ()) ~deadline
+let run_driver ?(config = Session.default_config) ?(deadline = 150_000) () =
+  Session.run ~config (mini_program ()) ~seed:(mini_seed ()) ~deadline
 
 let test_driver_report_sane () =
   let report = run_driver () in
@@ -105,9 +106,9 @@ let test_driver_beats_coverage_floor () =
 
 let test_driver_coverage_at_monotone () =
   let report = run_driver () in
-  let c1 = Driver.coverage_at report 10_000 in
-  let c2 = Driver.coverage_at report 100_000 in
-  let c3 = Driver.coverage_at report max_int in
+  let c1 = Session.coverage_at report 10_000 in
+  let c2 = Session.coverage_at report 100_000 in
+  let c3 = Session.coverage_at report max_int in
   Alcotest.(check bool) "monotone" true (c1 <= c2 && c2 <= c3);
   Alcotest.(check int) "final matches executor" c3
     (Coverage.count (Executor.coverage report.Driver.executor))
@@ -129,15 +130,15 @@ let test_driver_config_variants () =
       Alcotest.(check bool) "coverage positive" true
         (Coverage.count (Executor.coverage report.Driver.executor) > 0))
     [
-      Driver.(
+      Session.(
         with_concolic
           (fun c -> { c with mode = Pbse_phase.Phase.Bbv_only })
           default_config);
-      Driver.(with_search (fun s -> { s with dedup_seed_states = false }) default_config);
-      Driver.(with_search (fun s -> { s with scheduler = "sequential" }) default_config);
-      Driver.(with_search (fun s -> { s with phase_searcher = "dfs" }) default_config);
-      Driver.(with_search (fun s -> { s with max_k = 4 }) default_config);
-      Driver.(with_concolic (fun c -> { c with interval_length = Some 40 }) default_config);
+      Session.(with_search (fun s -> { s with dedup_seed_states = false }) default_config);
+      Session.(with_search (fun s -> { s with scheduler = "sequential" }) default_config);
+      Session.(with_search (fun s -> { s with phase_searcher = "dfs" }) default_config);
+      Session.(with_search (fun s -> { s with max_k = 4 }) default_config);
+      Session.(with_concolic (fun c -> { c with interval_length = Some 40 }) default_config);
     ]
 
 let test_driver_unknown_phase_searcher () =
@@ -146,7 +147,7 @@ let test_driver_unknown_phase_searcher () =
        ignore
          (run_driver
             ~config:
-              Driver.(
+              Session.(
                 with_search (fun s -> { s with phase_searcher = "zigzag" }) default_config)
             ());
        false
@@ -228,7 +229,7 @@ let test_testcase_generation_replays () =
 let test_driver_on_registry_target () =
   let t = Option.get (Registry.by_name "tcpdump") in
   let report =
-    Driver.run (Registry.program t) ~seed:(Registry.default_seed t) ~deadline:40_000
+    Session.run (Registry.program t) ~seed:(Registry.default_seed t) ~deadline:40_000
   in
   Alcotest.(check bool) "tcpdump covers blocks" true
     (Coverage.count (Executor.coverage report.Driver.executor) > 30);

@@ -6,7 +6,8 @@
 module Domain_pool = Pbse_campaign.Domain_pool
 module Pool_scheduler = Pbse_campaign.Pool_scheduler
 module Driver = Pbse.Driver
-module Runtime = Pbse.Runtime
+module Session = Pbse_session.Session
+module Runtime = Pbse_session.Runtime
 module Report = Pbse_telemetry.Report
 module Telemetry = Pbse_telemetry.Telemetry
 module Solver = Pbse_smt.Solver
@@ -116,7 +117,7 @@ let test_pool_identical_under_fault_injection () =
     | Error e -> Alcotest.fail e
   in
   let config =
-    Driver.(with_robust (fun r -> { r with inject }) default_config)
+    Session.(with_robust (fun r -> { r with inject }) default_config)
   in
   let baseline = pool_json ~config ~jobs:1 () in
   Alcotest.(check string) "faulted campaign: jobs=4 matches jobs=1" baseline
@@ -216,10 +217,10 @@ let test_run_report_has_phase_dwell_histograms () =
   let registry = Telemetry.Registry.create ~enabled:true () in
   let runtime = Runtime.create ~registry () in
   let r =
-    Driver.run ~runtime (mini_program ()) ~seed:(Suite_core.mini_seed ())
+    Session.run ~runtime (mini_program ()) ~seed:(Suite_core.mini_seed ())
       ~deadline:150_000
   in
-  let report = Driver.run_report r in
+  let report = Session.run_report r in
   let is_dwell h =
     let n = h.Telemetry.hs_name in
     String.length n > 6

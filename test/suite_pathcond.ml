@@ -9,6 +9,7 @@ module Subsume = Pbse_pathcond.Subsume
 module Loop_summary = Pbse_pathcond.Loop_summary
 module Loop = Pbse_ir.Loop
 module Driver = Pbse.Driver
+module Session = Pbse_session.Session
 module Executor = Pbse_exec.Executor
 module Coverage = Pbse_exec.Coverage
 module Bug = Pbse_exec.Bug
@@ -263,13 +264,13 @@ let equiv_src =
 let equiv_seed () = Bytes.of_string "\005A"
 
 let pathcond_off =
-  Driver.(
+  Session.(
     with_pathcond
       (fun _ -> { subsumption = false; loop_summaries = false })
       default_config)
 
 let run_equiv config =
-  Driver.run ~config (Pbse_lang.Frontend.compile equiv_src) ~seed:(equiv_seed ())
+  Session.run ~config (Pbse_lang.Frontend.compile equiv_src) ~seed:(equiv_seed ())
     ~deadline:100_000
 
 let bug_set (r : Driver.report) =
@@ -277,7 +278,7 @@ let bug_set (r : Driver.report) =
     (List.map (fun ((b : Bug.t), _) -> (b.Bug.gid, b.Bug.kind)) r.Driver.bugs)
 
 let test_summary_equivalent_to_unrolling () =
-  let on = run_equiv Driver.default_config in
+  let on = run_equiv Session.default_config in
   let off = run_equiv pathcond_off in
   let st_on = Executor.stats on.Driver.executor in
   let st_off = Executor.stats off.Driver.executor in
@@ -297,11 +298,11 @@ let test_summary_covers_zero_iteration_side () =
      on the seed path, yet the two configurations still agree *)
   let seed = Bytes.of_string "\000A" in
   let run config =
-    Driver.run ~config
+    Session.run ~config
       (Pbse_lang.Frontend.compile equiv_src)
       ~seed ~deadline:100_000
   in
-  let on = run Driver.default_config in
+  let on = run Session.default_config in
   let off = run pathcond_off in
   Alcotest.(check int) "identical coverage"
     (Coverage.count (Executor.coverage off.Driver.executor))

@@ -3,6 +3,7 @@
    under injected faults (docs/robustness.md). *)
 
 module Driver = Pbse.Driver
+module Session = Pbse_session.Session
 module Registry = Pbse_targets.Registry
 module Executor = Pbse_exec.Executor
 module Bug = Pbse_exec.Bug
@@ -283,12 +284,12 @@ let plan_of spec =
 
 let run_injected ?(deadline = 120_000) ?(max_strikes = 2) spec =
   let config =
-    Driver.(
+    Session.(
       with_robust
         (fun r -> { r with inject = plan_of spec; max_strikes })
         default_config)
   in
-  Driver.run ~config (mini_program ()) ~seed:(mini_seed ()) ~deadline
+  Session.run ~config (mini_program ()) ~seed:(mini_seed ()) ~deadline
 
 let test_driver_quarantines_under_total_solver_failure () =
   (* every solver query gives up: lazily forked seedStates can never
@@ -318,11 +319,11 @@ let test_shared_quarantine_across_runs () =
      per-run reports are deltas and site records carry over *)
   let q = Quarantine.create ~max_strikes:2 () in
   let config =
-    Driver.(
+    Session.(
       with_robust (fun r -> { r with inject = plan_of "seed=3,solver=1.0" }) default_config)
   in
   let run () =
-    Driver.run ~config ~quarantine:q (mini_program ()) ~seed:(mini_seed ())
+    Session.run ~config ~quarantine:q (mini_program ()) ~seed:(mini_seed ())
       ~deadline:60_000
   in
   let a = run () in
@@ -374,14 +375,14 @@ let sweep_plan () =
 
 let test_registry_sweep_never_crashes () =
   (* acceptance criterion: under a plan forcing solver Unknowns and
-     executor aborts, Driver.run completes on every bundled target *)
+     executor aborts, Session.run completes on every bundled target *)
   let plan = sweep_plan () in
-  let config = Driver.(with_robust (fun r -> { r with inject = plan }) default_config) in
+  let config = Session.(with_robust (fun r -> { r with inject = plan }) default_config) in
   let injected = ref 0 in
   List.iter
     (fun t ->
       let report =
-        Driver.run ~config (Registry.program t) ~seed:(Registry.default_seed t)
+        Session.run ~config (Registry.program t) ~seed:(Registry.default_seed t)
           ~deadline:30_000
       in
       injected :=

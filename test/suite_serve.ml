@@ -1,17 +1,19 @@
 (* pbse-serve/2 tests: strict envelope parsing and frame round-trips,
    transport edges (endpoint parsing, self-pipe wakeup, bounded reads),
    token-bucket admission under an injected clock, store-file residue
-   persistence, and an in-process server exercised end-to-end — v2 and
-   v1 byte-identity, progress frames, structured errors, quota
-   exhaustion, oversized lines, mid-request disconnects and the
-   client-side v1 fallback against a fake pre-v2 server. *)
+   persistence, and an in-process server exercised end-to-end — byte
+   identity with the CLI report, progress frames, warm answers across
+   jobs widths, structured errors (the retired v1 one-liner included),
+   quota exhaustion, oversized lines and mid-request disconnects. *)
 
 module Driver = Pbse.Driver
+module Session = Pbse_session.Session
 module Serve = Pbse.Serve
 module Session_store = Pbse_session.Session_store
 module Telemetry = Pbse_telemetry.Telemetry
 module Report = Pbse_telemetry.Report
 module Json = Pbse_telemetry.Json
+module Checked_file = Pbse_telemetry.Checked_file
 module Protocol = Pbse_serve.Protocol
 module Transport = Pbse_serve.Transport
 module Admission = Pbse_serve.Admission
@@ -40,7 +42,7 @@ let expect_error label expected line =
   match Protocol.parse_request line with
   | Ok _ -> Alcotest.failf "%s: parsed but should be %s" label
               (Protocol.error_label expected)
-  | Error (_, code, _) ->
+  | Error (code, _) ->
     Alcotest.(check string) label
       (Protocol.error_label expected)
       (Protocol.error_label code)
@@ -61,10 +63,8 @@ let test_envelope_roundtrip () =
     }
   in
   match Protocol.parse_request (Protocol.render_request req) with
-  | Error (_, _, e) -> Alcotest.failf "render/parse roundtrip failed: %s" e
-  | Ok (version, parsed) ->
-    Alcotest.(check bool) "parsed as v2" true (version = Protocol.V2);
-    Alcotest.(check bool) "roundtrips every field" true (parsed = req)
+  | Error (_, e) -> Alcotest.failf "render/parse roundtrip failed: %s" e
+  | Ok parsed -> Alcotest.(check bool) "roundtrips every field" true (parsed = req)
 
 let test_envelope_strictness () =
   expect_error "malformed JSON" Protocol.Bad_json "{\"target\": ";
@@ -84,43 +84,10 @@ let test_envelope_strictness () =
     "{\"pbse\": 2, \"params\": {}}";
   expect_error "future version" Protocol.Unsupported_version
     "{\"pbse\": 3, \"params\": {\"target\": \"t\"}}";
+  expect_error "retired v1 one-liner" Protocol.Unsupported_version
+    "{\"target\": \"t\", \"deadline\": 42}";
   expect_error "non-integer version" Protocol.Bad_request
     "{\"pbse\": \"two\", \"params\": {\"target\": \"t\"}}"
-
-let test_v1_lenient_compat () =
-  (* the deprecated one-liner: unknown fields ignored, defaults filled *)
-  match
-    Protocol.parse_request
-      "{\"target\": \"mini\", \"deadline\": 42, \"mystery\": true}"
-  with
-  | Error (_, _, e) -> Alcotest.failf "v1 parse failed: %s" e
-  | Ok (version, req) ->
-    Alcotest.(check bool) "parsed as v1" true (version = Protocol.V1);
-    Alcotest.(check string) "target" "mini" req.Protocol.rq_target;
-    Alcotest.(check int) "deadline" 42 req.Protocol.rq_deadline;
-    Alcotest.(check bool) "no progress in v1" false req.Protocol.rq_progress;
-    (* and the v1 error is attributed to v1, so a broken v1 client gets
-       a v1-framed answer *)
-    (match Protocol.parse_request "{\"deadline\": 9}" with
-     | Error (Some Protocol.V1, Protocol.Bad_request, _) -> ()
-     | _ -> Alcotest.fail "v1 missing-target error not attributed to v1")
-
-let test_downgrade () =
-  let line = Protocol.render_request { base_request with rq_lease = 2 } in
-  match Protocol.downgrade_request line with
-  | None -> Alcotest.fail "v2 line did not downgrade"
-  | Some v1 -> (
-    match Protocol.parse_request v1 with
-    | Ok (Protocol.V1, req) ->
-      Alcotest.(check string) "target survives" "mini" req.Protocol.rq_target;
-      Alcotest.(check int) "lease survives" 2 req.Protocol.rq_lease;
-      (* progress streaming has no v1 spelling *)
-      Alcotest.(check bool) "progress refuses to downgrade" true
-        (Protocol.downgrade_request
-           (Protocol.render_request { base_request with rq_progress = true })
-        = None)
-    | Ok (Protocol.V2, _) -> Alcotest.fail "downgraded line still v2"
-    | Error (_, _, e) -> Alcotest.failf "downgraded line unparsable: %s" e)
 
 let test_frame_roundtrip () =
   let check_frame label frame =
@@ -282,7 +249,7 @@ let test_admission_inflight_cap () =
 
 let test_store_residue_persistence () =
   let registry () = Telemetry.Registry.create ~enabled:true () in
-  let store : unit Session_store.t = Session_store.create ~registry:(registry ()) () in
+  let store = Session_store.create ~registry:(registry ()) () in
   Session_store.put_residue store ~fingerprint:"fp-1" "body one";
   Session_store.put_residue store ~fingerprint:"fp-2" "body two";
   Alcotest.(check bool) "residue recalled" true
@@ -290,7 +257,7 @@ let test_store_residue_persistence () =
   let path = Filename.temp_file "pbse-test" ".store" in
   Session_store.save store ~path;
   (* a fresh store (a restarted server) reloads both entries *)
-  let reborn : unit Session_store.t = Session_store.create ~registry:(registry ()) () in
+  let reborn = Session_store.create ~registry:(registry ()) () in
   (match Session_store.load reborn ~path with
    | Ok n -> Alcotest.(check int) "two entries reloaded" 2 n
    | Error e -> Alcotest.failf "load failed: %s" e);
@@ -304,17 +271,29 @@ let test_store_residue_persistence () =
   let oc = open_out path in
   output_string oc "{\"schema\": \"pbse-store/1\", \"checksum\": \"fnv1a64:0000000000000000\", \"payload\": {\"entries\": []}}";
   close_out oc;
-  let third : unit Session_store.t = Session_store.create ~registry:(registry ()) () in
+  let third = Session_store.create ~registry:(registry ()) () in
   (match Session_store.load third ~path with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "checksum mismatch accepted");
   Alcotest.(check int) "corrupt load loaded nothing" 0
     (Session_store.residue_size third);
+  (* a correctly checksummed payload without an entries list is an
+     error too, not an empty store *)
+  List.iter
+    (fun (label, payload) ->
+      let oc = open_out path in
+      output_string oc (Checked_file.render ~schema:"pbse-store/1" payload);
+      close_out oc;
+      match Session_store.load third ~path with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "store with %s accepted" label)
+    [
+      ("no entries list", Json.Obj []);
+      ("non-list entries", Json.Obj [ ("entries", Json.Int 3) ]);
+    ];
   Sys.remove path;
   (* residue cap evicts LRU *)
-  let small : unit Session_store.t =
-    Session_store.create ~residue_cap:2 ~registry:(registry ()) ()
-  in
+  let small = Session_store.create ~cap:2 ~registry:(registry ()) () in
   Session_store.put_residue small ~fingerprint:"a" "A";
   Session_store.put_residue small ~fingerprint:"b" "B";
   ignore (Session_store.find_residue small ~fingerprint:"a");
@@ -370,14 +349,14 @@ let local_json () =
   (* same recipe as the server: a fresh runtime over a private enabled
      registry, so spans registered by other suites in the process-global
      registry don't leak into the baseline *)
-  let config = Driver.default_config in
+  let config = Session.default_config in
   let runtime =
-    Pbse.Runtime.create
+    Pbse_session.Runtime.create
       ~registry:(Pbse_telemetry.Telemetry.Registry.create ~enabled:true ())
-      ~rng_seed:config.Driver.rng_seed
-      ~inject:config.Driver.robust.Driver.inject
-      ~max_strikes:config.Driver.robust.Driver.max_strikes
-      ~prefix_cap:config.Driver.solver.Driver.prefix_cap ()
+      ~rng_seed:config.Session.rng_seed
+      ~inject:config.Session.robust.Session.inject
+      ~max_strikes:config.Session.robust.Session.max_strikes
+      ~prefix_cap:config.Session.solver.Session.prefix_cap ()
   in
   let pool =
     Driver.run_pool ~runtime (mini_program ()) ~seeds:(pool_seeds ()) ~deadline
@@ -406,7 +385,7 @@ let expect_body label expected = function
   | Error e ->
     Alcotest.failf "%s failed: %s: %s" label e.Serve.err_code e.Serve.err_message
 
-let test_serve_v2_v1_identity_and_progress () =
+let test_serve_v2_identity_and_progress () =
   let expected = local_json () in
   let ((), stats) =
     with_server (fun endpoint ->
@@ -420,20 +399,33 @@ let test_serve_v2_v1_identity_and_progress () =
         Alcotest.(check bool) "saw progress frames" true (!rounds <> []);
         Alcotest.(check bool) "rounds count up from 1" true
           (List.rev !rounds = List.init (List.length !rounds) (fun i -> i + 1));
-        (* v2 envelope, warm: identical bytes, no progress frames *)
-        expect_body "v2 response" expected
-          (Serve.request ~connect:endpoint (v2_line ~id:"t2" ()));
-        (* deprecated v1 one-liner, same bytes *)
-        expect_body "v1 response" expected
-          (Serve.request ~connect:endpoint
-             (Printf.sprintf "{\"target\": \"mini\", \"deadline\": %d}" deadline)))
+        (* warm: identical bytes, no progress frames *)
+        expect_body "warm response" expected
+          (Serve.request ~connect:endpoint (v2_line ~id:"t2" ())))
   in
-  Alcotest.(check int) "three clients" 3 stats.Serve.sv_clients;
-  Alcotest.(check int) "three requests served" 3 stats.Serve.sv_requests;
+  Alcotest.(check int) "two clients" 2 stats.Serve.sv_clients;
+  Alcotest.(check int) "two requests served" 2 stats.Serve.sv_requests;
   Alcotest.(check int) "no errors" 0 stats.Serve.sv_errors;
-  (* requests 2 and 3 were served warm from the residue cache *)
-  Alcotest.(check bool) "warm requests hit the store" true
-    (stats.Serve.sv_store_hits > 0)
+  Alcotest.(check int) "the warm request hit the store" 1 stats.Serve.sv_store_hits
+
+let test_serve_warm_across_jobs () =
+  (* jobs is excluded from the campaign fingerprint (reports are
+     jobs-invariant), so the jobs=4 request is answered from the residue
+     the jobs=1 campaign left behind *)
+  let expected = local_json () in
+  let at_jobs jobs =
+    Protocol.render_request { base_request with Protocol.rq_jobs = Some jobs }
+  in
+  let ((), stats) =
+    with_server (fun endpoint ->
+        expect_body "jobs=1 response" expected
+          (Serve.request ~connect:endpoint (at_jobs 1));
+        expect_body "jobs=4 response" expected
+          (Serve.request ~connect:endpoint (at_jobs 4)))
+  in
+  Alcotest.(check int) "jobs=1 missed the store" 1 stats.Serve.sv_store_misses;
+  Alcotest.(check int) "jobs=4 hit the store" 1 stats.Serve.sv_store_hits;
+  Alcotest.(check int) "both served" 2 stats.Serve.sv_requests
 
 let expect_code label expected = function
   | Ok _ -> Alcotest.failf "%s unexpectedly succeeded" label
@@ -453,6 +445,10 @@ let test_serve_structured_errors () =
         expect_code "future version" "unsupported-version"
           (Serve.request ~connect:endpoint
              "{\"pbse\": 3, \"params\": {\"target\": \"mini\"}}");
+        (* the retired v1 one-liner gets a v2 error frame *)
+        expect_code "v1 one-liner" "unsupported-version"
+          (Serve.request ~connect:endpoint
+             (Printf.sprintf "{\"target\": \"mini\", \"deadline\": %d}" deadline));
         expect_code "unknown target" "unknown-target"
           (Serve.request ~connect:endpoint
              "{\"pbse\": 2, \"params\": {\"target\": \"nosuch\"}}");
@@ -470,7 +466,7 @@ let test_serve_structured_errors () =
         expect_body "pool healthy after errors" (local_json ())
           (Serve.request ~connect:endpoint (v2_line ())))
   in
-  Alcotest.(check int) "errors counted" 7 stats.Serve.sv_errors;
+  Alcotest.(check int) "errors counted" 8 stats.Serve.sv_errors;
   Alcotest.(check int) "one success" 1 stats.Serve.sv_requests
 
 let test_serve_quota_rejection () =
@@ -542,50 +538,10 @@ let test_serve_store_file_restart () =
   Sys.remove store_file;
   try Sys.remove (store_file ^ ".bak") with Sys_error _ -> ()
 
-(* A fake pre-v2 server: speaks only the v1 one-liner. The v2 client
-   must notice the v1 error to its envelope, downgrade, and succeed. *)
-let test_client_v1_fallback () =
-  let socket = temp_socket () in
-  let endpoint = Transport.Unix_socket socket in
-  let listen_fd = Transport.listen endpoint in
-  let body = "{\"schema\":\"pbse-report/1\",\"fake\":1}" in
-  let server =
-    Thread.create
-      (fun () ->
-        (* serve exactly two connections, v1-only *)
-        for _ = 1 to 2 do
-          let fd, _ = Unix.accept listen_fd in
-          let rd = Transport.reader fd in
-          (match Transport.read_line rd with
-           | Ok line ->
-             let reply =
-               match Json.parse line with
-               | Ok json
-                 when Option.bind (Json.member "target" json) Json.to_str
-                      <> None ->
-                 Protocol.render_v1_ok_header (String.length body) ^ body
-               | _ -> Protocol.render_v1_error "request needs a \"target\" field"
-             in
-             ignore (Unix.write_substring fd reply 0 (String.length reply))
-           | Error _ -> ());
-          Unix.close fd
-        done)
-      ()
-  in
-  let result = Serve.request ~connect:endpoint (v2_line ()) in
-  Thread.join server;
-  Transport.close_listener endpoint listen_fd;
-  (match result with
-   | Ok got -> Alcotest.(check string) "fallback served the v1 body" body got
-   | Error e ->
-     Alcotest.failf "fallback failed: %s: %s" e.Serve.err_code e.Serve.err_message)
-
 let suite =
   [
     Alcotest.test_case "v2 envelope roundtrip" `Quick test_envelope_roundtrip;
     Alcotest.test_case "v2 strict parse edges" `Quick test_envelope_strictness;
-    Alcotest.test_case "v1 lenient compat parse" `Quick test_v1_lenient_compat;
-    Alcotest.test_case "v2 -> v1 downgrade" `Quick test_downgrade;
     Alcotest.test_case "response frame roundtrip" `Quick test_frame_roundtrip;
     Alcotest.test_case "endpoint parsing" `Quick test_endpoint_parsing;
     Alcotest.test_case "self-pipe wakeup" `Quick test_self_pipe_wakeup;
@@ -594,12 +550,13 @@ let suite =
     Alcotest.test_case "admission in-flight cap" `Quick test_admission_inflight_cap;
     Alcotest.test_case "store residue persistence" `Quick
       test_store_residue_persistence;
-    Alcotest.test_case "serve v2/v1 identity + progress" `Slow
-      test_serve_v2_v1_identity_and_progress;
+    Alcotest.test_case "serve v2 identity + progress" `Slow
+      test_serve_v2_identity_and_progress;
+    Alcotest.test_case "serve warm across jobs widths" `Slow
+      test_serve_warm_across_jobs;
     Alcotest.test_case "serve structured errors" `Slow test_serve_structured_errors;
     Alcotest.test_case "serve quota rejection" `Slow test_serve_quota_rejection;
     Alcotest.test_case "serve mid-request disconnect" `Slow
       test_serve_mid_request_disconnect;
     Alcotest.test_case "serve store-file restart" `Slow test_serve_store_file_restart;
-    Alcotest.test_case "client v1 fallback" `Quick test_client_v1_fallback;
   ]

@@ -5,6 +5,7 @@
    exception-detail normalization the replay contract depends on. *)
 
 module Driver = Pbse.Driver
+module Session = Pbse_session.Session
 module Snapshot = Pbse_campaign.Snapshot
 module Pool_scheduler = Pbse_campaign.Pool_scheduler
 module Fault = Pbse_robust.Fault
@@ -259,7 +260,7 @@ let test_kill_resume_identity_under_crash_injection () =
     | Ok p -> p
     | Error e -> Alcotest.fail e
   in
-  let config = Driver.(with_robust (fun r -> { r with inject }) default_config) in
+  let config = Session.(with_robust (fun r -> { r with inject }) default_config) in
   let scheduler = "round-robin" in
   let baseline = uninterrupted_json ~config ~scheduler ~jobs:1 () in
   Alcotest.(check string) "crash-injected: jobs=4 matches jobs=1" baseline
@@ -321,7 +322,7 @@ let test_certain_crash_retires_pool_without_aborting () =
     | Ok p -> p
     | Error e -> Alcotest.fail e
   in
-  let config = Driver.(with_robust (fun r -> { r with inject }) default_config) in
+  let config = Session.(with_robust (fun r -> { r with inject }) default_config) in
   let pool =
     Driver.run_pool ~config ~scheduler:"round-robin" (mini_program ())
       ~seeds:(pool_seeds ()) ~deadline:150_000
@@ -333,7 +334,7 @@ let test_certain_crash_retires_pool_without_aborting () =
     (fun (s : Report.seed_row) ->
       Alcotest.(check int)
         (Printf.sprintf "seed %d struck out" s.Report.ordinal)
-        Driver.default_config.Driver.robust.Driver.watchdog_strikes
+        Session.default_config.Session.robust.Session.watchdog_strikes
         s.Report.timeouts)
     pool.Driver.seed_rows
 
@@ -342,9 +343,9 @@ let test_watchdog_flags_overrunning_turns () =
      turn's setup (concolic + analysis) dwarfs its budget, so the
      watchdog must fire, strike the seed and stay deterministic *)
   let config =
-    Driver.default_config
-    |> Driver.with_concolic (fun c -> { c with Driver.time_period = 100 })
-    |> Driver.with_robust (fun r -> { r with Driver.watchdog_factor = 1 })
+    Session.default_config
+    |> Session.with_concolic (fun c -> { c with Session.time_period = 100 })
+    |> Session.with_robust (fun r -> { r with Session.watchdog_factor = 1 })
   in
   let json1 = uninterrupted_json ~config ~scheduler:"round-robin" ~jobs:1 () in
   Alcotest.(check string) "watchdogged campaign identical across jobs" json1
@@ -394,7 +395,7 @@ let test_injected_snapshot_corruption_is_detected () =
     | Ok p -> p
     | Error e -> Alcotest.fail e
   in
-  let config = Driver.(with_robust (fun r -> { r with inject }) default_config) in
+  let config = Session.(with_robust (fun r -> { r with inject }) default_config) in
   let path = Filename.temp_file "pbse_corrupt" ".json" in
   let ck = Driver.checkpoint ~path ~every:1 () in
   let _ : Driver.pool_report =
@@ -414,40 +415,40 @@ let test_injected_snapshot_corruption_is_detected () =
 
 let test_config_kvs_roundtrip () =
   let config =
-    Driver.default_config
-    |> Driver.with_concolic (fun c ->
-           { c with Driver.interval_length = Some 77; Driver.time_period = 456 })
-    |> Driver.with_search (fun s ->
-           { s with Driver.scheduler = "sequential"; Driver.max_live = 99 })
-    |> Driver.with_solver (fun s -> { s with Driver.prefix_cap = 64 })
-    |> Driver.with_robust (fun r ->
+    Session.default_config
+    |> Session.with_concolic (fun c ->
+           { c with Session.interval_length = Some 77; Session.time_period = 456 })
+    |> Session.with_search (fun s ->
+           { s with Session.scheduler = "sequential"; Session.max_live = 99 })
+    |> Session.with_solver (fun s -> { s with Session.prefix_cap = 64 })
+    |> Session.with_robust (fun r ->
            {
              r with
-             Driver.watchdog_factor = 7;
-             Driver.inject =
+             Session.watchdog_factor = 7;
+             Session.inject =
                (match Inject.parse "seed=3,crash=0.25,snapshot=0.5" with
                 | Ok p -> p
                 | Error e -> Alcotest.fail e);
            })
-    |> Driver.with_rng_seed 1234
+    |> Session.with_rng_seed 1234
   in
-  match Driver.config_of_kvs (Driver.config_to_kvs config) with
+  match Session.config_of_kvs (Session.config_to_kvs config) with
   | Error e -> Alcotest.fail e
   | Ok rebuilt ->
     Alcotest.(check (list (pair string string)))
       "kvs round-trip is exact"
-      (Driver.config_to_kvs config)
-      (Driver.config_to_kvs rebuilt)
+      (Session.config_to_kvs config)
+      (Session.config_to_kvs rebuilt)
 
 let test_config_kvs_ignores_unknown_and_rejects_bad () =
-  (match Driver.config_of_kvs [ ("target", "mini"); ("scheduler", "round-robin") ] with
+  (match Session.config_of_kvs [ ("target", "mini"); ("scheduler", "round-robin") ] with
    | Ok config ->
      Alcotest.(check (list (pair string string)))
        "unknown keys fall through to defaults"
-       (Driver.config_to_kvs Driver.default_config)
-       (Driver.config_to_kvs config)
+       (Session.config_to_kvs Session.default_config)
+       (Session.config_to_kvs config)
    | Error e -> Alcotest.fail e);
-  match Driver.config_of_kvs [ ("solver.budget", "lots") ] with
+  match Session.config_of_kvs [ ("solver.budget", "lots") ] with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "malformed value accepted"
 

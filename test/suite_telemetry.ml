@@ -2,6 +2,7 @@ module Telemetry = Pbse_telemetry.Telemetry
 module Report = Pbse_telemetry.Report
 module Json = Pbse_telemetry.Json
 module Driver = Pbse.Driver
+module Session = Pbse_session.Session
 
 (* The registry is process-global; every test snapshots/restores the
    enabled flag and resets so tests stay order-independent. *)
@@ -202,19 +203,19 @@ let test_diff_self () =
 
 (* --- end-to-end determinism ------------------------------------------------ *)
 
-let driver_report_json ?(scheduler = Driver.default_config.Driver.search.Driver.scheduler)
+let driver_report_json ?(scheduler = Session.default_config.Session.search.Session.scheduler)
     () =
   with_registry ~enabled:true (fun () ->
       let config =
-        Driver.(with_search (fun s -> { s with scheduler }) default_config)
+        Session.(with_search (fun s -> { s with scheduler }) default_config)
       in
       let report =
-        Driver.run ~config
+        Session.run ~config
           (Suite_core.mini_program ())
           ~seed:(Suite_core.mini_seed ()) ~deadline:80_000
       in
       Report.to_json
-        (Driver.run_report ~meta:[ ("target", "mini") ] report))
+        (Session.run_report ~meta:[ ("target", "mini") ] report))
 
 (* every scheduling policy must be deterministic: same seed, same
    byte-identical report *)
