@@ -45,6 +45,11 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
+(* The runtime of an instrumented run: a fresh, enabled registry, so the
+   run's report carries its spans and histograms and nothing else. *)
+let instrumented ?(config = Session.default_config) () =
+  Session.runtime_of_config ~registry:(Telemetry.Registry.create ~enabled:true ()) config
+
 let target name =
   match Registry.by_name name with
   | Some t -> t
@@ -569,8 +574,6 @@ let ablate () =
     Session.(with_search (fun s -> { s with dedup_seed_states = false }) default_config);
   run "sequential phases"
     Session.(with_search (fun s -> { s with scheduler = "sequential" }) default_config);
-  run "coverage-greedy phases"
-    Session.(with_search (fun s -> { s with scheduler = "coverage-greedy" }) default_config);
   run "fixed k = 4" Session.(with_search (fun s -> { s with max_k = 4 }) default_config);
   Tablefmt.print table
 
@@ -957,9 +960,10 @@ let crash_resume_bench ?(jobs = 2) ?(lease = 2) () =
   let seeds = List.map snd t.Registry.seeds in
   let deadline = ten_hours in
   let scheduler = "round-robin" in
-  Telemetry.set_enabled true;
-  let baseline = Driver.run_pool ~scheduler ~jobs ~lease prog ~seeds ~deadline in
-  Telemetry.set_enabled false;
+  let baseline =
+    Driver.run_pool ~scheduler ~runtime:(instrumented ()) ~jobs ~lease prog ~seeds
+      ~deadline
+  in
   let base_json = Report.to_json (Driver.pool_run_report baseline) in
   let path = Filename.temp_file "pbse_bench_ck" ".json" in
   let snapshot_ms = ref 0 in
@@ -968,11 +972,10 @@ let crash_resume_bench ?(jobs = 2) ?(lease = 2) () =
       ~note_ms:(fun ms -> snapshot_ms := !snapshot_ms + ms)
       ~path ~every:1 ()
   in
-  Telemetry.set_enabled true;
   let _killed : Driver.pool_report =
-    Driver.run_pool ~scheduler ~jobs ~lease ~checkpoint:ck prog ~seeds ~deadline
+    Driver.run_pool ~scheduler ~runtime:(instrumented ()) ~jobs ~lease ~checkpoint:ck
+      prog ~seeds ~deadline
   in
-  Telemetry.set_enabled false;
   Printf.printf "  ... halted at the round-2 barrier (%d ms in snapshot writes)\n%!"
     !snapshot_ms;
   match Driver.load_snapshot ~path with
@@ -983,19 +986,17 @@ let crash_resume_bench ?(jobs = 2) ?(lease = 2) () =
     (match fallback with
      | Some why -> Printf.printf "  ... resumed from the .bak rotation: %s\n%!" why
      | None -> ());
-    Telemetry.set_enabled true;
     (* no ~lease here on purpose: the resume must pick the lease back up
        from the snapshot meta, or leased checkpoints would re-plan with
-       different work units and diverge *)
+       different work units and diverge; telemetry too comes back on
+       from the meta *)
     let resumed =
       match Driver.resume_pool ~jobs sn prog ~seeds with
       | Ok pool -> pool
       | Error e ->
-        Telemetry.set_enabled false;
         Printf.eprintf "resume failed: %s\n" e;
         exit 1
     in
-    Telemetry.set_enabled false;
     let resumed_json = Report.to_json (Driver.pool_run_report resumed) in
     if resumed_json <> base_json then begin
       prerr_endline "resumed pool report diverged from the uninterrupted run";
@@ -1026,14 +1027,11 @@ let serve_bench () =
   let deadline = hour / 4 in
   (* local equivalent of the request, for the identity check and the CSV
      row's engine metrics *)
-  Telemetry.set_enabled true;
   let local =
-    Driver.run_pool
-      (Registry.program t)
+    Driver.run_pool ~runtime:(instrumented ()) (Registry.program t)
       ~seeds:(List.map snd t.Registry.seeds)
       ~deadline
   in
-  Telemetry.set_enabled false;
   let local_json =
     Report.to_json
       (Driver.pool_run_report
@@ -1220,11 +1218,10 @@ let smoke ?(jobs = 1) () =
      are nonzero *)
   let small = max 25_000 (hour / 4) in
   let t = target "gif2tiff" in
-  Telemetry.set_enabled true;
   let report =
-    Session.run (Registry.program t) ~seed:(Registry.default_seed t) ~deadline:small
+    Session.run ~runtime:(instrumented ()) (Registry.program t)
+      ~seed:(Registry.default_seed t) ~deadline:small
   in
-  Telemetry.set_enabled false;
   note_run ~suite:"smoke" ~name:t.Registry.name ~deadline:small report;
   let rr =
     Session.run_report
@@ -1248,12 +1245,10 @@ let smoke ?(jobs = 1) () =
         (fun _ -> { subsumption = false; loop_summaries = false })
         default_config)
   in
-  Telemetry.set_enabled true;
   let off_report =
-    Session.run ~config:off_config (Registry.program t)
-      ~seed:(Registry.default_seed t) ~deadline:small
+    Session.run ~config:off_config ~runtime:(instrumented ~config:off_config ())
+      (Registry.program t) ~seed:(Registry.default_seed t) ~deadline:small
   in
-  Telemetry.set_enabled false;
   note_run ~suite:"smoke" ~name:(t.Registry.name ^ "/pathcond-off")
     ~deadline:small off_report;
   let bug_set r =
@@ -1285,13 +1280,12 @@ let smoke ?(jobs = 1) () =
     (Report.metric rr "smt.interpolant_hits");
   (* and one tiny pool campaign, so the aggregate-report path is gated
      in CI too *)
-  Telemetry.set_enabled true;
   let pool =
-    Driver.run_pool ~scheduler:"coverage-greedy" ~jobs (Registry.program t)
+    Driver.run_pool ~scheduler:"coverage-greedy" ~runtime:(instrumented ()) ~jobs
+      (Registry.program t)
       ~seeds:(List.map snd t.Registry.seeds)
       ~deadline:small
   in
-  Telemetry.set_enabled false;
   note_pool_run ~jobs ~suite:"smoke-pool" ~name:t.Registry.name ~deadline:small
     pool;
   let pr =

@@ -27,6 +27,7 @@ module Inject = Pbse_robust.Inject
 module Pool_scheduler = Pbse_campaign.Pool_scheduler
 module Telemetry = Pbse_telemetry.Telemetry
 module Report = Pbse_telemetry.Report
+module Checked_file = Pbse_telemetry.Checked_file
 
 let default_hour = 120_000
 
@@ -129,11 +130,30 @@ let report_arg =
   in
   Arg.(value & opt (some string) None & info [ "report" ] ~docv:"FILE" ~doc)
 
+(* Exit status of the command: a report that cannot be written fails
+   it, even after a successful run. *)
 let write_report_json ~path json =
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "run report written to %s\n" path
+  match Out_channel.with_open_bin path (fun oc -> output_string oc json) with
+  | () ->
+    Printf.printf "run report written to %s\n" path;
+    0
+  | exception Sys_error e ->
+    (* open errors name the file, the others do not *)
+    prerr_endline
+      ("cannot write report: "
+      ^ if String.starts_with ~prefix:path e then e else path ^ ": " ^ e);
+    1
+
+let write_report_opt report_file render =
+  match report_file with
+  | Some path -> write_report_json ~path (Report.to_json (render ()))
+  | None -> 0
+
+(* Telemetry is on exactly when a report will be written. *)
+let report_runtime report_file config =
+  Session.runtime_of_config
+    ~registry:(Telemetry.Registry.create ~enabled:(report_file <> None) ())
+    config
 
 (* One shared term assembles the driver configuration for every
    subcommand that runs the engine, so flags compose identically
@@ -358,7 +378,6 @@ let run_cmd =
       prerr_endline "--share-seedstates needs --pool (sharing is across a campaign's seeds)";
       1
     | Ok t, Ok config ->
-      if report_file <> None then Telemetry.set_enabled true;
       let deadline = deadline_of_hours hours in
       let meta seed_label =
         [ ("target", name); ("seed", seed_label); ("deadline", string_of_int deadline) ]
@@ -372,19 +391,17 @@ let run_cmd =
           else config
         in
         let report =
-          Driver.run_pool ~config ~scheduler:pool_scheduler ~jobs ~lease
+          Driver.run_pool ~config ~scheduler:pool_scheduler
+            ~runtime:(report_runtime report_file config)
+            ~jobs ~lease
             ?checkpoint:(build_checkpoint ~target:name ck)
             (Registry.program t)
             ~seeds:(List.map snd t.Registry.seeds)
             ~deadline
         in
         print_pool_campaign report;
-        (match report_file with
-         | Some path ->
-           write_report_json ~path
-             (Report.to_json (Driver.pool_run_report ~meta:(meta "pool") report))
-         | None -> ());
-        0
+        write_report_opt report_file (fun () ->
+            Driver.pool_run_report ~meta:(meta "pool") report)
       end
       else begin
         match lookup_seed t seed_label with
@@ -392,14 +409,13 @@ let run_cmd =
           prerr_endline e;
           1
         | Ok seed ->
-          let report = Session.run ~config (Registry.program t) ~seed ~deadline in
+          let report =
+            Session.run ~config ~runtime:(report_runtime report_file config)
+              (Registry.program t) ~seed ~deadline
+          in
           print_report report;
-          (match report_file with
-           | Some path ->
-             write_report_json ~path
-               (Report.to_json (Session.run_report ~meta:(meta seed_label) report))
-           | None -> ());
-          0
+          write_report_opt report_file (fun () ->
+              Session.run_report ~meta:(meta seed_label) report)
       end
   in
   Cmd.v
@@ -434,11 +450,7 @@ let resume_cmd =
   in
   let finish ~meta report_file report =
     print_pool_campaign report;
-    (match report_file with
-     | Some path ->
-       write_report_json ~path (Report.to_json (Driver.pool_run_report ~meta report))
-     | None -> ());
-    0
+    write_report_opt report_file (fun () -> Driver.pool_run_report ~meta report)
   in
   (* total checkpoint loss: restart from nothing, fault on record *)
   let fresh_start ~detail target hours ck jobs report_file =
@@ -447,10 +459,11 @@ let resume_cmd =
       prerr_endline e;
       1
     | Ok t ->
-      if report_file <> None then Telemetry.set_enabled true;
       let deadline = deadline_of_hours hours in
       let report =
-        Driver.run_pool ~jobs:(Option.value jobs ~default:1)
+        Driver.run_pool
+          ~runtime:(report_runtime report_file Session.default_config)
+          ~jobs:(Option.value jobs ~default:1)
           ?checkpoint:(build_checkpoint ~target ck)
           ~preload_faults:[ (Fault.Snapshot_corrupt, detail) ]
           (Registry.program t)
@@ -487,10 +500,6 @@ let resume_cmd =
           prerr_endline e;
           1
         | Ok t ->
-          (* match the original process's telemetry switch so the resumed
-             report is byte-identical to the uninterrupted run's *)
-          if meta_of "telemetry" = Some "1" || report_file <> None then
-            Telemetry.set_enabled true;
           let meta =
             [
               ("target", target);
@@ -646,13 +655,8 @@ let bugs_cmd =
 (* --- report ---------------------------------------------------------------------- *)
 
 let load_report path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  match Report.of_json text with
-  | Ok r -> Ok r
-  | Error e -> Error (Printf.sprintf "%s: %s" path e)
+  Result.bind (Checked_file.read ~path) (fun text ->
+      Result.map_error (Printf.sprintf "%s: %s" path) (Report.of_json text))
 
 let print_report_summary (r : Report.t) =
   List.iter (fun (k, v) -> Printf.printf "%s: %s\n" k v) r.Report.meta;
@@ -951,11 +955,12 @@ let request_cmd =
         Printf.eprintf "pbse request: error %s: %s%s\n" e.Pbse.Serve.err_code
           e.Pbse.Serve.err_message retry;
         1
-      | Ok body ->
-        (match out with
-         | Some path -> write_report_json ~path body
-         | None -> print_string body);
-        0)
+      | Ok body -> (
+        match out with
+        | Some path -> write_report_json ~path body
+        | None ->
+          print_string body;
+          0))
   in
   Cmd.v
     (Cmd.info "request"
@@ -974,16 +979,12 @@ let file_arg =
   let doc = "MiniC source file." in
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let compile_source path =
+  Result.bind (Checked_file.read ~path) (fun src -> Pbse_lang.Frontend.compile_result src)
 
 let compile_cmd =
   let run path =
-    match Pbse_lang.Frontend.compile_result (read_file path) with
+    match compile_source path with
     | Ok prog ->
       print_string (Pbse_ir.Printer.program_to_string prog);
       0
@@ -1001,14 +1002,16 @@ let exec_cmd =
     Arg.(value & opt (some file) None & info [ "input" ] ~docv:"FILE" ~doc)
   in
   let run path input =
-    match Pbse_lang.Frontend.compile_result (read_file path) with
-    | Error msg ->
+    match
+      ( compile_source path,
+        match input with
+        | Some path -> Result.map Bytes.of_string (Checked_file.read ~path)
+        | None -> Ok Bytes.empty )
+    with
+    | Error msg, _ | _, Error msg ->
       prerr_endline msg;
       1
-    | Ok prog ->
-      let input =
-        match input with Some f -> Bytes.of_string (read_file f) | None -> Bytes.empty
-      in
+    | Ok prog, Ok input ->
       let r = Pbse_exec.Concrete.run prog ~input in
       List.iter (fun v -> Printf.printf "out: %Ld\n" v) r.Pbse_exec.Concrete.output;
       (match r.Pbse_exec.Concrete.outcome with

@@ -4,58 +4,18 @@ type outcome = {
   finished : bool;
 }
 
-(* The generic campaign loop: policy decisions live behind
-   [Pool_scheduler.t], engine execution behind the [turn] callback, and
-   this loop owns every slot counter. Termination is guaranteed: each
-   iteration either consumes budget (monotone progress toward the
-   deadline) or retires a slot (zero-budget shares and no-progress turns
-   leave the rotation), and the rotation is finite. *)
-let run ~sched ~deadline turn =
-  let spent_total = ref 0 in
-  let rec loop () =
-    let remaining = deadline - !spent_total in
-    if remaining > 0 then
-      match sched.Pool_scheduler.select ~remaining with
-      | None -> ()
-      | Some { Pool_scheduler.slot; budget } ->
-        let budget = min budget remaining in
-        if budget <= 0 then begin
-          (* a share too small to run: the seed is skipped, its claim
-             flows back to the pool *)
-          slot.Seed_slot.retired <- true;
-          sched.Pool_scheduler.retire slot;
-          loop ()
-        end
-        else begin
-          slot.Seed_slot.turns <- slot.Seed_slot.turns + 1;
-          slot.Seed_slot.granted <- slot.Seed_slot.granted + budget;
-          let o = turn slot ~budget in
-          slot.Seed_slot.dwell <- slot.Seed_slot.dwell + o.spent;
-          slot.Seed_slot.new_blocks <- slot.Seed_slot.new_blocks + o.new_blocks;
-          spent_total := !spent_total + o.spent;
-          if o.finished || o.spent <= 0 then begin
-            (* drained, or a turn that made no progress: either way the
-               seed must leave the rotation or the loop could live-lock *)
-            slot.Seed_slot.retired <- true;
-            sched.Pool_scheduler.retire slot
-          end
-          else
-            sched.Pool_scheduler.credit slot ~spent:o.spent ~new_blocks:o.new_blocks;
-          loop ()
-        end
-  in
-  loop ();
-  !spent_total
-
-(* The round-barrier variant: the policy plans a whole round up front
-   (one turn per live slot, outcome-independent), the turns run — on up
-   to [jobs] domains — and the results merge back at the barrier in plan
+(* The campaign loop: policy decisions live behind [Pool_scheduler.t],
+   engine execution behind the [run]/[merge] callbacks, and this loop
+   owns every slot counter. The policy plans a whole round up front (one
+   turn per live slot, outcome-independent), the turns run — on up to
+   [jobs] domains — and the results merge back at the barrier in plan
    order. Budgets are clamped against the round's opening balance in
    plan order, so the clamp too is independent of how turns inside the
    round actually went; every [jobs] width therefore grants, runs and
-   merges the identical sequence. Retirement mirrors {!run}: a clamped
+   merges the identical sequence. Termination is guaranteed: a clamped
    share of zero skips the slot out of the rotation, and a finished or
-   progress-free turn retires it at the barrier.
+   progress-free turn retires it at the barrier, so every round either
+   consumes budget or shrinks the finite rotation.
 
    [lease] coarsens the work units: each planned turn is granted up to
    [lease] consecutive sub-turns of the same budget (bounded by the
@@ -134,7 +94,6 @@ let run_rounds ?(on_round = fun _ -> ()) ?(after_round = fun () -> true) ?(lease
               (* merge every sub-turn, in lease order, then make the one
                  credit-or-retire decision for the whole lease *)
               let lease_spent = ref 0 in
-              let lease_blocks = ref 0 in
               let finished = ref false in
               List.iter
                 (fun result ->
@@ -143,7 +102,6 @@ let run_rounds ?(on_round = fun _ -> ()) ?(after_round = fun () -> true) ?(lease
                   slot.Seed_slot.new_blocks <- slot.Seed_slot.new_blocks + o.new_blocks;
                   spent_total := !spent_total + o.spent;
                   lease_spent := !lease_spent + o.spent;
-                  lease_blocks := !lease_blocks + o.new_blocks;
                   if o.finished then finished := true)
                 sub_results;
               if !finished || !lease_spent <= 0 then begin
@@ -152,9 +110,7 @@ let run_rounds ?(on_round = fun _ -> ()) ?(after_round = fun () -> true) ?(lease
                   sched.Pool_scheduler.retire slot
                 end
               end
-              else
-                sched.Pool_scheduler.credit slot ~spent:!lease_spent
-                  ~new_blocks:!lease_blocks)
+              else sched.Pool_scheduler.credit slot)
             runnable results);
           if after_round () then loop ()
         end

@@ -1,31 +1,21 @@
 (** The campaign loop: scheduled, budget-reallocating execution over a
-    seed pool.
+    seed pool, in deterministic rounds.
 
-    Generic over both the policy ({!Pool_scheduler.t}) and the engine: a
-    caller-supplied [turn] callback runs one seed for one budgeted turn
-    and reports what happened. The loop owns all {!Seed_slot} counter
-    updates (turns, granted, dwell, new_blocks, retired); the callback
-    only executes.
+    Generic over both the policy ({!Pool_scheduler.t}) and the engine:
+    caller-supplied [run]/[merge] callbacks execute one seed for one
+    budgeted turn and report what happened. The loop owns all
+    {!Seed_slot} counter updates (turns, granted, dwell, new_blocks,
+    retired); the callbacks only execute and merge.
 
-    [Pbse.Driver.run_pool] supplies a callback that opens a resumable
-    driver session per seed on its first turn and steps it on later
-    ones, keeping this library free of any engine dependency. *)
+    [Pbse.Driver.run_pool] supplies callbacks that open a resumable
+    session per seed on its first turn and step it on later ones,
+    keeping this library free of any engine dependency. *)
 
 type outcome = {
   spent : int; (* virtual time the turn consumed (may overshoot budget) *)
   new_blocks : int; (* blocks the turn added to the merged coverage set *)
   finished : bool; (* the seed's engine drained; no more turns wanted *)
 }
-
-val run :
-  sched:Pool_scheduler.t ->
-  deadline:int ->
-  (Seed_slot.t -> budget:int -> outcome) ->
-  int
-(** [run ~sched ~deadline turn] grants turns until the budget is spent
-    or every slot is retired, and returns the total virtual time spent.
-    Zero-budget shares and turns that make no progress retire their slot
-    (never the campaign), so the loop always terminates. *)
 
 val run_rounds :
   ?on_round:(int -> unit) ->
@@ -40,18 +30,21 @@ val run_rounds :
   merge:(Seed_slot.t -> budget:int -> 'r -> outcome) ->
   unit ->
   int
-(** [run_rounds ~sched ~deadline ~jobs ~run ~merge ()] is the
-    round-barrier campaign loop behind [--jobs]: each iteration asks the
-    policy to {!Pool_scheduler.t.plan} a whole round, clamps the round's
-    budgets against the opening balance in plan order (zero shares
-    skip-retire their slot without running), executes the surviving
-    turns with {!Domain_pool.run} on up to [jobs] domains — each slot
-    homed on its ordinal, so a seed's turns stick to one worker domain
-    across rounds — then merges results at the barrier {e in plan
-    order}: [merge] turns each [run] result into an {!outcome}
-    (performing any shared-state merging — coverage union, bug harvest —
-    as a side effect), after which the loop updates the slot's counters
-    and retires or credits it exactly as {!run} would. Because plans,
+(** [run_rounds ~sched ~deadline ~jobs ~run ~merge ()] grants turns
+    until the budget is spent or every slot is retired, and returns the
+    total virtual time spent. Each iteration asks the policy to
+    {!Pool_scheduler.t.plan} a whole round, clamps the round's budgets
+    against the opening balance in plan order (zero shares skip-retire
+    their slot without running), executes the surviving turns with
+    {!Domain_pool.run} on up to [jobs] domains — each slot homed on its
+    ordinal, so a seed's turns stick to one worker domain across rounds
+    — then merges results at the barrier {e in plan order}: [merge]
+    turns each [run] result into an {!outcome} (performing any
+    shared-state merging — coverage union, bug harvest — as a side
+    effect), after which the loop updates the slot's counters and
+    credits the slot, or retires it when its turn finished or made no
+    progress. Zero shares and progress-free turns retire their slot,
+    never the campaign, so the loop always terminates. Because plans,
     clamps and merges never observe intra-round outcomes or completion
     order, the spent total, every slot counter and every merge effect
     are identical for every [jobs] value, including 1 — the

@@ -13,9 +13,8 @@ type stats = {
 
 type t = {
   name : string;
-  select : remaining:int -> turn option;
   plan : remaining:int -> turn list;
-  credit : Seed_slot.t -> spent:int -> new_blocks:int -> unit;
+  credit : Seed_slot.t -> unit;
   retire : Seed_slot.t -> unit;
   drained : unit -> bool;
   active : unit -> Seed_slot.t list;
@@ -39,7 +38,7 @@ type instruments = {
 
 let instruments ?registry () =
   let registry =
-    match registry with Some r -> r | None -> Telemetry.Registry.default ()
+    match registry with Some r -> r | None -> Telemetry.Registry.create ()
   in
   {
     i_turns = Telemetry.Registry.counter registry "campaign.turns";
@@ -71,28 +70,21 @@ let array_remove slots (s : Seed_slot.t) =
   | Some (idx, _) ->
     slots := Array.init (n - 1) (fun i -> if i < idx then !slots.(i) else !slots.(i + 1))
 
-(* Algorithm 1's outer loop, as a policy: the head seed (slots arrive in
-   smallest-first order) gets one turn sized to an equal share of the
-   remaining budget, then leaves the rotation whether or not its engine
-   drained. Unused budget stays in the pool, so later seeds inherit it
-   through the shrinking divisor. *)
+(* Algorithm 1's outer loop, as a policy: one round in which every seed
+   (slots arrive in smallest-first order) gets one turn sized to an equal
+   share of the budget the round started with, after which it leaves the
+   rotation whether or not its engine drained. The campaign is that one
+   round: a seed that stops early leaves its unused share unspent rather
+   than passing it on. *)
 let smallest_first ?registry ~time_period:_ slot_list =
   let ins = instruments ?registry () in
   let slots = ref (Array.of_list slot_list) in
   let stats = stats_create () in
   {
     name = "smallest-first";
-    select =
-      (fun ~remaining ->
-        if Array.length !slots = 0 then None
-        else begin
-          note_turn ins stats;
-          Some { slot = !slots.(0); budget = remaining / Array.length !slots }
-        end);
-    (* One round: every live slot, in pool order, with an equal share of
-       the budget the round started with. The plan depends only on the
-       live-slot set and [remaining], never on the outcomes of turns
-       inside the round, so every [--jobs] width plans identically. *)
+    (* The plan depends only on the live-slot set and [remaining], never
+       on the outcomes of turns inside the round, so every [--jobs] width
+       plans identically. *)
     plan =
       (fun ~remaining ->
         let n = Array.length !slots in
@@ -107,7 +99,7 @@ let smallest_first ?registry ~time_period:_ slot_list =
                !slots)
         end);
     credit =
-      (fun s ~spent:_ ~new_blocks:_ ->
+      (fun s ->
         (* one turn per seed: the share was final *)
         note_retirement ins stats;
         array_remove slots s);
@@ -139,14 +131,6 @@ let round_robin ?registry ~time_period slot_list =
   in
   {
     name = "round-robin";
-    select =
-      (fun ~remaining:_ ->
-        if Array.length !slots = 0 then None
-        else begin
-          note_turn ins stats;
-          let s = !slots.(!pos) in
-          Some { slot = s; budget = time_period + Seed_slot.carry s }
-        end);
     (* One round = one full rotation: every live slot once, in pool
        order, with the fair period plus its rolled-forward carry. *)
     plan =
@@ -162,7 +146,7 @@ let round_robin ?registry ~time_period slot_list =
                !slots)
         end);
     credit =
-      (fun _s ~spent:_ ~new_blocks:_ ->
+      (fun _s ->
         incr pos;
         wrap ());
     retire =
@@ -179,13 +163,13 @@ let round_robin ?registry ~time_period slot_list =
         match List.assoc_opt "pos" kvs with Some p -> pos := p | None -> ());
   }
 
-(* Greedy reallocation: the next turn goes to the seed with the best
-   new-blocks-per-dwell ratio, (new_blocks + 1) / (dwell + time_period),
-   compared by integer cross-multiplication; ties break toward the lower
-   ordinal (the smaller seed). A seed whose marginal coverage dries up
-   loses the comparison and its remaining budget flows to the others.
-   Budgets grow with the slot's own turn count so a productive seed
-   earns longer stretches. *)
+(* Greedy reallocation: each round runs the live seeds best
+   new-blocks-per-dwell ratio first, (new_blocks + 1) / (dwell +
+   time_period), compared by integer cross-multiplication; ties break
+   toward the lower ordinal (the smaller seed). Budgets grow with the
+   slot's own turn count so a productive seed earns longer stretches,
+   and since a round's budgets are clamped in plan order, a short
+   balance goes to the most productive seeds first. *)
 let coverage_greedy ?registry ~time_period slot_list =
   let ins = instruments ?registry () in
   let slots = ref (Array.of_list slot_list) in
@@ -197,19 +181,9 @@ let coverage_greedy ?registry ~time_period slot_list =
   in
   {
     name = "coverage-greedy";
-    select =
-      (fun ~remaining:_ ->
-        if Array.length !slots = 0 then None
-        else begin
-          note_turn ins stats;
-          let best =
-            Array.fold_left (fun acc s -> if better s acc then s else acc) !slots.(0) !slots
-          in
-          Some { slot = best; budget = (best.Seed_slot.turns + 1) * time_period }
-        end);
-    (* One round: every live slot, most-productive ratio first (same
-       comparison as [select]), each budgeted by its own turn count. The
-       ordering uses only counters frozen at the round barrier. *)
+    (* One round: every live slot, most-productive ratio first, each
+       budgeted by its own turn count. The ordering uses only counters
+       frozen at the round barrier. *)
     plan =
       (fun ~remaining:_ ->
         let live = Array.copy !slots in
@@ -220,7 +194,7 @@ let coverage_greedy ?registry ~time_period slot_list =
                note_turn ins stats;
                { slot = s; budget = (s.Seed_slot.turns + 1) * time_period })
              live));
-    credit = (fun _s ~spent:_ ~new_blocks:_ -> ());
+    credit = (fun _s -> ());
     retire =
       (fun s ->
         note_retirement ins stats;

@@ -1,10 +1,10 @@
 (** Seed-pool scheduling policies behind one interface.
 
     The seed-level mirror of {!Pbse_sched.Scheduler}: the campaign loop
-    repeatedly asks [select] for the next seed turn and its budget, runs
-    that seed's engine for the turn, then reports back — [credit] when
-    the seed stays schedulable, [retire] when it leaves the pool (engine
-    drained, zero budget, or no progress). Policies read the counters on
+    ({!Campaign.run_rounds}) asks [plan] for a whole round of seed turns
+    and their budgets, runs them, then reports back per seed — [credit]
+    when the seed stays schedulable, [retire] when it leaves the pool
+    (engine drained, zero budget, or no progress). Policies read the counters on
     {!Seed_slot} (the campaign loop owns them) and are deterministic:
     identical call sequences yield identical selections, which the
     byte-identical aggregate-report test relies on. *)
@@ -22,18 +22,14 @@ type stats = {
 
 type t = {
   name : string;
-  select : remaining:int -> turn option;
-      (** Next seed to run and its budget, given the campaign's
-          remaining budget; [None] when no slots remain. *)
   plan : remaining:int -> turn list;
       (** The whole next {e round} at once: one turn per live slot, in
           policy order, budgets fixed from the state at the barrier.
           Because the plan never depends on the outcomes of turns inside
           the round, the turns can run concurrently (one domain each)
           and merge deterministically — every [--jobs] width sees the
-          same plans. An empty list means the pool is drained. Use
-          either [select] or [plan] on a given instance, not both. *)
-  credit : Seed_slot.t -> spent:int -> new_blocks:int -> unit;
+          same plans. An empty list means the pool is drained. *)
+  credit : Seed_slot.t -> unit;
       (** The turn ended and the seed stays schedulable (under
           [smallest-first] the seed's single share is spent, so credit
           also retires it). *)
@@ -57,9 +53,10 @@ val smallest_first :
   time_period:int ->
   Seed_slot.t list ->
   t
-(** The paper's Algorithm 1 (today's equal split): each seed, smallest
-    first, gets one turn sized to an equal share of the remaining
-    budget. [time_period] is unused. *)
+(** The paper's Algorithm 1: one round in which each seed, smallest
+    first, gets one turn sized to an equal share of the budget; a seed
+    that stops early leaves the rest of its share unspent.
+    [time_period] is unused. *)
 
 val round_robin :
   ?registry:Pbse_telemetry.Telemetry.Registry.t ->
@@ -74,9 +71,10 @@ val coverage_greedy :
   time_period:int ->
   Seed_slot.t list ->
   t
-(** Adaptive reallocation: best new-blocks-per-dwell ratio first
-    (integer cross-multiplied, ties to the lower ordinal), budgets
-    growing with the slot's own turn count. *)
+(** Adaptive reallocation: each round runs the seeds best
+    new-blocks-per-dwell ratio first (integer cross-multiplied, ties to
+    the lower ordinal), budgets growing with the slot's own turn
+    count. *)
 
 val default : string
 (** ["smallest-first"] — the paper's behaviour. *)
@@ -92,4 +90,4 @@ val by_name :
   t)
   option
 (** Factories accept the registry that owns their [campaign.*] counters
-    (default {!Pbse_telemetry.Telemetry.Registry.default}). *)
+    (default: a fresh private registry, disabled). *)

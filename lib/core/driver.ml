@@ -200,16 +200,9 @@ let run_pool ?(config = Session.default_config) ?(scheduler = Pool_scheduler.def
   Fun.protect ~finally:(fun () -> if own_pool then Domain_pool.shutdown pool)
   @@ fun () ->
   let pool_rt =
-    match runtime with
-    | Some rt -> rt
-    | None ->
-      Runtime.create ~rng_seed:config.rng_seed ~inject:config.robust.inject
-        ~max_strikes:config.robust.max_strikes
-        ~prefix_cap:config.solver.prefix_cap ()
+    match runtime with Some rt -> rt | None -> Session.runtime_of_config config
   in
   let pool_registry = pool_rt.Runtime.registry in
-  if Telemetry.Registry.enabled pool_registry then
-    Telemetry.Registry.reset pool_registry;
   let tm_rounds = Telemetry.Registry.counter pool_registry "pool.rounds" in
   let tm_parallel_turns =
     Telemetry.Registry.counter pool_registry "pool.parallel_turns"
@@ -317,8 +310,8 @@ let run_pool ?(config = Session.default_config) ?(scheduler = Pool_scheduler.def
       in
       let rt = derive_session_rt ~prefix_cap in
       let s =
-        Session.open_session ~config ~runtime:rt ~reset_telemetry:false ?share prog
-          ~seed:slot.Seed_slot.seed ~deadline:first_deadline
+        Session.open_session ~config ~runtime:rt ?share prog ~seed:slot.Seed_slot.seed
+          ~deadline:first_deadline
       in
       ignore (Session.step_contained s ~deadline:first_deadline);
       ignore (watchdog_check s ~start:0 ~budget:first_budget);
@@ -556,7 +549,7 @@ let run_pool ?(config = Session.default_config) ?(scheduler = Pool_scheduler.def
         opened_caps.(ordinal) <- (match cap with Some c -> c | None -> -1);
         let rt = derive_session_rt ~prefix_cap:cap in
         let s =
-          Session.open_session ~config ~runtime:rt ~reset_telemetry:false ?share prog
+          Session.open_session ~config ~runtime:rt ?share prog
             ~seed:slot.Seed_slot.seed ~deadline:budget
         in
         sessions.(ordinal) <- Some (rt, s);
@@ -831,9 +824,9 @@ let run_pool ?(config = Session.default_config) ?(scheduler = Pool_scheduler.def
 (* Aggregate pool report: pool-level metrics first (merged coverage and
    deduplicated bugs replace the per-run values, which would double
    count), then the element-wise sum of every per-run scalar family,
-   plus the per-seed rows. Span and histogram sections snapshot the
-   registry, which a pool campaign resets once at the start — they cover
-   the whole campaign on instrumented runs. *)
+   plus the per-seed rows. Span and histogram sections snapshot the pool
+   registry, into which every session registry merges — they cover the
+   whole campaign on instrumented runs. *)
 let pool_run_report ?(meta = []) pool =
   let reports = List.map snd pool.runs in
   let summed =
@@ -940,9 +933,16 @@ let resume_pool ?jobs ?lease ?checkpoint ?fallback snapshot prog ~seeds =
           | Some l -> l
           | None -> 1)
       in
+      (* the resumed campaign's instruments must be on exactly when the
+         original's were, or its report would differ from the
+         uninterrupted run's *)
+      let registry =
+        Telemetry.Registry.create ~enabled:(List.assoc_opt "telemetry" meta = Some "1") ()
+      in
       Ok
-        (run_pool ~config ~scheduler ~jobs ~lease ?checkpoint
-           ~resume:(snapshot, fallback) prog ~seeds
+        (run_pool ~config ~scheduler
+           ~runtime:(Session.runtime_of_config ~registry config)
+           ~jobs ~lease ?checkpoint ~resume:(snapshot, fallback) prog ~seeds
            ~deadline:snapshot.Snapshot.sn_deadline))
 
 let select_seed seeds ~coverage_of =

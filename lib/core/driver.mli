@@ -152,8 +152,10 @@ val run_pool :
     slot's worker and merged sub-turn by sub-turn at the barrier, so
     barrier and merge overhead amortises (docs/parallelism.md). When
     the campaign ends, per-session registries fold into [runtime]'s
-    registry (default: a fresh runtime over the process-global
-    registry) in ordinal order. Every field of the result — and the
+    registry in ordinal order (default runtime:
+    [Session.runtime_of_config config], whose registry is private and
+    disabled; each session registry is enabled exactly when the pool
+    registry is). Every field of the result — and the
     byte-exact {!pool_run_report} JSON — is identical for every [jobs]
     value at any fixed [lease] (docs/parallelism.md); the
     [pool_steal_count]/[pool_pinned_turns]/[pool_id_refills]/
@@ -214,9 +216,9 @@ val resume_pool :
     the remaining rounds would plan different work units and diverge
     from the uninterrupted run. [fallback] is the failure message of a
     corrupt primary checkpoint this snapshot replaced
-    ({!load_snapshot}). Telemetry enablement is the caller's
-    responsibility (the snapshot records it in the ["telemetry"]
-    metadata key). *)
+    ({!load_snapshot}). The pool registry is enabled exactly when the
+    snapshot's ["telemetry"] metadata key says the original campaign's
+    was, so the resumed report matches the uninterrupted one. *)
 
 val pool_run_report :
   ?meta:(string * string) list -> pool_report -> Pbse_telemetry.Report.t

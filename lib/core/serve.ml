@@ -4,7 +4,6 @@ module Telemetry = Pbse_telemetry.Telemetry
 module Report = Pbse_telemetry.Report
 module Session = Pbse_session.Session
 module Session_store = Pbse_session.Session_store
-module Runtime = Pbse_session.Runtime
 module Protocol = Pbse_serve.Protocol
 module Transport = Pbse_serve.Transport
 module Admission = Pbse_serve.Admission
@@ -108,11 +107,7 @@ let run_request ~pool ~share ~arb ~jobs ?on_round (req : Protocol.request) prog
     seeds =
   let config = config_of_request req in
   let runtime =
-    Runtime.create
-      ~registry:(Telemetry.Registry.create ~enabled:true ())
-      ~rng_seed:config.Session.rng_seed ~inject:config.Session.robust.Session.inject
-      ~max_strikes:config.Session.robust.Session.max_strikes
-      ~prefix_cap:config.Session.solver.Session.prefix_cap ()
+    Session.runtime_of_config ~registry:(Telemetry.Registry.create ~enabled:true ()) config
   in
   let round_wrap f =
     arbiter_wrap arb f;

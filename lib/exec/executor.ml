@@ -88,11 +88,11 @@ let solver_charge_divisor = 128
 let max_call_depth = 512
 
 let create ?(max_live = 8192) ?(solver_budget = 60_000) ?solver_retry_cap
-    ?solver_prefix_cap ?(confirm_bugs = true) ?rng_seed:_ ?(inject = Inject.none)
+    ?solver_prefix_cap ?(confirm_bugs = true) ?(inject = Inject.none)
     ?(subsumption = true) ?(loop_summaries = true) ?registry ~clock prog ~input =
   Pbse_ir.Validate.check_exn prog;
   let registry =
-    match registry with Some r -> r | None -> Telemetry.Registry.default ()
+    match registry with Some r -> r | None -> Telemetry.Registry.create ()
   in
   let cfg = Cfg.build prog in
   (* static loop-summary pass: template matches become one-step

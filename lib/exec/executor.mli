@@ -69,7 +69,6 @@ val create :
   ?solver_retry_cap:int ->
   ?solver_prefix_cap:int ->
   ?confirm_bugs:bool ->
-  ?rng_seed:int ->
   ?inject:Pbse_robust.Inject.plan ->
   ?subsumption:bool ->
   ?loop_summaries:bool ->
@@ -88,8 +87,8 @@ val create :
     prunes subsumed states; [loop_summaries] (default true) enables the
     static loop-summary pass and its one-step summarized transitions.
     Both caches are engine-local, so pool determinism is unaffected.
-    [registry] owns the engine's telemetry instruments (default
-    {!Pbse_telemetry.Telemetry.Registry.default}). *)
+    [registry] owns the engine's telemetry instruments (default: a
+    fresh private registry, disabled). *)
 
 val cfg : t -> Pbse_ir.Cfg.t
 val coverage : t -> Coverage.t

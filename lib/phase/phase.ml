@@ -101,7 +101,7 @@ module Telemetry = Pbse_telemetry.Telemetry
 
 let divide ?registry ?(mode = Bbv_with_coverage) ?(max_k = 20) rng bbvs =
   let registry =
-    match registry with Some r -> r | None -> Telemetry.Registry.default ()
+    match registry with Some r -> r | None -> Telemetry.Registry.create ()
   in
   let tm_divisions = Telemetry.Registry.counter registry "phase.divisions" in
   let tm_bbvs = Telemetry.Registry.histogram registry "phase.bbvs_per_division" in

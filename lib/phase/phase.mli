@@ -42,7 +42,7 @@ val divide :
     (pid 0, no trap) instead of raising, so a run whose concolic step
     produced nothing still schedules. [max_k] defaults to 20 (the paper
     tries k in 1..20). [registry] owns the division telemetry
-    (default {!Pbse_telemetry.Telemetry.Registry.default}). *)
+    (default: a fresh private registry, disabled). *)
 
 val phase_of_interval : division -> Pbse_concolic.Bbv.t list -> int -> int option
 (** [phase_of_interval division bbvs interval] maps an interval index to

@@ -113,7 +113,7 @@ let max_recent = 256
 
 let log_create ?registry () =
   let registry =
-    match registry with Some r -> r | None -> Telemetry.Registry.default ()
+    match registry with Some r -> r | None -> Telemetry.Registry.create ()
   in
   let tm =
     Array.of_list

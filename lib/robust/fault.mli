@@ -41,8 +41,8 @@ type t = {
 type log
 
 val log_create : ?registry:Pbse_telemetry.Telemetry.Registry.t -> unit -> log
-(** [registry] owns the per-kind fault counters (default
-    {!Pbse_telemetry.Telemetry.Registry.default}). *)
+(** [registry] owns the per-kind fault counters (default: a fresh
+    private registry, disabled). *)
 
 val record : log -> ?detail:string -> vtime:int -> kind -> unit
 

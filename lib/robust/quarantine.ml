@@ -2,8 +2,8 @@ module Telemetry = Pbse_telemetry.Telemetry
 
 type t = {
   limit : int;
-  strikes : (int, int) Hashtbl.t; (* per-state, cleared by [epoch] *)
-  sites : (int, int) Hashtbl.t; (* fork site -> evictions, persistent *)
+  strikes : (int, int) Hashtbl.t; (* per-state *)
+  sites : (int, int) Hashtbl.t; (* fork site -> evictions *)
   mutable total : int;
   mutable evictions : int;
   tm_strikes : Telemetry.counter;
@@ -12,7 +12,7 @@ type t = {
 
 let create ?registry ~max_strikes () =
   let registry =
-    match registry with Some r -> r | None -> Telemetry.Registry.default ()
+    match registry with Some r -> r | None -> Telemetry.Registry.create ()
   in
   {
     limit = max 1 max_strikes;
@@ -24,15 +24,13 @@ let create ?registry ~max_strikes () =
     tm_evictions = Telemetry.Registry.counter registry "quarantine.evictions";
   }
 
-let epoch t = Hashtbl.reset t.strikes
-
 let site_evictions t site =
   match Hashtbl.find_opt t.sites site with Some n -> n | None -> 0
 
-(* A state whose fork site already produced evictions (in this or an
-   earlier epoch) starts closer to the limit: known-bad sites fail fast
-   instead of re-earning every strike each run. The effective limit
-   never drops below 1, so every state survives at least one fault. *)
+(* A state whose fork site already produced evictions starts closer to
+   the limit: known-bad sites fail fast instead of every state forked
+   there re-earning each strike. The effective limit never drops below
+   1, so every state survives at least one fault. *)
 let effective_limit t ~site =
   if site < 0 then t.limit
   else max 1 (t.limit - min (site_evictions t site) (t.limit - 1))

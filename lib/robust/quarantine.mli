@@ -6,27 +6,18 @@
     the caller removes it from its searcher so the rest of the phase
     keeps making progress. Keys are state ids.
 
-    A quarantine can outlive one run: {!epoch} clears the per-state
-    strike counts (state ids restart per run) while the cumulative
-    totals and the per-site eviction records persist. Callers that run
-    seeds sequentially ([Session.run ?quarantine] across invocations) can
-    thread one quarantine this way so a fork site that struck out under
-    one seed fails fast under the next. [Driver.run_pool] does {e not}:
-    each pool session owns a private quarantine inside its runtime
-    context, the price of running turns on concurrent domains with
-    byte-identical reports at every [--jobs] width
-    (docs/parallelism.md). *)
+    A quarantine lives for one session: it sits in the session's runtime
+    context, so concurrent campaign turns never share one and reports
+    stay byte-identical at every [--jobs] width (docs/parallelism.md).
+    Within the session, per-site eviction records make a fork site that
+    already struck out fail fast for the states forked there later. *)
 
 type t
 
 val create : ?registry:Pbse_telemetry.Telemetry.Registry.t -> max_strikes:int -> unit -> t
 (** [max_strikes] is clamped to at least 1. [registry] owns the
-    strike/eviction counters (default
-    {!Pbse_telemetry.Telemetry.Registry.default}). *)
-
-val epoch : t -> unit
-(** Start a new run against the same quarantine: per-state strikes are
-    cleared; totals, evictions and site records persist. *)
+    strike/eviction counters (default: a fresh private registry,
+    disabled). *)
 
 val strike : t -> ?site:int -> int -> bool
 (** [strike t ~site id] charges one strike; [true] means the state has
@@ -35,17 +26,17 @@ val strike : t -> ?site:int -> int -> bool
     site (a global block id, negative when unknown): sites with prior
     evictions lower the state's effective limit — by one per recorded
     eviction, floored at 1 — so known-bad fork points are retired
-    faster in later epochs. *)
+    faster. *)
 
 val strikes_of : t -> int -> int
 (** Current strikes charged against a live (not yet evicted) state. *)
 
 val site_evictions : t -> int -> int
-(** Evictions recorded against a fork site, across all epochs. *)
+(** Evictions recorded against a fork site. *)
 
 val total_strikes : t -> int
 (** Strikes charged over the quarantine's lifetime, including evicted
-    states and earlier epochs. *)
+    states. *)
 
 val evicted : t -> int
 (** States quarantined over the quarantine's lifetime. *)

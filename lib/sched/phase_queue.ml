@@ -21,7 +21,7 @@ type t = {
 
 let create ?registry ~ordinal ~pid ~trap searcher =
   let registry =
-    match registry with Some r -> r | None -> Telemetry.Registry.default ()
+    match registry with Some r -> r | None -> Telemetry.Registry.create ()
   in
   {
     ordinal;

@@ -30,8 +30,7 @@ val create :
   Pbse_exec.Searcher.t ->
   t
 (** All counters start at zero. [registry] owns the per-phase
-    [turn_dwell] histogram (default
-    {!Pbse_telemetry.Telemetry.Registry.default}). *)
+    [turn_dwell] histogram (default: a fresh private registry, disabled). *)
 
 val seed : t -> Pbse_exec.State.t -> unit
 (** Adds a seedState to the phase's searcher and counts it. *)

@@ -15,7 +15,7 @@ type stats = {
 type t = {
   name : string;
   select : unit -> turn option;
-  credit : Phase_queue.t -> elapsed:int -> new_cover:int -> unit;
+  credit : Phase_queue.t -> unit;
   evict : Phase_queue.t -> failed:bool -> unit;
   drained : unit -> bool;
   remaining : unit -> Phase_queue.t list;
@@ -35,7 +35,7 @@ type instruments = {
 
 let instruments ?registry () =
   let registry =
-    match registry with Some r -> r | None -> Telemetry.Registry.default ()
+    match registry with Some r -> r | None -> Telemetry.Registry.create ()
   in
   {
     i_turns = Telemetry.Registry.counter registry "sched.turns";
@@ -100,7 +100,7 @@ let round_robin ?registry ~time_period queue_list =
           Some { queue = !queues.(!pos); budget = !rotation * time_period }
         end);
     credit =
-      (fun _q ~elapsed:_ ~new_cover:_ ->
+      (fun _q ->
         incr pos;
         wrap ());
     evict =
@@ -129,7 +129,7 @@ let sequential ?registry ~time_period queue_list =
           note_turn ins stats;
           Some { queue = !queues.(0); budget = (!rotation + 1) * time_period }
         end);
-    credit = (fun _q ~elapsed:_ ~new_cover:_ -> ());
+    credit = (fun _q -> ());
     evict =
       (fun q ~failed ->
         note_eviction ins stats ~failed;
@@ -141,101 +141,9 @@ let sequential ?registry ~time_period queue_list =
     stats;
   }
 
-(* Greedy alternative: always run the queue with the best
-   new-cover-per-dwell ratio, (new_cover + 1) / (dwell + time_period),
-   compared by integer cross-multiplication so there is no float
-   rounding; ties break toward the lower ordinal. Each queue's budget
-   grows with its own turn count, so a productive phase earns longer
-   stretches without starving the comparison. *)
-let coverage_greedy ?registry ~time_period queue_list =
-  let ins = instruments ?registry () in
-  let queues = ref (Array.of_list queue_list) in
-  let stats = stats_create () in
-  let better (a : Phase_queue.t) (b : Phase_queue.t) =
-    let lhs = (a.Phase_queue.new_cover + 1) * (b.Phase_queue.dwell + time_period) in
-    let rhs = (b.Phase_queue.new_cover + 1) * (a.Phase_queue.dwell + time_period) in
-    if lhs <> rhs then lhs > rhs else a.Phase_queue.ordinal < b.Phase_queue.ordinal
-  in
-  {
-    name = "coverage-greedy";
-    select =
-      (fun () ->
-        if Array.length !queues = 0 then None
-        else begin
-          note_turn ins stats;
-          let best = Array.fold_left (fun acc q -> if better q acc then q else acc) !queues.(0) !queues in
-          Some { queue = best; budget = (best.Phase_queue.turns + 1) * time_period }
-        end);
-    credit = (fun _q ~elapsed:_ ~new_cover:_ -> ());
-    evict =
-      (fun q ~failed ->
-        note_eviction ins stats ~failed;
-        array_remove queues q);
-    drained = (fun () -> Array.length !queues = 0);
-    remaining = (fun () -> Array.to_list !queues);
-    stats;
-  }
-
-(* Round-robin with trap priority: every phase still gets exactly one
-   turn per rotation with the same growing budget, but within each
-   rotation the trap phases (the paper's prime bug habitat) take their
-   turns first, in appearance order, followed by the non-trap phases.
-   The pending list is rebuilt at each rotation boundary from the
-   still-live queues, so evictions never starve the order. *)
-let trap_first ?registry ~time_period queue_list =
-  let ins = instruments ?registry () in
-  let queues = ref (Array.of_list queue_list) in
-  let rotation = ref 1 in
-  let stats = stats_create () in
-  let order () =
-    let live = Array.to_list !queues in
-    List.filter (fun (q : Phase_queue.t) -> q.Phase_queue.trap) live
-    @ List.filter (fun (q : Phase_queue.t) -> not q.Phase_queue.trap) live
-  in
-  let pending = ref (order ()) in
-  let drop q =
-    pending :=
-      List.filter
-        (fun (x : Phase_queue.t) -> x.Phase_queue.ordinal <> q.Phase_queue.ordinal)
-        !pending
-  in
-  let refill_if_done () =
-    if !pending = [] && Array.length !queues > 0 then begin
-      incr rotation;
-      note_rotation ins stats;
-      pending := order ()
-    end
-  in
-  {
-    name = "trap-first";
-    select =
-      (fun () ->
-        if Array.length !queues = 0 then None
-        else begin
-          refill_if_done ();
-          note_turn ins stats;
-          Some { queue = List.hd !pending; budget = !rotation * time_period }
-        end);
-    credit =
-      (fun q ~elapsed:_ ~new_cover:_ ->
-        drop q;
-        refill_if_done ());
-    evict =
-      (fun q ~failed ->
-        note_eviction ins stats ~failed;
-        array_remove queues q;
-        drop q;
-        refill_if_done ());
-    drained = (fun () -> Array.length !queues = 0);
-    remaining = (fun () -> Array.to_list !queues);
-    stats;
-  }
-
-let names = [ "round-robin"; "sequential"; "coverage-greedy"; "trap-first" ]
+let names = [ "round-robin"; "sequential" ]
 
 let by_name = function
   | "round-robin" -> Some round_robin
   | "sequential" -> Some sequential
-  | "coverage-greedy" -> Some coverage_greedy
-  | "trap-first" -> Some trap_first
   | _ -> None

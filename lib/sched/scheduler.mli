@@ -1,13 +1,13 @@
 (** Phase-selection policies behind one interface.
 
-    The engine loop (Driver) repeatedly asks [select] for the next
+    The engine loop (Session) repeatedly asks [select] for the next
     phase turn, runs states from that phase's searcher until the turn
     budget is exhausted, then reports the outcome back: [credit] when
     the phase stays schedulable, [evict] when it is retired (drained or
     its searcher failed). [drained] ends the loop. All bookkeeping that
     decides {e which} phase runs next lives behind this interface; the
     caller owns the per-phase counters in {!Phase_queue} (it executes
-    the slices) and the policies read them.
+    the slices).
 
     Policies are deterministic: identical call sequences yield identical
     selections, which the byte-identical-report determinism test relies
@@ -29,7 +29,7 @@ type t = {
   name : string;
   select : unit -> turn option;
       (** Next phase to run and its budget; [None] when no queues remain. *)
-  credit : Phase_queue.t -> elapsed:int -> new_cover:int -> unit;
+  credit : Phase_queue.t -> unit;
       (** The turn ended and the phase stays schedulable. *)
   evict : Phase_queue.t -> failed:bool -> unit;
       (** Retire the phase ([failed] marks searcher fail-over, as opposed
@@ -55,22 +55,6 @@ val sequential :
   t
 (** Ablation policy: drain each phase to exhaustion in order. *)
 
-val coverage_greedy :
-  ?registry:Pbse_telemetry.Telemetry.Registry.t ->
-  time_period:int ->
-  Phase_queue.t list ->
-  t
-(** Greedy alternative: highest new-cover-per-dwell ratio first
-    (integer cross-multiplied, ties to the lower ordinal). *)
-
-val trap_first :
-  ?registry:Pbse_telemetry.Telemetry.Registry.t ->
-  time_period:int ->
-  Phase_queue.t list ->
-  t
-(** Round-robin rotations and budgets, but trap phases take their turns
-    first within each rotation (appearance order within each class). *)
-
 val names : string list
 (** All policy names accepted by {!by_name}. *)
 
@@ -82,4 +66,4 @@ val by_name :
   t)
   option
 (** Factories accept the registry that owns their [sched.*] counters
-    (default {!Pbse_telemetry.Telemetry.Registry.default}). *)
+    (default: a fresh private registry, disabled). *)

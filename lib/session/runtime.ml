@@ -13,19 +13,33 @@ type t = {
   prefix_cap : int option;
 }
 
-let create ?registry ?(rng_seed = 1) ?(inject = Inject.none) ?quarantine
-    ?(max_strikes = 4) ?prefix_cap () =
+let create ?registry ?(rng_seed = 1) ?(inject = Inject.none) ?(max_strikes = 4)
+    ?prefix_cap () =
   let registry =
-    match registry with Some r -> r | None -> Telemetry.Registry.default ()
+    match registry with Some r -> r | None -> Telemetry.Registry.create ()
   in
-  let quarantine =
-    match quarantine with
-    | Some q -> q
-    | None -> Quarantine.create ~registry ~max_strikes ()
-  in
-  { registry; rng = Rng.create rng_seed; inject; quarantine; arena = Expr.arena (); prefix_cap }
+  {
+    registry;
+    rng = Rng.create rng_seed;
+    inject;
+    quarantine = Quarantine.create ~registry ~max_strikes ();
+    arena = Expr.arena ();
+    prefix_cap;
+  }
 
-let activate t = Expr.use_arena t.arena
+(* The expression arena and the id block are domain-local, but systhreads
+   of one domain share them: two sessions driven from two threads of the
+   same domain would preempt each other mid-step and intern into each
+   other's arena. One lock per domain serialises them. The main domain's
+   lock is created here, before any thread can race to create it; a pool
+   worker domain runs a single thread. *)
+let domain_lock : Mutex.t Domain.DLS.key = Domain.DLS.new_key Mutex.create
+let () = ignore (Domain.DLS.get domain_lock)
+
+let with_active t f =
+  Mutex.protect (Domain.DLS.get domain_lock) (fun () ->
+      Expr.use_arena t.arena;
+      f ())
 
 let derive ?registry ?rng_seed ?prefix_cap t =
   let registry = match registry with Some r -> r | None -> t.registry in

@@ -400,7 +400,6 @@ let schedule_phases ~registry ~clock ~deadline ~sched ~quarantine exec note_prog
       | None -> ()
       | Some { Scheduler.queue = q; budget = turn_budget } ->
         let turn_start = Vclock.now clock in
-        let cover_start = q.Phase_queue.new_cover in
         (* executor-stat marks: the deltas over this turn are attributed
            to the phase's report row *)
         let subsumed_start = est.Executor.subsumed_states in
@@ -491,10 +490,7 @@ let schedule_phases ~registry ~clock ~deadline ~sched ~quarantine exec note_prog
         Telemetry.observe q.Phase_queue.turn_dwell elapsed;
         if !queue_failed || Phase_queue.size q = 0 then
           sched.Scheduler.evict q ~failed:!queue_failed
-        else
-          sched.Scheduler.credit q
-            ~elapsed:(Vclock.now clock - turn_start)
-            ~new_cover:(q.Phase_queue.new_cover - cover_start);
+        else sched.Scheduler.credit q;
         turns ()
   in
   turns ()
@@ -513,9 +509,6 @@ type t = {
   s_clock : Vclock.t;
   s_exec : Executor.t;
   s_sched : Scheduler.t;
-  s_quarantine : Quarantine.t;
-  s_evicted0 : int;
-  s_strikes0 : int;
   s_c_time : int;
   s_p_time : int;
   s_division : Phase.division;
@@ -529,33 +522,19 @@ type t = {
   s_note_progress : int -> unit;
 }
 
-let open_session ?(config = default_config) ?quarantine ?runtime
-    ?(reset_telemetry = true) ?share prog ~seed ~deadline =
+let runtime_of_config ?registry config =
+  Runtime.create ?registry ~rng_seed:config.rng_seed ~inject:config.robust.inject
+    ~max_strikes:config.robust.max_strikes ~prefix_cap:config.solver.prefix_cap ()
+
+let open_session ?(config = default_config) ?runtime ?share prog ~seed ~deadline =
   (* validate the policy name before the expensive concolic step *)
   let scheduler_factory = make_scheduler config in
-  (* a caller-supplied quarantine persists across runs: per-state strikes
-     reset with the epoch, site records and totals carry over *)
-  (match quarantine with Some q -> Quarantine.epoch q | None -> ());
   let rt =
-    match runtime with
-    | Some rt -> (
-      match quarantine with
-      | Some q -> { rt with Runtime.quarantine = q }
-      | None -> rt)
-    | None ->
-      Runtime.create ~rng_seed:config.rng_seed ~inject:config.robust.inject
-        ?quarantine ~max_strikes:config.robust.max_strikes
-        ~prefix_cap:config.solver.prefix_cap ()
+    match runtime with Some rt -> rt | None -> runtime_of_config config
   in
   (* the session's expressions intern into its own arena from here on *)
-  Runtime.activate rt;
+  Runtime.with_active rt @@ fun () ->
   let registry = rt.Runtime.registry in
-  (* instrumented runs snapshot the registry into their report, so start
-     each run from zero; uninstrumented runs skip the reset too. A pool
-     campaign resets once for the whole campaign instead
-     ([reset_telemetry = false] here). *)
-  if reset_telemetry && Telemetry.Registry.enabled registry then
-    Telemetry.Registry.reset registry;
   let tm_concolic = Telemetry.Registry.span registry "driver.concolic" in
   let tm_phase_analysis = Telemetry.Registry.span registry "driver.phase_analysis" in
   let shared_hits = Telemetry.Registry.counter registry "session.seedstate_shared_hits" in
@@ -673,7 +652,6 @@ let open_session ?(config = default_config) ?quarantine ?runtime
     end
   in
   note_progress 0;
-  let quarantine = rt.Runtime.quarantine in
   {
     s_config = config;
     s_runtime = rt;
@@ -681,9 +659,6 @@ let open_session ?(config = default_config) ?quarantine ?runtime
     s_clock = clock;
     s_exec = exec;
     s_sched = sched;
-    s_quarantine = quarantine;
-    s_evicted0 = Quarantine.evicted quarantine;
-    s_strikes0 = Quarantine.total_strikes quarantine;
     s_c_time = c_time;
     s_p_time = p_time;
     s_division = division;
@@ -703,9 +678,9 @@ let step_session s ~deadline =
      rotation state between steps. Re-activate the session's arena: the
      campaign layer may step the same session from a different domain on
      every round. *)
-  Runtime.activate s.s_runtime;
+  Runtime.with_active s.s_runtime @@ fun () ->
   schedule_phases ~registry:s.s_runtime.Runtime.registry ~clock:s.s_clock ~deadline
-    ~sched:s.s_sched ~quarantine:s.s_quarantine s.s_exec s.s_note_progress
+    ~sched:s.s_sched ~quarantine:s.s_runtime.Runtime.quarantine s.s_exec s.s_note_progress
 
 let session_runtime s = s.s_runtime
 let session_config s = s.s_config
@@ -758,15 +733,15 @@ let finish_session s =
     bugs;
     executor = s.s_exec;
     faults = Executor.faults s.s_exec;
-    quarantined = Quarantine.evicted s.s_quarantine - s.s_evicted0;
-    strikes = Quarantine.total_strikes s.s_quarantine - s.s_strikes0;
+    quarantined = Quarantine.evicted s.s_runtime.Runtime.quarantine;
+    strikes = Quarantine.total_strikes s.s_runtime.Runtime.quarantine;
     sched_stats = s.s_sched.Scheduler.stats;
     phase_stats = List.map Phase_queue.stat_row s.s_queues;
     registry = s.s_runtime.Runtime.registry;
   }
 
-let run ?(config = default_config) ?quarantine ?runtime prog ~seed ~deadline =
-  let s = open_session ~config ?quarantine ?runtime prog ~seed ~deadline in
+let run ?(config = default_config) ?runtime prog ~seed ~deadline =
+  let s = open_session ~config ?runtime prog ~seed ~deadline in
   step_session s ~deadline;
   finish_session s
 

@@ -51,9 +51,7 @@ type search_config = {
   phase_searcher : string; (* searcher used inside each phase *)
   scheduler : string; (* scheduling policy (Pbse_sched.Scheduler.names);
                          "round-robin" is the paper's Algorithm 3,
-                         "sequential" the ablation, "coverage-greedy"
-                         the greedy alternative, "trap-first" the
-                         trap-prioritising rotation *)
+                         "sequential" the ablation *)
   max_live : int;
   dedup_seed_states : bool; (* keep earliest per fork point (paper) *)
   max_k : int; (* k-means upper bound (paper: 20) *)
@@ -197,9 +195,15 @@ val coverage_at : report -> int -> int
 (** [coverage_at report t] — blocks covered by virtual time [t]
     (monotone interpolation of the samples). *)
 
+val runtime_of_config :
+  ?registry:Pbse_telemetry.Telemetry.Registry.t -> config -> Runtime.t
+(** The runtime a session of [config] runs in when the caller supplies
+    none: RNG seed, inject plan, strike limit and prefix cap from the
+    config, over [registry] (default: a fresh private registry,
+    disabled). Callers that want telemetry pass an enabled registry. *)
+
 val run :
   ?config:config ->
-  ?quarantine:Pbse_robust.Quarantine.t ->
   ?runtime:Runtime.t ->
   Pbse_ir.Types.program ->
   seed:bytes ->
@@ -207,14 +211,10 @@ val run :
   report
 (** End-to-end pbSE on one seed. The deadline is in virtual time and
     includes the concolic and analysis steps. [runtime] is the explicit
-    context the run executes in ({!Runtime}); by default one is built
-    from the config over the process-global registry, so when telemetry
-    is enabled ({!Pbse_telemetry.Telemetry.set_enabled}) the registry is
-    reset at the start of the run and {!run_report} snapshots this run
-    only. [quarantine] lets a caller persist quarantine records across
-    runs (a new {!Pbse_robust.Quarantine.epoch} is started); by default
-    each run gets a fresh quarantine. The report's
-    [quarantined]/[strikes] are this run's deltas either way. *)
+    context the run executes in ({!Runtime}; default
+    [runtime_of_config config]). Its registry's spans and histograms
+    are what {!run_report} snapshots, so a fresh enabled registry per
+    run gives a report of that run only. *)
 
 (** {1 Resumable sessions}
 
@@ -230,9 +230,7 @@ type t
 
 val open_session :
   ?config:config ->
-  ?quarantine:Pbse_robust.Quarantine.t ->
   ?runtime:Runtime.t ->
-  ?reset_telemetry:bool ->
   ?share:share ->
   Pbse_ir.Types.program ->
   seed:bytes ->
@@ -241,21 +239,18 @@ val open_session :
 (** Runs the concolic and phase-analysis steps (charged to the
     session's clock) and seeds the phase queues; [deadline] bounds the
     concolic pass only. [runtime] is the session's context — registry,
-    RNG, inject plan, quarantine, expression arena ({!Runtime.activate}
-    is called on the opening domain); omitted, one is built from the
-    config ([quarantine], when given, overrides the runtime's).
-    [reset_telemetry] (default [true]) resets the session's registry
-    when telemetry is enabled — pool campaigns pass [false] and reset
-    the pool registry once for the whole campaign. [share], consulted
-    only when [config.search.share_seed_states] is on, drops seedStates
-    whose path-prefix key another session already published (counted in
-    the [session.seedstate_shared_hits] registry counter) and imports
-    the share's solver prefix hints before the concolic step. *)
+    RNG, inject plan, quarantine, expression arena — and the steps run
+    under {!Runtime.with_active}; omitted, it is
+    [runtime_of_config config]. [share], consulted only when
+    [config.search.share_seed_states] is on, drops seedStates whose
+    path-prefix key another session already published (counted in the
+    [session.seedstate_shared_hits] registry counter) and imports the
+    share's solver prefix hints before the concolic step. *)
 
 val step_session : t -> deadline:int -> unit
 (** Phase-scheduled symbolic execution until [deadline] on the
-    session's own clock (an absolute virtual time, not a delta).
-    Returns early if the scheduler drains. *)
+    session's own clock (an absolute virtual time, not a delta), under
+    {!Runtime.with_active}. Returns early if the scheduler drains. *)
 
 val step_contained : t -> deadline:int -> [ `Stepped | `Failed ]
 (** {!step_session} with escaping exceptions contained: a raise is
@@ -302,8 +297,8 @@ val run_report :
 (** Assemble the structured run report: solver query/retry/escalation
     counts, executor and verification totals, per-phase turn/coverage
     stats, fault and quarantine totals, plus span and histogram
-    snapshots from the telemetry registry (populated only when telemetry
-    was enabled during the run). Deterministic: identical seeded runs
+    snapshots from the run's registry (populated only when that
+    registry is enabled). Deterministic: identical seeded runs
     yield byte-identical {!Pbse_telemetry.Report.to_json} output. *)
 
 val scalar_metrics : report -> (string * int) list

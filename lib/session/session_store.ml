@@ -32,7 +32,7 @@ let default_cap = 64
 
 let create ?(cap = default_cap) ?registry () =
   let registry =
-    match registry with Some r -> r | None -> Telemetry.Registry.default ()
+    match registry with Some r -> r | None -> Telemetry.Registry.create ()
   in
   {
     mutex = Mutex.create ();

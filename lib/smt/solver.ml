@@ -48,7 +48,7 @@ let create ?(budget = 60_000) ?retry_cap ?prefix_cap ?registry () =
     match retry_cap with Some c -> max budget c | None -> 8 * budget
   in
   let registry =
-    match registry with Some r -> r | None -> Telemetry.Registry.default ()
+    match registry with Some r -> r | None -> Telemetry.Registry.create ()
   in
   {
     budget;

@@ -68,7 +68,8 @@ val create :
     [retry_cap] bounds the escalating retry budget (default
     [8 * budget]; clamped to at least [budget]). [prefix_cap] bounds the
     prefix-context LRU ({!Prefix_ctx.create}). [registry] owns the
-    solver's telemetry instruments (default {!Telemetry.Registry.default}). *)
+    solver's telemetry instruments (default: a fresh private registry,
+    disabled). *)
 
 val stats : t -> stats
 

@@ -62,10 +62,14 @@ let write ~path data =
 
 let read ~path =
   match
+    if Sys.file_exists path && Sys.is_directory path then
+      raise (Sys_error "is a directory");
     let ic = open_in_bin path in
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> really_input_string ic (in_channel_length ic))
   with
-  | exception Sys_error e -> Error e
+  | exception Sys_error e ->
+    (* open errors name the file, the others do not *)
+    Error (if String.starts_with ~prefix:path e then e else path ^ ": " ^ e)
   | text -> Ok text

@@ -26,4 +26,5 @@ val write : path:string -> string -> unit
     place. *)
 
 val read : path:string -> (string, string) result
-(** The whole file, or the [Sys_error] message. *)
+(** The whole file, or the [Sys_error] message, which always names
+    [path]. *)

@@ -1,10 +1,9 @@
 (* Instruments carry the owning registry's enabled flag, so hot-path
    mutation is one boolean load regardless of which registry owns the
-   instrument, and a registry can be switched on/off without touching
-   its instruments. *)
+   instrument. *)
 
-type counter = { c_name : string; c_en : bool ref; mutable c_value : int }
-type gauge = { g_name : string; g_en : bool ref; mutable g_value : int }
+type counter = { c_name : string; c_en : bool; mutable c_value : int }
+type gauge = { g_name : string; g_en : bool; mutable g_value : int }
 
 (* Bucket 0 holds v <= 0; bucket i >= 1 holds [2^(i-1), 2^i - 1]. OCaml
    ints are 63-bit, so max_int = 2^62 - 1 needs 62 value bits: 63 buckets
@@ -28,7 +27,7 @@ let bucket_lo i = if i <= 0 then 0 else 1 lsl (i - 1)
 
 type histogram = {
   h_name : string;
-  h_en : bool ref;
+  h_en : bool;
   h_buckets : int array;
   mutable h_count : int;
   mutable h_sum : int;
@@ -47,7 +46,7 @@ type histogram_snapshot = {
 
 type span = {
   s_name : string;
-  s_en : bool ref;
+  s_en : bool;
   mutable s_count : int;
   mutable s_total : int;
 }
@@ -70,7 +69,7 @@ let histogram_snapshot h =
 
 module Registry = struct
   type t = {
-    en : bool ref;
+    en : bool;
     counters : (string, counter) Hashtbl.t;
     gauges : (string, gauge) Hashtbl.t;
     histograms : (string, histogram) Hashtbl.t;
@@ -79,23 +78,14 @@ module Registry = struct
 
   let create ?(enabled = false) () =
     {
-      en = ref enabled;
+      en = enabled;
       counters = Hashtbl.create 64;
       gauges = Hashtbl.create 16;
       histograms = Hashtbl.create 16;
       spans = Hashtbl.create 16;
     }
 
-  (* The one process-global registry, kept only so pre-context code
-     paths (CLI solo runs, tests, examples) have a registry without
-     threading one. Everything context-threaded gets its own
-     [create]. This back-compat shim is the single piece of module
-     state in the library. *)
-  let default_instance = lazy (create ())
-  let default () = Lazy.force default_instance
-
-  let enabled t = !(t.en)
-  let set_enabled t b = t.en := b
+  let enabled t = t.en
 
   let intern table name make =
     match Hashtbl.find_opt table name with
@@ -118,23 +108,6 @@ module Registry = struct
 
   let span t name =
     intern t.spans name (fun s_name -> { s_name; s_en = t.en; s_count = 0; s_total = 0 })
-
-  let reset t =
-    Hashtbl.iter (fun _ c -> c.c_value <- 0) t.counters;
-    Hashtbl.iter (fun _ g -> g.g_value <- 0) t.gauges;
-    Hashtbl.iter
-      (fun _ h ->
-        Array.fill h.h_buckets 0 nbuckets 0;
-        h.h_count <- 0;
-        h.h_sum <- 0;
-        h.h_min <- 0;
-        h.h_max <- 0)
-      t.histograms;
-    Hashtbl.iter
-      (fun _ s ->
-        s.s_count <- 0;
-        s.s_total <- 0)
-      t.spans
 
   (* Merge laws (docs/parallelism.md): counters and spans add, gauges
      keep the max, histograms add bucket-wise with min/max hulls. Every
@@ -212,15 +185,15 @@ end
 
 (* --- mutation (gated) ----------------------------------------------------- *)
 
-let incr c = if !(c.c_en) then c.c_value <- c.c_value + 1
-let add c n = if !(c.c_en) then c.c_value <- c.c_value + n
+let incr c = if c.c_en then c.c_value <- c.c_value + 1
+let add c n = if c.c_en then c.c_value <- c.c_value + n
 let counter_value c = c.c_value
 
-let set_gauge g v = if !(g.g_en) then g.g_value <- v
+let set_gauge g v = if g.g_en then g.g_value <- v
 let gauge_value g = g.g_value
 
 let observe h v =
-  if !(h.h_en) then begin
+  if h.h_en then begin
     let i = bucket_index v in
     h.h_buckets.(i) <- h.h_buckets.(i) + 1;
     if h.h_count = 0 then begin
@@ -236,7 +209,7 @@ let observe h v =
   end
 
 let with_span s ~now f =
-  if not !(s.s_en) then f ()
+  if not s.s_en then f ()
   else begin
     let t0 = now () in
     let record () =
@@ -254,17 +227,3 @@ let with_span s ~now f =
 
 let span_count s = s.s_count
 let span_total s = s.s_total
-
-(* --- process-global shims (Registry.default) ------------------------------- *)
-
-let enabled () = Registry.enabled (Registry.default ())
-let set_enabled b = Registry.set_enabled (Registry.default ()) b
-let reset () = Registry.reset (Registry.default ())
-let counter name = Registry.counter (Registry.default ()) name
-let gauge name = Registry.gauge (Registry.default ()) name
-let histogram name = Registry.histogram (Registry.default ()) name
-let span name = Registry.span (Registry.default ()) name
-let snapshot_counters () = Registry.snapshot_counters (Registry.default ())
-let snapshot_gauges () = Registry.snapshot_gauges (Registry.default ())
-let snapshot_spans () = Registry.snapshot_spans (Registry.default ())
-let snapshot_histograms () = Registry.snapshot_histograms (Registry.default ())

@@ -42,18 +42,11 @@ module Registry : sig
   type t
 
   val create : ?enabled:bool -> unit -> t
-  (** A fresh, empty registry (disabled unless [enabled]). *)
-
-  val default : unit -> t
-  (** The process-global registry behind the module-level shims below —
-      back-compat for code that predates explicit contexts. Never use it
-      from more than one domain. *)
+  (** A fresh, empty registry (disabled unless [enabled]). Enablement is
+      fixed at creation: a run that wants instruments is handed an
+      enabled registry. *)
 
   val enabled : t -> bool
-  val set_enabled : t -> bool -> unit
-
-  val reset : t -> unit
-  (** Zero every registered instrument (instruments stay registered). *)
 
   val counter : t -> string -> counter
   (** Registers (or returns the existing) counter under [name]. *)
@@ -127,20 +120,3 @@ val with_span : span -> now:(unit -> int) -> (unit -> 'a) -> 'a
 
 val span_count : span -> int
 val span_total : span -> int
-
-(** {1 Process-global shims}
-
-    Module-level conveniences over {!Registry.default} — back-compat for
-    single-domain code without an explicit context. *)
-
-val enabled : unit -> bool
-val set_enabled : bool -> unit
-val reset : unit -> unit
-val counter : string -> counter
-val gauge : string -> gauge
-val histogram : string -> histogram
-val span : string -> span
-val snapshot_counters : unit -> (string * int) list
-val snapshot_gauges : unit -> (string * int) list
-val snapshot_spans : unit -> (string * int * int) list
-val snapshot_histograms : unit -> histogram_snapshot list

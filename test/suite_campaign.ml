@@ -18,77 +18,67 @@ let make name slots =
   | Some f -> f ~time_period:1000 slots
   | None -> Alcotest.fail ("unknown pool policy " ^ name)
 
-let select_ordinal ?(remaining = 10_000) sched =
-  match sched.Pool_scheduler.select ~remaining with
-  | Some t -> t.Pool_scheduler.slot.Seed_slot.ordinal
-  | None -> Alcotest.fail "expected a turn"
+(* A round's plan as (ordinal, budget) pairs, in plan order. *)
+let planned ?(remaining = 10_000) sched =
+  List.map
+    (fun t -> (t.Pool_scheduler.slot.Seed_slot.ordinal, t.Pool_scheduler.budget))
+    (sched.Pool_scheduler.plan ~remaining)
 
 (* --- policies -------------------------------------------------------------- *)
 
 let test_smallest_first_equal_share () =
-  let sched = make "smallest-first" [ slot 1; slot 2; slot 3 ] in
-  (* head slot, one third of the remaining budget *)
-  (match sched.Pool_scheduler.select ~remaining:9000 with
-   | Some t ->
-     Alcotest.(check int) "head slot" 1 t.Pool_scheduler.slot.Seed_slot.ordinal;
-     Alcotest.(check int) "equal share" 3000 t.Pool_scheduler.budget;
-     (* one turn per seed: crediting retires the slot *)
-     sched.Pool_scheduler.credit t.Pool_scheduler.slot ~spent:1000 ~new_blocks:0
-   | None -> Alcotest.fail "expected a turn");
-  (* unused budget flows through the shrinking divisor *)
-  (match sched.Pool_scheduler.select ~remaining:8000 with
-   | Some t ->
-     Alcotest.(check int) "next slot" 2 t.Pool_scheduler.slot.Seed_slot.ordinal;
-     Alcotest.(check int) "half of what is left" 4000 t.Pool_scheduler.budget;
-     sched.Pool_scheduler.retire t.Pool_scheduler.slot
-   | None -> Alcotest.fail "expected a turn");
-  Alcotest.(check int) "last slot" 3 (select_ordinal sched);
+  let s1 = slot 1 and s2 = slot 2 in
+  let sched = make "smallest-first" [ s1; s2; slot 3 ] in
+  (* one round: every slot, in pool order, an equal share of the balance *)
+  Alcotest.(check (list (pair int int)))
+    "equal shares in pool order" [ (1, 3000); (2, 3000); (3, 3000) ]
+    (planned ~remaining:9000 sched);
+  (* one turn per seed: crediting retires the slot, just as retiring does *)
+  sched.Pool_scheduler.credit s1;
+  sched.Pool_scheduler.retire s2;
   Alcotest.(check int) "retirements counted" 2
-    sched.Pool_scheduler.stats.Pool_scheduler.retirements
+    sched.Pool_scheduler.stats.Pool_scheduler.retirements;
+  Alcotest.(check (list (pair int int)))
+    "only the untouched seed is left" [ (3, 8000) ]
+    (planned ~remaining:8000 sched)
 
 let test_round_robin_carries_unused_budget () =
   let s1 = slot 1 and s2 = slot 2 in
   let sched = make "round-robin" [ s1; s2 ] in
-  (match sched.Pool_scheduler.select ~remaining:10_000 with
-   | Some t ->
-     Alcotest.(check int) "quantum turn" 1000 t.Pool_scheduler.budget;
-     (* the campaign loop owns the counters; emulate a turn that used
-        only 400 of a 1000 grant *)
-     s1.Seed_slot.granted <- 1000;
-     s1.Seed_slot.dwell <- 400;
-     sched.Pool_scheduler.credit s1 ~spent:400 ~new_blocks:1
-   | None -> Alcotest.fail "expected a turn");
-  Alcotest.(check int) "rotation continues" 2 (select_ordinal sched);
+  Alcotest.(check (list (pair int int)))
+    "quantum turns in pool order" [ (1, 1000); (2, 1000) ] (planned sched);
+  (* the campaign loop owns the counters; emulate a round in which s1
+     used only 400 of its 1000 grant and s2 used all of it *)
+  s1.Seed_slot.granted <- 1000;
+  s1.Seed_slot.dwell <- 400;
+  sched.Pool_scheduler.credit s1;
   s2.Seed_slot.granted <- 1000;
   s2.Seed_slot.dwell <- 1000;
-  sched.Pool_scheduler.credit s2 ~spent:1000 ~new_blocks:0;
+  sched.Pool_scheduler.credit s2;
   (* s1's unused 600 rolls onto its next turn; s2 overshot and gets none *)
-  match sched.Pool_scheduler.select ~remaining:10_000 with
-  | Some t ->
-    Alcotest.(check int) "back to the head" 1 t.Pool_scheduler.slot.Seed_slot.ordinal;
-    Alcotest.(check int) "carry added" 1600 t.Pool_scheduler.budget
-  | None -> Alcotest.fail "expected a turn"
+  Alcotest.(check (list (pair int int)))
+    "carry added" [ (1, 1600); (2, 1000) ] (planned sched)
 
 let test_coverage_greedy_follows_ratio () =
   let s1 = slot 1 and s2 = slot 2 in
   let sched = make "coverage-greedy" [ s1; s2 ] in
+  let order () = List.map fst (planned sched) in
   (* equal ratios: tie to the lower ordinal (the smaller seed) *)
-  Alcotest.(check int) "tie to lower ordinal" 1 (select_ordinal sched);
-  (* s2 earns blocks cheaply, s1 dwells for nothing: s2 wins the next turn *)
+  Alcotest.(check (list int)) "tie to lower ordinal" [ 1; 2 ] (order ());
+  (* s2 earns blocks cheaply, s1 dwells for nothing: s2 goes first *)
   s1.Seed_slot.dwell <- 5000;
   s2.Seed_slot.dwell <- 1000;
   s2.Seed_slot.new_blocks <- 10;
-  Alcotest.(check int) "productive seed wins" 2 (select_ordinal sched);
+  Alcotest.(check (list int)) "productive seed first" [ 2; 1 ] (order ());
   (* budget scales with the slot's own turn count *)
   s2.Seed_slot.turns <- 2;
-  (match sched.Pool_scheduler.select ~remaining:10_000 with
-   | Some t -> Alcotest.(check int) "earned budget" 3000 t.Pool_scheduler.budget
-   | None -> Alcotest.fail "expected a turn");
+  Alcotest.(check (list (pair int int)))
+    "earned budget" [ (2, 3000); (1, 1000) ] (planned sched);
   (* a dried-up seed loses the lead *)
   s2.Seed_slot.new_blocks <- 0;
   s2.Seed_slot.dwell <- 20_000;
   s1.Seed_slot.new_blocks <- 3;
-  Alcotest.(check int) "lead changes with the ratio" 1 (select_ordinal sched)
+  Alcotest.(check (list int)) "lead changes with the ratio" [ 1; 2 ] (order ())
 
 let test_pool_by_name_covers_names () =
   List.iter
@@ -106,11 +96,18 @@ let test_pool_by_name_covers_names () =
 
 (* --- campaign loop --------------------------------------------------------- *)
 
+(* The campaign loop at one worker, with a turn callback that reports
+   its own outcome. *)
+let run_campaign ~sched ~deadline turn =
+  Campaign.run_rounds ~sched ~deadline ~jobs:(fun () -> 1) ~run:turn
+    ~merge:(fun _ ~budget:_ o -> o)
+    ()
+
 let test_campaign_loop_owns_counters () =
   let s1 = slot 1 and s2 = slot 2 in
   let sched = make "round-robin" [ s1; s2 ] in
   let spent =
-    Campaign.run ~sched ~deadline:3000 (fun _slot ~budget ->
+    run_campaign ~sched ~deadline:3000 (fun _slot ~budget ->
         { Campaign.spent = budget; new_blocks = 2; finished = false })
   in
   Alcotest.(check int) "deadline consumed exactly" 3000 spent;
@@ -118,14 +115,16 @@ let test_campaign_loop_owns_counters () =
   Alcotest.(check int) "second seed got one turn" 1 s2.Seed_slot.turns;
   Alcotest.(check int) "dwell tracked" 2000 s1.Seed_slot.dwell;
   Alcotest.(check int) "blocks credited" 4 s1.Seed_slot.new_blocks;
-  Alcotest.(check bool) "nobody retired" false
-    (s1.Seed_slot.retired || s2.Seed_slot.retired)
+  (* the last round's balance covered s1 only: s2's clamped share of
+     zero skipped it out of the rotation *)
+  Alcotest.(check bool) "first seed still live" false s1.Seed_slot.retired;
+  Alcotest.(check bool) "zero share retired" true s2.Seed_slot.retired
 
 let test_campaign_retires_finished_and_stuck () =
   let s1 = slot 1 and s2 = slot 2 in
   let sched = make "round-robin" [ s1; s2 ] in
   let spent =
-    Campaign.run ~sched ~deadline:100_000 (fun slot ~budget:_ ->
+    run_campaign ~sched ~deadline:100_000 (fun slot ~budget:_ ->
         if slot.Seed_slot.ordinal = 1 then
           (* drains on its first turn *)
           { Campaign.spent = 500; new_blocks = 1; finished = true }
@@ -141,7 +140,7 @@ let test_campaign_zero_deadline () =
   let s1 = slot 1 in
   let sched = make "smallest-first" [ s1 ] in
   let spent =
-    Campaign.run ~sched ~deadline:0 (fun _ ~budget:_ ->
+    run_campaign ~sched ~deadline:0 (fun _ ~budget:_ ->
         Alcotest.fail "no turn should be granted")
   in
   Alcotest.(check int) "nothing spent" 0 spent;
@@ -229,16 +228,11 @@ let test_pool_reports_byte_identical () =
      every policy — the pool counterpart of the single-run determinism
      test *)
   let json scheduler =
-    Pbse_telemetry.Telemetry.set_enabled true;
-    Fun.protect
-      ~finally:(fun () -> Pbse_telemetry.Telemetry.set_enabled false)
-      (fun () ->
-        let pool =
-          Driver.run_pool ~scheduler (mini_program ()) ~seeds:(pool_seeds ())
-            ~deadline:150_000
-        in
-        Report.to_json
-          (Driver.pool_run_report ~meta:[ ("target", "mini") ] pool))
+    let pool =
+      Driver.run_pool ~scheduler ~runtime:(Suite_telemetry.instrumented ())
+        (mini_program ()) ~seeds:(pool_seeds ()) ~deadline:150_000
+    in
+    Report.to_json (Driver.pool_run_report ~meta:[ ("target", "mini") ] pool)
   in
   List.iter
     (fun scheduler ->

@@ -14,6 +14,7 @@ module Solver = Pbse_smt.Solver
 module Expr = Pbse_smt.Expr
 module Inject = Pbse_robust.Inject
 module T = Pbse_ir.Types
+module Registry = Pbse_targets.Registry
 
 let mini_program = Suite_core.mini_program
 let pool_seeds = Suite_campaign.pool_seeds
@@ -80,15 +81,11 @@ let test_map_clamps_jobs () =
 (* --- byte-identical pool reports across --jobs ------------------------------ *)
 
 let pool_json ?config ?(scheduler = Pool_scheduler.default) ?(lease = 1) ~jobs () =
-  Telemetry.set_enabled true;
-  Fun.protect
-    ~finally:(fun () -> Telemetry.set_enabled false)
-    (fun () ->
-      let pool =
-        Driver.run_pool ?config ~scheduler ~jobs ~lease (mini_program ())
-          ~seeds:(pool_seeds ()) ~deadline:150_000
-      in
-      Report.to_json (Driver.pool_run_report ~meta:[ ("target", "mini") ] pool))
+  let pool =
+    Driver.run_pool ?config ~scheduler ~runtime:(Suite_telemetry.instrumented ?config ())
+      ~jobs ~lease (mini_program ()) ~seeds:(pool_seeds ()) ~deadline:150_000
+  in
+  Report.to_json (Driver.pool_run_report ~meta:[ ("target", "mini") ] pool)
 
 let test_pool_reports_identical_across_jobs () =
   (* the determinism contract (docs/parallelism.md): [--jobs N] is
@@ -254,6 +251,38 @@ let test_arena_isolation_across_domains () =
   Alcotest.(check bool) "distinct arenas assign distinct ids" true (id1 <> id2);
   Alcotest.(check bool) "same arena hash-conses to the same node" true interned
 
+let test_threads_on_one_domain_match_sequential () =
+  (* the arena and id block are per domain, so two campaigns started
+     from two threads of one domain (at jobs 1 each runs inline on its
+     own thread) preempt each other mid-turn; [Runtime.with_active] must
+     keep each session interning into its own arena, or the reports
+     drift from the sequential ones *)
+  let campaign name () =
+    let t = Option.get (Registry.by_name name) in
+    let pool =
+      Driver.run_pool ~scheduler:"round-robin" ~runtime:(Suite_telemetry.instrumented ())
+        ~jobs:1 (Registry.program t)
+        ~seeds:(List.map snd t.Registry.seeds)
+        ~deadline:60_000
+    in
+    Report.to_json (Driver.pool_run_report pool)
+  in
+  let names = [ "gif2tiff"; "tiff2bw" ] in
+  let sequential = List.map (fun name -> campaign name ()) names in
+  for round = 1 to 2 do
+    let out = Array.make (List.length names) "" in
+    List.mapi
+      (fun i name -> Thread.create (fun () -> out.(i) <- campaign name ()) ())
+      names
+    |> List.iter Thread.join;
+    List.iteri
+      (fun i name ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s, threaded round %d" name round)
+          (List.nth sequential i) out.(i))
+      names
+  done
+
 let test_id_blocks_never_collide () =
   (* expression ids come from per-domain id blocks carved off one shared
      cursor: concurrent interning on several domains must never hand out
@@ -341,6 +370,8 @@ let suite =
       test_run_report_has_phase_dwell_histograms;
     Alcotest.test_case "expression arenas are isolated" `Quick
       test_arena_isolation_across_domains;
+    Alcotest.test_case "threads on one domain match sequential" `Slow
+      test_threads_on_one_domain_match_sequential;
     Alcotest.test_case "per-domain id blocks never collide" `Quick
       test_id_blocks_never_collide;
     Alcotest.test_case "solver caches invariant across id blocks" `Quick

@@ -45,8 +45,7 @@ let test_round_robin_cycles_in_order () =
   let sched = make "round-robin" [ queue 1; queue 2; queue 3 ] in
   let step () =
     let o = select_ordinal sched in
-    sched.Scheduler.credit (List.nth (sched.Scheduler.remaining ()) (o - 1)) ~elapsed:1
-      ~new_cover:0;
+    sched.Scheduler.credit (List.nth (sched.Scheduler.remaining ()) (o - 1));
     o
   in
   Alcotest.(check (list int)) "two full rotations" [ 1; 2; 3; 1; 2; 3 ]
@@ -60,7 +59,7 @@ let test_round_robin_budget_grows_per_rotation () =
   let budget () =
     match sched.Scheduler.select () with
     | Some t ->
-      sched.Scheduler.credit t.Scheduler.queue ~elapsed:1 ~new_cover:0;
+      sched.Scheduler.credit t.Scheduler.queue;
       t.Scheduler.budget
     | None -> Alcotest.fail "expected a turn"
   in
@@ -100,73 +99,6 @@ let test_sequential_drains_head_first () =
    | None -> Alcotest.fail "expected a turn");
   Alcotest.(check int) "next queue after eviction" 2 (select_ordinal sched)
 
-let test_coverage_greedy_prefers_productive () =
-  let q1 = queue 1 and q2 = queue 2 in
-  let sched = make "coverage-greedy" [ q1; q2 ] in
-  (* equal ratios: the tie breaks to the lower ordinal *)
-  Alcotest.(check int) "tie to lower ordinal" 1 (select_ordinal sched);
-  (* q2 found coverage cheaply, q1 dwelt for nothing: q2 wins *)
-  q1.Phase_queue.dwell <- 3 * tp;
-  q2.Phase_queue.dwell <- tp;
-  q2.Phase_queue.new_cover <- 5;
-  Alcotest.(check int) "productive queue wins" 2 (select_ordinal sched);
-  (* its budget scales with its own turn count *)
-  q2.Phase_queue.turns <- 3;
-  (match sched.Scheduler.select () with
-   | Some t -> Alcotest.(check int) "budget from turn count" (4 * tp) t.Scheduler.budget
-   | None -> Alcotest.fail "expected a turn");
-  (* starving the winner's ratio hands the turn back *)
-  q2.Phase_queue.new_cover <- 0;
-  q2.Phase_queue.dwell <- 10 * tp;
-  q1.Phase_queue.new_cover <- 2;
-  Alcotest.(check int) "lead changes with the ratio" 1 (select_ordinal sched)
-
-let test_trap_first_orders_traps_ahead () =
-  let qs () = [ queue 1; queue ~trap:true 2; queue 3; queue ~trap:true 4 ] in
-  let drive sched n =
-    List.init n (fun _ ->
-        match sched.Scheduler.select () with
-        | Some t ->
-          sched.Scheduler.credit t.Scheduler.queue ~elapsed:1 ~new_cover:0;
-          (t.Scheduler.queue.Phase_queue.ordinal, t.Scheduler.budget)
-        | None -> Alcotest.fail "expected a turn")
-  in
-  let sched = make "trap-first" (qs ()) in
-  (* traps 2 and 4 lead every rotation; budgets grow per rotation *)
-  Alcotest.(check (list (pair int int)))
-    "traps first, appearance order within class, growing budgets"
-    [
-      (2, tp); (4, tp); (1, tp); (3, tp);
-      (2, 2 * tp); (4, 2 * tp); (1, 2 * tp); (3, 2 * tp);
-    ]
-    (drive sched 8);
-  Alcotest.(check int) "rotations counted" 2 sched.Scheduler.stats.Scheduler.rotations;
-  (* determinism: an identical call sequence yields identical selections *)
-  let a = drive (make "trap-first" (qs ())) 10 in
-  let b = drive (make "trap-first" (qs ())) 10 in
-  Alcotest.(check (list (pair int int))) "deterministic selection sequence" a b
-
-let test_trap_first_eviction_keeps_rotation () =
-  let sched = make "trap-first" [ queue 1; queue ~trap:true 2; queue 3 ] in
-  Alcotest.(check int) "trap leads" 2 (select_ordinal sched);
-  (* evicting the trap mid-rotation hands the turn to the non-traps *)
-  (match sched.Scheduler.select () with
-   | Some t -> sched.Scheduler.evict t.Scheduler.queue ~failed:false
-   | None -> Alcotest.fail "expected a turn");
-  let step () =
-    let o = select_ordinal sched in
-    sched.Scheduler.credit
-      (List.find
-         (fun (q : Phase_queue.t) -> q.Phase_queue.ordinal = o)
-         (sched.Scheduler.remaining ()))
-      ~elapsed:1 ~new_cover:0;
-    o
-  in
-  Alcotest.(check (list int)) "remaining rotation, then plain round-robin"
-    [ 1; 3; 1; 3 ]
-    (List.init 4 (fun _ -> step ()));
-  Alcotest.(check bool) "not drained" false (sched.Scheduler.drained ())
-
 let test_by_name_covers_names () =
   List.iter
     (fun name ->
@@ -189,11 +121,5 @@ let suite =
       test_round_robin_evict_keeps_cursor;
     Alcotest.test_case "sequential drains head first" `Quick
       test_sequential_drains_head_first;
-    Alcotest.test_case "coverage-greedy prefers productive" `Quick
-      test_coverage_greedy_prefers_productive;
-    Alcotest.test_case "trap-first orders traps ahead" `Quick
-      test_trap_first_orders_traps_ahead;
-    Alcotest.test_case "trap-first eviction keeps rotation" `Quick
-      test_trap_first_eviction_keeps_rotation;
     Alcotest.test_case "by_name covers names" `Quick test_by_name_covers_names;
   ]

@@ -7,7 +7,6 @@
    quota exhaustion, oversized lines and mid-request disconnects. *)
 
 module Driver = Pbse.Driver
-module Session = Pbse_session.Session
 module Serve = Pbse.Serve
 module Session_store = Pbse_session.Session_store
 module Telemetry = Pbse_telemetry.Telemetry
@@ -347,19 +346,10 @@ let with_server ?store_file ?max_inflight ?quota_burst ?quota_refill f =
 
 let local_json () =
   (* same recipe as the server: a fresh runtime over a private enabled
-     registry, so spans registered by other suites in the process-global
-     registry don't leak into the baseline *)
-  let config = Session.default_config in
-  let runtime =
-    Pbse_session.Runtime.create
-      ~registry:(Pbse_telemetry.Telemetry.Registry.create ~enabled:true ())
-      ~rng_seed:config.Session.rng_seed
-      ~inject:config.Session.robust.Session.inject
-      ~max_strikes:config.Session.robust.Session.max_strikes
-      ~prefix_cap:config.Session.solver.Session.prefix_cap ()
-  in
+     registry *)
   let pool =
-    Driver.run_pool ~runtime (mini_program ()) ~seeds:(pool_seeds ()) ~deadline
+    Driver.run_pool ~runtime:(Suite_telemetry.instrumented ()) (mini_program ())
+      ~seeds:(pool_seeds ()) ~deadline
   in
   Report.to_json
     (Driver.pool_run_report

@@ -12,9 +12,6 @@ let test_seedstate_sharing_deterministic () =
      every fork point, the second drops them all as shared — and the
      merged campaign must be indistinguishable from the unshared one *)
   let seeds = [ Suite_core.mini_seed (); Suite_core.mini_seed () ] in
-  (* counters only record on enabled registries *)
-  Telemetry.set_enabled true;
-  Fun.protect ~finally:(fun () -> Telemetry.set_enabled false) @@ fun () ->
   let run ~share =
     let config =
       if share then
@@ -23,7 +20,9 @@ let test_seedstate_sharing_deterministic () =
           Session.default_config
       else Session.default_config
     in
-    Driver.run_pool ~config ~jobs:1 (mini_program ()) ~seeds ~deadline:150_000
+    (* counters only record on enabled registries *)
+    Driver.run_pool ~config ~runtime:(Suite_telemetry.instrumented ~config ()) ~jobs:1
+      (mini_program ()) ~seeds ~deadline:150_000
   in
   let unshared = run ~share:false in
   let shared = run ~share:true in

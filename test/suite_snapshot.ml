@@ -11,7 +11,6 @@ module Pool_scheduler = Pbse_campaign.Pool_scheduler
 module Fault = Pbse_robust.Fault
 module Inject = Pbse_robust.Inject
 module Report = Pbse_telemetry.Report
-module Telemetry = Pbse_telemetry.Telemetry
 
 let mini_program = Suite_core.mini_program
 let pool_seeds = Suite_campaign.pool_seeds
@@ -168,21 +167,17 @@ let test_save_rotates_and_falls_back () =
 
 (* --- kill-and-resume report identity ---------------------------------------- *)
 
-let with_telemetry f =
-  Telemetry.set_enabled true;
-  Fun.protect ~finally:(fun () -> Telemetry.set_enabled false) f
-
 let report_meta = [ ("target", "mini") ]
 
 let uninterrupted_json ?config ?(lease = 1) ?prog ?seeds ?(deadline = 150_000)
     ~scheduler ~jobs () =
   let prog = match prog with Some p -> p | None -> mini_program () in
   let seeds = match seeds with Some s -> s | None -> pool_seeds () in
-  with_telemetry (fun () ->
-      let pool =
-        Driver.run_pool ?config ~scheduler ~jobs ~lease prog ~seeds ~deadline
-      in
-      Report.to_json (Driver.pool_run_report ~meta:report_meta pool))
+  let pool =
+    Driver.run_pool ?config ~scheduler ~runtime:(Suite_telemetry.instrumented ?config ())
+      ~jobs ~lease prog ~seeds ~deadline
+  in
+  Report.to_json (Driver.pool_run_report ~meta:report_meta pool)
 
 (* Run the same campaign but stop at round [kill_at]'s barrier with a
    checkpoint (a deterministic in-process SIGKILL), then resume from the
@@ -192,23 +187,21 @@ let killed_and_resumed_json ?config ?(lease = 1) ?prog ?seeds
   let prog = match prog with Some p -> p | None -> mini_program () in
   let seeds = match seeds with Some s -> s | None -> pool_seeds () in
   let path = Filename.temp_file "pbse_resume" ".json" in
-  with_telemetry (fun () ->
-      let ck =
-        Driver.checkpoint ~meta:[ ("target", "mini") ] ~halt_after:kill_at ~path
-          ~every:1 ()
-      in
-      let _killed : Driver.pool_report =
-        Driver.run_pool ?config ~scheduler ~jobs ~lease ~checkpoint:ck prog
-          ~seeds ~deadline
-      in
-      match Driver.load_snapshot ~path with
-      | Error e -> Alcotest.fail e
-      | Ok (sn, fallback) -> (
-        Alcotest.(check bool) "no fallback needed" true (fallback = None);
-        match Driver.resume_pool ~jobs sn prog ~seeds with
-        | Error e -> Alcotest.fail e
-        | Ok pool ->
-          Report.to_json (Driver.pool_run_report ~meta:report_meta pool)))
+  let ck =
+    Driver.checkpoint ~meta:[ ("target", "mini") ] ~halt_after:kill_at ~path ~every:1 ()
+  in
+  let _killed : Driver.pool_report =
+    Driver.run_pool ?config ~scheduler ~runtime:(Suite_telemetry.instrumented ?config ())
+      ~jobs ~lease ~checkpoint:ck prog ~seeds ~deadline
+  in
+  (* the resume turns telemetry back on from the snapshot meta *)
+  match Driver.load_snapshot ~path with
+  | Error e -> Alcotest.fail e
+  | Ok (sn, fallback) -> (
+    Alcotest.(check bool) "no fallback needed" true (fallback = None);
+    match Driver.resume_pool ~jobs sn prog ~seeds with
+    | Error e -> Alcotest.fail e
+    | Ok pool -> Report.to_json (Driver.pool_run_report ~meta:report_meta pool))
 
 let test_kill_resume_identity_all_schedulers () =
   (* the headline invariant: kill at a barrier + resume reproduces the

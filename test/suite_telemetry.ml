@@ -4,16 +4,10 @@ module Json = Pbse_telemetry.Json
 module Driver = Pbse.Driver
 module Session = Pbse_session.Session
 
-(* The registry is process-global; every test snapshots/restores the
-   enabled flag and resets so tests stay order-independent. *)
-let with_registry ~enabled f =
-  let was = Telemetry.enabled () in
-  Telemetry.set_enabled enabled;
-  Telemetry.reset ();
-  Fun.protect ~finally:(fun () ->
-      Telemetry.reset ();
-      Telemetry.set_enabled was)
-    f
+(* The runtime of an instrumented run: a fresh, enabled registry, so
+   the run's report carries its spans and histograms and nothing else. *)
+let instrumented ?(config = Session.default_config) () =
+  Session.runtime_of_config ~registry:(Telemetry.Registry.create ~enabled:true ()) config
 
 (* --- histogram bucketing -------------------------------------------------- *)
 
@@ -57,69 +51,71 @@ let test_bucket_lo_roundtrip () =
   done
 
 let test_histogram_snapshot () =
-  with_registry ~enabled:true (fun () ->
-      let h = Telemetry.histogram "test.hist" in
-      List.iter (Telemetry.observe h) [ 0; 1; 1; 5; 1024; max_int ];
-      let s = Telemetry.histogram_snapshot h in
-      Alcotest.(check int) "count" 6 s.Telemetry.hs_count;
-      Alcotest.(check int) "min" 0 s.Telemetry.hs_min;
-      Alcotest.(check int) "max" max_int s.Telemetry.hs_max;
-      Alcotest.(check bool) "sum overflow-wrapped or exact" true
-        (s.Telemetry.hs_sum = 0 + 1 + 1 + 5 + 1024 + max_int);
-      Alcotest.(check (list (pair int int)))
-        "nonzero buckets"
-        [ (0, 1); (1, 2); (3, 1); (11, 1); (Telemetry.nbuckets - 1, 1) ]
-        s.Telemetry.hs_buckets)
+  let r = Telemetry.Registry.create ~enabled:true () in
+  let h = Telemetry.Registry.histogram r "test.hist" in
+  List.iter (Telemetry.observe h) [ 0; 1; 1; 5; 1024; max_int ];
+  let s = Telemetry.histogram_snapshot h in
+  Alcotest.(check int) "count" 6 s.Telemetry.hs_count;
+  Alcotest.(check int) "min" 0 s.Telemetry.hs_min;
+  Alcotest.(check int) "max" max_int s.Telemetry.hs_max;
+  Alcotest.(check bool) "sum overflow-wrapped or exact" true
+    (s.Telemetry.hs_sum = 0 + 1 + 1 + 5 + 1024 + max_int);
+  Alcotest.(check (list (pair int int)))
+    "nonzero buckets"
+    [ (0, 1); (1, 2); (3, 1); (11, 1); (Telemetry.nbuckets - 1, 1) ]
+    s.Telemetry.hs_buckets
 
 (* --- gating ---------------------------------------------------------------- *)
 
 let test_disabled_is_inert () =
-  with_registry ~enabled:false (fun () ->
-      let c = Telemetry.counter "test.gated" in
-      let g = Telemetry.gauge "test.gated_gauge" in
-      let h = Telemetry.histogram "test.gated_hist" in
-      let s = Telemetry.span "test.gated_span" in
-      Telemetry.incr c;
-      Telemetry.add c 41;
-      Telemetry.set_gauge g 7;
-      Telemetry.observe h 99;
-      let r = Telemetry.with_span s ~now:(fun () -> 123) (fun () -> "ok") in
-      Alcotest.(check string) "with_span passes result through" "ok" r;
-      Alcotest.(check int) "counter untouched" 0 (Telemetry.counter_value c);
-      Alcotest.(check int) "gauge untouched" 0 (Telemetry.gauge_value g);
-      Alcotest.(check int) "histogram untouched" 0
-        (Telemetry.histogram_snapshot h).Telemetry.hs_count;
-      Alcotest.(check int) "span untouched" 0 (Telemetry.span_count s))
+  let r = Telemetry.Registry.create () in
+  let c = Telemetry.Registry.counter r "test.gated" in
+  let g = Telemetry.Registry.gauge r "test.gated_gauge" in
+  let h = Telemetry.Registry.histogram r "test.gated_hist" in
+  let s = Telemetry.Registry.span r "test.gated_span" in
+  Telemetry.incr c;
+  Telemetry.add c 41;
+  Telemetry.set_gauge g 7;
+  Telemetry.observe h 99;
+  let v = Telemetry.with_span s ~now:(fun () -> 123) (fun () -> "ok") in
+  Alcotest.(check string) "with_span passes result through" "ok" v;
+  Alcotest.(check int) "counter untouched" 0 (Telemetry.counter_value c);
+  Alcotest.(check int) "gauge untouched" 0 (Telemetry.gauge_value g);
+  Alcotest.(check int) "histogram untouched" 0
+    (Telemetry.histogram_snapshot h).Telemetry.hs_count;
+  Alcotest.(check int) "span untouched" 0 (Telemetry.span_count s)
 
 let test_enabled_records () =
-  with_registry ~enabled:true (fun () ->
-      let c = Telemetry.counter "test.live" in
-      Telemetry.incr c;
-      Telemetry.add c 41;
-      Alcotest.(check int) "counter" 42 (Telemetry.counter_value c);
-      (* same name returns the same instrument *)
-      Alcotest.(check int) "interned by name" 42
-        (Telemetry.counter_value (Telemetry.counter "test.live"));
-      Telemetry.reset ();
-      Alcotest.(check int) "reset zeroes" 0 (Telemetry.counter_value c))
+  let r = Telemetry.Registry.create ~enabled:true () in
+  let c = Telemetry.Registry.counter r "test.live" in
+  Telemetry.incr c;
+  Telemetry.add c 41;
+  Alcotest.(check int) "counter" 42 (Telemetry.counter_value c);
+  (* same name returns the same instrument *)
+  Alcotest.(check int) "interned by name" 42
+    (Telemetry.counter_value (Telemetry.Registry.counter r "test.live"));
+  (* registries share nothing: a fresh one starts from zero *)
+  let fresh = Telemetry.Registry.create ~enabled:true () in
+  Alcotest.(check int) "fresh registry starts at zero" 0
+    (Telemetry.counter_value (Telemetry.Registry.counter fresh "test.live"))
 
 let test_span_fake_clock () =
-  with_registry ~enabled:true (fun () ->
-      let s = Telemetry.span "test.clock" in
-      let t = ref 0 in
-      let now () = !t in
-      Telemetry.with_span s ~now (fun () -> t := !t + 10);
-      Telemetry.with_span s ~now (fun () -> t := !t + 7);
-      Alcotest.(check int) "two spans" 2 (Telemetry.span_count s);
-      Alcotest.(check int) "total elapsed" 17 (Telemetry.span_total s);
-      (* exceptions still charge the span *)
-      (try
-         Telemetry.with_span s ~now (fun () ->
-             t := !t + 3;
-             failwith "boom")
-       with Failure _ -> ());
-      Alcotest.(check int) "exception counted" 3 (Telemetry.span_count s);
-      Alcotest.(check int) "exception charged" 20 (Telemetry.span_total s))
+  let r = Telemetry.Registry.create ~enabled:true () in
+  let s = Telemetry.Registry.span r "test.clock" in
+  let t = ref 0 in
+  let now () = !t in
+  Telemetry.with_span s ~now (fun () -> t := !t + 10);
+  Telemetry.with_span s ~now (fun () -> t := !t + 7);
+  Alcotest.(check int) "two spans" 2 (Telemetry.span_count s);
+  Alcotest.(check int) "total elapsed" 17 (Telemetry.span_total s);
+  (* exceptions still charge the span *)
+  (try
+     Telemetry.with_span s ~now (fun () ->
+         t := !t + 3;
+         failwith "boom")
+   with Failure _ -> ());
+  Alcotest.(check int) "exception counted" 3 (Telemetry.span_count s);
+  Alcotest.(check int) "exception charged" 20 (Telemetry.span_total s)
 
 (* --- JSON ------------------------------------------------------------------ *)
 
@@ -205,17 +201,13 @@ let test_diff_self () =
 
 let driver_report_json ?(scheduler = Session.default_config.Session.search.Session.scheduler)
     () =
-  with_registry ~enabled:true (fun () ->
-      let config =
-        Session.(with_search (fun s -> { s with scheduler }) default_config)
-      in
-      let report =
-        Session.run ~config
-          (Suite_core.mini_program ())
-          ~seed:(Suite_core.mini_seed ()) ~deadline:80_000
-      in
-      Report.to_json
-        (Session.run_report ~meta:[ ("target", "mini") ] report))
+  let config = Session.(with_search (fun s -> { s with scheduler }) default_config) in
+  let report =
+    Session.run ~config ~runtime:(instrumented ~config ())
+      (Suite_core.mini_program ())
+      ~seed:(Suite_core.mini_seed ()) ~deadline:80_000
+  in
+  Report.to_json (Session.run_report ~meta:[ ("target", "mini") ] report)
 
 (* every scheduling policy must be deterministic: same seed, same
    byte-identical report *)
@@ -328,7 +320,6 @@ let test_merge_ignores_enabled_gate () =
   (* a disabled aggregate must still absorb worker values: merges happen
      at barriers, after the gated hot paths *)
   let src = loaded ~c:6 ~g:1 ~h:[ 2 ] ~sp:3 in
-  Telemetry.Registry.set_enabled src false;
   let into = Telemetry.Registry.create () in
   Telemetry.Registry.merge_into ~into src;
   Alcotest.(check (list (pair string int)))
