@@ -620,6 +620,22 @@ let robust () =
 
 (* --- Bechamel micro-benchmarks -------------------------------------------------- *)
 
+(* Bechamel's OLS estimate, per run of [test], of each of [instances]
+   ([None] where it fits none). *)
+let per_run ?(limit = 8) ?(quota = 1.0) instances test =
+  let open Bechamel in
+  let cfg = Benchmark.cfg ~limit ~quota:(Time.second quota) ~kde:(Some 8) () in
+  let results = Benchmark.all cfg instances (Test.make_grouped ~name:"g" [ test ]) in
+  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
+  List.map
+    (fun instance ->
+      Hashtbl.fold
+        (fun _ result _ ->
+          match Analyze.OLS.estimates result with Some [ est ] -> Some est | _ -> None)
+        (Analyze.all ols instance results)
+        None)
+    instances
+
 let bechamel () =
   heading "Bechamel micro-benchmarks (one kernel per table/figure)";
   let open Bechamel in
@@ -668,29 +684,46 @@ let bechamel () =
       Test.make ~name:"fig5: buggy-seed replay of tiff2rgba" (Staged.stage fig5_kernel);
     ]
   in
-  let benchmark test =
-    let instances = [ Toolkit.Instance.monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:8 ~quota:(Time.second 1.0) ~kde:(Some 8) () in
-    Benchmark.all cfg instances test
-  in
-  let analyze results =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Toolkit.Instance.monotonic_clock results
-  in
   List.iter
     (fun test ->
-      let results = benchmark (Test.make_grouped ~name:"g" [ test ]) in
-      let analysis = analyze results in
-      Hashtbl.iter
-        (fun name result ->
-          match Bechamel.Analyze.OLS.estimates result with
-          | Some [ est ] ->
-            Printf.printf "  %-45s %12.0f ns/run\n%!" name est
-          | _ -> Printf.printf "  %-45s (no estimate)\n%!" name)
-        analysis)
+      let name = "g/" ^ Test.name test in
+      match per_run [ Toolkit.Instance.monotonic_clock ] test with
+      | [ Some est ] -> Printf.printf "  %-45s %12.0f ns/run\n%!" name est
+      | _ -> Printf.printf "  %-45s (no estimate)\n%!" name)
     tests
+
+(* --- Per-layer kernels ----------------------------------------------------------- *)
+
+(* Phase division alone, timed per target on the BBVs of its smallest
+   seed's one-hour concolic pass: wall time and minor-heap words per
+   [Phase.divide] (k-means for every k in 1..20). *)
+let kernels () =
+  heading "Per-layer kernels: Phase.divide on each target's smallest seed";
+  let open Bechamel in
+  Printf.printf "  %-10s %5s %14s %18s\n%!" "target" "bbvs" "ns/division"
+    "minor words/div";
+  List.iter
+    (fun (t : Registry.t) ->
+      let session =
+        Session.open_session (Registry.program t) ~seed:(Registry.smallest_seed t)
+          ~deadline:hour
+      in
+      let bbvs = (Session.finish_session session).Session.bbvs in
+      let test =
+        Test.make ~name:t.Registry.name
+          (Staged.stage (fun () -> ignore (Phase.divide (Rng.create 1) bbvs)))
+      in
+      let estimate = function Some e -> Printf.sprintf "%.0f" e | None -> "-" in
+      match
+        per_run ~limit:500 ~quota:0.5
+          Toolkit.Instance.[ monotonic_clock; minor_allocated ]
+          test
+      with
+      | [ ns; words ] ->
+        Printf.printf "  %-10s %5d %14s %18s\n%!" t.Registry.name (List.length bbvs)
+          (estimate ns) (estimate words)
+      | _ -> assert false)
+    Registry.all
 
 (* --- Pool campaigns ---------------------------------------------------------------- *)
 
@@ -1337,6 +1370,7 @@ let () =
    | "serve" -> serve_bench ()
    | "smoke" -> smoke ~jobs ()
    | "bechamel" -> bechamel ()
+   | "kernels" -> kernels ()
    | "all" ->
      table1 ();
      table2 ();
@@ -1351,11 +1385,12 @@ let () =
      pool_jobs_bench ();
      crash_resume_bench ();
      serve_bench ();
-     bechamel ()
+     bechamel ();
+     kernels ()
    | other ->
      Printf.eprintf
        "unknown benchmark %s (try \
-        table1|table2|table3|fig1|fig4|fig5|ablate|robust|pool|pathcond-ab|pool-jobs|crash-resume|serve|smoke|bechamel|all)\n"
+        table1|table2|table3|fig1|fig4|fig5|ablate|robust|pool|pathcond-ab|pool-jobs|crash-resume|serve|smoke|bechamel|kernels|all)\n"
        other;
      exit 1);
   flush_runs ()

@@ -9,7 +9,16 @@ type vector = (int * float) array
 
 val distance2 : vector -> float array -> float
 (** Squared Euclidean distance between a sparse vector and a dense
-    centroid. *)
+    centroid. The plain reference: it refolds the centroid's norm on
+    every call. *)
+
+val norm2 : float array -> float
+(** Squared norm of a dense centroid, summed in dimension order. O(dim). *)
+
+val distance2_with_norm : vector -> float array -> float -> float
+(** [distance2_with_norm v c (norm2 c)] is [distance2 v c] bit for bit,
+    in O(nnz(v)): [cluster] computes each centroid's norm once per pass
+    and calls this for every (vector, centroid) pair. *)
 
 type clustering = {
   k : int;

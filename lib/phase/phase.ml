@@ -143,22 +143,30 @@ let divide ?registry ?(mode = Bbv_with_coverage) ?(max_k = 20) rng bbvs =
       trap_count = traps;
     }
 
-let phase_of_interval division bbvs interval =
+let phase_of_interval division bbvs =
   match bbvs with
-  | [] -> (
+  | [] ->
     (* degenerate one-phase division: everything maps to its sole phase *)
-    match division.phases with p :: _ -> Some p.pid | [] -> None)
+    let sole = match division.phases with p :: _ -> Some p.pid | [] -> None in
+    fun _ -> sole
   | _ :: _ ->
-  let bbvs_arr = Array.of_list bbvs in
-  let best = ref None in
-  Array.iteri
-    (fun i (b : Bbv.t) ->
-      if b.Bbv.index <= interval then
-        match !best with
-        | Some (bi, _) when bi >= b.Bbv.index -> ()
-        | _ -> best := Some (b.Bbv.index, division.assignment.(i)))
-    bbvs_arr;
-  Option.map snd !best
+    let lo, hi =
+      List.fold_left
+        (fun (lo, hi) (b : Bbv.t) -> (min lo b.Bbv.index, max hi b.Bbv.index))
+        (max_int, min_int) bbvs
+    in
+    (* at.(i - lo): the cluster of the first BBV (in list order) recorded
+       at interval i, else at the nearest earlier recorded interval *)
+    let at = Array.make (hi - lo + 1) (-1) in
+    List.iteri
+      (fun i (b : Bbv.t) ->
+        let j = b.Bbv.index - lo in
+        if at.(j) < 0 then at.(j) <- division.assignment.(i))
+      bbvs;
+    for j = 1 to hi - lo do
+      if at.(j) < 0 then at.(j) <- at.(j - 1)
+    done;
+    fun interval -> if interval < lo then None else Some at.(min interval hi - lo)
 
 let render_strip division =
   let trap_clusters =

@@ -47,8 +47,11 @@ val divide :
 val phase_of_interval : division -> Pbse_concolic.Bbv.t list -> int -> int option
 (** [phase_of_interval division bbvs interval] maps an interval index to
     the id (cluster) of its phase; intervals with no recorded BBV map to
-    the nearest earlier recorded interval. Under a degenerate (empty-BBV)
-    division every interval maps to the single phase. *)
+    the nearest earlier recorded interval; an index recorded twice maps
+    to the first such BBV's cluster. Under a degenerate (empty-BBV)
+    division every interval maps to the single phase. Partially applied
+    to [division] and [bbvs] it builds a table over the recorded index
+    range once; each interval then costs O(1). *)
 
 val render_strip : division -> string
 (** One character per BBV: cluster letter, uppercase for trap phases —

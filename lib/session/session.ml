@@ -332,11 +332,12 @@ let make_scheduler config =
 let map_seed_states config ~interval_length ?share ?shared_hits ~trace division bbvs
     (seed_states : Concolic.seed_state list) =
   (* phase id for each seedState via its fork interval *)
+  let phase_of = Phase.phase_of_interval division bbvs in
   let tagged =
     List.filter_map
       (fun (ss : Concolic.seed_state) ->
         let interval = ss.Concolic.fork_vtime / interval_length in
-        match Phase.phase_of_interval division bbvs interval with
+        match phase_of interval with
         | Some pid ->
           ss.Concolic.state.State.phase <- pid;
           Some ss

@@ -123,3 +123,9 @@ let seed t label =
     | None -> raise Not_found)
 
 let default_seed t = seed t "small"
+
+let smallest_seed t =
+  List.hd
+    (List.stable_sort
+       (fun a b -> Int.compare (Bytes.length a) (Bytes.length b))
+       (List.map snd t.seeds))

@@ -26,3 +26,7 @@ val default_seed : t -> bytes
 (** The paper's heuristic applied to the benign pool: among the 10
     smallest seeds, the one with the best concrete block coverage —
     approximated here as the first labelled "small". *)
+
+val smallest_seed : t -> bytes
+(** The smallest benign seed by byte length, the first listed among
+    equals. *)

@@ -49,6 +49,192 @@ let prop_kmeans_assignment_in_range =
       let c = Kmeans.cluster (Rng.create seed) ~k ~dim:5 vectors in
       Array.for_all (fun a -> a >= 0 && a < k) c.Kmeans.assignment)
 
+(* The cached-norm kernel and the clustering built on it must reproduce
+   the reference arithmetic bit for bit: a reassociated sum can flip a
+   nearest-centroid comparison, and with it a phase and a report byte. *)
+
+let bits = Int64.bits_of_float
+
+(* Coordinates include exact zeros, negative zero and negative values. *)
+let gen_coord =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, return 0.0);
+        (1, return (-0.0));
+        (3, map (fun i -> float_of_int i /. 7.0) (int_range (-20) 20));
+        (4, float_range (-10.0) 10.0);
+      ])
+
+(* A sparse vector over [0, dim): sorted, no duplicates; [last] forces
+   the last dimension in. *)
+let gen_sparse dim =
+  QCheck.Gen.(
+    pair bool (list_repeat dim (pair bool gen_coord)) >|= fun (last, cells) ->
+    List.mapi
+      (fun d (keep, x) -> if keep || (last && d = dim - 1) then Some (d, x) else None)
+      cells
+    |> List.filter_map Fun.id |> Array.of_list)
+
+let prop_cached_norm_kernel_bit_equal =
+  QCheck.Test.make ~count:500 ~name:"kmeans cached-norm kernel = distance2 bit for bit"
+    QCheck.(
+      make
+        Gen.(
+          int_range 1 16 >>= fun dim ->
+          pair (gen_sparse dim) (array_repeat dim gen_coord)))
+    (fun (v, centroid) ->
+      bits (Kmeans.distance2_with_norm v centroid (Kmeans.norm2 centroid))
+      = bits (Kmeans.distance2 v centroid))
+
+(* The k-means of the commit before the cached-norm kernel, copied
+   verbatim: the oracle for [Kmeans.cluster]. *)
+module Oracle_kmeans = struct
+  type vector = (int * float) array
+
+  let distance2 v centroid =
+    (* |v - c|^2 = |c|^2 + sum_over_v ((v_i - c_i)^2 - c_i^2) *)
+    let c2 = Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 centroid in
+    Array.fold_left
+      (fun acc (dim, x) ->
+        let c = centroid.(dim) in
+        let d = x -. c in
+        acc +. (d *. d) -. (c *. c))
+      c2 v
+
+  type clustering = {
+    k : int;
+    assignment : int array;
+    centroids : float array array;
+    inertia : float;
+  }
+
+  let max_iterations = 25
+
+  let cluster rng ~k ~dim (vectors : vector array) =
+    if k < 1 then invalid_arg "Kmeans.cluster: k < 1";
+    if dim < 1 then invalid_arg "Kmeans.cluster: dim < 1";
+    let n = Array.length vectors in
+    if n = 0 then invalid_arg "Kmeans.cluster: no vectors";
+    let dense v =
+      let c = Array.make dim 0.0 in
+      Array.iter (fun (d, x) -> c.(d) <- x) v;
+      c
+    in
+    (* k-means++ seeding *)
+    let centroids = Array.make k [||] in
+    centroids.(0) <- dense vectors.(Rng.int rng n);
+    let d2 = Array.map (fun v -> distance2 v centroids.(0)) vectors in
+    for c = 1 to k - 1 do
+      let total = Array.fold_left ( +. ) 0.0 d2 in
+      let choice =
+        if total <= 0.0 then Rng.int rng n
+        else begin
+          let r = Rng.float rng total in
+          let acc = ref 0.0 in
+          let chosen = ref (n - 1) in
+          (try
+             Array.iteri
+               (fun i w ->
+                 acc := !acc +. w;
+                 if !acc >= r then begin
+                   chosen := i;
+                   raise Exit
+                 end)
+               d2
+           with Exit -> ());
+          !chosen
+        end
+      in
+      centroids.(c) <- dense vectors.(choice);
+      Array.iteri
+        (fun i v ->
+          let d = distance2 v centroids.(c) in
+          if d < d2.(i) then d2.(i) <- d)
+        vectors
+    done;
+    let assignment = Array.make n 0 in
+    let assign () =
+      let changed = ref false in
+      let inertia = ref 0.0 in
+      Array.iteri
+        (fun i v ->
+          let best = ref 0 and best_d = ref infinity in
+          for c = 0 to k - 1 do
+            let d = distance2 v centroids.(c) in
+            if d < !best_d then begin
+              best_d := d;
+              best := c
+            end
+          done;
+          if assignment.(i) <> !best then begin
+            assignment.(i) <- !best;
+            changed := true
+          end;
+          inertia := !inertia +. !best_d)
+        vectors;
+      (!changed, !inertia)
+    in
+    let recompute () =
+      let sums = Array.init k (fun _ -> Array.make dim 0.0) in
+      let counts = Array.make k 0 in
+      Array.iteri
+        (fun i v ->
+          let c = assignment.(i) in
+          counts.(c) <- counts.(c) + 1;
+          Array.iter (fun (d, x) -> sums.(c).(d) <- sums.(c).(d) +. x) v)
+        vectors;
+      for c = 0 to k - 1 do
+        if counts.(c) > 0 then begin
+          let inv = 1.0 /. float_of_int counts.(c) in
+          Array.iteri (fun d x -> sums.(c).(d) <- x *. inv) sums.(c);
+          centroids.(c) <- sums.(c)
+        end
+        (* empty clusters keep their previous centroid *)
+      done
+    in
+    let rec iterate i _inertia =
+      let changed, inertia' = assign () in
+      if changed && i < max_iterations then begin
+        recompute ();
+        iterate (i + 1) inertia'
+      end
+      else inertia'
+    in
+    let inertia = iterate 0 infinity in
+    { k; assignment; centroids; inertia }
+end
+
+let prop_cluster_matches_oracle =
+  QCheck.Test.make ~count:300 ~name:"kmeans cluster = reference algorithm bit for bit"
+    QCheck.(
+      make
+        Gen.(
+          int_range 1 10 >>= fun dim ->
+          quad (int_range 1 8) (int_range 0 100_000) (return dim)
+            (array_size (int_range 1 40) (gen_sparse dim))))
+    (fun (k, seed, dim, vectors) ->
+      let got = Kmeans.cluster (Rng.create seed) ~k ~dim vectors in
+      let want = Oracle_kmeans.cluster (Rng.create seed) ~k ~dim vectors in
+      got.Kmeans.assignment = want.Oracle_kmeans.assignment
+      && Array.length got.Kmeans.centroids = Array.length want.Oracle_kmeans.centroids
+      && Array.for_all2
+           (fun g w -> Array.for_all2 (fun x y -> bits x = bits y) g w)
+           got.Kmeans.centroids want.Oracle_kmeans.centroids
+      && bits got.Kmeans.inertia = bits want.Oracle_kmeans.inertia)
+
+(* The returned centroids are the caller's: a later clustering does not
+   write through them. *)
+let test_kmeans_centroids_not_aliased () =
+  let vectors = Array.init 12 (fun i -> vec [ (i mod 3, 1.0); (3, float_of_int i) ]) in
+  let c = Kmeans.cluster (Rng.create 5) ~k:3 ~dim:4 vectors in
+  let snapshot = Array.map Array.copy c.Kmeans.centroids in
+  ignore (Kmeans.cluster (Rng.create 6) ~k:3 ~dim:4 vectors);
+  Alcotest.(check bool) "centroids unchanged" true (snapshot = c.Kmeans.centroids);
+  Alcotest.(check bool) "centroids distinct arrays" true
+    (c.Kmeans.centroids.(0) != c.Kmeans.centroids.(1)
+    && c.Kmeans.centroids.(1) != c.Kmeans.centroids.(2))
+
 (* --- phase division --------------------------------------------------------- *)
 
 (* Craft BBVs imitating two regimes: intervals 0..9 dominated by block 1
@@ -120,6 +306,85 @@ let test_phase_of_interval () =
     Alcotest.(check int) "nearest earlier" division.Phase.assignment.(14) pid
   | None -> Alcotest.fail "interval 100 should map backwards"
 
+let division_of_assignment assignment =
+  {
+    Phase.mode = Phase.Bbv_with_coverage;
+    k = 1 + Array.fold_left max 0 assignment;
+    assignment;
+    phases = [];
+    trap_count = 0;
+  }
+
+let test_phase_of_interval_duplicates () =
+  (* out of order, with indices 1 and 4 each recorded twice under
+     different clusters; the expected phases are what the linear scan
+     over [bbvs] this lookup replaced returns *)
+  let indices = [ 4; 1; 4; 7; 2; 1 ] in
+  let bbvs = List.map (fun i -> make_bbv i [ (1, 1) ] 1) indices in
+  let division = division_of_assignment [| 0; 1; 2; 3; 4; 5 |] in
+  let lookup = Phase.phase_of_interval division bbvs in
+  List.iter
+    (fun (interval, want) ->
+      Alcotest.(check (option int)) (Printf.sprintf "interval %d" interval) want
+        (lookup interval))
+    [
+      (-1, None);
+      (0, None);
+      (1, Some 1);
+      (2, Some 4);
+      (3, Some 4);
+      (4, Some 0);
+      (5, Some 0);
+      (6, Some 0);
+      (7, Some 3);
+      (8, Some 3);
+      (100, Some 3);
+    ]
+
+(* Golden divisions: the default session's division of each target's
+   smallest benign seed, opened with a one-hour (120k-unit) deadline.
+   The values were captured on the reference k-means, before its
+   distance kernel cached centroid norms; a change to the kernel's
+   float arithmetic that moves an assignment fails here by name. *)
+let golden_divisions =
+  [
+    ("readelf", 16, 12, "GGGGBBBBBBBBBBBGEEGGNFFFNNFNFNNFAKKAAKLLoPPKLDDDDjKHHcicMMM");
+    ( "pngtest",
+      3,
+      3,
+      "AAAAAAAAABBBAABBBAABBBAABBBAABBBAABBBBAAACCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCC"
+    );
+    ("gif2tiff", 11, 8, "BBEEHHHCCCCgDFFDFFDFFDDFDDFDDFIIIIjAAAAAAAAAAAAAk");
+    ( "tiff2rgba",
+      4,
+      4,
+      "CCCCCCCCCCCCBBBBBBBBBBBBBBBBAAAAAAAABBBBBBBBBBBBAAAADDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDD"
+    );
+    ("tiff2bw", 14, 7, "nKKIIIfDDGGBBBBBBBlCChCaChaChCCChCaChaChmEEEEEEj");
+    ( "dwarfdump",
+      8,
+      5,
+      "BBBBBBDDDDDDDDDBBBBBBBBBBBBBBBDDDDBBCCggCCCCCCggCCCCgCCCCCCCgCCCCfCCCCCCCCCCCCCEEEEEHEEHHHHHaaaHaaHHaaHaaaa"
+    );
+    ("tcpdump", 8, 5, "DDAAgBBBBBBBBBBfHHcEEEEEEEEEf");
+  ]
+
+let test_golden_divisions () =
+  let module Registry = Pbse_targets.Registry in
+  let module Session = Pbse_session.Session in
+  List.iter
+    (fun (name, k, traps, strip) ->
+      let t = Option.get (Registry.by_name name) in
+      let session =
+        Session.open_session (Registry.program t) ~seed:(Registry.smallest_seed t)
+          ~deadline:120_000
+      in
+      let division = (Session.finish_session session).Session.division in
+      Alcotest.(check int) (name ^ " k") k division.Phase.k;
+      Alcotest.(check int) (name ^ " trap_count") traps division.Phase.trap_count;
+      Alcotest.(check string) (name ^ " strip") strip (Phase.render_strip division))
+    golden_divisions
+
 let test_render_strip () =
   let division = Phase.divide (Rng.create 7) (two_regime_bbvs ()) in
   let strip = Phase.render_strip division in
@@ -152,12 +417,19 @@ let suite =
     Alcotest.test_case "kmeans separates groups" `Quick test_kmeans_separates_two_groups;
     Alcotest.test_case "kmeans deterministic" `Quick test_kmeans_deterministic;
     Alcotest.test_case "kmeans rejects bad input" `Quick test_kmeans_rejects_bad_input;
+    Alcotest.test_case "kmeans centroids not aliased" `Quick
+      test_kmeans_centroids_not_aliased;
+    QCheck_alcotest.to_alcotest prop_cached_norm_kernel_bit_equal;
+    QCheck_alcotest.to_alcotest prop_cluster_matches_oracle;
     Alcotest.test_case "divide finds trap" `Quick test_divide_finds_trap;
     Alcotest.test_case "phases ordered by time" `Quick test_divide_phases_ordered_by_time;
     Alcotest.test_case "trap threshold" `Quick test_trap_threshold;
     Alcotest.test_case "divide empty is one phase" `Quick
       test_divide_empty_is_one_phase;
     Alcotest.test_case "phase of interval" `Quick test_phase_of_interval;
+    Alcotest.test_case "phase of interval duplicates" `Quick
+      test_phase_of_interval_duplicates;
+    Alcotest.test_case "golden phase divisions" `Quick test_golden_divisions;
     Alcotest.test_case "render strip" `Quick test_render_strip;
     Alcotest.test_case "coverage mode finds more traps" `Quick
       test_coverage_mode_at_least_as_many_traps;
