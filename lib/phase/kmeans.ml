@@ -3,9 +3,10 @@ module Rng = Pbse_util.Rng
 type vector = (int * float) array
 
 (* The kernel is two [for] loops over [ref] accumulators, inlined at
-   each call, so no float it computes is boxed. It keeps the reference
-   fold's operation order exactly: any reassociation can move an
-   assignment, and with it a report byte. *)
+   each call, so no float it computes is boxed. It keeps the operation
+   order of the plain fold it replaced, [(acc +. d*.d) -. c*.c] from
+   [|c|^2], exactly: any reassociation can move an assignment, and with
+   it a report byte. *)
 
 let[@inline] norm2 centroid =
   let acc = ref 0.0 in
@@ -25,17 +26,6 @@ let[@inline] distance2_with_norm v centroid c2 =
     acc := !acc +. (d *. d) -. (c *. c)
   done;
   !acc
-
-(* The reference the kernel must match bit for bit; [cluster] never
-   calls it. *)
-let distance2 v centroid =
-  let c2 = Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 centroid in
-  Array.fold_left
-    (fun acc (dim, x) ->
-      let c = centroid.(dim) in
-      let d = x -. c in
-      acc +. (d *. d) -. (c *. c))
-    c2 v
 
 type clustering = {
   k : int;

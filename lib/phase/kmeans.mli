@@ -7,16 +7,12 @@
 type vector = (int * float) array
 (** Sparse: (dimension, value), sorted by dimension, no duplicates. *)
 
-val distance2 : vector -> float array -> float
-(** Squared Euclidean distance between a sparse vector and a dense
-    centroid. The plain reference: it refolds the centroid's norm on
-    every call. *)
-
 val norm2 : float array -> float
 (** Squared norm of a dense centroid, summed in dimension order. O(dim). *)
 
 val distance2_with_norm : vector -> float array -> float -> float
-(** [distance2_with_norm v c (norm2 c)] is [distance2 v c] bit for bit,
+(** [distance2_with_norm v c (norm2 c)] is the squared Euclidean
+    distance between the sparse vector [v] and the dense centroid [c],
     in O(nnz(v)): [cluster] computes each centroid's norm once per pass
     and calls this for every (vector, centroid) pair. *)
 

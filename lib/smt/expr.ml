@@ -6,6 +6,7 @@ type t = {
   node : node;
   max_read : int;
   nodes : int;
+  walkable : bool;
   bits : int64;
 }
 
@@ -147,6 +148,18 @@ let bits_of node =
     | Neg | Not -> -1L)
   | Ite (_, t, e) -> Int64.logor t.bits e.bits
 
+(* At most 256 tree nodes, decided on the children's flags: [nodes] of a
+   deep self-sharing DAG wraps around and can land back in range, but a
+   node over walkable children has its exact tree size. *)
+let walkable_of node nodes =
+  nodes <= 256
+  &&
+  match node with
+  | Const _ | Read _ -> true
+  | Bin (_, a, b) -> a.walkable && b.walkable
+  | Un (_, a) -> a.walkable
+  | Ite (c, t, e) -> c.walkable && t.walkable && e.walkable
+
 let make node =
   let max_read, nodes =
     match node with
@@ -163,7 +176,8 @@ let make node =
   | None ->
     let interned =
       { id = fresh_id (); hkey = node_hash node land max_int;
-        node; max_read; nodes; bits = bits_of node }
+        node; max_read; nodes; walkable = walkable_of node nodes;
+        bits = bits_of node }
     in
     Table.add table node interned;
     interned
@@ -385,27 +399,36 @@ let reads e =
   go e;
   List.sort Int.compare (Hashtbl.fold (fun k () l -> k :: l) acc [])
 
-let eval lookup e =
-  let memo = Hashtbl.create 64 in
-  let rec go e =
-    match e.node with
-    | Const c -> c
-    | Read i -> Int64.of_int (lookup i land 0xFF)
-    | Bin _ | Un _ | Ite _ -> (
-      match Hashtbl.find_opt memo e.id with
+(* A [walkable] expression is walked as a tree, with no memo table: the
+   walk visits at most [nodes] nodes, which is what the solver charges
+   per evaluation. Any other keeps the per-call memo. *)
+let rec walk lookup memo e =
+  match e.node with
+  | Const c -> c
+  | Read i -> Int64.of_int (lookup i land 0xFF)
+  | Bin _ | Un _ | Ite _ -> (
+    match memo with
+    | None -> walk_node lookup memo e
+    | Some table -> (
+      match Hashtbl.find_opt table e.id with
       | Some v -> v
       | None ->
-        let v =
-          match e.node with
-          | Bin (op, a, b) -> Semantics.binop op (go a) (go b)
-          | Un (op, a) -> Semantics.unop op (go a)
-          | Ite (c, t, e') -> if Semantics.truthy (go c) then go t else go e'
-          | Const _ | Read _ -> assert false
-        in
-        Hashtbl.add memo e.id v;
-        v)
-  in
-  go e
+        let v = walk_node lookup memo e in
+        Hashtbl.add table e.id v;
+        v))
+
+and walk_node lookup memo e =
+  match e.node with
+  | Bin (op, a, b) -> Semantics.binop op (walk lookup memo a) (walk lookup memo b)
+  | Un (op, a) -> Semantics.unop op (walk lookup memo a)
+  | Ite (c, t, e') ->
+    if Semantics.truthy (walk lookup memo c) then walk lookup memo t
+    else walk lookup memo e'
+  | Const _ | Read _ -> assert false
+
+let eval lookup e =
+  let memo = if e.walkable then None else Some (Hashtbl.create 64) in
+  walk lookup memo e
 
 let to_string e =
   let buf = Buffer.create 64 in

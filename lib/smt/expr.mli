@@ -15,7 +15,13 @@ type t = private {
   hkey : int;
   node : node;
   max_read : int; (* largest input index read; -1 when concrete *)
-  nodes : int; (* structural size, for budget heuristics *)
+  nodes : int;
+  (* tree size (a shared subterm counts once per occurrence), for
+     budget heuristics; wraps around on deep self-sharing DAGs *)
+  walkable : bool;
+  (* at most 256 tree nodes: the evaluators ({!eval}, [Interval.eval])
+     walk the tree with no memo table, in at most [nodes] steps. False
+     whenever [nodes] wrapped around, even back into range. *)
   bits : int64;
   (* sound superset of the bits the value can have set; when non-negative
      it doubles as an unsigned upper bound. Lets the solver treat
@@ -59,7 +65,12 @@ val reads : t -> int list
 
 val eval : (int -> int) -> t -> int64
 (** [eval lookup e] evaluates under the byte assignment [lookup]
-    (values are masked to [0, 255]). *)
+    (values are masked to [0, 255]); of an [Ite], only the taken branch
+    is evaluated. A [walkable] expression (at most 256 tree nodes) costs
+    at most [e.nodes] steps; any other is memoised across shared
+    subexpressions within the call. Both walks compute the same value:
+    the semantics is pure and total, so skipping the memo changes no
+    value. *)
 
 val to_string : t -> string
 

@@ -137,38 +137,46 @@ let unop op a =
   | Trunc16 -> if ucmp a.hi 0xFFFFL <= 0 then a else { lo = 0L; hi = 0xFFFFL }
   | Trunc32 -> if ucmp a.hi 0xFFFFFFFFL <= 0 then a else { lo = 0L; hi = 0xFFFFFFFFL }
 
-let eval lookup e =
-  let memo = Hashtbl.create 64 in
-  let rec go (e : Expr.t) =
-    match e.node with
-    | Expr.Const c -> point c
-    | Expr.Read i ->
-      let iv = lookup i in
-      if ucmp iv.hi 255L > 0 then byte_any else iv
-    | Expr.Bin _ | Expr.Un _ | Expr.Ite _ -> (
-      match Hashtbl.find_opt memo e.id with
+(* One shared record per byte value: the search looks bytes up far more
+   often than it narrows them, and these lookups allocate nothing. *)
+let byte_points = Array.init 256 (fun v -> point (Int64.of_int v))
+let byte_point v = byte_points.(v)
+
+let rec walk lookup memo (e : Expr.t) =
+  match e.node with
+  | Expr.Const c -> point c
+  | Expr.Read i ->
+    let iv = lookup i in
+    if ucmp iv.hi 255L > 0 then byte_any else iv
+  | Expr.Bin _ | Expr.Un _ | Expr.Ite _ -> (
+    match memo with
+    | None -> walk_node lookup memo e
+    | Some table -> (
+      match Hashtbl.find_opt table e.id with
       | Some v -> v
       | None ->
-        let v =
-          match e.node with
-          | Expr.Bin (Pbse_ir.Types.Or, x, y)
-            when Int64.logand x.Expr.bits y.Expr.bits = 0L ->
-            (* disjoint possible bits: or is addition, which the interval
-               arithmetic tracks exactly — crucial for multi-byte field
-               reads composed as (b0 | b1 << 8 | ...) *)
-            binop Pbse_ir.Types.Add (go x) (go y)
-          | Expr.Bin (op, x, y) -> binop op (go x) (go y)
-          | Expr.Un (op, x) -> unop op (go x)
-          | Expr.Ite (c, t, f) ->
-            let ci = go c in
-            if definitely_true ci then go t
-            else if definitely_false ci then go f
-            else hull (go t) (go f)
-          | Expr.Const _ | Expr.Read _ -> assert false
-        in
-        Hashtbl.add memo e.id v;
-        v)
-  in
-  go e
+        let v = walk_node lookup memo e in
+        Hashtbl.add table e.id v;
+        v))
+
+and walk_node lookup memo (e : Expr.t) =
+  match e.node with
+  | Expr.Bin (Pbse_ir.Types.Or, x, y) when Int64.logand x.Expr.bits y.Expr.bits = 0L ->
+    (* disjoint possible bits: or is addition, which the interval
+       arithmetic tracks exactly — crucial for multi-byte field
+       reads composed as (b0 | b1 << 8 | ...) *)
+    binop Pbse_ir.Types.Add (walk lookup memo x) (walk lookup memo y)
+  | Expr.Bin (op, x, y) -> binop op (walk lookup memo x) (walk lookup memo y)
+  | Expr.Un (op, x) -> unop op (walk lookup memo x)
+  | Expr.Ite (c, t, f) ->
+    let ci = walk lookup memo c in
+    if definitely_true ci then walk lookup memo t
+    else if definitely_false ci then walk lookup memo f
+    else hull (walk lookup memo t) (walk lookup memo f)
+  | Expr.Const _ | Expr.Read _ -> assert false
+
+let eval lookup (e : Expr.t) =
+  let memo = if e.walkable then None else Some (Hashtbl.create 64) in
+  walk lookup memo e
 
 let to_string t = Printf.sprintf "[%Lu, %Lu]" t.lo t.hi

@@ -20,6 +20,14 @@ val top : t
 val bool_any : t
 (** The interval [0, 1]. *)
 
+val byte_any : t
+(** The interval [0, 255]: any input byte. *)
+
+val byte_point : int -> t
+(** [byte_point v] is [point v] for a byte [v] in [0, 255], returned from
+    one shared table, so byte lookups allocate nothing. Raises
+    [Invalid_argument] outside that range. *)
+
 val is_point : t -> int64 option
 val contains : t -> int64 -> bool
 val hull : t -> t -> t
@@ -35,7 +43,11 @@ val binop : Pbse_ir.Types.binop -> t -> t -> t
 val unop : Pbse_ir.Types.unop -> t -> t
 
 val eval : (int -> t) -> Expr.t -> t
-(** [eval lookup e] where [lookup i] bounds input byte [i]; results are
-    memoised across shared subexpressions within the call. *)
+(** [eval lookup e] where [lookup i] bounds input byte [i]. An
+    [Expr.walkable] expression (at most 256 tree nodes) costs at most
+    [e.nodes] steps; any other is memoised across shared subexpressions
+    within the call. Both walks compute the same
+    interval: the analysis is pure and total, so skipping the memo
+    changes no value. *)
 
 val to_string : t -> string

@@ -47,17 +47,34 @@ let domain_remove d v =
     end
   end
 
-let domain_interval d = Interval.make (Int64.of_int d.dlo) (Int64.of_int d.dhi)
+(* Full and singleton domains, the common shapes, share their intervals. *)
+let domain_interval d =
+  if d.dlo = 0 && d.dhi = 255 then Interval.byte_any
+  else if d.dlo = d.dhi then Interval.byte_point d.dlo
+  else Interval.make (Int64.of_int d.dlo) (Int64.of_int d.dhi)
 
 (* --- groups --------------------------------------------------------------- *)
 
 type group = {
   constraints : Expr.t array;
   vars : int array; (* sorted input indices *)
-  var_pos : (int, int) Hashtbl.t; (* input index -> position in [vars] *)
   by_var : int list array; (* position -> constraint indices *)
   creads : int list array; (* constraint -> input indices *)
 }
+
+(* Position of input index [v] in the sorted [vars], or -1: a binary
+   search, cheap at the solver's group sizes (at most 48 variables). A
+   top-level loop, so a lookup allocates no closure. *)
+let rec search_sorted vars v lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) lsr 1 in
+    let x = vars.(mid) in
+    if x = v then mid
+    else if x < v then search_sorted vars v (mid + 1) hi
+    else search_sorted vars v lo mid
+
+let sorted_position vars v = search_sorted vars v 0 (Array.length vars)
 
 let build_group ~reads exprs =
   let constraints = Array.of_list exprs in
@@ -68,18 +85,16 @@ let build_group ~reads exprs =
     Hashtbl.fold (fun v () acc -> v :: acc) var_set [] |> List.sort Int.compare
     |> Array.of_list
   in
-  let var_pos = Hashtbl.create (Array.length vars * 2) in
-  Array.iteri (fun pos v -> Hashtbl.replace var_pos v pos) vars;
   let by_var = Array.make (Array.length vars) [] in
   Array.iteri
     (fun ci reads ->
       List.iter
         (fun v ->
-          let pos = Hashtbl.find var_pos v in
+          let pos = sorted_position vars v in
           by_var.(pos) <- ci :: by_var.(pos))
         reads)
     creads;
-  { constraints; vars; var_pos; by_var; creads }
+  { constraints; vars; by_var; creads }
 
 let group_vars g = g.vars
 
@@ -165,11 +180,10 @@ let solve_group_search ~on_node meter ~hint ~bounds group =
   (* Interval environment: assigned variables are points, unassigned ones
      are the hull of their remaining domain. *)
   let lookup_interval input_index =
-    match Hashtbl.find_opt group.var_pos input_index with
-    | None -> Interval.make 0L 255L
-    | Some pos ->
-      if assignment.(pos) >= 0 then Interval.point (Int64.of_int assignment.(pos))
-      else domain_interval domains.(pos)
+    let pos = sorted_position group.vars input_index in
+    if pos < 0 then Interval.byte_any
+    else if assignment.(pos) >= 0 then Interval.byte_point assignment.(pos)
+    else domain_interval domains.(pos)
   in
   let interval_check ci =
     let c = group.constraints.(ci) in
@@ -180,9 +194,8 @@ let solve_group_search ~on_node meter ~hint ~bounds group =
     let c = group.constraints.(ci) in
     spend meter c.Expr.nodes;
     let lookup i =
-      match Hashtbl.find_opt group.var_pos i with
-      | Some pos when assignment.(pos) >= 0 -> assignment.(pos)
-      | Some _ | None -> Model.get hint i
+      let pos = sorted_position group.vars i in
+      if pos >= 0 && assignment.(pos) >= 0 then assignment.(pos) else Model.get hint i
     in
     Semantics.truthy (Expr.eval lookup c)
   in
@@ -207,10 +220,10 @@ let solve_group_search ~on_node meter ~hint ~bounds group =
             let false_at v =
               spend meter c.Expr.nodes;
               let lookup i =
-                match Hashtbl.find_opt group.var_pos i with
-                | Some p when p = pos -> Interval.point (Int64.of_int v)
-                | Some p -> domain_interval domains.(p)
-                | None -> Interval.make 0L 255L
+                let p = sorted_position group.vars i in
+                if p = pos then Interval.byte_point v
+                else if p >= 0 then domain_interval domains.(p)
+                else Interval.byte_any
               in
               Interval.definitely_false (Interval.eval lookup c)
             in
@@ -232,9 +245,7 @@ let solve_group_search ~on_node meter ~hint ~bounds group =
   in
   let unassigned ci =
     List.exists
-      (fun v ->
-        let pos = Hashtbl.find group.var_pos v in
-        assignment.(pos) < 0)
+      (fun v -> assignment.(sorted_position group.vars v) < 0)
       group.creads.(ci)
   in
   (* Depth-first search over variables, cheapest domain first, hint value
@@ -317,7 +328,7 @@ let solve_group_search ~on_node meter ~hint ~bounds group =
   | `Unsat -> Gunsat
 
 let solve_group ~on_node meter ~hint ~focus ~bounds group =
-  let focus = List.filter (Hashtbl.mem group.var_pos) focus in
+  let focus = List.filter (fun v -> sorted_position group.vars v >= 0) focus in
   match probe_neighborhood meter ~hint group focus with
   | Some bindings -> Gsat bindings
   | None -> solve_group_search ~on_node meter ~hint ~bounds group

@@ -76,17 +76,6 @@ let gen_sparse dim =
       cells
     |> List.filter_map Fun.id |> Array.of_list)
 
-let prop_cached_norm_kernel_bit_equal =
-  QCheck.Test.make ~count:500 ~name:"kmeans cached-norm kernel = distance2 bit for bit"
-    QCheck.(
-      make
-        Gen.(
-          int_range 1 16 >>= fun dim ->
-          pair (gen_sparse dim) (array_repeat dim gen_coord)))
-    (fun (v, centroid) ->
-      bits (Kmeans.distance2_with_norm v centroid (Kmeans.norm2 centroid))
-      = bits (Kmeans.distance2 v centroid))
-
 (* The k-means of the commit before the cached-norm kernel, copied
    verbatim: the oracle for [Kmeans.cluster]. *)
 module Oracle_kmeans = struct
@@ -204,6 +193,17 @@ module Oracle_kmeans = struct
     let inertia = iterate 0 infinity in
     { k; assignment; centroids; inertia }
 end
+
+let prop_cached_norm_kernel_bit_equal =
+  QCheck.Test.make ~count:500 ~name:"kmeans cached-norm kernel = distance2 bit for bit"
+    QCheck.(
+      make
+        Gen.(
+          int_range 1 16 >>= fun dim ->
+          pair (gen_sparse dim) (array_repeat dim gen_coord)))
+    (fun (v, centroid) ->
+      bits (Kmeans.distance2_with_norm v centroid (Kmeans.norm2 centroid))
+      = bits (Oracle_kmeans.distance2 v centroid))
 
 let prop_cluster_matches_oracle =
   QCheck.Test.make ~count:300 ~name:"kmeans cluster = reference algorithm bit for bit"

@@ -200,6 +200,276 @@ let prop_sat_model_satisfies =
       | Solver.Sat model, _ -> Model.satisfies model exprs
       | (Solver.Unsat | Solver.Unknown), _ -> true)
 
+(* --- evaluators vs the memoised walk -------------------------------------- *)
+
+(* [Expr.eval] and [Interval.eval] of the commit before small expressions
+   were walked as trees, copied verbatim (names qualified): the oracles
+   for both walks. *)
+module Oracle_eval = struct
+  open Expr
+
+  let eval lookup e =
+    let memo = Hashtbl.create 64 in
+    let rec go e =
+      match e.node with
+      | Const c -> c
+      | Read i -> Int64.of_int (lookup i land 0xFF)
+      | Bin _ | Un _ | Ite _ -> (
+        match Hashtbl.find_opt memo e.id with
+        | Some v -> v
+        | None ->
+          let v =
+            match e.node with
+            | Bin (op, a, b) -> Semantics.binop op (go a) (go b)
+            | Un (op, a) -> Semantics.unop op (go a)
+            | Ite (c, t, e') -> if Semantics.truthy (go c) then go t else go e'
+            | Const _ | Read _ -> assert false
+          in
+          Hashtbl.add memo e.id v;
+          v)
+    in
+    go e
+
+  let interval_eval lookup e =
+    let open Interval in
+    let ucmp = Int64.unsigned_compare in
+    let memo = Hashtbl.create 64 in
+    let rec go (e : Expr.t) =
+      match e.node with
+      | Expr.Const c -> point c
+      | Expr.Read i ->
+        let iv = lookup i in
+        if ucmp iv.hi 255L > 0 then byte_any else iv
+      | Expr.Bin _ | Expr.Un _ | Expr.Ite _ -> (
+        match Hashtbl.find_opt memo e.id with
+        | Some v -> v
+        | None ->
+          let v =
+            match e.node with
+            | Expr.Bin (Pbse_ir.Types.Or, x, y)
+              when Int64.logand x.Expr.bits y.Expr.bits = 0L ->
+              (* disjoint possible bits: or is addition, which the interval
+                 arithmetic tracks exactly — crucial for multi-byte field
+                 reads composed as (b0 | b1 << 8 | ...) *)
+              binop Pbse_ir.Types.Add (go x) (go y)
+            | Expr.Bin (op, x, y) -> binop op (go x) (go y)
+            | Expr.Un (op, x) -> unop op (go x)
+            | Expr.Ite (c, t, f) ->
+              let ci = go c in
+              if definitely_true ci then go t
+              else if definitely_false ci then go f
+              else hull (go t) (go f)
+            | Expr.Const _ | Expr.Read _ -> assert false
+          in
+          Hashtbl.add memo e.id v;
+          v)
+    in
+    go e
+end
+
+(* One DAG-building step. An operand is an input byte, a constant, or a
+   term built by an earlier step (counted back from the newest), so later
+   terms reuse earlier ones and hash-consing shares their nodes. *)
+type operand =
+  | Oread of int
+  | Oconst of int64
+  | Oback of int
+
+type dag_step =
+  | Dbin of T.binop * operand * operand
+  | Dun of T.unop * operand
+  | Dite of operand * operand * operand
+  | Dfield of operand * operand (* disjoint-bit or: (a & 0xff) | ((b & 0xff) << 8) *)
+
+(* Shift amounts of 64 and more, zero divisors, byte masks, sign bits. *)
+let dag_consts =
+  [ 0L; 1L; 2L; 7L; 0xFFL; 0x100L; 63L; 64L; 65L; 200L; -1L; Int64.min_int ]
+
+let gen_operand =
+  let open QCheck.Gen in
+  frequency
+    [
+      (2, map (fun i -> Oread i) (int_range 0 2));
+      (1, map (fun c -> Oconst c) (oneofl dag_consts));
+      (5, map (fun k -> Oback k) (int_range 0 4));
+    ]
+
+let gen_dag_steps =
+  let open QCheck.Gen in
+  let o = gen_operand in
+  list_size (int_range 1 24)
+    (frequency
+       [
+         (6, map3 (fun op a b -> Dbin (op, a, b)) (oneofl all_binops) o o);
+         (2, map2 (fun op a -> Dun (op, a)) (oneofl all_unops) o);
+         (2, map3 (fun c t e -> Dite (c, t, e)) o o o);
+         (1, map2 (fun a b -> Dfield (a, b)) o o);
+       ])
+
+(* The terms the steps build, newest first. *)
+let build_dag_terms steps =
+  let operand built = function
+    | Oread i -> Expr.read i
+    | Oconst c -> Expr.const c
+    | Oback k -> (
+      match List.nth_opt built k with Some e -> e | None -> Expr.read (k mod 3))
+  in
+  let byte e = Expr.bin T.And e (Expr.const 0xFFL) in
+  List.fold_left
+    (fun built step ->
+      let arg = operand built in
+      let e =
+        match step with
+        | Dbin (op, a, b) -> Expr.bin op (arg a) (arg b)
+        | Dun (op, a) -> Expr.un op (arg a)
+        | Dite (c, t, e) -> Expr.ite (arg c) (arg t) (arg e)
+        | Dfield (a, b) ->
+          Expr.bin T.Or (byte (arg a)) (Expr.bin T.Shl (byte (arg b)) (Expr.const 8L))
+      in
+      e :: built)
+    [] steps
+
+(* [`Small]: the largest term of at most 256 tree nodes, which the tree
+   walk evaluates. [`Large]: the newest term, grown past 256 nodes by
+   doubling, which the memoised walk evaluates. *)
+let build_dag size steps =
+  let terms = build_dag_terms steps in
+  match size with
+  | `Small ->
+    List.fold_left
+      (fun (best : Expr.t) (e : Expr.t) ->
+        if e.Expr.nodes <= 256 && e.Expr.nodes > best.Expr.nodes then e else best)
+      (Expr.read 0) terms
+  | `Large ->
+    let rec grow (e : Expr.t) =
+      if e.Expr.nodes > 256 then e
+      else grow (Expr.bin T.Add e (Expr.bin T.Mul e (Expr.read 1)))
+    in
+    let e = List.hd terms in
+    grow (if Expr.is_concrete e then Expr.read 0 else e)
+
+(* Per-byte bounds: full, a point, a narrow range, or wider than a byte. *)
+let gen_byte_interval =
+  let open QCheck.Gen in
+  frequency
+    [
+      (1, return (Interval.make 0L 255L));
+      (2, map (fun v -> Interval.point (Int64.of_int v)) (int_range 0 255));
+      ( 3,
+        map2
+          (fun a b -> Interval.make (Int64.of_int (min a b)) (Int64.of_int (max a b)))
+          (int_range 0 255) (int_range 0 255) );
+      (1, return Interval.top);
+    ]
+
+let arb_dag =
+  QCheck.make
+    ~print:(fun (size, steps, _, _) ->
+      Expr.to_string (build_dag size steps))
+    QCheck.Gen.(
+      quad (oneofl [ `Small; `Large ]) gen_dag_steps (gen_bytes 3)
+        (array_repeat 3 gen_byte_interval))
+
+let prop_eval_matches_memo_oracle =
+  QCheck.Test.make ~count:2000 ~name:"expr eval = memoised oracle on shared DAGs"
+    arb_dag
+    (fun (size, steps, bytes, _) ->
+      let e = build_dag size steps in
+      let lookup i = bytes.(i) in
+      Int64.equal (Expr.eval lookup e) (Oracle_eval.eval lookup e))
+
+let prop_interval_eval_matches_memo_oracle =
+  QCheck.Test.make ~count:2000 ~name:"interval eval = memoised oracle on shared DAGs"
+    arb_dag
+    (fun (size, steps, _, bounds) ->
+      let e = build_dag size steps in
+      let lookup i = bounds.(i) in
+      let got = Interval.eval lookup e and want = Oracle_eval.interval_eval lookup e in
+      Int64.equal got.Interval.lo want.Interval.lo
+      && Int64.equal got.Interval.hi want.Interval.hi)
+
+(* 80 nested self-squarings: the tree has 2^81 - 1 nodes, so [nodes]
+   overflows (to -1). One more binary node over it wraps [nodes] back to
+   1; every one of these must take the memoised walk and finish at once
+   (a tree walk would never return). *)
+let test_eval_overflowing_nodes () =
+  let rec square n e = if n = 0 then e else square (n - 1) (Expr.bin T.Mul e e) in
+  let e = square 80 (Expr.bin T.Add (Expr.read 0) (Expr.const 1L)) in
+  Alcotest.(check bool) "nodes overflowed" true (e.Expr.nodes <= 0);
+  let wrapped =
+    [ ("add", Expr.bin T.Add e (Expr.read 1)); ("ult", Expr.bin T.Ult e (Expr.const 5L)) ]
+  in
+  List.iter
+    (fun (name, w) ->
+      Alcotest.(check bool) (name ^ ": nodes back in range") true
+        (w.Expr.nodes > 0 && w.Expr.nodes <= 256))
+    wrapped;
+  let lookup _ = 3 in
+  let bound _ = Interval.make 2L 9L in
+  List.iter
+    (fun (name, x) ->
+      Alcotest.(check bool) (name ^ ": not walkable") false x.Expr.walkable;
+      Alcotest.(check int64)
+        (name ^ ": value") (Oracle_eval.eval lookup x) (Expr.eval lookup x);
+      let got = Interval.eval bound x and want = Oracle_eval.interval_eval bound x in
+      Alcotest.(check (pair int64 int64))
+        (name ^ ": interval") (want.Interval.lo, want.Interval.hi)
+        (got.Interval.lo, got.Interval.hi))
+    (("squares", e) :: wrapped)
+
+(* --- Search_core vs brute force ------------------------------------------- *)
+
+(* Every assignment of bytes 0 and 1 that satisfies every spec. *)
+let brute_force_models specs =
+  let models = ref [] in
+  for a = 0 to 255 do
+    for b = 0 to 255 do
+      let lookup i = if i = 0 then a else b in
+      if List.for_all (fun s -> Semantics.truthy (ref_eval lookup s)) specs then
+        models := (a, b) :: !models
+    done
+  done;
+  !models
+
+(* [solve_group] called directly, with a random hint, a random focus and
+   per-byte bounds equal to the hull of the brute-force models, which are
+   sound by construction (no model lies outside them). *)
+let prop_search_core_matches_brute_force =
+  QCheck.Test.make ~count:150 ~name:"search core agrees with 2-byte brute force"
+    (QCheck.make
+       QCheck.Gen.(
+         triple gen_constraints
+           (pair (int_range 0 255) (int_range 0 255))
+           (list_size (int_range 0 3) (int_range 0 2))))
+    (fun (specs, (h0, h1), focus) ->
+      let exprs = List.map build specs in
+      let group = Search_core.build_group ~reads:Expr.reads exprs in
+      let models = brute_force_models specs in
+      let hull pick =
+        match models with
+        | [] -> None
+        | m :: rest ->
+          let lo, hi =
+            List.fold_left
+              (fun (lo, hi) m -> (min lo (pick m), max hi (pick m)))
+              (pick m, pick m) rest
+          in
+          Some (Interval.make (Int64.of_int lo) (Int64.of_int hi))
+      in
+      let bound0 = hull fst and bound1 = hull snd in
+      let bounds = function 0 -> bound0 | 1 -> bound1 | _ -> None in
+      let hint = Model.set (Model.set Model.empty 0 h0) 1 h1 in
+      let meter = Search_core.meter ~limit:max_int in
+      match
+        Search_core.solve_group ~on_node:ignore meter ~hint ~focus ~bounds group
+      with
+      | Search_core.Gsat bindings ->
+        let lookup i = Option.value (List.assoc_opt i bindings) ~default:0 in
+        models <> []
+        && List.for_all (fun s -> Semantics.truthy (ref_eval lookup s)) specs
+      | Search_core.Gunsat -> models = []
+      | Search_core.Gunknown -> false)
+
 (* --- deterministic unit tests --------------------------------------------- *)
 
 let check_simpl name expected e =
@@ -375,6 +645,47 @@ let test_solver_unsat_chain () =
   | Solver.Unsat, _ -> ()
   | (Solver.Sat _ | Solver.Unknown), _ -> Alcotest.fail "expected unsat"
 
+(* --- golden solver counters --------------------------------------------- *)
+
+(* The solver counters of the default session on each target's smallest
+   benign seed at a 30k-unit deadline (the bench smoke budget). The
+   values were captured before small expressions were walked without a
+   memo table and before [Search_core] dropped its per-group hash table,
+   on the commit whose kernel both changes had to match unit for unit:
+   a later kernel change that moves a charged work unit, a search node
+   or a subsumption prune fails here by name. *)
+let golden_solver_counters =
+  (* target, solver.queries, solver.work, solver.search_nodes,
+     smt.subsumed_states *)
+  [
+    ("readelf", 1000, 1522668, 925, 172);
+    ("pngtest", 156, 2373251, 1320, 86);
+    ("gif2tiff", 1273, 752946, 4099, 118);
+    ("tiff2rgba", 80, 2378312, 27587, 0);
+    ("tiff2bw", 439, 2854151, 15125, 0);
+    ("dwarfdump", 286, 1946015, 63016, 79);
+    ("tcpdump", 393, 3289461, 116633, 52);
+  ]
+
+let test_golden_solver_counters () =
+  let module Registry = Pbse_targets.Registry in
+  let module Session = Pbse_session.Session in
+  List.iter
+    (fun (name, queries, work, nodes, subsumed) ->
+      let t = Option.get (Registry.by_name name) in
+      let report =
+        Session.run (Registry.program t) ~seed:(Registry.smallest_seed t) ~deadline:30_000
+      in
+      let metrics = Session.scalar_metrics report in
+      let check metric want =
+        Alcotest.(check int) (name ^ " " ^ metric) want (List.assoc metric metrics)
+      in
+      check "solver.queries" queries;
+      check "solver.work" work;
+      check "solver.search_nodes" nodes;
+      check "smt.subsumed_states" subsumed)
+    golden_solver_counters
+
 let suite =
   [
     Alcotest.test_case "simplifications" `Quick test_simplifications;
@@ -393,6 +704,8 @@ let suite =
     Alcotest.test_case "bits of field composition" `Quick test_bits_of_field_composition;
     Alcotest.test_case "solver u32 magic" `Quick test_solver_u32_magic;
     Alcotest.test_case "check_assuming" `Quick test_check_assuming_matches_check;
+    Alcotest.test_case "eval with overflowing nodes" `Quick test_eval_overflowing_nodes;
+    Alcotest.test_case "golden solver counters" `Quick test_golden_solver_counters;
     QCheck_alcotest.to_alcotest prop_bits_sound;
     QCheck_alcotest.to_alcotest prop_simplifier_sound;
     QCheck_alcotest.to_alcotest prop_lognot_negates;
@@ -400,4 +713,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_interval_point_precision;
     QCheck_alcotest.to_alcotest prop_solver_matches_brute_force;
     QCheck_alcotest.to_alcotest prop_sat_model_satisfies;
+    QCheck_alcotest.to_alcotest prop_eval_matches_memo_oracle;
+    QCheck_alcotest.to_alcotest prop_interval_eval_matches_memo_oracle;
+    QCheck_alcotest.to_alcotest prop_search_core_matches_brute_force;
   ]
