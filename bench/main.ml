@@ -69,8 +69,7 @@ let run_csv_metrics =
     "coverage.blocks"; "bugs.total"; "bugs.confirmed"; "solver.queries";
     "solver.unknown"; "solver.retries"; "solver.escalations"; "solver.retry_resolved";
     "solver.work"; "solver.prefix_hits"; "smt.subsumed_states"; "smt.interpolant_hits";
-    "smt.interpolant_misses"; "pathcond.loop_summaries"; "pathcond.summary_fallbacks";
-    "fault.solver-unknown"; "fault.exec-abort";
+    "smt.interpolant_misses"; "fault.solver-unknown"; "fault.exec-abort";
     "fault.mem-pressure"; "quarantine.evicted"; "quarantine.strikes"; "phase.turns";
     "phase.new_cover"; "phase.dwell"; "phase.trap_dwell"; "sched.turns";
     "exec.cow_copies";
@@ -767,12 +766,10 @@ let pool_bench () =
     (if cov "coverage-greedy" >= cov "smallest-first" then "OK" else "BEHIND");
   (* A-B leg: the same campaign with the path-condition layer off. The
      merged bug count must match and merged coverage must not regress
-     with the features on (docs/subsumption.md). *)
+     with subsumption on (docs/subsumption.md). *)
   let off_config =
     Session.(
-      with_pathcond
-        (fun _ -> { subsumption = false; loop_summaries = false })
-        default_config)
+      with_pathcond (fun _ -> { subsumption = false }) default_config)
   in
   let scheduler = List.hd Pbse_campaign.Pool_scheduler.names in
   let off_pool =
@@ -798,7 +795,7 @@ let pool_bench () =
   if on_pool.Driver.merged_coverage < off_pool.Driver.merged_coverage - slack
   then begin
     Printf.eprintf
-      "pathcond A-B (pool): merged coverage regressed with features on (%d < \
+      "pathcond A-B (pool): merged coverage regressed with subsumption on (%d < \
        %d - %d)\n"
       on_pool.Driver.merged_coverage off_pool.Driver.merged_coverage slack;
     exit 1
@@ -809,10 +806,10 @@ let pool_bench () =
     scheduler on_pool.Driver.merged_coverage off_pool.Driver.merged_coverage
     on_bugs
 
-(* --- Pathcond A-B: subsumption + loop summaries on vs off ------------------------ *)
+(* --- Pathcond A-B: subsumption on vs off -------------------------------------- *)
 
 (* The path-condition layer's acceptance gate (docs/subsumption.md): on
-   dwarfdump, the engine with subsumption + summaries on must reach the
+   dwarfdump, the engine with subsumption on must reach the
    baseline run's final coverage and bug set with at least 15% less
    solver work. No seeded target drains — every run fills its
    virtual-time deadline, so *total* work at a fixed deadline is
@@ -823,16 +820,14 @@ let pool_bench () =
    accrues linearly in virtual time on deadline-filled runs, so work at
    virtual time t is w_total * t / deadline. *)
 let pathcond_ab () =
-  heading "Pathcond A-B: dwarfdump with and without subsumption + summaries";
+  heading "Pathcond A-B: dwarfdump, subsumption on vs off";
   let t = target "dwarfdump" in
   let prog = Registry.program t in
   let seed = Registry.default_seed t in
   let deadline = ten_hours in
   let off_config =
     Session.(
-      with_pathcond
-        (fun _ -> { subsumption = false; loop_summaries = false })
-        default_config)
+      with_pathcond (fun _ -> { subsumption = false }) default_config)
   in
   let on_r = Session.run prog ~seed ~deadline in
   note_run ~suite:"pathcond-ab" ~name:(t.Registry.name ^ "/on") ~deadline on_r;
@@ -849,7 +844,7 @@ let pathcond_ab () =
   let cov r = Coverage.count (Executor.coverage r.Driver.executor) in
   let cov_on = cov on_r and cov_off = cov off_r in
   if cov_on < cov_off then begin
-    Printf.eprintf "pathcond A-B: coverage regressed with features on (%d < %d)\n"
+    Printf.eprintf "pathcond A-B: coverage regressed with subsumption on (%d < %d)\n"
       cov_on cov_off;
     exit 1
   end;
@@ -878,13 +873,11 @@ let pathcond_ab () =
   Printf.printf
     "  off: cov %d, %d bug(s), %d work to deadline\n\
     \  on:  cov %d at deadline; outcome parity at t=%d/%d -> %d work\n\
-    \  interpolant hits %d / misses %d, %d state(s) subsumed, %d summar(ies), \
-     %d fallback(s)\n\
+    \  interpolant hits %d / misses %d, %d state(s) subsumed\n\
     \  solver work to the off run's outcome: -%d%% (gate: >=15%%)\n%!"
     cov_off (List.length (bug_set off_r)) w_off cov_on parity_t deadline w_parity
     est.Executor.interpolant_hits est.Executor.interpolant_misses
-    est.Executor.subsumed_states est.Executor.loop_summaries
-    est.Executor.summary_fallbacks reduction_pct;
+    est.Executor.subsumed_states reduction_pct;
   if reduction_pct < 15 then begin
     Printf.eprintf
       "pathcond A-B: work-to-outcome reduction %d%% is below the 15%% gate\n"
@@ -1274,9 +1267,7 @@ let smoke ?(jobs = 1) () =
      solver.work gate (docs/subsumption.md) *)
   let off_config =
     Session.(
-      with_pathcond
-        (fun _ -> { subsumption = false; loop_summaries = false })
-        default_config)
+      with_pathcond (fun _ -> { subsumption = false }) default_config)
   in
   let off_report =
     Session.run ~config:off_config ~runtime:(instrumented ~config:off_config ())

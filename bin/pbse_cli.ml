@@ -114,13 +114,6 @@ let no_subsumption_arg =
   in
   Arg.(value & flag & info [ "no-subsumption" ] ~doc)
 
-let no_loop_summaries_arg =
-  let doc =
-    "Disable closed-form loop summaries (counting-loop templates; see \
-     docs/subsumption.md). Coverage and bugs are unchanged either way."
-  in
-  Arg.(value & flag & info [ "no-loop-summaries" ] ~doc)
-
 let report_arg =
   let doc =
     "Enable telemetry and write the JSON run report to $(docv) \
@@ -161,7 +154,7 @@ let report_runtime report_file config =
    a [(Session.config, string) result]. *)
 let config_term =
   let combine inject max_strikes scheduler intervals_target prefix_cap
-      no_subsumption no_loop_summaries =
+      no_subsumption =
     if not (List.mem scheduler Pbse_sched.Scheduler.names) then
       Error
         (Printf.sprintf "unknown scheduler %s (available: %s)" scheduler
@@ -174,10 +167,7 @@ let config_term =
         |> Session.with_concolic (fun c -> { c with Session.intervals_target })
         |> Session.with_solver (fun s -> { s with Session.prefix_cap })
         |> Session.with_pathcond (fun p ->
-               {
-                 Session.subsumption = p.Session.subsumption && not no_subsumption;
-                 loop_summaries = p.Session.loop_summaries && not no_loop_summaries;
-               })
+               { Session.subsumption = p.Session.subsumption && not no_subsumption })
       in
       match inject with
       | None -> Ok config
@@ -189,8 +179,7 @@ let config_term =
   in
   Term.(
     const combine $ inject_arg $ max_strikes_arg $ scheduler_arg
-    $ intervals_target_arg $ prefix_cap_arg $ no_subsumption_arg
-    $ no_loop_summaries_arg)
+    $ intervals_target_arg $ prefix_cap_arg $ no_subsumption_arg)
 
 (* --- targets ------------------------------------------------------------------ *)
 
@@ -669,7 +658,7 @@ let print_report_summary (r : Report.t) =
       Pbse_util.Tablefmt.create
         [
           "phase"; "pid"; "trap"; "seeded"; "turns"; "slices"; "new-cover";
-          "dwell"; "evicted"; "subsumed"; "summarized";
+          "dwell"; "evicted"; "subsumed";
         ]
     in
     List.iter
@@ -686,7 +675,6 @@ let print_report_summary (r : Report.t) =
             string_of_int p.Report.dwell;
             string_of_int p.Report.quarantined;
             string_of_int p.Report.subsumed;
-            string_of_int p.Report.summarized;
           ])
       phases;
     Pbse_util.Tablefmt.print table

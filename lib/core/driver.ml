@@ -135,7 +135,10 @@ type turn_exec = {
    report. [jobs] is deliberately absent: reports are jobs-invariant, so
    any width may reuse any width's campaign. The constant "1" stands
    where a telemetry-enablement flag was once hashed; it stays so store
-   files written before keep their keys. *)
+   files written before keep their keys. Keys did change when the
+   loop-summary switch left the config: reports cached under the old
+   keys still carry its two metrics and the per-phase summary count, so
+   a hit on one would serve bytes a cold run no longer renders. *)
 let campaign_fingerprint ?(config = Session.default_config)
     ?(scheduler = Pool_scheduler.default) ?(lease = 1) ~target ~seeds ~deadline () =
   let ordered =

@@ -6,7 +6,6 @@ module Solver = Pbse_smt.Solver
 module Semantics = Pbse_smt.Semantics
 module Pathcond = Pbse_pathcond.Pathcond
 module Subsume = Pbse_pathcond.Subsume
-module Loop_summary = Pbse_pathcond.Loop_summary
 module Vclock = Pbse_util.Vclock
 module Fault = Pbse_robust.Fault
 module Inject = Pbse_robust.Inject
@@ -40,8 +39,6 @@ type stats = {
   mutable subsumed_states : int; (* would-be states pruned by the subsumption cache *)
   mutable interpolant_hits : int; (* queries answered Unsat from recorded cores *)
   mutable interpolant_misses : int; (* consults that scanned a non-empty bucket in vain *)
-  mutable loop_summaries : int; (* loops leapt over via a summarized transition *)
-  mutable summary_fallbacks : int; (* loops downgraded to plain unrolling *)
 }
 
 type t = {
@@ -66,7 +63,6 @@ type t = {
   mutable testcases : (bytes * string) list; (* newest first, capped *)
   subsumption : bool;
   subsume : Subsume.t; (* per-block unsat cores; session-local (arena ids) *)
-  summaries : (int * int, Loop_summary.summary) Hashtbl.t; (* (fidx, header) *)
   inj : Inject.t option; (* fault injection, None when inactive *)
   faults : Fault.log;
   registry : Telemetry.Registry.t;
@@ -89,18 +85,12 @@ let max_call_depth = 512
 
 let create ?(max_live = 8192) ?(solver_budget = 60_000) ?solver_retry_cap
     ?solver_prefix_cap ?(confirm_bugs = true) ?(inject = Inject.none)
-    ?(subsumption = true) ?(loop_summaries = true) ?registry ~clock prog ~input =
+    ?(subsumption = true) ?registry ~clock prog ~input =
   Pbse_ir.Validate.check_exn prog;
   let registry =
     match registry with Some r -> r | None -> Telemetry.Registry.create ()
   in
   let cfg = Cfg.build prog in
-  (* static loop-summary pass: template matches become one-step
-     transitions, mismatches are fault-free downgrades counted up front *)
-  let summary_analysis =
-    if loop_summaries then Loop_summary.analyze prog
-    else { Loop_summary.summaries = Hashtbl.create 1; fallbacks = 0 }
-  in
   {
     prog;
     cfg;
@@ -135,12 +125,9 @@ let create ?(max_live = 8192) ?(solver_budget = 60_000) ?solver_retry_cap
         subsumed_states = 0;
         interpolant_hits = 0;
         interpolant_misses = 0;
-        loop_summaries = 0;
-        summary_fallbacks = summary_analysis.Loop_summary.fallbacks;
       };
     subsumption;
     subsume = Subsume.create ();
-    summaries = summary_analysis.Loop_summary.summaries;
     trace = None;
     live = (fun () -> 0);
     lazy_fork = false;
@@ -774,97 +761,6 @@ let exec_term t st term =
     Running
   | Halt message -> raise (Finish (Aborted message))
 
-(* --- loop summaries ---------------------------------------------------------- *)
-
-(* Apply a matched loop summary at its header (instruction 0): replace
-   running the loop to completion with its closed form over the entry
-   register values. [niter] is [bound - i] when the entry test holds and
-   [0] otherwise, each self-add register advances by [step * niter], and
-   the loop's exit condition register is identically zero afterwards —
-   all exact modulo 2^64 for {e every} input on this path (the [Ite]
-   covers the zero-iteration inputs), so no path constraint is added and
-   no fork is needed. The model invariant is untouched. Applied only
-   when the entry test holds under the state's model: on the other side
-   the header runs normally for one test (zero iterations concretely),
-   and a forked taken-side child re-enters the header with a model that
-   does satisfy the test, getting summarized then — so body coverage and
-   bug accounting match plain unrolling. *)
-let apply_summary t st (s : Loop_summary.summary) =
-  let regs = State.current_regs st in
-  let e_i = regs.(s.Loop_summary.counter) in
-  let e_b =
-    match s.Loop_summary.bound with
-    | Const c -> Expr.const c
-    | Reg r -> regs.(r)
-  in
-  let cmp_e = Expr.bin s.Loop_summary.cmp e_i e_b in
-  let truthy =
-    match Expr.is_const cmp_e with
-    | Some c -> Semantics.truthy c
-    | None -> Semantics.truthy (Model.eval st.State.model cmp_e)
-  in
-  if not truthy then false (* zero iterations on this model: run the header *)
-  else if
-    s.Loop_summary.cmp = Slt
-    && not (e_i.Expr.bits >= 0L && e_b.Expr.bits >= 0L)
-  then begin
-    (* conservative guard: only summarize signed loops whose operands are
-       provably non-negative (top bit clear makes [bits] an unsigned
-       upper bound), where Slt coincides with Ult *)
-    t.st.summary_fallbacks <- t.st.summary_fallbacks + 1;
-    false
-  end
-  else begin
-    let niter = Expr.ite cmp_e (Expr.bin Sub e_b e_i) Expr.zero in
-    set_reg t st s.Loop_summary.counter (Expr.ite cmp_e e_b e_i);
-    (* a pair temporary ends holding the final pre-copy value, which
-       equals the destination's final value whenever at least one
-       iteration ran; on zero iterations it keeps its entry value *)
-    (match s.Loop_summary.counter_tmp with
-    | Some tm ->
-      let regs = State.current_regs st in
-      set_reg t st tm (Expr.ite cmp_e e_b regs.(tm))
-    | None -> ());
-    List.iter
-      (fun { Loop_summary.dst; step; tmp } ->
-        let regs = State.current_regs st in
-        let final =
-          Expr.bin Add regs.(dst) (Expr.bin Mul (Expr.const step) niter)
-        in
-        set_reg t st dst final;
-        match tmp with
-        | Some tm ->
-          let regs = State.current_regs st in
-          set_reg t st tm (Expr.ite cmp_e final regs.(tm))
-        | None -> ())
-      s.Loop_summary.updates;
-    (* after the loop the header test is false on every input: if it held
-       on entry the counter now equals the bound; if it did not, it is
-       false by assumption — so the condition register is exactly zero *)
-    set_reg t st s.Loop_summary.cond_reg Expr.zero;
-    (* the body ran at least once under the model: cover and trace it *)
-    let body_gid = Cfg.id t.cfg st.State.fidx s.Loop_summary.body in
-    if Coverage.cover t.coverage body_gid then st.State.fresh_cover <- true;
-    (match t.trace with Some hook -> hook body_gid | None -> ());
-    (* charge roughly one header+body traversal instead of [niter] *)
-    Vclock.advance t.clock 4;
-    t.st.loop_summaries <- t.st.loop_summaries + 1;
-    goto t st s.Loop_summary.exit_;
-    true
-  end
-
-(* Summaries fire at header entry during symbolic stepping only; the
-   concolic (lazy-fork) pass must replay the concrete trace faithfully
-   to collect BBVs and fork points. *)
-let try_loop_summary t st =
-  (not t.lazy_fork)
-  && Hashtbl.length t.summaries > 0
-  && st.State.iidx = 0
-  &&
-  match Hashtbl.find_opt t.summaries (st.State.fidx, st.State.bidx) with
-  | Some s -> apply_summary t st s
-  | None -> false
-
 (* --- slices ------------------------------------------------------------------ *)
 
 (* An injected abort terminates the slice before any instruction runs.
@@ -899,8 +795,7 @@ let run_slice_inner t st =
     while !continue do
       let f = t.prog.funcs.(st.State.fidx) in
       let block = f.blocks.(st.State.bidx) in
-      if try_loop_summary t st then () (* leapt to the loop exit *)
-      else if st.State.iidx < Array.length block.insts then begin
+      if st.State.iidx < Array.length block.insts then begin
         spend t st;
         exec_inst t st block.insts.(st.State.iidx)
       end

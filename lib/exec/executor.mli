@@ -54,11 +54,6 @@ type stats = {
   mutable interpolant_hits : int; (* queries answered Unsat from recorded cores *)
   mutable interpolant_misses : int;
   (* consults that scanned a non-empty core bucket without a match *)
-  mutable loop_summaries : int; (* loops leapt over via a summarized transition *)
-  mutable summary_fallbacks : int;
-  (* loops executed by plain unrolling: static template mismatches
-     (counted once at creation) plus runtime signed-compare guard
-     failures — fault-free downgrades *)
 }
 
 type t
@@ -71,7 +66,6 @@ val create :
   ?confirm_bugs:bool ->
   ?inject:Pbse_robust.Inject.plan ->
   ?subsumption:bool ->
-  ?loop_summaries:bool ->
   ?registry:Pbse_telemetry.Telemetry.Registry.t ->
   clock:Pbse_util.Vclock.t ->
   Pbse_ir.Types.program ->
@@ -84,9 +78,8 @@ val create :
     [solver_prefix_cap] bounds its prefix-context LRU. [inject] activates
     deterministic fault injection (default: none). [subsumption]
     (default true) enables the per-block-boundary unsat-core cache that
-    prunes subsumed states; [loop_summaries] (default true) enables the
-    static loop-summary pass and its one-step summarized transitions.
-    Both caches are engine-local, so pool determinism is unaffected.
+    prunes subsumed states. The cache is engine-local, so pool
+    determinism is unaffected.
     [registry] owns the engine's telemetry instruments (default: a
     fresh private registry, disabled). *)
 

@@ -176,10 +176,3 @@ let render_strip division =
       let c = division.assignment.(i) in
       let letter = Char.chr (Char.code 'a' + (c mod 26)) in
       if List.mem c trap_clusters then Char.uppercase_ascii letter else letter)
-
-(* A trap phase's turn made progress when it covered new code or leapt
-   over its loops via summaries: the summarized transition IS the
-   phase's way through the trap, so retreating right after one throws
-   the leap away. Non-trap phases only count coverage. *)
-let turn_progress ~trap ~fresh_cover ~summaries_applied =
-  fresh_cover || (trap && summaries_applied > 0)

@@ -56,9 +56,3 @@ val phase_of_interval : division -> Pbse_concolic.Bbv.t list -> int -> int optio
 val render_strip : division -> string
 (** One character per BBV: cluster letter, uppercase for trap phases —
     a textual rendition of the paper's Fig. 4 colour strips. *)
-
-val turn_progress : trap:bool -> fresh_cover:bool -> summaries_applied:int -> bool
-(** Did a scheduling turn make progress? New coverage always counts;
-    for trap phases, applied loop summaries count too — the summarized
-    transition is the leap over the trap, so the scheduler consults it
-    before retreating ([fresh_cover || (trap && summaries_applied > 0)]). *)

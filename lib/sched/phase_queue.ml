@@ -16,7 +16,6 @@ type t = {
   mutable dwell : int;
   mutable quarantined : int;
   mutable subsumed : int;
-  mutable summarized : int;
 }
 
 let create ?registry ~ordinal ~pid ~trap searcher =
@@ -38,7 +37,6 @@ let create ?registry ~ordinal ~pid ~trap searcher =
     dwell = 0;
     quarantined = 0;
     subsumed = 0;
-    summarized = 0;
   }
 
 let seed q st =
@@ -59,5 +57,4 @@ let stat_row q =
     dwell = q.dwell;
     quarantined = q.quarantined;
     subsumed = q.subsumed;
-    summarized = q.summarized;
   }

@@ -19,7 +19,6 @@ type t = {
   mutable dwell : int; (* virtual time spent in this phase's turns *)
   mutable quarantined : int; (* states evicted while this phase ran *)
   mutable subsumed : int; (* states pruned by subsumption in its turns *)
-  mutable summarized : int; (* loop summaries applied in its turns *)
 }
 
 val create :

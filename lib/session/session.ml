@@ -53,7 +53,6 @@ type robust_config = {
 
 type pathcond_config = {
   subsumption : bool; (* block-boundary unsat-core pruning *)
-  loop_summaries : bool; (* template loop summaries *)
 }
 
 type config = {
@@ -93,7 +92,7 @@ let default_config =
         watchdog_strikes = 3;
         degrade_after = 4;
       };
-    pathcond = { subsumption = true; loop_summaries = true };
+    pathcond = { subsumption = true };
     rng_seed = 1;
   }
 
@@ -133,10 +132,9 @@ let config_to_kvs config =
     ("robust.watchdog_factor", string_of_int config.robust.watchdog_factor);
     ("robust.watchdog_strikes", string_of_int config.robust.watchdog_strikes);
     ("robust.degrade_after", string_of_int config.robust.degrade_after);
-    (* snapshots from before the pathcond layer lack these keys and
-       resume with the defaults (both enabled) *)
+    (* snapshots from before the pathcond layer lack this key and
+       resume with the default (enabled) *)
     ("pathcond.subsumption", if config.pathcond.subsumption then "1" else "0");
-    ("pathcond.loop_summaries", if config.pathcond.loop_summaries then "1" else "0");
     ("rng_seed", string_of_int config.rng_seed);
   ]
 
@@ -210,9 +208,7 @@ let config_of_kvs kvs =
           | "robust.degrade_after" ->
             int_field key v (fun i -> robust (fun r -> { r with degrade_after = i }))
           | "pathcond.subsumption" ->
-            bool_field key v (fun b -> pathcond (fun p -> { p with subsumption = b }))
-          | "pathcond.loop_summaries" ->
-            bool_field key v (fun b -> pathcond (fun p -> { p with loop_summaries = b }))
+            bool_field key v (fun b -> pathcond (fun _ -> { subsumption = b }))
           | "rng_seed" -> int_field key v (fun i -> with_rng_seed i config)
           | _ -> Ok config))
     (Ok default_config) kvs
@@ -404,7 +400,6 @@ let schedule_phases ~registry ~clock ~deadline ~sched ~quarantine exec note_prog
         (* executor-stat marks: the deltas over this turn are attributed
            to the phase's report row *)
         let subsumed_start = est.Executor.subsumed_states in
-        let summarized_start = est.Executor.loop_summaries in
         let searcher = q.Phase_queue.searcher in
         q.Phase_queue.turns <- q.Phase_queue.turns + 1;
         let queue_failed = ref false in
@@ -453,7 +448,6 @@ let schedule_phases ~registry ~clock ~deadline ~sched ~quarantine exec note_prog
                 drain ())
             | `Selected (Some st) -> slice st
         and slice st =
-          let slice_summaries = est.Executor.loop_summaries in
           match try `S (Executor.run_slice exec st) with exn -> `E exn with
           | `E exn ->
             contain st exn;
@@ -472,20 +466,12 @@ let schedule_phases ~registry ~clock ~deadline ~sched ~quarantine exec note_prog
                  children
              | Executor.Finished _ -> searcher.Searcher.remove st);
             note_progress q.Phase_queue.ordinal;
-            (* stay in the phase while under budget or still progressing:
-               new coverage always counts, and a trap phase that just
-               leapt a loop via a summary consults that before retreating *)
-            let progressed =
-              Phase.turn_progress ~trap:q.Phase_queue.trap ~fresh_cover:covered_new
-                ~summaries_applied:(est.Executor.loop_summaries - slice_summaries)
-            in
-            if Vclock.now clock - turn_start <= turn_budget || progressed then drain ()
+            (* stay in the phase while under budget or still covering new code *)
+            if Vclock.now clock - turn_start <= turn_budget || covered_new then drain ()
         in
         Telemetry.with_span tm_turn ~now drain;
         q.Phase_queue.subsumed <-
           q.Phase_queue.subsumed + (est.Executor.subsumed_states - subsumed_start);
-        q.Phase_queue.summarized <-
-          q.Phase_queue.summarized + (est.Executor.loop_summaries - summarized_start);
         let elapsed = Vclock.now clock - turn_start in
         q.Phase_queue.dwell <- q.Phase_queue.dwell + elapsed;
         Telemetry.observe q.Phase_queue.turn_dwell elapsed;
@@ -545,8 +531,7 @@ let open_session ?(config = default_config) ?runtime ?share prog ~seed ~deadline
       ~solver_retry_cap:config.solver.retry_cap
       ~solver_prefix_cap:config.solver.prefix_cap
       ~confirm_bugs:config.robust.confirm_bugs ~inject:rt.Runtime.inject
-      ~subsumption:config.pathcond.subsumption
-      ~loop_summaries:config.pathcond.loop_summaries ~registry ~clock prog ~input:seed
+      ~subsumption:config.pathcond.subsumption ~registry ~clock prog ~input:seed
   in
   (* prefix-context residue published by finished sessions: arena-free
      model hints, installed before any query is issued *)
@@ -813,8 +798,6 @@ let scalar_metric_specs : (string * (report -> int)) list =
     ("smt.subsumed_states", fun r -> (est r).Executor.subsumed_states);
     ("smt.interpolant_hits", fun r -> (est r).Executor.interpolant_hits);
     ("smt.interpolant_misses", fun r -> (est r).Executor.interpolant_misses);
-    ("pathcond.loop_summaries", fun r -> (est r).Executor.loop_summaries);
-    ("pathcond.summary_fallbacks", fun r -> (est r).Executor.summary_fallbacks);
     ("quarantine.evicted", fun r -> r.quarantined);
     ("quarantine.strikes", fun r -> r.strikes);
   ]

@@ -87,13 +87,11 @@ type robust_config = {
 
 type pathcond_config = {
   subsumption : bool; (* block-boundary unsat-core subsumption cache *)
-  loop_summaries : bool; (* closed-form counting-loop summaries *)
 }
-(** The path-condition layer's pruning features (docs/subsumption.md).
-    Both default on; [pbse --no-subsumption] / [--no-loop-summaries]
-    turn them off for A-B runs. Both are semantically transparent —
-    merged coverage and bug sets are unchanged — so they only trade
-    solver work. *)
+(** The path-condition layer's pruning (docs/subsumption.md). On by
+    default; [pbse --no-subsumption] turns it off for A-B runs. It is
+    semantically transparent — merged coverage and bug sets are
+    unchanged — so it only trades solver work. *)
 
 type config = {
   concolic : concolic_config;

@@ -9,7 +9,6 @@ type phase_row = {
   dwell : int;
   quarantined : int;
   subsumed : int; (* states pruned by the subsumption cache during this phase *)
-  summarized : int; (* loop summaries applied during this phase *)
 }
 
 type seed_row = {
@@ -51,7 +50,6 @@ let phase_to_json (p : phase_row) =
       ("dwell", Json.Int p.dwell);
       ("quarantined", Json.Int p.quarantined);
       ("subsumed", Json.Int p.subsumed);
-      ("summarized", Json.Int p.summarized);
     ]
 
 let seed_to_json (s : seed_row) =
@@ -125,7 +123,6 @@ let phase_of_json json =
     quarantined = get_int "quarantined" json;
     (* absent in pre-pathcond documents: [get_int] defaults to 0 *)
     subsumed = get_int "subsumed" json;
-    summarized = get_int "summarized" json;
   }
 
 let seed_of_json json =

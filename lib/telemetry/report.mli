@@ -21,10 +21,10 @@ type phase_row = {
   dwell : int; (* virtual time spent inside the phase's turns *)
   quarantined : int; (* states evicted while this phase ran *)
   subsumed : int; (* states pruned by the subsumption cache in its turns *)
-  summarized : int; (* loop summaries applied in its turns *)
 }
-(** [subsumed]/[summarized] default to 0 when parsing pre-pathcond
-    documents, so old reports stay readable. *)
+(** [subsumed] defaults to 0 when parsing pre-pathcond documents, and
+    keys the row no longer has are ignored, so old reports stay
+    readable. *)
 
 type seed_row = {
   ordinal : int; (* 1-based pool order (smallest seed first) *)

@@ -153,110 +153,6 @@ let contains haystack needle =
   let rec scan i = i + nl <= hl && (String.sub haystack i nl = needle || scan (i + 1)) in
   scan 0
 
-(* --- natural-loop detection edge cases ------------------------------- *)
-
-let body_blocks (l : Loop.loop) =
-  let out = ref [] in
-  Array.iteri (fun i m -> if m then out := i :: !out) l.Loop.body;
-  List.rev !out
-
-(* Nested loops: an inner loop (header 2, latch 3) wholly inside an outer
-   loop (header 1, latch 4). Both must be discovered, each with its own
-   body. *)
-let nested_loops_func () =
-  make_func ~name:"nested"
-    [
-      { label = "entry"; insts = [||]; term = Jmp 1 };
-      { label = "outer"; insts = [||]; term = Br (Reg 0, 2, 5) };
-      { label = "inner"; insts = [||]; term = Br (Reg 0, 3, 4) };
-      { label = "inner_latch"; insts = [||]; term = Jmp 2 };
-      { label = "outer_latch"; insts = [||]; term = Jmp 1 };
-      { label = "exit"; insts = [||]; term = Ret None };
-    ]
-    1
-
-let test_loop_nested () =
-  let { Loop.loops; irreducible } = Loop.analyze (nested_loops_func ()) in
-  Alcotest.(check (list int)) "reducible" [] irreducible;
-  Alcotest.(check int) "two loops" 2 (List.length loops);
-  let outer = List.nth loops 0 and inner = List.nth loops 1 in
-  Alcotest.(check int) "outer header" 1 outer.Loop.header;
-  Alcotest.(check (list int)) "outer latches" [ 4 ] outer.Loop.latches;
-  Alcotest.(check (list int)) "outer body" [ 1; 2; 3; 4 ] (body_blocks outer);
-  Alcotest.(check int) "inner header" 2 inner.Loop.header;
-  Alcotest.(check (list int)) "inner latches" [ 3 ] inner.Loop.latches;
-  Alcotest.(check (list int)) "inner body" [ 2; 3 ] (body_blocks inner)
-
-(* Two back edges into one header must merge into a single loop with both
-   latches, not two loops. *)
-let test_loop_merged_latches () =
-  let f =
-    make_func ~name:"merged"
-      [
-        { label = "entry"; insts = [||]; term = Jmp 1 };
-        { label = "head"; insts = [||]; term = Br (Reg 0, 2, 5) };
-        { label = "split"; insts = [||]; term = Br (Reg 0, 3, 4) };
-        { label = "latch_a"; insts = [||]; term = Jmp 1 };
-        { label = "latch_b"; insts = [||]; term = Jmp 1 };
-        { label = "exit"; insts = [||]; term = Ret None };
-      ]
-      1
-  in
-  let { Loop.loops; irreducible } = Loop.analyze f in
-  Alcotest.(check (list int)) "reducible" [] irreducible;
-  Alcotest.(check int) "one loop" 1 (List.length loops);
-  let l = List.hd loops in
-  Alcotest.(check int) "header" 1 l.Loop.header;
-  Alcotest.(check (list int)) "both latches" [ 3; 4 ] l.Loop.latches;
-  Alcotest.(check (list int)) "merged body" [ 1; 2; 3; 4 ] (body_blocks l)
-
-(* A retreating edge whose target does not dominate its source is
-   irreducible: the 1 <-> 2 cycle is entered at both 1 and 2, so neither
-   is a header and no natural loop may be reported. *)
-let test_loop_irreducible () =
-  let f =
-    make_func ~name:"irr"
-      [
-        { label = "entry"; insts = [||]; term = Br (Reg 0, 1, 2) };
-        { label = "a"; insts = [||]; term = Jmp 2 };
-        { label = "b"; insts = [||]; term = Br (Reg 0, 1, 3) };
-        { label = "exit"; insts = [||]; term = Ret None };
-      ]
-      1
-  in
-  let { Loop.loops; irreducible } = Loop.analyze f in
-  Alcotest.(check int) "no natural loops" 0 (List.length loops);
-  Alcotest.(check (list int)) "irreducible target" [ 1 ] irreducible
-
-(* Self-loop: a block branching to itself is its own header and latch. *)
-let test_loop_self () =
-  let f =
-    make_func ~name:"self"
-      [
-        { label = "entry"; insts = [||]; term = Jmp 1 };
-        { label = "spin"; insts = [||]; term = Br (Reg 0, 1, 2) };
-        { label = "exit"; insts = [||]; term = Ret None };
-      ]
-      1
-  in
-  let { Loop.loops; irreducible } = Loop.analyze f in
-  Alcotest.(check (list int)) "reducible" [] irreducible;
-  Alcotest.(check int) "one loop" 1 (List.length loops);
-  let l = List.hd loops in
-  Alcotest.(check int) "header" 1 l.Loop.header;
-  Alcotest.(check (list int)) "self latch" [ 1 ] l.Loop.latches;
-  Alcotest.(check (list int)) "body is the header" [ 1 ] (body_blocks l)
-
-let test_loop_idoms () =
-  let f = nested_loops_func () in
-  let idoms = Loop.idoms f in
-  Alcotest.(check (list int)) "immediate dominators" [ -1; 0; 1; 2; 2; 1 ]
-    (Array.to_list idoms);
-  Alcotest.(check bool) "outer header dominates inner latch" true
-    (Loop.dominates idoms 1 3);
-  Alcotest.(check bool) "inner latch does not dominate exit" false
-    (Loop.dominates idoms 3 5)
-
 let test_printer_mentions_everything () =
   let prog = sample_program () in
   let text = Printer.program_to_string prog in
@@ -286,10 +182,5 @@ let suite =
     Alcotest.test_case "cfg successors with calls" `Quick test_cfg_successors_include_calls;
     Alcotest.test_case "cfg reachability" `Quick test_cfg_reachability;
     Alcotest.test_case "cfg distances" `Quick test_cfg_distances;
-    Alcotest.test_case "loops: nested" `Quick test_loop_nested;
-    Alcotest.test_case "loops: merged latches" `Quick test_loop_merged_latches;
-    Alcotest.test_case "loops: irreducible" `Quick test_loop_irreducible;
-    Alcotest.test_case "loops: self loop" `Quick test_loop_self;
-    Alcotest.test_case "loops: idoms" `Quick test_loop_idoms;
     Alcotest.test_case "printer output" `Quick test_printer_mentions_everything;
   ]

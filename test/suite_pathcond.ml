@@ -1,13 +1,11 @@
 (* The path-condition layer: structured path conditions (spine sharing,
    bloom signatures, block-boundary deltas), the unsat-core subsumption
-   cache, the loop-summary template matcher, and end-to-end equivalence
-   of summarized vs unrolled execution on seeded MiniC programs. *)
+   cache, and end-to-end equivalence of subsumption on vs off on a
+   seeded MiniC program. *)
 
 module Expr = Pbse_smt.Expr
 module Pathcond = Pbse_pathcond.Pathcond
 module Subsume = Pbse_pathcond.Subsume
-module Loop_summary = Pbse_pathcond.Loop_summary
-module Loop = Pbse_ir.Loop
 module Driver = Pbse.Driver
 module Session = Pbse_session.Session
 module Executor = Pbse_exec.Executor
@@ -130,122 +128,13 @@ let test_subsume_dedup_and_cap () =
   Alcotest.(check int) "two buckets" 2 buckets;
   Alcotest.(check bool) "bucket capped" true (cores <= 1 + 24)
 
-(* --- Loop_summary ------------------------------------------------------ *)
+(* --- subsumption on vs off ----------------------------------------------- *)
 
-let counting_loop_src =
-  "fn main() {\n\
-   var n = in(0);\n\
-   var acc = 0;\n\
-   var i = 0;\n\
-   while (i < n) { acc = acc + 3; i = i + 1; }\n\
-   out(acc);\n\
-   return 0;\n\
-   }"
-
-let test_summary_matches_minic_counting_loop () =
-  let prog = Pbse_lang.Frontend.compile counting_loop_src in
-  let a = Loop_summary.analyze prog in
-  Alcotest.(check int) "no fallbacks" 0 a.Loop_summary.fallbacks;
-  Alcotest.(check int) "one summary" 1 (Hashtbl.length a.Loop_summary.summaries);
-  Hashtbl.iter
-    (fun _ (s : Loop_summary.summary) ->
-      Alcotest.(check bool) "signed compare" true (s.Loop_summary.cmp = Slt);
-      (* MiniC lowers both advances through a temporary *)
-      Alcotest.(check bool) "counter pair" true (s.Loop_summary.counter_tmp <> None);
-      match s.Loop_summary.updates with
-      | [ u ] ->
-        Alcotest.(check int64) "accumulator step" 3L u.Loop_summary.step;
-        Alcotest.(check bool) "accumulator pair" true (u.Loop_summary.tmp <> None)
-      | ups ->
-        Alcotest.fail
-          (Printf.sprintf "expected one non-counter update, got %d"
-             (List.length ups)))
-    a.Loop_summary.summaries
-
-let test_summary_rejects_effectful_body () =
-  (* the loop reads input inside the body: a Call is not an advance, so
-     the loop must fall back to plain unrolling *)
-  let src =
-    "fn main() {\n\
-     var n = in(0);\n\
-     var s = 0;\n\
-     var i = 0;\n\
-     while (i < n) { s = s + in(i); i = i + 1; }\n\
-     out(s);\n\
-     return 0;\n\
-     }"
-  in
-  let a = Loop_summary.analyze (Pbse_lang.Frontend.compile src) in
-  Alcotest.(check int) "no summaries" 0 (Hashtbl.length a.Loop_summary.summaries);
-  Alcotest.(check int) "one fallback" 1 a.Loop_summary.fallbacks
-
-let test_summary_rejects_nested_loops () =
-  let src =
-    "fn main() {\n\
-     var n = in(0);\n\
-     var acc = 0;\n\
-     var i = 0;\n\
-     while (i < n) {\n\
-     var j = 0;\n\
-     while (j < n) { acc = acc + 1; j = j + 1; }\n\
-     i = i + 1;\n\
-     }\n\
-     out(acc);\n\
-     return 0;\n\
-     }"
-  in
-  let prog = Pbse_lang.Frontend.compile src in
-  let a = Loop_summary.analyze prog in
-  (* the outer loop is multi-block and must fall back; the inner one may
-     or may not match depending on lowering, but never the outer *)
-  Alcotest.(check bool) "outer loop falls back" true (a.Loop_summary.fallbacks >= 1)
-
-let test_summary_never_fires_on_irreducible () =
-  (* a template-shaped outer loop whose body contains an irreducible
-     cycle (3 <-> 4, entered at both ends): Loop.analyze reports the
-     taint and the matcher must refuse the whole loop *)
-  let f =
-    {
-      fname = "irr";
-      nparams = 0;
-      nregs = 5;
-      blocks =
-        [|
-          { label = "entry"; insts = [||]; term = Jmp 1 };
-          {
-            label = "head";
-            insts = [| Bin (4, Ult, Reg 3, Reg 1) |];
-            term = Br (Reg 4, 2, 6);
-          };
-          { label = "split"; insts = [||]; term = Br (Reg 0, 3, 4) };
-          { label = "left"; insts = [||]; term = Jmp 4 };
-          { label = "right"; insts = [||]; term = Br (Reg 0, 3, 5) };
-          {
-            label = "latch";
-            insts = [| Bin (3, Add, Reg 3, Const 1L) |];
-            term = Jmp 1;
-          };
-          { label = "exit"; insts = [||]; term = Ret None };
-        |];
-    }
-  in
-  let { Loop.irreducible; loops } = Loop.analyze f in
-  Alcotest.(check bool) "irreducibility detected" true (irreducible <> []);
-  Alcotest.(check bool) "a natural loop still exists" true (loops <> []);
-  let a = Loop_summary.analyze { funcs = [| f |]; main = 0 } in
-  Alcotest.(check int) "never summarized" 0 (Hashtbl.length a.Loop_summary.summaries);
-  Alcotest.(check bool) "counted as fallback" true (a.Loop_summary.fallbacks >= 1)
-
-(* --- summarized vs unrolled equivalence -------------------------------- *)
-
-(* A seeded MiniC program where the counting loop matters: the
-   accumulator flows into output and a guarded out-of-bounds write sits
-   behind an input byte the symbolic search must solve for. The [tag]
-   branch before the loop matters for the summary: states forked there
-   re-enter the loop with the seed's model and traverse it whole, which
-   is where the one-step leap fires under the concolic-then-fork flow
-   (states forked at the loop header itself only ever add one
-   iteration). *)
+(* A seeded MiniC program with a counting loop whose accumulator flows
+   into output, and a guarded out-of-bounds write behind an input byte
+   the symbolic search must solve for. Subsumption only prunes states
+   whose path condition covers a recorded unsat core, so turning it off
+   must leave coverage and the bug set unchanged. *)
 let equiv_src =
   "fn main() {\n\
    var n = in(0);\n\
@@ -261,52 +150,28 @@ let equiv_src =
    return 0;\n\
    }"
 
-let equiv_seed () = Bytes.of_string "\005A"
-
-let pathcond_off =
-  Session.(
-    with_pathcond
-      (fun _ -> { subsumption = false; loop_summaries = false })
-      default_config)
-
-let run_equiv config =
-  Session.run ~config (Pbse_lang.Frontend.compile equiv_src) ~seed:(equiv_seed ())
-    ~deadline:100_000
+let subsumption_off =
+  Session.(with_pathcond (fun _ -> { subsumption = false }) default_config)
 
 let bug_set (r : Driver.report) =
   List.sort_uniq compare
     (List.map (fun ((b : Bug.t), _) -> (b.Bug.gid, b.Bug.kind)) r.Driver.bugs)
 
-let test_summary_equivalent_to_unrolling () =
-  let on = run_equiv Session.default_config in
-  let off = run_equiv pathcond_off in
-  let st_on = Executor.stats on.Driver.executor in
+let check_subsumption_transparent seed () =
+  let run config =
+    Session.run ~config
+      (Pbse_lang.Frontend.compile equiv_src)
+      ~seed:(Bytes.of_string seed) ~deadline:100_000
+  in
+  let on = run Session.default_config in
+  let off = run subsumption_off in
   let st_off = Executor.stats off.Driver.executor in
-  Alcotest.(check bool) "summaries fired" true (st_on.Executor.loop_summaries > 0);
-  Alcotest.(check int) "disabled run applied none" 0 st_off.Executor.loop_summaries;
   Alcotest.(check int) "disabled run consulted no cores" 0
     (st_off.Executor.interpolant_hits + st_off.Executor.interpolant_misses);
   Alcotest.(check int) "identical coverage"
     (Coverage.count (Executor.coverage off.Driver.executor))
     (Coverage.count (Executor.coverage on.Driver.executor));
   Alcotest.(check bool) "found the guarded bug" true (bug_set on <> []);
-  Alcotest.(check (list (pair int string))) "identical bug set" (bug_set off)
-    (bug_set on)
-
-let test_summary_covers_zero_iteration_side () =
-  (* with a seed that skips the loop entirely the summary must not fire
-     on the seed path, yet the two configurations still agree *)
-  let seed = Bytes.of_string "\000A" in
-  let run config =
-    Session.run ~config
-      (Pbse_lang.Frontend.compile equiv_src)
-      ~seed ~deadline:100_000
-  in
-  let on = run Session.default_config in
-  let off = run pathcond_off in
-  Alcotest.(check int) "identical coverage"
-    (Coverage.count (Executor.coverage off.Driver.executor))
-    (Coverage.count (Executor.coverage on.Driver.executor));
   Alcotest.(check (list (pair int string))) "identical bug set" (bug_set off)
     (bug_set on)
 
@@ -321,8 +186,6 @@ let test_manifest_has_pathcond_counters () =
       "smt.subsumed_states";
       "smt.interpolant_hits";
       "smt.interpolant_misses";
-      "pathcond.loop_summaries";
-      "pathcond.summary_fallbacks";
     ];
   (* the manifest is the single source for runs.csv: no duplicates *)
   Alcotest.(check int) "no duplicate names"
@@ -339,18 +202,10 @@ let suite =
     Alcotest.test_case "pathcond deltas" `Quick test_pathcond_deltas;
     Alcotest.test_case "subsume hit/miss/empty" `Quick test_subsume_hit_miss_empty;
     Alcotest.test_case "subsume dedup and cap" `Quick test_subsume_dedup_and_cap;
-    Alcotest.test_case "summary matches counting loop" `Quick
-      test_summary_matches_minic_counting_loop;
-    Alcotest.test_case "summary rejects effectful body" `Quick
-      test_summary_rejects_effectful_body;
-    Alcotest.test_case "summary rejects nested loops" `Quick
-      test_summary_rejects_nested_loops;
-    Alcotest.test_case "summary never fires on irreducible" `Quick
-      test_summary_never_fires_on_irreducible;
-    Alcotest.test_case "summary equivalent to unrolling" `Quick
-      test_summary_equivalent_to_unrolling;
-    Alcotest.test_case "summary zero-iteration side" `Quick
-      test_summary_covers_zero_iteration_side;
+    Alcotest.test_case "subsumption on vs off: looping seed" `Quick
+      (check_subsumption_transparent "\005A");
+    Alcotest.test_case "subsumption on vs off: zero-trip seed" `Quick
+      (check_subsumption_transparent "\000A");
     Alcotest.test_case "manifest has pathcond counters" `Quick
       test_manifest_has_pathcond_counters;
   ]

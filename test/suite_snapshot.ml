@@ -434,13 +434,22 @@ let test_config_kvs_roundtrip () =
       (Session.config_to_kvs rebuilt)
 
 let test_config_kvs_ignores_unknown_and_rejects_bad () =
-  (match Session.config_of_kvs [ ("target", "mini"); ("scheduler", "round-robin") ] with
-   | Ok config ->
-     Alcotest.(check (list (pair string string)))
-       "unknown keys fall through to defaults"
-       (Session.config_to_kvs Session.default_config)
-       (Session.config_to_kvs config)
-   | Error e -> Alcotest.fail e);
+  (* snapshot meta keys, and the loop-summary switch older snapshots
+     still carry, decode to the defaults *)
+  List.iter
+    (fun kvs ->
+      match Session.config_of_kvs kvs with
+      | Ok config ->
+        Alcotest.(check (list (pair string string)))
+          "unknown keys fall through to defaults"
+          (Session.config_to_kvs Session.default_config)
+          (Session.config_to_kvs config)
+      | Error e -> Alcotest.fail e)
+    [
+      [ ("target", "mini"); ("scheduler", "round-robin") ];
+      [ ("pathcond.loop_summaries", "0") ];
+      [ ("pathcond.loop_summaries", "1") ];
+    ];
   match Session.config_of_kvs [ ("solver.budget", "lots") ] with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "malformed value accepted"

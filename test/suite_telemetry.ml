@@ -136,7 +136,6 @@ let sample_report () =
           dwell = 1000;
           quarantined = 0;
           subsumed = 3;
-          summarized = 1;
         };
       ];
     seeds = [];
@@ -161,7 +160,34 @@ let test_report_roundtrip () =
   | Ok r' ->
     Alcotest.(check string) "roundtrip is byte-identical" json (Report.to_json r');
     Alcotest.(check int) "metric lookup" 2 (Report.metric r' "b.two");
-    Alcotest.(check int) "missing metric is 0" 0 (Report.metric r' "nope")
+    Alcotest.(check int) "missing metric is 0" 0 (Report.metric r' "nope");
+    (* a document written while the engine still had loop summaries: its
+       phase row and metrics carry keys the report no longer has *)
+    let old_doc =
+      {|{"schema": "pbse-report/1",
+  "meta": {"target": "mini", "seed": "default"},
+  "metrics": {"a.one": 1, "b.two": 2, "c.zero": 0,
+              "pathcond.loop_summaries": 0, "pathcond.summary_fallbacks": 13},
+  "phases": [{"ordinal": 1, "pid": 3, "trap": true, "seeded": 4, "turns": 5,
+              "slices": 6, "new_cover": 2, "dwell": 1000, "quarantined": 0,
+              "subsumed": 3, "summarized": 1}],
+  "histograms": {"test.h": {"count": 2, "sum": 5, "min": 1, "max": 4,
+                            "buckets": [[1, 1], [3, 1]]}}}|}
+    in
+    (match Report.of_json old_doc with
+     | Error e -> Alcotest.fail ("old document: " ^ e)
+     | Ok old ->
+       let cur = sample_report () in
+       Alcotest.(check bool) "old meta kept" true (old.Report.meta = cur.Report.meta);
+       Alcotest.(check bool) "old phase rows kept" true
+         (old.Report.phases = cur.Report.phases);
+       Alcotest.(check bool) "old histograms kept" true
+         (old.Report.histograms = cur.Report.histograms);
+       Alcotest.(check (list (pair string int)))
+         "old metrics kept"
+         (cur.Report.metrics
+         @ [ ("pathcond.loop_summaries", 0); ("pathcond.summary_fallbacks", 13) ])
+         old.Report.metrics)
 
 let test_report_bad_schema () =
   let json = Report.to_json (sample_report ()) in
