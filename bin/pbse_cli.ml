@@ -99,7 +99,7 @@ let intervals_target_arg =
 let prefix_cap_arg =
   let doc =
     "Bound on the solver's prefix-context LRU (distinct path prefixes \
-     cached per session); evictions are counted as smt.prefix_evictions."
+     cached per session); evictions are counted as solver.prefix_evictions."
   in
   Arg.(
     value

@@ -48,11 +48,11 @@ val run : t -> jobs:int -> home:('a -> int) -> ('a -> 'b) -> 'a list -> 'b list
 
 val pinned : t -> int
 (** Tasks executed by their home worker since {!create} (reported as
-    [pool.pinned_turns]). *)
+    [pool_pinned_turns]). *)
 
 val steals : t -> int
 (** Tasks executed by a non-home worker since {!create} (reported as
-    [pool.steal_count]): a high ratio of steals to pinned means home
+    [pool_steal_count]): a high ratio of steals to pinned means home
     queues are chronically unbalanced. *)
 
 val shutdown : t -> unit

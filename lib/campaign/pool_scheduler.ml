@@ -1,5 +1,3 @@
-module Telemetry = Pbse_telemetry.Telemetry
-
 type turn = {
   slot : Seed_slot.t;
   budget : int;
@@ -28,35 +26,9 @@ let stats_create () = { turns = 0; rotations = 0; retirements = 0 }
 (* stateless policies: nothing beyond the live-slot set and [stats] *)
 let no_state = ((fun () -> []), fun _ -> ())
 
-(* Campaign telemetry lives in the registry the factory was given, so a
-   pool registry never aliases the per-session ones. *)
-type instruments = {
-  i_turns : Telemetry.counter;
-  i_rotations : Telemetry.counter;
-  i_retirements : Telemetry.counter;
-}
-
-let instruments ?registry () =
-  let registry =
-    match registry with Some r -> r | None -> Telemetry.Registry.create ()
-  in
-  {
-    i_turns = Telemetry.Registry.counter registry "campaign.turns";
-    i_rotations = Telemetry.Registry.counter registry "campaign.rotations";
-    i_retirements = Telemetry.Registry.counter registry "campaign.retirements";
-  }
-
-let note_turn ins st =
-  st.turns <- st.turns + 1;
-  Telemetry.incr ins.i_turns
-
-let note_rotation ins st =
-  st.rotations <- st.rotations + 1;
-  Telemetry.incr ins.i_rotations
-
-let note_retirement ins st =
-  st.retirements <- st.retirements + 1;
-  Telemetry.incr ins.i_retirements
+let note_turn st = st.turns <- st.turns + 1
+let note_rotation st = st.rotations <- st.rotations + 1
+let note_retirement st = st.retirements <- st.retirements + 1
 
 (* Remove one slot (matched by ordinal) from the array, preserving order. *)
 let array_remove slots (s : Seed_slot.t) =
@@ -76,8 +48,7 @@ let array_remove slots (s : Seed_slot.t) =
    rotation whether or not its engine drained. The campaign is that one
    round: a seed that stops early leaves its unused share unspent rather
    than passing it on. *)
-let smallest_first ?registry ~time_period:_ slot_list =
-  let ins = instruments ?registry () in
+let smallest_first ~time_period:_ slot_list =
   let slots = ref (Array.of_list slot_list) in
   let stats = stats_create () in
   {
@@ -94,18 +65,18 @@ let smallest_first ?registry ~time_period:_ slot_list =
           Array.to_list
             (Array.map
                (fun slot ->
-                 note_turn ins stats;
+                 note_turn stats;
                  { slot; budget = share })
                !slots)
         end);
     credit =
       (fun s ->
         (* one turn per seed: the share was final *)
-        note_retirement ins stats;
+        note_retirement stats;
         array_remove slots s);
     retire =
       (fun s ->
-        note_retirement ins stats;
+        note_retirement stats;
         array_remove slots s);
     drained = (fun () -> Array.length !slots = 0);
     active = (fun () -> Array.to_list !slots);
@@ -118,15 +89,14 @@ let smallest_first ?registry ~time_period:_ slot_list =
    order, with its own unused budget rolled forward onto its next turn
    (an engine that stops early keeps its claim; one that overshoots
    starts from zero carry). *)
-let round_robin ?registry ~time_period slot_list =
-  let ins = instruments ?registry () in
+let round_robin ~time_period slot_list =
   let slots = ref (Array.of_list slot_list) in
   let pos = ref 0 in
   let stats = stats_create () in
   let wrap () =
     if !pos >= Array.length !slots then begin
       pos := 0;
-      if Array.length !slots > 0 then note_rotation ins stats
+      if Array.length !slots > 0 then note_rotation stats
     end
   in
   {
@@ -137,11 +107,11 @@ let round_robin ?registry ~time_period slot_list =
       (fun ~remaining:_ ->
         if Array.length !slots = 0 then []
         else begin
-          note_rotation ins stats;
+          note_rotation stats;
           Array.to_list
             (Array.map
                (fun s ->
-                 note_turn ins stats;
+                 note_turn stats;
                  { slot = s; budget = time_period + Seed_slot.carry s })
                !slots)
         end);
@@ -151,7 +121,7 @@ let round_robin ?registry ~time_period slot_list =
         wrap ());
     retire =
       (fun s ->
-        note_retirement ins stats;
+        note_retirement stats;
         array_remove slots s;
         wrap ());
     drained = (fun () -> Array.length !slots = 0);
@@ -170,8 +140,7 @@ let round_robin ?registry ~time_period slot_list =
    slot's own turn count so a productive seed earns longer stretches,
    and since a round's budgets are clamped in plan order, a short
    balance goes to the most productive seeds first. *)
-let coverage_greedy ?registry ~time_period slot_list =
-  let ins = instruments ?registry () in
+let coverage_greedy ~time_period slot_list =
   let slots = ref (Array.of_list slot_list) in
   let stats = stats_create () in
   let better (a : Seed_slot.t) (b : Seed_slot.t) =
@@ -191,13 +160,13 @@ let coverage_greedy ?registry ~time_period slot_list =
         Array.to_list
           (Array.map
              (fun s ->
-               note_turn ins stats;
+               note_turn stats;
                { slot = s; budget = (s.Seed_slot.turns + 1) * time_period })
              live));
     credit = (fun _s -> ());
     retire =
       (fun s ->
-        note_retirement ins stats;
+        note_retirement stats;
         array_remove slots s);
     drained = (fun () -> Array.length !slots = 0);
     active = (fun () -> Array.to_list !slots);

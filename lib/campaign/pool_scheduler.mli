@@ -49,7 +49,6 @@ type t = {
 }
 
 val smallest_first :
-  ?registry:Pbse_telemetry.Telemetry.Registry.t ->
   time_period:int ->
   Seed_slot.t list ->
   t
@@ -59,7 +58,6 @@ val smallest_first :
     [time_period] is unused. *)
 
 val round_robin :
-  ?registry:Pbse_telemetry.Telemetry.Registry.t ->
   time_period:int ->
   Seed_slot.t list ->
   t
@@ -67,7 +65,6 @@ val round_robin :
     unused budget rolled forward onto the seed's next turn. *)
 
 val coverage_greedy :
-  ?registry:Pbse_telemetry.Telemetry.Registry.t ->
   time_period:int ->
   Seed_slot.t list ->
   t
@@ -84,10 +81,4 @@ val names : string list
 
 val by_name :
   string ->
-  (?registry:Pbse_telemetry.Telemetry.Registry.t ->
-  time_period:int ->
-  Seed_slot.t list ->
-  t)
-  option
-(** Factories accept the registry that owns their [campaign.*] counters
-    (default: a fresh private registry, disabled). *)
+  (time_period:int -> Seed_slot.t list -> t) option

@@ -49,7 +49,6 @@ type t = {
   sn_sched_state : (string * int) list;
   sn_pool_faults : (string * int) list;
   sn_opened : int list;
-  sn_counters : (string * int) list;
   sn_slots : slot_state list;
   sn_bugs : bug_ref list;
 }
@@ -116,7 +115,6 @@ let payload_to_json t =
           ] );
       ("pool_faults", int_obj t.sn_pool_faults);
       ("opened", Json.List (List.map (fun o -> Json.Int o) t.sn_opened));
-      ("counters", int_obj t.sn_counters);
       ("slots", Json.List (List.map slot_to_json t.sn_slots));
       ("bugs", Json.List (List.map bug_to_json t.sn_bugs));
     ]
@@ -215,7 +213,6 @@ let payload_of_json json =
     sn_sched_state = int_pairs "state" sched;
     sn_pool_faults = int_pairs "pool_faults" json;
     sn_opened = List.filter_map Json.to_int (get_list "opened" json);
-    sn_counters = int_pairs "counters" json;
     sn_slots = List.map slot_of_json (get_list "slots" json);
     sn_bugs = List.map bug_of_json (get_list "bugs" json);
   }

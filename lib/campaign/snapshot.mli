@@ -3,7 +3,7 @@
     A snapshot is the durable record of a seed-pool campaign at a round
     barrier: slot counters and remaining budgets, each opened session's
     granted-turn history (the {e event ledger}), the merged-bug dedup
-    keys, scheduler position, pool telemetry counters and the
+    keys, scheduler position, pool fault counts and the
     checkpoint/degradation bookkeeping. Engine state (searcher queues,
     symbolic stores, expression arenas) is deliberately {e not}
     serialised — the engine is deterministic in virtual time, so
@@ -65,7 +65,6 @@ type t = {
   sn_sched_state : (string * int) list; (* Pool_scheduler.t.state *)
   sn_pool_faults : (string * int) list; (* pool fault log, label -> count *)
   sn_opened : int list; (* slot ordinals in session-open order *)
-  sn_counters : (string * int) list; (* pool registry counters *)
   sn_slots : slot_state list;
   sn_bugs : bug_ref list; (* merged-bug keys in harvest order *)
 }

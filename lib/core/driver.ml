@@ -206,20 +206,7 @@ let run_pool ?(config = Session.default_config) ?(scheduler = Pool_scheduler.def
     match runtime with Some rt -> rt | None -> Session.runtime_of_config config
   in
   let pool_registry = pool_rt.Runtime.registry in
-  let tm_rounds = Telemetry.Registry.counter pool_registry "pool.rounds" in
-  let tm_parallel_turns =
-    Telemetry.Registry.counter pool_registry "pool.parallel_turns"
-  in
-  let tm_merge_blocks = Telemetry.Registry.counter pool_registry "pool.merge_blocks" in
-  let tm_merge_bugs = Telemetry.Registry.counter pool_registry "pool.merge_bugs" in
-  let tm_merge_registries =
-    Telemetry.Registry.counter pool_registry "pool.merge_registries"
-  in
-  (* contention diagnostics (width-dependent; excluded from report JSON) *)
-  let tm_steal_count = Telemetry.Registry.counter pool_registry "pool.steal_count" in
-  let tm_pinned_turns = Telemetry.Registry.counter pool_registry "pool.pinned_turns" in
-  let tm_id_refills = Telemetry.Registry.counter pool_registry "smt.id_block_refills" in
-  let pool_faults = Fault.log_create ~registry:pool_registry () in
+  let pool_faults = Fault.log_create () in
   let slots =
     List.mapi (fun i seed -> Seed_slot.create ~ordinal:(i + 1) seed) ordered
   in
@@ -235,6 +222,10 @@ let run_pool ?(config = Session.default_config) ?(scheduler = Pool_scheduler.def
      and [Domain_pool.map]'s join publishes the writes before the
      barrier reads them, so the array needs no lock. *)
   let sessions : (Runtime.t * Session.t) option array = Array.make (nslots + 1) None in
+  (* snapshot-supplied ordinals are untrusted: out of range reads as
+     no session *)
+  let in_range ordinal = ordinal >= 1 && ordinal <= nslots in
+  let session_at ordinal = if in_range ordinal then sessions.(ordinal) else None in
   (* Turn-crash injection draws from a per-slot stream (plan seed +
      ordinal) so a draw's position never depends on which domain ran
      which turn; the snapshot-corruption channel draws once per
@@ -347,7 +338,6 @@ let run_pool ?(config = Session.default_config) ?(scheduler = Pool_scheduler.def
     end
     else begin
       Fault.restore_counts pool_faults sn.Snapshot.sn_pool_faults;
-      Telemetry.Registry.restore_counters pool_registry sn.Snapshot.sn_counters;
       base_spent := sn.Snapshot.sn_spent;
       spent_acc := sn.Snapshot.sn_spent;
       rounds := sn.Snapshot.sn_rounds;
@@ -397,10 +387,9 @@ let run_pool ?(config = Session.default_config) ?(scheduler = Pool_scheduler.def
         Domain_pool.run pool ~jobs:(eff_jobs ())
           ~home:(fun ordinal -> ordinal - 1)
           (fun ordinal ->
-            match by_ordinal.(ordinal) with
-            | Some st when ordinal >= 1 && ordinal <= nslots ->
-              (ordinal, replay_slot slot_arr.(ordinal - 1) st)
-            | _ -> (ordinal, None))
+            match if in_range ordinal then by_ordinal.(ordinal) else None with
+            | Some st -> (ordinal, replay_slot slot_arr.(ordinal - 1) st)
+            | None -> (ordinal, None))
           sn.Snapshot.sn_opened
       in
       List.iter
@@ -435,7 +424,7 @@ let run_pool ?(config = Session.default_config) ?(scheduler = Pool_scheduler.def
          restored above, so later merges count against the same set) *)
       List.iter
         (fun (ordinal, _) ->
-          match sessions.(ordinal) with
+          match session_at ordinal with
           | Some (_, s) ->
             List.iter
               (fun gid -> Hashtbl.replace merged gid ())
@@ -449,7 +438,7 @@ let run_pool ?(config = Session.default_config) ?(scheduler = Pool_scheduler.def
           Hashtbl.replace bug_keys key ();
           bug_refs := (br.Snapshot.br_slot, br.Snapshot.br_gid, br.Snapshot.br_kind) :: !bug_refs;
           let reattached =
-            match sessions.(br.Snapshot.br_slot) with
+            match session_at br.Snapshot.br_slot with
             | Some (_, s) -> (
               match
                 List.find_opt
@@ -489,7 +478,6 @@ let run_pool ?(config = Session.default_config) ?(scheduler = Pool_scheduler.def
         (Coverage.covered_ids (Executor.coverage (Session.session_executor session)))
     in
     merge_blocks := !merge_blocks + fresh;
-    Telemetry.add tm_merge_blocks fresh;
     fresh
   in
   let harvest_bugs (slot : Seed_slot.t) session =
@@ -500,7 +488,6 @@ let run_pool ?(config = Session.default_config) ?(scheduler = Pool_scheduler.def
           Hashtbl.replace bug_keys key ();
           slot.Seed_slot.bugs <- slot.Seed_slot.bugs + 1;
           incr merge_bug_count;
-          Telemetry.incr tm_merge_bugs;
           merged_bugs := (bug, Session.session_bug_phase session bug) :: !merged_bugs;
           bug_refs := (slot.Seed_slot.ordinal, gid, bkind) :: !bug_refs
         end)
@@ -647,14 +634,10 @@ let run_pool ?(config = Session.default_config) ?(scheduler = Pool_scheduler.def
   in
   let on_round n =
     incr rounds;
-    Telemetry.incr tm_rounds;
-    if n >= 2 then begin
-      parallel_turns := !parallel_turns + n;
-      Telemetry.add tm_parallel_turns n
-    end
+    if n >= 2 then parallel_turns := !parallel_turns + n
   in
   let sched =
-    factory ~registry:pool_registry ~time_period:config.concolic.time_period
+    factory ~time_period:config.concolic.time_period
       (List.filter (fun (sl : Seed_slot.t) -> not sl.Seed_slot.retired) slots)
   in
   (match resume with
@@ -726,7 +709,6 @@ let run_pool ?(config = Session.default_config) ?(scheduler = Pool_scheduler.def
           List.map (fun k -> (Fault.label k, Fault.count pool_faults k)) Fault.all;
         sn_opened =
           List.rev_map (fun (sl : Seed_slot.t) -> sl.Seed_slot.ordinal) !opened;
-        sn_counters = Telemetry.Registry.snapshot_counters pool_registry;
         sn_slots = List.map slot_state slots;
         sn_bugs =
           List.rev_map
@@ -781,8 +763,7 @@ let run_pool ?(config = Session.default_config) ?(scheduler = Pool_scheduler.def
         (* fold the session's instruments into the pool registry, in
            ordinal order — the aggregate report covers the campaign *)
         Telemetry.Registry.merge_into ~into:pool_registry rt.Runtime.registry;
-        incr merge_registries;
-        Telemetry.incr tm_merge_registries
+        incr merge_registries
       | None -> ())
     slots;
   let runs =
@@ -796,9 +777,6 @@ let run_pool ?(config = Session.default_config) ?(scheduler = Pool_scheduler.def
   let steal_count = Domain_pool.steals pool - steals0 in
   let pinned_turns = Domain_pool.pinned pool - pinned0 in
   let id_refills = Expr.id_block_refills () - id_refills0 in
-  Telemetry.add tm_steal_count steal_count;
-  Telemetry.add tm_pinned_turns pinned_turns;
-  Telemetry.add tm_id_refills id_refills;
   {
     runs;
     merged_coverage = Hashtbl.length merged;

@@ -61,8 +61,8 @@ type pool_report = {
       (* pool-level faults: turn watchdog kills before a session opened,
          snapshot corruption, resume divergence *)
   pool_registry : Pbse_telemetry.Telemetry.Registry.t;
-      (* campaign-wide instruments: pool counters plus every session
-         registry, merged in ordinal order *)
+      (* campaign-wide spans and histograms: every session registry,
+         merged in ordinal order *)
   pool_steal_count : int;
       (* turns executed by a non-home pool worker. Wall-clock-side
          diagnostic: depends on [jobs] and scheduling luck, so it is

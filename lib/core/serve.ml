@@ -155,10 +155,6 @@ type server = {
   srv_clients : int Atomic.t;
   srv_requests : int Atomic.t;
   srv_errors : int Atomic.t;
-  ctr_clients : Telemetry.counter;
-  ctr_requests : Telemetry.counter;
-  ctr_errors : Telemetry.counter;
-  ctr_rejections : Telemetry.counter;
 }
 
 let save_store srv =
@@ -176,17 +172,14 @@ let save_store srv =
    stay healthy. *)
 let handle srv fd =
   Atomic.incr srv.srv_clients;
-  Telemetry.incr srv.ctr_clients;
   let rd = Transport.reader fd in
   let respond_error ~id code message retry_after =
     Atomic.incr srv.srv_errors;
-    Telemetry.incr srv.ctr_errors;
     write_all fd
       (Protocol.render_frame (Protocol.Error_frame { id; code; message; retry_after }))
   in
   let respond_body ~id body =
     Atomic.incr srv.srv_requests;
-    Telemetry.incr srv.ctr_requests;
     write_all fd
       (Protocol.render_frame (Protocol.Report { id; bytes = String.length body }));
     write_all fd body
@@ -199,7 +192,6 @@ let handle srv fd =
         ~client:(Option.value req.Protocol.rq_client ~default:"")
     with
     | Admission.Reject { retry_after } ->
-      Telemetry.incr srv.ctr_rejections;
       respond_error ~id Protocol.Over_capacity "over capacity" (Some retry_after)
     | Admission.Admit ticket ->
       Fun.protect ~finally:(fun () -> Admission.release ticket) @@ fun () -> (
@@ -287,8 +279,7 @@ let serve ~endpoints ?(jobs = 2) ?store_cap ?store_file ?(max_inflight = 0)
       [] endpoints
     |> List.rev
   in
-  let registry = Telemetry.Registry.create ~enabled:true () in
-  let store = Session_store.create ?cap:store_cap ~registry () in
+  let store = Session_store.create ?cap:store_cap () in
   (match store_file with
    | Some path when Sys.file_exists path ->
      (* a corrupt or unreadable store file degrades to a cold boot *)
@@ -309,10 +300,6 @@ let serve ~endpoints ?(jobs = 2) ?store_cap ?store_file ?(max_inflight = 0)
       srv_clients = Atomic.make 0;
       srv_requests = Atomic.make 0;
       srv_errors = Atomic.make 0;
-      ctr_clients = Telemetry.Registry.counter registry "serve.clients";
-      ctr_requests = Telemetry.Registry.counter registry "serve.requests";
-      ctr_errors = Telemetry.Registry.counter registry "serve.errors";
-      ctr_rejections = Telemetry.Registry.counter registry "serve.rejections";
     }
   in
   (* in-flight handler threads, counted so shutdown can drain them *)

@@ -67,9 +67,7 @@ type t = {
   faults : Fault.log;
   registry : Telemetry.Registry.t;
   tm_slice_steps : Telemetry.histogram;
-  tm_forks : Telemetry.counter;
   tm_fork_cost : Telemetry.histogram;
-  tm_cow_copies : Telemetry.counter;
 }
 
 let max_testcases = 4096
@@ -134,12 +132,10 @@ let create ?(max_live = 8192) ?(solver_budget = 60_000) ?solver_retry_cap
     record_testcases = false;
     testcases = [];
     inj = (if Inject.is_active inject then Some (Inject.create inject) else None);
-    faults = Fault.log_create ~registry ();
+    faults = Fault.log_create ();
     registry;
     tm_slice_steps = Telemetry.Registry.histogram registry "exec.slice_steps";
-    tm_forks = Telemetry.Registry.counter registry "exec.forks";
     tm_fork_cost = Telemetry.Registry.histogram registry "exec.fork_cost";
-    tm_cow_copies = Telemetry.Registry.counter registry "exec.cow_copies";
   }
 
 let cfg t = t.cfg
@@ -427,11 +423,7 @@ let operand st = function
   | Const c -> Expr.const c
   | Reg r -> (State.current_regs st).(r)
 
-let note_cow t copied =
-  if copied then begin
-    t.st.cow_copies <- t.st.cow_copies + 1;
-    Telemetry.incr t.tm_cow_copies
-  end
+let note_cow t copied = if copied then t.st.cow_copies <- t.st.cow_copies + 1
 
 let set_reg t st r v = note_cow t (State.write_reg st r v)
 
@@ -640,7 +632,6 @@ let fork_state t st ~constraint_ ~model ~target =
   (* coverage and trace are recorded when the child actually runs *)
   child.State.entered <- false;
   t.st.forks <- t.st.forks + 1;
-  Telemetry.incr t.tm_forks;
   child
 
 let exec_br t st cond then_b else_b =

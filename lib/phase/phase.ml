@@ -103,11 +103,7 @@ let divide ?registry ?(mode = Bbv_with_coverage) ?(max_k = 20) rng bbvs =
   let registry =
     match registry with Some r -> r | None -> Telemetry.Registry.create ()
   in
-  let tm_divisions = Telemetry.Registry.counter registry "phase.divisions" in
   let tm_bbvs = Telemetry.Registry.histogram registry "phase.bbvs_per_division" in
-  let tm_chosen_k = Telemetry.Registry.gauge registry "phase.chosen_k" in
-  let tm_traps = Telemetry.Registry.gauge registry "phase.trap_count" in
-  Telemetry.incr tm_divisions;
   Telemetry.observe tm_bbvs (List.length bbvs);
   if bbvs = [] then one_phase_division mode
   else
@@ -133,8 +129,6 @@ let divide ?registry ?(mode = Bbv_with_coverage) ?(max_k = 20) rng bbvs =
   match !best with
   | None -> one_phase_division mode
   | Some (k, (clustering, phases, traps)) ->
-    Telemetry.set_gauge tm_chosen_k k;
-    Telemetry.set_gauge tm_traps traps;
     {
       mode;
       k;

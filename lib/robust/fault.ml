@@ -87,8 +87,6 @@ let normalize_exn exn =
     let s = Bytes.to_string b in
     if s = "" then "exception" else s
 
-module Telemetry = Pbse_telemetry.Telemetry
-
 type t = {
   kind : kind;
   detail : string;
@@ -104,26 +102,14 @@ type log = {
   mutable cur : t list; (* newest first *)
   mutable cur_len : int;
   mutable older : t list; (* previous full block, newest first *)
-  (* one registry counter per kind, mirroring the per-log counts into
-     the owning registry's view (docs/telemetry.md) *)
-  tm : Telemetry.counter array;
 }
 
 let max_recent = 256
 
-let log_create ?registry () =
-  let registry =
-    match registry with Some r -> r | None -> Telemetry.Registry.create ()
-  in
-  let tm =
-    Array.of_list
-      (List.map (fun k -> Telemetry.Registry.counter registry ("fault." ^ label k)) all)
-  in
-  { counts = Array.make nkinds 0; cur = []; cur_len = 0; older = []; tm }
+let log_create () = { counts = Array.make nkinds 0; cur = []; cur_len = 0; older = [] }
 
 let record log ?(detail = "") ~vtime kind =
   log.counts.(rank kind) <- log.counts.(rank kind) + 1;
-  Telemetry.incr log.tm.(rank kind);
   log.cur <- { kind; detail; vtime } :: log.cur;
   log.cur_len <- log.cur_len + 1;
   if log.cur_len >= max_recent then begin
@@ -156,8 +142,7 @@ let summary log =
 
 let restore_counts log pairs =
   (* campaign resume: reinstate per-kind counts from a snapshot. The
-     recent-entry ring is not restored (counts are the durable record);
-     mirrored registry counters are restored separately by the caller. *)
+     recent-entry ring is not restored (counts are the durable record). *)
   List.iter
     (fun (lbl, c) ->
       match List.find_opt (fun k -> label k = lbl) all with

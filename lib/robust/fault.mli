@@ -40,9 +40,7 @@ type t = {
 
 type log
 
-val log_create : ?registry:Pbse_telemetry.Telemetry.Registry.t -> unit -> log
-(** [registry] owns the per-kind fault counters (default: a fresh
-    private registry, disabled). *)
+val log_create : unit -> log
 
 val record : log -> ?detail:string -> vtime:int -> kind -> unit
 
@@ -60,5 +58,4 @@ val summary : log -> string
 val restore_counts : log -> (string * int) list -> unit
 (** Reinstate per-kind counts from [(label, count)] pairs recorded in a
     campaign snapshot. Unknown labels are ignored; the recent-entry ring
-    is left empty (counts are the durable record) and mirrored registry
-    counters are the caller's responsibility. *)
+    is left empty (counts are the durable record). *)

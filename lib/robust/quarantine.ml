@@ -1,27 +1,18 @@
-module Telemetry = Pbse_telemetry.Telemetry
-
 type t = {
   limit : int;
   strikes : (int, int) Hashtbl.t; (* per-state *)
   sites : (int, int) Hashtbl.t; (* fork site -> evictions *)
   mutable total : int;
   mutable evictions : int;
-  tm_strikes : Telemetry.counter;
-  tm_evictions : Telemetry.counter;
 }
 
-let create ?registry ~max_strikes () =
-  let registry =
-    match registry with Some r -> r | None -> Telemetry.Registry.create ()
-  in
+let create ~max_strikes () =
   {
     limit = max 1 max_strikes;
     strikes = Hashtbl.create 64;
     sites = Hashtbl.create 64;
     total = 0;
     evictions = 0;
-    tm_strikes = Telemetry.Registry.counter registry "quarantine.strikes";
-    tm_evictions = Telemetry.Registry.counter registry "quarantine.evictions";
   }
 
 let site_evictions t site =
@@ -38,12 +29,10 @@ let effective_limit t ~site =
 let strike t ?(site = -1) id =
   let s = (match Hashtbl.find_opt t.strikes id with Some s -> s | None -> 0) + 1 in
   t.total <- t.total + 1;
-  Telemetry.incr t.tm_strikes;
   if s >= effective_limit t ~site then begin
     Hashtbl.remove t.strikes id;
     t.evictions <- t.evictions + 1;
     if site >= 0 then Hashtbl.replace t.sites site (site_evictions t site + 1);
-    Telemetry.incr t.tm_evictions;
     true
   end
   else begin

@@ -14,10 +14,8 @@
 
 type t
 
-val create : ?registry:Pbse_telemetry.Telemetry.Registry.t -> max_strikes:int -> unit -> t
-(** [max_strikes] is clamped to at least 1. [registry] owns the
-    strike/eviction counters (default: a fresh private registry,
-    disabled). *)
+val create : max_strikes:int -> unit -> t
+(** [max_strikes] is clamped to at least 1. *)
 
 val strike : t -> ?site:int -> int -> bool
 (** [strike t ~site id] charges one strike; [true] means the state has

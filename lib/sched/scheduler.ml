@@ -1,5 +1,3 @@
-module Telemetry = Pbse_telemetry.Telemetry
-
 type turn = {
   queue : Phase_queue.t;
   budget : int;
@@ -24,41 +22,12 @@ type t = {
 
 let stats_create () = { turns = 0; rotations = 0; evictions = 0; failovers = 0 }
 
-(* Policy telemetry lives in the registry the factory was given, so
-   concurrent sessions (one per domain) never share instrument state. *)
-type instruments = {
-  i_turns : Telemetry.counter;
-  i_rotations : Telemetry.counter;
-  i_evictions : Telemetry.counter;
-  i_failovers : Telemetry.counter;
-}
+let note_turn st = st.turns <- st.turns + 1
+let note_rotation st = st.rotations <- st.rotations + 1
 
-let instruments ?registry () =
-  let registry =
-    match registry with Some r -> r | None -> Telemetry.Registry.create ()
-  in
-  {
-    i_turns = Telemetry.Registry.counter registry "sched.turns";
-    i_rotations = Telemetry.Registry.counter registry "sched.rotations";
-    i_evictions = Telemetry.Registry.counter registry "sched.evictions";
-    i_failovers = Telemetry.Registry.counter registry "sched.failovers";
-  }
-
-let note_turn ins st =
-  st.turns <- st.turns + 1;
-  Telemetry.incr ins.i_turns
-
-let note_rotation ins st =
-  st.rotations <- st.rotations + 1;
-  Telemetry.incr ins.i_rotations
-
-let note_eviction ins st ~failed =
+let note_eviction st ~failed =
   st.evictions <- st.evictions + 1;
-  Telemetry.incr ins.i_evictions;
-  if failed then begin
-    st.failovers <- st.failovers + 1;
-    Telemetry.incr ins.i_failovers
-  end
+  if failed then st.failovers <- st.failovers + 1
 
 (* Remove one queue (matched by ordinal) from the array, preserving order. *)
 let array_remove queues (q : Phase_queue.t) =
@@ -77,8 +46,7 @@ let array_remove queues (q : Phase_queue.t) =
    order; every full rotation grows the per-turn budget by one
    [time_period]. On eviction the next queue shifts into the vacated
    slot, so the cursor stays put. *)
-let round_robin ?registry ~time_period queue_list =
-  let ins = instruments ?registry () in
+let round_robin ~time_period queue_list =
   let queues = ref (Array.of_list queue_list) in
   let pos = ref 0 in
   let rotation = ref 1 in
@@ -87,7 +55,7 @@ let round_robin ?registry ~time_period queue_list =
     if !pos >= Array.length !queues then begin
       pos := 0;
       incr rotation;
-      note_rotation ins stats
+      note_rotation stats
     end
   in
   {
@@ -96,7 +64,7 @@ let round_robin ?registry ~time_period queue_list =
       (fun () ->
         if Array.length !queues = 0 then None
         else begin
-          note_turn ins stats;
+          note_turn stats;
           Some { queue = !queues.(!pos); budget = !rotation * time_period }
         end);
     credit =
@@ -105,7 +73,7 @@ let round_robin ?registry ~time_period queue_list =
         wrap ());
     evict =
       (fun q ~failed ->
-        note_eviction ins stats ~failed;
+        note_eviction stats ~failed;
         array_remove queues q;
         wrap ());
     drained = (fun () -> Array.length !queues = 0);
@@ -115,8 +83,7 @@ let round_robin ?registry ~time_period queue_list =
 
 (* Ablation policy: drain the head queue to exhaustion before moving on;
    the budget grows only as whole phases retire. *)
-let sequential ?registry ~time_period queue_list =
-  let ins = instruments ?registry () in
+let sequential ~time_period queue_list =
   let queues = ref (Array.of_list queue_list) in
   let rotation = ref 0 in
   let stats = stats_create () in
@@ -126,16 +93,16 @@ let sequential ?registry ~time_period queue_list =
       (fun () ->
         if Array.length !queues = 0 then None
         else begin
-          note_turn ins stats;
+          note_turn stats;
           Some { queue = !queues.(0); budget = (!rotation + 1) * time_period }
         end);
     credit = (fun _q -> ());
     evict =
       (fun q ~failed ->
-        note_eviction ins stats ~failed;
+        note_eviction stats ~failed;
         array_remove queues q;
         incr rotation;
-        note_rotation ins stats);
+        note_rotation stats);
     drained = (fun () -> Array.length !queues = 0);
     remaining = (fun () -> Array.to_list !queues);
     stats;

@@ -41,7 +41,6 @@ type t = {
 }
 
 val round_robin :
-  ?registry:Pbse_telemetry.Telemetry.Registry.t ->
   time_period:int ->
   Phase_queue.t list ->
   t
@@ -49,7 +48,6 @@ val round_robin :
     [time_period] per full rotation. *)
 
 val sequential :
-  ?registry:Pbse_telemetry.Telemetry.Registry.t ->
   time_period:int ->
   Phase_queue.t list ->
   t
@@ -60,10 +58,4 @@ val names : string list
 
 val by_name :
   string ->
-  (?registry:Pbse_telemetry.Telemetry.Registry.t ->
-  time_period:int ->
-  Phase_queue.t list ->
-  t)
-  option
-(** Factories accept the registry that owns their [sched.*] counters
-    (default: a fresh private registry, disabled). *)
+  (time_period:int -> Phase_queue.t list -> t) option

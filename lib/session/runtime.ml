@@ -22,7 +22,7 @@ let create ?registry ?(rng_seed = 1) ?(inject = Inject.none) ?(max_strikes = 4)
     registry;
     rng = Rng.create rng_seed;
     inject;
-    quarantine = Quarantine.create ~registry ~max_strikes ();
+    quarantine = Quarantine.create ~max_strikes ();
     arena = Expr.arena ();
     prefix_cap;
   }
@@ -51,7 +51,7 @@ let derive ?registry ?rng_seed ?prefix_cap t =
     registry;
     rng;
     inject = t.inject;
-    quarantine = Quarantine.create ~registry ~max_strikes:(Quarantine.max_strikes t.quarantine) ();
+    quarantine = Quarantine.create ~max_strikes:(Quarantine.max_strikes t.quarantine) ();
     arena = Expr.arena ();
     prefix_cap;
   }

@@ -34,8 +34,8 @@ val create :
   unit ->
   t
 (** Defaults: a fresh private registry (disabled), RNG seed 1, no fault
-    injection, a fresh quarantine with [max_strikes] (default 4) whose
-    counters live in [registry], a fresh expression arena, and the
+    injection, a fresh quarantine with [max_strikes] (default 4), a
+    fresh expression arena, and the
     solver's default prefix-cap. *)
 
 val with_active : t -> (unit -> 'a) -> 'a

@@ -325,7 +325,7 @@ let make_scheduler config =
   | Some make -> make
   | None -> invalid_arg ("Session: unknown scheduler " ^ config.search.scheduler)
 
-let map_seed_states config ~interval_length ?share ?shared_hits ~trace division bbvs
+let map_seed_states config ~interval_length ?share ~trace division bbvs
     (seed_states : Concolic.seed_state list) =
   (* phase id for each seedState via its fork interval *)
   let phase_of = Phase.phase_of_interval division bbvs in
@@ -368,7 +368,6 @@ let map_seed_states config ~interval_length ?share ?shared_hits ~trace division 
             let key = seedstate_prefix_key trace ss in
             if Hashtbl.mem sh.sh_seedstates key then begin
               sh.sh_hits <- sh.sh_hits + 1;
-              (match shared_hits with Some c -> Telemetry.incr c | None -> ());
               false
             end
             else begin
@@ -524,7 +523,6 @@ let open_session ?(config = default_config) ?runtime ?share prog ~seed ~deadline
   let registry = rt.Runtime.registry in
   let tm_concolic = Telemetry.Registry.span registry "driver.concolic" in
   let tm_phase_analysis = Telemetry.Registry.span registry "driver.phase_analysis" in
-  let shared_hits = Telemetry.Registry.counter registry "session.seedstate_shared_hits" in
   let clock = Vclock.create () in
   let exec =
     Executor.create ~max_live:config.search.max_live ~solver_budget:config.solver.budget
@@ -580,7 +578,7 @@ let open_session ?(config = default_config) ?runtime ?share prog ~seed ~deadline
      or deciding them. *)
   let share = if config.search.share_seed_states then share else None in
   let seed_states =
-    map_seed_states config ~interval_length ?share ~shared_hits
+    map_seed_states config ~interval_length ?share
       ~trace:concolic.Concolic.trace division concolic.Concolic.bbvs
       concolic.Concolic.seed_states
   in
@@ -604,7 +602,7 @@ let open_session ?(config = default_config) ?runtime ?share prog ~seed ~deadline
       | None -> ())
     seed_states;
   let sched =
-    scheduler_factory ~registry ~time_period:config.concolic.time_period
+    scheduler_factory ~time_period:config.concolic.time_period
       (List.filter (fun q -> Phase_queue.size q > 0) queue_list)
   in
   Executor.set_live_counter exec (fun () ->

@@ -242,8 +242,9 @@ val open_session :
     [runtime_of_config config]. [share], consulted only when
     [config.search.share_seed_states] is on, drops seedStates whose
     path-prefix key another session already published (counted in the
-    [session.seedstate_shared_hits] registry counter) and imports the
-    share's solver prefix hints before the concolic step. *)
+    share's hit total, which pool reports render as
+    [pool_shared_seedstates]) and imports the share's solver prefix
+    hints before the concolic step. *)
 
 val step_session : t -> deadline:int -> unit
 (** Phase-scheduled symbolic execution until [deadline] on the

@@ -1,4 +1,3 @@
-module Telemetry = Pbse_telemetry.Telemetry
 module Json = Pbse_telemetry.Json
 module Checked_file = Pbse_telemetry.Checked_file
 
@@ -22,18 +21,11 @@ type t = {
   mutable misses : int;
   mutable evictions : int;
   mutable reloads : int; (* residues reloaded from a store file *)
-  ctr_hits : Telemetry.counter;
-  ctr_misses : Telemetry.counter;
-  ctr_evictions : Telemetry.counter;
-  ctr_reloads : Telemetry.counter;
 }
 
 let default_cap = 64
 
-let create ?(cap = default_cap) ?registry () =
-  let registry =
-    match registry with Some r -> r | None -> Telemetry.Registry.create ()
-  in
+let create ?(cap = default_cap) () =
   {
     mutex = Mutex.create ();
     residues = Hashtbl.create 16;
@@ -43,10 +35,6 @@ let create ?(cap = default_cap) ?registry () =
     misses = 0;
     evictions = 0;
     reloads = 0;
-    ctr_hits = Telemetry.Registry.counter registry "session.store_hits";
-    ctr_misses = Telemetry.Registry.counter registry "session.store_misses";
-    ctr_evictions = Telemetry.Registry.counter registry "session.store_evictions";
-    ctr_reloads = Telemetry.Registry.counter registry "session.store_reloads";
   }
 
 (* O(n) victim scans — the store caps at tens of residues, not
@@ -65,8 +53,7 @@ let enforce_cap t =
     | None -> ()
     | Some (fp, _) ->
       Hashtbl.remove t.residues fp;
-      t.evictions <- t.evictions + 1;
-      Telemetry.incr t.ctr_evictions
+      t.evictions <- t.evictions + 1
   done
 
 let find_residue t ~fingerprint =
@@ -76,11 +63,9 @@ let find_residue t ~fingerprint =
         t.tick <- t.tick + 1;
         r.r_last <- t.tick;
         t.hits <- t.hits + 1;
-        Telemetry.incr t.ctr_hits;
         Some r.r_body
       | None ->
         t.misses <- t.misses + 1;
-        Telemetry.incr t.ctr_misses;
         None)
 
 let put_residue_locked t fingerprint body =
@@ -145,8 +130,7 @@ let load t ~path =
         List.iter
           (fun (fp, body) ->
             put_residue_locked t fp body;
-            t.reloads <- t.reloads + 1;
-            Telemetry.incr t.ctr_reloads)
+            t.reloads <- t.reloads + 1)
           entries);
     Ok (List.length entries)
 

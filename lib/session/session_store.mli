@@ -4,19 +4,15 @@
     server restart as a checksummed [pbse-store/1] document, so a deploy
     does not flush the cache.
 
-    Telemetry: hit/miss/evict/reload totals are exposed directly and
-    mirrored into the [session.store_hits] / [session.store_misses] /
-    [session.store_evictions] / [session.store_reloads] counters of the
-    registry given at {!create}. All operations are mutex-guarded; one
-    store may be shared by concurrent server clients. *)
+    Hit/miss/evict/reload totals are exposed directly. All operations
+    are mutex-guarded; one store may be shared by concurrent server
+    clients. *)
 
 type t
 
-val create : ?cap:int -> ?registry:Pbse_telemetry.Telemetry.Registry.t -> unit -> t
+val create : ?cap:int -> unit -> t
 (** [cap] (default 64, clamped to at least 1) bounds the number of
-    residues; the least-recently-used one beyond it is evicted.
-    [registry] (default the process-global one) receives the
-    [session.store_*] counters. *)
+    residues; the least-recently-used one beyond it is evicted. *)
 
 val find_residue : t -> fingerprint:string -> string option
 (** Recall a rendered residue (counts a hit or miss, touches LRU
@@ -35,8 +31,7 @@ val save : t -> path:string -> unit
 
 val load : t -> path:string -> (int, string) result
 (** Reload residues saved by {!save} into the store, returning how many
-    were loaded (each also counts into [reloads] and
-    [session.store_reloads]). A missing, corrupt or checksum-mismatched
+    were loaded (each also counts into [reloads]). A missing, corrupt or checksum-mismatched
     file, or one whose payload has no [entries] list, is an [Error] and
     leaves the store unchanged. *)
 

@@ -105,6 +105,6 @@ val id_block_refills : unit -> int
 (** Process-wide count of id-block refills since startup: how many times
     any domain exhausted its private id range and claimed a fresh block
     from the shared cursor. One refill per [8192] interned nodes per
-    domain — a hot-path contention diagnostic (reported as
-    [smt.id_block_refills]). Monotonic; diff two readings to scope a
+    domain — a hot-path contention diagnostic (reported as the pool
+    report's [pool_id_refills]). Monotonic; diff two readings to scope a
     campaign. *)

@@ -36,9 +36,6 @@ type t = {
      boolean load *)
   tm_query_work : Telemetry.histogram;
   tm_retry_budget : Telemetry.histogram;
-  tm_unknown : Telemetry.counter;
-  tm_prefix_hits : Telemetry.counter;
-  tm_prefix_evictions : Telemetry.counter;
 }
 
 exception Out_of_budget = Search_core.Out_of_budget
@@ -77,9 +74,6 @@ let create ?(budget = 60_000) ?retry_cap ?prefix_cap ?registry () =
     prefixes = Prefix_ctx.create ?cap:prefix_cap ();
     tm_query_work = Telemetry.Registry.histogram registry "solver.query_work";
     tm_retry_budget = Telemetry.Registry.histogram registry "solver.retry_budget";
-    tm_unknown = Telemetry.Registry.counter registry "solver.unknown";
-    tm_prefix_hits = Telemetry.Registry.counter registry "solver.prefix_hits";
-    tm_prefix_evictions = Telemetry.Registry.counter registry "smt.prefix_evictions";
   }
 
 let stats t = t.st
@@ -182,9 +176,7 @@ let with_meter t ?retry_key body =
   (match result with
    | Sat _ -> t.st.sat <- t.st.sat + 1
    | Unsat -> t.st.unsat <- t.st.unsat + 1
-   | Unknown ->
-     t.st.unknown <- t.st.unknown + 1;
-     Telemetry.incr t.tm_unknown);
+   | Unknown -> t.st.unknown <- t.st.unknown + 1);
   Telemetry.observe t.tm_query_work meter.Search_core.spent;
   (match result with
    | Unknown -> (
@@ -237,16 +229,9 @@ let check_assuming t ?(hint = Model.empty) ?on_unsat_core ~path extra =
              its component, not the whole path *)
           let o = Prefix_ctx.find_or_build t.prefixes ~reads:(reads_of t) path in
           let entry = o.Prefix_ctx.ctx in
-          if o.Prefix_ctx.reused then begin
-            t.st.prefix_hits <- t.st.prefix_hits + 1;
-            Telemetry.incr t.tm_prefix_hits
-          end;
+          if o.Prefix_ctx.reused then t.st.prefix_hits <- t.st.prefix_hits + 1;
           t.st.prefix_builds <- t.st.prefix_builds + o.Prefix_ctx.built;
-          let ev = Prefix_ctx.evictions t.prefixes in
-          if ev > t.st.prefix_evictions then begin
-            Telemetry.add t.tm_prefix_evictions (ev - t.st.prefix_evictions);
-            t.st.prefix_evictions <- ev
-          end;
+          t.st.prefix_evictions <- Prefix_ctx.evictions t.prefixes;
           (* charged after the contexts are cached: if the charge
              exhausts the budget, the retry hits instead of rebuilding *)
           Search_core.spend meter o.Prefix_ctx.cost;

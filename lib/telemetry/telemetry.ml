@@ -2,9 +2,6 @@
    mutation is one boolean load regardless of which registry owns the
    instrument. *)
 
-type counter = { c_name : string; c_en : bool; mutable c_value : int }
-type gauge = { g_name : string; g_en : bool; mutable g_value : int }
-
 (* Bucket 0 holds v <= 0; bucket i >= 1 holds [2^(i-1), 2^i - 1]. OCaml
    ints are 63-bit, so max_int = 2^62 - 1 needs 62 value bits: 63 buckets
    (0..62) cover the whole nonnegative range with no clamping slack
@@ -70,8 +67,6 @@ let histogram_snapshot h =
 module Registry = struct
   type t = {
     en : bool;
-    counters : (string, counter) Hashtbl.t;
-    gauges : (string, gauge) Hashtbl.t;
     histograms : (string, histogram) Hashtbl.t;
     spans : (string, span) Hashtbl.t;
   }
@@ -79,8 +74,6 @@ module Registry = struct
   let create ?(enabled = false) () =
     {
       en = enabled;
-      counters = Hashtbl.create 64;
-      gauges = Hashtbl.create 16;
       histograms = Hashtbl.create 16;
       spans = Hashtbl.create 16;
     }
@@ -95,12 +88,6 @@ module Registry = struct
       Hashtbl.replace table name v;
       v
 
-  let counter t name =
-    intern t.counters name (fun c_name -> { c_name; c_en = t.en; c_value = 0 })
-
-  let gauge t name =
-    intern t.gauges name (fun g_name -> { g_name; g_en = t.en; g_value = 0 })
-
   let histogram t name =
     intern t.histograms name (fun h_name ->
         { h_name; h_en = t.en; h_buckets = Array.make nbuckets 0; h_count = 0;
@@ -109,24 +96,14 @@ module Registry = struct
   let span t name =
     intern t.spans name (fun s_name -> { s_name; s_en = t.en; s_count = 0; s_total = 0 })
 
-  (* Merge laws (docs/parallelism.md): counters and spans add, gauges
-     keep the max, histograms add bucket-wise with min/max hulls. Every
-     law is commutative and associative with the zero instrument as
-     identity, so merging per-session registries in any grouping yields
-     the same totals — the pool merges in seed-ordinal order purely for
-     reproducibility of intermediate states. Merging bypasses the
-     enabled gate: it is bookkeeping, not hot-path instrumentation. *)
+  (* Merge laws (docs/parallelism.md): spans add, histograms add
+     bucket-wise with min/max hulls. Every law is commutative and
+     associative with the zero instrument as identity, so merging
+     per-session registries in any grouping yields the same totals — the
+     pool merges in seed-ordinal order purely for reproducibility of
+     intermediate states. Merging bypasses the enabled gate: it is
+     bookkeeping, not hot-path instrumentation. *)
   let merge_into ~into src =
-    Hashtbl.iter
-      (fun name (c : counter) ->
-        let dst = counter into name in
-        dst.c_value <- dst.c_value + c.c_value)
-      src.counters;
-    Hashtbl.iter
-      (fun name (g : gauge) ->
-        let dst = gauge into name in
-        dst.g_value <- max dst.g_value g.g_value)
-      src.gauges;
     Hashtbl.iter
       (fun name (h : histogram) ->
         let dst = histogram into name in
@@ -155,22 +132,6 @@ module Registry = struct
 
   let sorted_values table = Hashtbl.fold (fun _ v acc -> v :: acc) table []
 
-  let snapshot_counters t =
-    sorted_values t.counters
-    |> List.map (fun c -> (c.c_name, c.c_value))
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-  let restore_counters t pairs =
-    (* campaign resume: reinstate values captured by snapshot_counters,
-       creating missing counters; like merge_into this ignores the
-       enabled gate — the snapshot is authoritative *)
-    List.iter (fun (name, v) -> (counter t name).c_value <- v) pairs
-
-  let snapshot_gauges t =
-    sorted_values t.gauges
-    |> List.map (fun g -> (g.g_name, g.g_value))
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
   let snapshot_spans t =
     sorted_values t.spans
     |> List.map (fun s -> (s.s_name, s.s_count, s.s_total))
@@ -184,13 +145,6 @@ module Registry = struct
 end
 
 (* --- mutation (gated) ----------------------------------------------------- *)
-
-let incr c = if c.c_en then c.c_value <- c.c_value + 1
-let add c n = if c.c_en then c.c_value <- c.c_value + n
-let counter_value c = c.c_value
-
-let set_gauge g v = if g.g_en then g.g_value <- v
-let gauge_value g = g.g_value
 
 let observe h v =
   if h.h_en then begin

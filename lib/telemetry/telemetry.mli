@@ -1,11 +1,13 @@
 (** Zero-dependency metrics substrate.
 
-    Registries of named instruments: monotonic counters, gauges, latency
-    histograms with fixed log-scale buckets, and span timers. A
-    {!Registry.t} is a first-class value — every context-threaded layer
-    (docs/parallelism.md) owns a private registry, so parallel campaign
-    turns never share instrument state; {!Registry.merge_into} folds
-    per-session registries into an aggregate under commutative,
+    Registries of named instruments: latency histograms with fixed
+    log-scale buckets, and span timers. These are the only registry
+    outputs reports render ([span.*] metrics and [histograms]); every
+    count a report carries is read from its layer's own stats record.
+    A {!Registry.t} is a first-class value — every context-threaded
+    layer (docs/parallelism.md) owns a private registry, so parallel
+    campaign turns never share instrument state; {!Registry.merge_into}
+    folds per-session registries into an aggregate under commutative,
     associative merge laws. Instruments are created once (per name, per
     registry) and mutated on hot paths; every mutation is gated on the
     owning registry's enabled flag, so the zero-telemetry path costs one
@@ -22,8 +24,6 @@
 
 (** {1 Instruments} *)
 
-type counter
-type gauge
 type histogram
 type span
 
@@ -48,28 +48,15 @@ module Registry : sig
 
   val enabled : t -> bool
 
-  val counter : t -> string -> counter
-  (** Registers (or returns the existing) counter under [name]. *)
-
-  val gauge : t -> string -> gauge
   val histogram : t -> string -> histogram
+  (** Registers (or returns the existing) histogram under [name]. *)
+
   val span : t -> string -> span
 
   val merge_into : into:t -> t -> unit
-  (** Fold [src] into [into], creating missing instruments: counters and
-      spans add, gauges keep the max, histograms add bucket-wise with
-      min/max hulls. Commutative and associative; ignores the enabled
-      gates. *)
-
-  val snapshot_counters : t -> (string * int) list
-  (** Every registered counter, sorted by name (zeros included). *)
-
-  val restore_counters : t -> (string * int) list -> unit
-  (** Reinstate values captured by {!snapshot_counters} (campaign
-      resume), creating missing counters. Like {!merge_into} this
-      bypasses the enabled gate: the snapshot is authoritative. *)
-
-  val snapshot_gauges : t -> (string * int) list
+  (** Fold [src] into [into], creating missing instruments: spans add,
+      histograms add bucket-wise with min/max hulls. Commutative and
+      associative; ignores the enabled gates. *)
 
   val snapshot_spans : t -> (string * int * int) list
   (** (name, count, total elapsed), sorted by name. *)
@@ -81,12 +68,6 @@ end
 (** {1 Mutation}
 
     Gated on the owning registry's enabled flag. *)
-
-val incr : counter -> unit
-val add : counter -> int -> unit
-val counter_value : counter -> int
-val set_gauge : gauge -> int -> unit
-val gauge_value : gauge -> int
 
 (** {2 Histograms}
 

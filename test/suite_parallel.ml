@@ -196,18 +196,6 @@ let test_prefix_lru_evicts () =
   Alcotest.(check bool) "contexts were built" true (st.Solver.prefix_builds >= 48);
   Alcotest.(check bool) "evictions counted" true (st.Solver.prefix_evictions > 0)
 
-let test_prefix_lru_eviction_metric () =
-  let registry = Telemetry.Registry.create ~enabled:true () in
-  let s = Solver.create ~prefix_cap:16 ~registry () in
-  for k = 0 to 63 do
-    let path = [ Expr.bin T.Eq (Expr.read 0) (Expr.of_int k) ] in
-    ignore (Solver.check_assuming s ~path (hard_extra k))
-  done;
-  let evictions = (Solver.stats s).Solver.prefix_evictions in
-  Alcotest.(check bool) "stats count evictions" true (evictions > 0);
-  Alcotest.(check int) "smt.prefix_evictions mirrors stats" evictions
-    (Telemetry.counter_value (Telemetry.Registry.counter registry "smt.prefix_evictions"))
-
 (* --- per-phase report histograms -------------------------------------------- *)
 
 let test_run_report_has_phase_dwell_histograms () =
@@ -364,8 +352,6 @@ let suite =
       test_pool_counters_jobs_independent;
     Alcotest.test_case "prefix LRU evicts at the cap" `Quick
       test_prefix_lru_evicts;
-    Alcotest.test_case "prefix eviction metric mirrors stats" `Quick
-      test_prefix_lru_eviction_metric;
     Alcotest.test_case "run report has per-phase dwell histograms" `Quick
       test_run_report_has_phase_dwell_histograms;
     Alcotest.test_case "expression arenas are isolated" `Quick

@@ -9,7 +9,6 @@
 module Driver = Pbse.Driver
 module Serve = Pbse.Serve
 module Session_store = Pbse_session.Session_store
-module Telemetry = Pbse_telemetry.Telemetry
 module Report = Pbse_telemetry.Report
 module Json = Pbse_telemetry.Json
 module Checked_file = Pbse_telemetry.Checked_file
@@ -247,8 +246,7 @@ let test_admission_inflight_cap () =
 (* --- store-file persistence -------------------------------------------------- *)
 
 let test_store_residue_persistence () =
-  let registry () = Telemetry.Registry.create ~enabled:true () in
-  let store = Session_store.create ~registry:(registry ()) () in
+  let store = Session_store.create () in
   Session_store.put_residue store ~fingerprint:"fp-1" "body one";
   Session_store.put_residue store ~fingerprint:"fp-2" "body two";
   Alcotest.(check bool) "residue recalled" true
@@ -256,7 +254,7 @@ let test_store_residue_persistence () =
   let path = Filename.temp_file "pbse-test" ".store" in
   Session_store.save store ~path;
   (* a fresh store (a restarted server) reloads both entries *)
-  let reborn = Session_store.create ~registry:(registry ()) () in
+  let reborn = Session_store.create () in
   (match Session_store.load reborn ~path with
    | Ok n -> Alcotest.(check int) "two entries reloaded" 2 n
    | Error e -> Alcotest.failf "load failed: %s" e);
@@ -270,7 +268,7 @@ let test_store_residue_persistence () =
   let oc = open_out path in
   output_string oc "{\"schema\": \"pbse-store/1\", \"checksum\": \"fnv1a64:0000000000000000\", \"payload\": {\"entries\": []}}";
   close_out oc;
-  let third = Session_store.create ~registry:(registry ()) () in
+  let third = Session_store.create () in
   (match Session_store.load third ~path with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "checksum mismatch accepted");
@@ -292,7 +290,7 @@ let test_store_residue_persistence () =
     ];
   Sys.remove path;
   (* residue cap evicts LRU *)
-  let small = Session_store.create ~cap:2 ~registry:(registry ()) () in
+  let small = Session_store.create ~cap:2 () in
   Session_store.put_residue small ~fingerprint:"a" "A";
   Session_store.put_residue small ~fingerprint:"b" "B";
   ignore (Session_store.find_residue small ~fingerprint:"a");

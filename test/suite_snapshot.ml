@@ -11,6 +11,8 @@ module Pool_scheduler = Pbse_campaign.Pool_scheduler
 module Fault = Pbse_robust.Fault
 module Inject = Pbse_robust.Inject
 module Report = Pbse_telemetry.Report
+module Json = Pbse_telemetry.Json
+module Checked_file = Pbse_telemetry.Checked_file
 
 let mini_program = Suite_core.mini_program
 let pool_seeds = Suite_campaign.pool_seeds
@@ -34,7 +36,6 @@ let sample_snapshot () =
     sn_sched_state = [ ("pos", 2) ];
     sn_pool_faults = [ ("turn-timeout", 1); ("snapshot-corrupt", 0) ];
     sn_opened = [ 1; 3 ];
-    sn_counters = [ ("pool.rounds", 3); ("campaign.turns", 9) ];
     sn_slots =
       [
         {
@@ -102,7 +103,25 @@ let test_snapshot_roundtrip_bytes () =
     Alcotest.(check bool) "crash event survives" true
       (List.exists
          (function Snapshot.Crash "injected-crash" -> true | _ -> false)
-         s1.Snapshot.sl_events)
+         s1.Snapshot.sl_events);
+    (* an older writer also stored a "counters" member after "opened";
+       the reader ignores it, so such checkpoints still load *)
+    let legacy =
+      match Checked_file.parse ~schema:Snapshot.schema doc with
+      | Ok (Json.Obj members) ->
+        Checked_file.render ~schema:Snapshot.schema
+          (Json.Obj
+             (List.concat_map
+                (fun ((k, _) as m) ->
+                  if k = "opened" then
+                    [ m; ("counters", Json.Obj [ ("pool.rounds", Json.Int 3) ]) ]
+                  else [ m ])
+                members))
+      | _ -> Alcotest.fail "snapshot payload is not an object"
+    in
+    (match Snapshot.of_string legacy with
+     | Ok old -> Alcotest.(check bool) "counters-era payload loads" true (old = sn)
+     | Error e -> Alcotest.fail (Snapshot.error_message e))
 
 let test_snapshot_checksum_catches_corruption () =
   let doc = Snapshot.to_string (sample_snapshot ()) in
@@ -365,19 +384,45 @@ let test_resume_pool_shape_mismatch_degrades () =
     Driver.run_pool ~scheduler:"round-robin" ~checkpoint:ck (mini_program ())
       ~seeds:(pool_seeds ()) ~deadline:150_000
   in
-  match Driver.load_snapshot ~path with
-  | Error e -> Alcotest.fail e
-  | Ok (sn, _) -> (
-    match
-      Driver.resume_pool sn (mini_program ())
-        ~seeds:[ Bytes.of_string "XX" ] (* not the checkpointed pool *)
-    with
+  let sn =
+    match Driver.load_snapshot ~path with
+    | Error e -> Alcotest.fail e
+    | Ok (sn, _) -> sn
+  in
+  let resume_degrades what ~seeds sn =
+    match Driver.resume_pool sn (mini_program ()) ~seeds with
     | Error e -> Alcotest.fail e
     | Ok pool ->
-      Alcotest.(check bool) "mismatch recorded" true
+      Alcotest.(check bool) (what ^ ": mismatch recorded") true
         (Fault.count pool.Driver.pool_faults Fault.Resume_mismatch > 0);
-      Alcotest.(check int) "campaign ran fresh over the new pool" 1
-        (List.length pool.Driver.seed_rows))
+      pool
+  in
+  let pool = resume_degrades "pool shape" ~seeds:[ Bytes.of_string "XX" ] sn in
+  Alcotest.(check int) "campaign ran fresh over the new pool" 1
+    (List.length pool.Driver.seed_rows);
+  (* slot numbers are untrusted input: a well-formed, correctly
+     checksummed snapshot naming a slot outside the pool degrades the
+     same way instead of indexing out of bounds *)
+  let rewritten sn =
+    Snapshot.save ~path sn;
+    match Driver.load_snapshot ~path with
+    | Ok (sn, None) -> sn
+    | Ok (_, Some why) -> Alcotest.fail ("unexpected fallback: " ^ why)
+    | Error e -> Alcotest.fail e
+  in
+  let seeds = pool_seeds () in
+  ignore
+    (resume_degrades "opened slot 99" ~seeds
+       (rewritten { sn with Snapshot.sn_opened = sn.Snapshot.sn_opened @ [ 99 ] }));
+  ignore
+    (resume_degrades "bug in slot 99" ~seeds
+       (rewritten
+          {
+            sn with
+            Snapshot.sn_bugs =
+              sn.Snapshot.sn_bugs
+              @ [ { Snapshot.br_slot = 99; br_gid = 1; br_kind = "div-by-zero" } ];
+          }))
 
 let test_injected_snapshot_corruption_is_detected () =
   (* snapshot=1.0 corrupts every checkpoint write on disk; loading must

@@ -69,35 +69,33 @@ let test_histogram_snapshot () =
 
 let test_disabled_is_inert () =
   let r = Telemetry.Registry.create () in
-  let c = Telemetry.Registry.counter r "test.gated" in
-  let g = Telemetry.Registry.gauge r "test.gated_gauge" in
   let h = Telemetry.Registry.histogram r "test.gated_hist" in
   let s = Telemetry.Registry.span r "test.gated_span" in
-  Telemetry.incr c;
-  Telemetry.add c 41;
-  Telemetry.set_gauge g 7;
   Telemetry.observe h 99;
   let v = Telemetry.with_span s ~now:(fun () -> 123) (fun () -> "ok") in
   Alcotest.(check string) "with_span passes result through" "ok" v;
-  Alcotest.(check int) "counter untouched" 0 (Telemetry.counter_value c);
-  Alcotest.(check int) "gauge untouched" 0 (Telemetry.gauge_value g);
   Alcotest.(check int) "histogram untouched" 0
     (Telemetry.histogram_snapshot h).Telemetry.hs_count;
   Alcotest.(check int) "span untouched" 0 (Telemetry.span_count s)
 
 let test_enabled_records () =
   let r = Telemetry.Registry.create ~enabled:true () in
-  let c = Telemetry.Registry.counter r "test.live" in
-  Telemetry.incr c;
-  Telemetry.add c 41;
-  Alcotest.(check int) "counter" 42 (Telemetry.counter_value c);
+  let h = Telemetry.Registry.histogram r "test.live" in
+  let s = Telemetry.Registry.span r "test.live" in
+  Telemetry.observe h 1;
+  Telemetry.observe h 41;
+  Telemetry.with_span s ~now:(fun () -> 0) ignore;
+  let hist r = Telemetry.histogram_snapshot (Telemetry.Registry.histogram r "test.live") in
+  Alcotest.(check int) "histogram sum" 42 (hist r).Telemetry.hs_sum;
   (* same name returns the same instrument *)
-  Alcotest.(check int) "interned by name" 42
-    (Telemetry.counter_value (Telemetry.Registry.counter r "test.live"));
+  Alcotest.(check int) "histogram interned by name" 2 (hist r).Telemetry.hs_count;
+  Alcotest.(check int) "span interned by name" 1
+    (Telemetry.span_count (Telemetry.Registry.span r "test.live"));
   (* registries share nothing: a fresh one starts from zero *)
   let fresh = Telemetry.Registry.create ~enabled:true () in
-  Alcotest.(check int) "fresh registry starts at zero" 0
-    (Telemetry.counter_value (Telemetry.Registry.counter fresh "test.live"))
+  Alcotest.(check int) "fresh histogram starts at zero" 0 (hist fresh).Telemetry.hs_count;
+  Alcotest.(check int) "fresh span starts at zero" 0
+    (Telemetry.span_count (Telemetry.Registry.span fresh "test.live"))
 
 let test_span_fake_clock () =
   let r = Telemetry.Registry.create ~enabled:true () in
@@ -266,10 +264,8 @@ let test_driver_report_has_core_metrics () =
 
 (* Build a registry with one instrument of each kind, loaded with the
    given values. Enabled while loading so the gated mutators record. *)
-let loaded ~c ~g ~h ~sp =
+let loaded ~h ~sp =
   let r = Telemetry.Registry.create ~enabled:true () in
-  Telemetry.add (Telemetry.Registry.counter r "c") c;
-  Telemetry.set_gauge (Telemetry.Registry.gauge r "g") g;
   List.iter (Telemetry.observe (Telemetry.Registry.histogram r "h")) h;
   let span = Telemetry.Registry.span r "s" in
   let t = ref 0 in
@@ -277,9 +273,7 @@ let loaded ~c ~g ~h ~sp =
   r
 
 let merge_snapshot r =
-  ( Telemetry.Registry.snapshot_counters r,
-    Telemetry.Registry.snapshot_gauges r,
-    Telemetry.Registry.snapshot_spans r,
+  ( Telemetry.Registry.snapshot_spans r,
     List.map
       (fun h ->
         Telemetry.
@@ -287,17 +281,11 @@ let merge_snapshot r =
       (Telemetry.Registry.snapshot_histograms r) )
 
 let test_merge_laws () =
-  let a () = loaded ~c:3 ~g:7 ~h:[ 1; 100 ] ~sp:5 in
-  let b () = loaded ~c:4 ~g:2 ~h:[ 50 ] ~sp:9 in
+  let a () = loaded ~h:[ 1; 100 ] ~sp:5 in
+  let b () = loaded ~h:[ 50 ] ~sp:9 in
   let into = Telemetry.Registry.create ~enabled:true () in
   Telemetry.Registry.merge_into ~into (a ());
   Telemetry.Registry.merge_into ~into (b ());
-  Alcotest.(check (list (pair string int)))
-    "counters add" [ ("c", 7) ]
-    (Telemetry.Registry.snapshot_counters into);
-  Alcotest.(check (list (pair string int)))
-    "gauges keep the max" [ ("g", 7) ]
-    (Telemetry.Registry.snapshot_gauges into);
   (match Telemetry.Registry.snapshot_spans into with
    | [ ("s", count, total) ] ->
      Alcotest.(check int) "span counts add" 2 count;
@@ -313,20 +301,20 @@ let test_merge_laws () =
 
 let test_merge_commutes () =
   let ab = Telemetry.Registry.create () in
-  Telemetry.Registry.merge_into ~into:ab (loaded ~c:3 ~g:7 ~h:[ 1; 100 ] ~sp:5);
-  Telemetry.Registry.merge_into ~into:ab (loaded ~c:4 ~g:2 ~h:[ 50 ] ~sp:9);
+  Telemetry.Registry.merge_into ~into:ab (loaded ~h:[ 1; 100 ] ~sp:5);
+  Telemetry.Registry.merge_into ~into:ab (loaded ~h:[ 50 ] ~sp:9);
   let ba = Telemetry.Registry.create () in
-  Telemetry.Registry.merge_into ~into:ba (loaded ~c:4 ~g:2 ~h:[ 50 ] ~sp:9);
-  Telemetry.Registry.merge_into ~into:ba (loaded ~c:3 ~g:7 ~h:[ 1; 100 ] ~sp:5);
+  Telemetry.Registry.merge_into ~into:ba (loaded ~h:[ 50 ] ~sp:9);
+  Telemetry.Registry.merge_into ~into:ba (loaded ~h:[ 1; 100 ] ~sp:5);
   Alcotest.(check bool) "merge is commutative" true
     (merge_snapshot ab = merge_snapshot ba)
 
 let test_merge_associates () =
   let parts () =
     [
-      loaded ~c:1 ~g:9 ~h:[ 4 ] ~sp:2;
-      loaded ~c:2 ~g:3 ~h:[ 8; 8 ] ~sp:4;
-      loaded ~c:5 ~g:6 ~h:[] ~sp:0;
+      loaded ~h:[ 4 ] ~sp:2;
+      loaded ~h:[ 8; 8 ] ~sp:4;
+      loaded ~h:[] ~sp:0;
     ]
   in
   (* ((a+b)+c) vs (a+(b+c)): merge the middle pair first *)
@@ -345,12 +333,14 @@ let test_merge_associates () =
 let test_merge_ignores_enabled_gate () =
   (* a disabled aggregate must still absorb worker values: merges happen
      at barriers, after the gated hot paths *)
-  let src = loaded ~c:6 ~g:1 ~h:[ 2 ] ~sp:3 in
+  let src = loaded ~h:[ 2 ] ~sp:3 in
   let into = Telemetry.Registry.create () in
   Telemetry.Registry.merge_into ~into src;
-  Alcotest.(check (list (pair string int)))
-    "disabled registries still merge" [ ("c", 6) ]
-    (Telemetry.Registry.snapshot_counters into)
+  Alcotest.(check bool) "disabled registries still merge" true
+    (merge_snapshot into = merge_snapshot src);
+  Alcotest.(check (list (triple string int int)))
+    "span merged" [ ("s", 1, 3) ]
+    (Telemetry.Registry.snapshot_spans into)
 
 let suite =
   [
