@@ -693,11 +693,79 @@ let bechamel () =
 
 (* --- Per-layer kernels ----------------------------------------------------------- *)
 
+(* The solver's search alone: wall time and minor-heap words per
+   [Search_core.solve_group] on one fixed group of 16 sparse input bytes,
+   shaped like a parser's path condition: a little-endian u32 length
+   equality, a loop bound (a u16 count and eight entry bytes below their
+   limits) and two magic bytes. Every hint byte is 0xFF, so the hint
+   misses every constraint and the probe falls through to the search. *)
+let search_core_kernel () =
+  let open Bechamel in
+  let module Expr = Pbse_smt.Expr in
+  let module Model = Pbse_smt.Model in
+  let module Search_core = Pbse_smt.Search_core in
+  let module T = Pbse_ir.Types in
+  let bytes =
+    [| 4; 9; 17; 30; 44; 61; 80; 101; 125; 151; 180; 211; 245; 282; 321; 363 |]
+  in
+  let const v = Expr.const (Int64.of_int v) in
+  (* little-endian field over [idx], lowest byte first *)
+  let field idx =
+    let acc = ref (Expr.read idx.(0)) in
+    for k = 1 to Array.length idx - 1 do
+      acc := Expr.bin T.Or !acc (Expr.bin T.Shl (Expr.read idx.(k)) (const (8 * k)))
+    done;
+    !acc
+  in
+  let below i limit = Expr.bin T.Ult (Expr.read i) (const limit) in
+  let constraints =
+    [
+      Expr.bin T.Eq (field (Array.sub bytes 0 4)) (const 0x0412);
+      Expr.bin T.Ult (field (Array.sub bytes 4 2)) (const 40);
+    ]
+    @ List.map (fun i -> below i 32) (Array.to_list (Array.sub bytes 6 8))
+    @ [
+        Expr.bin T.Eq (Expr.read bytes.(14)) (const 0x89);
+        Expr.bin T.Eq (Expr.read bytes.(15)) (const 0x50);
+      ]
+  in
+  let group = Search_core.build_group ~reads:Expr.reads constraints in
+  let hint = Array.fold_left (fun m i -> Model.set m i 0xFF) Model.empty bytes in
+  let focus = [ bytes.(14); bytes.(15) ] in
+  let solve () =
+    Search_core.solve_group ~on_node:ignore
+      (Search_core.meter ~limit:max_int)
+      ~hint ~focus
+      ~bounds:(fun _ -> None)
+      group
+  in
+  (match solve () with
+   | Search_core.Gsat _ -> ()
+   | Search_core.Gunsat | Search_core.Gunknown ->
+     failwith "search-core kernel: the group must be sat");
+  let test = Test.make ~name:"search-core" (Staged.stage (fun () -> ignore (solve ()))) in
+  let estimate = function Some e -> Printf.sprintf "%.0f" e | None -> "-" in
+  Printf.printf "\n  %-10s %5s %14s %18s\n%!" "kernel" "vars" "ns/solve"
+    "minor words/solve";
+  match
+    per_run ~limit:500 ~quota:0.5
+      Toolkit.Instance.[ monotonic_clock; minor_allocated ]
+      test
+  with
+  | [ ns; words ] ->
+    Printf.printf "  %-10s %5d %14s %18s\n%!" "search"
+      (Array.length (Search_core.group_vars group))
+      (estimate ns) (estimate words)
+  | _ -> assert false
+
 (* Phase division alone, timed per target on the BBVs of its smallest
    seed's one-hour concolic pass: wall time and minor-heap words per
-   [Phase.divide] (k-means for every k in 1..20). *)
+   [Phase.divide] (k-means for every k in 1..20); then the solver's
+   search on a fixed group ([search_core_kernel]). *)
 let kernels () =
-  heading "Per-layer kernels: Phase.divide on each target's smallest seed";
+  heading
+    "Per-layer kernels: Phase.divide on each target's smallest seed, \
+     Search_core.solve_group";
   let open Bechamel in
   Printf.printf "  %-10s %5s %14s %18s\n%!" "target" "bbvs" "ns/division"
     "minor words/div";
@@ -722,7 +790,8 @@ let kernels () =
         Printf.printf "  %-10s %5d %14s %18s\n%!" t.Registry.name (List.length bbvs)
           (estimate ns) (estimate words)
       | _ -> assert false)
-    Registry.all
+    Registry.all;
+  search_core_kernel ()
 
 (* --- Pool campaigns ---------------------------------------------------------------- *)
 

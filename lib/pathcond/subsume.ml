@@ -13,14 +13,17 @@ let bucket_cap = 24
 
 let create () = { buckets = Hashtbl.create 256 }
 
+let same_ids (a : int array) b =
+  Array.length a = Array.length b && Array.for_all2 Int.equal a b
+
 let record t ~block exprs =
   let ids =
-    List.sort_uniq compare (List.map (fun e -> e.Expr.id) exprs) |> Array.of_list
+    List.sort_uniq Int.compare (List.map (fun e -> e.Expr.id) exprs) |> Array.of_list
   in
   if Array.length ids > 0 then begin
     let sg = Pathcond.signature_of_ids (Array.to_list ids) in
     let cores = Option.value ~default:[] (Hashtbl.find_opt t.buckets block) in
-    let dup = List.exists (fun c -> c.sg = sg && c.ids = ids) cores in
+    let dup = List.exists (fun c -> c.sg = sg && same_ids c.ids ids) cores in
     if not dup then begin
       let cores = { ids; sg } :: cores in
       let cores = List.filteri (fun i _ -> i < bucket_cap) cores in

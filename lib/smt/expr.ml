@@ -165,10 +165,11 @@ let make node =
     match node with
     | Const _ -> (-1, 1)
     | Read i -> (i, 1)
-    | Bin (_, a, b) -> (max a.max_read b.max_read, 1 + a.nodes + b.nodes)
+    | Bin (_, a, b) -> (Int.max a.max_read b.max_read, 1 + a.nodes + b.nodes)
     | Un (_, a) -> (a.max_read, 1 + a.nodes)
     | Ite (c, t, e) ->
-      (max c.max_read (max t.max_read e.max_read), 1 + c.nodes + t.nodes + e.nodes)
+      ( Int.max c.max_read (Int.max t.max_read e.max_read),
+        1 + c.nodes + t.nodes + e.nodes )
   in
   let table = (Domain.DLS.get dls_arena).table in
   match Table.find_opt table node with

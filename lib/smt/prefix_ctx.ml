@@ -70,7 +70,7 @@ let create ?(cap = default_cap) () =
     entries = 0;
     tick = 0;
     evictions = 0;
-    cap = max 16 cap;
+    cap = Int.max 16 cap;
     root = make_root ();
     fps = Hashtbl.create 1024;
     hints = Hashtbl.create 64;
@@ -95,11 +95,11 @@ let size t = t.entries
 let evict_lru t =
   let all = Hashtbl.fold (fun _ es acc -> List.rev_append es acc) t.table [] in
   let ages = List.sort Int.compare (List.map (fun e -> e.last_use) all) in
-  let drop_target = max 1 (t.entries / 4) in
+  let drop_target = Int.max 1 (t.entries / 4) in
   (* evict everything at or below the drop-target age; ties share a tick
      (entries built by one extension walk), so the batch can exceed the
      quarter — the condition is per-entry, independent of table order *)
-  let threshold = List.nth ages (min (drop_target - 1) (List.length ages - 1)) in
+  let threshold = List.nth ages (Int.min (drop_target - 1) (List.length ages - 1)) in
   let dropped = ref 0 in
   let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.table [] in
   List.iter
@@ -192,7 +192,7 @@ let extend ~reads cost path (c : Expr.t) parent =
     let model =
       match parent.model with
       | Some m ->
-        cost := !cost + min c.Expr.nodes 64;
+        cost := !cost + Int.min c.Expr.nodes 64;
         if Model.satisfies m [ c ] then Some m else None
       | None -> None
     in

@@ -64,8 +64,9 @@ type group = {
 
 (* Position of input index [v] in the sorted [vars], or -1: a binary
    search, cheap at the solver's group sizes (at most 48 variables). A
-   top-level loop, so a lookup allocates no closure. *)
-let rec search_sorted vars v lo hi =
+   top-level loop, so a lookup allocates no closure; typed [int], so its
+   comparisons compile inline instead of calling the polymorphic compare. *)
+let rec search_sorted (vars : int array) (v : int) lo hi =
   if lo >= hi then -1
   else
     let mid = (lo + hi) lsr 1 in
@@ -75,6 +76,8 @@ let rec search_sorted vars v lo hi =
     else search_sorted vars v lo mid
 
 let sorted_position vars v = search_sorted vars v 0 (Array.length vars)
+
+let rec mem_int (v : int) = function [] -> false | x :: rest -> x = v || mem_int v rest
 
 let build_group ~reads exprs =
   let constraints = Array.of_list exprs in
@@ -116,15 +119,16 @@ let probe_neighborhood meter ~hint group focus =
   let satisfied lookup =
     Array.for_all
       (fun (c : Expr.t) ->
-        spend meter (min c.Expr.nodes 64);
+        spend meter (Int.min c.Expr.nodes 64);
         Semantics.truthy (Expr.eval lookup c))
       group.constraints
   in
+  (* [overrides] holds at most one (input index, value) pair *)
   let try_model overrides =
-    let lookup i =
-      match List.assoc_opt i overrides with
-      | Some v -> v land 0xFF
-      | None -> Model.get hint i
+    let lookup (i : int) =
+      match overrides with
+      | [ (j, v) ] when j = i -> v land 0xFF
+      | _ -> Model.get hint i
     in
     if satisfied lookup then
       Some (Array.to_list (Array.map (fun v -> (v, lookup v)) group.vars))
@@ -255,11 +259,9 @@ let solve_group_search ~on_node meter ~hint ~bounds group =
   let rec assign depth =
     if depth = nvars then begin
       (* all variables assigned: every constraint must hold exactly *)
-      let ok =
-        Array.for_all (fun ci -> exact_check ci)
-          (Array.init (Array.length group.constraints) (fun i -> i))
-      in
-      if ok then begin
+      let n = Array.length group.constraints in
+      let rec all_exact ci = ci >= n || (exact_check ci && all_exact (ci + 1)) in
+      if all_exact 0 then begin
         finished :=
           Some
             (Array.to_list
@@ -302,7 +304,7 @@ let solve_group_search ~on_node meter ~hint ~bounds group =
         | [] ->
           let rec scan v =
             if v > d.dhi then false
-            else if (not (List.mem v near)) && try_value v then true
+            else if (not (mem_int v near)) && try_value v then true
             else scan (v + 1)
           in
           scan d.dlo

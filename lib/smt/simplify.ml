@@ -26,7 +26,7 @@ let partition_constants exprs =
    caller. *)
 let group_constraints ~reads exprs =
   let parent = Hashtbl.create 64 in
-  let rec find v =
+  let rec find (v : int) =
     match Hashtbl.find_opt parent v with
     | None -> v
     | Some p ->

@@ -42,7 +42,7 @@ exception Out_of_budget = Search_core.Out_of_budget
 
 let create ?(budget = 60_000) ?retry_cap ?prefix_cap ?registry () =
   let retry_cap =
-    match retry_cap with Some c -> max budget c | None -> 8 * budget
+    match retry_cap with Some c -> Int.max budget c | None -> 8 * budget
   in
   let registry =
     match registry with Some r -> r | None -> Telemetry.Registry.create ()
@@ -164,7 +164,7 @@ let with_meter t ?retry_key body =
         | None -> t.budget
         | Some prev ->
           t.st.retries <- t.st.retries + 1;
-          let escalated = min t.retry_cap (2 * prev) in
+          let escalated = Int.min t.retry_cap (2 * prev) in
           if escalated > prev then begin
             t.st.escalations <- t.st.escalations + 1;
             Telemetry.observe t.tm_retry_budget escalated
@@ -241,7 +241,7 @@ let check_assuming t ?(hint = Model.empty) ?on_unsat_core ~path extra =
             match Prefix_ctx.model entry with
             | Some m ->
               List.iter
-                (fun (e : Expr.t) -> Search_core.spend meter (min e.Expr.nodes 64))
+                (fun (e : Expr.t) -> Search_core.spend meter (Int.min e.Expr.nodes 64))
                 extra;
               if Model.satisfies m extra then Some m else None
             | None -> None

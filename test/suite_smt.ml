@@ -470,6 +470,126 @@ let prop_search_core_matches_brute_force =
       | Search_core.Gunsat -> models = []
       | Search_core.Gunknown -> false)
 
+(* --- Search_core on sparse, wide groups ----------------------------------- *)
+
+(* Little-endian field over input bytes [idx], lowest byte first. *)
+let le_field = function
+  | [] -> invalid_arg "le_field"
+  | first :: rest ->
+    fst
+      (List.fold_left
+         (fun (acc, shift) i ->
+           ( Expr.bin T.Or acc
+               (Expr.bin T.Shl (Expr.read i) (Expr.const (Int64.of_int shift))),
+             shift + 8 ))
+         (Expr.read first, 8) rest)
+
+(* A planted model over 3-48 distinct input indices spread over
+   0..4095 (both ends always drawn), constraints the planted bytes
+   satisfy, a random hint and an index no constraint reads. *)
+type planted = {
+  indices : int array; (* sorted *)
+  constraints : Expr.t list;
+  hint : Model.t;
+  focus : int list;
+  outside : int;
+}
+
+let gen_planted st =
+  let draw bound = Random.State.int st bound in
+  let n = 3 + draw 46 in
+  let chosen = Hashtbl.create 64 in
+  List.iter (fun i -> Hashtbl.replace chosen i ()) [ 0; 4095 ];
+  while Hashtbl.length chosen < n do
+    Hashtbl.replace chosen (1 + draw 4094) ()
+  done;
+  let indices =
+    Hashtbl.fold (fun i () acc -> i :: acc) chosen []
+    |> List.sort Int.compare |> Array.of_list
+  in
+  let planted = Array.init n (fun _ -> draw 256) in
+  let read p = Expr.read indices.(p) in
+  let eq e v = Expr.bin T.Eq e (Expr.const (Int64.of_int v)) in
+  (* one constraint per position, so every index is in the group; a
+     position is in at most one sum, which keeps the search free of
+     exponential backtracking over chains of sums *)
+  let in_sum = Array.make n false in
+  let constrain p =
+    match draw 4 with
+    | 0 -> eq (read p) planted.(p)
+    | 1 when not in_sum.(p) ->
+      let q = (p + 1 + draw (n - 1)) mod n in
+      if in_sum.(q) then eq (read p) planted.(p)
+      else begin
+        in_sum.(p) <- true;
+        in_sum.(q) <- true;
+        eq (Expr.bin T.Add (read p) (read q)) (planted.(p) + planted.(q))
+      end
+    | 1 -> eq (read p) planted.(p)
+    | 2 when planted.(p) < 255 ->
+      let bound = planted.(p) + 1 + draw (255 - planted.(p)) in
+      Expr.bin T.Ult (read p) (Expr.const (Int64.of_int bound))
+    | 2 -> eq (read p) planted.(p)
+    | _ ->
+      let width = if n >= 4 && draw 2 = 0 then 4 else 2 in
+      let ps = List.init width (fun k -> (p + k) mod n) in
+      let value =
+        List.fold_left
+          (fun (v, shift) q -> (v lor (planted.(q) lsl shift), shift + 8))
+          (0, 0) ps
+        |> fst
+      in
+      eq (le_field (List.map (fun q -> indices.(q)) ps)) value
+  in
+  let constraints = List.init n constrain in
+  let rec pick_outside () =
+    let i = draw 4096 in
+    if Hashtbl.mem chosen i then pick_outside () else i
+  in
+  let outside = pick_outside () in
+  let hint =
+    Array.fold_left (fun m i -> Model.set m i (draw 256)) Model.empty indices
+  in
+  let hint = Model.set hint outside (1 + draw 255) in
+  let focus = List.init (draw 4) (fun _ -> indices.(draw n)) in
+  { indices; constraints; hint; focus; outside }
+
+let print_planted c =
+  Printf.sprintf "indices [%s]\nconstraints:\n%s\nhint [%s]\nfocus [%s]\noutside %d"
+    (String.concat "; " (Array.to_list (Array.map string_of_int c.indices)))
+    (String.concat "\n" (List.map Expr.to_string c.constraints))
+    (String.concat "; "
+       (List.map (fun (i, v) -> Printf.sprintf "%d=%d" i v) (Model.bindings c.hint)))
+    (String.concat "; " (List.map string_of_int c.focus))
+    c.outside
+
+(* The binary byte-position search on groups wider than 2 with
+   non-adjacent indices: a planted model exists, so the search must find
+   a model that binds every group byte once and satisfies every
+   constraint, and must leave bytes outside the group to the hint. *)
+let prop_search_core_sparse_wide_groups =
+  QCheck.Test.make ~count:200 ~name:"search core solves planted sparse wide groups"
+    (QCheck.make ~print:print_planted gen_planted)
+    (fun c ->
+      let group = Search_core.build_group ~reads:Expr.reads c.constraints in
+      (* far above what these groups need: a blown budget is a failure *)
+      let meter = Search_core.meter ~limit:5_000_000 in
+      match
+        Search_core.solve_group ~on_node:ignore meter ~hint:c.hint ~focus:c.focus
+          ~bounds:(fun _ -> None) group
+      with
+      | Search_core.Gsat bindings ->
+        let model = List.fold_left (fun m (i, v) -> Model.set m i v) c.hint bindings in
+        let vars = Array.to_list (Search_core.group_vars group) in
+        vars = Array.to_list c.indices
+        && List.sort Int.compare (List.map fst bindings) = vars
+        && List.for_all
+             (fun e -> Semantics.truthy (Expr.eval (Model.get model) e))
+             c.constraints
+        && Model.get model c.outside = Model.get c.hint c.outside
+      | Search_core.Gunsat | Search_core.Gunknown -> false
+      | exception Search_core.Out_of_budget -> false)
+
 (* --- deterministic unit tests --------------------------------------------- *)
 
 let check_simpl name expected e =
@@ -716,4 +836,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_eval_matches_memo_oracle;
     QCheck_alcotest.to_alcotest prop_interval_eval_matches_memo_oracle;
     QCheck_alcotest.to_alcotest prop_search_core_matches_brute_force;
+    QCheck_alcotest.to_alcotest prop_search_core_sparse_wide_groups;
   ]
