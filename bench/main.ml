@@ -760,15 +760,17 @@ let search_core_kernel () =
 
 (* Phase division alone, timed per target on the BBVs of its smallest
    seed's one-hour concolic pass: wall time and minor-heap words per
-   [Phase.divide] (k-means for every k in 1..20); then the solver's
+   [Phase.divide] (k-means for every k in 1..20), beside the two
+   reductions its kernel relies on (block ids that occur against
+   1 + the largest, distinct BBVs against all); then the solver's
    search on a fixed group ([search_core_kernel]). *)
 let kernels () =
   heading
     "Per-layer kernels: Phase.divide on each target's smallest seed, \
      Search_core.solve_group";
   let open Bechamel in
-  Printf.printf "  %-10s %5s %14s %18s\n%!" "target" "bbvs" "ns/division"
-    "minor words/div";
+  Printf.printf "  %-10s %5s %14s %18s %11s %11s\n%!" "target" "bbvs" "ns/division"
+    "minor words/div" "dims" "distinct";
   List.iter
     (fun (t : Registry.t) ->
       let session =
@@ -787,8 +789,11 @@ let kernels () =
           test
       with
       | [ ns; words ] ->
-        Printf.printf "  %-10s %5d %14s %18s\n%!" t.Registry.name (List.length bbvs)
-          (estimate ns) (estimate words)
+        let shape = Phase.shape bbvs in
+        Printf.printf "  %-10s %5d %14s %18s %11s %11s\n%!" t.Registry.name
+          (List.length bbvs) (estimate ns) (estimate words)
+          (Printf.sprintf "%d/%d" shape.Phase.blocks shape.Phase.block_span)
+          (Printf.sprintf "%d/%d" shape.Phase.distinct shape.Phase.bbvs)
       | _ -> assert false)
     Registry.all;
   search_core_kernel ()

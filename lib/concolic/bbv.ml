@@ -12,12 +12,6 @@ let normalized t =
   else
     Array.map (fun (gid, c) -> (gid, float_of_int c /. float_of_int t.total)) t.counts
 
-let dims bbvs =
-  List.fold_left
-    (fun acc bbv ->
-      Array.fold_left (fun acc (gid, _) -> max acc (gid + 1)) acc bbv.counts)
-    0 bbvs
-
 type builder = {
   interval_length : int;
   counts : (int, int) Hashtbl.t;

@@ -21,10 +21,6 @@ val normalized : t -> (int * float) array
 (** Counts as proportions of the interval total (the paper normalises
     BBVs because only the mix of blocks matters, not the raw rate). *)
 
-val dims : t list -> int
-(** 1 + the largest block id mentioned (the number of dimensions needed
-    to embed these BBVs, before the coverage element). *)
-
 type builder
 
 val builder : interval_length:int -> builder

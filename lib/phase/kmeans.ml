@@ -2,68 +2,160 @@ module Rng = Pbse_util.Rng
 
 type vector = (int * float) array
 
+(* Bitwise identity of sparse vectors: the same dimensions holding the
+   same float bits, so [-0.0] and [+0.0] differ. [mix] folds high bits
+   into low ones, so values with zero low mantissa bits (1.0, 0.5) still
+   spread over the table. *)
+module Distinct = Hashtbl.Make (struct
+  type t = vector
+
+  let equal (a : t) (b : t) =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let rec same j =
+      j = n
+      ||
+      let da, xa = a.(j) and db, xb = b.(j) in
+      da = db && Int64.bits_of_float xa = Int64.bits_of_float xb && same (j + 1)
+    in
+    same 0
+
+  let[@inline] mix h x =
+    let h = (h lxor x) * 0x100000001b3 in
+    h lxor (h lsr 29)
+
+  let hash (v : t) =
+    let h = ref (Array.length v) in
+    for j = 0 to Array.length v - 1 do
+      let d, x = v.(j) in
+      h := mix (mix !h d) (Int64.to_int (Int64.bits_of_float x))
+    done;
+    !h
+end)
+
+type workspace = {
+  dim : int;
+  max_k : int;
+  point_of : int array; (* vector index -> distinct vector *)
+  (* distinct vector p holds entries [offsets.(p), offsets.(p + 1)) *)
+  offsets : int array;
+  indices : int array;
+  values : float array;
+  centroids : float array; (* max_k rows of [dim] floats, row c at c * dim *)
+  counts : int array; (* per cluster: members *)
+  norms : float array; (* per row: |c|^2 for this [assign] *)
+  d2 : float array; (* per distinct vector: k-means++ distance *)
+  nearest : int array; (* per distinct vector: nearest row this pass *)
+  nearest_d : float array;
+  assignment : int array; (* per vector *)
+}
+
+let workspace ~max_k ~dim vectors =
+  if max_k < 1 then invalid_arg "Kmeans.workspace: max_k < 1";
+  if dim < 1 then invalid_arg "Kmeans.workspace: dim < 1";
+  let n = Array.length vectors in
+  if n = 0 then invalid_arg "Kmeans.workspace: no vectors";
+  let table = Distinct.create 64 in
+  let firsts = ref [] in
+  let point_of =
+    Array.map
+      (fun v ->
+        match Distinct.find_opt table v with
+        | Some p -> p
+        | None ->
+          Array.iter
+            (fun (d, _) ->
+              if d < 0 || d >= dim then
+                invalid_arg "Kmeans.workspace: dimension out of range")
+            v;
+          let p = Distinct.length table in
+          Distinct.add table v p;
+          firsts := v :: !firsts;
+          p)
+      vectors
+  in
+  let firsts = List.rev !firsts in
+  let np = List.length firsts in
+  let offsets = Array.make (np + 1) 0 in
+  List.iteri (fun p v -> offsets.(p + 1) <- offsets.(p) + Array.length v) firsts;
+  {
+    dim;
+    max_k;
+    point_of;
+    offsets;
+    indices = Array.concat (List.map (Array.map fst) firsts);
+    values = Array.concat (List.map (Array.map snd) firsts);
+    centroids = Array.make (max_k * dim) 0.0;
+    counts = Array.make max_k 0;
+    norms = Array.make max_k 0.0;
+    d2 = Array.make np 0.0;
+    nearest = Array.make np 0;
+    nearest_d = Array.make np 0.0;
+    assignment = Array.make n 0;
+  }
+
+let distinct ws = Array.length ws.offsets - 1
+
 (* The kernel is two [for] loops over [ref] accumulators, inlined at
    each call, so no float it computes is boxed. It keeps the operation
-   order of the plain fold it replaced, [(acc +. d*.d) -. c*.c] from
-   [|c|^2], exactly: any reassociation can move an assignment, and with
-   it a report byte. *)
+   order of the plain fold over dense centroids it replaced,
+   [(acc +. d*.d) -. c*.c] from [|c|^2], exactly: any reassociation can
+   move an assignment, and with it a report byte. *)
 
-let[@inline] norm2 centroid =
+let[@inline] norm2 centroids base dim =
   let acc = ref 0.0 in
-  for d = 0 to Array.length centroid - 1 do
-    let x = centroid.(d) in
+  for d = base to base + dim - 1 do
+    let x = centroids.(d) in
     acc := !acc +. (x *. x)
   done;
   !acc
 
-let[@inline] distance2_with_norm v centroid c2 =
+let[@inline] distance2_at ws p centroids base c2 =
   (* |v - c|^2 = |c|^2 + sum_over_v ((v_i - c_i)^2 - c_i^2) *)
   let acc = ref c2 in
-  for j = 0 to Array.length v - 1 do
-    let dim, x = v.(j) in
-    let c = centroid.(dim) in
-    let d = x -. c in
+  for j = ws.offsets.(p) to ws.offsets.(p + 1) - 1 do
+    let c = centroids.(base + ws.indices.(j)) in
+    let d = ws.values.(j) -. c in
     acc := !acc +. (d *. d) -. (c *. c)
   done;
   !acc
 
+let distance2 ws p centroid =
+  if Array.length centroid <> ws.dim then invalid_arg "Kmeans.distance2: dimension";
+  distance2_at ws p centroid 0 (norm2 centroid 0 ws.dim)
+
 type clustering = {
   k : int;
   assignment : int array;
-  centroids : float array array;
   inertia : float;
 }
 
 let max_iterations = 25
 
-let cluster rng ~k ~dim vectors =
-  if k < 1 then invalid_arg "Kmeans.cluster: k < 1";
-  if dim < 1 then invalid_arg "Kmeans.cluster: dim < 1";
-  let n = Array.length vectors in
-  if n = 0 then invalid_arg "Kmeans.cluster: no vectors";
-  let dense v =
-    let c = Array.make dim 0.0 in
-    Array.iter (fun (d, x) -> c.(d) <- x) v;
-    c
-  in
-  (* k-means++ seeding; every centroid is a fresh array the clustering
-     owns, so [recompute] may overwrite it in place *)
-  let centroids = Array.make k [||] in
-  let d2 = Array.make n 0.0 in
+let run ws rng ~k =
+  if k < 1 || k > ws.max_k then invalid_arg "Kmeans.run: k outside [1, max_k]";
+  let n = Array.length ws.point_of and np = distinct ws in
+  let dim = ws.dim and point_of = ws.point_of and centroids = ws.centroids in
+  let d2 = ws.d2 in
+  (* k-means++ seeding: row [c] becomes the dense copy of vector [choice] *)
   let draw c choice =
-    let centroid = dense vectors.(choice) in
-    centroids.(c) <- centroid;
-    let c2 = norm2 centroid in
-    for i = 0 to n - 1 do
-      let d = distance2_with_norm vectors.(i) centroid c2 in
-      if c = 0 || d < d2.(i) then d2.(i) <- d
+    let p = point_of.(choice) and base = c * dim in
+    Array.fill centroids base dim 0.0;
+    for j = ws.offsets.(p) to ws.offsets.(p + 1) - 1 do
+      centroids.(base + ws.indices.(j)) <- ws.values.(j)
+    done;
+    let c2 = norm2 centroids base dim in
+    for q = 0 to np - 1 do
+      let d = distance2_at ws q centroids base c2 in
+      if c = 0 || d < d2.(q) then d2.(q) <- d
     done
   in
   draw 0 (Rng.int rng n);
   for c = 1 to k - 1 do
     let total = ref 0.0 in
     for i = 0 to n - 1 do
-      total := !total +. d2.(i)
+      total := !total +. d2.(point_of.(i))
     done;
     let choice =
       if !total <= 0.0 then Rng.int rng n
@@ -72,7 +164,7 @@ let cluster rng ~k ~dim vectors =
         (* the first index whose running sum reaches [r] *)
         let acc = ref 0.0 and chosen = ref (n - 1) and i = ref 0 in
         while !i < n do
-          acc := !acc +. d2.(!i);
+          acc := !acc +. d2.(point_of.(!i));
           if !acc >= r then begin
             chosen := !i;
             i := n
@@ -84,55 +176,61 @@ let cluster rng ~k ~dim vectors =
     in
     draw c choice
   done;
-  let assignment = Array.make n 0 in
-  let norms = Array.make k 0.0 in
+  let assignment = ws.assignment in
+  Array.fill assignment 0 n 0;
+  let norms = ws.norms and nearest = ws.nearest and nearest_d = ws.nearest_d in
   let assign () =
     for c = 0 to k - 1 do
-      norms.(c) <- norm2 centroids.(c)
+      norms.(c) <- norm2 centroids (c * dim) dim
     done;
-    let changed = ref false in
-    let inertia = ref 0.0 in
-    for i = 0 to n - 1 do
-      let v = vectors.(i) in
+    for q = 0 to np - 1 do
       let best = ref 0 and best_d = ref infinity in
       for c = 0 to k - 1 do
-        let d = distance2_with_norm v centroids.(c) norms.(c) in
+        let d = distance2_at ws q centroids (c * dim) norms.(c) in
         if d < !best_d then begin
           best_d := d;
           best := c
         end
       done;
-      if assignment.(i) <> !best then begin
-        assignment.(i) <- !best;
+      nearest.(q) <- !best;
+      nearest_d.(q) <- !best_d
+    done;
+    let changed = ref false and inertia = ref 0.0 in
+    for i = 0 to n - 1 do
+      let q = point_of.(i) in
+      if assignment.(i) <> nearest.(q) then begin
+        assignment.(i) <- nearest.(q);
         changed := true
       end;
-      inertia := !inertia +. !best_d
+      inertia := !inertia +. nearest_d.(q)
     done;
     (!changed, !inertia)
   in
-  let sums = Array.init k (fun _ -> Array.make dim 0.0) in
-  let counts = Array.make k 0 in
+  let counts = ws.counts in
   let recompute () =
-    Array.iter (fun s -> Array.fill s 0 dim 0.0) sums;
     Array.fill counts 0 k 0;
     for i = 0 to n - 1 do
-      let c = assignment.(i) in
-      let v = vectors.(i) and sum = sums.(c) in
-      counts.(c) <- counts.(c) + 1;
-      for j = 0 to Array.length v - 1 do
-        let d, x = v.(j) in
-        sum.(d) <- sum.(d) +. x
+      counts.(assignment.(i)) <- counts.(assignment.(i)) + 1
+    done;
+    (* a cluster with members sums them, in index order, from +0.0, then
+       scales; an empty cluster keeps its previous centroid *)
+    for c = 0 to k - 1 do
+      if counts.(c) > 0 then Array.fill centroids (c * dim) dim 0.0
+    done;
+    for i = 0 to n - 1 do
+      let p = point_of.(i) and base = assignment.(i) * dim in
+      for j = ws.offsets.(p) to ws.offsets.(p + 1) - 1 do
+        let d = base + ws.indices.(j) in
+        centroids.(d) <- centroids.(d) +. ws.values.(j)
       done
     done;
     for c = 0 to k - 1 do
       if counts.(c) > 0 then begin
         let inv = 1.0 /. float_of_int counts.(c) in
-        let sum = sums.(c) and centroid = centroids.(c) in
-        for d = 0 to dim - 1 do
-          centroid.(d) <- sum.(d) *. inv
+        for d = c * dim to (c * dim) + dim - 1 do
+          centroids.(d) <- centroids.(d) *. inv
         done
       end
-      (* empty clusters keep their previous centroid *)
     done
   in
   let rec iterate i _inertia =
@@ -144,4 +242,6 @@ let cluster rng ~k ~dim vectors =
     else inertia'
   in
   let inertia = iterate 0 infinity in
-  { k; assignment; centroids; inertia }
+  { k; assignment = Array.copy assignment; inertia }
+
+let cluster rng ~k ~dim vectors = run (workspace ~max_k:k ~dim vectors) rng ~k

@@ -2,29 +2,44 @@
 
     Deterministic (seeded k-means++ initialisation, Lloyd iterations to a
     fixed point or an iteration cap). Used to group per-interval BBVs
-    into program phases. *)
+    into program phases.
+
+    A {!workspace} holds the vectors once per distinct vector (bitwise:
+    same dimensions, same float bits) in a flat layout, plus every array
+    a clustering writes, sized for the largest k it will be asked for.
+    Identical vectors are at the same distance from every centroid, so
+    each distance is computed once per distinct vector. One workspace
+    serves any number of {!run}s. *)
 
 type vector = (int * float) array
 (** Sparse: (dimension, value), sorted by dimension, no duplicates. *)
 
-val norm2 : float array -> float
-(** Squared norm of a dense centroid, summed in dimension order. O(dim). *)
+type workspace
 
-val distance2_with_norm : vector -> float array -> float -> float
-(** [distance2_with_norm v c (norm2 c)] is the squared Euclidean
-    distance between the sparse vector [v] and the dense centroid [c],
-    in O(nnz(v)): [cluster] computes each centroid's norm once per pass
-    and calls this for every (vector, centroid) pair. *)
+val workspace : max_k:int -> dim:int -> vector array -> workspace
+(** Raises [Invalid_argument] when [max_k < 1], [dim < 1], there are no
+    vectors or a vector has a dimension outside [\[0, dim)]. *)
+
+val distinct : workspace -> int
+(** The number of distinct vectors. *)
+
+val distance2 : workspace -> int -> float array -> float
+(** [distance2 ws p c] is the squared Euclidean distance from distinct
+    vector [p] (numbered in order of first occurrence) to the dense
+    centroid [c] of [dim] floats. It is the kernel {!run} applies to
+    every (distinct vector, centroid) pair: [|c|^2] summed in dimension
+    order, then [(acc +. d*.d) -. c_i*.c_i] over the vector's entries. *)
 
 type clustering = {
   k : int;
   assignment : int array; (* vector index -> cluster in [0, k) *)
-  centroids : float array array;
   inertia : float; (* sum of squared distances to assigned centroids *)
 }
 
-val cluster :
-  Pbse_util.Rng.t -> k:int -> dim:int -> vector array -> clustering
-(** Raises [Invalid_argument] when [k < 1], [dim < 1] or there are no
-    vectors. When there are fewer vectors than [k], surplus clusters stay
-    empty. *)
+val run : workspace -> Pbse_util.Rng.t -> k:int -> clustering
+(** Raises [Invalid_argument] unless [1 <= k <= max_k]. When there are
+    fewer vectors than [k], surplus clusters stay empty. The result owns
+    its assignment: a later [run] does not write through it. *)
+
+val cluster : Pbse_util.Rng.t -> k:int -> dim:int -> vector array -> clustering
+(** [run] on a fresh workspace for [k]. *)

@@ -42,7 +42,25 @@ val divide :
     (pid 0, no trap) instead of raising, so a run whose concolic step
     produced nothing still schedules. [max_k] defaults to 20 (the paper
     tries k in 1..20). [registry] owns the division telemetry
-    (default: a fresh private registry, disabled). *)
+    (default: a fresh private registry, disabled).
+
+    The vectors live in compact coordinates: only the block ids some BBV
+    mentions, renumbered in increasing order. Each distinct vector is
+    stored and measured once, and one {!Kmeans.workspace} serves every
+    k. All of that is exact: the division equals the one over the full
+    [1 + largest id] dimensions, bit for bit. *)
+
+type shape = {
+  blocks : int; (* block ids some BBV mentions: the compact dimensions *)
+  block_span : int; (* 1 + the largest block id: the dimensions before compaction *)
+  distinct : int; (* distinct vectors *)
+  bbvs : int;
+}
+
+val shape : Pbse_concolic.Bbv.t list -> shape
+(** The reductions [divide] relies on in its default mode,
+    [Bbv_with_coverage], for the given BBVs (without the coverage
+    element in [blocks] and [block_span]). *)
 
 val phase_of_interval : division -> Pbse_concolic.Bbv.t list -> int -> int option
 (** [phase_of_interval division bbvs interval] maps an interval index to

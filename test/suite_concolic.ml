@@ -38,12 +38,6 @@ let test_bbv_normalized () =
     Alcotest.(check (float 1e-9)) "proportions sum to 1" 1.0 total
   | _ -> Alcotest.fail "expected one BBV"
 
-let test_bbv_dims () =
-  let b = Bbv.builder ~interval_length:10 in
-  Bbv.record b ~vtime:1 ~gid:41;
-  Bbv.flush b ~coverage_at:(fun () -> 0) ~vtime:2;
-  Alcotest.(check int) "dims is max gid + 1" 42 (Bbv.dims (Bbv.bbvs b))
-
 let test_bbv_rejects_bad_interval () =
   Alcotest.(check bool) "raises" true
     (try
@@ -157,7 +151,6 @@ let suite =
   [
     Alcotest.test_case "bbv builder intervals" `Quick test_bbv_builder_intervals;
     Alcotest.test_case "bbv normalized" `Quick test_bbv_normalized;
-    Alcotest.test_case "bbv dims" `Quick test_bbv_dims;
     Alcotest.test_case "bbv rejects bad interval" `Quick test_bbv_rejects_bad_interval;
     Alcotest.test_case "trace indexer order" `Quick test_trace_indexer_first_execution_order;
     Alcotest.test_case "trace csv" `Quick test_trace_csv;

@@ -202,8 +202,8 @@ let prop_cached_norm_kernel_bit_equal =
           int_range 1 16 >>= fun dim ->
           pair (gen_sparse dim) (array_repeat dim gen_coord)))
     (fun (v, centroid) ->
-      bits (Kmeans.distance2_with_norm v centroid (Kmeans.norm2 centroid))
-      = bits (Oracle_kmeans.distance2 v centroid))
+      let ws = Kmeans.workspace ~max_k:1 ~dim:(Array.length centroid) [| v |] in
+      bits (Kmeans.distance2 ws 0 centroid) = bits (Oracle_kmeans.distance2 v centroid))
 
 let prop_cluster_matches_oracle =
   QCheck.Test.make ~count:300 ~name:"kmeans cluster = reference algorithm bit for bit"
@@ -217,23 +217,58 @@ let prop_cluster_matches_oracle =
       let got = Kmeans.cluster (Rng.create seed) ~k ~dim vectors in
       let want = Oracle_kmeans.cluster (Rng.create seed) ~k ~dim vectors in
       got.Kmeans.assignment = want.Oracle_kmeans.assignment
-      && Array.length got.Kmeans.centroids = Array.length want.Oracle_kmeans.centroids
-      && Array.for_all2
-           (fun g w -> Array.for_all2 (fun x y -> bits x = bits y) g w)
-           got.Kmeans.centroids want.Oracle_kmeans.centroids
       && bits got.Kmeans.inertia = bits want.Oracle_kmeans.inertia)
 
-(* The returned centroids are the caller's: a later clustering does not
-   write through them. *)
-let test_kmeans_centroids_not_aliased () =
+(* Sets in which some vectors are bitwise copies (fresh arrays, equal
+   bits) of others: the distinct-vector table must merge exactly those,
+   never [+0.0] with [-0.0] or an explicit zero with a missing one. Each
+   set is clustered once for [k] on a fresh workspace, and once for every
+   k in 1..k in turn on one shared workspace and one shared generator,
+   as [Phase.divide] does: nothing one run leaves in the workspace may
+   reach the next. *)
+let prop_cluster_with_copies_matches_oracle =
+  QCheck.Test.make ~count:300 ~name:"kmeans cluster with copied vectors = reference"
+    QCheck.(
+      make
+        Gen.(
+          int_range 1 10 >>= fun dim ->
+          quad (int_range 1 8) (int_range 0 100_000) (return dim)
+            (pair
+               (array_size (int_range 1 8) (gen_sparse dim))
+               (array_size (int_range 1 40) (int_bound 1_000)))))
+    (fun (k, seed, dim, (base, picks)) ->
+      let vectors =
+        Array.map (fun j -> Array.copy base.(j mod Array.length base)) picks
+      in
+      let same (got : Kmeans.clustering) (want : Oracle_kmeans.clustering) =
+        got.Kmeans.assignment = want.Oracle_kmeans.assignment
+        && bits got.Kmeans.inertia = bits want.Oracle_kmeans.inertia
+      in
+      let fresh =
+        same
+          (Kmeans.cluster (Rng.create seed) ~k ~dim vectors)
+          (Oracle_kmeans.cluster (Rng.create seed) ~k ~dim vectors)
+      in
+      let ws = Kmeans.workspace ~max_k:k ~dim vectors in
+      let rng = Rng.create seed and oracle_rng = Rng.create seed in
+      fresh
+      && List.for_all
+           (fun k ->
+             let got = Kmeans.run ws rng ~k in
+             same got (Oracle_kmeans.cluster oracle_rng ~k ~dim vectors))
+           (List.init k (fun i -> i + 1)))
+
+(* A clustering owns its assignment: a later run on the same workspace
+   does not write through it. *)
+let test_kmeans_assignment_not_aliased () =
   let vectors = Array.init 12 (fun i -> vec [ (i mod 3, 1.0); (3, float_of_int i) ]) in
-  let c = Kmeans.cluster (Rng.create 5) ~k:3 ~dim:4 vectors in
-  let snapshot = Array.map Array.copy c.Kmeans.centroids in
-  ignore (Kmeans.cluster (Rng.create 6) ~k:3 ~dim:4 vectors);
-  Alcotest.(check bool) "centroids unchanged" true (snapshot = c.Kmeans.centroids);
-  Alcotest.(check bool) "centroids distinct arrays" true
-    (c.Kmeans.centroids.(0) != c.Kmeans.centroids.(1)
-    && c.Kmeans.centroids.(1) != c.Kmeans.centroids.(2))
+  let ws = Kmeans.workspace ~max_k:3 ~dim:4 vectors in
+  let c = Kmeans.run ws (Rng.create 5) ~k:3 in
+  let snapshot = Array.copy c.Kmeans.assignment in
+  ignore (Kmeans.run ws (Rng.create 6) ~k:1);
+  Alcotest.(check (array int)) "assignment unchanged" snapshot c.Kmeans.assignment;
+  Alcotest.(check (array int)) "same run, same answer" snapshot
+    (Kmeans.run ws (Rng.create 5) ~k:3).Kmeans.assignment
 
 (* --- phase division --------------------------------------------------------- *)
 
@@ -392,6 +427,70 @@ let test_render_strip () =
   Alcotest.(check bool) "has uppercase trap letters" true
     (String.exists (fun c -> c >= 'A' && c <= 'Z') strip)
 
+(* Phase division works in compact coordinates: a strictly increasing
+   relabelling of the block ids, spread up to 100k, changes no vector
+   distance, so no k, assignment, trap or strip. *)
+let prop_divide_invariant_under_relabelling =
+  let gen =
+    QCheck.Gen.(
+      let pattern = list_size (int_range 1 6) (pair (int_bound 24) (int_range 1 50)) in
+      quad (int_range 0 10_000)
+        (array_repeat 25 (int_range 1 4_000))
+        (array_size (int_range 1 6) pattern)
+        (list_size (int_range 1 40) (pair (int_bound 100) (int_bound 60))))
+  in
+  QCheck.Test.make ~count:200 ~name:"divide invariant under block relabelling"
+    (QCheck.make gen) (fun (seed, steps, patterns, picks) ->
+      let relabel = Array.make 25 0 in
+      Array.iteri
+        (fun id step ->
+          relabel.(id) <- (if id = 0 then step - 1 else relabel.(id - 1) + step))
+        steps;
+      let bbvs f =
+        List.mapi
+          (fun i (j, coverage) ->
+            let counts =
+              List.sort_uniq (fun (a, _) (b, _) -> Int.compare a b)
+                patterns.(j mod Array.length patterns)
+            in
+            make_bbv i (List.map (fun (id, c) -> (f id, c)) counts) coverage)
+          picks
+      in
+      List.for_all
+        (fun mode ->
+          let a = Phase.divide ~mode (Rng.create seed) (bbvs Fun.id) in
+          let b = Phase.divide ~mode (Rng.create seed) (bbvs (fun id -> relabel.(id))) in
+          a.Phase.k = b.Phase.k
+          && a.Phase.assignment = b.Phase.assignment
+          && a.Phase.trap_count = b.Phase.trap_count
+          && String.equal (Phase.render_strip a) (Phase.render_strip b))
+        [ Phase.Bbv_with_coverage; Phase.Bbv_only ])
+
+(* Block ids up to 10,000 once sized every centroid and sum array to the
+   largest id, straight in the major heap (about 4M words for this
+   division); compact coordinates and one workspace keep it small. *)
+let test_divide_allocation_guard () =
+  let ids r = List.init 8 (fun j -> 10_000 - (r * 1_250) - (j * 97)) in
+  let bbvs =
+    List.init 60 (fun i ->
+        let r = i / 10 mod 4 in
+        let counts = List.map (fun id -> (id, 1 + ((id + i) mod 5))) (ids r) in
+        make_bbv i counts (10 + (i / 3)))
+  in
+  (* the runtime folds a domain's major allocations into its statistics
+     at a minor collection *)
+  let major_words () =
+    Gc.minor ();
+    (Gc.quick_stat ()).Gc.major_words
+  in
+  let before = major_words () in
+  let division = Phase.divide ~max_k:20 (Rng.create 1) bbvs in
+  let words = major_words () -. before in
+  Alcotest.(check int) "one char per bbv" 60
+    (String.length (Phase.render_strip division));
+  Alcotest.(check bool) (Printf.sprintf "%.0f major words < 200k" words) true
+    (words < 200_000.)
+
 (* The paper's Fig. 4 claim: adding the coverage element finds at least as
    many trap phases as plain BBVs on executions whose coverage stalls
    inside loops. *)
@@ -417,10 +516,11 @@ let suite =
     Alcotest.test_case "kmeans separates groups" `Quick test_kmeans_separates_two_groups;
     Alcotest.test_case "kmeans deterministic" `Quick test_kmeans_deterministic;
     Alcotest.test_case "kmeans rejects bad input" `Quick test_kmeans_rejects_bad_input;
-    Alcotest.test_case "kmeans centroids not aliased" `Quick
-      test_kmeans_centroids_not_aliased;
+    Alcotest.test_case "kmeans assignment not aliased" `Quick
+      test_kmeans_assignment_not_aliased;
     QCheck_alcotest.to_alcotest prop_cached_norm_kernel_bit_equal;
     QCheck_alcotest.to_alcotest prop_cluster_matches_oracle;
+    QCheck_alcotest.to_alcotest prop_cluster_with_copies_matches_oracle;
     Alcotest.test_case "divide finds trap" `Quick test_divide_finds_trap;
     Alcotest.test_case "phases ordered by time" `Quick test_divide_phases_ordered_by_time;
     Alcotest.test_case "trap threshold" `Quick test_trap_threshold;
@@ -434,4 +534,6 @@ let suite =
     Alcotest.test_case "coverage mode finds more traps" `Quick
       test_coverage_mode_at_least_as_many_traps;
     QCheck_alcotest.to_alcotest prop_kmeans_assignment_in_range;
+    QCheck_alcotest.to_alcotest prop_divide_invariant_under_relabelling;
+    Alcotest.test_case "divide allocation guard" `Quick test_divide_allocation_guard;
   ]
