@@ -141,8 +141,6 @@ let create ~jobs =
       Array.init (width - 1) (fun k -> Domain.spawn (fun () -> worker_loop t (k + 1) 0));
   t
 
-let width t = t.width
-
 let pinned t =
   Mutex.lock t.lock;
   let v = t.pinned in
@@ -215,20 +213,4 @@ let shutdown t =
     Mutex.unlock t.lock;
     Array.iter Domain.join t.domains;
     t.domains <- [||]
-  end
-
-(* One-shot parallel map, for callers without a campaign-long pool (and
-   the pre-pool API). Tasks are homed by input index, so the work spreads
-   round-robin and stealing still balances stragglers. *)
-let map ~jobs f xs =
-  let n = List.length xs in
-  if n = 0 then []
-  else begin
-    let t = create ~jobs:(min (max 1 jobs) n) in
-    Fun.protect
-      ~finally:(fun () -> shutdown t)
-      (fun () ->
-        let idx = ref (-1) in
-        let xs = List.map (fun x -> incr idx; (!idx, x)) xs in
-        run t ~jobs ~home:fst (fun (_, x) -> f x) xs)
   end

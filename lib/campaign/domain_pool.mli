@@ -30,13 +30,10 @@ val create : jobs:int -> t
     domain counts as one), clamped to at least 1 and at most the
     hardware's recommended domain count. *)
 
-val width : t -> int
-(** The pool's worker count (including the calling domain). *)
-
 val run : t -> jobs:int -> home:('a -> int) -> ('a -> 'b) -> 'a list -> 'b list
 (** [run t ~jobs ~home f xs] applies [f] to every element of [xs] on the
     pool's workers and returns the results in input order. At most
-    [min jobs (width t)] workers participate (so a caller may narrow the
+    [jobs] of the pool's workers participate (so a caller may narrow the
     width per round — graceful degradation — without re-spawning);
     [jobs <= 1] runs inline on the calling domain. Each element is
     queued on worker [home x mod active]: tasks sharing a home key run
@@ -58,8 +55,3 @@ val steals : t -> int
 val shutdown : t -> unit
 (** Join the pool's domains. Idempotent; the pool must not be used
     afterwards. *)
-
-val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~jobs f xs] is a one-shot convenience: a fresh pool, one
-    {!run} homed by input index (round-robin spread), then {!shutdown}
-    — same clamping, ordering and exception contract as {!run}. *)

@@ -48,36 +48,22 @@ type t = {
           ignored. *)
 }
 
-val smallest_first :
-  time_period:int ->
-  Seed_slot.t list ->
-  t
-(** The paper's Algorithm 1: one round in which each seed, smallest
-    first, gets one turn sized to an equal share of the budget; a seed
-    that stops early leaves the rest of its share unspent.
-    [time_period] is unused. *)
-
-val round_robin :
-  time_period:int ->
-  Seed_slot.t list ->
-  t
-(** Fair rotation: [time_period]-sized turns in pool order, per-seed
-    unused budget rolled forward onto the seed's next turn. *)
-
-val coverage_greedy :
-  time_period:int ->
-  Seed_slot.t list ->
-  t
-(** Adaptive reallocation: each round runs the seeds best
-    new-blocks-per-dwell ratio first (integer cross-multiplied, ties to
-    the lower ordinal), budgets growing with the slot's own turn
-    count. *)
-
 val default : string
 (** ["smallest-first"] — the paper's behaviour. *)
 
 val names : string list
-(** All policy names accepted by {!by_name}. *)
+(** All policy names accepted by {!by_name}:
+    - ["smallest-first"], the paper's Algorithm 1: one round in which
+      each seed, smallest first, gets one turn sized to an equal share
+      of the budget; a seed that stops early leaves the rest of its
+      share unspent. [time_period] is unused.
+    - ["round-robin"], fair rotation: [time_period]-sized turns in pool
+      order, per-seed unused budget rolled forward onto the seed's next
+      turn.
+    - ["coverage-greedy"], adaptive reallocation: each round runs the
+      seeds best new-blocks-per-dwell ratio first (integer
+      cross-multiplied, ties to the lower ordinal), budgets growing with
+      the slot's own turn count. *)
 
 val by_name :
   string ->

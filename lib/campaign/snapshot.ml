@@ -222,8 +222,6 @@ let of_string text =
 
 (* --- files ----------------------------------------------------------------- *)
 
-let save ~path t = Checked_file.write ~path (to_string t)
-
 let load ~path =
   match Checked_file.read ~path with
   | Error e -> Error (Corrupt e)

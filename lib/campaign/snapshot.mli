@@ -69,26 +69,18 @@ type t = {
   sn_bugs : bug_ref list; (* merged-bug keys in harvest order *)
 }
 
-val schema : string
-(** ["pbse-snapshot/1"]. *)
-
 val to_string : t -> string
-(** The full on-disk document (compact JSON, schema + checksum +
-    payload). Deterministic: [of_string] followed by [to_string]
-    reproduces the bytes exactly. *)
+(** The full on-disk document (compact JSON: schema ["pbse-snapshot/1"],
+    checksum, payload). Deterministic: [of_string] followed by
+    [to_string] reproduces the bytes exactly. *)
 
 type error = Pbse_telemetry.Checked_file.error =
   | Corrupt of string (* unparsable, truncated, or failed its checksum *)
-  | Version_mismatch of string (* a schema other than {!schema} *)
+  | Version_mismatch of string (* a schema other than pbse-snapshot/1 *)
 
 val error_message : error -> string
 
 val of_string : string -> (t, error) result
-
-val save : path:string -> t -> unit
-(** Atomic write ({!Pbse_telemetry.Checked_file.write}): the document
-    goes to [path].tmp, any existing [path] rotates to [path].bak, then
-    the tmp renames into place. *)
 
 val load : path:string -> (t, error) result
 (** Read and validate [path]; I/O errors surface as [Corrupt]. *)

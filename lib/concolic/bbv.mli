@@ -37,6 +37,3 @@ val set_coverage_probe : builder -> (unit -> int) -> unit
 
 val bbvs : builder -> t list
 (** Intervals gathered so far, oldest first. *)
-
-val interval_of_vtime : builder -> int -> int
-(** Which interval index a virtual time falls into. *)

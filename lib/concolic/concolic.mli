@@ -44,5 +44,3 @@ val run :
     [interval_length] defaults to 2000 virtual-time units; [deadline]
     bounds runaway seeds (default 5,000,000). The executor's trace hook
     is used during the run and cleared afterwards. *)
-
-val default_interval_length : int

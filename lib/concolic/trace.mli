@@ -8,10 +8,8 @@
 type indexer
 
 val indexer : unit -> indexer
-
-val index_of : indexer -> int -> int
-(** [index_of ix gid] returns the stable plot index for a global block
-    id, assigning the next fresh index on first sight. *)
+(** A fresh numbering: each global block id gets the next plot index on
+    first sight, and keeps it. *)
 
 val assigned : indexer -> int
 (** Number of distinct blocks seen. *)

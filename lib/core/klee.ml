@@ -12,16 +12,15 @@ type result = {
   instructions : int;
 }
 
-let run ?(rng_seed = 1) ?max_live ?solver_budget ?confirm_bugs prog ~searcher ~input
-    ~checkpoints =
+let run prog ~searcher ~input ~checkpoints =
   let make =
     match Searcher.by_name searcher with
     | Some make -> make
     | None -> invalid_arg ("Klee.run: unknown searcher " ^ searcher)
   in
   let clock = Vclock.create () in
-  let exec = Executor.create ?max_live ?solver_budget ?confirm_bugs ~clock prog ~input in
-  let rng = Rng.create rng_seed in
+  let exec = Executor.create ~clock prog ~input in
+  let rng = Rng.create 1 in
   let s = make rng (Executor.cfg exec) (Executor.coverage exec) in
   s.Searcher.add (Executor.initial_state exec);
   let sorted = List.sort_uniq Int.compare checkpoints in

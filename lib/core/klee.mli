@@ -11,10 +11,6 @@ type result = {
 }
 
 val run :
-  ?rng_seed:int ->
-  ?max_live:int ->
-  ?solver_budget:int ->
-  ?confirm_bugs:bool ->
   Pbse_ir.Types.program ->
   searcher:string ->
   input:bytes ->

@@ -25,5 +25,3 @@ let covered_ids t =
     if t.covered.(gid) then acc := gid :: !acc
   done;
   !acc
-
-let snapshot t = Array.copy t.covered

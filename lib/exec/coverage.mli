@@ -20,6 +20,3 @@ val version : t -> int
 
 val covered_ids : t -> int list
 (** Sorted ids of covered blocks. *)
-
-val snapshot : t -> bool array
-(** A copy of the covered flags. *)

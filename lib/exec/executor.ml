@@ -145,8 +145,6 @@ let clock t = t.clock
 let solver t = t.solver
 let stats t = t.st
 let bugs t = List.rev t.bugs
-let input_size t = Bytes.length t.input
-let seed_model t = t.base_model
 let state_count t = t.next_id
 let set_trace t hook = t.trace <- hook
 let set_live_counter t f = t.live <- f

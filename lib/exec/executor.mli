@@ -96,9 +96,6 @@ val faults : t -> Pbse_robust.Fault.log
     aborts (genuine and injected), fork suppressions. The driver adds
     its own supervisor-level faults to the same log. *)
 
-val input_size : t -> int
-val seed_model : t -> Pbse_smt.Model.t
-
 val state_count : t -> int
 (** States ever created by this engine (initial states plus forks). *)
 
@@ -139,7 +136,6 @@ val testcases : t -> (bytes * string) list
 (** Recorded test cases, oldest first. *)
 
 val initial_state : t -> State.t
-val fresh_state_id : t -> int
 
 val run_slice : t -> State.t -> slice
 

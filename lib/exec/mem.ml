@@ -53,20 +53,12 @@ let empty = { objects = Imap.empty; next_id = 1 }
 
 let max_object_size = 1 lsl 20
 
-let object_count t = Imap.cardinal t.objects
-
 let alloc t ~size =
   if size < 0 || size > max_object_size then (t, Ptr.null)
   else
     let o = { size; init = Bytes.make size '\000'; writes = Imap.empty; freed = false } in
     ( { objects = Imap.add t.next_id o t.objects; next_id = t.next_id + 1 },
       Ptr.make t.next_id 0 )
-
-let alloc_bytes t contents =
-  let o =
-    { size = Bytes.length contents; init = contents; writes = Imap.empty; freed = false }
-  in
-  ({ objects = Imap.add t.next_id o t.objects; next_id = t.next_id + 1 }, Ptr.make t.next_id 0)
 
 let free t ptr =
   if ptr = Ptr.null then Ok t

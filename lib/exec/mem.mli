@@ -42,9 +42,6 @@ val alloc : t -> size:int -> t * int64
     than {!max_object_size} or negative yield a null pointer and no
     allocation, modelling a failed [malloc]. *)
 
-val alloc_bytes : t -> bytes -> t * int64
-(** Fresh object initialised with concrete contents. *)
-
 val max_object_size : int
 
 val free : t -> int64 -> (t, fault) result
@@ -53,8 +50,6 @@ val free : t -> int64 -> (t, fault) result
 
 val size_of : t -> int64 -> int option
 (** Size of the live object the pointer refers to. *)
-
-val object_count : t -> int
 
 val load : t -> int64 -> Pbse_ir.Types.width -> (Pbse_smt.Expr.t, fault) result
 (** Little-endian load at a concrete address; the result is zero-extended

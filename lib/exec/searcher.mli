@@ -2,18 +2,19 @@
 
     The executor asks the searcher which state to run next; the searcher
     learns about new, forked and finished states through callbacks. All
-    strategies from the paper's Table I are implemented:
+    strategies from the paper's Table I are implemented, selected by
+    name ({!by_name}):
 
-    - [dfs] / [bfs]: newest / oldest state first;
-    - [random_state]: uniform over pending states;
-    - [random_path]: KLEE's execution-tree walk — from the root, pick a
-      random child at every branch until a leaf state is reached, which
-      biases towards shallow, rarely-visited subtrees;
-    - [covnew] and [md2u]: weighted-random heuristics based on the static
-      minimum distance to uncovered code (md2u), with [covnew] boosting
-      states that recently covered new instructions;
-    - [interleave]: round-robin over sub-searchers; KLEE's default is
-      random-path interleaved with covnew. *)
+    - ["dfs"] / ["bfs"]: newest / oldest state first;
+    - ["random-state"]: uniform over pending states;
+    - ["random-path"]: KLEE's execution-tree walk — from the root, pick
+      a random child at every branch until a leaf state is reached,
+      which biases towards shallow, rarely-visited subtrees;
+    - ["covnew"] and ["md2u"]: weighted-random heuristics based on the
+      static minimum distance to uncovered code (md2u), with [covnew]
+      boosting states that recently covered new instructions;
+    - ["default"]: KLEE's default, random-path interleaved with covnew
+      ({!interleave}). *)
 
 type t = {
   name : string;
@@ -24,15 +25,9 @@ type t = {
   size : unit -> int;
 }
 
-val dfs : unit -> t
-val bfs : unit -> t
-val random_state : Pbse_util.Rng.t -> t
-val random_path : Pbse_util.Rng.t -> t
-val covnew : Pbse_util.Rng.t -> Pbse_ir.Cfg.t -> Coverage.t -> t
-val md2u : Pbse_util.Rng.t -> Pbse_ir.Cfg.t -> Coverage.t -> t
-
 val interleave : string -> t list -> t
-(** Shares the state set across sub-searchers, alternating selection. *)
+(** Round-robin over sub-searchers: shares the state set across them,
+    alternating selection. *)
 
 val default : Pbse_util.Rng.t -> Pbse_ir.Cfg.t -> Coverage.t -> t
 (** KLEE's default: random-path and covnew, interleaved. *)

@@ -106,6 +106,4 @@ let write_reg t r v =
 
 let assume t c = t.path <- Pathcond.assume t.path ~block:t.cur_gid c
 
-let path_conditions t = Pathcond.conditions t.path
-
 let path_spine t = Pathcond.spine t.path

@@ -77,9 +77,6 @@ val assume : t -> Pbse_smt.Expr.t -> unit
     block ([cur_gid]); no feasibility check — callers are responsible
     for keeping [model] consistent. *)
 
-val path_conditions : t -> Pbse_smt.Expr.t list
-(** Oldest first. *)
-
 val path_spine : t -> Pbse_smt.Expr.t list
 (** Newest first — the physically shared spine handed to the solver
     ({!Pbse_pathcond.Pathcond.spine}). *)

@@ -33,8 +33,6 @@ let fresh_reg fb =
 
 let is_terminated fb = fb.current.pterm <> None
 
-let current_label fb = fb.current.plabel
-
 let start_block fb label =
   if not (is_terminated fb) then
     invalid_arg

@@ -27,7 +27,6 @@ val switch : fb -> Types.operand -> (int64 * string) list -> string -> unit
 val ret : fb -> Types.operand option -> unit
 val halt : fb -> string -> unit
 
-val current_label : fb -> string
 val is_terminated : fb -> bool
 (** Whether the current block already has a terminator. *)
 

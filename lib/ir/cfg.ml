@@ -4,11 +4,8 @@ type t = {
   prog : program;
   offsets : int array; (* function index -> first global block id *)
   total : int;
-  succs : int list array;
   preds : int list array;
 }
-
-let program t = t.prog
 
 let nblocks t = t.total
 
@@ -44,13 +41,9 @@ let build prog =
       total := !total + Array.length f.blocks)
     prog.funcs;
   let total = !total in
-  let succs = Array.make total [] in
   let preds = Array.make total [] in
   let index = func_index prog in
-  let add_edge src dst =
-    succs.(src) <- dst :: succs.(src);
-    preds.(dst) <- src :: preds.(dst)
-  in
+  let add_edge src dst = preds.(dst) <- src :: preds.(dst) in
   Array.iteri
     (fun fidx f ->
       Array.iteri
@@ -68,9 +61,7 @@ let build prog =
             block.insts)
         f.blocks)
     prog.funcs;
-  { prog; offsets; total; succs; preds }
-
-let successors t gid = t.succs.(gid)
+  { prog; offsets; total; preds }
 
 let bfs edges total sources =
   let dist = Array.make total max_int in
@@ -94,10 +85,6 @@ let bfs edges total sources =
       (edges node)
   done;
   dist
-
-let reachable_from t gid =
-  let dist = bfs (fun n -> t.succs.(n)) t.total [ gid ] in
-  Array.map (fun d -> d <> max_int) dist
 
 let distances_to t ~targets =
   let sources = ref [] in

@@ -8,14 +8,7 @@
 
 type t
 
-val term_successors : Types.terminator -> int list
-(** Intra-function successor block indices of a terminator — the raw
-    edges, without the call edges [build] adds. Loop analysis
-    ({!Loop}) works on these. *)
-
 val build : Types.program -> t
-
-val program : t -> Types.program
 
 val nblocks : t -> int
 (** Total number of basic blocks in the program. *)
@@ -23,17 +16,8 @@ val nblocks : t -> int
 val id : t -> int -> int -> int
 (** [id t func_index block_index] is the global block id. *)
 
-val of_id : t -> int -> int * int
-(** Inverse of [id]. *)
-
 val label : t -> int -> string
 (** [label t gid] is ["func/.n"], for reports. *)
-
-val successors : t -> int -> int list
-
-val reachable_from : t -> int -> bool array
-(** Blocks reachable from the given global id, following CFG and call
-    edges. *)
 
 val distances_to : t -> targets:(int -> bool) -> int array
 (** [distances_to t ~targets] gives, for every block, the minimum number

@@ -3,13 +3,7 @@
 
 val binop_to_string : Types.binop -> string
 val unop_to_string : Types.unop -> string
-val operand_to_string : Types.operand -> string
-val width_to_string : Types.width -> string
-val inst_to_string : Types.inst -> string
-val terminator_to_string : Types.terminator -> string
-
-val func_to_string : Types.func -> string
-(** Whole function: signature line, then one indented line per
-    instruction, blocks introduced by [label:]. *)
 
 val program_to_string : Types.program -> string
+(** Each function in turn: a signature line, then one indented line per
+    instruction, blocks introduced by [label:]. *)

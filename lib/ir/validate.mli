@@ -4,23 +4,9 @@
     before execution: the engines assume these invariants and index arrays
     without bounds checks on the hot path. *)
 
-type error = {
-  func : string;
-  block : int;
-  message : string;
-}
-
-val error_to_string : error -> string
-
-val check_func : known:(string -> bool) -> Types.func -> error list
-(** [check_func ~known f] validates register ranges, block targets and
-    call targets ([known] answers whether a callee name resolves, including
-    intrinsics). *)
-
-val check_program : Types.program -> error list
-(** Validates every function plus program-level invariants (a valid [main]
-    index, unique function names). *)
-
 val check_exn : Types.program -> unit
-(** Raises [Invalid_argument] with all rendered errors when validation
-    fails. *)
+(** Validates program-level invariants (a valid [main] index, unique
+    function names) and, in every function, register ranges, block
+    targets and call targets (a callee must be a function of the program
+    or an intrinsic). Raises [Invalid_argument] with every error, each
+    rendered as ["func/.block: message"], when validation fails. *)

@@ -1,7 +1,7 @@
 exception Error of string
 
-let compile ?(main = "main") src =
-  try Lower.lower_program (Parser.parse src) ~main with
+let compile src =
+  try Lower.lower_program (Parser.parse src) with
   | Lexer.Error (msg, pos) ->
     raise (Error (Printf.sprintf "lexical error at %s: %s" (Ast.pos_to_string pos) msg))
   | Parser.Error (msg, pos) ->
@@ -10,7 +10,7 @@ let compile ?(main = "main") src =
     raise (Error (Printf.sprintf "error at %s: %s" (Ast.pos_to_string pos) msg))
   | Invalid_argument msg -> raise (Error msg)
 
-let compile_result ?main src =
-  match compile ?main src with
+let compile_result src =
+  match compile src with
   | prog -> Ok prog
   | exception Error msg -> Error msg

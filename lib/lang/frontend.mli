@@ -4,8 +4,8 @@
 exception Error of string
 (** Carries a rendered message including the source position. *)
 
-val compile : ?main:string -> string -> Pbse_ir.Types.program
+val compile : string -> Pbse_ir.Types.program
 (** [compile src] compiles a MiniC source string whose entry function is
-    [main] (default ["main"]). Raises {!Error}. *)
+    [main]. Raises {!Error}. *)
 
-val compile_result : ?main:string -> string -> (Pbse_ir.Types.program, string) result
+val compile_result : string -> (Pbse_ir.Types.program, string) result

@@ -194,8 +194,17 @@ let rec skip_trivia cur =
     | Some _ | None -> ())
   | Some _ | None -> ()
 
+(* Decimal literals range over [0, 2^63 - 1]; hexadecimal ones over
+   [0x0, 0xffffffffffffffff], read as a 64-bit pattern. *)
 let lex_number cur =
-  let start = cur.i in
+  let start = cur.i and p = pos cur in
+  let parse digits =
+    match Int64.of_string_opt digits with
+    | Some v -> v
+    | None ->
+      let literal = String.sub cur.src start (cur.i - start) in
+      raise (Error (Printf.sprintf "integer literal %s out of range" literal, p))
+  in
   let hex =
     peek cur = Some '0'
     && (peek2 cur = Some 'x' || peek2 cur = Some 'X')
@@ -208,13 +217,13 @@ let lex_number cur =
       advance cur
     done;
     if cur.i = digits_start then error cur "hexadecimal literal with no digits";
-    Int64.of_string ("0x" ^ String.sub cur.src digits_start (cur.i - digits_start))
+    parse ("0x" ^ String.sub cur.src digits_start (cur.i - digits_start))
   end
   else begin
     while (match peek cur with Some c -> is_digit c | None -> false) do
       advance cur
     done;
-    Int64.of_string (String.sub cur.src start (cur.i - start))
+    parse (String.sub cur.src start (cur.i - start))
   end
 
 let lex_char cur =

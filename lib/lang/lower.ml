@@ -352,7 +352,7 @@ let lower_func signatures (f : Ast.func) =
   if not (Builder.is_terminated env.fb) then Builder.ret env.fb (Some (Const 0L));
   Builder.finish_func fb
 
-let lower_program (prog : Ast.program) ~main =
+let lower_program (prog : Ast.program) =
   let signatures = Hashtbl.create 32 in
   List.iter
     (fun (f : Ast.func) ->
@@ -363,4 +363,4 @@ let lower_program (prog : Ast.program) ~main =
       Hashtbl.replace signatures f.Ast.fname (List.length f.Ast.params))
     prog;
   let funcs = List.map (lower_func signatures) prog in
-  Builder.program ~main funcs
+  Builder.program ~main:"main" funcs

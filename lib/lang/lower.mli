@@ -8,9 +8,6 @@
 
 exception Error of string * Ast.pos
 
-val lower_program : Ast.program -> main:string -> Pbse_ir.Types.program
-(** Raises [Error] on a semantic error and [Invalid_argument] when [main]
-    is missing. *)
-
-val builtin_names : string list
-(** Names resolved during lowering rather than as user functions. *)
+val lower_program : Ast.program -> Pbse_ir.Types.program
+(** Raises [Error] on a semantic error and [Invalid_argument] when there
+    is no [main] function. *)

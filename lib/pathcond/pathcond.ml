@@ -30,8 +30,6 @@ let assume t ~block e =
   }
 
 let spine t = t.spine
-let conditions t = List.rev t.spine
-let length t = t.len
 let mem t id = Iset.mem id t.ids
 let signature t = t.sg
 

@@ -33,11 +33,6 @@ val spine : t -> Pbse_smt.Expr.t list
 (** Newest-first condition list, physically shared across forks — the
     exact value handed to [Solver.check_assuming ~path]. *)
 
-val conditions : t -> Pbse_smt.Expr.t list
-(** Oldest-first conditions (assumption order). *)
-
-val length : t -> int
-
 val mem : t -> int -> bool
 (** Is the expression with this id one of the conditions? *)
 

@@ -38,6 +38,3 @@ let consult t ~block ~sg ~mem =
     if List.exists (fun c -> c.sg land sg = c.sg && Array.for_all mem c.ids) cores
     then `Hit
     else `Miss
-
-let stats t =
-  Hashtbl.fold (fun _ cores (n, b) -> (n + List.length cores, b + 1)) t.buckets (0, 0)

@@ -35,6 +35,3 @@ val consult : t -> block:int -> sg:int -> mem:(int -> bool) -> [ `Hit | `Miss | 
     [`Hit]: a core is covered — the query is Unsat by entailment.
     [`Miss]: cores exist at [block] but none is covered. [`Empty]: no
     cores recorded at [block] yet. *)
-
-val stats : t -> int * int
-(** [(cores, buckets)] currently held. *)

@@ -243,5 +243,3 @@ let run ws rng ~k =
   in
   let inertia = iterate 0 infinity in
   { k; assignment = Array.copy assignment; inertia }
-
-let cluster rng ~k ~dim vectors = run (workspace ~max_k:k ~dim vectors) rng ~k

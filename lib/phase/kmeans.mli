@@ -40,6 +40,3 @@ val run : workspace -> Pbse_util.Rng.t -> k:int -> clustering
 (** Raises [Invalid_argument] unless [1 <= k <= max_k]. When there are
     fewer vectors than [k], surplus clusters stay empty. The result owns
     its assignment: a later [run] does not write through it. *)
-
-val cluster : Pbse_util.Rng.t -> k:int -> dim:int -> vector array -> clustering
-(** [run] on a fresh workspace for [k]. *)

@@ -70,15 +70,6 @@ let to_string p =
     p.seed p.solver_unknown_rate p.exec_abort_rate p.mem_pressure_rate
     p.concolic_drop_rate p.turn_crash_rate p.snapshot_corrupt_rate
 
-type counts = {
-  mutable solver : int;
-  mutable abort : int;
-  mutable mem : int;
-  mutable concolic : int;
-  mutable crash : int;
-  mutable snapshot : int;
-}
-
 type t = {
   plan : plan;
   solver_rng : Rng.t;
@@ -87,7 +78,6 @@ type t = {
   concolic_rng : Rng.t;
   crash_rng : Rng.t;
   snapshot_rng : Rng.t;
-  counts : counts;
 }
 
 (* Each channel draws from its own stream split off the plan seed, so
@@ -101,51 +91,15 @@ let create plan =
   (* split last so pre-existing channels keep their streams *)
   let crash_rng = Rng.split root in
   let snapshot_rng = Rng.split root in
-  {
-    plan;
-    solver_rng;
-    abort_rng;
-    mem_rng;
-    concolic_rng;
-    crash_rng;
-    snapshot_rng;
-    counts = { solver = 0; abort = 0; mem = 0; concolic = 0; crash = 0; snapshot = 0 };
-  }
+  { plan; solver_rng; abort_rng; mem_rng; concolic_rng; crash_rng; snapshot_rng }
 
 let plan t = t.plan
 
 let fire rng rate = rate > 0.0 && Rng.float rng 1.0 < rate
 
-let fire_solver_unknown t =
-  let hit = fire t.solver_rng t.plan.solver_unknown_rate in
-  if hit then t.counts.solver <- t.counts.solver + 1;
-  hit
-
-let fire_exec_abort t =
-  let hit = fire t.abort_rng t.plan.exec_abort_rate in
-  if hit then t.counts.abort <- t.counts.abort + 1;
-  hit
-
-let fire_mem_pressure t =
-  let hit = fire t.mem_rng t.plan.mem_pressure_rate in
-  if hit then t.counts.mem <- t.counts.mem + 1;
-  hit
-
-let fire_concolic_drop t =
-  let hit = fire t.concolic_rng t.plan.concolic_drop_rate in
-  if hit then t.counts.concolic <- t.counts.concolic + 1;
-  hit
-
-let fire_turn_crash t =
-  let hit = fire t.crash_rng t.plan.turn_crash_rate in
-  if hit then t.counts.crash <- t.counts.crash + 1;
-  hit
-
-let fire_snapshot_corrupt t =
-  let hit = fire t.snapshot_rng t.plan.snapshot_corrupt_rate in
-  if hit then t.counts.snapshot <- t.counts.snapshot + 1;
-  hit
-
-let fired t =
-  t.counts.solver + t.counts.abort + t.counts.mem + t.counts.concolic + t.counts.crash
-  + t.counts.snapshot
+let fire_solver_unknown t = fire t.solver_rng t.plan.solver_unknown_rate
+let fire_exec_abort t = fire t.abort_rng t.plan.exec_abort_rate
+let fire_mem_pressure t = fire t.mem_rng t.plan.mem_pressure_rate
+let fire_concolic_drop t = fire t.concolic_rng t.plan.concolic_drop_rate
+let fire_turn_crash t = fire t.crash_rng t.plan.turn_crash_rate
+let fire_snapshot_corrupt t = fire t.snapshot_rng t.plan.snapshot_corrupt_rate

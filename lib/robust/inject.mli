@@ -38,7 +38,7 @@ val to_string : plan -> string
 (** Round-trips through {!parse}. *)
 
 type t
-(** An instantiated plan: the plan plus its RNG stream and fire counts. *)
+(** An instantiated plan: the plan plus one RNG stream per channel. *)
 
 val create : plan -> t
 
@@ -53,6 +53,3 @@ val fire_snapshot_corrupt : t -> bool
 (** Each call draws one decision from the stream (no draw when the
     corresponding rate is zero, so disabled channels cost nothing and do
     not perturb the others). *)
-
-val fired : t -> int
-(** Total faults injected so far across all channels. *)

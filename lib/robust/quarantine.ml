@@ -40,9 +40,6 @@ let strike t ?(site = -1) id =
     false
   end
 
-let strikes_of t id =
-  match Hashtbl.find_opt t.strikes id with Some s -> s | None -> 0
-
 let total_strikes t = t.total
 
 let evicted t = t.evictions

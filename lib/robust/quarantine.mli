@@ -26,12 +26,6 @@ val strike : t -> ?site:int -> int -> bool
     eviction, floored at 1 — so known-bad fork points are retired
     faster. *)
 
-val strikes_of : t -> int -> int
-(** Current strikes charged against a live (not yet evicted) state. *)
-
-val site_evictions : t -> int -> int
-(** Evictions recorded against a fork site. *)
-
 val total_strikes : t -> int
 (** Strikes charged over the quarantine's lifetime, including evicted
     states. *)

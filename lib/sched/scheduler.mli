@@ -40,21 +40,12 @@ type t = {
   stats : stats;
 }
 
-val round_robin :
-  time_period:int ->
-  Phase_queue.t list ->
-  t
-(** The paper's Algorithm 3: first-appearance order, budget grows by one
-    [time_period] per full rotation. *)
-
-val sequential :
-  time_period:int ->
-  Phase_queue.t list ->
-  t
-(** Ablation policy: drain each phase to exhaustion in order. *)
-
 val names : string list
-(** All policy names accepted by {!by_name}. *)
+(** All policy names accepted by {!by_name}:
+    - ["round-robin"], the paper's Algorithm 3: first-appearance order,
+      budget grows by one [time_period] per full rotation;
+    - ["sequential"], an ablation policy: drain each phase to exhaustion
+      in order. *)
 
 val by_name :
   string ->

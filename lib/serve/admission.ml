@@ -93,5 +93,4 @@ let release ticket =
         t.inflight <- t.inflight - 1
       end)
 
-let inflight t = Mutex.protect t.mutex (fun () -> t.inflight)
 let rejections t = Mutex.protect t.mutex (fun () -> t.rejections)

@@ -36,6 +36,5 @@ val admit : t -> client:string -> decision
 
 val release : ticket -> unit
 
-val inflight : t -> int
 val rejections : t -> int
 (** Lifetime count of rejected requests. *)

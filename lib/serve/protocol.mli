@@ -13,16 +13,9 @@
     [bytes] raw bytes of [pbse-report/1] JSON — raw rather than
     embedded, so the payload stays byte-identical to the CLI's. *)
 
-val version : int
-(** The protocol version this library speaks: 2. *)
-
 val max_line : int
 (** Longest request or frame line either side will read (65536 bytes
     including the newline); longer lines are an [Oversized_request]. *)
-
-val default_deadline : int
-(** Virtual-time budget when a request names none: 120000, one
-    paper-hour. *)
 
 (** Structured error codes, rendered in kebab-case on the wire (see
     {!error_label}). *)
@@ -37,7 +30,6 @@ type error_code =
   | Internal  (** campaign raised; message carries the exception *)
 
 val error_label : error_code -> string
-val error_code_of_label : string -> error_code option
 
 type request = {
   rq_id : string option;  (** echoed verbatim in every response frame *)

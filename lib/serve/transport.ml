@@ -46,10 +46,10 @@ type control = {
   wake_w : Unix.file_descr;
 }
 
-let control_create ?(stop = Atomic.make false) () =
+let control_create () =
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock wake_w;
-  { stop; wake_r; wake_w }
+  { stop = Atomic.make false; wake_r; wake_w }
 
 let request_stop c =
   Atomic.set c.stop true;
@@ -64,7 +64,9 @@ let control_close c =
 
 (* --- listeners -------------------------------------------------------------- *)
 
-let listen ?(backlog = 16) endpoint =
+let backlog = 16
+
+let listen endpoint =
   match endpoint with
   | Unix_socket path ->
     (try Unix.unlink path with Unix.Unix_error _ -> ());
@@ -226,7 +228,9 @@ let rec read_line ?(max = Protocol.max_line) r =
         Ok (take r (Buffer.length r.buf))
       | Error e -> Error e)
 
-let drain_line ?(limit = 16 * Protocol.max_line) r =
+let drain_limit = 16 * Protocol.max_line
+
+let drain_line r =
   let rec go dropped =
     let contents = Buffer.contents r.buf in
     match String.index_opt contents '\n' with
@@ -234,7 +238,7 @@ let drain_line ?(limit = 16 * Protocol.max_line) r =
     | None ->
       let dropped = dropped + Buffer.length r.buf in
       Buffer.clear r.buf;
-      if dropped < limit then
+      if dropped < drain_limit then
         match refill r with Ok () -> go dropped | Error _ -> ()
   in
   go 0

@@ -16,22 +16,19 @@ val endpoint_of_string : string -> (endpoint, string) result
 
 type control
 
-val control_create : ?stop:bool Atomic.t -> unit -> control
-(** [stop] (default a fresh flag) may be shared with code that only
-    knows the atomic; {!stopping} reads it. *)
+val control_create : unit -> control
 
 val request_stop : control -> unit
 (** Set the stop flag and write one byte into the self-pipe, waking a
     blocked {!accept_loop} immediately. Safe to call from a signal
     handler and safe to repeat. *)
 
-val stopping : control -> bool
 val control_close : control -> unit
 
 (** {2 Listeners} *)
 
-val listen : ?backlog:int -> endpoint -> Unix.file_descr
-(** Bind and listen (backlog default 16). A Unix socket replaces any
+val listen : endpoint -> Unix.file_descr
+(** Bind and listen (backlog 16). A Unix socket replaces any
     existing file at its path; a TCP listener sets [SO_REUSEADDR].
     Raises [Unix.Unix_error] on bind failure. *)
 
@@ -67,9 +64,9 @@ val read_line : ?max:int -> reader -> (string, read_error) result
     {!Protocol.max_line}); never reads past the newline. A final
     unterminated line before EOF is returned as a line. *)
 
-val drain_line : ?limit:int -> reader -> unit
-(** Discard input through the next newline (or EOF, or [limit] bytes —
-    default 16x {!Protocol.max_line}), so an error can be written back
+val drain_line : reader -> unit
+(** Discard input through the next newline (or EOF, or 16x
+    {!Protocol.max_line} bytes), so an error can be written back
     for an oversized line without resetting the peer mid-send. *)
 
 val read_exact : reader -> int -> (string, read_error) result

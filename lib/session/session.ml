@@ -141,10 +141,15 @@ let config_to_kvs config =
 let config_of_kvs kvs =
   (* keys that aren't config fields (snapshot meta like the target name
      or scheduler) pass through untouched; bad values are errors *)
-  let int_field key v k =
+  let int_field ?(min = min_int) key v k =
     match int_of_string_opt v with
-    | Some i -> Ok (k i)
+    | Some i when i >= min -> Ok (k i)
+    | Some _ -> Error (Printf.sprintf "%s=%s is below %d" key v min)
     | None -> Error (Printf.sprintf "bad integer %S for %s" v key)
+  in
+  let name_field key names v k =
+    if List.exists (String.equal v) names then Ok (k v)
+    else Error (Printf.sprintf "%s=%s is not one of %s" key v (String.concat ", " names))
   in
   let bool_field key v k =
     match v with
@@ -164,7 +169,7 @@ let config_of_kvs kvs =
           | "concolic.interval_length" ->
             if v = "auto" then Ok (concolic (fun c -> { c with interval_length = None }))
             else
-              int_field key v (fun i ->
+              int_field ~min:1 key v (fun i ->
                   concolic (fun c -> { c with interval_length = Some i }))
           | "concolic.intervals_target" ->
             int_field key v (fun i -> concolic (fun c -> { c with intervals_target = i }))
@@ -177,14 +182,17 @@ let config_of_kvs kvs =
               Ok (concolic (fun c -> { c with mode = Phase.Bbv_with_coverage }))
             | _ -> Error (Printf.sprintf "bad mode %S (want bbv|bbv+cov)" v))
           | "search.phase_searcher" ->
-            Ok (search (fun s -> { s with phase_searcher = v }))
-          | "search.scheduler" -> Ok (search (fun s -> { s with scheduler = v }))
+            name_field key Searcher.names v (fun n ->
+                search (fun s -> { s with phase_searcher = n }))
+          | "search.scheduler" ->
+            name_field key Scheduler.names v (fun n ->
+                search (fun s -> { s with scheduler = n }))
           | "search.max_live" ->
             int_field key v (fun i -> search (fun s -> { s with max_live = i }))
           | "search.dedup_seed_states" ->
             bool_field key v (fun b -> search (fun s -> { s with dedup_seed_states = b }))
           | "search.max_k" ->
-            int_field key v (fun i -> search (fun s -> { s with max_k = i }))
+            int_field ~min:1 key v (fun i -> search (fun s -> { s with max_k = i }))
           | "search.share_seed_states" ->
             bool_field key v (fun b -> search (fun s -> { s with share_seed_states = b }))
           | "solver.budget" ->
@@ -665,10 +673,6 @@ let step_session s ~deadline =
   Runtime.with_active s.s_runtime @@ fun () ->
   schedule_phases ~registry:s.s_runtime.Runtime.registry ~clock:s.s_clock ~deadline
     ~sched:s.s_sched ~quarantine:s.s_runtime.Runtime.quarantine s.s_exec s.s_note_progress
-
-let session_runtime s = s.s_runtime
-let session_config s = s.s_config
-let session_seed s = s.s_seed
 
 let session_time s = Vclock.now s.s_clock
 let session_drained s = s.s_sched.Scheduler.drained ()

@@ -109,7 +109,6 @@ val with_search : (search_config -> search_config) -> config -> config
 val with_solver : (solver_config -> solver_config) -> config -> config
 val with_robust : (robust_config -> robust_config) -> config -> config
 val with_pathcond : (pathcond_config -> pathcond_config) -> config -> config
-val with_rng_seed : int -> config -> config
 
 val config_to_kvs : config -> (string * string) list
 (** Flat [(key, value)] rendering of every config field (e.g.
@@ -119,7 +118,11 @@ val config_to_kvs : config -> (string * string) list
 val config_of_kvs : (string * string) list -> (config, string) result
 (** Inverse of {!config_to_kvs} over {!default_config}. Unknown keys
     are ignored (snapshot metadata carries non-config entries such as
-    the target name); a malformed value for a known key is an error. *)
+    the target name); a malformed value for a known key is an error, as
+    is one the engine would fail on later: [search.max_k] or
+    [concolic.interval_length] below 1, or a [search.scheduler] or
+    [search.phase_searcher] not in {!Pbse_sched.Scheduler.names} or
+    {!Pbse_exec.Searcher.names}. *)
 
 val config_fingerprint : config -> string
 (** Hex digest of {!config_to_kvs}; two configs fingerprint equal iff
@@ -271,12 +274,6 @@ val session_drained : t -> bool
     are no-ops. *)
 
 val session_executor : t -> Pbse_exec.Executor.t
-
-val session_runtime : t -> Runtime.t
-(** The context the session was opened with. *)
-
-val session_config : t -> config
-val session_seed : t -> bytes
 
 val session_bug_phase : t -> Pbse_exec.Bug.t -> int
 (** 1-based ordinal of the phase whose turn first surfaced this bug's

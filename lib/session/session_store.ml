@@ -138,4 +138,3 @@ let hits t = Mutex.protect t.mutex (fun () -> t.hits)
 let misses t = Mutex.protect t.mutex (fun () -> t.misses)
 let evictions t = Mutex.protect t.mutex (fun () -> t.evictions)
 let reloads t = Mutex.protect t.mutex (fun () -> t.reloads)
-let residue_size t = Mutex.protect t.mutex (fun () -> Hashtbl.length t.residues)

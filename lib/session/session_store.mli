@@ -41,6 +41,3 @@ val evictions : t -> int
 
 val reloads : t -> int
 (** Residues reloaded from store files over this store's lifetime. *)
-
-val residue_size : t -> int
-(** Rendered residues currently cached. *)

@@ -183,8 +183,6 @@ let make node =
     Table.add table node interned;
     interned
 
-let table_stats () = Table.length (Domain.DLS.get dls_arena).table
-
 (* --- constructors with simplification ----------------------------------- *)
 
 let const c = make (Const c)
@@ -198,7 +196,6 @@ let read i =
   make (Read i)
 
 let is_const e = match e.node with Const c -> Some c | Read _ | Bin _ | Un _ | Ite _ -> None
-let is_concrete e = e.max_read < 0
 
 (* Unsigned upper bound that is obvious from the node shape alone; used to
    fold comparisons against constants without a full interval analysis.
@@ -373,10 +370,6 @@ let lognot e =
   | None -> bin Eq e zero
 
 (* --- queries ------------------------------------------------------------ *)
-
-let equal a b = a.id = b.id
-let compare a b = Int.compare a.id b.id
-let hash a = a.hkey
 
 let reads e =
   let seen = Hashtbl.create 64 in

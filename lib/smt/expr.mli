@@ -53,13 +53,6 @@ val lognot : t -> t
     exactly when [e] is. *)
 
 val is_const : t -> int64 option
-val is_concrete : t -> bool
-(** True when the expression mentions no input byte. *)
-
-val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
-
 val reads : t -> int list
 (** Sorted, distinct input-byte indices mentioned. *)
 
@@ -97,9 +90,6 @@ val arena : unit -> arena
 
 val use_arena : arena -> unit
 (** Install [a] as the running domain's interning arena. *)
-
-val table_stats : unit -> int
-(** Number of hash-consed nodes in the current arena (diagnostic). *)
 
 val id_block_refills : unit -> int
 (** Process-wide count of id-block refills since startup: how many times

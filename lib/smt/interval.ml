@@ -19,7 +19,6 @@ let bool_any = { lo = 0L; hi = 1L }
 let byte_any = { lo = 0L; hi = 255L }
 
 let is_point t = if t.lo = t.hi then Some t.lo else None
-let contains t v = ucmp t.lo v <= 0 && ucmp v t.hi <= 0
 let hull a b = { lo = umin a.lo b.lo; hi = umax a.hi b.hi }
 
 let definitely_true t = t.lo <> 0L
@@ -178,5 +177,3 @@ and walk_node lookup memo (e : Expr.t) =
 let eval lookup (e : Expr.t) =
   let memo = if e.walkable then None else Some (Hashtbl.create 64) in
   walk lookup memo e
-
-let to_string t = Printf.sprintf "[%Lu, %Lu]" t.lo t.hi

@@ -16,10 +16,6 @@ val make : int64 -> int64 -> t
 (** Raises [Invalid_argument] unless [lo <=u hi]. *)
 
 val point : int64 -> t
-val top : t
-val bool_any : t
-(** The interval [0, 1]. *)
-
 val byte_any : t
 (** The interval [0, 255]: any input byte. *)
 
@@ -28,8 +24,6 @@ val byte_point : int -> t
     one shared table, so byte lookups allocate nothing. Raises
     [Invalid_argument] outside that range. *)
 
-val is_point : t -> int64 option
-val contains : t -> int64 -> bool
 val hull : t -> t -> t
 
 val definitely_true : t -> bool
@@ -49,5 +43,3 @@ val eval : (int -> t) -> Expr.t -> t
     within the call. Both walks compute the same
     interval: the analysis is pure and total, so skipping the memo
     changes no value. *)
-
-val to_string : t -> string

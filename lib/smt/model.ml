@@ -10,8 +10,6 @@ let of_bytes b =
   in
   fill (Bytes.length b - 1) empty
 
-let of_string s = of_bytes (Bytes.of_string s)
-
 let get t i = match Imap.find_opt i t with Some v -> v | None -> 0
 
 let set t i v = Imap.add i (v land 0xFF) t

@@ -11,8 +11,6 @@ val empty : t
 val of_bytes : bytes -> t
 (** Every byte of the buffer becomes a binding (index 0 upwards). *)
 
-val of_string : string -> t
-
 val get : t -> int -> int
 val set : t -> int -> int -> t
 

@@ -48,7 +48,6 @@ type t = {
   root : entry;
   fps : (int, int) Hashtbl.t; (* expr id -> structural fingerprint *)
   hints : (int, Model.t) Hashtbl.t; (* imported: path fingerprint -> witness *)
-  mutable hint_installs : int;
 }
 
 let default_cap = 16_384
@@ -74,17 +73,9 @@ let create ?(cap = default_cap) () =
     root = make_root ();
     fps = Hashtbl.create 1024;
     hints = Hashtbl.create 64;
-    hint_installs = 0;
   }
 
-let clear t =
-  Hashtbl.reset t.table;
-  t.entries <- 0;
-  t.root.model <- None
-
 let evictions t = t.evictions
-
-let size t = t.entries
 
 (* Bounded LRU: at capacity, drop the least-recently-used quarter in one
    batch (instead of the old wholesale reset), so long campaigns keep
@@ -250,14 +241,10 @@ let import t hints =
           (List.fold_left (fun m (i, v) -> Model.set m i v) Model.empty bindings))
     hints
 
-let hint_installs t = t.hint_installs
-
 let try_hint t e =
   if Hashtbl.length t.hints > 0 && e.model = None then
     match Hashtbl.find_opt t.hints (path_fp t e.path) with
-    | Some m when Model.satisfies m e.path ->
-      e.model <- Some m;
-      t.hint_installs <- t.hint_installs + 1
+    | Some m when Model.satisfies m e.path -> e.model <- Some m
     | _ -> ()
 
 let head_id (path : Expr.t list) =

@@ -30,11 +30,6 @@ type t
 val create : ?cap:int -> unit -> t
 (** [cap] bounds the number of cached contexts (default 16384, floor 16). *)
 
-val clear : t -> unit
-
-val size : t -> int
-(** Number of cached contexts. *)
-
 val evictions : t -> int
 (** Total contexts dropped by the LRU bound since creation. *)
 
@@ -91,6 +86,3 @@ val export : t -> (int * (int * int) list) list
 val import : t -> (int * (int * int) list) list -> unit
 (** Register exported residue as hints; first import per fingerprint
     wins. *)
-
-val hint_installs : t -> int
-(** Imported hints installed as entry witnesses so far. *)

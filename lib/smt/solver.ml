@@ -78,14 +78,6 @@ let create ?(budget = 60_000) ?retry_cap ?prefix_cap ?registry () =
 
 let stats t = t.st
 
-let retry_cap t = t.retry_cap
-
-let clear_cache t =
-  Hashtbl.reset t.cache;
-  Hashtbl.reset t.reads_memo;
-  Hashtbl.reset t.retryable;
-  Prefix_ctx.clear t.prefixes
-
 let reads_of t (e : Expr.t) =
   match Hashtbl.find_opt t.reads_memo e.id with
   | Some r -> r
@@ -268,11 +260,6 @@ let check_assuming t ?(hint = Model.empty) ?on_unsat_core ~path extra =
              | Unsat | Unknown -> ());
             result
         end)
-
-let sat t ?hint exprs =
-  match check t ?hint exprs with
-  | Sat _, _ -> true
-  | (Unsat | Unknown), _ -> false
 
 let export_prefix_hints t = Prefix_ctx.export t.prefixes
 let import_prefix_hints t hints = Prefix_ctx.import t.prefixes hints

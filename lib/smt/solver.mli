@@ -73,8 +73,6 @@ val create :
 
 val stats : t -> stats
 
-val retry_cap : t -> int
-
 val check : t -> ?hint:Model.t -> Expr.t list -> result * int
 (** [check t ~hint cs] decides the conjunction [cs]; the integer is the
     work performed by this call. A [Sat] model binds every input byte
@@ -106,12 +104,6 @@ val check_assuming :
     queries never reach the search. The path-condition layer
     ({!Pbse_pathcond}-side subsumption) records these cores per block
     boundary and answers superset queries without solving. *)
-
-val sat : t -> ?hint:Model.t -> Expr.t list -> bool
-(** [sat t cs] is true only on a definitive [Sat] answer ([Unknown]
-    counts as unsatisfiable, the engine's conservative choice). *)
-
-val clear_cache : t -> unit
 
 val export_prefix_hints : t -> (int * (int * int) list) list
 (** Arena-free prefix-context residue — [(structural path fingerprint,

@@ -13,8 +13,5 @@ val planted_bugs : (string * string) list
 val seeds : unit -> (string * bytes) list
 (** Labelled benign seeds; every one runs to a clean exit. *)
 
-val seed_small : unit -> bytes
-val seed_large : unit -> bytes
-
 val seed_buggy_colormap : unit -> bytes
 (** A pixel value beyond the colour-table size: colormap oob-read. *)

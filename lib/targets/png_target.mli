@@ -14,9 +14,6 @@ val planted_bugs : (string * string) list
 val seeds : unit -> (string * bytes) list
 (** Labelled benign seeds; every one runs to a clean exit. *)
 
-val seed_small : unit -> bytes
-val seed_large : unit -> bytes
-
 val seed_buggy_keyword : unit -> bytes
 (** All-space tEXt keyword: triggers the keyword-trim underflow. *)
 

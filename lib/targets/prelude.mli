@@ -1,9 +1,7 @@
 (** The MiniC standard prelude shared by every target program. *)
 
-val source : string
-(** Little-endian input readers ([iu16]/[iu32]), buffer helpers
-    ([copy_in]/[fill8]), [imin]/[imax], and ULEB128 decoding
-    ([uleb]/[uleb_len]). *)
-
 val wrap : string -> string
-(** [wrap body] is [source ^ body] — a complete compilable program. *)
+(** [wrap body] is the prelude followed by [body] — a complete
+    compilable program. The prelude holds little-endian input readers
+    ([iu16]/[iu32]), buffer helpers ([copy_in]/[fill8]), [imin]/[imax],
+    and ULEB128 decoding ([uleb]/[uleb_len]). *)

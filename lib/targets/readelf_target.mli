@@ -13,6 +13,3 @@ val planted_bugs : (string * string) list
 
 val seeds : unit -> (string * bytes) list
 (** Labelled benign seeds; every one runs to a clean exit. *)
-
-val seed_small : unit -> bytes
-val seed_large : unit -> bytes

@@ -14,8 +14,5 @@ val planted_bugs : (string * string) list
 val seeds : unit -> (string * bytes) list
 (** Labelled benign seeds; every one runs to a clean exit. *)
 
-val seed_small : unit -> bytes
-val seed_large : unit -> bytes
-
 val seed_buggy : unit -> bytes
 (** h*w*3 = 270 > 257: triggers the CIELab oob-read (paper Fig. 5b). *)

@@ -51,11 +51,9 @@ type t = {
   histograms : Telemetry.histogram_snapshot list;
 }
 
-val schema : string
-(** ["pbse-report/1"], embedded in the JSON. *)
-
 val to_json : t -> string
-(** Pretty-printed JSON document (trailing newline). *)
+(** Pretty-printed JSON document, schema ["pbse-report/1"] (trailing
+    newline). *)
 
 val of_json : string -> (t, string) result
 (** Parses what {!to_json} emitted; unknown fields are ignored, a wrong

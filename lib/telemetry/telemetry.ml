@@ -20,8 +20,6 @@ let bucket_index v =
     min !bits (nbuckets - 1)
   end
 
-let bucket_lo i = if i <= 0 then 0 else 1 lsl (i - 1)
-
 type histogram = {
   h_name : string;
   h_en : bool;
@@ -178,6 +176,3 @@ let with_span s ~now f =
       record ();
       raise e
   end
-
-let span_count s = s.s_count
-let span_total s = s.s_total

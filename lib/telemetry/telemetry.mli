@@ -82,9 +82,6 @@ val bucket_index : int -> int
 (** Total: negative values and 0 map to bucket 0; huge values clamp to
     the top bucket. *)
 
-val bucket_lo : int -> int
-(** Inclusive lower bound of a bucket (0 for bucket 0). *)
-
 val observe : histogram -> int -> unit
 val histogram_snapshot : histogram -> histogram_snapshot
 
@@ -98,6 +95,3 @@ val with_span : span -> now:(unit -> int) -> (unit -> 'a) -> 'a
 (** Runs the thunk, charging [now () - now ()] elapsed units to the span
     (also on exception). When the owning registry is disabled this is
     exactly [f ()]. *)
-
-val span_count : span -> int
-val span_total : span -> int

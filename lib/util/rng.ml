@@ -30,11 +30,3 @@ let bool t = Int64.logand (next_int64 t) 1L = 1L
 let pick t arr =
   if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
   arr.(int t (Array.length arr))
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done

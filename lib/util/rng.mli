@@ -15,9 +15,6 @@ val split : t -> t
 val copy : t -> t
 (** [copy t] duplicates the generator state without advancing [t]. *)
 
-val next_int64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound). Raises [Invalid_argument] when
     [bound <= 0]. *)
@@ -30,6 +27,3 @@ val bool : t -> bool
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. Raises [Invalid_argument] on an
     empty array. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)

@@ -9,5 +9,3 @@ let tick t = t.now <- t.now + 1
 let advance t n =
   if n < 0 then invalid_arg "Vclock.advance: negative increment";
   t.now <- t.now + n
-
-let reset t = t.now <- 0

@@ -20,5 +20,3 @@ val tick : t -> unit
 
 val advance : t -> int -> unit
 (** [advance t n] adds [n >= 0] units. *)
-
-val reset : t -> unit

@@ -47,9 +47,11 @@ let test_bbv_rejects_bad_interval () =
 
 let test_trace_indexer_first_execution_order () =
   let ix = Trace.indexer () in
-  Alcotest.(check int) "first block gets 0" 0 (Trace.index_of ix 500);
-  Alcotest.(check int) "second block gets 1" 1 (Trace.index_of ix 123);
-  Alcotest.(check int) "repeat keeps index" 0 (Trace.index_of ix 500);
+  let trace = Trace.create ix in
+  List.iteri (fun vtime gid -> Trace.record trace ~vtime ~gid) [ 500; 123; 500 ];
+  (* first block gets 0, the second 1, a repeat keeps its index *)
+  Alcotest.(check (list int)) "plot indices" [ 0; 1; 0 ]
+    (List.map (fun p -> p.Trace.bb) (Trace.points trace));
   Alcotest.(check int) "assigned" 2 (Trace.assigned ix)
 
 let test_trace_csv () =
@@ -144,7 +146,7 @@ let test_concolic_seed_states_verify () =
     (fun (ss : Concolic.seed_state) ->
       Alcotest.(check bool) "verified state has consistent model" true
         (Pbse_smt.Model.satisfies ss.Concolic.state.Pbse_exec.State.model
-           (Pbse_exec.State.path_conditions ss.Concolic.state)))
+           (Pbse_pathcond.Pathcond.spine ss.Concolic.state.Pbse_exec.State.path)))
     verified
 
 let suite =

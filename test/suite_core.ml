@@ -210,7 +210,10 @@ let test_testcase_generation_replays () =
   let clock = Pbse_util.Vclock.create () in
   let exec = Executor.create ~clock prog ~input:(Bytes.make 1 '\000') in
   Executor.set_record_testcases exec true;
-  let s = Pbse_exec.Searcher.dfs () in
+  let s =
+    (Option.get (Pbse_exec.Searcher.by_name "dfs"))
+      (Pbse_util.Rng.create 1) (Executor.cfg exec) (Executor.coverage exec)
+  in
   s.Pbse_exec.Searcher.add (Executor.initial_state exec);
   Executor.explore exec s ~deadline:100_000;
   let cases = Executor.testcases exec in

@@ -68,6 +68,10 @@ let make_executor ?(input = Bytes.make 2 '\000') ?max_live src =
   let exec = Executor.create ?max_live ~clock prog ~input in
   (exec, clock)
 
+let dfs exec =
+  (Option.get (Searcher.by_name "dfs")) (Rng.create 7) (Executor.cfg exec)
+    (Executor.coverage exec)
+
 let explore_all ?input ?max_live ?(deadline = 2_000_000) src searcher_name =
   let exec, _clock = make_executor ?input ?max_live src in
   let rng = Rng.create 7 in
@@ -242,7 +246,7 @@ let test_unreachable_bug_not_found () =
 let test_deadline_respected () =
   let src = "fn main() { var i = 0; while (i <u in_size() + 1000000) { i = i + 1; } return 0; }" in
   let exec, clock = make_executor src in
-  let searcher = Searcher.dfs () in
+  let searcher = dfs exec in
   searcher.Searcher.add (Executor.initial_state exec);
   Executor.explore exec searcher ~deadline:5_000;
   Alcotest.(check bool) "clock stopped promptly" true (Vclock.now clock < 10_000)
@@ -258,7 +262,7 @@ let test_max_live_caps_forks () =
      }"
   in
   let exec, _ = make_executor ~max_live:4 src in
-  let searcher = Searcher.dfs () in
+  let searcher = dfs exec in
   searcher.Searcher.add (Executor.initial_state exec);
   Executor.explore exec searcher ~deadline:60_000;
   Alcotest.(check bool) "dropped forks counted" true
@@ -288,7 +292,7 @@ let test_switch_forks_all_arms () =
   let prog = Builder.program ~main:"main" [ Builder.finish_func fb ] in
   let clock = Vclock.create () in
   let exec = Executor.create ~clock prog ~input:(Bytes.make 1 '\000') in
-  let searcher = Searcher.dfs () in
+  let searcher = dfs exec in
   searcher.Searcher.add (Executor.initial_state exec);
   let exits = ref [] in
   let rec loop () =

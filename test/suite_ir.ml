@@ -20,13 +20,16 @@ let sample_program () =
   let leaf = Builder.finish_func fb2 in
   Builder.program ~main:"main" [ main; leaf ]
 
+(* Validation errors as Builder.program and Executor.create raise them *)
+let validation_errors prog =
+  match Validate.check_exn prog with () -> "" | exception Invalid_argument msg -> msg
+
 let test_builder_roundtrip () =
   let prog = sample_program () in
   Alcotest.(check int) "two functions" 2 (Array.length prog.funcs);
   Alcotest.(check int) "main is entry" 0 prog.main;
   Alcotest.(check int) "main has three blocks" 3 (Array.length (prog.funcs.(0)).blocks);
-  Alcotest.(check (list string)) "no validation errors" []
-    (List.map Validate.error_to_string (Validate.check_program prog))
+  Alcotest.(check string) "no validation errors" "" (validation_errors prog)
 
 let test_builder_rejects_unterminated () =
   let fb = Builder.create_func ~name:"f" ~nparams:0 in
@@ -70,22 +73,24 @@ let test_builder_rejects_emit_after_terminator () =
 let make_func ~name blocks nregs =
   { fname = name; nparams = 0; nregs; blocks = Array.of_list blocks }
 
+let program_of f = { funcs = [| f |]; main = 0 }
+
 let test_validate_catches_bad_register () =
   let f =
     make_func ~name:"f"
       [ { label = "entry"; insts = [| Bin (5, Add, Const 1L, Const 2L) |]; term = Ret None } ]
       1
   in
-  let errors = Validate.check_func ~known:(fun _ -> true) f in
-  Alcotest.(check bool) "register error reported" true
-    (List.exists (fun e -> e.Validate.message = "register r5 out of range") errors)
+  Alcotest.(check string) "register error reported"
+    "Ir.Validate: f/.0: register r5 out of range"
+    (validation_errors (program_of f))
 
 let test_validate_catches_bad_target () =
   let f =
     make_func ~name:"f" [ { label = "entry"; insts = [||]; term = Jmp 9 } ] 1
   in
-  let errors = Validate.check_func ~known:(fun _ -> true) f in
-  Alcotest.(check int) "one error" 1 (List.length errors)
+  Alcotest.(check string) "one error" "Ir.Validate: f/.0: branch target .9 out of range"
+    (validation_errors (program_of f))
 
 let test_validate_catches_unknown_callee () =
   let f =
@@ -93,16 +98,14 @@ let test_validate_catches_unknown_callee () =
       [ { label = "entry"; insts = [| Call (None, "ghost", []) |]; term = Ret None } ]
       1
   in
-  let errors = Validate.check_func ~known:(fun name -> name = "f") f in
-  Alcotest.(check bool) "unknown callee" true
-    (List.exists (fun e -> e.Validate.message = "unknown callee ghost") errors)
+  Alcotest.(check string) "unknown callee" "Ir.Validate: f/.0: unknown callee ghost"
+    (validation_errors (program_of f))
 
 let test_validate_program_duplicate_names () =
   let f = make_func ~name:"f" [ { label = "entry"; insts = [||]; term = Ret None } ] 1 in
   let prog = { funcs = [| f; f |]; main = 0 } in
-  let errors = Validate.check_program prog in
-  Alcotest.(check bool) "duplicate reported" true
-    (List.exists (fun e -> e.Validate.message = "duplicate function name f") errors)
+  Alcotest.(check string) "duplicate reported"
+    "Ir.Validate: <program>/.-1: duplicate function name f" (validation_errors prog)
 
 let test_intrinsics_known () =
   Alcotest.(check bool) "in_byte" true (is_intrinsic "in_byte");
@@ -122,23 +125,18 @@ let test_cfg_ids_and_labels () =
   Alcotest.(check int) "nblocks" 4 (Cfg.nblocks cfg);
   Alcotest.(check int) "main entry id" 0 (Cfg.id cfg 0 0);
   Alcotest.(check int) "leaf entry id" 3 (Cfg.id cfg 1 0);
-  Alcotest.(check (pair int int)) "of_id inverse" (1, 0) (Cfg.of_id cfg 3);
   Alcotest.(check string) "label" "leaf/.0" (Cfg.label cfg 3)
 
 let test_cfg_successors_include_calls () =
   let prog = sample_program () in
   let cfg = Cfg.build prog in
-  let succs = List.sort Int.compare (Cfg.successors cfg 0) in
-  (* entry branches to .1 and .2, and calls leaf (global id 3) *)
-  Alcotest.(check (list int)) "successors" [ 1; 2; 3 ] succs
-
-let test_cfg_reachability () =
-  let prog = sample_program () in
-  let cfg = Cfg.build prog in
-  let reach = Cfg.reachable_from cfg 0 in
-  Alcotest.(check (array bool)) "all reachable from main" [| true; true; true; true |] reach;
-  let from_leaf = Cfg.reachable_from cfg 3 in
-  Alcotest.(check (array bool)) "only leaf from leaf" [| false; false; false; true |] from_leaf
+  (* entry branches to .1 and .2, and calls leaf (global id 3): each is
+     one edge away *)
+  List.iter
+    (fun gid ->
+      let dist = Cfg.distances_to cfg ~targets:(fun g -> g = gid) in
+      Alcotest.(check int) (Printf.sprintf "entry to %d" gid) 1 dist.(0))
+    [ 1; 2; 3 ]
 
 let test_cfg_distances () =
   let prog = sample_program () in
@@ -180,7 +178,6 @@ let suite =
     Alcotest.test_case "block/inst counts" `Quick test_counts;
     Alcotest.test_case "cfg ids and labels" `Quick test_cfg_ids_and_labels;
     Alcotest.test_case "cfg successors with calls" `Quick test_cfg_successors_include_calls;
-    Alcotest.test_case "cfg reachability" `Quick test_cfg_reachability;
     Alcotest.test_case "cfg distances" `Quick test_cfg_distances;
     Alcotest.test_case "printer output" `Quick test_printer_mentions_everything;
   ]

@@ -202,6 +202,16 @@ let test_char_and_hex_literals () =
   check_output "literals" "fn main() { out('A'); out(0x10); out('\\n'); return 0; }"
     [ 65L; 16L; 10L ]
 
+let test_integer_literal_range () =
+  check_output "largest literals"
+    "fn main() { out(9223372036854775807); out(0xffffffffffffffff); return 0; }"
+    [ Int64.max_int; -1L ];
+  (* one past either bound is a lexical error at the literal, never a crash *)
+  expect_error "decimal overflow" "fn main() { return 9223372036854775808; }"
+    "line 1, column 20: integer literal 9223372036854775808 out of range";
+  expect_error "hex overflow" "fn main() {\n  return 0x10000000000000000;\n}"
+    "line 2, column 10: integer literal 0x10000000000000000 out of range"
+
 (* qcheck: random constant expressions evaluate identically in MiniC (via
    lexer, parser, lowering and the concrete interpreter) and directly via
    the shared scalar semantics. *)
@@ -337,5 +347,6 @@ let suite =
     Alcotest.test_case "switch errors" `Quick test_switch_errors;
     Alcotest.test_case "comments" `Quick test_comments;
     Alcotest.test_case "char and hex literals" `Quick test_char_and_hex_literals;
+    Alcotest.test_case "integer literal range" `Quick test_integer_literal_range;
     QCheck_alcotest.to_alcotest prop_compiled_expressions_match;
   ]

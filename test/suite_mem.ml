@@ -131,17 +131,11 @@ let test_free_null_ok () =
 let test_alloc_limits () =
   let mem, ptr = Mem.alloc Mem.empty ~size:(Mem.max_object_size + 1) in
   Alcotest.(check bool) "huge alloc yields null" true (Mem.Ptr.is_null ptr);
-  Alcotest.(check int) "nothing allocated" 0 (Mem.object_count mem);
+  (* nothing allocated: the next allocation still gets the first object id *)
+  Alcotest.(check int) "nothing allocated" 1 (Mem.Ptr.obj (snd (Mem.alloc mem ~size:1)));
   let mem, ptr = Mem.alloc Mem.empty ~size:(-1) in
   Alcotest.(check bool) "negative alloc yields null" true (Mem.Ptr.is_null ptr);
   ignore mem
-
-let test_alloc_bytes_contents () =
-  let mem, ptr = Mem.alloc_bytes Mem.empty (Bytes.of_string "hi") in
-  (match Mem.load mem ptr T.W1 with
-   | Ok v -> Alcotest.(check (option int64)) "h" (Some 104L) (Expr.is_const v)
-   | Error _ -> Alcotest.fail "load failed");
-  Alcotest.(check (option int)) "size" (Some 2) (Mem.size_of mem ptr)
 
 let prop_store_load_roundtrip =
   QCheck.Test.make ~count:300 ~name:"store/load roundtrip at every width"
@@ -174,7 +168,6 @@ let suite =
     Alcotest.test_case "faults" `Quick test_faults;
     Alcotest.test_case "free null ok" `Quick test_free_null_ok;
     Alcotest.test_case "alloc limits" `Quick test_alloc_limits;
-    Alcotest.test_case "alloc_bytes contents" `Quick test_alloc_bytes_contents;
     QCheck_alcotest.to_alcotest prop_ptr_roundtrip;
     QCheck_alcotest.to_alcotest prop_store_load_roundtrip;
   ]

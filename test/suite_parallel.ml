@@ -19,7 +19,17 @@ module Registry = Pbse_targets.Registry
 let mini_program = Suite_core.mini_program
 let pool_seeds = Suite_campaign.pool_seeds
 
-(* --- Domain_pool.map -------------------------------------------------------- *)
+(* --- Domain_pool.run -------------------------------------------------------- *)
+
+(* One fresh pool per call, tasks homed by input index *)
+let map ~jobs f xs =
+  let pool = Domain_pool.create ~jobs in
+  Fun.protect
+    ~finally:(fun () -> Domain_pool.shutdown pool)
+    (fun () ->
+      Domain_pool.run pool ~jobs ~home:fst
+        (fun (_, x) -> f x)
+        (List.mapi (fun i x -> (i, x)) xs))
 
 (* Deterministic busy work (no wall clock): enough iterations that a
    skewed distribution actually interleaves domain completion order. *)
@@ -44,7 +54,7 @@ let test_map_results_in_input_order () =
       Alcotest.(check (list int))
         (Printf.sprintf "input order at jobs=%d" jobs)
         (List.map (fun i -> i * i) inputs)
-        (Domain_pool.map ~jobs f inputs))
+        (map ~jobs f inputs))
     [ 1; 2; 4 ]
 
 exception Boom of int
@@ -59,7 +69,7 @@ let test_map_reraises_earliest_failure () =
   in
   List.iter
     (fun jobs ->
-      match Domain_pool.map ~jobs f (List.init 8 (fun i -> i)) with
+      match map ~jobs f (List.init 8 (fun i -> i)) with
       | _ -> Alcotest.fail "expected Boom"
       | exception Boom i ->
         Alcotest.(check int)
@@ -72,11 +82,11 @@ let test_map_clamps_jobs () =
   let xs = [ 10; 20; 30 ] in
   let double x = x * 2 in
   Alcotest.(check (list int)) "jobs=64 on 3 tasks" [ 20; 40; 60 ]
-    (Domain_pool.map ~jobs:64 double xs);
+    (map ~jobs:64 double xs);
   Alcotest.(check (list int)) "jobs=0 runs inline" [ 20; 40; 60 ]
-    (Domain_pool.map ~jobs:0 double xs);
+    (map ~jobs:0 double xs);
   Alcotest.(check (list int)) "empty input" []
-    (Domain_pool.map ~jobs:4 double [])
+    (map ~jobs:4 double [])
 
 (* --- byte-identical pool reports across --jobs ------------------------------ *)
 

@@ -21,17 +21,15 @@ let cond i = Expr.bin Ne (Expr.read i) (Expr.const (Int64.of_int (17 + i)))
 let test_pathcond_basics () =
   let c0 = cond 0 and c1 = cond 1 and c2 = cond 2 in
   let p = Pathcond.empty in
-  Alcotest.(check int) "empty length" 0 (Pathcond.length p);
+  Alcotest.(check int) "empty length" 0 (List.length (Pathcond.spine p));
   let p = Pathcond.assume p ~block:7 c0 in
   let p = Pathcond.assume p ~block:7 c1 in
   let p = Pathcond.assume p ~block:9 c2 in
-  Alcotest.(check int) "length" 3 (Pathcond.length p);
+  Alcotest.(check int) "length" 3 (List.length (Pathcond.spine p));
   Alcotest.(check bool) "mem c1" true (Pathcond.mem p c1.Expr.id);
   Alcotest.(check bool) "mem other" false (Pathcond.mem p (cond 5).Expr.id);
   Alcotest.(check bool) "spine newest first" true
-    (match Pathcond.spine p with e :: _ -> Expr.equal e c2 | [] -> false);
-  Alcotest.(check bool) "conditions oldest first" true
-    (match Pathcond.conditions p with e :: _ -> Expr.equal e c0 | [] -> false)
+    (match Pathcond.spine p with e :: _ -> e == c2 | [] -> false)
 
 let test_pathcond_fork_shares_spine () =
   (* sibling states forked from a common prefix must share the prefix
@@ -116,17 +114,24 @@ let test_subsume_hit_miss_empty () =
 
 let test_subsume_dedup_and_cap () =
   let t = Subsume.create () in
+  let hits ~block conds =
+    let p = List.fold_left (fun p c -> Pathcond.assume p ~block c) Pathcond.empty conds in
+    Subsume.consult t ~block ~sg:(Pathcond.signature p) ~mem:(mem_of p) = `Hit
+  in
   Subsume.record t ~block:1 [ cond 0; cond 1 ];
-  Subsume.record t ~block:1 [ cond 1; cond 0 ];
-  (* same id set, either order: one core *)
-  Alcotest.(check (pair int int)) "duplicates dropped" (1, 1) (Subsume.stats t);
-  (* overflow a bucket: the count stays at the cap *)
+  (* the same id set again, in either order, takes no slot: the first
+     core outlives more repeats than a bucket holds *)
+  for _ = 0 to 40 do
+    Subsume.record t ~block:1 [ cond 3; cond 2 ];
+    Subsume.record t ~block:1 [ cond 2; cond 3 ]
+  done;
+  Alcotest.(check bool) "duplicates dropped" true (hits ~block:1 [ cond 0; cond 1 ]);
+  (* overflow a bucket: the oldest cores are dropped, the newest kept *)
   for i = 0 to 40 do
     Subsume.record t ~block:2 [ cond (10 + i); cond (11 + i) ]
   done;
-  let cores, buckets = Subsume.stats t in
-  Alcotest.(check int) "two buckets" 2 buckets;
-  Alcotest.(check bool) "bucket capped" true (cores <= 1 + 24)
+  Alcotest.(check bool) "oldest core evicted" false (hits ~block:2 [ cond 10; cond 11 ]);
+  Alcotest.(check bool) "newest core kept" true (hits ~block:2 [ cond 50; cond 51 ])
 
 (* --- subsumption on vs off ----------------------------------------------- *)
 

@@ -6,16 +6,19 @@ module Rng = Pbse_util.Rng
 
 let vec l = Array.of_list l
 
+(* k-means for [k] on a fresh workspace *)
+let cluster rng ~k ~dim vectors = Kmeans.run (Kmeans.workspace ~max_k:k ~dim vectors) rng ~k
+
 let test_kmeans_single_cluster () =
   let vectors = [| vec [ (0, 1.0) ]; vec [ (0, 1.0) ]; vec [ (0, 1.0) ] |] in
-  let c = Kmeans.cluster (Rng.create 1) ~k:1 ~dim:1 vectors in
+  let c = cluster (Rng.create 1) ~k:1 ~dim:1 vectors in
   Alcotest.(check (array int)) "all in cluster 0" [| 0; 0; 0 |] c.Kmeans.assignment;
   Alcotest.(check (float 1e-9)) "zero inertia" 0.0 c.Kmeans.inertia
 
 let test_kmeans_separates_two_groups () =
   let a = vec [ (0, 1.0) ] and b = vec [ (5, 1.0) ] in
   let vectors = [| a; b; a; b; a; b |] in
-  let c = Kmeans.cluster (Rng.create 3) ~k:2 ~dim:6 vectors in
+  let c = cluster (Rng.create 3) ~k:2 ~dim:6 vectors in
   let c0 = c.Kmeans.assignment.(0) in
   let c1 = c.Kmeans.assignment.(1) in
   Alcotest.(check bool) "two distinct clusters" true (c0 <> c1);
@@ -27,17 +30,17 @@ let test_kmeans_deterministic () =
   let vectors =
     Array.init 20 (fun i -> vec [ (i mod 4, 1.0); (5 + (i mod 3), 0.5) ])
   in
-  let c1 = Kmeans.cluster (Rng.create 42) ~k:3 ~dim:8 vectors in
-  let c2 = Kmeans.cluster (Rng.create 42) ~k:3 ~dim:8 vectors in
+  let c1 = cluster (Rng.create 42) ~k:3 ~dim:8 vectors in
+  let c2 = cluster (Rng.create 42) ~k:3 ~dim:8 vectors in
   Alcotest.(check (array int)) "same assignment" c1.Kmeans.assignment c2.Kmeans.assignment
 
 let test_kmeans_rejects_bad_input () =
   let check_raises name f =
     Alcotest.(check bool) name true (try ignore (f ()); false with Invalid_argument _ -> true)
   in
-  check_raises "k=0" (fun () -> Kmeans.cluster (Rng.create 1) ~k:0 ~dim:1 [| vec [] |]);
-  check_raises "no vectors" (fun () -> Kmeans.cluster (Rng.create 1) ~k:1 ~dim:1 [||]);
-  check_raises "dim=0" (fun () -> Kmeans.cluster (Rng.create 1) ~k:1 ~dim:0 [| vec [] |])
+  check_raises "k=0" (fun () -> cluster (Rng.create 1) ~k:0 ~dim:1 [| vec [] |]);
+  check_raises "no vectors" (fun () -> cluster (Rng.create 1) ~k:1 ~dim:1 [||]);
+  check_raises "dim=0" (fun () -> cluster (Rng.create 1) ~k:1 ~dim:0 [| vec [] |])
 
 let prop_kmeans_assignment_in_range =
   QCheck.Test.make ~count:100 ~name:"kmeans assignments stay in [0, k)"
@@ -46,7 +49,7 @@ let prop_kmeans_assignment_in_range =
       let vectors =
         Array.init n (fun i -> vec [ (i mod 5, float_of_int (i mod 7) /. 7.0) ])
       in
-      let c = Kmeans.cluster (Rng.create seed) ~k ~dim:5 vectors in
+      let c = cluster (Rng.create seed) ~k ~dim:5 vectors in
       Array.for_all (fun a -> a >= 0 && a < k) c.Kmeans.assignment)
 
 (* The cached-norm kernel and the clustering built on it must reproduce
@@ -77,7 +80,7 @@ let gen_sparse dim =
     |> List.filter_map Fun.id |> Array.of_list)
 
 (* The k-means of the commit before the cached-norm kernel, copied
-   verbatim: the oracle for [Kmeans.cluster]. *)
+   verbatim: the oracle for [Kmeans.run]. *)
 module Oracle_kmeans = struct
   type vector = (int * float) array
 
@@ -214,7 +217,7 @@ let prop_cluster_matches_oracle =
           quad (int_range 1 8) (int_range 0 100_000) (return dim)
             (array_size (int_range 1 40) (gen_sparse dim))))
     (fun (k, seed, dim, vectors) ->
-      let got = Kmeans.cluster (Rng.create seed) ~k ~dim vectors in
+      let got = cluster (Rng.create seed) ~k ~dim vectors in
       let want = Oracle_kmeans.cluster (Rng.create seed) ~k ~dim vectors in
       got.Kmeans.assignment = want.Oracle_kmeans.assignment
       && bits got.Kmeans.inertia = bits want.Oracle_kmeans.inertia)
@@ -246,7 +249,7 @@ let prop_cluster_with_copies_matches_oracle =
       in
       let fresh =
         same
-          (Kmeans.cluster (Rng.create seed) ~k ~dim vectors)
+          (cluster (Rng.create seed) ~k ~dim vectors)
           (Oracle_kmeans.cluster (Rng.create seed) ~k ~dim vectors)
       in
       let ws = Kmeans.workspace ~max_k:k ~dim vectors in

@@ -53,15 +53,16 @@ let test_quarantine_eviction () =
   let q = Quarantine.create ~max_strikes:3 () in
   Alcotest.(check bool) "strike 1" false (Quarantine.strike q 42);
   Alcotest.(check bool) "strike 2" false (Quarantine.strike q 42);
-  Alcotest.(check int) "strikes so far" 2 (Quarantine.strikes_of q 42);
   Alcotest.(check bool) "strike 3 evicts" true (Quarantine.strike q 42);
   Alcotest.(check int) "evicted" 1 (Quarantine.evicted q);
-  Alcotest.(check int) "record cleared" 0 (Quarantine.strikes_of q 42);
   Alcotest.(check int) "total strikes survive eviction" 3
     (Quarantine.total_strikes q);
-  (* independent states have independent strike counts *)
+  (* independent states have independent strike counts, and an
+     eviction clears the state's record *)
   Alcotest.(check bool) "other state" false (Quarantine.strike q 7);
-  Alcotest.(check int) "other strikes" 1 (Quarantine.strikes_of q 7)
+  Alcotest.(check bool) "record cleared" false (Quarantine.strike q 42);
+  Alcotest.(check bool) "other state strike 2" false (Quarantine.strike q 7);
+  Alcotest.(check bool) "other state strike 3 evicts" true (Quarantine.strike q 7)
 
 let test_quarantine_min_strikes () =
   (* max_strikes is clamped to >= 1: the first strike evicts *)
@@ -74,13 +75,10 @@ let test_quarantine_epoch_site_persistence () =
   ignore (Quarantine.strike q ~site:100 1);
   ignore (Quarantine.strike q ~site:100 1);
   Alcotest.(check bool) "third strike evicts" true (Quarantine.strike q ~site:100 1);
-  Alcotest.(check int) "site eviction recorded" 1 (Quarantine.site_evictions q 100);
   (* a strike left open on another state *)
   ignore (Quarantine.strike q ~site:200 2);
-  Alcotest.(check int) "open strike kept" 1 (Quarantine.strikes_of q 2);
   Alcotest.(check int) "totals count every strike" 4 (Quarantine.total_strikes q);
   Alcotest.(check int) "evictions counted" 1 (Quarantine.evicted q);
-  Alcotest.(check int) "site record kept" 1 (Quarantine.site_evictions q 100);
   (* the recorded site lowers the effective limit: two strikes now evict *)
   Alcotest.(check bool) "bad-site strike 1" false (Quarantine.strike q ~site:100 9);
   Alcotest.(check bool) "bad-site strike 2 evicts" true
@@ -143,7 +141,8 @@ let test_inject_streams_deterministic () =
         Inject.fire_mem_pressure t :: Inject.fire_exec_abort t
         :: Inject.fire_solver_unknown t :: !seq
     done;
-    (List.rev !seq, Inject.fired t)
+    let seq = List.rev !seq in
+    (seq, List.length (List.filter Fun.id seq))
   in
   let s1, f1 = draw () in
   let s2, f2 = draw () in
@@ -158,8 +157,7 @@ let test_inject_zero_rate_never_fires () =
     Alcotest.(check bool) "solver silent" false (Inject.fire_solver_unknown t);
     Alcotest.(check bool) "abort silent" false (Inject.fire_exec_abort t);
     Alcotest.(check bool) "mem silent" false (Inject.fire_mem_pressure t)
-  done;
-  Alcotest.(check int) "nothing fired" 0 (Inject.fired t)
+  done
 
 let test_inject_concolic_channel () =
   (match Inject.parse "seed=3,concolic=0.5" with
@@ -176,8 +174,7 @@ let test_inject_concolic_channel () =
        if Inject.fire_concolic_drop t then incr fired
      done;
      Alcotest.(check bool) "some fired" true (!fired > 0);
-     Alcotest.(check bool) "not all fired" true (!fired < 200);
-     Alcotest.(check int) "fired counted" !fired (Inject.fired t));
+     Alcotest.(check bool) "not all fired" true (!fired < 200));
   (* the concolic stream is split off last: adding the clause must not
      shift the decisions of the existing channels *)
   let draw spec =
@@ -209,7 +206,6 @@ let test_solver_retry_escalates_to_sat () =
   (* budget 30 admits the per-query expression walk (so cache hits can
      answer) but is hopeless for the actual search *)
   let solver = Solver.create ~budget:30 ~retry_cap:1_000_000 () in
-  Alcotest.(check int) "cap respected" 1_000_000 (Solver.retry_cap solver);
   let q = hard_query () in
   (match Solver.check solver q with
    | Solver.Unknown, _ -> ()

@@ -12,8 +12,14 @@ let dummy_state id =
   State.create ~id ~nregs:1 ~mem:Mem.empty ~model:Pbse_smt.Model.empty ~fidx:0
     ~born:0
 
+let dfs () =
+  let cfg = Pbse_ir.Cfg.build (Pbse_lang.Frontend.compile "fn main() { return 0; }") in
+  (Option.get (Searcher.by_name "dfs"))
+    (Pbse_util.Rng.create 1) cfg
+    (Pbse_exec.Coverage.create (Pbse_ir.Cfg.nblocks cfg))
+
 let queue ?(states = 1) ?(trap = false) ordinal =
-  let q = Phase_queue.create ~ordinal ~pid:ordinal ~trap (Searcher.dfs ()) in
+  let q = Phase_queue.create ~ordinal ~pid:ordinal ~trap (dfs ()) in
   for i = 1 to states do
     Phase_queue.seed q (dummy_state ((100 * ordinal) + i))
   done;

@@ -15,6 +15,11 @@ let cfg_and_coverage () =
   let cfg = Pbse_ir.Cfg.build prog in
   (cfg, Coverage.create (Pbse_ir.Cfg.nblocks cfg))
 
+(* A searcher built the way users pick one: by name *)
+let searcher ?(rng = Rng.create 1) name =
+  let cfg, coverage = cfg_and_coverage () in
+  (Option.get (Searcher.by_name name)) rng cfg coverage
+
 let ids_of_drain searcher =
   (* repeatedly select and remove until empty *)
   let rec go acc =
@@ -27,12 +32,12 @@ let ids_of_drain searcher =
   go []
 
 let test_dfs_lifo () =
-  let s = Searcher.dfs () in
+  let s = searcher "dfs" in
   List.iter (fun i -> s.Searcher.add (dummy_state i)) [ 1; 2; 3 ];
   Alcotest.(check (list int)) "newest first" [ 3; 2; 1 ] (ids_of_drain s)
 
 let test_dfs_fork_goes_deeper () =
-  let s = Searcher.dfs () in
+  let s = searcher "dfs" in
   let parent = dummy_state 1 in
   s.Searcher.add parent;
   s.Searcher.fork ~parent (dummy_state 2);
@@ -42,13 +47,13 @@ let test_dfs_fork_goes_deeper () =
   Alcotest.(check int) "size" 2 (s.Searcher.size ())
 
 let test_bfs_fifo () =
-  let s = Searcher.bfs () in
+  let s = searcher "bfs" in
   List.iter (fun i -> s.Searcher.add (dummy_state i)) [ 1; 2; 3 ];
   Alcotest.(check (list int)) "oldest first" [ 1; 2; 3 ] (ids_of_drain s)
 
 let test_random_state_selects_live () =
   let rng = Rng.create 5 in
-  let s = Searcher.random_state rng in
+  let s = searcher ~rng "random-state" in
   let states = List.init 10 dummy_state in
   List.iter s.Searcher.add states;
   let removed = List.filteri (fun i _ -> i mod 2 = 0) states in
@@ -63,7 +68,7 @@ let test_random_state_selects_live () =
 
 let test_random_path_tree () =
   let rng = Rng.create 7 in
-  let s = Searcher.random_path rng in
+  let s = searcher ~rng "random-path" in
   let root = dummy_state 0 in
   s.Searcher.add root;
   (* fork a small tree: 0 -> (0, 1), 1 -> (1, 2), 0 -> (0, 3) *)
@@ -92,9 +97,8 @@ let test_random_path_tree () =
 
 let test_weighted_searchers_basic () =
   List.iter
-    (fun make ->
-      let cfg, coverage = cfg_and_coverage () in
-      let s = make (Rng.create 3) cfg coverage in
+    (fun name ->
+      let s = searcher ~rng:(Rng.create 3) name in
       let states = List.init 20 dummy_state in
       List.iter s.Searcher.add states;
       Alcotest.(check int) "size" 20 (s.Searcher.size ());
@@ -110,11 +114,10 @@ let test_weighted_searchers_basic () =
       List.iter s.Searcher.remove states;
       Alcotest.(check int) "drained" 0 (s.Searcher.size ());
       Alcotest.(check bool) "select on empty" true (s.Searcher.select () = None))
-    [ Searcher.covnew; Searcher.md2u ]
+    [ "covnew"; "md2u" ]
 
 let test_covnew_prefers_fresh_cover () =
-  let cfg, coverage = cfg_and_coverage () in
-  let s = Searcher.covnew (Rng.create 11) cfg coverage in
+  let s = searcher ~rng:(Rng.create 11) "covnew" in
   let stale = List.init 10 dummy_state in
   let fresh = dummy_state 99 in
   fresh.State.fresh_cover <- true;
@@ -134,7 +137,7 @@ let test_covnew_prefers_fresh_cover () =
     (!hits > rounds / 8)
 
 let test_interleave_alternates () =
-  let s = Searcher.interleave "both" [ Searcher.dfs (); Searcher.bfs () ] in
+  let s = Searcher.interleave "both" [ searcher "dfs"; searcher "bfs" ] in
   List.iter (fun i -> s.Searcher.add (dummy_state i)) [ 1; 2; 3 ];
   let first = Option.get (s.Searcher.select ()) in
   let second = Option.get (s.Searcher.select ()) in

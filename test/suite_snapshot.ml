@@ -14,6 +14,11 @@ module Report = Pbse_telemetry.Report
 module Json = Pbse_telemetry.Json
 module Checked_file = Pbse_telemetry.Checked_file
 
+let schema = "pbse-snapshot/1"
+
+(* A checkpoint write, as the driver makes it *)
+let save ~path sn = Checked_file.write ~path (Snapshot.to_string sn)
+
 let mini_program = Suite_core.mini_program
 let pool_seeds = Suite_campaign.pool_seeds
 
@@ -107,9 +112,9 @@ let test_snapshot_roundtrip_bytes () =
     (* an older writer also stored a "counters" member after "opened";
        the reader ignores it, so such checkpoints still load *)
     let legacy =
-      match Checked_file.parse ~schema:Snapshot.schema doc with
+      match Checked_file.parse ~schema doc with
       | Ok (Json.Obj members) ->
-        Checked_file.render ~schema:Snapshot.schema
+        Checked_file.render ~schema
           (Json.Obj
              (List.concat_map
                 (fun ((k, _) as m) ->
@@ -156,8 +161,8 @@ let test_save_rotates_and_falls_back () =
   let path = Filename.temp_file "pbse_snap" ".json" in
   let sn1 = sample_snapshot () in
   let sn2 = { sn1 with Snapshot.sn_spent = 43_000 } in
-  Snapshot.save ~path sn1;
-  Snapshot.save ~path sn2;
+  save ~path sn1;
+  save ~path sn2;
   Alcotest.(check bool) "previous checkpoint rotated to .bak" true
     (Sys.file_exists (path ^ ".bak"));
   (match Driver.load_snapshot ~path with
@@ -404,7 +409,7 @@ let test_resume_pool_shape_mismatch_degrades () =
      checksummed snapshot naming a slot outside the pool degrades the
      same way instead of indexing out of bounds *)
   let rewritten sn =
-    Snapshot.save ~path sn;
+    save ~path sn;
     match Driver.load_snapshot ~path with
     | Ok (sn, None) -> sn
     | Ok (_, Some why) -> Alcotest.fail ("unexpected fallback: " ^ why)
@@ -423,6 +428,31 @@ let test_resume_pool_shape_mismatch_degrades () =
               sn.Snapshot.sn_bugs
               @ [ { Snapshot.br_slot = 99; br_gid = 1; br_kind = "div-by-zero" } ];
           }))
+
+let test_resume_rejects_bad_config () =
+  (* snapshot meta is untrusted input: with a valid checksum, a config
+     value the engine would fail on mid-campaign is a resume error *)
+  let path = Filename.temp_file "pbse_badcfg" ".json" in
+  List.iter
+    (fun (key, value) ->
+      let sn = sample_snapshot () in
+      save ~path { sn with Snapshot.sn_meta = sn.Snapshot.sn_meta @ [ (key, value) ] };
+      match Driver.load_snapshot ~path with
+      | Error e -> Alcotest.fail e
+      | Ok (sn, _) -> (
+        match Driver.resume_pool sn (mini_program ()) ~seeds:(pool_seeds ()) with
+        | Ok _ -> Alcotest.failf "%s=%s resumed" key value
+        | Error e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s=%s: %s" key value e)
+            true
+            (String.starts_with ~prefix:("snapshot config: " ^ key) e)))
+    [
+      ("search.max_k", "0");
+      ("concolic.interval_length", "0");
+      ("search.scheduler", "nope");
+      ("search.phase_searcher", "nope");
+    ]
 
 let test_injected_snapshot_corruption_is_detected () =
   (* snapshot=1.0 corrupts every checkpoint write on disk; loading must
@@ -468,8 +498,8 @@ let test_config_kvs_roundtrip () =
                 | Ok p -> p
                 | Error e -> Alcotest.fail e);
            })
-    |> Session.with_rng_seed 1234
   in
+  let config = { config with Session.rng_seed = 1234 } in
   match Session.config_of_kvs (Session.config_to_kvs config) with
   | Error e -> Alcotest.fail e
   | Ok rebuilt ->
@@ -569,6 +599,7 @@ let suite =
     Alcotest.test_case "injected snapshot corruption detected" `Quick
       test_injected_snapshot_corruption_is_detected;
     Alcotest.test_case "config kvs roundtrip" `Quick test_config_kvs_roundtrip;
+    Alcotest.test_case "resume rejects bad config" `Quick test_resume_rejects_bad_config;
     Alcotest.test_case "config kvs unknown/bad keys" `Quick
       test_config_kvs_ignores_unknown_and_rejects_bad;
     Alcotest.test_case "normalize_exn stable" `Quick test_normalize_exn_stable;

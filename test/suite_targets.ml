@@ -16,8 +16,7 @@ let test_all_compile_and_validate () =
   List.iter
     (fun t ->
       let prog = Registry.program t in
-      Alcotest.(check (list string)) (t.Registry.name ^ " validates") []
-        (List.map Validate.error_to_string (Validate.check_program prog));
+      Validate.check_exn prog;
       Alcotest.(check bool) (t.Registry.name ^ " is sizeable") true
         (Pbse_ir.Types.block_count prog > 60))
     Registry.all

@@ -36,20 +36,6 @@ let test_bucket_edges () =
   done;
   check max_int (Telemetry.nbuckets - 1)
 
-let test_bucket_lo_roundtrip () =
-  (* bucket_lo is the smallest value mapping into its bucket *)
-  Alcotest.(check int) "lo 0" 0 (Telemetry.bucket_lo 0);
-  for i = 1 to Telemetry.nbuckets - 1 do
-    let lo = Telemetry.bucket_lo i in
-    Alcotest.(check int) (Printf.sprintf "lo of bucket %d maps back" i) i
-      (Telemetry.bucket_index lo);
-    if i >= 2 then
-      Alcotest.(check int)
-        (Printf.sprintf "lo %d - 1 maps below" i)
-        (i - 1)
-        (Telemetry.bucket_index (lo - 1))
-  done
-
 let test_histogram_snapshot () =
   let r = Telemetry.Registry.create ~enabled:true () in
   let h = Telemetry.Registry.histogram r "test.hist" in
@@ -67,6 +53,14 @@ let test_histogram_snapshot () =
 
 (* --- gating ---------------------------------------------------------------- *)
 
+(* (count, total elapsed) of a span, as reports render it *)
+let span_stats r name =
+  match List.find_opt (fun (n, _, _) -> n = name) (Telemetry.Registry.snapshot_spans r) with
+  | Some (_, count, total) -> (count, total)
+  | None -> Alcotest.failf "no span %s" name
+
+let span_count r name = fst (span_stats r name)
+
 let test_disabled_is_inert () =
   let r = Telemetry.Registry.create () in
   let h = Telemetry.Registry.histogram r "test.gated_hist" in
@@ -76,7 +70,7 @@ let test_disabled_is_inert () =
   Alcotest.(check string) "with_span passes result through" "ok" v;
   Alcotest.(check int) "histogram untouched" 0
     (Telemetry.histogram_snapshot h).Telemetry.hs_count;
-  Alcotest.(check int) "span untouched" 0 (Telemetry.span_count s)
+  Alcotest.(check int) "span untouched" 0 (span_count r "test.gated_span")
 
 let test_enabled_records () =
   let r = Telemetry.Registry.create ~enabled:true () in
@@ -89,13 +83,14 @@ let test_enabled_records () =
   Alcotest.(check int) "histogram sum" 42 (hist r).Telemetry.hs_sum;
   (* same name returns the same instrument *)
   Alcotest.(check int) "histogram interned by name" 2 (hist r).Telemetry.hs_count;
-  Alcotest.(check int) "span interned by name" 1
-    (Telemetry.span_count (Telemetry.Registry.span r "test.live"));
+  ignore (Telemetry.Registry.span r "test.live");
+  Alcotest.(check (list (triple string int int))) "span interned by name"
+    [ ("test.live", 1, 0) ] (Telemetry.Registry.snapshot_spans r);
   (* registries share nothing: a fresh one starts from zero *)
   let fresh = Telemetry.Registry.create ~enabled:true () in
+  ignore (Telemetry.Registry.span fresh "test.live");
   Alcotest.(check int) "fresh histogram starts at zero" 0 (hist fresh).Telemetry.hs_count;
-  Alcotest.(check int) "fresh span starts at zero" 0
-    (Telemetry.span_count (Telemetry.Registry.span fresh "test.live"))
+  Alcotest.(check int) "fresh span starts at zero" 0 (span_count fresh "test.live")
 
 let test_span_fake_clock () =
   let r = Telemetry.Registry.create ~enabled:true () in
@@ -104,16 +99,15 @@ let test_span_fake_clock () =
   let now () = !t in
   Telemetry.with_span s ~now (fun () -> t := !t + 10);
   Telemetry.with_span s ~now (fun () -> t := !t + 7);
-  Alcotest.(check int) "two spans" 2 (Telemetry.span_count s);
-  Alcotest.(check int) "total elapsed" 17 (Telemetry.span_total s);
+  Alcotest.(check (pair int int)) "two spans, 17 units" (2, 17) (span_stats r "test.clock");
   (* exceptions still charge the span *)
   (try
      Telemetry.with_span s ~now (fun () ->
          t := !t + 3;
          failwith "boom")
    with Failure _ -> ());
-  Alcotest.(check int) "exception counted" 3 (Telemetry.span_count s);
-  Alcotest.(check int) "exception charged" 20 (Telemetry.span_total s)
+  Alcotest.(check (pair int int)) "exception counted and charged" (3, 20)
+    (span_stats r "test.clock")
 
 (* --- JSON ------------------------------------------------------------------ *)
 
@@ -345,7 +339,6 @@ let test_merge_ignores_enabled_gate () =
 let suite =
   [
     Alcotest.test_case "histogram bucket edges" `Quick test_bucket_edges;
-    Alcotest.test_case "bucket_lo roundtrip" `Quick test_bucket_lo_roundtrip;
     Alcotest.test_case "histogram snapshot" `Quick test_histogram_snapshot;
     Alcotest.test_case "disabled registry is inert" `Quick test_disabled_is_inert;
     Alcotest.test_case "enabled registry records" `Quick test_enabled_records;

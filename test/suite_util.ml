@@ -3,20 +3,20 @@ open Pbse_util
 let test_rng_deterministic () =
   let a = Rng.create 42 and b = Rng.create 42 in
   for _ = 1 to 100 do
-    Alcotest.(check int64) "same stream" (Rng.next_int64 a) (Rng.next_int64 b)
+    Alcotest.(check int) "same stream" (Rng.int a max_int) (Rng.int b max_int)
   done
 
 let test_rng_copy () =
   let a = Rng.create 7 in
-  let _ = Rng.next_int64 a in
+  let _ = Rng.int a max_int in
   let b = Rng.copy a in
-  Alcotest.(check int64) "copy continues identically" (Rng.next_int64 a) (Rng.next_int64 b)
+  Alcotest.(check int) "copy continues identically" (Rng.int a max_int) (Rng.int b max_int)
 
 let test_rng_split_independent () =
   let a = Rng.create 7 in
   let b = Rng.split a in
   Alcotest.(check bool) "split differs from parent" true
-    (Rng.next_int64 a <> Rng.next_int64 b)
+    (Rng.int a max_int <> Rng.int b max_int)
 
 let test_rng_int_bounds () =
   let rng = Rng.create 1 in
@@ -44,14 +44,6 @@ let test_rng_pick () =
     Alcotest.(check bool) "picked element" true (Array.mem (Rng.pick rng arr) arr)
   done
 
-let test_rng_shuffle_is_permutation () =
-  let rng = Rng.create 11 in
-  let arr = Array.init 50 (fun i -> i) in
-  Rng.shuffle rng arr;
-  let sorted = Array.copy arr in
-  Array.sort Int.compare sorted;
-  Alcotest.(check (array int)) "permutation" (Array.init 50 (fun i -> i)) sorted
-
 let test_rng_int_roughly_uniform () =
   let rng = Rng.create 5 in
   let counts = Array.make 4 0 in
@@ -71,9 +63,7 @@ let test_vclock_basics () =
   Alcotest.(check int) "starts at zero" 0 (Vclock.now c);
   Vclock.tick c;
   Vclock.advance c 10;
-  Alcotest.(check int) "tick + advance" 11 (Vclock.now c);
-  Vclock.reset c;
-  Alcotest.(check int) "reset" 0 (Vclock.now c)
+  Alcotest.(check int) "tick + advance" 11 (Vclock.now c)
 
 let test_vclock_rejects_negative () =
   let c = Vclock.create () in
@@ -105,7 +95,6 @@ let suite =
     Alcotest.test_case "rng int rejects nonpositive" `Quick test_rng_int_rejects_nonpositive;
     Alcotest.test_case "rng float bounds" `Quick test_rng_float_bounds;
     Alcotest.test_case "rng pick" `Quick test_rng_pick;
-    Alcotest.test_case "rng shuffle permutation" `Quick test_rng_shuffle_is_permutation;
     Alcotest.test_case "rng roughly uniform" `Quick test_rng_int_roughly_uniform;
     Alcotest.test_case "vclock basics" `Quick test_vclock_basics;
     Alcotest.test_case "vclock rejects negative" `Quick test_vclock_rejects_negative;
