@@ -165,7 +165,7 @@ let config_term =
         |> Session.with_search (fun s -> { s with Session.scheduler })
         |> Session.with_robust (fun r -> { r with Session.max_strikes })
         |> Session.with_concolic (fun c -> { c with Session.intervals_target })
-        |> Session.with_solver (fun s -> { s with Session.prefix_cap })
+        |> Session.with_solver (fun _ -> { Session.prefix_cap })
         |> Session.with_pathcond (fun p ->
                { Session.subsumption = p.Session.subsumption && not no_subsumption })
       in
@@ -442,7 +442,7 @@ let resume_cmd =
     write_report_opt report_file (fun () -> Driver.pool_run_report ~meta report)
   in
   (* total checkpoint loss: restart from nothing, fault on record *)
-  let fresh_start ~detail target hours ck jobs report_file =
+  let fresh_start target hours ck jobs report_file =
     match lookup_target target with
     | Error e ->
       prerr_endline e;
@@ -454,7 +454,7 @@ let resume_cmd =
           ~runtime:(report_runtime report_file Session.default_config)
           ~jobs:(Option.value jobs ~default:1)
           ?checkpoint:(build_checkpoint ~target ck)
-          ~preload_faults:[ (Fault.Snapshot_corrupt, detail) ]
+          ~preload_faults:[ Fault.Snapshot_corrupt ]
           (Registry.program t)
           ~seeds:(List.map snd t.Registry.seeds)
           ~deadline
@@ -470,7 +470,7 @@ let resume_cmd =
       match fresh_target with
       | Some target ->
         Printf.eprintf "checkpoint unusable (%s); restarting fresh on %s\n" e target;
-        fresh_start ~detail:e target fresh_hours ck jobs report_file
+        fresh_start target fresh_hours ck jobs report_file
       | None ->
         Printf.eprintf "cannot resume %s: %s\n" path e;
         1)

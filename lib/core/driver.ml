@@ -138,7 +138,11 @@ type turn_exec = {
    files written before keep their keys. Keys did change when the
    loop-summary switch left the config: reports cached under the old
    keys still carry its two metrics and the per-phase summary count, so
-   a hit on one would serve bytes a cold run no longer renders. *)
+   a hit on one would serve bytes a cold run no longer renders. They
+   changed again when the solver budget and retry cap, the live-state
+   cap, bug confirmation, the strike limit and the degradation step
+   left the config for constants: the config fingerprint hashes every
+   rendered key, so entries stored before miss once and are rebuilt. *)
 let campaign_fingerprint ?(config = Session.default_config)
     ?(scheduler = Pool_scheduler.default) ?(lease = 1) ~target ~seeds ~deadline () =
   let ordered =
@@ -159,6 +163,11 @@ let campaign_fingerprint ?(config = Session.default_config)
      ]
     @ List.map (fun seed -> Digest.to_hex (Digest.bytes seed)) ordered);
   Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Pool-level faults per graceful-degradation step, and watchdog or
+   crash strikes before a seed is force-retired (docs/robustness.md). *)
+let degrade_after = 4
+let watchdog_strikes = 3
 
 let run_pool ?(config = Session.default_config) ?(scheduler = Pool_scheduler.default)
     ?runtime ?(jobs = 1) ?(lease = 1) ?checkpoint ?resume ?(preload_faults = [])
@@ -254,13 +263,10 @@ let run_pool ?(config = Session.default_config) ?(scheduler = Pool_scheduler.def
   let degrade_faults = ref 0 in
   (* Graceful degradation: every watchdog strike, crashed turn or
      pool-level fault widens [degrade_faults]; each [degrade_after]
-     faults halve the domain-pool width and the solver prefix cap.
-     Neither knob is visible to plans or merges, so reports are
-     unaffected. *)
-  let degrade_steps () =
-    if config.robust.degrade_after <= 0 then 0
-    else !degrade_faults / config.robust.degrade_after
-  in
+     faults halve the domain-pool width and the prefix cap recorded for
+     sessions opened afterwards. Neither knob is visible to plans or
+     merges, so reports are unaffected. *)
+  let degrade_steps () = !degrade_faults / degrade_after in
   let eff_jobs () = max 1 (jobs asr degrade_steps ()) in
   let eff_prefix_cap () =
     match pool_rt.Runtime.prefix_cap with
@@ -276,9 +282,7 @@ let run_pool ?(config = Session.default_config) ?(scheduler = Pool_scheduler.def
   let watchdog_check s ~start ~budget =
     let spent = Session.session_time s - start in
     if watchdog_overran ~budget ~spent then begin
-      Fault.record
-        (Executor.faults (Session.session_executor s))
-        ~detail:"turn-timeout" ~vtime:(Session.session_time s) Fault.Turn_timeout;
+      Fault.record (Executor.faults (Session.session_executor s)) Fault.Turn_timeout;
       true
     end
     else false
@@ -312,7 +316,7 @@ let run_pool ?(config = Session.default_config) ?(scheduler = Pool_scheduler.def
       List.iter
         (fun ev ->
           match ev with
-          | Snapshot.Crash detail -> Session.record_crash s ~detail
+          | Snapshot.Crash _ -> Session.record_crash s
           | Snapshot.Step { deadline; budget } ->
             let start = Session.session_time s in
             ignore (Session.step_contained s ~deadline);
@@ -333,7 +337,7 @@ let run_pool ?(config = Session.default_config) ?(scheduler = Pool_scheduler.def
     if not compatible then begin
       (* the snapshot describes a different pool: degrade to a fresh
          start with the mismatch on record, never a crash *)
-      Fault.record pool_faults ~detail:"pool-shape" ~vtime:0 Fault.Resume_mismatch;
+      Fault.record pool_faults Fault.Resume_mismatch;
       incr degrade_faults
     end
     else begin
@@ -347,10 +351,9 @@ let run_pool ?(config = Session.default_config) ?(scheduler = Pool_scheduler.def
       checkpoints_written := sn.Snapshot.sn_checkpoints;
       degrade_faults := sn.Snapshot.sn_degrade_faults;
       (match fallback with
-       | Some detail ->
+       | Some _ ->
          (* the primary checkpoint was bad; we are running from [.bak] *)
-         Fault.record pool_faults ~detail ~vtime:sn.Snapshot.sn_spent
-           Fault.Snapshot_corrupt;
+         Fault.record pool_faults Fault.Snapshot_corrupt;
          incr degrade_faults
        | None -> ());
       (* reposition the injection streams where the original left them *)
@@ -396,8 +399,7 @@ let run_pool ?(config = Session.default_config) ?(scheduler = Pool_scheduler.def
         (fun (ordinal, result) ->
           match result with
           | None ->
-            Fault.record pool_faults ~detail:"missing-session" ~vtime:!base_spent
-              Fault.Resume_mismatch;
+            Fault.record pool_faults Fault.Resume_mismatch;
             incr degrade_faults
           | Some (rt, s) ->
             sessions.(ordinal) <- Some (rt, s);
@@ -406,16 +408,14 @@ let run_pool ?(config = Session.default_config) ?(scheduler = Pool_scheduler.def
                recorded it; divergence is survivable but on record *)
             let st = Option.get by_ordinal.(ordinal) in
             if Session.session_time s <> st.Snapshot.sl_clock then begin
-              Fault.record pool_faults ~detail:"clock" ~vtime:!base_spent
-                Fault.Resume_mismatch;
+              Fault.record pool_faults Fault.Resume_mismatch;
               incr degrade_faults
             end;
             if
               Coverage.count (Executor.coverage (Session.session_executor s))
               <> st.Snapshot.sl_coverage
             then begin
-              Fault.record pool_faults ~detail:"coverage" ~vtime:!base_spent
-                Fault.Resume_mismatch;
+              Fault.record pool_faults Fault.Resume_mismatch;
               incr degrade_faults
             end)
         replayed;
@@ -452,8 +452,7 @@ let run_pool ?(config = Session.default_config) ?(scheduler = Pool_scheduler.def
             | None -> false
           in
           if not reattached then begin
-            Fault.record pool_faults ~detail:"bug" ~vtime:!base_spent
-              Fault.Resume_mismatch;
+            Fault.record pool_faults Fault.Resume_mismatch;
             incr degrade_faults
           end)
         sn.Snapshot.sn_bugs
@@ -461,8 +460,8 @@ let run_pool ?(config = Session.default_config) ?(scheduler = Pool_scheduler.def
   in
   (match resume with Some (sn, fallback) -> apply_resume sn fallback | None -> ());
   List.iter
-    (fun (kind, detail) ->
-      Fault.record pool_faults ~detail ~vtime:0 kind;
+    (fun kind ->
+      Fault.record pool_faults kind;
       incr degrade_faults)
     preload_faults;
   let merge_coverage session =
@@ -507,7 +506,7 @@ let run_pool ?(config = Session.default_config) ?(scheduler = Pool_scheduler.def
       let st0 = Quarantine.total_strikes rt.Runtime.quarantine in
       let status =
         if crashed then begin
-          Session.record_crash s ~detail:"injected-crash";
+          Session.record_crash s;
           `Injected
         end
         else (Session.step_contained s ~deadline:(start + budget) :> [ `Stepped | `Failed | `Injected | `Entry_crash ])
@@ -572,14 +571,10 @@ let run_pool ?(config = Session.default_config) ?(scheduler = Pool_scheduler.def
          seed; this way it retries opening next round) and record the
          kill at pool level — there is no session to carry the fault *)
       spent_acc := !spent_acc + 1;
-      Fault.record pool_faults ~detail:"injected-crash" ~vtime:!spent_acc
-        Fault.Exec_exception;
+      Fault.record pool_faults Fault.Exec_exception;
       slot.Seed_slot.timeouts <- slot.Seed_slot.timeouts + 1;
       incr degrade_faults;
-      let force_retire =
-        config.robust.watchdog_strikes > 0
-        && slot.Seed_slot.timeouts >= config.robust.watchdog_strikes
-      in
+      let force_retire = slot.Seed_slot.timeouts >= watchdog_strikes in
       { Campaign.spent = 1; new_blocks = 0; finished = force_retire }
     | (`Stepped | `Failed | `Injected) as status ->
       let _rt, session =
@@ -611,7 +606,7 @@ let run_pool ?(config = Session.default_config) ?(scheduler = Pool_scheduler.def
           if watchdog_overran ~budget ~spent then begin
             Fault.record
               (Executor.faults (Session.session_executor session))
-              ~detail:"turn-timeout" ~vtime:tx.tx_stop Fault.Turn_timeout;
+              Fault.Turn_timeout;
             true
           end
           else false
@@ -622,10 +617,7 @@ let run_pool ?(config = Session.default_config) ?(scheduler = Pool_scheduler.def
         incr degrade_faults
       end;
       spent_acc := !spent_acc + spent;
-      let force_retire =
-        config.robust.watchdog_strikes > 0
-        && slot.Seed_slot.timeouts >= config.robust.watchdog_strikes
-      in
+      let force_retire = slot.Seed_slot.timeouts >= watchdog_strikes in
       {
         Campaign.spent;
         new_blocks = fresh;

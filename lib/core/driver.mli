@@ -125,7 +125,7 @@ val run_pool :
   ?lease:int ->
   ?checkpoint:checkpoint ->
   ?resume:Pbse_campaign.Snapshot.t * string option ->
-  ?preload_faults:(Pbse_robust.Fault.kind * string) list ->
+  ?preload_faults:Pbse_robust.Fault.kind list ->
   ?pool:Pbse_campaign.Domain_pool.t ->
   ?share:Pbse_session.Session.share ->
   ?round_wrap:((unit -> unit) -> unit) ->
@@ -164,17 +164,17 @@ val run_pool :
 
     Robustness (docs/robustness.md): [checkpoint] snapshots the campaign
     at round barriers; [resume] reinstates a snapshot — with an optional
-    fallback detail recorded as a [Snapshot_corrupt] fault when the
-    primary checkpoint was bad — and replays each opened session's
-    granted-turn ledger, so kill-and-resume reproduces the uninterrupted
-    run's report byte for byte (use {!resume_pool} rather than passing
-    [resume] directly). A turn overrunning [watchdog_factor] x budget,
-    an injected turn kill ([crash=R]) or a contained turn exception
-    strikes its seed toward forced retirement; accumulated faults step
-    the effective [jobs] and prefix cap down without aborting the
-    campaign. [preload_faults] enters faults on the pool record before
-    the first round — the CLI uses it when a campaign restarts fresh
-    because every checkpoint was unusable.
+    fallback message, present when the primary checkpoint was bad and
+    recorded as a [Snapshot_corrupt] fault — and replays each opened
+    session's granted-turn ledger, so kill-and-resume reproduces the
+    uninterrupted run's report byte for byte (use {!resume_pool} rather
+    than passing [resume] directly). A turn overrunning
+    [watchdog_factor] x budget, an injected turn kill ([crash=R]) or a
+    contained turn exception strikes its seed; 3 strikes force-retire
+    it. Every 4 accumulated faults halve the effective [jobs] without
+    aborting the campaign. [preload_faults] enters faults on the pool
+    record before the first round — the CLI uses it when a campaign
+    restarts fresh because every checkpoint was unusable.
 
     Session layer (docs/architecture.md): [pool] runs the campaign on a
     caller-owned {!Pbse_campaign.Domain_pool} (left running afterwards;
@@ -194,8 +194,8 @@ val load_snapshot :
 (** Load a checkpoint for resumption, degrading gracefully: a corrupt or
     version-mismatched [path] falls back to [path].bak (the previous
     checkpoint), returning the primary's failure message alongside so
-    the resumed campaign records it. [Error] only when no usable
-    checkpoint exists at either location. *)
+    the resumed campaign records the fallback. [Error] only when no
+    usable checkpoint exists at either location. *)
 
 val resume_pool :
   ?jobs:int ->
@@ -214,9 +214,10 @@ val resume_pool :
     recorded width and [lease] to its recorded lease — a snapshot
     written under multi-turn leases must resume under the same lease or
     the remaining rounds would plan different work units and diverge
-    from the uninterrupted run. [fallback] is the failure message of a
+    from the uninterrupted run. [fallback], the failure message of a
     corrupt primary checkpoint this snapshot replaced
-    ({!load_snapshot}). The pool registry is enabled exactly when the
+    ({!load_snapshot}), puts one [Snapshot_corrupt] fault on the pool
+    record. The pool registry is enabled exactly when the
     snapshot's ["telemetry"] metadata key says the original campaign's
     was, so the resumed report matches the uninterrupted one. *)
 

@@ -51,7 +51,6 @@ type t = {
   input : bytes;
   base_model : Model.t;
   max_live : int;
-  confirm_bugs : bool;
   mutable next_id : int;
   mutable bugs : Bug.t list; (* newest first *)
   bug_keys : (int * string, unit) Hashtbl.t;
@@ -81,8 +80,7 @@ let solver_charge_divisor = 128
 
 let max_call_depth = 512
 
-let create ?(max_live = 8192) ?(solver_budget = 60_000) ?solver_retry_cap
-    ?solver_prefix_cap ?(confirm_bugs = true) ?(inject = Inject.none)
+let create ?(max_live = 8192) ?solver_prefix_cap ?(inject = Inject.none)
     ?(subsumption = true) ?registry ~clock prog ~input =
   Pbse_ir.Validate.check_exn prog;
   let registry =
@@ -93,15 +91,12 @@ let create ?(max_live = 8192) ?(solver_budget = 60_000) ?solver_retry_cap
     prog;
     cfg;
     clock;
-    solver =
-      Solver.create ~budget:solver_budget ?retry_cap:solver_retry_cap
-        ?prefix_cap:solver_prefix_cap ~registry ();
+    solver = Solver.create ?prefix_cap:solver_prefix_cap ~registry ();
     coverage = Coverage.create (Cfg.nblocks cfg);
     findex = func_index prog;
     input;
     base_model = Model.of_bytes input;
     max_live;
-    confirm_bugs;
     next_id = 0;
     bugs = [];
     bug_keys = Hashtbl.create 64;
@@ -175,8 +170,7 @@ let inject_solver_unknown t =
   match t.inj with
   | Some inj when Inject.fire_solver_unknown inj ->
     Vclock.tick t.clock;
-    Fault.record t.faults ~detail:"injected solver unknown" ~vtime:(Vclock.now t.clock)
-      Fault.Solver_injected;
+    Fault.record t.faults Fault.Solver_injected;
     true
   | Some _ | None -> false
 
@@ -226,8 +220,7 @@ let feasible ?(prune = false) t st extra =
     charge_solver t work;
     (match result with
      | Solver.Unknown ->
-       Fault.record t.faults ~detail:"feasibility query out of budget"
-         ~vtime:(Vclock.now t.clock) Fault.Solver_unknown
+       Fault.record t.faults Fault.Solver_unknown
      | Solver.Sat _ | Solver.Unsat -> ());
     result
   end
@@ -266,8 +259,7 @@ let verify_pending t st =
           Verified
         | Solver.Unsat -> Infeasible_state
         | Solver.Unknown ->
-          Fault.record t.faults ~detail:"verification query out of budget"
-            ~vtime:(Vclock.now t.clock) Fault.Solver_unknown;
+          Fault.record t.faults Fault.Solver_unknown;
           Undecided
       end
   end
@@ -306,8 +298,6 @@ let report_bug t st ~kind ~detail ~model =
     Hashtbl.replace t.bug_keys key ();
     let witness = Model.to_bytes ~size:(Bytes.length t.input) model in
     let confirmed =
-      t.confirm_bugs
-      &&
       match (Concrete.run t.prog ~input:witness ~fuel:2_000_000).outcome with
       | Concrete.Fault { kind = k; _ } -> k = kind
       | Concrete.Exit _ | Concrete.Halted _ | Concrete.Out_of_fuel -> false
@@ -595,9 +585,7 @@ let fork_suppressed t ~pending =
     | Some _ | None -> false
   in
   if injected || t.live () + pending >= t.max_live then begin
-    Fault.record t.faults
-      ~detail:(if injected then "injected memory pressure" else "live-state cap")
-      ~vtime:(Vclock.now t.clock) Fault.Mem_pressure;
+    Fault.record t.faults Fault.Mem_pressure;
     t.st.dropped_forks <- t.st.dropped_forks + 1;
     true
   end
@@ -610,8 +598,7 @@ let inject_concolic_drop t =
   match t.inj with
   | Some inj when t.lazy_fork && Inject.fire_concolic_drop inj ->
     Vclock.tick t.clock;
-    Fault.record t.faults ~detail:"injected concolic drop" ~vtime:(Vclock.now t.clock)
-      Fault.Concolic_injected;
+    Fault.record t.faults Fault.Concolic_injected;
     t.st.dropped_forks <- t.st.dropped_forks + 1;
     true
   | Some _ | None -> false
@@ -761,8 +748,7 @@ let inject_exec_abort t =
   match t.inj with
   | Some inj when (not t.lazy_fork) && Inject.fire_exec_abort inj ->
     Vclock.tick t.clock;
-    Fault.record t.faults ~detail:"injected abort" ~vtime:(Vclock.now t.clock)
-      Fault.Exec_injected_abort;
+    Fault.record t.faults Fault.Exec_injected_abort;
     true
   | Some _ | None -> false
 
@@ -805,9 +791,9 @@ let run_slice_inner t st =
     (match reason with
      | Exited _ -> t.st.term_exit <- t.st.term_exit + 1
      | Buggy _ -> t.st.term_bug <- t.st.term_bug + 1
-     | Aborted msg ->
+     | Aborted _ ->
        t.st.term_abort <- t.st.term_abort + 1;
-       Fault.record t.faults ~detail:msg ~vtime:(Vclock.now t.clock) Fault.Exec_abort
+       Fault.record t.faults Fault.Exec_abort
      | Infeasible -> t.st.term_infeasible <- t.st.term_infeasible + 1);
     (* a terminated path yields a test case: its witness input replays
        the whole path concretely (KLEE's .ktest files) *)

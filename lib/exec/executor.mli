@@ -60,10 +60,7 @@ type t
 
 val create :
   ?max_live:int ->
-  ?solver_budget:int ->
-  ?solver_retry_cap:int ->
   ?solver_prefix_cap:int ->
-  ?confirm_bugs:bool ->
   ?inject:Pbse_robust.Inject.plan ->
   ?subsumption:bool ->
   ?registry:Pbse_telemetry.Telemetry.Registry.t ->
@@ -74,9 +71,8 @@ val create :
 (** [create ~clock program ~input] prepares an engine whose symbolic file
     has the size and seed content of [input]. [max_live] caps live states
     (forks beyond it continue on the taken side only; default 8192).
-    [solver_retry_cap] bounds the solver's escalating retry budget;
-    [solver_prefix_cap] bounds its prefix-context LRU. [inject] activates
-    deterministic fault injection (default: none). [subsumption]
+    [solver_prefix_cap] bounds the solver's prefix-context LRU. [inject]
+    activates deterministic fault injection (default: none). [subsumption]
     (default true) enables the per-block-boundary unsat-core cache that
     prunes subsumed states. The cache is engine-local, so pool
     determinism is unaffected.

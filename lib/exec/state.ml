@@ -104,6 +104,6 @@ let write_reg t r v =
     copied
   | [] -> invalid_arg "State.write_reg: no frames"
 
-let assume t c = t.path <- Pathcond.assume t.path ~block:t.cur_gid c
+let assume t c = t.path <- Pathcond.assume t.path c
 
 let path_spine t = Pathcond.spine t.path

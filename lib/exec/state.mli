@@ -7,9 +7,8 @@
     so taken-branch queries are free).
 
     The path condition is a structured {!Pbse_pathcond.Pathcond.t}:
-    forks share it persistently, each assumed constraint is tagged with
-    the basic block (global id) it was assumed in, and the id-set view
-    feeds the block-boundary subsumption cache. *)
+    forks share it persistently, and its id-set view feeds the
+    block-boundary subsumption cache. *)
 
 type frame = {
   mutable regs : Pbse_smt.Expr.t array;
@@ -73,9 +72,8 @@ val current_regs : t -> Pbse_smt.Expr.t array
     {!own_frame}. Raises [Invalid_argument] on a state with no frames. *)
 
 val assume : t -> Pbse_smt.Expr.t -> unit
-(** Appends a constraint to the path condition, tagged with the current
-    block ([cur_gid]); no feasibility check — callers are responsible
-    for keeping [model] consistent. *)
+(** Appends a constraint to the path condition; no feasibility check —
+    callers are responsible for keeping [model] consistent. *)
 
 val path_spine : t -> Pbse_smt.Expr.t list
 (** Newest first — the physically shared spine handed to the solver

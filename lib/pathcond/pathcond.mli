@@ -13,21 +13,17 @@
     sibling states share every prefix context their common ancestor
     built. Nothing in this module ever rebuilds or reorders the spine.
 
-    On top of the spine the type tracks, incrementally:
-    - the id set of the conditions, with an order-independent bloom
-      signature, so the subsumption layer ({!Subsume}) can decide
-      entailment-by-superset in O(core size);
-    - block-boundary marks: which basic block (global id) each
-      condition was assumed in, giving the per-block deltas the
-      interpolation literature keys pruning on. *)
+    On top of the spine the type tracks, incrementally, the id set of
+    the conditions with an order-independent bloom signature, so the
+    subsumption layer ({!Subsume}) can decide entailment-by-superset in
+    O(core size). *)
 
 type t
 
 val empty : t
 
-val assume : t -> block:int -> Pbse_smt.Expr.t -> t
-(** Extend the path with one condition, recorded against the global
-    block id it was assumed in ([-1] when unknown). O(log n). *)
+val assume : t -> Pbse_smt.Expr.t -> t
+(** Extend the path with one condition. O(log n). *)
 
 val spine : t -> Pbse_smt.Expr.t list
 (** Newest-first condition list, physically shared across forks — the
@@ -39,12 +35,6 @@ val mem : t -> int -> bool
 val signature : t -> int
 (** Bloom signature over condition ids: for any subset [s] of the
     conditions, [signature_of_ids s land signature t = signature_of_ids s]. *)
-
-val deltas : t -> (int * Pbse_smt.Expr.t list) list
-(** Block-boundary view, oldest first: [(gid, conds)] groups of
-    consecutive conditions assumed in the same block (conds oldest
-    first). Consecutive conditions from the same block merge into one
-    delta; revisiting a block later starts a new one. *)
 
 val signature_of_ids : int list -> int
 (** The bloom signature a set of condition ids would contribute. *)

@@ -54,81 +54,15 @@ let label = function
   | Snapshot_corrupt -> "snapshot-corrupt"
   | Resume_mismatch -> "resume-mismatch"
 
-(* Fault details feed dedup keys and resume replay, so they must not
-   depend on Printexc's payload rendering (addresses, arguments, ...):
-   map an exception to a stable kebab-case label instead. *)
-let normalize_exn exn =
-  match exn with
-  | Failure _ -> "failure"
-  | Invalid_argument _ -> "invalid-argument"
-  | Not_found -> "not-found"
-  | Division_by_zero -> "division-by-zero"
-  | Stack_overflow -> "stack-overflow"
-  | Out_of_memory -> "out-of-memory"
-  | Assert_failure _ -> "assert-failure"
-  | Match_failure _ -> "match-failure"
-  | End_of_file -> "end-of-file"
-  | Sys_error _ -> "sys-error"
-  | exn ->
-    (* constructor name only: cut the payload, kebab-case the rest *)
-    let s = Printexc.to_string exn in
-    let cut =
-      match String.index_opt s '(' with Some i -> i | None -> String.length s
-    in
-    let s = String.trim (String.sub s 0 cut) in
-    let b = Bytes.of_string (String.lowercase_ascii s) in
-    Bytes.iteri
-      (fun i c ->
-        let keep =
-          (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = '.' || c = '-'
-        in
-        if not keep then Bytes.set b i '-')
-      b;
-    let s = Bytes.to_string b in
-    if s = "" then "exception" else s
+type log = int array (* per-kind counts, indexed by [rank] *)
 
-type t = {
-  kind : kind;
-  detail : string;
-  vtime : int;
-}
+let log_create () = Array.make nkinds 0
 
-(* Recent entries are a two-block ring (newest-first): [cur] fills to
-   [max_recent], then displaces [older] wholesale. Records stay O(1) and
-   {!recent} always has the latest [max_recent..2*max_recent) entries to
-   pick from. *)
-type log = {
-  counts : int array;
-  mutable cur : t list; (* newest first *)
-  mutable cur_len : int;
-  mutable older : t list; (* previous full block, newest first *)
-}
+let record log kind = log.(rank kind) <- log.(rank kind) + 1
 
-let max_recent = 256
+let count log kind = log.(rank kind)
 
-let log_create () = { counts = Array.make nkinds 0; cur = []; cur_len = 0; older = [] }
-
-let record log ?(detail = "") ~vtime kind =
-  log.counts.(rank kind) <- log.counts.(rank kind) + 1;
-  log.cur <- { kind; detail; vtime } :: log.cur;
-  log.cur_len <- log.cur_len + 1;
-  if log.cur_len >= max_recent then begin
-    log.older <- log.cur;
-    log.cur <- [];
-    log.cur_len <- 0
-  end
-
-let count log kind = log.counts.(rank kind)
-
-let total log = Array.fold_left ( + ) 0 log.counts
-
-let recent log =
-  let newest_first = log.cur @ log.older in
-  let rec take n = function
-    | x :: rest when n > 0 -> x :: take (n - 1) rest
-    | _ -> []
-  in
-  List.rev (take max_recent newest_first)
+let total log = Array.fold_left ( + ) 0 log
 
 let summary log =
   let parts =
@@ -141,11 +75,10 @@ let summary log =
   match parts with [] -> "no faults" | _ -> String.concat " " parts
 
 let restore_counts log pairs =
-  (* campaign resume: reinstate per-kind counts from a snapshot. The
-     recent-entry ring is not restored (counts are the durable record). *)
+  (* campaign resume: reinstate per-kind counts from a snapshot *)
   List.iter
     (fun (lbl, c) ->
       match List.find_opt (fun k -> label k = lbl) all with
-      | Some k -> log.counts.(rank k) <- c
+      | Some k -> log.(rank k) <- c
       | None -> ())
     pairs

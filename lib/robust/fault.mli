@@ -27,29 +27,15 @@ val all : kind list
 val label : kind -> string
 (** Stable kebab-case name, e.g. ["solver-unknown"]. *)
 
-val normalize_exn : exn -> string
-(** Stable kebab-case label for an exception — the constructor name
-    without its payload (e.g. [Failure "x"] is ["failure"]) — so fault
-    details are byte-identical across runs and resumes. *)
-
-type t = {
-  kind : kind;
-  detail : string;
-  vtime : int; (* virtual time of the fault *)
-}
-
 type log
 
 val log_create : unit -> log
 
-val record : log -> ?detail:string -> vtime:int -> kind -> unit
+val record : log -> kind -> unit
 
 val count : log -> kind -> int
 
 val total : log -> int
-
-val recent : log -> t list
-(** Most recent faults, oldest first (capped at 256). *)
 
 val summary : log -> string
 (** Deterministic one-line rendering: ["kind=count ..."] for every kind
@@ -57,5 +43,4 @@ val summary : log -> string
 
 val restore_counts : log -> (string * int) list -> unit
 (** Reinstate per-kind counts from [(label, count)] pairs recorded in a
-    campaign snapshot. Unknown labels are ignored; the recent-entry ring
-    is left empty (counts are the durable record). *)
+    campaign snapshot. Unknown labels are ignored. *)

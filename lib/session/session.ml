@@ -30,25 +30,19 @@ type concolic_config = {
 type search_config = {
   phase_searcher : string;
   scheduler : string;
-  max_live : int;
   dedup_seed_states : bool;
   max_k : int;
   share_seed_states : bool; (* consult/publish the campaign share table *)
 }
 
 type solver_config = {
-  budget : int;
-  retry_cap : int;
   prefix_cap : int;
 }
 
 type robust_config = {
-  confirm_bugs : bool;
   max_strikes : int;
   inject : Inject.plan;
   watchdog_factor : int;
-  watchdog_strikes : int;
-  degrade_after : int;
 }
 
 type pathcond_config = {
@@ -77,21 +71,12 @@ let default_config =
       {
         phase_searcher = "default";
         scheduler = "round-robin";
-        max_live = 8192;
         dedup_seed_states = true;
         max_k = 20;
         share_seed_states = false;
       };
-    solver = { budget = 60_000; retry_cap = 480_000; prefix_cap = 16_384 };
-    robust =
-      {
-        confirm_bugs = true;
-        max_strikes = 4;
-        inject = Inject.none;
-        watchdog_factor = 4;
-        watchdog_strikes = 3;
-        degrade_after = 4;
-      };
+    solver = { prefix_cap = 16_384 };
+    robust = { max_strikes = 4; inject = Inject.none; watchdog_factor = 4 };
     pathcond = { subsumption = true };
     rng_seed = 1;
   }
@@ -119,19 +104,13 @@ let config_to_kvs config =
       | Phase.Bbv_with_coverage -> "bbv+cov" );
     ("search.phase_searcher", config.search.phase_searcher);
     ("search.scheduler", config.search.scheduler);
-    ("search.max_live", string_of_int config.search.max_live);
     ("search.dedup_seed_states", if config.search.dedup_seed_states then "1" else "0");
     ("search.max_k", string_of_int config.search.max_k);
     ("search.share_seed_states", if config.search.share_seed_states then "1" else "0");
-    ("solver.budget", string_of_int config.solver.budget);
-    ("solver.retry_cap", string_of_int config.solver.retry_cap);
     ("solver.prefix_cap", string_of_int config.solver.prefix_cap);
-    ("robust.confirm_bugs", if config.robust.confirm_bugs then "1" else "0");
     ("robust.max_strikes", string_of_int config.robust.max_strikes);
     ("robust.inject", Inject.to_string config.robust.inject);
     ("robust.watchdog_factor", string_of_int config.robust.watchdog_factor);
-    ("robust.watchdog_strikes", string_of_int config.robust.watchdog_strikes);
-    ("robust.degrade_after", string_of_int config.robust.degrade_after);
     (* snapshots from before the pathcond layer lack this key and
        resume with the default (enabled) *)
     ("pathcond.subsumption", if config.pathcond.subsumption then "1" else "0");
@@ -141,10 +120,11 @@ let config_to_kvs config =
 let config_of_kvs kvs =
   (* keys that aren't config fields (snapshot meta like the target name
      or scheduler) pass through untouched; bad values are errors *)
-  let int_field ?(min = min_int) key v k =
+  let int_field ?(min = min_int) ?(max = max_int) key v k =
     match int_of_string_opt v with
-    | Some i when i >= min -> Ok (k i)
-    | Some _ -> Error (Printf.sprintf "%s=%s is below %d" key v min)
+    | Some i when i >= min && i <= max -> Ok (k i)
+    | Some i when i < min -> Error (Printf.sprintf "%s=%s is below %d" key v min)
+    | Some _ -> Error (Printf.sprintf "%s=%s is above %d" key v max)
     | None -> Error (Printf.sprintf "bad integer %S for %s" v key)
   in
   let name_field key names v k =
@@ -187,22 +167,17 @@ let config_of_kvs kvs =
           | "search.scheduler" ->
             name_field key Scheduler.names v (fun n ->
                 search (fun s -> { s with scheduler = n }))
-          | "search.max_live" ->
-            int_field key v (fun i -> search (fun s -> { s with max_live = i }))
           | "search.dedup_seed_states" ->
             bool_field key v (fun b -> search (fun s -> { s with dedup_seed_states = b }))
           | "search.max_k" ->
-            int_field ~min:1 key v (fun i -> search (fun s -> { s with max_k = i }))
+            (* the phase-analysis charge, 50 x |bbvs| x max_k / 20,
+               overflows the clock for a max_k near max_int *)
+            int_field ~min:1 ~max:4096 key v (fun i ->
+                search (fun s -> { s with max_k = i }))
           | "search.share_seed_states" ->
             bool_field key v (fun b -> search (fun s -> { s with share_seed_states = b }))
-          | "solver.budget" ->
-            int_field key v (fun i -> solver (fun s -> { s with budget = i }))
-          | "solver.retry_cap" ->
-            int_field key v (fun i -> solver (fun s -> { s with retry_cap = i }))
           | "solver.prefix_cap" ->
-            int_field key v (fun i -> solver (fun s -> { s with prefix_cap = i }))
-          | "robust.confirm_bugs" ->
-            bool_field key v (fun b -> robust (fun r -> { r with confirm_bugs = b }))
+            int_field key v (fun i -> solver (fun _ -> { prefix_cap = i }))
           | "robust.max_strikes" ->
             int_field key v (fun i -> robust (fun r -> { r with max_strikes = i }))
           | "robust.inject" ->
@@ -211,10 +186,6 @@ let config_of_kvs kvs =
               (Inject.parse v)
           | "robust.watchdog_factor" ->
             int_field key v (fun i -> robust (fun r -> { r with watchdog_factor = i }))
-          | "robust.watchdog_strikes" ->
-            int_field key v (fun i -> robust (fun r -> { r with watchdog_strikes = i }))
-          | "robust.degrade_after" ->
-            int_field key v (fun i -> robust (fun r -> { r with degrade_after = i }))
           | "pathcond.subsumption" ->
             bool_field key v (fun b -> pathcond (fun _ -> { subsumption = b }))
           | "rng_seed" -> int_field key v (fun i -> with_rng_seed i config)
@@ -416,11 +387,10 @@ let schedule_phases ~registry ~clock ~deadline ~sched ~quarantine exec note_prog
             searcher.Searcher.remove st
           end
         in
-        let contain st exn =
+        let contain st =
           (* charge a tick so fault loops always advance toward the deadline *)
           Vclock.advance clock 1;
-          Fault.record faults ~detail:(Fault.normalize_exn exn)
-            ~vtime:(Vclock.now clock) Fault.Exec_exception;
+          Fault.record faults Fault.Exec_exception;
           quarantine_strike st
         in
         let rec drain () =
@@ -428,17 +398,16 @@ let schedule_phases ~registry ~clock ~deadline ~sched ~quarantine exec note_prog
           else
             match
               try `Selected (searcher.Searcher.select ())
-              with exn -> `Searcher_error exn
+              with _ -> `Searcher_error
             with
-            | `Searcher_error exn ->
+            | `Searcher_error ->
               (* a broken searcher forfeits its whole phase *)
               Vclock.advance clock 1;
-              Fault.record faults ~detail:(Fault.normalize_exn exn)
-                ~vtime:(Vclock.now clock) Fault.Exec_exception;
+              Fault.record faults Fault.Exec_exception;
               queue_failed := true
             | `Selected None -> ()
             | `Selected (Some st) when st.State.needs_verify -> (
-              match try `V (Executor.verify exec st) with exn -> `E exn with
+              match try `V (Executor.verify exec st) with _ -> `E with
               | `V Executor.Verified -> slice st
               | `V Executor.Infeasible_state ->
                 (* lazily discovered infeasible seedState *)
@@ -450,14 +419,14 @@ let schedule_phases ~registry ~clock ~deadline ~sched ~quarantine exec note_prog
                    struck out *)
                 quarantine_strike st;
                 drain ()
-              | `E exn ->
-                contain st exn;
+              | `E ->
+                contain st;
                 drain ())
             | `Selected (Some st) -> slice st
         and slice st =
-          match try `S (Executor.run_slice exec st) with exn -> `E exn with
-          | `E exn ->
-            contain st exn;
+          match try `S (Executor.run_slice exec st) with _ -> `E with
+          | `E ->
+            contain st;
             drain ()
           | `S slice ->
             q.Phase_queue.slices <- q.Phase_queue.slices + 1;
@@ -533,10 +502,7 @@ let open_session ?(config = default_config) ?runtime ?share prog ~seed ~deadline
   let tm_phase_analysis = Telemetry.Registry.span registry "driver.phase_analysis" in
   let clock = Vclock.create () in
   let exec =
-    Executor.create ~max_live:config.search.max_live ~solver_budget:config.solver.budget
-      ~solver_retry_cap:config.solver.retry_cap
-      ~solver_prefix_cap:config.solver.prefix_cap
-      ~confirm_bugs:config.robust.confirm_bugs ~inject:rt.Runtime.inject
+    Executor.create ~solver_prefix_cap:config.solver.prefix_cap ~inject:rt.Runtime.inject
       ~subsumption:config.pathcond.subsumption ~registry ~clock prog ~input:seed
   in
   (* prefix-context residue published by finished sessions: arena-free
@@ -577,8 +543,7 @@ let open_session ?(config = default_config) ?runtime ?share prog ~seed ~deadline
   let p_time = Vclock.now clock - p_start + 1 in
   (match concolic.Concolic.bbvs with
    | [] ->
-     Fault.record (Executor.faults exec) ~detail:"no BBVs; one-phase fallback"
-       ~vtime:(Vclock.now clock) Fault.Degenerate_phase
+     Fault.record (Executor.faults exec) Fault.Degenerate_phase
    | _ :: _ -> ());
   (* step 3: map seedStates into phases. Feasibility is checked lazily,
      when a seedState is first scheduled — exactly the paper's "lazy pass
@@ -690,16 +655,14 @@ let step_contained s ~deadline =
   try
     step_session s ~deadline;
     `Stepped
-  with exn ->
-    Fault.record (Executor.faults s.s_exec) ~detail:(Fault.normalize_exn exn)
-      ~vtime:(Vclock.now s.s_clock) Fault.Exec_exception;
+  with _ ->
+    Fault.record (Executor.faults s.s_exec) Fault.Exec_exception;
     `Failed
 
-let record_crash s ~detail =
+let record_crash s =
   (* an injected kill charged one tick and touched nothing else *)
   Vclock.advance s.s_clock 1;
-  Fault.record (Executor.faults s.s_exec) ~detail ~vtime:(Vclock.now s.s_clock)
-    Fault.Exec_exception
+  Fault.record (Executor.faults s.s_exec) Fault.Exec_exception
 
 let export_prefix_hints s = Solver.export_prefix_hints (Executor.solver s.s_exec)
 

@@ -52,7 +52,6 @@ type search_config = {
   scheduler : string; (* scheduling policy (Pbse_sched.Scheduler.names);
                          "round-robin" is the paper's Algorithm 3,
                          "sequential" the ablation *)
-  max_live : int;
   dedup_seed_states : bool; (* keep earliest per fork point (paper) *)
   max_k : int; (* k-means upper bound (paper: 20) *)
   share_seed_states : bool;
@@ -63,27 +62,27 @@ type search_config = {
          shared fork point depends on turn timing at [jobs > 1], so
          per-run reports are only jobs-invariant with sharing off *)
 }
-(** State search and phase scheduling. *)
+(** State search and phase scheduling. The live-state cap is the
+    executor's fixed 8192 ({!Pbse_exec.Executor.create}). *)
 
 type solver_config = {
-  budget : int; (* work units per query *)
-  retry_cap : int; (* upper bound for escalating solver retries *)
   prefix_cap : int; (* prefix-context LRU bound (Pbse_smt.Prefix_ctx) *)
 }
+(** The per-query work budget (60 000 units) and the escalating retry
+    cap (8 x budget) are the solver's fixed defaults
+    ({!Pbse_smt.Solver.create}). *)
 
 type robust_config = {
-  confirm_bugs : bool;
   max_strikes : int; (* faults a state survives before quarantine *)
   inject : Pbse_robust.Inject.plan; (* deterministic fault injection *)
   watchdog_factor : int; (* a campaign turn spending more than
                             factor x budget records a Turn_timeout and
                             strikes its seed; 0 disables the watchdog *)
-  watchdog_strikes : int; (* watchdog/crash strikes before a seed is
-                             force-retired from the pool; 0 = never *)
-  degrade_after : int; (* pool-level faults per degradation step: each
-                          step halves the effective --jobs and the
-                          solver prefix cap; 0 disables degradation *)
 }
+(** Fault containment. Every bug witness is replay-confirmed through
+    the concrete interpreter; a pool seed is force-retired after 3
+    watchdog or crash strikes, and every 4 pool-level faults halve the
+    effective [--jobs] (docs/robustness.md). *)
 
 type pathcond_config = {
   subsumption : bool; (* block-boundary unsat-core subsumption cache *)
@@ -118,11 +117,12 @@ val config_to_kvs : config -> (string * string) list
 val config_of_kvs : (string * string) list -> (config, string) result
 (** Inverse of {!config_to_kvs} over {!default_config}. Unknown keys
     are ignored (snapshot metadata carries non-config entries such as
-    the target name); a malformed value for a known key is an error, as
+    the target name, and older snapshots carry fields that have since
+    become constants); a malformed value for a known key is an error, as
     is one the engine would fail on later: [search.max_k] or
-    [concolic.interval_length] below 1, or a [search.scheduler] or
-    [search.phase_searcher] not in {!Pbse_sched.Scheduler.names} or
-    {!Pbse_exec.Searcher.names}. *)
+    [concolic.interval_length] below 1, [search.max_k] above 4096, or a
+    [search.scheduler] or [search.phase_searcher] not in
+    {!Pbse_sched.Scheduler.names} or {!Pbse_exec.Searcher.names}. *)
 
 val config_fingerprint : config -> string
 (** Hex digest of {!config_to_kvs}; two configs fingerprint equal iff
@@ -262,7 +262,7 @@ val step_contained : t -> deadline:int -> [ `Stepped | `Failed ]
     pool. Deterministic in virtual time — replaying the same turn after
     a resume re-contains the same fault. *)
 
-val record_crash : t -> detail:string -> unit
+val record_crash : t -> unit
 (** Charge one clock tick and record an [Exec_exception] fault — the
     footprint of an injected turn kill, identical live and on replay. *)
 

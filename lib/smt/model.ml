@@ -24,5 +24,3 @@ let to_bytes ~size t =
   let b = Bytes.make size '\000' in
   Imap.iter (fun i v -> if i < size then Bytes.set b i (Char.chr (v land 0xFF))) t;
   b
-
-let union a b = Imap.union (fun _ va _ -> Some va) a b

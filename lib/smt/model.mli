@@ -24,6 +24,3 @@ val satisfies : t -> Expr.t list -> bool
 
 val to_bytes : size:int -> t -> bytes
 (** Concrete input file of [size] bytes (default 0). *)
-
-val union : t -> t -> t
-(** [union a b] prefers bindings of [a]. *)

@@ -135,8 +135,6 @@ let solve_groups t meter ~hint ~focus ~bounds ?on_unsat_core groups =
   List.iter solve_one groups;
   if !unsat then Unsat else if !unknown then Unknown else Sat !model
 
-let no_bounds _ = None
-
 (* Retry with escalating budgets: a query that went [Unknown] because its
    budget ran out is remembered (keyed on its expression ids) together
    with the budget it failed at. When the same query is issued again, it
@@ -186,21 +184,6 @@ let with_meter t ?retry_key body =
        | Some _ | None -> ()));
   t.st.work <- t.st.work + meter.Search_core.spent;
   (result, meter.Search_core.spent)
-
-let check t ?(hint = Model.empty) exprs =
-  with_meter t ~retry_key:(fun () -> Simplify.cache_key exprs) (fun meter ->
-      match Simplify.partition_constants exprs with
-      | Error () -> Unsat
-      | Ok symbolic ->
-        (* model reuse: the hint satisfies most taken-branch queries *)
-        List.iter (fun (e : Expr.t) -> Search_core.spend meter e.Expr.nodes) symbolic;
-        if Model.satisfies hint symbolic then begin
-          t.st.hint_hits <- t.st.hint_hits + 1;
-          Sat hint
-        end
-        else
-          solve_groups t meter ~hint ~focus:[] ~bounds:no_bounds
-            (Simplify.group_constraints ~reads:(reads_of t) symbolic))
 
 let check_assuming t ?(hint = Model.empty) ?on_unsat_core ~path extra =
   (* the key identifies the query by its [extra] constraints only: cheap

@@ -64,7 +64,7 @@ val create :
   ?registry:Pbse_telemetry.Telemetry.Registry.t ->
   unit ->
   t
-(** [budget] is the work allowance per [check] call (default 60_000).
+(** [budget] is the work allowance per query (default 60_000).
     [retry_cap] bounds the escalating retry budget (default
     [8 * budget]; clamped to at least [budget]). [prefix_cap] bounds the
     prefix-context LRU ({!Prefix_ctx.create}). [registry] owns the
@@ -72,11 +72,6 @@ val create :
     disabled). *)
 
 val stats : t -> stats
-
-val check : t -> ?hint:Model.t -> Expr.t list -> result * int
-(** [check t ~hint cs] decides the conjunction [cs]; the integer is the
-    work performed by this call. A [Sat] model binds every input byte
-    mentioned in [cs] and inherits [hint] elsewhere. *)
 
 val check_assuming :
   t ->
@@ -87,11 +82,13 @@ val check_assuming :
   result * int
 (** [check_assuming t ~hint ~path extra] decides [path @ extra] under the
     caller-guaranteed invariant that [hint] already satisfies every
-    constraint in [path]. Only the constraints transitively sharing input
-    bytes with [extra] are re-examined, which makes the per-branch
-    queries of symbolic execution O(component) instead of O(path). The
-    result is as definitive as [check]'s: disjoint path constraints stay
+    constraint in [path]; the integer is the work performed by this
+    call. Only the constraints transitively sharing input bytes with
+    [extra] are re-examined, which makes the per-branch queries of
+    symbolic execution O(component) instead of O(path). The answer is
+    definitive for the whole conjunction: disjoint path constraints stay
     satisfied because the returned model only rebinds component bytes.
+    With [~path:[]] this decides a plain conjunction.
     Repeated queries against the same prefix reuse its context (counted
     in [prefix_hits]).
 

@@ -13,8 +13,6 @@ let next_int64 t =
 
 let split t = { state = next_int64 t }
 
-let copy t = { state = t.state }
-
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   let mask = Int64.shift_right_logical (next_int64 t) 1 in
@@ -26,7 +24,3 @@ let float t bound =
   Int64.to_float bits /. 9007199254740992.0 *. bound
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L
-
-let pick t arr =
-  if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
-  arr.(int t (Array.length arr))

@@ -12,9 +12,6 @@ val create : int -> t
 val split : t -> t
 (** [split t] derives an independent generator; [t] advances. *)
 
-val copy : t -> t
-(** [copy t] duplicates the generator state without advancing [t]. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound). Raises [Invalid_argument] when
     [bound <= 0]. *)
@@ -23,7 +20,3 @@ val float : t -> float -> float
 (** [float t bound] is uniform in [0, bound). *)
 
 val bool : t -> bool
-
-val pick : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. Raises [Invalid_argument] on an
-    empty array. *)

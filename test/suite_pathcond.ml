@@ -1,7 +1,6 @@
 (* The path-condition layer: structured path conditions (spine sharing,
-   bloom signatures, block-boundary deltas), the unsat-core subsumption
-   cache, and end-to-end equivalence of subsumption on vs off on a
-   seeded MiniC program. *)
+   bloom signatures), the unsat-core subsumption cache, and end-to-end
+   equivalence of subsumption on vs off on a seeded MiniC program. *)
 
 module Expr = Pbse_smt.Expr
 module Pathcond = Pbse_pathcond.Pathcond
@@ -22,9 +21,9 @@ let test_pathcond_basics () =
   let c0 = cond 0 and c1 = cond 1 and c2 = cond 2 in
   let p = Pathcond.empty in
   Alcotest.(check int) "empty length" 0 (List.length (Pathcond.spine p));
-  let p = Pathcond.assume p ~block:7 c0 in
-  let p = Pathcond.assume p ~block:7 c1 in
-  let p = Pathcond.assume p ~block:9 c2 in
+  let p = Pathcond.assume p c0 in
+  let p = Pathcond.assume p c1 in
+  let p = Pathcond.assume p c2 in
   Alcotest.(check int) "length" 3 (List.length (Pathcond.spine p));
   Alcotest.(check bool) "mem c1" true (Pathcond.mem p c1.Expr.id);
   Alcotest.(check bool) "mem other" false (Pathcond.mem p (cond 5).Expr.id);
@@ -34,12 +33,9 @@ let test_pathcond_basics () =
 let test_pathcond_fork_shares_spine () =
   (* sibling states forked from a common prefix must share the prefix
      spine physically: Prefix_ctx keys contexts on spine tails *)
-  let base =
-    Pathcond.assume (Pathcond.assume Pathcond.empty ~block:1 (cond 0)) ~block:1
-      (cond 1)
-  in
-  let left = Pathcond.assume base ~block:2 (cond 2) in
-  let right = Pathcond.assume base ~block:2 (cond 3) in
+  let base = Pathcond.assume (Pathcond.assume Pathcond.empty (cond 0)) (cond 1) in
+  let left = Pathcond.assume base (cond 2) in
+  let right = Pathcond.assume base (cond 3) in
   match (Pathcond.spine left, Pathcond.spine right) with
   | _ :: ltail, _ :: rtail ->
     Alcotest.(check bool) "tails physically equal" true (ltail == rtail)
@@ -47,37 +43,13 @@ let test_pathcond_fork_shares_spine () =
 
 let test_pathcond_signature_superset () =
   let conds = List.init 6 cond in
-  let p =
-    List.fold_left (fun p c -> Pathcond.assume p ~block:0 c) Pathcond.empty conds
-  in
+  let p = List.fold_left Pathcond.assume Pathcond.empty conds in
   (* any subset's signature is covered by the full signature *)
   List.iter
     (fun (c : Expr.t) ->
       let s = Pathcond.signature_of_ids [ c.Expr.id ] in
       Alcotest.(check int) "subset covered" s (s land Pathcond.signature p))
     conds
-
-let test_pathcond_deltas () =
-  let c = Array.init 5 cond in
-  let p = Pathcond.empty in
-  let p = Pathcond.assume p ~block:10 c.(0) in
-  let p = Pathcond.assume p ~block:10 c.(1) in
-  (* same block consecutively: merged into one delta *)
-  let p = Pathcond.assume p ~block:11 c.(2) in
-  let p = Pathcond.assume p ~block:10 c.(3) in
-  (* revisiting block 10 later: a fresh delta, not merged backwards *)
-  let p = Pathcond.assume p ~block:10 c.(4) in
-  let ds =
-    List.map (fun (g, es) -> (g, List.map (fun e -> e.Expr.id) es)) (Pathcond.deltas p)
-  in
-  Alcotest.(check (list (pair int (list int))))
-    "block-boundary deltas"
-    [
-      (10, [ c.(0).Expr.id; c.(1).Expr.id ]);
-      (11, [ c.(2).Expr.id ]);
-      (10, [ c.(3).Expr.id; c.(4).Expr.id ]);
-    ]
-    ds
 
 (* --- Subsume ----------------------------------------------------------- *)
 
@@ -90,20 +62,12 @@ let test_subsume_hit_miss_empty () =
     (Subsume.consult t ~block:5 ~sg:max_int ~mem:(fun _ -> true) = `Empty);
   Subsume.record t ~block:5 core;
   (* a path holding a superset of the core is answered Unsat *)
-  let super =
-    List.fold_left
-      (fun p c -> Pathcond.assume p ~block:5 c)
-      Pathcond.empty [ cond 0; cond 1; cond 2 ]
-  in
+  let super = List.fold_left Pathcond.assume Pathcond.empty [ cond 0; cond 1; cond 2 ] in
   Alcotest.(check bool) "superset hits" true
     (Subsume.consult t ~block:5 ~sg:(Pathcond.signature super) ~mem:(mem_of super)
     = `Hit);
   (* a disjoint path misses without being Empty *)
-  let other =
-    List.fold_left
-      (fun p c -> Pathcond.assume p ~block:5 c)
-      Pathcond.empty [ cond 3; cond 4 ]
-  in
+  let other = List.fold_left Pathcond.assume Pathcond.empty [ cond 3; cond 4 ] in
   Alcotest.(check bool) "disjoint misses" true
     (Subsume.consult t ~block:5 ~sg:(Pathcond.signature other) ~mem:(mem_of other)
     = `Miss);
@@ -115,7 +79,7 @@ let test_subsume_hit_miss_empty () =
 let test_subsume_dedup_and_cap () =
   let t = Subsume.create () in
   let hits ~block conds =
-    let p = List.fold_left (fun p c -> Pathcond.assume p ~block c) Pathcond.empty conds in
+    let p = List.fold_left Pathcond.assume Pathcond.empty conds in
     Subsume.consult t ~block ~sg:(Pathcond.signature p) ~mem:(mem_of p) = `Hit
   in
   Subsume.record t ~block:1 [ cond 0; cond 1 ];
@@ -204,7 +168,6 @@ let suite =
       test_pathcond_fork_shares_spine;
     Alcotest.test_case "pathcond signature superset" `Quick
       test_pathcond_signature_superset;
-    Alcotest.test_case "pathcond deltas" `Quick test_pathcond_deltas;
     Alcotest.test_case "subsume hit/miss/empty" `Quick test_subsume_hit_miss_empty;
     Alcotest.test_case "subsume dedup and cap" `Quick test_subsume_dedup_and_cap;
     Alcotest.test_case "subsumption on vs off: looping seed" `Quick

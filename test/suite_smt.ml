@@ -136,18 +136,21 @@ let test_solver_u32_magic () =
          (Expr.bin T.Shl (Expr.read 2) (Expr.const 16L))
          (Expr.bin T.Shl (Expr.read 3) (Expr.const 24L)))
   in
-  (match Solver.check solver [ Expr.bin T.Eq u32 (Expr.const 0xA1B2C3D4L) ] with
+  (match
+     Solver.check_assuming solver ~path:[] [ Expr.bin T.Eq u32 (Expr.const 0xA1B2C3D4L) ]
+   with
    | Solver.Sat model, _ ->
      Alcotest.(check int) "byte 0" 0xD4 (Model.get model 0);
      Alcotest.(check int) "byte 1" 0xC3 (Model.get model 1);
      Alcotest.(check int) "byte 2" 0xB2 (Model.get model 2);
      Alcotest.(check int) "byte 3" 0xA1 (Model.get model 3)
    | (Solver.Unsat | Solver.Unknown), _ -> Alcotest.fail "u32 magic must be sat");
-  match Solver.check solver [ Expr.bin T.Eq u32 (Expr.const 0x1_0000_0000L) ] with
+  let too_wide = Expr.bin T.Eq u32 (Expr.const 0x1_0000_0000L) in
+  match Solver.check_assuming solver ~path:[] [ too_wide ] with
   | Solver.Unsat, _ -> ()
   | (Solver.Sat _ | Solver.Unknown), _ -> Alcotest.fail "33-bit magic must be unsat"
 
-let test_check_assuming_matches_check () =
+let test_check_assuming_against_path () =
   let solver = Solver.create () in
   let w = Expr.bin T.Or (Expr.read 0) (Expr.bin T.Shl (Expr.read 1) (Expr.const 8L)) in
   let path = [ Expr.bin T.Ult (Expr.const 3L) w; Expr.bin T.Ult w (Expr.const 600L) ] in
@@ -166,17 +169,21 @@ let test_check_assuming_matches_check () =
 
 (* --- solver vs brute force ----------------------------------------------- *)
 
-let brute_force_sat specs =
-  let exception Found in
+(* the first (byte 0, byte 1) pair satisfying every spec, if any *)
+let brute_force_witness specs =
+  let exception Found of int * int in
   try
     for a = 0 to 255 do
       for b = 0 to 255 do
         let lookup i = if i = 0 then a else b in
-        if List.for_all (fun s -> Semantics.truthy (ref_eval lookup s)) specs then raise Found
+        if List.for_all (fun s -> Semantics.truthy (ref_eval lookup s)) specs then
+          raise (Found (a, b))
       done
     done;
-    false
-  with Found -> true
+    None
+  with Found (a, b) -> Some (a, b)
+
+let brute_force_sat specs = Option.is_some (brute_force_witness specs)
 
 let gen_constraints =
   QCheck.Gen.(list_size (int_range 1 4) (gen_spec 2))
@@ -187,7 +194,7 @@ let prop_solver_matches_brute_force =
     (fun specs ->
       let solver = Solver.create ~budget:400_000 () in
       let exprs = List.map build specs in
-      match Solver.check solver exprs with
+      match Solver.check_assuming solver ~path:[] exprs with
       | Solver.Sat model, _ ->
         Model.satisfies model exprs && brute_force_sat specs
       | Solver.Unsat, _ -> not (brute_force_sat specs)
@@ -199,9 +206,32 @@ let prop_sat_model_satisfies =
     (fun specs ->
       let solver = Solver.create () in
       let exprs = List.map build specs in
-      match Solver.check solver exprs with
+      match Solver.check_assuming solver ~path:[] exprs with
       | Solver.Sat model, _ -> Model.satisfies model exprs
       | (Solver.Unsat | Solver.Unknown), _ -> true)
+
+(* The executor's queries: a path its hint already satisfies, plus the
+   new constraints. The conjunction is split at a random point, the hint
+   is brute-forced to satisfy the path half, and the incremental answer
+   must match brute force on the whole conjunction. *)
+let prop_check_assuming_matches_brute_force =
+  QCheck.Test.make ~count:300 ~name:"check_assuming on a path agrees with brute force"
+    (QCheck.make
+       QCheck.Gen.(pair (list_size (int_range 1 5) (gen_spec 2)) (int_range 0 5)))
+    (fun (specs, cut) ->
+      let path_specs = List.filteri (fun i _ -> i < cut) specs in
+      let extra_specs = List.filteri (fun i _ -> i >= cut) specs in
+      match brute_force_witness path_specs with
+      | None -> QCheck.assume_fail ()
+      | Some (a, b) -> (
+        let hint = Model.set (Model.set Model.empty 0 a) 1 b in
+        let path = List.map build path_specs and extra = List.map build extra_specs in
+        let solver = Solver.create ~budget:400_000 () in
+        match Solver.check_assuming solver ~hint ~path extra with
+        | Solver.Sat model, _ ->
+          Model.satisfies model (path @ extra) && brute_force_sat specs
+        | Solver.Unsat, _ -> not (brute_force_sat specs)
+        | Solver.Unknown, _ -> QCheck.assume_fail ()))
 
 (* --- evaluators vs the memoised walk -------------------------------------- *)
 
@@ -639,13 +669,6 @@ let test_model_roundtrip () =
   Alcotest.(check int) "set masks to byte" 0x42 (Model.get m2 1);
   Alcotest.(check string) "to_bytes" "A\x42\x00" (Bytes.to_string (Model.to_bytes ~size:3 m2))
 
-let test_model_union_prefers_left () =
-  let a = Model.set Model.empty 0 1 in
-  let b = Model.set (Model.set Model.empty 0 2) 1 3 in
-  let u = Model.union a b in
-  Alcotest.(check int) "left wins" 1 (Model.get u 0);
-  Alcotest.(check int) "right fills" 3 (Model.get u 1)
-
 (* A realistic parser query: a little-endian u16 magic plus a bounded count. *)
 let u16le b0 b1 =
   Expr.bin T.Or (Expr.read b0) (Expr.bin T.Shl (Expr.read b1) (Expr.const 8L))
@@ -654,7 +677,7 @@ let test_solver_magic_bytes () =
   let solver = Solver.create () in
   let magic = Expr.bin T.Eq (u16le 0 1) (Expr.const 0x4D42L) in
   let count_small = Expr.bin T.Ult (Expr.read 2) (Expr.const 5L) in
-  (match Solver.check solver [ magic; count_small ] with
+  (match Solver.check_assuming solver ~path:[] [ magic; count_small ] with
    | Solver.Sat model, _ ->
      Alcotest.(check int) "low byte" 0x42 (Model.get model 0);
      Alcotest.(check int) "high byte" 0x4D (Model.get model 1);
@@ -662,7 +685,7 @@ let test_solver_magic_bytes () =
    | (Solver.Unsat | Solver.Unknown), _ -> Alcotest.fail "expected sat");
   (* contradictory magic *)
   let wrong = Expr.bin T.Eq (u16le 0 1) (Expr.const 0x12345L) in
-  match Solver.check solver [ wrong ] with
+  match Solver.check_assuming solver ~path:[] [ wrong ] with
   | Solver.Unsat, _ -> ()
   | (Solver.Sat _ | Solver.Unknown), _ -> Alcotest.fail "expected unsat"
 
@@ -670,7 +693,7 @@ let test_solver_hint_reuse () =
   let solver = Solver.create () in
   let hint = Model.of_bytes (Bytes.of_string "\x07") in
   let c = Expr.bin T.Eq (Expr.read 0) (Expr.const 7L) in
-  (match Solver.check solver ~hint [ c ] with
+  (match Solver.check_assuming solver ~hint ~path:[] [ c ] with
    | Solver.Sat model, _ -> Alcotest.(check int) "hint model kept" 7 (Model.get model 0)
    | (Solver.Unsat | Solver.Unknown), _ -> Alcotest.fail "expected sat");
   Alcotest.(check int) "hint hit counted" 1 (Solver.stats solver).Solver.hint_hits
@@ -681,7 +704,7 @@ let test_solver_independence_slicing () =
      four bytes *)
   let g1 = Expr.bin T.Eq (Expr.read 0) (Expr.const 1L) in
   let g2 = Expr.bin T.Eq (u16le 2 3) (Expr.const 0x0102L) in
-  match Solver.check solver [ g1; g2 ] with
+  match Solver.check_assuming solver ~path:[] [ g1; g2 ] with
   | Solver.Sat model, _ ->
     Alcotest.(check int) "group 1" 1 (Model.get model 0);
     Alcotest.(check int) "group 2 low" 2 (Model.get model 2);
@@ -695,7 +718,7 @@ let test_solver_budget_unknown () =
     let rec sum i acc = if i >= 8 then acc else sum (i + 1) (Expr.bin T.Add acc (Expr.read i)) in
     Expr.bin T.Eq (sum 1 (Expr.read 0)) (Expr.const 900L)
   in
-  match Solver.check solver [ wide ] with
+  match Solver.check_assuming solver ~path:[] [ wide ] with
   | Solver.Unknown, work ->
     Alcotest.(check bool) "work reported" true (work > 0)
   | (Solver.Sat _ | Solver.Unsat), _ -> Alcotest.fail "expected unknown under tiny budget"
@@ -703,9 +726,14 @@ let test_solver_budget_unknown () =
 let test_solver_cache_hits () =
   let solver = Solver.create () in
   let c = Expr.bin T.Eq (Expr.read 0) (Expr.const 9L) in
-  (* force a non-hint-satisfiable query twice: hint default is byte 0 = 0 *)
-  ignore (Solver.check solver [ c ]);
-  ignore (Solver.check solver [ c ]);
+  let other = Expr.bin T.Eq (Expr.read 0) (Expr.const 5L) in
+  (* force a non-hint-satisfiable query twice: hint default is byte 0 =
+     0. The query in between replaces the empty path's cached witness
+     (byte 0 = 9) with one that falsifies [c], so the repeat reaches the
+     group search and its cache *)
+  ignore (Solver.check_assuming solver ~path:[] [ c ]);
+  ignore (Solver.check_assuming solver ~path:[] [ other ]);
+  ignore (Solver.check_assuming solver ~path:[] [ c ]);
   Alcotest.(check bool) "cache hit on repeat" true
     ((Solver.stats solver).Solver.cache_hits >= 1)
 
@@ -764,7 +792,7 @@ let test_solver_unsat_chain () =
   let solver = Solver.create () in
   let a = Expr.bin T.Ult (Expr.read 0) (Expr.const 10L) in
   let b = Expr.bin T.Ult (Expr.const 20L) (Expr.read 0) in
-  match Solver.check solver [ a; b ] with
+  match Solver.check_assuming solver ~path:[] [ a; b ] with
   | Solver.Unsat, _ -> ()
   | (Solver.Sat _ | Solver.Unknown), _ -> Alcotest.fail "expected unsat"
 
@@ -815,7 +843,6 @@ let suite =
     Alcotest.test_case "hash consing" `Quick test_hash_consing_shares;
     Alcotest.test_case "reads" `Quick test_reads;
     Alcotest.test_case "model roundtrip" `Quick test_model_roundtrip;
-    Alcotest.test_case "model union" `Quick test_model_union_prefers_left;
     Alcotest.test_case "solver magic bytes" `Quick test_solver_magic_bytes;
     Alcotest.test_case "solver hint reuse" `Quick test_solver_hint_reuse;
     Alcotest.test_case "solver independence slicing" `Quick test_solver_independence_slicing;
@@ -826,7 +853,7 @@ let suite =
     Alcotest.test_case "solver unsat chain" `Quick test_solver_unsat_chain;
     Alcotest.test_case "bits of field composition" `Quick test_bits_of_field_composition;
     Alcotest.test_case "solver u32 magic" `Quick test_solver_u32_magic;
-    Alcotest.test_case "check_assuming" `Quick test_check_assuming_matches_check;
+    Alcotest.test_case "check_assuming" `Quick test_check_assuming_against_path;
     Alcotest.test_case "eval with overflowing nodes" `Quick test_eval_overflowing_nodes;
     Alcotest.test_case "golden solver counters" `Quick test_golden_solver_counters;
     QCheck_alcotest.to_alcotest prop_bits_sound;
@@ -836,6 +863,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_interval_point_precision;
     QCheck_alcotest.to_alcotest prop_solver_matches_brute_force;
     QCheck_alcotest.to_alcotest prop_sat_model_satisfies;
+    QCheck_alcotest.to_alcotest prop_check_assuming_matches_brute_force;
     QCheck_alcotest.to_alcotest prop_eval_matches_memo_oracle;
     QCheck_alcotest.to_alcotest prop_interval_eval_matches_memo_oracle;
     QCheck_alcotest.to_alcotest prop_search_core_matches_brute_force;

@@ -1,8 +1,8 @@
 (* Crash-durability tests: snapshot serialisation (versioned, checksummed,
    byte-stable), checkpoint rotation and fallback, kill-and-resume report
    identity across every pool scheduler and jobs width, injected turn
-   crashes and snapshot corruption, the turn watchdog, and the stable
-   exception-detail normalization the replay contract depends on. *)
+   crashes and snapshot corruption, the turn watchdog, and the decoding
+   of untrusted snapshot config. *)
 
 module Driver = Pbse.Driver
 module Session = Pbse_session.Session
@@ -351,7 +351,7 @@ let test_certain_crash_retires_pool_without_aborting () =
     (fun (s : Report.seed_row) ->
       Alcotest.(check int)
         (Printf.sprintf "seed %d struck out" s.Report.ordinal)
-        Session.default_config.Session.robust.Session.watchdog_strikes
+        3 (* the driver's fixed strike limit *)
         s.Report.timeouts)
     pool.Driver.seed_rows
 
@@ -449,10 +449,45 @@ let test_resume_rejects_bad_config () =
             (String.starts_with ~prefix:("snapshot config: " ^ key) e)))
     [
       ("search.max_k", "0");
+      ("search.max_k", "4097");
       ("concolic.interval_length", "0");
       ("search.scheduler", "nope");
       ("search.phase_searcher", "nope");
     ]
+
+let test_resume_extreme_int_keys () =
+  (* every integer key a snapshot still carries, at the edges of the
+     int range: a resume returns Ok or Error, it never raises *)
+  let path = Filename.temp_file "pbse_intcfg" ".json" in
+  let raised =
+    List.concat_map
+      (fun key ->
+        List.filter_map
+          (fun value ->
+            let sn = sample_snapshot () in
+            let meta = sn.Snapshot.sn_meta @ [ (key, value) ] in
+            save ~path { sn with Snapshot.sn_meta = meta };
+            match Driver.load_snapshot ~path with
+            | Error e -> Some (Printf.sprintf "%s=%s: %s" key value e)
+            | Ok (sn, _) -> (
+              match Driver.resume_pool sn (mini_program ()) ~seeds:(pool_seeds ()) with
+              | Ok _ | Error _ -> None
+              | exception exn ->
+                let why = Printexc.to_string exn in
+                Some (Printf.sprintf "%s=%s raised %s" key value why)))
+          [ "0"; "-1"; string_of_int max_int; string_of_int min_int ])
+      [
+        "concolic.interval_length";
+        "concolic.intervals_target";
+        "concolic.time_period";
+        "search.max_k";
+        "solver.prefix_cap";
+        "robust.max_strikes";
+        "robust.watchdog_factor";
+        "rng_seed";
+      ]
+  in
+  Alcotest.(check (list string)) "no resume raised" [] raised
 
 let test_injected_snapshot_corruption_is_detected () =
   (* snapshot=1.0 corrupts every checkpoint write on disk; loading must
@@ -479,7 +514,7 @@ let test_injected_snapshot_corruption_is_detected () =
   | Error _ -> () (* every rotation was corrupted too *)
   | Ok _ -> Alcotest.fail "load_snapshot accepted a fully corrupted history"
 
-(* --- config round-trip and fault-detail stability --------------------------- *)
+(* --- config round-trip ------------------------------------------------------- *)
 
 let test_config_kvs_roundtrip () =
   let config =
@@ -487,8 +522,8 @@ let test_config_kvs_roundtrip () =
     |> Session.with_concolic (fun c ->
            { c with Session.interval_length = Some 77; Session.time_period = 456 })
     |> Session.with_search (fun s ->
-           { s with Session.scheduler = "sequential"; Session.max_live = 99 })
-    |> Session.with_solver (fun s -> { s with Session.prefix_cap = 64 })
+           { s with Session.scheduler = "sequential"; Session.max_k = 9 })
+    |> Session.with_solver (fun _ -> { Session.prefix_cap = 64 })
     |> Session.with_robust (fun r ->
            {
              r with
@@ -509,8 +544,11 @@ let test_config_kvs_roundtrip () =
       (Session.config_to_kvs rebuilt)
 
 let test_config_kvs_ignores_unknown_and_rejects_bad () =
-  (* snapshot meta keys, and the loop-summary switch older snapshots
-     still carry, decode to the defaults *)
+  (* snapshot meta keys, and the fields older snapshots still carry (the
+     loop-summary switch; the solver budget and retry cap, the live-state
+     cap, bug confirmation, the strike limit and the degradation step,
+     all fixed constants now), decode to the defaults, whatever their
+     value *)
   List.iter
     (fun kvs ->
       match Session.config_of_kvs kvs with
@@ -524,31 +562,19 @@ let test_config_kvs_ignores_unknown_and_rejects_bad () =
       [ ("target", "mini"); ("scheduler", "round-robin") ];
       [ ("pathcond.loop_summaries", "0") ];
       [ ("pathcond.loop_summaries", "1") ];
+      [
+        ("solver.budget", string_of_int max_int);
+        ("solver.retry_cap", "7");
+        ("search.max_live", "99");
+        ("robust.confirm_bugs", "0");
+        ("robust.watchdog_strikes", "0");
+        ("robust.degrade_after", "0");
+      ];
+      [ ("solver.budget", "lots"); ("robust.confirm_bugs", "maybe") ];
     ];
-  match Session.config_of_kvs [ ("solver.budget", "lots") ] with
+  match Session.config_of_kvs [ ("solver.prefix_cap", "lots") ] with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "malformed value accepted"
-
-exception Custom_failure of string
-
-let test_normalize_exn_stable () =
-  let check name expected exn =
-    Alcotest.(check string) name expected (Fault.normalize_exn exn)
-  in
-  check "failure" "failure" (Failure "anything: 0x7f33");
-  check "invalid-argument" "invalid-argument" (Invalid_argument "x");
-  check "not-found" "not-found" Not_found;
-  check "division-by-zero" "division-by-zero" Division_by_zero;
-  check "end-of-file" "end-of-file" End_of_file;
-  check "sys-error" "sys-error" (Sys_error "/tmp/x: No such file");
-  (* payloads (which vary run to run) are cut from custom exceptions *)
-  let a = Fault.normalize_exn (Custom_failure "addr 0xdeadbeef") in
-  let b = Fault.normalize_exn (Custom_failure "addr 0xcafef00d") in
-  Alcotest.(check string) "custom payloads do not leak" a b;
-  Alcotest.(check bool) "custom label is kebab-case" true
-    (String.for_all
-       (fun c -> (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = '.' || c = '-')
-       a)
 
 let test_inject_parse_new_channels () =
   match Inject.parse "seed=4,crash=0.5,snapshot=0.125" with
@@ -600,9 +626,10 @@ let suite =
       test_injected_snapshot_corruption_is_detected;
     Alcotest.test_case "config kvs roundtrip" `Quick test_config_kvs_roundtrip;
     Alcotest.test_case "resume rejects bad config" `Quick test_resume_rejects_bad_config;
+    Alcotest.test_case "resume survives extreme integer keys" `Quick
+      test_resume_extreme_int_keys;
     Alcotest.test_case "config kvs unknown/bad keys" `Quick
       test_config_kvs_ignores_unknown_and_rejects_bad;
-    Alcotest.test_case "normalize_exn stable" `Quick test_normalize_exn_stable;
     Alcotest.test_case "inject crash/snapshot channels" `Quick
       test_inject_parse_new_channels;
   ]

@@ -6,12 +6,6 @@ let test_rng_deterministic () =
     Alcotest.(check int) "same stream" (Rng.int a max_int) (Rng.int b max_int)
   done
 
-let test_rng_copy () =
-  let a = Rng.create 7 in
-  let _ = Rng.int a max_int in
-  let b = Rng.copy a in
-  Alcotest.(check int) "copy continues identically" (Rng.int a max_int) (Rng.int b max_int)
-
 let test_rng_split_independent () =
   let a = Rng.create 7 in
   let b = Rng.split a in
@@ -35,13 +29,6 @@ let test_rng_float_bounds () =
   for _ = 1 to 10_000 do
     let v = Rng.float rng 2.5 in
     Alcotest.(check bool) "in range" true (v >= 0.0 && v < 2.5)
-  done
-
-let test_rng_pick () =
-  let rng = Rng.create 9 in
-  let arr = [| 10; 20; 30 |] in
-  for _ = 1 to 100 do
-    Alcotest.(check bool) "picked element" true (Array.mem (Rng.pick rng arr) arr)
   done
 
 let test_rng_int_roughly_uniform () =
@@ -89,12 +76,10 @@ let test_table_render () =
 let suite =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
-    Alcotest.test_case "rng copy" `Quick test_rng_copy;
     Alcotest.test_case "rng split independent" `Quick test_rng_split_independent;
     Alcotest.test_case "rng int bounds" `Quick test_rng_int_bounds;
     Alcotest.test_case "rng int rejects nonpositive" `Quick test_rng_int_rejects_nonpositive;
     Alcotest.test_case "rng float bounds" `Quick test_rng_float_bounds;
-    Alcotest.test_case "rng pick" `Quick test_rng_pick;
     Alcotest.test_case "rng roughly uniform" `Quick test_rng_int_roughly_uniform;
     Alcotest.test_case "vclock basics" `Quick test_vclock_basics;
     Alcotest.test_case "vclock rejects negative" `Quick test_vclock_rejects_negative;
