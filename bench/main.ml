@@ -762,40 +762,70 @@ let search_core_kernel () =
    seed's one-hour concolic pass: wall time and minor-heap words per
    [Phase.divide] (k-means for every k in 1..20), beside the two
    reductions its kernel relies on (block ids that occur against
-   1 + the largest, distinct BBVs against all); then the solver's
-   search on a fixed group ([search_core_kernel]). *)
-let kernels () =
-  heading
-    "Per-layer kernels: Phase.divide on each target's smallest seed, \
-     Search_core.solve_group";
+   1 + the largest, distinct BBVs against all); then that concolic pass
+   itself, in a fresh arena on a fresh executor as a session opens it
+   ([concolic_kernel]); then the solver's search on a fixed group
+   ([search_core_kernel]). *)
+let concolic_kernel passes =
   let open Bechamel in
-  Printf.printf "  %-10s %5s %14s %18s %11s %11s\n%!" "target" "bbvs" "ns/division"
-    "minor words/div" "dims" "distinct";
+  let module Expr = Pbse_smt.Expr in
+  Printf.printf "\n  %-10s %8s %14s %18s\n%!" "concolic" "interval" "ns/pass"
+    "minor words/pass";
   List.iter
-    (fun (t : Registry.t) ->
-      let session =
-        Session.open_session (Registry.program t) ~seed:(Registry.smallest_seed t)
-          ~deadline:hour
+    (fun (name, prog, seed, interval_length) ->
+      let pass () =
+        Expr.use_arena (Expr.arena ());
+        let exec = Executor.create ~clock:(Vclock.create ()) prog ~input:seed in
+        ignore (Concolic.run ~interval_length ~deadline:hour exec (Trace.indexer ()))
       in
-      let bbvs = (Session.finish_session session).Session.bbvs in
-      let test =
-        Test.make ~name:t.Registry.name
-          (Staged.stage (fun () -> ignore (Phase.divide (Rng.create 1) bbvs)))
-      in
+      let test = Test.make ~name (Staged.stage pass) in
       let estimate = function Some e -> Printf.sprintf "%.0f" e | None -> "-" in
       match
-        per_run ~limit:500 ~quota:0.5
+        per_run ~limit:200 ~quota:0.5
           Toolkit.Instance.[ monotonic_clock; minor_allocated ]
           test
       with
       | [ ns; words ] ->
-        let shape = Phase.shape bbvs in
-        Printf.printf "  %-10s %5d %14s %18s %11s %11s\n%!" t.Registry.name
-          (List.length bbvs) (estimate ns) (estimate words)
-          (Printf.sprintf "%d/%d" shape.Phase.blocks shape.Phase.block_span)
-          (Printf.sprintf "%d/%d" shape.Phase.distinct shape.Phase.bbvs)
+        Printf.printf "  %-10s %8d %14s %18s\n%!" name interval_length (estimate ns)
+          (estimate words)
       | _ -> assert false)
-    Registry.all;
+    passes
+
+let kernels () =
+  heading
+    "Per-layer kernels: Phase.divide and the concolic pass on each target's \
+     smallest seed, Search_core.solve_group";
+  let open Bechamel in
+  Printf.printf "  %-10s %5s %14s %18s %11s %11s\n%!" "target" "bbvs" "ns/division"
+    "minor words/div" "dims" "distinct";
+  let passes =
+    List.map
+      (fun (t : Registry.t) ->
+        let prog = Registry.program t and seed = Registry.smallest_seed t in
+        let session = Session.open_session prog ~seed ~deadline:hour in
+        let report = Session.finish_session session in
+        let bbvs = report.Session.bbvs in
+        let test =
+          Test.make ~name:t.Registry.name
+            (Staged.stage (fun () -> ignore (Phase.divide (Rng.create 1) bbvs)))
+        in
+        let estimate = function Some e -> Printf.sprintf "%.0f" e | None -> "-" in
+        (match
+           per_run ~limit:500 ~quota:0.5
+             Toolkit.Instance.[ monotonic_clock; minor_allocated ]
+             test
+         with
+         | [ ns; words ] ->
+           let shape = Phase.shape bbvs in
+           Printf.printf "  %-10s %5d %14s %18s %11s %11s\n%!" t.Registry.name
+             (List.length bbvs) (estimate ns) (estimate words)
+             (Printf.sprintf "%d/%d" shape.Phase.blocks shape.Phase.block_span)
+             (Printf.sprintf "%d/%d" shape.Phase.distinct shape.Phase.bbvs)
+         | _ -> assert false);
+        (t.Registry.name, prog, seed, report.Session.interval_length))
+      Registry.all
+  in
+  concolic_kernel passes;
   search_core_kernel ()
 
 (* --- Pool campaigns ---------------------------------------------------------------- *)

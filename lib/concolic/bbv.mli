@@ -27,7 +27,9 @@ val builder : interval_length:int -> builder
 
 val record : builder -> vtime:int -> gid:int -> unit
 (** Called on every block entry; closes intervals automatically as
-    [vtime] crosses interval boundaries. *)
+    [vtime] crosses interval boundaries. Counts live in an array indexed
+    by [gid], grown to the largest gid seen; raises [Invalid_argument]
+    on a negative [gid]. *)
 
 val flush : builder -> coverage_at:(unit -> int) -> vtime:int -> unit
 (** Force-close the current interval (used at end of execution). *)

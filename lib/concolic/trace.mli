@@ -23,6 +23,8 @@ type t
 
 val create : indexer -> t
 val record : t -> vtime:int -> gid:int -> unit
+(** Raises [Invalid_argument] on a negative [gid]. *)
+
 val points : t -> point list
 (** Chronological. *)
 

@@ -50,6 +50,7 @@ type t = {
   findex : (string, int) Hashtbl.t;
   input : bytes;
   base_model : Model.t;
+  seed_byte : int -> int; (* [Model.get base_model], read off [input] *)
   max_live : int;
   mutable next_id : int;
   mutable bugs : Bug.t list; (* newest first *)
@@ -87,6 +88,8 @@ let create ?(max_live = 8192) ?solver_prefix_cap ?(inject = Inject.none)
     match registry with Some r -> r | None -> Telemetry.Registry.create ()
   in
   let cfg = Cfg.build prog in
+  (* a private copy: [seed_byte] must keep agreeing with [base_model] *)
+  let input = Bytes.copy input in
   {
     prog;
     cfg;
@@ -96,6 +99,9 @@ let create ?(max_live = 8192) ?solver_prefix_cap ?(inject = Inject.none)
     findex = func_index prog;
     input;
     base_model = Model.of_bytes input;
+    seed_byte =
+      (fun i ->
+        if i < Bytes.length input then Char.code (Bytes.unsafe_get input i) else 0);
     max_live;
     next_id = 0;
     bugs = [];
@@ -342,10 +348,18 @@ let finish_buggy t st ~kind ~detail =
 let fault_finish t st fault =
   finish_buggy t st ~kind:(Concrete.fault_class fault) ~detail:(Mem.fault_to_string fault)
 
+(* [e]'s value under the state's model. A state still on the seed's
+   model (every state of the concolic pass) reads the seed's bytes
+   directly: the same values as the model's map, without a lookup per
+   [Read]. *)
+let model_eval t st e =
+  if st.State.model == t.base_model then Expr.eval t.seed_byte e
+  else Model.eval st.State.model e
+
 (* Re-establish the state's witness model after a new constraint whose
    current model violates it. *)
 let constrain t st extra =
-  if Model.satisfies st.State.model extra then begin
+  if List.for_all (fun c -> Semantics.truthy (model_eval t st c)) extra then begin
     List.iter (State.assume st) extra;
     true
   end
@@ -363,7 +377,7 @@ let concretize t st e =
   match Expr.is_const e with
   | Some c -> Some c
   | None ->
-    let c = Model.eval st.State.model e in
+    let c = model_eval t st e in
     t.st.concretized_addrs <- t.st.concretized_addrs + 1;
     if constrain t st [ Expr.bin Eq e (Expr.const c) ] then Some c else None
 
@@ -371,7 +385,7 @@ let concretize t st e =
 
 let check_symbolic_addr_bug t st addr_expr ~len ~write =
   (* is there any model that pushes this access out of bounds? *)
-  let ptr_now = Model.eval st.State.model addr_expr in
+  let ptr_now = model_eval t st addr_expr in
   let obj = Mem.Ptr.obj ptr_now in
   match Mem.size_of st.State.mem ptr_now with
   | None -> () (* the concrete access path will fault and report *)
@@ -428,7 +442,7 @@ let exec_div_guard t st divisor =
     if t.lazy_fork then begin
       (* concolic: fault if the seed divides by zero, otherwise just pin
          the non-zero fact (the model satisfies it, so this is free) *)
-      if Model.eval st.State.model divisor = 0L then
+      if model_eval t st divisor = 0L then
         finish_buggy t st ~kind:"div-by-zero" ~detail:"concrete division by zero"
       else if not (constrain t st [ Expr.bin Ne divisor Expr.zero ]) then
         raise (Finish Infeasible)
@@ -557,7 +571,7 @@ let do_ret t st v =
   | [] -> raise (Finish (Aborted "return with no frame"))
   | [ _ ] ->
     let code =
-      match Expr.is_const value with Some c -> c | None -> Model.eval st.State.model value
+      match Expr.is_const value with Some c -> c | None -> model_eval t st value
     in
     raise (Finish (Exited code))
   | _ :: (up :: _ as rest) ->
@@ -626,7 +640,7 @@ let exec_br t st cond then_b else_b =
     goto t st (if Semantics.truthy c then then_b else else_b);
     Running
   | None ->
-    let taken_true = Semantics.truthy (Model.eval st.State.model cond_e) in
+    let taken_true = Semantics.truthy (model_eval t st cond_e) in
     let taken_c = if taken_true then Expr.bin Ne cond_e Expr.zero else Expr.lognot cond_e in
     let other_c = Expr.lognot taken_c in
     let taken_b = if taken_true then then_b else else_b in
@@ -665,7 +679,7 @@ let exec_switch t st scrut cases default =
     goto t st (pick cases);
     Running
   | None ->
-    let v = Model.eval st.State.model scrut_e in
+    let v = model_eval t st scrut_e in
     let taken_target, taken_cs =
       match List.find_opt (fun (case_v, _) -> case_v = v) cases with
       | Some (case_v, target) -> (target, [ Expr.bin Eq scrut_e (Expr.const case_v) ])

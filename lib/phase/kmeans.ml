@@ -44,7 +44,11 @@ type workspace = {
   values : float array;
   centroids : float array; (* max_k rows of [dim] floats, row c at c * dim *)
   counts : int array; (* per cluster: members *)
-  norms : float array; (* per row: |c|^2 for this [assign] *)
+  (* distance from distinct vector q to row c at [q * max_k + c], kept
+     between passes: only a row that moved is measured again *)
+  dist : float array;
+  dirty : bool array; (* per cluster: members changed since its row was summed *)
+  moved : bool array; (* per row: changed since its distances were taken *)
   d2 : float array; (* per distinct vector: k-means++ distance *)
   nearest : int array; (* per distinct vector: nearest row this pass *)
   nearest_d : float array;
@@ -88,7 +92,9 @@ let workspace ~max_k ~dim vectors =
     values = Array.concat (List.map (Array.map snd) firsts);
     centroids = Array.make (max_k * dim) 0.0;
     counts = Array.make max_k 0;
-    norms = Array.make max_k 0.0;
+    dist = Array.make (np * max_k) 0.0;
+    dirty = Array.make max_k false;
+    moved = Array.make max_k false;
     d2 = Array.make np 0.0;
     nearest = Array.make np 0;
     nearest_d = Array.make np 0.0;
@@ -125,6 +131,14 @@ let distance2 ws p centroid =
   if Array.length centroid <> ws.dim then invalid_arg "Kmeans.distance2: dimension";
   distance2_at ws p centroid 0 (norm2 centroid 0 ws.dim)
 
+(* The distances from every distinct vector to row [c], into [dist]. *)
+let measure ws c =
+  let base = c * ws.dim in
+  let c2 = norm2 ws.centroids base ws.dim in
+  for q = 0 to distinct ws - 1 do
+    ws.dist.((q * ws.max_k) + c) <- distance2_at ws q ws.centroids base c2
+  done
+
 type clustering = {
   k : int;
   assignment : int array;
@@ -137,17 +151,19 @@ let run ws rng ~k =
   if k < 1 || k > ws.max_k then invalid_arg "Kmeans.run: k outside [1, max_k]";
   let n = Array.length ws.point_of and np = distinct ws in
   let dim = ws.dim and point_of = ws.point_of and centroids = ws.centroids in
-  let d2 = ws.d2 in
-  (* k-means++ seeding: row [c] becomes the dense copy of vector [choice] *)
+  let d2 = ws.d2 and dist = ws.dist and stride = ws.max_k in
+  let dirty = ws.dirty and moved = ws.moved in
+  (* k-means++ seeding: row [c] becomes the dense copy of vector
+     [choice]; the distances it takes are the first pass's *)
   let draw c choice =
     let p = point_of.(choice) and base = c * dim in
     Array.fill centroids base dim 0.0;
     for j = ws.offsets.(p) to ws.offsets.(p + 1) - 1 do
       centroids.(base + ws.indices.(j)) <- ws.values.(j)
     done;
-    let c2 = norm2 centroids base dim in
+    measure ws c;
     for q = 0 to np - 1 do
-      let d = distance2_at ws q centroids base c2 in
+      let d = dist.((q * stride) + c) in
       if c = 0 || d < d2.(q) then d2.(q) <- d
     done
   in
@@ -176,17 +192,23 @@ let run ws rng ~k =
     in
     draw c choice
   done;
+  (* no seeded row is a mean yet; every row's distances are fresh *)
+  Array.fill dirty 0 k true;
+  Array.fill moved 0 k false;
   let assignment = ws.assignment in
   Array.fill assignment 0 n 0;
-  let norms = ws.norms and nearest = ws.nearest and nearest_d = ws.nearest_d in
+  let nearest = ws.nearest and nearest_d = ws.nearest_d in
   let assign () =
     for c = 0 to k - 1 do
-      norms.(c) <- norm2 centroids (c * dim) dim
+      if moved.(c) then begin
+        measure ws c;
+        moved.(c) <- false
+      end
     done;
     for q = 0 to np - 1 do
-      let best = ref 0 and best_d = ref infinity in
+      let best = ref 0 and best_d = ref infinity and row = q * stride in
       for c = 0 to k - 1 do
-        let d = distance2_at ws q centroids (c * dim) norms.(c) in
+        let d = dist.(row + c) in
         if d < !best_d then begin
           best_d := d;
           best := c
@@ -198,8 +220,11 @@ let run ws rng ~k =
     let changed = ref false and inertia = ref 0.0 in
     for i = 0 to n - 1 do
       let q = point_of.(i) in
-      if assignment.(i) <> nearest.(q) then begin
-        assignment.(i) <- nearest.(q);
+      let c = nearest.(q) in
+      if assignment.(i) <> c then begin
+        dirty.(assignment.(i)) <- true;
+        dirty.(c) <- true;
+        assignment.(i) <- c;
         changed := true
       end;
       inertia := !inertia +. nearest_d.(q)
@@ -213,23 +238,32 @@ let run ws rng ~k =
       counts.(assignment.(i)) <- counts.(assignment.(i)) + 1
     done;
     (* a cluster with members sums them, in index order, from +0.0, then
-       scales; an empty cluster keeps its previous centroid *)
+       scales; an empty cluster keeps its previous centroid. A cluster
+       whose members are those its row was summed from would sum to the
+       same bits, so only dirty ones are summed again. *)
     for c = 0 to k - 1 do
-      if counts.(c) > 0 then Array.fill centroids (c * dim) dim 0.0
+      if dirty.(c) && counts.(c) > 0 then Array.fill centroids (c * dim) dim 0.0
     done;
     for i = 0 to n - 1 do
-      let p = point_of.(i) and base = assignment.(i) * dim in
-      for j = ws.offsets.(p) to ws.offsets.(p + 1) - 1 do
-        let d = base + ws.indices.(j) in
-        centroids.(d) <- centroids.(d) +. ws.values.(j)
-      done
+      let c = assignment.(i) in
+      if dirty.(c) then begin
+        let p = point_of.(i) and base = c * dim in
+        for j = ws.offsets.(p) to ws.offsets.(p + 1) - 1 do
+          let d = base + ws.indices.(j) in
+          centroids.(d) <- centroids.(d) +. ws.values.(j)
+        done
+      end
     done;
     for c = 0 to k - 1 do
-      if counts.(c) > 0 then begin
-        let inv = 1.0 /. float_of_int counts.(c) in
-        for d = c * dim to (c * dim) + dim - 1 do
-          centroids.(d) <- centroids.(d) *. inv
-        done
+      if dirty.(c) then begin
+        if counts.(c) > 0 then begin
+          let inv = 1.0 /. float_of_int counts.(c) in
+          for d = c * dim to (c * dim) + dim - 1 do
+            centroids.(d) <- centroids.(d) *. inv
+          done;
+          moved.(c) <- true
+        end;
+        dirty.(c) <- false
       end
     done
   in

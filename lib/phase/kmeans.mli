@@ -8,8 +8,9 @@
     same dimensions, same float bits) in a flat layout, plus every array
     a clustering writes, sized for the largest k it will be asked for.
     Identical vectors are at the same distance from every centroid, so
-    each distance is computed once per distinct vector. One workspace
-    serves any number of {!run}s. *)
+    each distance is computed once per distinct vector, and kept between
+    Lloyd passes: a pass measures again only the centroids whose members
+    changed. One workspace serves any number of {!run}s. *)
 
 type vector = (int * float) array
 (** Sparse: (dimension, value), sorted by dimension, no duplicates. *)

@@ -251,17 +251,28 @@ let share_hints sh =
    to its fork point, folded with the fork's global block id. Two seeds
    whose concrete runs agree up to a fork point produce the same key for
    it (plot indices are assigned in first-execution order, identical
-   along identical prefixes). *)
-let seedstate_prefix_key trace (ss : Concolic.seed_state) =
+   along identical prefixes). The trace's times never decrease, so the
+   points up to a fork time are a prefix of it: one pass over the trace,
+   visiting the states in fork-time order, folds every key. *)
+let seedstate_prefix_keys trace (seed_states : Concolic.seed_state list) =
   let mix h x = (h * 0x01000193) lxor x in
-  let h =
-    List.fold_left
-      (fun h (p : Trace.point) ->
-        if p.Trace.vtime <= ss.Concolic.fork_vtime then mix (mix h p.Trace.vtime) p.Trace.bb
-        else h)
-      0x811c9dc5 (Trace.points trace)
+  let states = Array.of_list seed_states in
+  let order = Array.init (Array.length states) Fun.id in
+  let fork_vtime j = states.(j).Concolic.fork_vtime in
+  Array.stable_sort (fun a b -> Int.compare (fork_vtime a) (fork_vtime b)) order;
+  let keys = Array.make (Array.length states) 0 in
+  let rec fold h points j =
+    if j < Array.length order then
+      let ss = states.(order.(j)) in
+      match points with
+      | (p : Trace.point) :: rest when p.Trace.vtime <= ss.Concolic.fork_vtime ->
+        fold (mix (mix h p.Trace.vtime) p.Trace.bb) rest j
+      | _ ->
+        keys.(order.(j)) <- mix h ss.Concolic.fork_gid;
+        fold h points (j + 1)
   in
-  mix h ss.Concolic.fork_gid
+  fold 0x811c9dc5 (Trace.points trace) 0;
+  Array.to_list keys
 
 (* --- run reports ----------------------------------------------------------- *)
 
@@ -340,21 +351,22 @@ let map_seed_states config ~interval_length ?share ~trace division bbvs
   | Some sh ->
     (* campaign-wide dedup: a fork point another session already
        published (same concrete path prefix, same fork location) is
-       that session's to explore; this one spends its budget elsewhere *)
+       that session's to explore; this one spends its budget elsewhere.
+       The keys are folded before the mutex is taken. *)
+    let keyed = List.combine (seedstate_prefix_keys trace tagged) tagged in
     Mutex.protect sh.sh_mutex (fun () ->
-        List.filter
-          (fun ss ->
-            let key = seedstate_prefix_key trace ss in
+        List.filter_map
+          (fun (key, ss) ->
             if Hashtbl.mem sh.sh_seedstates key then begin
               sh.sh_hits <- sh.sh_hits + 1;
-              false
+              None
             end
             else begin
               Hashtbl.replace sh.sh_seedstates key ();
               sh.sh_published <- sh.sh_published + 1;
-              true
+              Some ss
             end)
-          tagged)
+          keyed)
 
 (* The shared engine loop: Algorithm 3 under supervision, generic over
    the scheduling policy. Which phase runs next, for how long, and when

@@ -164,6 +164,12 @@ val share_publish_hints : share -> (int * (int * int) list) list -> unit
 val share_hints : share -> (int * (int * int) list) list
 (** Current hint residue, for {!Pbse_smt.Solver.import_prefix_hints}. *)
 
+val seedstate_prefix_keys :
+  Pbse_concolic.Trace.t -> Pbse_concolic.Concolic.seed_state list -> int list
+(** The share table's key of each seedState, in list order: the trace's
+    points up to the state's fork time folded with its fork's global
+    block id. Folded in one pass over the chronological trace. *)
+
 (** {1 Single runs} *)
 
 type report = {

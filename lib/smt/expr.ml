@@ -2,7 +2,6 @@ open Pbse_ir.Types
 
 type t = {
   id : int;
-  hkey : int;
   node : node;
   max_read : int;
   nodes : int;
@@ -30,11 +29,44 @@ let node_equal a b =
 
 let combine h a = (h * 0x01000193) lxor a
 
+let binop_code = function
+  | Add -> 0
+  | Sub -> 1
+  | Mul -> 2
+  | Udiv -> 3
+  | Sdiv -> 4
+  | Urem -> 5
+  | Srem -> 6
+  | And -> 7
+  | Or -> 8
+  | Xor -> 9
+  | Shl -> 10
+  | Lshr -> 11
+  | Ashr -> 12
+  | Eq -> 13
+  | Ne -> 14
+  | Ult -> 15
+  | Ule -> 16
+  | Slt -> 17
+  | Sle -> 18
+
+let unop_code = function
+  | Neg -> 0
+  | Not -> 1
+  | Sext8 -> 2
+  | Sext16 -> 3
+  | Sext32 -> 4
+  | Trunc8 -> 5
+  | Trunc16 -> 6
+  | Trunc32 -> 7
+
+(* The arena tables are only probed, never iterated, so the hash
+   decides bucket placement and nothing a report can see. *)
 let node_hash = function
   | Const x -> combine 1 (Int64.to_int x land max_int)
   | Read i -> combine 2 i
-  | Bin (op, a, b) -> combine (combine (combine 3 (Hashtbl.hash op)) a.id) b.id
-  | Un (op, a) -> combine (combine 4 (Hashtbl.hash op)) a.id
+  | Bin (op, a, b) -> combine (combine (combine 3 (binop_code op)) a.id) b.id
+  | Un (op, a) -> combine (combine 4 (unop_code op)) a.id
   | Ite (c, t, e) -> combine (combine (combine 5 c.id) t.id) e.id
 
 module Table = Hashtbl.Make (struct
@@ -51,8 +83,20 @@ end)
    domain — or how many — executes its turns. The table holds strong
    references: an arena's expressions live exactly as long as the arena
    (a session), which keeps solver caches keyed on ids immune to
-   re-interning nondeterminism. *)
-type arena = { table : t Table.t }
+   re-interning nondeterminism.
+
+   [consts] is a direct-mapped cache of the arena's [Const] nodes,
+   indexed by the constant's low bits, in front of the table: a hit
+   returns the node the table holds for that constant without hashing
+   or allocating a probe node. A miss interns through the table as any
+   other node, so ids are handed out exactly as without the cache. *)
+type arena = { table : t Table.t; consts : t array }
+
+let const_slots = 256
+
+(* Fills the empty cache slots; its node is never a [Const]. *)
+let vacant =
+  { id = -1; node = Read (-1); max_read = -1; nodes = 0; walkable = false; bits = 0L }
 
 (* Ids are allocated in per-domain blocks: a domain holds a private
    [next, limit) range and bumps a plain field, so the hot interning
@@ -87,7 +131,7 @@ let fresh_id () =
   id
 
 let id_block_refills () = Atomic.get block_refills
-let arena () = { table = Table.create 4096 }
+let arena () = { table = Table.create 4096; consts = Array.make const_slots vacant }
 let dls_arena : arena Domain.DLS.key = Domain.DLS.new_key arena
 let use_arena a = Domain.DLS.set dls_arena a
 
@@ -160,7 +204,7 @@ let walkable_of node nodes =
   | Un (_, a) -> a.walkable
   | Ite (c, t, e) -> c.walkable && t.walkable && e.walkable
 
-let make node =
+let intern table node =
   let max_read, nodes =
     match node with
     | Const _ -> (-1, 1)
@@ -171,21 +215,31 @@ let make node =
       ( Int.max c.max_read (Int.max t.max_read e.max_read),
         1 + c.nodes + t.nodes + e.nodes )
   in
-  let table = (Domain.DLS.get dls_arena).table in
   match Table.find_opt table node with
   | Some interned -> interned
   | None ->
     let interned =
-      { id = fresh_id (); hkey = node_hash node land max_int;
-        node; max_read; nodes; walkable = walkable_of node nodes;
+      { id = fresh_id (); node; max_read; nodes; walkable = walkable_of node nodes;
         bits = bits_of node }
     in
     Table.add table node interned;
     interned
 
+let make node = intern (Domain.DLS.get dls_arena).table node
+
 (* --- constructors with simplification ----------------------------------- *)
 
-let const c = make (Const c)
+let const (c : int64) =
+  let a = Domain.DLS.get dls_arena in
+  let slot = Int64.to_int c land (const_slots - 1) in
+  let cached = Array.unsafe_get a.consts slot in
+  match cached.node with
+  | Const x when x = c -> cached
+  | Const _ | Read _ | Bin _ | Un _ | Ite _ ->
+    let e = intern a.table (Const c) in
+    Array.unsafe_set a.consts slot e;
+    e
+
 let of_int i = const (Int64.of_int i)
 let zero = const 0L
 let one = const 1L

@@ -8,11 +8,12 @@
     [id]; equality is O(1), and sets of expressions (path conditions,
     solver caches) key on ids. Smart constructors constant-fold and apply
     algebraic simplifications, so a fully concrete computation never
-    allocates a symbolic node. *)
+    allocates a symbolic node. {!const} looks in a small direct-mapped
+    cache of the arena's constants before the hash-consing table; a hit
+    is the node the table holds, so the cache changes no id. *)
 
 type t = private {
   id : int;
-  hkey : int;
   node : node;
   max_read : int; (* largest input index read; -1 when concrete *)
   nodes : int;

@@ -63,6 +63,113 @@ let test_trace_csv () =
   Alcotest.(check string) "csv" "vtime,bb\n5,0\n9,0\n12,1\n" (Trace.to_csv trace);
   Alcotest.(check int) "points" 3 (List.length (Trace.points trace))
 
+(* The builder and the indexer keep per-gid state in arrays grown to
+   the largest gid seen. The references below are the hash-table
+   versions they replaced: large gids arriving out of order must give
+   the same intervals, counts and plot indices. *)
+module Reference = struct
+  let bbvs ~interval_length ~probe entries =
+    let counts = Hashtbl.create 256 and current = ref 0 and acc = ref [] in
+    let close ~t_end =
+      if Hashtbl.length counts > 0 then begin
+        let cs =
+          Hashtbl.fold (fun gid c acc -> (gid, c) :: acc) counts []
+          |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+        in
+        let total = List.fold_left (fun acc (_, c) -> acc + c) 0 cs in
+        acc := (!current, !current * interval_length, t_end, cs, total, probe ()) :: !acc;
+        Hashtbl.reset counts
+      end
+    in
+    let last = ref 0 in
+    List.iter
+      (fun (vtime, gid) ->
+        last := vtime;
+        let interval = vtime / interval_length in
+        if interval <> !current then begin
+          close ~t_end:((!current * interval_length) + interval_length);
+          current := interval
+        end;
+        Hashtbl.replace counts gid
+          (1 + match Hashtbl.find_opt counts gid with Some c -> c | None -> 0))
+      entries;
+    close ~t_end:!last;
+    List.rev !acc
+
+  let plot_indices gids =
+    let map = Hashtbl.create 16 and next = ref 0 in
+    List.map
+      (fun gid ->
+        match Hashtbl.find_opt map gid with
+        | Some i -> i
+        | None ->
+          let i = !next in
+          incr next;
+          Hashtbl.add map gid i;
+          i)
+      gids
+end
+
+(* block entries: non-decreasing times, gids mixing a small hot set with
+   large ones that force the per-gid arrays to grow several times, and
+   up to 2500 entries, past the trace's first 1024 cells *)
+let gen_entries =
+  QCheck.Gen.(
+    list_size (int_range 0 2500)
+      (pair (int_bound 30)
+         (frequency
+            [
+              (4, int_bound 20); (2, int_range 200 5_000); (1, int_range 10_000 70_000);
+            ]))
+    >|= fun steps ->
+    let t = ref 0 in
+    List.map
+      (fun (dt, gid) ->
+        t := !t + dt;
+        (!t, gid))
+      steps)
+
+let prop_bbv_counts_match_reference =
+  QCheck.Test.make ~count:300 ~name:"bbv counts = hash-table reference, large gids"
+    QCheck.(make Gen.(pair (int_range 1 60) gen_entries))
+    (fun (interval_length, entries) ->
+      (* coverage reads count the closes, so it checks their order too *)
+      let probe () =
+        let calls = ref 0 in
+        fun () ->
+          incr calls;
+          !calls
+      in
+      let b = Bbv.builder ~interval_length in
+      let coverage = probe () in
+      Bbv.set_coverage_probe b coverage;
+      List.iter (fun (vtime, gid) -> Bbv.record b ~vtime ~gid) entries;
+      let last = match List.rev entries with (t, _) :: _ -> t | [] -> 0 in
+      Bbv.flush b ~coverage_at:coverage ~vtime:last;
+      let got =
+        List.map
+          (fun (v : Bbv.t) ->
+            ( v.Bbv.index,
+              v.Bbv.t_start,
+              v.Bbv.t_end,
+              Array.to_list v.Bbv.counts,
+              v.Bbv.total,
+              v.Bbv.coverage ))
+          (Bbv.bbvs b)
+      in
+      got = Reference.bbvs ~interval_length ~probe:(probe ()) entries)
+
+let prop_trace_numbering_matches_reference =
+  QCheck.Test.make ~count:300 ~name:"trace numbering = hash-table reference, large gids"
+    (QCheck.make gen_entries) (fun entries ->
+      let ix = Trace.indexer () in
+      let trace = Trace.create ix in
+      List.iter (fun (vtime, gid) -> Trace.record trace ~vtime ~gid) entries;
+      let gids = List.map snd entries in
+      List.map (fun (p : Trace.point) -> (p.Trace.vtime, p.Trace.bb)) (Trace.points trace)
+      = List.combine (List.map fst entries) (Reference.plot_indices gids)
+      && Trace.assigned ix = List.length (List.sort_uniq Int.compare gids))
+
 (* a staged program: header check then an input-bounded loop *)
 let staged_src =
   "fn main() {\n\
@@ -156,6 +263,8 @@ let suite =
     Alcotest.test_case "bbv rejects bad interval" `Quick test_bbv_rejects_bad_interval;
     Alcotest.test_case "trace indexer order" `Quick test_trace_indexer_first_execution_order;
     Alcotest.test_case "trace csv" `Quick test_trace_csv;
+    QCheck_alcotest.to_alcotest prop_bbv_counts_match_reference;
+    QCheck_alcotest.to_alcotest prop_trace_numbering_matches_reference;
     Alcotest.test_case "concolic follows seed" `Quick test_concolic_follows_seed;
     Alcotest.test_case "concolic seedStates at forks" `Quick
       test_concolic_seed_states_at_forks;

@@ -261,6 +261,81 @@ let prop_cluster_with_copies_matches_oracle =
              same got (Oracle_kmeans.cluster oracle_rng ~k ~dim vectors))
            (List.init k (fun i -> i + 1)))
 
+(* [Kmeans.run] keeps each distance between Lloyd passes and sums again
+   only the clusters whose members changed; the oracle measures every
+   distance and sums every cluster on every pass. Many vectors drawn
+   around a few centres, with bitwise copies among them, take several
+   passes to settle, so rows move in some passes and stay in others. *)
+let gen_clustered dim =
+  QCheck.Gen.(
+    int_range 1 4 >>= fun ncentres ->
+    array_repeat ncentres (gen_sparse dim) >>= fun centres ->
+    array_size (int_range 20 120)
+      (pair
+         (int_bound (ncentres - 1))
+         (frequency [ (1, return None); (3, map Option.some (gen_sparse dim)) ]))
+    >|= Array.map (fun (c, noise) ->
+            match noise with
+            | None -> Array.copy centres.(c)
+            | Some v ->
+              (* the centre plus a small sparse offset, merged by dimension *)
+              let dense = Array.make dim None in
+              Array.iter (fun (d, x) -> dense.(d) <- Some x) centres.(c);
+              Array.iter
+                (fun (d, x) ->
+                  let base = Option.value dense.(d) ~default:0.0 in
+                  dense.(d) <- Some (base +. (x /. 16.0)))
+                v;
+              Array.to_list dense
+              |> List.mapi (fun d x -> Option.map (fun x -> (d, x)) x)
+              |> List.filter_map Fun.id |> Array.of_list))
+
+let same_clustering (got : Kmeans.clustering) (want : Oracle_kmeans.clustering) =
+  got.Kmeans.assignment = want.Oracle_kmeans.assignment
+  && bits got.Kmeans.inertia = bits want.Oracle_kmeans.inertia
+
+let prop_distance_table_matches_full_recompute =
+  QCheck.Test.make ~count:300 ~name:"kmeans distance table = full recompute bit for bit"
+    QCheck.(
+      make
+        Gen.(
+          int_range 1 8 >>= fun dim ->
+          triple (int_range 1 12) (int_range 0 100_000) (gen_clustered dim)
+          >|= fun (k, seed, vectors) -> (dim, k, seed, vectors)))
+    (fun (dim, k, seed, vectors) ->
+      let ws = Kmeans.workspace ~max_k:k ~dim vectors in
+      let rng = Rng.create seed and oracle_rng = Rng.create seed in
+      List.for_all
+        (fun k ->
+          same_clustering (Kmeans.run ws rng ~k)
+            (Oracle_kmeans.cluster oracle_rng ~k ~dim vectors))
+        (List.init k (fun i -> i + 1)))
+
+(* Fewer distinct vectors than clusters: seeding draws copies, so some
+   clusters end empty and keep their previous row. Over a range of
+   seeds the runs must match the oracle, and some must end with an
+   empty cluster, or the case was not reached. *)
+let test_distance_table_empty_clusters () =
+  let base =
+    [| vec [ (0, 1.0) ]; vec [ (1, 1.0) ]; vec [ (0, 0.5); (2, -0.0) ] |]
+  in
+  let vectors = Array.init 30 (fun i -> Array.copy base.(i * 7 mod 3)) in
+  let empties = ref 0 in
+  for seed = 0 to 199 do
+    let k = 2 + (seed mod 6) in
+    let got = cluster (Rng.create seed) ~k ~dim:3 vectors in
+    let want = Oracle_kmeans.cluster (Rng.create seed) ~k ~dim:3 vectors in
+    Alcotest.(check bool)
+      (Printf.sprintf "seed %d, k %d matches the oracle" seed k)
+      true (same_clustering got want);
+    if
+      List.exists
+        (fun c -> not (Array.mem c got.Kmeans.assignment))
+        (List.init k Fun.id)
+    then incr empties
+  done;
+  Alcotest.(check bool) "some run ends with an empty cluster" true (!empties > 0)
+
 (* A clustering owns its assignment: a later run on the same workspace
    does not write through it. *)
 let test_kmeans_assignment_not_aliased () =
@@ -524,6 +599,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_cached_norm_kernel_bit_equal;
     QCheck_alcotest.to_alcotest prop_cluster_matches_oracle;
     QCheck_alcotest.to_alcotest prop_cluster_with_copies_matches_oracle;
+    QCheck_alcotest.to_alcotest prop_distance_table_matches_full_recompute;
+    Alcotest.test_case "kmeans distance table with empty clusters" `Quick
+      test_distance_table_empty_clusters;
     Alcotest.test_case "divide finds trap" `Quick test_divide_finds_trap;
     Alcotest.test_case "phases ordered by time" `Quick test_divide_phases_ordered_by_time;
     Alcotest.test_case "trap threshold" `Quick test_trap_threshold;

@@ -52,10 +52,65 @@ let test_share_prefix_hint_roundtrip () =
   Alcotest.(check bool) "published/hit stats start at zero" true
     (Session.share_stats share = (0, 0))
 
+(* The share table's keys, folded in one pass over the trace, against
+   the per-state fold they replaced (below, verbatim): over the
+   seedStates of every target's concolic pass, in the pass's order and
+   reversed, and over a made-up trace whose fork times fall before its
+   first point, on points, between them, tied, and after its last. *)
+let reference_prefix_key trace (ss : Pbse_concolic.Concolic.seed_state) =
+  let module Concolic = Pbse_concolic.Concolic in
+  let module Trace = Pbse_concolic.Trace in
+  let mix h x = (h * 0x01000193) lxor x in
+  let h =
+    List.fold_left
+      (fun h (p : Trace.point) ->
+        if p.Trace.vtime <= ss.Concolic.fork_vtime then mix (mix h p.Trace.vtime) p.Trace.bb
+        else h)
+      0x811c9dc5 (Trace.points trace)
+  in
+  mix h ss.Concolic.fork_gid
+
+let test_seedstate_prefix_keys_match_fold () =
+  let module Concolic = Pbse_concolic.Concolic in
+  let module Trace = Pbse_concolic.Trace in
+  let module Registry = Pbse_targets.Registry in
+  let check name trace states =
+    Alcotest.(check (list int)) name
+      (List.map (reference_prefix_key trace) states)
+      (Session.seedstate_prefix_keys trace states)
+  in
+  List.iter
+    (fun (t : Registry.t) ->
+      let exec =
+        Pbse_exec.Executor.create ~clock:(Pbse_util.Vclock.create ())
+          (Registry.program t) ~input:(Registry.smallest_seed t)
+      in
+      let r = Concolic.run ~interval_length:50 ~deadline:30_000 exec (Trace.indexer ()) in
+      let states = r.Concolic.seed_states in
+      Alcotest.(check bool) (t.Registry.name ^ " forks") true (states <> []);
+      check t.Registry.name r.Concolic.trace states;
+      check (t.Registry.name ^ " reversed") r.Concolic.trace (List.rev states))
+    Registry.all;
+  let trace = Trace.create (Trace.indexer ()) in
+  List.iter
+    (fun (vtime, gid) -> Trace.record trace ~vtime ~gid)
+    [ (3, 10); (3, 11); (7, 10); (12, 40); (12, 11); (20, 7) ];
+  let state =
+    Pbse_exec.State.create ~id:0 ~nregs:0 ~mem:Pbse_exec.Mem.empty
+      ~model:Pbse_smt.Model.empty ~fidx:0 ~born:0
+  in
+  let fork (fork_vtime, fork_gid) = { Concolic.state; fork_vtime; fork_gid } in
+  check "made-up trace" trace
+    (List.map fork
+       [ (12, 1); (0, 2); (3, 3); (25, 4); (12, 5); (5, 6); (20, 7); (3, 3) ]);
+  check "no states" trace []
+
 let suite =
   [
     Alcotest.test_case "seedState sharing deterministic" `Slow
       test_seedstate_sharing_deterministic;
     Alcotest.test_case "share prefix-hint roundtrip" `Quick
       test_share_prefix_hint_roundtrip;
+    Alcotest.test_case "seedState prefix keys = per-state fold" `Quick
+      test_seedstate_prefix_keys_match_fold;
   ]

@@ -651,6 +651,58 @@ let test_hash_consing_shares () =
   Alcotest.(check bool) "physically shared" true (a == b);
   Alcotest.(check int) "same id" a.Expr.id b.Expr.id
 
+(* [Expr.const] answers from a per-arena cache of 256 slots indexed by
+   the constant's low bits, so [c] and [c + 256] (and [c + 2^32]) share a
+   slot and evict each other. Whatever the cache holds, a constant must
+   intern to one node per arena, a distinct node in another arena, and
+   a repeat must hand out no id. Runs in a spawned domain so
+   [use_arena] leaves the main domain's arena alone. *)
+let test_const_cache_arenas () =
+  let failures =
+    Domain.spawn (fun () ->
+        let failures = ref [] in
+        let check what ok = if not ok then failures := what :: !failures in
+        let a = Expr.arena () and b = Expr.arena () in
+        let in_arena arena c =
+          Expr.use_arena arena;
+          Expr.const c
+        in
+        let colliding = [ 5L; 261L; 517L; 0x1_0000_0005L; -251L; 5L; 261L ] in
+        let first = Hashtbl.create 16 in
+        for _round = 1 to 3 do
+          List.iter
+            (fun c ->
+              let ea = in_arena a c and eb = in_arena b c in
+              check (Printf.sprintf "%Ld is a constant" c) (Expr.is_const ea = Some c);
+              check
+                (Printf.sprintf "%Ld differs across arenas" c)
+                (ea.Expr.id <> eb.Expr.id);
+              match Hashtbl.find_opt first c with
+              | None -> Hashtbl.add first c (ea, eb)
+              | Some (ea0, eb0) ->
+                check (Printf.sprintf "%Ld interns once in a" c) (ea == ea0);
+                check (Printf.sprintf "%Ld interns once in b" c) (eb == eb0))
+            colliding
+        done;
+        let ids = Hashtbl.fold (fun _ (ea, _) acc -> ea.Expr.id :: acc) first [] in
+        check "distinct constants, distinct ids"
+          (List.length (List.sort_uniq Int.compare ids) = Hashtbl.length first);
+        (* a repeat, a hit or an evicted slot, allocates no id *)
+        let before = (in_arena a 1000L).Expr.id in
+        List.iter (fun c -> ignore (in_arena a c)) colliding;
+        let after = (in_arena a 1001L).Expr.id in
+        check "repeats allocate no id" (after = before + 1);
+        (* nodes over a cached constant hash-cons as before *)
+        Expr.use_arena a;
+        let e1 = Expr.bin T.Eq (Expr.read 0) (Expr.const 5L) in
+        ignore (Expr.const 261L);
+        let e2 = Expr.bin T.Eq (Expr.read 0) (Expr.const 5L) in
+        check "a node over an evicted constant is shared" (e1 == e2);
+        !failures)
+    |> Domain.join
+  in
+  Alcotest.(check (list string)) "no failed checks" [] failures
+
 let test_reads () =
   let e =
     Expr.bin T.Add
@@ -841,6 +893,7 @@ let suite =
   [
     Alcotest.test_case "simplifications" `Quick test_simplifications;
     Alcotest.test_case "hash consing" `Quick test_hash_consing_shares;
+    Alcotest.test_case "const cache across arenas" `Quick test_const_cache_arenas;
     Alcotest.test_case "reads" `Quick test_reads;
     Alcotest.test_case "model roundtrip" `Quick test_model_roundtrip;
     Alcotest.test_case "solver magic bytes" `Quick test_solver_magic_bytes;
