@@ -34,17 +34,8 @@ type outcome = {
    granularity — the barriers inside a round stay untouched, keeping
    per-round determinism. *)
 let run_rounds ?(on_round = fun _ -> ()) ?(after_round = fun () -> true) ?(lease = 1)
-    ?(round_wrap = fun f -> f ()) ?pool ~sched ~deadline ~jobs ~run ~merge () =
+    ?(round_wrap = fun f -> f ()) ~pool ~sched ~deadline ~jobs ~run ~merge () =
   let lease = max 1 lease in
-  let owned_pool = ref None in
-  let pool =
-    match pool with
-    | Some p -> p
-    | None ->
-      let p = Domain_pool.create ~jobs:(jobs ()) in
-      owned_pool := Some p;
-      p
-  in
   let spent_total = ref 0 in
   let rec loop () =
     let remaining = deadline - !spent_total in
@@ -116,8 +107,5 @@ let run_rounds ?(on_round = fun _ -> ()) ?(after_round = fun () -> true) ?(lease
         end
     end
   in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Domain_pool.shutdown !owned_pool)
-    (fun () ->
-      loop ();
-      !spent_total)
+  loop ();
+  !spent_total

@@ -22,7 +22,7 @@ val run_rounds :
   ?after_round:(unit -> bool) ->
   ?lease:int ->
   ?round_wrap:((unit -> unit) -> unit) ->
-  ?pool:Domain_pool.t ->
+  pool:Domain_pool.t ->
   sched:Pool_scheduler.t ->
   deadline:int ->
   jobs:(unit -> int) ->
@@ -30,7 +30,7 @@ val run_rounds :
   merge:(Seed_slot.t -> budget:int -> 'r -> outcome) ->
   unit ->
   int
-(** [run_rounds ~sched ~deadline ~jobs ~run ~merge ()] grants turns
+(** [run_rounds ~pool ~sched ~deadline ~jobs ~run ~merge ()] grants turns
     until the budget is spent or every slot is retired, and returns the
     total virtual time spent. Each iteration asks the policy to
     {!Pool_scheduler.t.plan} a whole round, clamps the round's budgets
@@ -65,8 +65,7 @@ val run_rounds :
     domain. [on_round] fires before each executed round with the number
     of runnable leases in it.
 
-    [pool] is the campaign's worker pool; when omitted a private pool is
-    created for the call and shut down before it returns. [jobs] is
+    [pool] is the campaign's worker pool; the caller owns it. [jobs] is
     consulted once per round, so a caller may narrow the pool width
     mid-campaign (graceful degradation) — the width is invisible to
     plans and merges, so reports are unaffected. [after_round] fires

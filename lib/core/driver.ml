@@ -90,47 +90,6 @@ let checkpoint ?(meta = []) ?halt_after ?note_ms ~path ~every () =
     ck_note_ms = note_ms;
   }
 
-(* Worker-side record of one executed sub-turn. Everything a merge needs
-   is captured at execution time: under a multi-turn lease the barrier
-   merge runs after {e later} sub-turns have already advanced the
-   session's clock and quarantine, so reading them at merge time would
-   smear one sub-turn's dwell and strike deltas over its successors. *)
-type turn_exec = {
-  tx_start : int; (* session clock entering the sub-turn *)
-  tx_stop : int; (* session clock leaving it *)
-  tx_ev0 : int; (* quarantine evictions before / after *)
-  tx_ev1 : int;
-  tx_st0 : int; (* quarantine strikes before / after *)
-  tx_st1 : int;
-  tx_opened : bool; (* this sub-turn opened the session *)
-  tx_status : [ `Stepped | `Failed | `Injected | `Entry_crash ];
-}
-
-(* Algorithm 1's outer loop over a seed pool, generalised into a
-   campaign and run in deterministic rounds: the pool policy plans every
-   round up front (one turn per live seed), the turns execute on up to
-   [jobs] domains — each seed's session owns a private {!Runtime}
-   (registry, RNG, quarantine, expression arena), so concurrent turns
-   share no mutable state — and the results merge back at the round
-   barrier in plan order. Coverage merges as a union of global block
-   ids; bugs deduplicate on (location, kind) and are attributed to the
-   seed whose turn first surfaced them; per-session registries merge
-   into the pool registry in ordinal order when the campaign ends.
-   Every observable outcome is therefore identical for every [jobs]
-   value, including 1 (docs/parallelism.md).
-
-   Crash durability (docs/robustness.md) rides on the same determinism:
-   [checkpoint] serialises the campaign at round barriers — slot
-   counters, each session's granted-turn ledger, merged-bug keys,
-   scheduler state — and [resume] reinstates the counters then replays
-   each ledger against the same seeds, reconstructing engine state the
-   snapshot never stored. A clean kill-and-resume therefore yields a
-   pool report byte-identical to the uninterrupted run. Watchdogged
-   turns (spent > factor x budget), injected turn kills and contained
-   turn exceptions all strike their seed toward forced retirement and
-   step the effective [--jobs] and prefix cap down (graceful
-   degradation) without ever aborting the campaign. *)
-
 (* The digest under which the serve layer caches a campaign's rendered
    report. [jobs] is deliberately absent: reports are jobs-invariant, so
    any width may reuse any width's campaign. The constant "1" stands
@@ -164,32 +123,130 @@ let campaign_fingerprint ?(config = Session.default_config)
     @ List.map (fun seed -> Digest.to_hex (Digest.bytes seed)) ordered);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
+(* Algorithm 1's outer loop over a seed pool, generalised into a
+   campaign and run in deterministic rounds: the pool policy plans every
+   round up front (one turn per live seed), the turns execute on up to
+   [jobs] domains — each seed's session owns a private {!Runtime}
+   (registry, RNG, quarantine, expression arena), so concurrent turns
+   share no mutable state — and the results merge back at the round
+   barrier in plan order. Coverage merges as a union of global block
+   ids; bugs deduplicate on (location, kind) and are attributed to the
+   seed whose turn first surfaced them; per-session registries merge
+   into the pool registry in ordinal order when the campaign ends.
+   Every observable outcome is therefore identical for every [jobs]
+   value, including 1 (docs/parallelism.md).
+
+   Crash durability (docs/robustness.md) rides on the same determinism:
+   [write_checkpoint] serialises the campaign at round barriers — slot
+   counters, each session's granted-turn ledger, merged-bug keys,
+   scheduler state — and [apply_resume] reinstates the counters then
+   replays each ledger against the same seeds through the turn path
+   live turns take ([run_event]), reconstructing engine state the
+   snapshot never stored. A clean kill-and-resume therefore yields a
+   pool report byte-identical to the uninterrupted run. Watchdogged
+   turns (spent > factor x budget), injected turn kills and contained
+   turn exceptions all strike their seed toward forced retirement and
+   step the effective [--jobs] and prefix cap down (graceful
+   degradation) without ever aborting the campaign.
+
+   The loop is a sequence of named steps over one [state]: [create],
+   [apply_resume] (which runs [replay_slot] per opened session),
+   [start_scheduler], then [Campaign.run_rounds] driving [exec_turn] on
+   the workers and [merge_turn] and [after_round] (hence
+   [write_checkpoint]) at each barrier, and [finish]. *)
+
 (* Pool-level faults per graceful-degradation step, and watchdog or
    crash strikes before a seed is force-retired (docs/robustness.md). *)
 let degrade_after = 4
 let watchdog_strikes = 3
 
-let run_pool ?(config = Session.default_config) ?(scheduler = Pool_scheduler.default)
-    ?runtime ?(jobs = 1) ?(lease = 1) ?checkpoint ?resume ?(preload_faults = [])
-    ?pool:ext_pool ?share ?round_wrap prog ~seeds ~deadline =
+type state = {
+  config : Session.config;
+  prog : Pbse_ir.Types.program;
+  factory : time_period:int -> Seed_slot.t list -> Pool_scheduler.t;
+  jobs : int;
+  lease : int;
+  deadline : int;
+  checkpoint : checkpoint option;
+  (* the share table consulted by every [open_session] (config-gated):
+     the caller's, which may span campaigns, or one for this campaign *)
+  share : Session.share option;
+  pool : Domain_pool.t;
+  own_pool : bool;
+  pool_registry : Telemetry.Registry.t;
+  pool_faults : Fault.log;
+  slots : Seed_slot.t list; (* smallest first; slot i has ordinal i + 1 *)
+  (* Per-ordinal cells (index 0 unused). A session cell is written once,
+     by the worker domain running its slot's first turn, and only ever
+     touched by that slot's turns afterwards; distinct slots use
+     distinct cells and [Domain_pool.run]'s join publishes the writes
+     before the barrier reads them, so the arrays need no lock. *)
+  sessions : (Runtime.t * Session.t) option array;
+  (* Turn-crash injection draws from a per-slot stream (plan seed +
+     ordinal) so a draw's position never depends on which domain ran
+     which turn; the snapshot-corruption channel draws once per
+     checkpoint write, on the coordinating domain. *)
+  crash_injects : Inject.t array;
+  pool_inject : Inject.t;
+  (* Durability records: RNG draws to re-burn on resume, the
+     granted-turn ledger (newest first) and the prefix cap each session
+     opened under (-1 = not opened). *)
+  crash_draws : int array;
+  turn_events : Snapshot.turn_event list array;
+  opened_caps : int array;
+  merged : (int, unit) Hashtbl.t; (* the coverage union's block ids *)
+  bug_keys : (int * string, unit) Hashtbl.t;
+  mutable merged_bugs : (Bug.t * int) list; (* newest first *)
+  mutable bug_refs : (int * int * string) list; (* (slot, gid, kind), newest first *)
+  mutable opened : Seed_slot.t list; (* newest first *)
+  mutable rounds : int;
+  mutable parallel_turns : int;
+  mutable merge_blocks : int;
+  mutable merge_bug_count : int;
+  mutable spent : int; (* virtual time consumed, resumed part included *)
+  mutable turns_since_ck : int;
+  mutable checkpoints_written : int;
+  (* every watchdog strike, crashed turn or pool-level fault *)
+  mutable degrade_faults : int;
+  (* diagnostic baselines; the report carries deltas *)
+  steals0 : int;
+  pinned0 : int;
+  id_refills0 : int;
+  share_hits0 : int;
+}
+
+(* Worker-side record of one executed sub-turn. Everything a merge needs
+   is captured at execution time: under a multi-turn lease the barrier
+   merge runs after {e later} sub-turns have already advanced the
+   session's clock and quarantine, so reading them at merge time would
+   smear one sub-turn's dwell and strike deltas over its successors. *)
+type turn_exec =
+  | Entry_crash (* killed before its session ever opened: nothing to ledger *)
+  | Ran of {
+      session : Session.t;
+      event : Snapshot.turn_event; (* what the ledger replays *)
+      start : int; (* session clock entering the sub-turn *)
+      stop : int; (* session clock leaving it *)
+      evicted : int; (* quarantine evictions during it *)
+      strikes : int; (* quarantine strikes during it *)
+      opened : bool; (* this sub-turn opened the session *)
+      struck : bool; (* it counts against its seed ([run_event]) *)
+    }
+
+let create ~config ~scheduler ?runtime ~jobs ~lease ?checkpoint ?pool ?share prog
+    ~seeds ~deadline =
   let factory =
     match Pool_scheduler.by_name scheduler with
     | Some f -> f
     | None -> invalid_arg ("Driver: unknown pool scheduler " ^ scheduler)
   in
-  let lease = max 1 lease in
   let ordered =
     List.sort (fun a b -> Int.compare (Bytes.length a) (Bytes.length b)) seeds
   in
-  (* The share table consulted by every [open_session] (config-gated):
-     the caller's, which may span campaigns, or one for this campaign. *)
   let share =
-    if config.search.share_seed_states then
+    if config.Session.search.share_seed_states then
       Some (match share with Some sh -> sh | None -> Session.share_create ())
     else None
-  in
-  let share_hits0 =
-    match share with Some sh -> snd (Session.share_stats sh) | None -> 0
   in
   (* Per-domain minor heaps below ~8 MB thrash the stop-the-world minor
      collection once several domains allocate at engine rates (every
@@ -202,597 +259,548 @@ let run_pool ?(config = Session.default_config) ?(scheduler = Pool_scheduler.def
      round reuse its domains; sessions are homed on their slot ordinal.
      A caller-supplied pool (the serve layer's) is reused as-is and left
      running; steal/pinned diagnostics are deltas either way. *)
-  let own_pool = Option.is_none ext_pool in
-  let pool =
-    match ext_pool with Some p -> p | None -> Domain_pool.create ~jobs
+  let own_pool = Option.is_none pool in
+  let pool = match pool with Some p -> p | None -> Domain_pool.create ~jobs in
+  let nslots = List.length ordered in
+  let plan = config.Session.robust.Session.inject in
+  {
+    config;
+    prog;
+    factory;
+    jobs;
+    lease = max 1 lease;
+    deadline;
+    checkpoint;
+    share;
+    pool;
+    own_pool;
+    (* only the registry is read from the caller's runtime: sessions
+       build their own from [config] *)
+    pool_registry =
+      (match runtime with
+       | Some rt -> rt.Runtime.registry
+       | None -> Telemetry.Registry.create ());
+    pool_faults = Fault.log_create ();
+    slots = List.mapi (fun i seed -> Seed_slot.create ~ordinal:(i + 1) seed) ordered;
+    sessions = Array.make (nslots + 1) None;
+    crash_injects =
+      Array.init (nslots + 1) (fun i ->
+          Inject.create { plan with Inject.seed = plan.Inject.seed + i });
+    pool_inject = Inject.create plan;
+    crash_draws = Array.make (nslots + 1) 0;
+    turn_events = Array.make (nslots + 1) [];
+    opened_caps = Array.make (nslots + 1) (-1);
+    merged = Hashtbl.create 1024;
+    bug_keys = Hashtbl.create 32;
+    merged_bugs = [];
+    bug_refs = [];
+    opened = [];
+    rounds = 0;
+    parallel_turns = 0;
+    merge_blocks = 0;
+    merge_bug_count = 0;
+    spent = 0;
+    turns_since_ck = 0;
+    checkpoints_written = 0;
+    degrade_faults = 0;
+    steals0 = Domain_pool.steals pool;
+    pinned0 = Domain_pool.pinned pool;
+    id_refills0 = Expr.id_block_refills ();
+    share_hits0 = (match share with Some sh -> snd (Session.share_stats sh) | None -> 0);
+  }
+
+let release t () = if t.own_pool then Domain_pool.shutdown t.pool
+
+(* snapshot-supplied ordinals are untrusted: out of range reads as no
+   session *)
+let in_range t ordinal = ordinal >= 1 && ordinal < Array.length t.sessions
+let session_at t ordinal = if in_range t ordinal then t.sessions.(ordinal) else None
+
+(* A fault on the pool's own record, counted toward degradation. *)
+let pool_fault t kind =
+  Fault.record t.pool_faults kind;
+  t.degrade_faults <- t.degrade_faults + 1
+
+(* Graceful degradation: each [degrade_after] faults halve the
+   domain-pool width and the prefix cap recorded for sessions opened
+   afterwards. Neither knob is visible to plans or merges, so reports are
+   unaffected. *)
+let degrade_steps t = t.degrade_faults / degrade_after
+let eff_jobs t () = max 1 (t.jobs asr degrade_steps t)
+let eff_prefix_cap t =
+  max 16 (t.config.Session.solver.Session.prefix_cap asr degrade_steps t)
+
+(* Open [slot]'s session under a private runtime — a fresh registry,
+   enabled exactly when the pool's is, the RNG reseeded from the config
+   so every seed's run is reproducible in isolation, a fresh quarantine
+   and arena — carrying the prefix cap it opens under. [deadline] bounds
+   the concolic pass. *)
+let open_slot t (slot : Seed_slot.t) ~cap ~deadline =
+  let registry =
+    Telemetry.Registry.create ~enabled:(Telemetry.Registry.enabled t.pool_registry) ()
   in
-  let steals0 = Domain_pool.steals pool in
-  let pinned0 = Domain_pool.pinned pool in
-  let id_refills0 = Expr.id_block_refills () in
-  Fun.protect ~finally:(fun () -> if own_pool then Domain_pool.shutdown pool)
-  @@ fun () ->
-  let pool_rt =
-    match runtime with Some rt -> rt | None -> Session.runtime_of_config config
+  let rt =
+    { (Session.runtime_of_config ~registry t.config) with Runtime.prefix_cap = cap }
   in
-  let pool_registry = pool_rt.Runtime.registry in
-  let pool_faults = Fault.log_create () in
-  let slots =
-    List.mapi (fun i seed -> Seed_slot.create ~ordinal:(i + 1) seed) ordered
-  in
-  let nslots = List.length slots in
-  let slot_arr = Array.of_list slots in
-  let merged = Hashtbl.create 1024 in
-  let bug_keys = Hashtbl.create 32 in
-  let merged_bugs = ref [] in
-  let bug_refs = ref [] in
-  (* Sessions indexed by slot ordinal. A cell is written once, by the
-     worker domain running its slot's first turn, and only ever touched
-     by that slot's turns afterwards; distinct slots use distinct cells
-     and [Domain_pool.map]'s join publishes the writes before the
-     barrier reads them, so the array needs no lock. *)
-  let sessions : (Runtime.t * Session.t) option array = Array.make (nslots + 1) None in
-  (* snapshot-supplied ordinals are untrusted: out of range reads as
-     no session *)
-  let in_range ordinal = ordinal >= 1 && ordinal <= nslots in
-  let session_at ordinal = if in_range ordinal then sessions.(ordinal) else None in
-  (* Turn-crash injection draws from a per-slot stream (plan seed +
-     ordinal) so a draw's position never depends on which domain ran
-     which turn; the snapshot-corruption channel draws once per
-     checkpoint write, on the coordinating domain. *)
-  let slot_plan ordinal =
-    { config.robust.inject with Inject.seed = config.robust.inject.Inject.seed + ordinal }
-  in
-  let crash_injects = Array.init (nslots + 1) (fun i -> Inject.create (slot_plan i)) in
-  let pool_inject = Inject.create config.robust.inject in
-  (* Per-ordinal durability records: RNG draws to re-burn on resume, the
-     granted-turn ledger (newest first) and the prefix cap each session
-     opened under (-1 = unbounded). *)
-  let crash_draws = Array.make (nslots + 1) 0 in
-  let turn_events : Snapshot.turn_event list array = Array.make (nslots + 1) [] in
-  let opened_caps = Array.make (nslots + 1) (-1) in
-  let opened = ref [] in
-  let rounds = ref 0 in
-  let parallel_turns = ref 0 in
-  let merge_blocks = ref 0 in
-  let merge_bug_count = ref 0 in
-  let merge_registries = ref 0 in
-  let base_spent = ref 0 in
-  let spent_acc = ref 0 in
-  let turns_since_ck = ref 0 in
-  let checkpoints_written = ref 0 in
-  let degrade_faults = ref 0 in
-  (* Graceful degradation: every watchdog strike, crashed turn or
-     pool-level fault widens [degrade_faults]; each [degrade_after]
-     faults halve the domain-pool width and the prefix cap recorded for
-     sessions opened afterwards. Neither knob is visible to plans or
-     merges, so reports are unaffected. *)
-  let degrade_steps () = !degrade_faults / degrade_after in
-  let eff_jobs () = max 1 (jobs asr degrade_steps ()) in
-  let eff_prefix_cap () =
-    match pool_rt.Runtime.prefix_cap with
-    | None -> None
-    | Some cap -> Some (max 16 (cap asr degrade_steps ()))
-  in
-  let watchdog_overran ~budget ~spent =
-    config.robust.watchdog_factor > 0 && spent > config.robust.watchdog_factor * budget
-  in
-  (* The watchdog fires at the merge barrier (and identically during
-     resume replay): a turn that ran past factor x budget records a
-     session-level fault and strikes its seed. *)
-  let watchdog_check s ~start ~budget =
-    let spent = Session.session_time s - start in
-    if watchdog_overran ~budget ~spent then begin
+  ( rt,
+    Session.open_session ~config:t.config ~runtime:rt ?share:t.share t.prog
+      ~seed:slot.Seed_slot.seed ~deadline )
+
+(* Run one ledger event on [s] — the one turn path, taken by live turns
+   and resume replay alike. A step runs contained up to its deadline and
+   faces the watchdog: its turn began at [deadline - budget] (0 for the
+   turn that opened the session, which pays for the setup), and spending
+   more than [watchdog_factor] x budget since then records a
+   [Turn_timeout] on the session. An injected kill charges one tick.
+   True when the turn strikes its seed: a kill, a contained exception or
+   an overrun. *)
+let run_event t s = function
+  | Snapshot.Crash _ ->
+    Session.record_crash s;
+    true
+  | Snapshot.Step { deadline; budget } ->
+    let status = Session.step_contained s ~deadline in
+    let factor = t.config.Session.robust.Session.watchdog_factor in
+    let overran =
+      factor > 0 && Session.session_time s - (deadline - budget) > factor * budget
+    in
+    if overran then
       Fault.record (Executor.faults (Session.session_executor s)) Fault.Turn_timeout;
-      true
-    end
-    else false
-  in
-  let derive_session_rt ~prefix_cap =
-    let registry =
-      Telemetry.Registry.create ~enabled:(Telemetry.Registry.enabled pool_registry) ()
+    overran || status = `Failed
+
+(* Re-execute one opened session's ledger from scratch: open under the
+   recorded prefix cap (a negative one, the old "unbounded" mark, under
+   the config's), then run exactly the recorded turns. Runs on a worker
+   domain (the session is slot-private). *)
+let replay_slot t (slot : Seed_slot.t) (st : Snapshot.slot_state) =
+  match st.Snapshot.sl_events with
+  | [] | Snapshot.Crash _ :: _ -> None (* the opening turn is always a Step *)
+  | Snapshot.Step { deadline; _ } :: _ as events ->
+    let cap =
+      if st.Snapshot.sl_prefix_cap >= 0 then st.Snapshot.sl_prefix_cap
+      else t.config.Session.solver.Session.prefix_cap
     in
-    match prefix_cap with
-    | Some cap -> Runtime.derive ~registry ~rng_seed:config.rng_seed ~prefix_cap:cap pool_rt
-    | None -> Runtime.derive ~registry ~rng_seed:config.rng_seed pool_rt
+    let rt, s = open_slot t slot ~cap ~deadline in
+    List.iter (fun ev -> ignore (run_event t s ev)) events;
+    Some (rt, s)
+
+(* Reinstate a snapshot, then replay the ledgers. A snapshot of another
+   pool degrades to a fresh start with the mismatch on record, never a
+   crash. *)
+let apply_resume t ((sn : Snapshot.t), fallback) =
+  let compatible =
+    List.length sn.Snapshot.sn_slots = List.length t.slots
+    && List.for_all2
+         (fun (st : Snapshot.slot_state) (slot : Seed_slot.t) ->
+           st.Snapshot.sl_ordinal = slot.Seed_slot.ordinal
+           && st.Snapshot.sl_bytes = slot.Seed_slot.size)
+         sn.Snapshot.sn_slots t.slots
   in
-  (* Re-execute one opened session's ledger from scratch: open under the
-     recorded prefix cap, then grant exactly the recorded turns. Runs on
-     a worker domain (the session is slot-private). *)
-  let replay_slot (slot : Seed_slot.t) (st : Snapshot.slot_state) =
-    match st.Snapshot.sl_events with
-    | [] -> None
-    | Snapshot.Crash _ :: _ -> None (* the opening turn is always a Step *)
-    | Snapshot.Step { deadline = first_deadline; budget = first_budget } :: rest ->
-      let prefix_cap =
-        if st.Snapshot.sl_prefix_cap >= 0 then Some st.Snapshot.sl_prefix_cap else None
-      in
-      let rt = derive_session_rt ~prefix_cap in
-      let s =
-        Session.open_session ~config ~runtime:rt ?share prog ~seed:slot.Seed_slot.seed
-          ~deadline:first_deadline
-      in
-      ignore (Session.step_contained s ~deadline:first_deadline);
-      ignore (watchdog_check s ~start:0 ~budget:first_budget);
-      List.iter
-        (fun ev ->
-          match ev with
-          | Snapshot.Crash _ -> Session.record_crash s
-          | Snapshot.Step { deadline; budget } ->
-            let start = Session.session_time s in
-            ignore (Session.step_contained s ~deadline);
-            ignore (watchdog_check s ~start ~budget))
-        rest;
-      Some (rt, s)
-  in
-  (* --- resume: reinstate the snapshot, then replay the ledgers ------- *)
-  let apply_resume (sn : Snapshot.t) fallback =
-    let compatible =
-      List.length sn.Snapshot.sn_slots = nslots
-      && List.for_all2
-           (fun (st : Snapshot.slot_state) (slot : Seed_slot.t) ->
-             st.Snapshot.sl_ordinal = slot.Seed_slot.ordinal
-             && st.Snapshot.sl_bytes = slot.Seed_slot.size)
-           sn.Snapshot.sn_slots slots
-    in
-    if not compatible then begin
-      (* the snapshot describes a different pool: degrade to a fresh
-         start with the mismatch on record, never a crash *)
-      Fault.record pool_faults Fault.Resume_mismatch;
-      incr degrade_faults
-    end
-    else begin
-      Fault.restore_counts pool_faults sn.Snapshot.sn_pool_faults;
-      base_spent := sn.Snapshot.sn_spent;
-      spent_acc := sn.Snapshot.sn_spent;
-      rounds := sn.Snapshot.sn_rounds;
-      parallel_turns := sn.Snapshot.sn_parallel_turns;
-      merge_blocks := sn.Snapshot.sn_merge_blocks;
-      merge_bug_count := sn.Snapshot.sn_merge_bugs;
-      checkpoints_written := sn.Snapshot.sn_checkpoints;
-      degrade_faults := sn.Snapshot.sn_degrade_faults;
-      (match fallback with
-       | Some _ ->
-         (* the primary checkpoint was bad; we are running from [.bak] *)
-         Fault.record pool_faults Fault.Snapshot_corrupt;
-         incr degrade_faults
-       | None -> ());
-      (* reposition the injection streams where the original left them *)
-      for _ = 1 to sn.Snapshot.sn_checkpoints do
-        ignore (Inject.fire_snapshot_corrupt pool_inject)
-      done;
-      List.iter2
-        (fun (st : Snapshot.slot_state) (slot : Seed_slot.t) ->
-          let ordinal = slot.Seed_slot.ordinal in
-          slot.Seed_slot.turns <- st.Snapshot.sl_turns;
-          slot.Seed_slot.granted <- st.Snapshot.sl_granted;
-          slot.Seed_slot.dwell <- st.Snapshot.sl_dwell;
-          slot.Seed_slot.new_blocks <- st.Snapshot.sl_new_blocks;
-          slot.Seed_slot.bugs <- st.Snapshot.sl_bugs;
-          slot.Seed_slot.quarantined <- st.Snapshot.sl_quarantined;
-          slot.Seed_slot.strikes <- st.Snapshot.sl_strikes;
-          slot.Seed_slot.timeouts <- st.Snapshot.sl_timeouts;
-          slot.Seed_slot.retired <- st.Snapshot.sl_retired;
-          opened_caps.(ordinal) <- st.Snapshot.sl_prefix_cap;
-          crash_draws.(ordinal) <- st.Snapshot.sl_crash_draws;
-          turn_events.(ordinal) <- List.rev st.Snapshot.sl_events;
-          for _ = 1 to st.Snapshot.sl_crash_draws do
-            ignore (Inject.fire_turn_crash crash_injects.(ordinal))
-          done)
-        sn.Snapshot.sn_slots slots;
-      let by_ordinal = Array.make (nslots + 1) None in
-      List.iter
-        (fun (st : Snapshot.slot_state) -> by_ordinal.(st.Snapshot.sl_ordinal) <- Some st)
-        sn.Snapshot.sn_slots;
-      (* replay opened sessions concurrently, like the turns they rerun —
-         homed on their ordinal so each lands on its campaign-long home
-         domain straight away *)
-      let replayed =
-        Domain_pool.run pool ~jobs:(eff_jobs ())
-          ~home:(fun ordinal -> ordinal - 1)
-          (fun ordinal ->
-            match if in_range ordinal then by_ordinal.(ordinal) else None with
-            | Some st -> (ordinal, replay_slot slot_arr.(ordinal - 1) st)
-            | None -> (ordinal, None))
-          sn.Snapshot.sn_opened
-      in
-      List.iter
-        (fun (ordinal, result) ->
-          match result with
-          | None ->
-            Fault.record pool_faults Fault.Resume_mismatch;
-            incr degrade_faults
-          | Some (rt, s) ->
-            sessions.(ordinal) <- Some (rt, s);
-            opened := slot_arr.(ordinal - 1) :: !opened;
-            (* the replayed engine must land exactly where the snapshot
-               recorded it; divergence is survivable but on record *)
-            let st = Option.get by_ordinal.(ordinal) in
-            if Session.session_time s <> st.Snapshot.sl_clock then begin
-              Fault.record pool_faults Fault.Resume_mismatch;
-              incr degrade_faults
-            end;
-            if
-              Coverage.count (Executor.coverage (Session.session_executor s))
-              <> st.Snapshot.sl_coverage
-            then begin
-              Fault.record pool_faults Fault.Resume_mismatch;
-              incr degrade_faults
-            end)
-        replayed;
-      (* the merged coverage set is the union over the replayed sessions
-         (membership is order-insensitive; the fresh-block counters were
-         restored above, so later merges count against the same set) *)
-      List.iter
-        (fun (ordinal, _) ->
-          match session_at ordinal with
-          | Some (_, s) ->
-            List.iter
-              (fun gid -> Hashtbl.replace merged gid ())
-              (Coverage.covered_ids (Executor.coverage (Session.session_executor s)))
-          | None -> ())
-        replayed;
-      (* merged bugs, reattached in recorded harvest order *)
-      List.iter
-        (fun (br : Snapshot.bug_ref) ->
-          let key = (br.Snapshot.br_gid, br.Snapshot.br_kind) in
-          Hashtbl.replace bug_keys key ();
-          bug_refs := (br.Snapshot.br_slot, br.Snapshot.br_gid, br.Snapshot.br_kind) :: !bug_refs;
-          let reattached =
-            match session_at br.Snapshot.br_slot with
-            | Some (_, s) -> (
-              match
-                List.find_opt
-                  (fun b -> Bug.dedup_key b = key)
-                  (Executor.bugs (Session.session_executor s))
-              with
-              | Some bug ->
-                merged_bugs := (bug, Session.session_bug_phase s bug) :: !merged_bugs;
-                true
-              | None -> false)
-            | None -> false
-          in
-          if not reattached then begin
-            Fault.record pool_faults Fault.Resume_mismatch;
-            incr degrade_faults
-          end)
-        sn.Snapshot.sn_bugs
-    end
-  in
-  (match resume with Some (sn, fallback) -> apply_resume sn fallback | None -> ());
-  List.iter
-    (fun kind ->
-      Fault.record pool_faults kind;
-      incr degrade_faults)
-    preload_faults;
-  let merge_coverage session =
-    let fresh =
-      List.fold_left
-        (fun fresh gid ->
-          if Hashtbl.mem merged gid then fresh
-          else begin
-            Hashtbl.replace merged gid ();
-            fresh + 1
-          end)
-        0
-        (Coverage.covered_ids (Executor.coverage (Session.session_executor session)))
-    in
-    merge_blocks := !merge_blocks + fresh;
-    fresh
-  in
-  let harvest_bugs (slot : Seed_slot.t) session =
+  if not compatible then pool_fault t Fault.Resume_mismatch
+  else begin
+    Fault.restore_counts t.pool_faults sn.Snapshot.sn_pool_faults;
+    t.spent <- sn.Snapshot.sn_spent;
+    t.rounds <- sn.Snapshot.sn_rounds;
+    t.parallel_turns <- sn.Snapshot.sn_parallel_turns;
+    t.merge_blocks <- sn.Snapshot.sn_merge_blocks;
+    t.merge_bug_count <- sn.Snapshot.sn_merge_bugs;
+    t.checkpoints_written <- sn.Snapshot.sn_checkpoints;
+    t.degrade_faults <- sn.Snapshot.sn_degrade_faults;
+    (* the primary checkpoint was bad; we are running from [.bak] *)
+    if Option.is_some fallback then pool_fault t Fault.Snapshot_corrupt;
+    (* reposition the injection streams where the original left them *)
+    for _ = 1 to sn.Snapshot.sn_checkpoints do
+      ignore (Inject.fire_snapshot_corrupt t.pool_inject)
+    done;
+    List.iter2
+      (fun (st : Snapshot.slot_state) (slot : Seed_slot.t) ->
+        let ordinal = slot.Seed_slot.ordinal in
+        slot.Seed_slot.turns <- st.Snapshot.sl_turns;
+        slot.Seed_slot.granted <- st.Snapshot.sl_granted;
+        slot.Seed_slot.dwell <- st.Snapshot.sl_dwell;
+        slot.Seed_slot.new_blocks <- st.Snapshot.sl_new_blocks;
+        slot.Seed_slot.bugs <- st.Snapshot.sl_bugs;
+        slot.Seed_slot.quarantined <- st.Snapshot.sl_quarantined;
+        slot.Seed_slot.strikes <- st.Snapshot.sl_strikes;
+        slot.Seed_slot.timeouts <- st.Snapshot.sl_timeouts;
+        slot.Seed_slot.retired <- st.Snapshot.sl_retired;
+        t.opened_caps.(ordinal) <- st.Snapshot.sl_prefix_cap;
+        t.crash_draws.(ordinal) <- st.Snapshot.sl_crash_draws;
+        t.turn_events.(ordinal) <- List.rev st.Snapshot.sl_events;
+        for _ = 1 to st.Snapshot.sl_crash_draws do
+          ignore (Inject.fire_turn_crash t.crash_injects.(ordinal))
+        done)
+      sn.Snapshot.sn_slots t.slots;
+    let slot_arr = Array.of_list t.slots in
+    let by_ordinal = Array.make (Array.length t.sessions) None in
     List.iter
-      (fun bug ->
-        let ((gid, bkind) as key) = Bug.dedup_key bug in
-        if not (Hashtbl.mem bug_keys key) then begin
-          Hashtbl.replace bug_keys key ();
-          slot.Seed_slot.bugs <- slot.Seed_slot.bugs + 1;
-          incr merge_bug_count;
-          merged_bugs := (bug, Session.session_bug_phase session bug) :: !merged_bugs;
-          bug_refs := (slot.Seed_slot.ordinal, gid, bkind) :: !bug_refs
-        end)
-      (Executor.bugs (Session.session_executor session))
+      (fun (st : Snapshot.slot_state) -> by_ordinal.(st.Snapshot.sl_ordinal) <- Some st)
+      sn.Snapshot.sn_slots;
+    (* replay opened sessions concurrently, like the turns they rerun —
+       homed on their ordinal so each lands on its campaign-long home
+       domain straight away *)
+    let replayed =
+      Domain_pool.run t.pool ~jobs:(eff_jobs t ())
+        ~home:(fun ordinal -> ordinal - 1)
+        (fun ordinal ->
+          match if in_range t ordinal then by_ordinal.(ordinal) else None with
+          | Some st -> (ordinal, replay_slot t slot_arr.(ordinal - 1) st)
+          | None -> (ordinal, None))
+        sn.Snapshot.sn_opened
+    in
+    List.iter
+      (fun (ordinal, result) ->
+        match result with
+        | None -> pool_fault t Fault.Resume_mismatch
+        | Some (rt, s) ->
+          t.sessions.(ordinal) <- Some (rt, s);
+          t.opened <- slot_arr.(ordinal - 1) :: t.opened;
+          (* the replayed engine must land exactly where the snapshot
+             recorded it; divergence is survivable but on record *)
+          let st = Option.get by_ordinal.(ordinal) in
+          let coverage = Executor.coverage (Session.session_executor s) in
+          if Session.session_time s <> st.Snapshot.sl_clock then
+            pool_fault t Fault.Resume_mismatch;
+          if Coverage.count coverage <> st.Snapshot.sl_coverage then
+            pool_fault t Fault.Resume_mismatch;
+          (* the merged coverage set is the union over the replayed
+             sessions (membership is order-insensitive; the fresh-block
+             counters were restored above, so later merges count against
+             the same set) *)
+          List.iter
+            (fun gid -> Hashtbl.replace t.merged gid ())
+            (Coverage.covered_ids coverage))
+      replayed;
+    (* merged bugs, reattached in recorded harvest order *)
+    List.iter
+      (fun (br : Snapshot.bug_ref) ->
+        let key = (br.Snapshot.br_gid, br.Snapshot.br_kind) in
+        Hashtbl.replace t.bug_keys key ();
+        t.bug_refs <-
+          (br.Snapshot.br_slot, br.Snapshot.br_gid, br.Snapshot.br_kind) :: t.bug_refs;
+        let reattached =
+          match session_at t br.Snapshot.br_slot with
+          | Some (_, s) -> (
+            match
+              List.find_opt
+                (fun b -> Bug.dedup_key b = key)
+                (Executor.bugs (Session.session_executor s))
+            with
+            | Some bug ->
+              t.merged_bugs <- (bug, Session.session_bug_phase s bug) :: t.merged_bugs;
+              true
+            | None -> false)
+          | None -> false
+        in
+        if not reattached then pool_fault t Fault.Resume_mismatch)
+      sn.Snapshot.sn_bugs
+  end
+
+(* The pool policy over the slots still live, at the snapshot's position
+   when resuming. *)
+let start_scheduler t resume =
+  let sched =
+    t.factory ~time_period:t.config.Session.concolic.Session.time_period
+      (List.filter (fun (sl : Seed_slot.t) -> not sl.Seed_slot.retired) t.slots)
   in
-  (* The worker half of a turn: everything here touches only the slot's
-     own session, its private runtime and its own cells of the
-     per-ordinal arrays, so it is safe on any domain. *)
-  let exec_turn (slot : Seed_slot.t) ~budget =
-    let ordinal = slot.Seed_slot.ordinal in
-    crash_draws.(ordinal) <- crash_draws.(ordinal) + 1;
-    let crashed = Inject.fire_turn_crash crash_injects.(ordinal) in
-    match sessions.(ordinal) with
-    | Some (rt, s) ->
-      let start = Session.session_time s in
-      let ev0 = Quarantine.evicted rt.Runtime.quarantine in
-      let st0 = Quarantine.total_strikes rt.Runtime.quarantine in
-      let status =
-        if crashed then begin
-          Session.record_crash s;
-          `Injected
-        end
-        else (Session.step_contained s ~deadline:(start + budget) :> [ `Stepped | `Failed | `Injected | `Entry_crash ])
-      in
-      {
-        tx_start = start;
-        tx_stop = Session.session_time s;
-        tx_ev0 = ev0;
-        tx_ev1 = Quarantine.evicted rt.Runtime.quarantine;
-        tx_st0 = st0;
-        tx_st1 = Quarantine.total_strikes rt.Runtime.quarantine;
-        tx_opened = false;
-        tx_status = status;
-      }
-    | None ->
-      if crashed then
-        (* killed before the session ever opened: nothing to ledger *)
-        { tx_start = 0; tx_stop = 0; tx_ev0 = 0; tx_ev1 = 0; tx_st0 = 0;
-          tx_st1 = 0; tx_opened = false; tx_status = `Entry_crash }
-      else begin
+  (match resume with
+   | Some ((sn : Snapshot.t), _) ->
+     let stats = sched.Pool_scheduler.stats in
+     stats.Pool_scheduler.turns <- sn.Snapshot.sn_sched_turns;
+     stats.Pool_scheduler.rotations <- sn.Snapshot.sn_sched_rotations;
+     stats.Pool_scheduler.retirements <- sn.Snapshot.sn_sched_retirements;
+     sched.Pool_scheduler.restore_state sn.Snapshot.sn_sched_state
+   | None -> ());
+  sched
+
+(* The worker half of a turn: everything here touches only the slot's
+   own session, its private runtime and its own cells of the per-ordinal
+   arrays, so it is safe on any domain. *)
+let exec_turn t (slot : Seed_slot.t) ~budget =
+  let ordinal = slot.Seed_slot.ordinal in
+  t.crash_draws.(ordinal) <- t.crash_draws.(ordinal) + 1;
+  let crashed = Inject.fire_turn_crash t.crash_injects.(ordinal) in
+  match t.sessions.(ordinal) with
+  | None when crashed -> Entry_crash
+  | cell ->
+    let (rt, s), start =
+      match cell with
+      | Some ((_, s) as pair) -> (pair, Session.session_time s)
+      | None ->
         (* first turn: the session's setup (concolic pass, phase
-           division, seeding) is charged against this turn's budget. The
-           session's runtime is private — fresh registry, RNG reseeded
-           from the config so every seed's run is reproducible in
-           isolation, fresh quarantine, fresh arena — and its prefix cap
-           is the pool's current (possibly degraded) one, recorded for
-           replay. *)
-        let cap = eff_prefix_cap () in
-        opened_caps.(ordinal) <- (match cap with Some c -> c | None -> -1);
-        let rt = derive_session_rt ~prefix_cap:cap in
-        let s =
-          Session.open_session ~config ~runtime:rt ?share prog
-            ~seed:slot.Seed_slot.seed ~deadline:budget
-        in
-        sessions.(ordinal) <- Some (rt, s);
-        let status =
-          (Session.step_contained s ~deadline:budget
-            :> [ `Stepped | `Failed | `Injected | `Entry_crash ])
-        in
-        {
-          tx_start = 0;
-          tx_stop = Session.session_time s;
-          tx_ev0 = 0;
-          tx_ev1 = Quarantine.evicted rt.Runtime.quarantine;
-          tx_st0 = 0;
-          tx_st1 = Quarantine.total_strikes rt.Runtime.quarantine;
-          tx_opened = true;
-          tx_status = status;
-        }
-      end
+           division, seeding) is charged against this turn's budget, and
+           it opens under the pool's current (possibly degraded) prefix
+           cap, recorded for replay *)
+        let cap = eff_prefix_cap t in
+        t.opened_caps.(ordinal) <- cap;
+        let pair = open_slot t slot ~cap ~deadline:budget in
+        t.sessions.(ordinal) <- Some pair;
+        (pair, 0)
+    in
+    let q = rt.Runtime.quarantine in
+    let ev0 = Quarantine.evicted q in
+    let st0 = Quarantine.total_strikes q in
+    (* injected kills ledger as a tick; everything else, real contained
+       crashes included (they are deterministic), as a normal step *)
+    let event =
+      if crashed then Snapshot.Crash "injected-crash"
+      else Snapshot.Step { deadline = start + budget; budget }
+    in
+    let struck = run_event t s event in
+    Ran
+      {
+        session = s;
+        event;
+        start;
+        stop = Session.session_time s;
+        evicted = Quarantine.evicted q - ev0;
+        strikes = Quarantine.total_strikes q - st0;
+        opened = Option.is_none cell;
+        struck;
+      }
+
+(* One strike against [slot]: toward its forced retirement and toward
+   degradation. *)
+let strike t (slot : Seed_slot.t) =
+  slot.Seed_slot.timeouts <- slot.Seed_slot.timeouts + 1;
+  t.degrade_faults <- t.degrade_faults + 1
+
+let merge_coverage t session =
+  let fresh =
+    List.fold_left
+      (fun fresh gid ->
+        if Hashtbl.mem t.merged gid then fresh
+        else begin
+          Hashtbl.replace t.merged gid ();
+          fresh + 1
+        end)
+      0
+      (Coverage.covered_ids (Executor.coverage (Session.session_executor session)))
   in
-  (* The barrier half: runs on the coordinating domain, in plan order,
-     after every turn of the round has been joined. Works only from the
-     [turn_exec] capture — by merge time, later sub-turns of the same
-     lease have already advanced the session. *)
-  let merge_turn (slot : Seed_slot.t) ~budget tx =
-    let ordinal = slot.Seed_slot.ordinal in
-    incr turns_since_ck;
-    match tx.tx_status with
-    | `Entry_crash ->
+  t.merge_blocks <- t.merge_blocks + fresh;
+  fresh
+
+let harvest_bugs t (slot : Seed_slot.t) session =
+  List.iter
+    (fun bug ->
+      let ((gid, bkind) as key) = Bug.dedup_key bug in
+      if not (Hashtbl.mem t.bug_keys key) then begin
+        Hashtbl.replace t.bug_keys key ();
+        slot.Seed_slot.bugs <- slot.Seed_slot.bugs + 1;
+        t.merge_bug_count <- t.merge_bug_count + 1;
+        t.merged_bugs <- (bug, Session.session_bug_phase session bug) :: t.merged_bugs;
+        t.bug_refs <- (slot.Seed_slot.ordinal, gid, bkind) :: t.bug_refs
+      end)
+    (Executor.bugs (Session.session_executor session))
+
+(* The barrier half: runs on the coordinating domain, in plan order,
+   after every turn of the round has been joined. Works only from the
+   [turn_exec] capture — by merge time, later sub-turns of the same
+   lease have already advanced the session. *)
+let merge_turn t (slot : Seed_slot.t) ~budget:_ tx =
+  t.turns_since_ck <- t.turns_since_ck + 1;
+  let spent, new_blocks, drained =
+    match tx with
+    | Entry_crash ->
       (* charge one tick (a zero-spent turn would silently retire the
          seed; this way it retries opening next round) and record the
          kill at pool level — there is no session to carry the fault *)
-      spent_acc := !spent_acc + 1;
-      Fault.record pool_faults Fault.Exec_exception;
-      slot.Seed_slot.timeouts <- slot.Seed_slot.timeouts + 1;
-      incr degrade_faults;
-      let force_retire = slot.Seed_slot.timeouts >= watchdog_strikes in
-      { Campaign.spent = 1; new_blocks = 0; finished = force_retire }
-    | (`Stepped | `Failed | `Injected) as status ->
-      let _rt, session =
-        match sessions.(ordinal) with Some pair -> pair | None -> assert false
-      in
-      if tx.tx_opened then opened := slot :: !opened;
-      let spent = tx.tx_stop - tx.tx_start in
-      (* ledger the turn for resume replay: injected kills replay as a
-         tick, everything else (including real contained crashes, which
-         are deterministic) replays as a normal step *)
-      let event =
-        match status with
-        | `Injected -> Snapshot.Crash "injected-crash"
-        | `Stepped | `Failed ->
-          Snapshot.Step { deadline = tx.tx_start + budget; budget }
-      in
-      turn_events.(ordinal) <- event :: turn_events.(ordinal);
-      slot.Seed_slot.quarantined <-
-        slot.Seed_slot.quarantined + (tx.tx_ev1 - tx.tx_ev0);
-      slot.Seed_slot.strikes <- slot.Seed_slot.strikes + (tx.tx_st1 - tx.tx_st0);
-      harvest_bugs slot session;
-      let fresh = merge_coverage session in
-      let overran =
-        match status with
-        | `Injected -> false
-        | `Stepped | `Failed ->
-          (* same decision — and the same session fault — the replay's
-             [watchdog_check] reaches right after re-running this step *)
-          if watchdog_overran ~budget ~spent then begin
-            Fault.record
-              (Executor.faults (Session.session_executor session))
-              Fault.Turn_timeout;
-            true
-          end
-          else false
-      in
-      let struck = overran || status <> `Stepped in
-      if struck then begin
-        slot.Seed_slot.timeouts <- slot.Seed_slot.timeouts + 1;
-        incr degrade_faults
-      end;
-      spent_acc := !spent_acc + spent;
-      let force_retire = slot.Seed_slot.timeouts >= watchdog_strikes in
-      {
-        Campaign.spent;
-        new_blocks = fresh;
-        finished = Session.session_drained session || force_retire;
-      }
+      Fault.record t.pool_faults Fault.Exec_exception;
+      strike t slot;
+      (1, 0, false)
+    | Ran r ->
+      let ordinal = slot.Seed_slot.ordinal in
+      if r.opened then t.opened <- slot :: t.opened;
+      t.turn_events.(ordinal) <- r.event :: t.turn_events.(ordinal);
+      slot.Seed_slot.quarantined <- slot.Seed_slot.quarantined + r.evicted;
+      slot.Seed_slot.strikes <- slot.Seed_slot.strikes + r.strikes;
+      harvest_bugs t slot r.session;
+      let fresh = merge_coverage t r.session in
+      if r.struck then strike t slot;
+      (r.stop - r.start, fresh, Session.session_drained r.session)
   in
-  let on_round n =
-    incr rounds;
-    if n >= 2 then parallel_turns := !parallel_turns + n
+  t.spent <- t.spent + spent;
+  {
+    Campaign.spent;
+    new_blocks;
+    finished = drained || slot.Seed_slot.timeouts >= watchdog_strikes;
+  }
+
+let on_round t n =
+  t.rounds <- t.rounds + 1;
+  if n >= 2 then t.parallel_turns <- t.parallel_turns + n
+
+let slot_state t (slot : Seed_slot.t) =
+  let ordinal = slot.Seed_slot.ordinal in
+  let clock, coverage =
+    match t.sessions.(ordinal) with
+    | Some (_, s) ->
+      ( Session.session_time s,
+        Coverage.count (Executor.coverage (Session.session_executor s)) )
+    | None -> (0, 0)
   in
-  let sched =
-    factory ~time_period:config.concolic.time_period
-      (List.filter (fun (sl : Seed_slot.t) -> not sl.Seed_slot.retired) slots)
-  in
-  (match resume with
-   | Some (sn, _) ->
-     sched.Pool_scheduler.stats.Pool_scheduler.turns <- sn.Snapshot.sn_sched_turns;
-     sched.Pool_scheduler.stats.Pool_scheduler.rotations <- sn.Snapshot.sn_sched_rotations;
-     sched.Pool_scheduler.stats.Pool_scheduler.retirements <-
-       sn.Snapshot.sn_sched_retirements;
-     sched.Pool_scheduler.restore_state sn.Snapshot.sn_sched_state
-   | None -> ());
-  let slot_state (slot : Seed_slot.t) =
-    let ordinal = slot.Seed_slot.ordinal in
-    let clock, coverage =
-      match sessions.(ordinal) with
-      | Some (_, s) ->
-        ( Session.session_time s,
-          Coverage.count (Executor.coverage (Session.session_executor s)) )
-      | None -> (0, 0)
-    in
+  {
+    Snapshot.sl_ordinal = ordinal;
+    sl_bytes = slot.Seed_slot.size;
+    sl_turns = slot.Seed_slot.turns;
+    sl_granted = slot.Seed_slot.granted;
+    sl_dwell = slot.Seed_slot.dwell;
+    sl_new_blocks = slot.Seed_slot.new_blocks;
+    sl_bugs = slot.Seed_slot.bugs;
+    sl_quarantined = slot.Seed_slot.quarantined;
+    sl_strikes = slot.Seed_slot.strikes;
+    sl_timeouts = slot.Seed_slot.timeouts;
+    sl_retired = slot.Seed_slot.retired;
+    sl_clock = clock;
+    sl_coverage = coverage;
+    sl_prefix_cap = t.opened_caps.(ordinal);
+    sl_crash_draws = t.crash_draws.(ordinal);
+    sl_events = List.rev t.turn_events.(ordinal);
+  }
+
+let write_checkpoint t (sched : Pool_scheduler.t) ck =
+  let t0 = Sys.time () in
+  let stats = sched.Pool_scheduler.stats in
+  let sn =
     {
-      Snapshot.sl_ordinal = ordinal;
-      sl_bytes = slot.Seed_slot.size;
-      sl_turns = slot.Seed_slot.turns;
-      sl_granted = slot.Seed_slot.granted;
-      sl_dwell = slot.Seed_slot.dwell;
-      sl_new_blocks = slot.Seed_slot.new_blocks;
-      sl_bugs = slot.Seed_slot.bugs;
-      sl_quarantined = slot.Seed_slot.quarantined;
-      sl_strikes = slot.Seed_slot.strikes;
-      sl_timeouts = slot.Seed_slot.timeouts;
-      sl_retired = slot.Seed_slot.retired;
-      sl_clock = clock;
-      sl_coverage = coverage;
-      sl_prefix_cap = opened_caps.(ordinal);
-      sl_crash_draws = crash_draws.(ordinal);
-      sl_events = List.rev turn_events.(ordinal);
+      Snapshot.sn_meta =
+        ck.ck_meta
+        @ [
+            ("scheduler", sched.Pool_scheduler.name);
+            ("jobs", string_of_int t.jobs);
+            ("lease", string_of_int t.lease);
+            ("deadline", string_of_int t.deadline);
+            ( "telemetry",
+              if Telemetry.Registry.enabled t.pool_registry then "1" else "0" );
+          ]
+        @ Session.config_to_kvs t.config;
+      sn_deadline = t.deadline;
+      sn_spent = t.spent;
+      sn_rounds = t.rounds;
+      sn_parallel_turns = t.parallel_turns;
+      sn_merge_blocks = t.merge_blocks;
+      sn_merge_bugs = t.merge_bug_count;
+      (* count this write too: resume burns one snapshot-channel draw per
+         write, including the one just below *)
+      sn_checkpoints = t.checkpoints_written + 1;
+      sn_degrade_faults = t.degrade_faults;
+      sn_sched_turns = stats.Pool_scheduler.turns;
+      sn_sched_rotations = stats.Pool_scheduler.rotations;
+      sn_sched_retirements = stats.Pool_scheduler.retirements;
+      sn_sched_state = sched.Pool_scheduler.state ();
+      sn_pool_faults =
+        List.map (fun k -> (Fault.label k, Fault.count t.pool_faults k)) Fault.all;
+      sn_opened = List.rev_map (fun (sl : Seed_slot.t) -> sl.Seed_slot.ordinal) t.opened;
+      sn_slots = List.map (slot_state t) t.slots;
+      sn_bugs =
+        List.rev_map
+          (fun (ordinal, gid, kind) ->
+            { Snapshot.br_slot = ordinal; br_gid = gid; br_kind = kind })
+          t.bug_refs;
     }
   in
-  let write_checkpoint ck =
-    let t0 = Sys.time () in
-    let sn =
-      {
-        Snapshot.sn_meta =
-          ck.ck_meta
-          @ [
-              ("scheduler", scheduler);
-              ("jobs", string_of_int jobs);
-              ("lease", string_of_int lease);
-              ("deadline", string_of_int deadline);
-              ( "telemetry",
-                if Telemetry.Registry.enabled pool_registry then "1" else "0" );
-            ]
-          @ Session.config_to_kvs config;
-        sn_deadline = deadline;
-        sn_spent = !spent_acc;
-        sn_rounds = !rounds;
-        sn_parallel_turns = !parallel_turns;
-        sn_merge_blocks = !merge_blocks;
-        sn_merge_bugs = !merge_bug_count;
-        (* count this write too: resume burns one snapshot-channel draw
-           per write, including the one just below *)
-        sn_checkpoints = !checkpoints_written + 1;
-        sn_degrade_faults = !degrade_faults;
-        sn_sched_turns = sched.Pool_scheduler.stats.Pool_scheduler.turns;
-        sn_sched_rotations = sched.Pool_scheduler.stats.Pool_scheduler.rotations;
-        sn_sched_retirements = sched.Pool_scheduler.stats.Pool_scheduler.retirements;
-        sn_sched_state = sched.Pool_scheduler.state ();
-        sn_pool_faults =
-          List.map (fun k -> (Fault.label k, Fault.count pool_faults k)) Fault.all;
-        sn_opened =
-          List.rev_map (fun (sl : Seed_slot.t) -> sl.Seed_slot.ordinal) !opened;
-        sn_slots = List.map slot_state slots;
-        sn_bugs =
-          List.rev_map
-            (fun (ordinal, gid, kind) ->
-              { Snapshot.br_slot = ordinal; br_gid = gid; br_kind = kind })
-            !bug_refs;
-      }
-    in
-    let doc = Snapshot.to_string sn in
-    let doc =
-      if Inject.fire_snapshot_corrupt pool_inject then begin
-        (* flip one byte mid-document; the checksum catches it on load *)
-        let b = Bytes.of_string doc in
-        Bytes.set b (Bytes.length b / 2) '#';
-        Bytes.to_string b
-      end
-      else doc
-    in
-    Checked_file.write ~path:ck.ck_path doc;
-    incr checkpoints_written;
-    turns_since_ck := 0;
-    match ck.ck_note_ms with
-    | Some note -> note (int_of_float ((Sys.time () -. t0) *. 1000.0))
-    | None -> ()
+  let doc = Snapshot.to_string sn in
+  let doc =
+    if Inject.fire_snapshot_corrupt t.pool_inject then begin
+      (* flip one byte mid-document; the checksum catches it on load *)
+      let b = Bytes.of_string doc in
+      Bytes.set b (Bytes.length b / 2) '#';
+      Bytes.to_string b
+    end
+    else doc
   in
-  let after_round () =
-    match checkpoint with
-    | None -> true
-    | Some ck ->
-      let halt =
-        match ck.ck_halt_after with Some n -> !rounds >= n | None -> false
-      in
-      if halt || !turns_since_ck >= ck.ck_every then write_checkpoint ck;
-      not halt
+  Checked_file.write ~path:ck.ck_path doc;
+  t.checkpoints_written <- t.checkpoints_written + 1;
+  t.turns_since_ck <- 0;
+  match ck.ck_note_ms with
+  | Some note -> note (int_of_float ((Sys.time () -. t0) *. 1000.0))
+  | None -> ()
+
+(* Checkpoint at the barrier when due (and always before a halt); false
+   stops the campaign there. *)
+let after_round t sched () =
+  match t.checkpoint with
+  | None -> true
+  | Some ck ->
+    let halt = match ck.ck_halt_after with Some n -> t.rounds >= n | None -> false in
+    if halt || t.turns_since_ck >= ck.ck_every then write_checkpoint t sched ck;
+    not halt
+
+let finish t (sched : Pool_scheduler.t) =
+  let merged_registries =
+    List.fold_left
+      (fun merged (slot : Seed_slot.t) ->
+        match t.sessions.(slot.Seed_slot.ordinal) with
+        | None -> merged
+        | Some (rt, s) ->
+          slot.Seed_slot.faults <-
+            Fault.total (Executor.faults (Session.session_executor s));
+          (* publish the session's solver residue for future sessions of
+             this share (ordinal order, first writer per prefix wins) *)
+          (match t.share with
+           | Some sh -> Session.share_publish_hints sh (Session.export_prefix_hints s)
+           | None -> ());
+          (* fold the session's instruments into the pool registry, in
+             ordinal order — the aggregate report covers the campaign *)
+          Telemetry.Registry.merge_into ~into:t.pool_registry rt.Runtime.registry;
+          merged + 1)
+      0 t.slots
   in
-  let spent =
-    Campaign.run_rounds ~on_round ~after_round ~lease ?round_wrap ~pool ~sched
-      ~deadline:(deadline - !base_spent) ~jobs:eff_jobs ~run:exec_turn
-      ~merge:merge_turn ()
-  in
-  List.iter
-    (fun (slot : Seed_slot.t) ->
-      match sessions.(slot.Seed_slot.ordinal) with
-      | Some (rt, s) ->
-        slot.Seed_slot.faults <-
-          Fault.total (Executor.faults (Session.session_executor s));
-        (* publish the session's solver residue for future sessions of
-           this share (ordinal order, first writer per prefix wins) *)
-        (match share with
-         | Some sh -> Session.share_publish_hints sh (Session.export_prefix_hints s)
-         | None -> ());
-        (* fold the session's instruments into the pool registry, in
-           ordinal order — the aggregate report covers the campaign *)
-        Telemetry.Registry.merge_into ~into:pool_registry rt.Runtime.registry;
-        incr merge_registries
-      | None -> ())
-    slots;
   let runs =
     List.rev_map
       (fun (slot : Seed_slot.t) ->
-        match sessions.(slot.Seed_slot.ordinal) with
+        match t.sessions.(slot.Seed_slot.ordinal) with
         | Some (_, s) -> (slot.Seed_slot.seed, Session.finish_session s)
         | None -> assert false)
-      !opened
+      t.opened
   in
-  let steal_count = Domain_pool.steals pool - steals0 in
-  let pinned_turns = Domain_pool.pinned pool - pinned0 in
-  let id_refills = Expr.id_block_refills () - id_refills0 in
   {
     runs;
-    merged_coverage = Hashtbl.length merged;
-    merged_bugs = List.rev !merged_bugs;
+    merged_coverage = Hashtbl.length t.merged;
+    merged_bugs = List.rev t.merged_bugs;
     pool_scheduler = sched.Pool_scheduler.name;
-    seed_rows = List.map Seed_slot.stat_row slots;
+    seed_rows = List.map Seed_slot.stat_row t.slots;
     pool_stats = sched.Pool_scheduler.stats;
-    pool_deadline = deadline;
-    pool_spent = !base_spent + spent;
-    pool_rounds = !rounds;
-    pool_parallel_turns = !parallel_turns;
-    pool_merge_blocks = !merge_blocks;
-    pool_merge_bugs = !merge_bug_count;
-    pool_merge_registries = !merge_registries;
-    pool_faults;
-    pool_registry;
-    pool_steal_count = steal_count;
-    pool_pinned_turns = pinned_turns;
-    pool_id_refills = id_refills;
+    pool_deadline = t.deadline;
+    pool_spent = t.spent;
+    pool_rounds = t.rounds;
+    pool_parallel_turns = t.parallel_turns;
+    pool_merge_blocks = t.merge_blocks;
+    pool_merge_bugs = t.merge_bug_count;
+    pool_merge_registries = merged_registries;
+    pool_faults = t.pool_faults;
+    pool_registry = t.pool_registry;
+    pool_steal_count = Domain_pool.steals t.pool - t.steals0;
+    pool_pinned_turns = Domain_pool.pinned t.pool - t.pinned0;
+    pool_id_refills = Expr.id_block_refills () - t.id_refills0;
     pool_shared_seedstates =
-      (match share with
-       | Some sh -> snd (Session.share_stats sh) - share_hits0
+      (match t.share with
+       | Some sh -> snd (Session.share_stats sh) - t.share_hits0
        | None -> 0);
   }
+
+(* Resuming takes the snapshot as [resume]; {!run_pool} is the fresh
+   start. *)
+let campaign ~resume ?(config = Session.default_config)
+    ?(scheduler = Pool_scheduler.default) ?runtime ?(jobs = 1) ?(lease = 1) ?checkpoint
+    ?(preload_faults = []) ?pool ?share ?round_wrap prog ~seeds ~deadline =
+  let t =
+    create ~config ~scheduler ?runtime ~jobs ~lease ?checkpoint ?pool ?share prog ~seeds
+      ~deadline
+  in
+  Fun.protect ~finally:(release t) @@ fun () ->
+  Option.iter (apply_resume t) resume;
+  List.iter (pool_fault t) preload_faults;
+  let sched = start_scheduler t resume in
+  (* [merge_turn] accumulates what the rounds spend into [t.spent] *)
+  let _ : int =
+    Campaign.run_rounds ~on_round:(on_round t) ~after_round:(after_round t sched)
+      ~lease:t.lease ?round_wrap ~pool:t.pool ~sched ~deadline:(deadline - t.spent)
+      ~jobs:(eff_jobs t) ~run:(exec_turn t) ~merge:(merge_turn t) ()
+  in
+  finish t sched
+
+let run_pool = campaign ~resume:None
 
 (* Aggregate pool report: pool-level metrics first (merged coverage and
    deduplicated bugs replace the per-run values, which would double
@@ -913,10 +921,9 @@ let resume_pool ?jobs ?lease ?checkpoint ?fallback snapshot prog ~seeds =
         Telemetry.Registry.create ~enabled:(List.assoc_opt "telemetry" meta = Some "1") ()
       in
       Ok
-        (run_pool ~config ~scheduler
+        (campaign ~resume:(Some (snapshot, fallback)) ~config ~scheduler
            ~runtime:(Session.runtime_of_config ~registry config)
-           ~jobs ~lease ?checkpoint ~resume:(snapshot, fallback) prog ~seeds
-           ~deadline:snapshot.Snapshot.sn_deadline))
+           ~jobs ~lease ?checkpoint prog ~seeds ~deadline:snapshot.Snapshot.sn_deadline))
 
 let select_seed seeds ~coverage_of =
   match seeds with

@@ -124,7 +124,6 @@ val run_pool :
   ?jobs:int ->
   ?lease:int ->
   ?checkpoint:checkpoint ->
-  ?resume:Pbse_campaign.Snapshot.t * string option ->
   ?preload_faults:Pbse_robust.Fault.kind list ->
   ?pool:Pbse_campaign.Domain_pool.t ->
   ?share:Pbse_session.Session.share ->
@@ -150,12 +149,12 @@ val run_pool :
     surfaced them. [lease] (default 1) grants each planned turn up to
     that many consecutive same-budget sub-turns, run unbroken on the
     slot's worker and merged sub-turn by sub-turn at the barrier, so
-    barrier and merge overhead amortises (docs/parallelism.md). When
-    the campaign ends, per-session registries fold into [runtime]'s
-    registry in ordinal order (default runtime:
-    [Session.runtime_of_config config], whose registry is private and
-    disabled; each session registry is enabled exactly when the pool
-    registry is). Every field of the result — and the
+    barrier and merge overhead amortises (docs/parallelism.md). Only
+    [runtime]'s registry is read: sessions build their runtimes from
+    [config]. When the campaign ends, per-session registries fold into
+    that registry in ordinal order (default: a private, disabled one;
+    each session registry is enabled exactly when the pool registry
+    is). Every field of the result — and the
     byte-exact {!pool_run_report} JSON — is identical for every [jobs]
     value at any fixed [lease] (docs/parallelism.md); the
     [pool_steal_count]/[pool_pinned_turns]/[pool_id_refills]/
@@ -163,12 +162,8 @@ val run_pool :
     Raises [Invalid_argument] on an unknown policy name.
 
     Robustness (docs/robustness.md): [checkpoint] snapshots the campaign
-    at round barriers; [resume] reinstates a snapshot — with an optional
-    fallback message, present when the primary checkpoint was bad and
-    recorded as a [Snapshot_corrupt] fault — and replays each opened
-    session's granted-turn ledger, so kill-and-resume reproduces the
-    uninterrupted run's report byte for byte (use {!resume_pool} rather
-    than passing [resume] directly). A turn overrunning
+    at round barriers, and {!resume_pool} continues from such a
+    snapshot. A turn overrunning
     [watchdog_factor] x budget, an injected turn kill ([crash=R]) or a
     contained turn exception strikes its seed; 3 strikes force-retire
     it. Every 4 accumulated faults halve the effective [jobs] without
@@ -208,10 +203,12 @@ val resume_pool :
   (pool_report, string) result
 (** Continue a checkpointed campaign: rebuild the config and pool
     scheduler from the snapshot's metadata ([Error] if the metadata is
-    malformed or names an unknown policy), then {!run_pool} with the
-    snapshot's own deadline, replaying up to the checkpointed barrier
-    and running the remainder. [jobs] defaults to the snapshot's
-    recorded width and [lease] to its recorded lease — a snapshot
+    malformed or names an unknown policy), then run the campaign with
+    the snapshot's own deadline: reinstate its counters, replay each
+    opened session's granted-turn ledger up to the checkpointed barrier
+    and run the remainder, so kill-and-resume reproduces the
+    uninterrupted run's report byte for byte. [jobs] defaults to the
+    snapshot's recorded width and [lease] to its recorded lease — a snapshot
     written under multi-turn leases must resume under the same lease or
     the remaining rounds would plan different work units and diverge
     from the uninterrupted run. [fallback], the failure message of a

@@ -43,5 +43,3 @@ let strike t ?(site = -1) id =
 let total_strikes t = t.total
 
 let evicted t = t.evictions
-
-let max_strikes t = t.limit

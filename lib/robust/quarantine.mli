@@ -32,5 +32,3 @@ val total_strikes : t -> int
 
 val evicted : t -> int
 (** States quarantined over the quarantine's lifetime. *)
-
-val max_strikes : t -> int

@@ -10,11 +10,11 @@ type t = {
   inject : Inject.plan;
   quarantine : Quarantine.t;
   arena : Expr.arena;
-  prefix_cap : int option;
+  prefix_cap : int;
 }
 
 let create ?registry ?(rng_seed = 1) ?(inject = Inject.none) ?(max_strikes = 4)
-    ?prefix_cap () =
+    ?(prefix_cap = 16_384) () =
   let registry =
     match registry with Some r -> r | None -> Telemetry.Registry.create ()
   in
@@ -41,17 +41,3 @@ let with_active t f =
       Expr.use_arena t.arena;
       f ())
 
-let derive ?registry ?rng_seed ?prefix_cap t =
-  let registry = match registry with Some r -> r | None -> t.registry in
-  let rng = match rng_seed with Some s -> Rng.create s | None -> Rng.split t.rng in
-  let prefix_cap =
-    match prefix_cap with Some c -> Some c | None -> t.prefix_cap
-  in
-  {
-    registry;
-    rng;
-    inject = t.inject;
-    quarantine = Quarantine.create ~max_strikes:(Quarantine.max_strikes t.quarantine) ();
-    arena = Expr.arena ();
-    prefix_cap;
-  }

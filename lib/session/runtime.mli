@@ -21,8 +21,8 @@ type t = {
   inject : Pbse_robust.Inject.plan;
   quarantine : Pbse_robust.Quarantine.t;
   arena : Pbse_smt.Expr.arena;
-  prefix_cap : int option;
-      (** solver prefix-context LRU bound; [None] = solver default *)
+  prefix_cap : int;
+      (** the solver prefix-context LRU bound the session opens under *)
 }
 
 val create :
@@ -35,8 +35,8 @@ val create :
   t
 (** Defaults: a fresh private registry (disabled), RNG seed 1, no fault
     injection, a fresh quarantine with [max_strikes] (default 4), a
-    fresh expression arena, and the
-    solver's default prefix-cap. *)
+    fresh expression arena, and the solver's default prefix cap
+    (16 384). *)
 
 val with_active : t -> (unit -> 'a) -> 'a
 (** [with_active t f] runs [f] with [t] active on the calling domain:
@@ -49,15 +49,3 @@ val with_active : t -> (unit -> 'a) -> 'a
     interleaving mid-step. Not reentrant: [f] must not call
     [with_active] again. *)
 
-val derive :
-  ?registry:Pbse_telemetry.Telemetry.Registry.t ->
-  ?rng_seed:int ->
-  ?prefix_cap:int ->
-  t ->
-  t
-(** A child runtime for one session of a campaign: [registry]
-    (default: the parent's), RNG split from the parent (or seeded
-    with [rng_seed]), fresh private quarantine with the parent's strike
-    limit, fresh arena; the inject plan is inherited, and the prefix-cap
-    is inherited unless [prefix_cap] overrides it (the pool driver
-    shrinks it under graceful degradation). *)

@@ -96,12 +96,14 @@ let test_pool_by_name_covers_names () =
 
 (* --- campaign loop --------------------------------------------------------- *)
 
-(* The campaign loop at one worker, with a turn callback that reports
-   its own outcome. *)
+(* The campaign loop on a one-worker pool of its own, with a turn
+   callback that reports its own outcome. *)
 let run_campaign ~sched ~deadline turn =
-  Campaign.run_rounds ~sched ~deadline ~jobs:(fun () -> 1) ~run:turn
-    ~merge:(fun _ ~budget:_ o -> o)
-    ()
+  let pool = Pbse_campaign.Domain_pool.create ~jobs:1 in
+  Fun.protect ~finally:(fun () -> Pbse_campaign.Domain_pool.shutdown pool) (fun () ->
+      Campaign.run_rounds ~pool ~sched ~deadline ~jobs:(fun () -> 1) ~run:turn
+        ~merge:(fun _ ~budget:_ o -> o)
+        ())
 
 let test_campaign_loop_owns_counters () =
   let s1 = slot 1 and s2 = slot 2 in

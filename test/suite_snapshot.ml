@@ -328,6 +328,75 @@ let test_kill_resume_rebuilds_interpolant_caches () =
     Alcotest.(check bool) "states were subsumed" true
       (Report.metric r "smt.subsumed_states" > 0)
 
+(* A leased, crash-injected, watchdogged campaign halted at round 2 and
+   resumed. Every other identity test compares two runs of one binary;
+   this one pins the bytes of the round-2 snapshot and of the final
+   report, so a change to the pool loop that shifts either (the turn
+   ledger, the watchdog's faults, the degradation count, the injection
+   streams) fails here even when it shifts both runs alike. The campaign
+   ends after round 2: a halt at round 1 resumes into live rounds, a
+   halt at round 2 replays every ledger event. *)
+let golden_config () =
+  let inject =
+    match Inject.parse "seed=3,crash=0.25" with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  Session.(
+    default_config
+    |> with_concolic (fun c -> { c with time_period = 200 })
+    |> with_robust (fun r -> { r with inject; watchdog_factor = 1 }))
+
+let golden_snapshot_digest = "1a6d5ab04a33c0245529f4d5200bf2f7"
+let golden_report_digest = "a93a4d01a6656092725652c693be16bb"
+
+let test_golden_pool_bytes () =
+  let config = golden_config () in
+  let scheduler = "round-robin" in
+  let lease = 2 in
+  let prog = mini_program () in
+  let seeds = pool_seeds () in
+  let baseline = uninterrupted_json ~config ~lease ~scheduler ~jobs:1 () in
+  (* halt at [kill_at]'s barrier, resume at another width: the
+     checkpoint document and the resumed report *)
+  let halted_and_resumed kill_at =
+    let path = Filename.temp_file "pbse_golden" ".json" in
+    let ck = Driver.checkpoint ~meta:report_meta ~halt_after:kill_at ~path ~every:1 () in
+    let _killed : Driver.pool_report =
+      Driver.run_pool ~config ~scheduler
+        ~runtime:(Suite_telemetry.instrumented ~config ())
+        ~jobs:1 ~lease ~checkpoint:ck prog ~seeds ~deadline:150_000
+    in
+    let doc =
+      match Checked_file.read ~path with Ok d -> d | Error e -> Alcotest.fail e
+    in
+    match Driver.load_snapshot ~path with
+    | Error e -> Alcotest.fail e
+    | Ok (sn, _) -> (
+      Alcotest.(check int) "halted at the requested barrier" kill_at
+        sn.Snapshot.sn_rounds;
+      match Driver.resume_pool ~jobs:2 sn prog ~seeds with
+      | Error e -> Alcotest.fail e
+      | Ok pool -> (doc, Report.to_json (Driver.pool_run_report ~meta:report_meta pool)))
+  in
+  let _, resumed1 = halted_and_resumed 1 in
+  Alcotest.(check string) "halt@1 resume matches uninterrupted" baseline resumed1;
+  let doc2, resumed2 = halted_and_resumed 2 in
+  Alcotest.(check string) "halt@2 resume matches uninterrupted" baseline resumed2;
+  Alcotest.(check string) "round-2 snapshot digest" golden_snapshot_digest
+    (Digest.to_hex (Digest.string doc2));
+  Alcotest.(check string) "final report digest" golden_report_digest
+    (Digest.to_hex (Digest.string baseline));
+  (* the pinned campaign takes every turn path, or the pins prove little:
+     watchdog overruns, kills of open sessions, a kill before one opened *)
+  match Report.of_json baseline with
+  | Error e -> Alcotest.fail e
+  | Ok r ->
+    List.iter
+      (fun key ->
+        Alcotest.(check bool) (key ^ " > 0") true (Report.metric r key > 0))
+      [ "fault.turn-timeout"; "fault.exec-exception"; "pool.fault.exec-exception" ]
+
 (* --- graceful degradation --------------------------------------------------- *)
 
 let test_certain_crash_retires_pool_without_aborting () =
@@ -616,6 +685,8 @@ let suite =
       test_kill_resume_identity_under_crash_injection;
     Alcotest.test_case "kill+resume rebuilds interpolant caches" `Slow
       test_kill_resume_rebuilds_interpolant_caches;
+    Alcotest.test_case "golden bytes: leased watchdogged crash-injected resume" `Quick
+      test_golden_pool_bytes;
     Alcotest.test_case "certain crash retires pool gracefully" `Quick
       test_certain_crash_retires_pool_without_aborting;
     Alcotest.test_case "watchdog flags overrunning turns" `Slow
