@@ -1,6 +1,7 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Tables I-III, Figures 1, 4, 5), plus the ablations listed
-   in DESIGN.md and Bechamel micro-benchmarks of each experiment kernel.
+   evaluation (Tables I-III, Figures 1, 4, 5) and the ablations listed in
+   DESIGN.md, checks their shapes against EXPERIMENTS.md ([claims]), and
+   times the engine's layers ([kernels]).
 
    Wall-clock hours are modelled by a virtual-time budget: one "hour" is
    PBSE_HOUR work units (default 120_000; see DESIGN.md "Virtual time
@@ -61,17 +62,16 @@ let heading title =
 (* --- per-run telemetry rows (results/runs.csv) --------------------------------- *)
 
 (* Every pbSE driver run performed by the harness contributes one CSV row
-   of solver/fault/retry/phase telemetry, harvested through the same
+   of solver/fault/phase telemetry, harvested through the same
    Session.run_report mapping the CLI's --report uses (docs/telemetry.md
    documents the column <-> metric correspondence). *)
 let run_csv_metrics =
   [
     "coverage.blocks"; "bugs.total"; "bugs.confirmed"; "solver.queries";
-    "solver.unknown"; "solver.retries"; "solver.escalations"; "solver.retry_resolved";
-    "solver.work"; "solver.prefix_hits"; "smt.subsumed_states"; "smt.interpolant_hits";
-    "smt.interpolant_misses"; "fault.solver-unknown"; "fault.exec-abort";
-    "fault.mem-pressure"; "quarantine.evicted"; "quarantine.strikes"; "phase.turns";
-    "phase.new_cover"; "phase.dwell"; "phase.trap_dwell"; "sched.turns";
+    "solver.unknown"; "solver.work"; "solver.prefix_hits"; "smt.subsumed_states";
+    "smt.interpolant_hits"; "smt.interpolant_misses"; "fault.solver-unknown";
+    "fault.exec-abort"; "fault.mem-pressure"; "quarantine.evicted"; "quarantine.strikes";
+    "phase.turns"; "phase.new_cover"; "phase.dwell"; "phase.trap_dwell"; "sched.turns";
     "exec.cow_copies";
   ]
 
@@ -165,13 +165,25 @@ let flush_runs ?(file = "runs.csv") () =
 
 (* --- Table I ----------------------------------------------------------------- *)
 
-(* KLEE with one searcher on readelf; returns (cov@1h, cov@10h). *)
-let klee_cell prog searcher sym_size =
-  let r =
-    Klee.run prog ~searcher ~input:(Bytes.make sym_size '\000')
-      ~checkpoints:[ hour; ten_hours ]
-  in
-  (List.assoc hour r.Klee.checkpoints, List.assoc ten_hours r.Klee.checkpoints)
+(* (cov@1h, cov@10h) of KLEE with one searcher on a target's symbolic
+   file of [sym_size] zero bytes, memoised per process: Table II reruns
+   Table I's readelf random-path and covnew cells. *)
+let klee_cells : (string * string * int, int * int) Hashtbl.t = Hashtbl.create 64
+
+let klee_cell name searcher sym_size =
+  let key = (name, searcher, sym_size) in
+  match Hashtbl.find_opt klee_cells key with
+  | Some cell -> cell
+  | None ->
+    let r =
+      Klee.run (Registry.program (target name)) ~searcher
+        ~input:(Bytes.make sym_size '\000') ~checkpoints:[ hour; ten_hours ]
+    in
+    let cell =
+      (List.assoc hour r.Klee.checkpoints, List.assoc ten_hours r.Klee.checkpoints)
+    in
+    Hashtbl.replace klee_cells key cell;
+    cell
 
 let pbse_row ~suite ~name prog seed =
   let report = Session.run prog ~seed ~deadline:ten_hours in
@@ -180,56 +192,72 @@ let pbse_row ~suite ~name prog seed =
   let cov10 = Coverage.count (Executor.coverage report.Driver.executor) in
   (report, cov1, cov10)
 
+let klee_sizes = [ 10; 100; 1000; 10000 ]
+
+type pbse_cell = { c_time : int; p_time : int; cov1 : int }
+
+type table1 = {
+  t1_klee : (string * (int * (int * int)) list) list;
+      (* searcher -> symbolic size -> (cov@1h, cov@10h) *)
+  t1_pbse : pbse_cell list; (* the small seed, then the large one *)
+}
+
 let table1 () =
   heading "Table I: basic blocks covered on readelf, per searcher";
   Printf.printf "(1h = %d virtual time units; symbolic file sizes as in the paper)\n" hour;
   let t = target "readelf" in
   let prog = Registry.program t in
-  let sizes = [ 10; 100; 1000; 10000 ] in
   let table =
     Tablefmt.create
       ([ "searcher" ]
       @ List.concat_map
           (fun s -> [ Printf.sprintf "sym-%d 1h" s; Printf.sprintf "sym-%d 10h" s ])
-          sizes)
+          klee_sizes)
   in
-  List.iter
-    (fun searcher ->
-      let cells =
-        List.concat_map
-          (fun size ->
-            let c1, c10 = klee_cell prog searcher size in
-            [ string_of_int c1; string_of_int c10 ])
-          sizes
-      in
-      Tablefmt.add_row table (searcher :: cells);
-      Printf.printf "  ... %s done\n%!" searcher)
-    Searcher.names;
+  let klee =
+    List.map
+      (fun searcher ->
+        let cells =
+          List.map (fun size -> (size, klee_cell "readelf" searcher size)) klee_sizes
+        in
+        Tablefmt.add_row table
+          (searcher
+          :: List.concat_map
+               (fun (_, (c1, c10)) -> [ string_of_int c1; string_of_int c10 ])
+               cells);
+        Printf.printf "  ... %s done\n%!" searcher;
+        (searcher, cells))
+      Searcher.names
+  in
   Tablefmt.print table;
   (* pbSE rows: a small and a large seed, as in the paper (576 / 7981 B) *)
-  let pbse_table =
-    Tablefmt.create [ "pbSE"; "c-time"; "p-time"; "1h"; "10h" ]
+  let pbse_table = Tablefmt.create [ "pbSE"; "c-time"; "p-time"; "1h"; "10h" ] in
+  let pbse =
+    List.map
+      (fun label ->
+        let seed = Registry.seed t label in
+        let report, cov1, cov10 = pbse_row ~suite:"table1" ~name:"readelf" prog seed in
+        let c_time = report.Driver.c_time and p_time = report.Driver.p_time in
+        Tablefmt.add_row pbse_table
+          [
+            Printf.sprintf "seed(%d)" (Bytes.length seed);
+            string_of_int c_time;
+            string_of_int p_time;
+            string_of_int cov1;
+            string_of_int cov10;
+          ];
+        { c_time; p_time; cov1 })
+      [ "small"; "large" ]
   in
-  List.iter
-    (fun label ->
-      let seed = Registry.seed t label in
-      let report, cov1, cov10 = pbse_row ~suite:"table1" ~name:"readelf" prog seed in
-      Tablefmt.add_row pbse_table
-        [
-          Printf.sprintf "seed(%d)" (Bytes.length seed);
-          string_of_int report.Driver.c_time;
-          string_of_int report.Driver.p_time;
-          string_of_int cov1;
-          string_of_int cov10;
-        ])
-    [ "small"; "large" ];
-  Tablefmt.print pbse_table
+  Tablefmt.print pbse_table;
+  { t1_klee = klee; t1_pbse = pbse }
 
 (* --- Table II ---------------------------------------------------------------- *)
 
+type table2_row = { t2_target : string; best_klee : int; pbse10 : int }
+
 let table2 () =
   heading "Table II: basic blocks covered on readelf/gif2tiff/pngtest/dwarfdump";
-  let sizes = [ 10; 100; 1000; 10000 ] in
   let table =
     Tablefmt.create
       ([ "program" ]
@@ -241,37 +269,38 @@ let table2 () =
                   Printf.sprintf "%s sym-%d 1h" searcher s;
                   Printf.sprintf "%s sym-%d 10h" searcher s;
                 ])
-              sizes)
+              klee_sizes)
           [ "rp"; "cn" ]
       @ [ "pbSE 1h"; "pbSE 10h"; "inc" ])
   in
-  List.iter
-    (fun name ->
-      let t = target name in
-      let prog = Registry.program t in
-      let best = ref 0 in
-      let klee_cells =
-        List.concat_map
-          (fun searcher ->
-            List.concat_map
-              (fun size ->
-                let c1, c10 = klee_cell prog searcher size in
-                best := max !best (max c1 c10);
-                [ string_of_int c1; string_of_int c10 ])
-              sizes)
-          [ "random-path"; "covnew" ]
-      in
-      let _, cov1, cov10 = pbse_row ~suite:"table2" ~name prog (Registry.default_seed t) in
-      let inc =
-        if !best = 0 then "n/a"
-        else Printf.sprintf "%d%%" (100 * (cov10 - !best) / !best)
-      in
-      Tablefmt.add_row table
-        ((t.Registry.package ^ " " ^ name)
-        :: (klee_cells @ [ string_of_int cov1; string_of_int cov10; inc ]));
-      Printf.printf "  ... %s done\n%!" name)
-    [ "readelf"; "gif2tiff"; "pngtest"; "dwarfdump" ];
-  Tablefmt.print table
+  let rows =
+    List.map
+      (fun name ->
+        let t = target name in
+        let cells =
+          List.concat_map
+            (fun searcher -> List.map (klee_cell name searcher) klee_sizes)
+            [ "random-path"; "covnew" ]
+        in
+        let best = List.fold_left (fun acc (c1, c10) -> max acc (max c1 c10)) 0 cells in
+        let _, cov1, cov10 =
+          pbse_row ~suite:"table2" ~name (Registry.program t) (Registry.default_seed t)
+        in
+        let inc =
+          if best = 0 then "n/a" else Printf.sprintf "%d%%" (100 * (cov10 - best) / best)
+        in
+        Tablefmt.add_row table
+          ((t.Registry.package ^ " " ^ name)
+          :: (List.concat_map
+                (fun (c1, c10) -> [ string_of_int c1; string_of_int c10 ])
+                cells
+             @ [ string_of_int cov1; string_of_int cov10; inc ]));
+        Printf.printf "  ... %s done\n%!" name;
+        { t2_target = name; best_klee = best; pbse10 = cov10 })
+      [ "readelf"; "gif2tiff"; "pngtest"; "dwarfdump" ]
+  in
+  Tablefmt.print table;
+  rows
 
 (* --- Table III --------------------------------------------------------------- *)
 
@@ -303,15 +332,16 @@ let bug_label_table =
     ("dwarfdump", "parse_line_program", "oob-write", "line-ftable-alloc-overflow");
   ]
 
+let bug_function (bug : Bug.t) =
+  match String.index_opt bug.Bug.location '/' with
+  | Some i -> String.sub bug.Bug.location 0 i
+  | None -> bug.Bug.location
+
 (* [nth_match] distinguishes multiple same-kind bugs in one function; the
    caller passes the bug's rank among its (function, kind) group, ordered
    by faulting block. *)
 let bug_label target (bug : Bug.t) ~nth_match =
-  let func =
-    match String.index_opt bug.Bug.location '/' with
-    | Some i -> String.sub bug.Bug.location 0 i
-    | None -> bug.Bug.location
-  in
+  let func = bug_function bug in
   let candidates =
     List.filter_map
       (fun (t, f, k, label) ->
@@ -320,13 +350,19 @@ let bug_label target (bug : Bug.t) ~nth_match =
   in
   List.nth_opt candidates (min nth_match (max 0 (List.length candidates - 1)))
 
+type table3 = {
+  t3_reports : string list; (* the target of each report *)
+  t3_distinct : (string * string option) list; (* target, planted-bug label *)
+}
+
 let table3 () =
   heading "Table III: bugs found by pbSE";
   let table =
-    Tablefmt.create [ "package"; "test-driver"; "s-size"; "t-p"; "b-p"; "kind"; "CVE ID" ]
+    Tablefmt.create
+      [ "package"; "test-driver"; "s-size"; "t-p"; "b-p"; "kind"; "bug"; "CVE ID" ]
   in
-  let total = ref 0 in
-  let distinct : (string * int * string, unit) Hashtbl.t = Hashtbl.create 32 in
+  let reports = ref [] in
+  let distinct : (string * int * string, string option) Hashtbl.t = Hashtbl.create 32 in
   List.iter
     (fun (name, seed_labels) ->
       let t = target name in
@@ -346,30 +382,21 @@ let table3 () =
           in
           List.iter
             (fun ((bug : Bug.t), phase_ordinal) ->
-              incr total;
-              Hashtbl.replace distinct (name, bug.Bug.gid, bug.Bug.kind) ();
-              let func =
-                match String.index_opt bug.Bug.location '/' with
-                | Some i -> String.sub bug.Bug.location 0 i
-                | None -> bug.Bug.location
-              in
+              let func = bug_function bug in
               let rank =
                 List.length
                   (List.filter
                      (fun ((b : Bug.t), _) ->
                        b.Bug.gid < bug.Bug.gid
                        && b.Bug.kind = bug.Bug.kind
-                       &&
-                       let f =
-                         match String.index_opt b.Bug.location '/' with
-                         | Some j -> String.sub b.Bug.location 0 j
-                         | None -> b.Bug.location
-                       in
-                       f = func)
+                       && bug_function b = func)
                      sorted)
               in
+              let planted = bug_label name bug ~nth_match:rank in
+              reports := name :: !reports;
+              Hashtbl.replace distinct (name, bug.Bug.gid, bug.Bug.kind) planted;
               let cve =
-                match bug_label name bug ~nth_match:rank with
+                match planted with
                 | Some label -> (
                   match List.assoc_opt label t.Registry.cves with
                   | Some cve -> cve
@@ -384,10 +411,12 @@ let table3 () =
                   string_of_int traps;
                   string_of_int phase_ordinal;
                   bug.Bug.kind;
+                  Option.value planted ~default:"-";
                   cve;
                 ])
             sorted;
-          Printf.printf "  ... %s/%s done (%d reports so far)\n%!" name label !total)
+          Printf.printf "  ... %s/%s done (%d reports so far)\n%!" name label
+            (List.length !reports))
         seed_labels)
     [
       ("pngtest", [ "small" ]);
@@ -400,7 +429,12 @@ let table3 () =
     ];
   Tablefmt.print table;
   Printf.printf "%d reports over the seed pool; %d distinct bugs (19 planted; paper found 21)\n"
-    !total (Hashtbl.length distinct)
+    (List.length !reports) (Hashtbl.length distinct);
+  {
+    t3_reports = List.rev !reports;
+    t3_distinct =
+      Hashtbl.fold (fun (name, _, _) planted acc -> (name, planted) :: acc) distinct [];
+  }
 
 (* --- Fig 1: block distribution, concrete vs symbolic ------------------------- *)
 
@@ -496,9 +530,17 @@ let fig4 () =
     "coverage-augmented vectors identified %s trap phases (paper: 2 vs 4)\n"
     (if augmented > plain then "more"
      else if augmented = plain then "as many"
-     else "fewer")
+     else "fewer");
+  (plain, augmented)
 
 (* --- Fig 5: tiff2rgba, normal vs buggy seed ----------------------------------- *)
+
+type fig5 = {
+  normal_outcome : Concolic.outcome;
+  buggy_outcome : Concolic.outcome;
+  pbse_cielab : (int * int) option; (* phase, virtual time of pbSE's CIELab read *)
+  klee_bugs : string list; (* planted-bug labels (or locations) KLEE default found *)
+}
 
 let fig5 () =
   heading "Fig 5: tiff2rgba concrete block distribution, normal vs buggy seed";
@@ -518,13 +560,13 @@ let fig5 () =
        | Concolic.Deadline -> "deadline");
     print_string (ascii_scatter ~width:64 ~height:12 (trace_points concolic.Concolic.trace));
     write_file (Printf.sprintf "fig5_%s.csv" label) (Trace.to_csv concolic.Concolic.trace);
-    concolic.Concolic.bbvs
+    concolic
   in
-  let bbvs = run_seed "normal" (Registry.seed t "large") in
-  let division = Phase.divide (Rng.create 1) bbvs in
+  let normal = run_seed "normal" (Registry.seed t "large") in
+  let division = Phase.divide (Rng.create 1) normal.Concolic.bbvs in
   Printf.printf "phases of the normal run (top strip of Fig 5a): %s (%d traps)\n"
     (Phase.render_strip division) division.Phase.trap_count;
-  ignore (run_seed "buggy" (Registry.seed t "buggy-cielab"));
+  let buggy = run_seed "buggy" (Registry.seed t "buggy-cielab") in
   (* the case study: pbSE finds the CIELab bug; KLEE's default searcher
      does not, even in 10x the budget *)
   let report = Session.run prog ~seed:(Registry.seed t "small") ~deadline:ten_hours in
@@ -543,7 +585,23 @@ let fig5 () =
      | ((b : Bug.t), phase) :: _ ->
        Printf.sprintf " (first in phase %d at t=%d: %s)" phase b.Bug.vtime b.Bug.location
      | [] -> "")
-    (List.length klee.Klee.bugs)
+    (List.length klee.Klee.bugs);
+  {
+    normal_outcome = normal.Concolic.outcome;
+    buggy_outcome = buggy.Concolic.outcome;
+    pbse_cielab =
+      List.find_map
+        (fun ((b : Bug.t), phase) ->
+          if bug_label "tiff2rgba" b ~nth_match:0 = Some "cielab-oob-read" then
+            Some (phase, b.Bug.vtime)
+          else None)
+        report.Driver.bugs;
+    klee_bugs =
+      List.map
+        (fun (b : Bug.t) ->
+          Option.value (bug_label "tiff2rgba" b ~nth_match:0) ~default:b.Bug.location)
+        klee.Klee.bugs;
+  }
 
 (* --- Ablations ----------------------------------------------------------------- *)
 
@@ -553,28 +611,37 @@ let ablate () =
   let prog = Registry.program t in
   let seed = Registry.default_seed t in
   let table = Tablefmt.create [ "variant"; "traps"; "cov 1h"; "cov 10h"; "bugs" ] in
-  let run label config =
+  let run (label, config) =
     let report = Session.run ~config prog ~seed ~deadline:ten_hours in
     note_run ~suite:"ablate" ~name:label ~deadline:ten_hours report;
+    let traps = report.Driver.division.Phase.trap_count in
     Tablefmt.add_row table
       [
         label;
-        string_of_int report.Driver.division.Phase.trap_count;
+        string_of_int traps;
         string_of_int (Session.coverage_at report hour);
         string_of_int (Coverage.count (Executor.coverage report.Driver.executor));
         string_of_int (List.length report.Driver.bugs);
       ];
-    Printf.printf "  ... %s done\n%!" label
+    Printf.printf "  ... %s done\n%!" label;
+    (label, traps)
   in
-  run "pbSE (default)" Session.default_config;
-  run "BBV-only vectors"
-    Session.(with_concolic (fun c -> { c with mode = Phase.Bbv_only }) default_config);
-  run "no seedState dedup"
-    Session.(with_search (fun s -> { s with dedup_seed_states = false }) default_config);
-  run "sequential phases"
-    Session.(with_search (fun s -> { s with scheduler = "sequential" }) default_config);
-  run "fixed k = 4" Session.(with_search (fun s -> { s with max_k = 4 }) default_config);
-  Tablefmt.print table
+  let traps =
+    List.map run
+      Session.
+        [
+          ("pbSE (default)", default_config);
+          ( "BBV-only vectors",
+            with_concolic (fun c -> { c with mode = Phase.Bbv_only }) default_config );
+          ( "no seedState dedup",
+            with_search (fun s -> { s with dedup_seed_states = false }) default_config );
+          ( "sequential phases",
+            with_search (fun s -> { s with scheduler = "sequential" }) default_config );
+          ("fixed k = 4", with_search (fun s -> { s with max_k = 4 }) default_config);
+        ]
+  in
+  Tablefmt.print table;
+  traps
 
 (* --- Robustness: fault-injected sweep ------------------------------------------- *)
 
@@ -617,7 +684,7 @@ let robust () =
     Registry.all;
   Tablefmt.print table
 
-(* --- Bechamel micro-benchmarks -------------------------------------------------- *)
+(* --- Per-layer kernels ----------------------------------------------------------- *)
 
 (* Bechamel's OLS estimate, per run of [test], of each of [instances]
    ([None] where it fits none). *)
@@ -634,64 +701,6 @@ let per_run ?(limit = 8) ?(quota = 1.0) instances test =
         (Analyze.all ols instance results)
         None)
     instances
-
-let bechamel () =
-  heading "Bechamel micro-benchmarks (one kernel per table/figure)";
-  let open Bechamel in
-  let small = max 2_000 (hour / 60) in
-  let t1_kernel () =
-    let prog = Registry.program (target "readelf") in
-    ignore
-      (Klee.run prog ~searcher:"random-path" ~input:(Bytes.make 100 '\000')
-         ~checkpoints:[ small ])
-  in
-  let t2_kernel () =
-    let t = target "gif2tiff" in
-    ignore (Session.run (Registry.program t) ~seed:(Registry.default_seed t) ~deadline:small)
-  in
-  let t3_kernel () =
-    let t = target "tiff2bw" in
-    ignore (Session.run (Registry.program t) ~seed:(Registry.default_seed t) ~deadline:small)
-  in
-  let fig1_kernel () =
-    let t = target "pngtest" in
-    let prog = Registry.program t in
-    let clock = Vclock.create () in
-    let exec = Executor.create ~clock prog ~input:(Registry.default_seed t) in
-    ignore (Concolic.run exec (Trace.indexer ()))
-  in
-  let fig4_kernel () =
-    let t = target "gif2tiff" in
-    let prog = Registry.program t in
-    let clock = Vclock.create () in
-    let exec = Executor.create ~clock prog ~input:(Registry.default_seed t) in
-    let concolic = Concolic.run ~interval_length:60 exec (Trace.indexer ()) in
-    ignore (Phase.divide (Rng.create 1) concolic.Concolic.bbvs)
-  in
-  let fig5_kernel () =
-    let t = target "tiff2rgba" in
-    let prog = Registry.program t in
-    ignore (Pbse_exec.Concrete.run prog ~input:(Registry.seed t "buggy-cielab"))
-  in
-  let tests =
-    [
-      Test.make ~name:"table1: KLEE random-path on readelf" (Staged.stage t1_kernel);
-      Test.make ~name:"table2: pbSE end-to-end on gif2tiff" (Staged.stage t2_kernel);
-      Test.make ~name:"table3: pbSE bug hunt on tiff2bw" (Staged.stage t3_kernel);
-      Test.make ~name:"fig1: concolic trace of pngtest" (Staged.stage fig1_kernel);
-      Test.make ~name:"fig4: phase division of gif2tiff" (Staged.stage fig4_kernel);
-      Test.make ~name:"fig5: buggy-seed replay of tiff2rgba" (Staged.stage fig5_kernel);
-    ]
-  in
-  List.iter
-    (fun test ->
-      let name = "g/" ^ Test.name test in
-      match per_run [ Toolkit.Instance.monotonic_clock ] test with
-      | [ Some est ] -> Printf.printf "  %-45s %12.0f ns/run\n%!" name est
-      | _ -> Printf.printf "  %-45s (no estimate)\n%!" name)
-    tests
-
-(* --- Per-layer kernels ----------------------------------------------------------- *)
 
 (* The solver's search alone: wall time and minor-heap words per
    [Search_core.solve_group] on one fixed group of 16 sparse input bytes,
@@ -1336,6 +1345,146 @@ let serve_bench () =
     retry_after quota_stats.Pbse.Serve.sv_rejections
     warm_stats.Pbse.Serve.sv_store_reloads reload_ms
 
+(* --- Claims: the paper's results as assertions ---------------------------------- *)
+
+(* The pinned Table III bug set: every planted bug the seed pool reaches
+   within 10h (EXPERIMENTS.md). A lost one fails [claims] by name. *)
+let pinned_bugs =
+  [
+    ("pngtest", "time-month-oob-read");
+    ("pngtest", "keyword-trim-underflow");
+    ("gif2tiff", "colormap-oob-read");
+    ("tiff2rgba", "cielab-oob-read");
+    ("tiff2bw", "invert-row-oob-write");
+    ("dwarfdump", "abbrev-code-oob-read");
+    ("dwarfdump", "sibling-ref-oob-read");
+    ("dwarfdump", "cu-name-oob-read");
+    ("dwarfdump", "form-string-oob-read");
+    ("dwarfdump", "line-file-index-oob-read");
+    ("dwarfdump", "line-ftable-alloc-overflow");
+    ("readelf", "strtab-name-oob-read");
+    ("readelf", "symbol-version-oob-write");
+    ("readelf", "dynamic-strtab-oob-read");
+    ("readelf", "note-alloc-overflow");
+  ]
+
+(* EXPERIMENTS.md's shape claims, checked on the values the tables and
+   figures above print. Exits nonzero naming every claim that fails. *)
+let claims () =
+  let started = Unix.gettimeofday () in
+  let t1 = table1 () in
+  let t2 = table2 () in
+  let t3 = table3 () in
+  let f4_plain, f4_augmented = fig4 () in
+  let f5 = fig5 () in
+  let ablation = ablate () in
+  heading "Claims: EXPERIMENTS.md's shapes as assertions";
+  let best_klee_10h =
+    List.fold_left
+      (fun acc (_, (_, c10)) -> max acc c10)
+      0
+      (List.concat_map snd t1.t1_klee)
+  in
+  let best_of searcher =
+    List.fold_left (fun acc (_, (c1, c10)) -> max acc (max c1 c10)) 0
+      (List.assoc searcher t1.t1_klee)
+  in
+  let sym10 = List.map (fun (_, cells) -> List.assoc 10 cells) t1.t1_klee in
+  let small, large =
+    match t1.t1_pbse with [ s; l ] -> (s, l) | _ -> failwith "table1: two pbSE rows"
+  in
+  let found =
+    List.filter_map (fun (t, l) -> Option.map (fun l -> (t, l)) l) t3.t3_distinct
+  in
+  let missing = List.filter (fun b -> not (List.mem b found)) pinned_bugs in
+  let traps label = List.assoc label ablation in
+  let tcpdump_reports =
+    List.length (List.filter (String.equal "tcpdump") t3.t3_reports)
+  in
+  let results =
+    [
+      ( "Table I: every searcher stalls on sym-10",
+        List.for_all (fun c -> c = List.hd sym10) sym10
+        && List.for_all (fun (c1, c10) -> c1 = c10) sym10,
+        Printf.sprintf "sym-10 cells %s"
+          (String.concat " "
+             (List.map (fun (c1, c10) -> Printf.sprintf "%d/%d" c1 c10) sym10))
+      );
+      ( "Table I: dfs is the weakest searcher",
+        List.for_all
+          (fun (searcher, _) -> searcher = "dfs" || best_of searcher > best_of "dfs")
+          t1.t1_klee,
+        Printf.sprintf "dfs best %d; others %s" (best_of "dfs")
+          (String.concat " "
+             (List.filter_map
+                (fun (searcher, _) ->
+                  if searcher = "dfs" then None
+                  else Some (Printf.sprintf "%s=%d" searcher (best_of searcher)))
+                t1.t1_klee)) );
+      ( "Table I: pbSE at 1h beats every KLEE cell at 10h",
+        List.for_all (fun c -> c.cov1 > best_klee_10h) t1.t1_pbse,
+        Printf.sprintf "pbSE 1h %s vs best KLEE 10h %d"
+          (String.concat "/" (List.map (fun c -> string_of_int c.cov1) t1.t1_pbse))
+          best_klee_10h );
+      ( "Table I: c-time grows >= 10x from the small seed to the large one, p-time < 2x",
+        large.c_time >= 10 * small.c_time && large.p_time < 2 * small.p_time,
+        Printf.sprintf "c-time %d -> %d, p-time %d -> %d" small.c_time large.c_time
+          small.p_time large.p_time );
+      ( "Table II: pbSE at 10h >= the best KLEE cell on every target",
+        List.for_all (fun r -> r.pbse10 >= r.best_klee) t2,
+        String.concat ", "
+          (List.map
+             (fun r -> Printf.sprintf "%s %d vs %d" r.t2_target r.pbse10 r.best_klee)
+             t2) );
+      ( "Table III: the distinct bugs include the pinned list",
+        missing = [],
+        Printf.sprintf "%d reports, %d distinct; missing: %s" (List.length t3.t3_reports)
+          (List.length t3.t3_distinct)
+          (match missing with
+           | [] -> "none"
+           | _ -> String.concat " " (List.map (fun (t, l) -> t ^ "/" ^ l) missing)) );
+      ( "Table III: tcpdump has zero bugs",
+        tcpdump_reports = 0,
+        Printf.sprintf "%d tcpdump report(s)" tcpdump_reports );
+      ( "Fig 4: coverage-augmented vectors find at least as many traps on gif2tiff",
+        f4_augmented >= f4_plain,
+        Printf.sprintf "%d vs %d BBV-only" f4_augmented f4_plain );
+      ( "Ablation: coverage-augmented vectors find more trap phases on dwarfdump",
+        traps "pbSE (default)" > traps "BBV-only vectors",
+        Printf.sprintf "%d vs %d BBV-only" (traps "pbSE (default)")
+          (traps "BBV-only vectors") );
+      ( "Fig 5: the normal seed runs to completion, the buggy seed stops",
+        (match (f5.normal_outcome, f5.buggy_outcome) with
+         | Concolic.Exited _, Concolic.Stopped _ -> true
+         | _ -> false),
+        match f5.buggy_outcome with
+        | Concolic.Stopped reason -> "buggy seed stopped: " ^ reason
+        | Concolic.Exited _ | Concolic.Deadline -> "buggy seed did not stop" );
+      ( "Fig 5: pbSE finds the CIELab read from the benign seed within 10h",
+        Option.is_some f5.pbse_cielab,
+        match f5.pbse_cielab with
+        | Some (phase, vtime) -> Printf.sprintf "phase %d at t=%d" phase vtime
+        | None -> "not found" );
+      ( "Fig 5: KLEE default does not find it within 10h",
+        not (List.mem "cielab-oob-read" f5.klee_bugs),
+        Printf.sprintf "KLEE default found %d bug(s)" (List.length f5.klee_bugs) );
+    ]
+  in
+  List.iter
+    (fun (name, holds, detail) ->
+      Printf.printf "  [%s] %s (%s)\n" (if holds then "PASS" else "FAIL") name detail)
+    results;
+  let failed = List.filter (fun (_, holds, _) -> not holds) results in
+  Printf.printf "%d of %d claims hold; wall time %.1f s\n%!"
+    (List.length results - List.length failed)
+    (List.length results)
+    (Unix.gettimeofday () -. started);
+  if failed <> [] then begin
+    flush_runs ();
+    List.iter (fun (name, _, _) -> Printf.eprintf "claim failed: %s\n" name) failed;
+    exit 1
+  end
+
 (* --- Smoke (CI) ----------------------------------------------------------------- *)
 
 (* One tiny end-to-end run with telemetry enabled; used by the CI
@@ -1450,13 +1599,14 @@ let () =
   let lease = flag "--lease" 1 in
   Printf.printf "pbSE benchmark harness: 1h = %d virtual time units (PBSE_HOUR)\n" hour;
   (match what with
-   | "table1" -> table1 ()
-   | "table2" -> table2 ()
-   | "table3" -> table3 ()
+   | "table1" -> ignore (table1 ())
+   | "table2" -> ignore (table2 ())
+   | "table3" -> ignore (table3 ())
    | "fig1" -> fig1 ()
-   | "fig4" -> fig4 ()
-   | "fig5" -> fig5 ()
-   | "ablate" -> ablate ()
+   | "fig4" -> ignore (fig4 ())
+   | "fig5" -> ignore (fig5 ())
+   | "ablate" -> ignore (ablate ())
+   | "claims" -> claims ()
    | "robust" -> robust ()
    | "pool" -> pool_bench ()
    | "pathcond-ab" -> pathcond_ab ()
@@ -1464,28 +1614,26 @@ let () =
    | "crash-resume" -> crash_resume_bench ~jobs ()
    | "serve" -> serve_bench ()
    | "smoke" -> smoke ~jobs ()
-   | "bechamel" -> bechamel ()
    | "kernels" -> kernels ()
    | "all" ->
-     table1 ();
-     table2 ();
-     table3 ();
+     ignore (table1 ());
+     ignore (table2 ());
+     ignore (table3 ());
      fig1 ();
-     fig4 ();
-     fig5 ();
-     ablate ();
+     ignore (fig4 ());
+     ignore (fig5 ());
+     ignore (ablate ());
      robust ();
      pool_bench ();
      pathcond_ab ();
      pool_jobs_bench ();
      crash_resume_bench ();
      serve_bench ();
-     bechamel ();
      kernels ()
    | other ->
      Printf.eprintf
        "unknown benchmark %s (try \
-        table1|table2|table3|fig1|fig4|fig5|ablate|robust|pool|pathcond-ab|pool-jobs|crash-resume|serve|smoke|bechamel|kernels|all)\n"
+        table1|table2|table3|fig1|fig4|fig5|ablate|claims|robust|pool|pathcond-ab|pool-jobs|crash-resume|serve|smoke|kernels|all)\n"
        other;
      exit 1);
   flush_runs ()

@@ -101,7 +101,9 @@ let checkpoint ?(meta = []) ?halt_after ?note_ms ~path ~every () =
    changed again when the solver budget and retry cap, the live-state
    cap, bug confirmation, the strike limit and the degradation step
    left the config for constants: the config fingerprint hashes every
-   rendered key, so entries stored before miss once and are rebuilt. *)
+   rendered key, so entries stored before miss once and are rebuilt.
+   "unknown-final" keys out reports stored before the solver's Unknown
+   answers became final: they carry three retired solver metrics. *)
 let campaign_fingerprint ?(config = Session.default_config)
     ?(scheduler = Pool_scheduler.default) ?(lease = 1) ~target ~seeds ~deadline () =
   let ordered =
@@ -119,6 +121,7 @@ let campaign_fingerprint ?(config = Session.default_config)
        string_of_int (max 1 lease);
        string_of_int deadline;
        "1";
+       "unknown-final";
      ]
     @ List.map (fun seed -> Digest.to_hex (Digest.bytes seed)) ordered);
   Digest.to_hex (Digest.string (Buffer.contents buf))
@@ -384,9 +387,9 @@ let replay_slot t (slot : Seed_slot.t) (st : Snapshot.slot_state) =
     List.iter (fun ev -> ignore (run_event t s ev)) events;
     Some (rt, s)
 
-(* Reinstate a snapshot, then replay the ledgers. A snapshot of another
-   pool degrades to a fresh start with the mismatch on record, never a
-   crash. *)
+(* Reinstate a snapshot, then replay the ledgers; [true] when the
+   snapshot was accepted. A snapshot of another pool degrades to a fresh
+   start with the mismatch on record, never a crash. *)
 let apply_resume t ((sn : Snapshot.t), fallback) =
   let compatible =
     List.length sn.Snapshot.sn_slots = List.length t.slots
@@ -396,7 +399,10 @@ let apply_resume t ((sn : Snapshot.t), fallback) =
            && st.Snapshot.sl_bytes = slot.Seed_slot.size)
          sn.Snapshot.sn_slots t.slots
   in
-  if not compatible then pool_fault t Fault.Resume_mismatch
+  if not compatible then begin
+    pool_fault t Fault.Resume_mismatch;
+    false
+  end
   else begin
     Fault.restore_counts t.pool_faults sn.Snapshot.sn_pool_faults;
     t.spent <- sn.Snapshot.sn_spent;
@@ -436,6 +442,16 @@ let apply_resume t ((sn : Snapshot.t), fallback) =
     List.iter
       (fun (st : Snapshot.slot_state) -> by_ordinal.(st.Snapshot.sl_ordinal) <- Some st)
       sn.Snapshot.sn_slots;
+    (* ordinals are untrusted input: a repeated one is replayed once,
+       with one mismatch on record *)
+    let opened =
+      List.rev
+        (List.fold_left
+           (fun acc o -> if List.exists (Int.equal o) acc then acc else o :: acc)
+           [] sn.Snapshot.sn_opened)
+    in
+    if List.compare_lengths opened sn.Snapshot.sn_opened <> 0 then
+      pool_fault t Fault.Resume_mismatch;
     (* replay opened sessions concurrently, like the turns they rerun —
        homed on their ordinal so each lands on its campaign-long home
        domain straight away *)
@@ -446,7 +462,7 @@ let apply_resume t ((sn : Snapshot.t), fallback) =
           match if in_range t ordinal then by_ordinal.(ordinal) else None with
           | Some st -> (ordinal, replay_slot t slot_arr.(ordinal - 1) st)
           | None -> (ordinal, None))
-        sn.Snapshot.sn_opened
+        opened
     in
     List.iter
       (fun (ordinal, result) ->
@@ -493,11 +509,12 @@ let apply_resume t ((sn : Snapshot.t), fallback) =
           | None -> false
         in
         if not reattached then pool_fault t Fault.Resume_mismatch)
-      sn.Snapshot.sn_bugs
+      sn.Snapshot.sn_bugs;
+    true
   end
 
 (* The pool policy over the slots still live, at the snapshot's position
-   when resuming. *)
+   when resuming from an accepted snapshot. *)
 let start_scheduler t resume =
   let sched =
     t.factory ~time_period:t.config.Session.concolic.Session.time_period
@@ -789,9 +806,9 @@ let campaign ~resume ?(config = Session.default_config)
       ~deadline
   in
   Fun.protect ~finally:(release t) @@ fun () ->
-  Option.iter (apply_resume t) resume;
+  let accepted = match resume with Some r -> apply_resume t r | None -> false in
   List.iter (pool_fault t) preload_faults;
-  let sched = start_scheduler t resume in
+  let sched = start_scheduler t (if accepted then resume else None) in
   (* [merge_turn] accumulates what the rounds spend into [t.spent] *)
   let _ : int =
     Campaign.run_rounds ~on_round:(on_round t) ~after_round:(after_round t sched)

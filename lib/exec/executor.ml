@@ -240,7 +240,7 @@ type verdict =
    path constraint is unchecked. [Infeasible_state] means the state must
    be dropped; [Undecided] means the solver gave up (or an injected
    fault fired) — the state keeps [needs_verify] set, so a later call
-   retries the query, escalating its budget each time. *)
+   reissues the query at the same budget. *)
 let verify_pending t st =
   begin
     match State.path_spine st with

@@ -113,13 +113,13 @@ val set_lazy_fork : t -> bool -> unit
 type verdict =
   | Verified
   | Infeasible_state (* the newest path constraint is unsatisfiable *)
-  | Undecided (* the solver gave up; retrying later escalates its budget *)
+  | Undecided (* the solver gave up; a later call asks again *)
 
 val verify : t -> State.t -> verdict
 (** Checks a lazily forked state's newest path constraint, repairing its
     witness model. [Infeasible_state] states must be discarded;
-    [Undecided] states keep [needs_verify] set so a later call retries
-    the query (the solver escalates the budget of repeated Unknowns).
+    [Undecided] states keep [needs_verify] set so a later call reissues
+    the query at the same budget.
     Returns [Verified] immediately on already-verified states. *)
 
 val set_record_testcases : t -> bool -> unit

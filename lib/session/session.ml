@@ -427,8 +427,8 @@ let schedule_phases ~registry ~clock ~deadline ~sched ~quarantine exec note_prog
                 drain ()
               | `V Executor.Undecided ->
                 (* the solver gave up; the state stays schedulable and the
-                   next attempt escalates the query budget — unless it has
-                   struck out *)
+                   next attempt reissues the query at the same budget —
+                   unless it has struck out *)
                 quarantine_strike st;
                 drain ()
               | `E ->
@@ -768,9 +768,6 @@ let scalar_metric_specs : (string * (report -> int)) list =
     ("solver.prefix_model_hits", fun r -> (sst r).Solver.prefix_model_hits);
     ("solver.search_nodes", fun r -> (sst r).Solver.search_nodes);
     ("solver.work", fun r -> (sst r).Solver.work);
-    ("solver.retries", fun r -> (sst r).Solver.retries);
-    ("solver.escalations", fun r -> (sst r).Solver.escalations);
-    ("solver.retry_resolved", fun r -> (sst r).Solver.retry_resolved);
     ("solver.prefix_evictions", fun r -> (sst r).Solver.prefix_evictions);
     ("smt.subsumed_states", fun r -> (est r).Executor.subsumed_states);
     ("smt.interpolant_hits", fun r -> (est r).Executor.interpolant_hits);

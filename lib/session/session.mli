@@ -68,9 +68,8 @@ type search_config = {
 type solver_config = {
   prefix_cap : int; (* prefix-context LRU bound (Pbse_smt.Prefix_ctx) *)
 }
-(** The per-query work budget (60 000 units) and the escalating retry
-    cap (8 x budget) are the solver's fixed defaults
-    ({!Pbse_smt.Solver.create}). *)
+(** The per-query work budget (60 000 units) is the solver's fixed
+    default ({!Pbse_smt.Solver.create}). *)
 
 type robust_config = {
   max_strikes : int; (* faults a state survives before quarantine *)
@@ -296,7 +295,7 @@ val finish_session : t -> report
 
 val run_report :
   ?meta:(string * string) list -> report -> Pbse_telemetry.Report.t
-(** Assemble the structured run report: solver query/retry/escalation
+(** Assemble the structured run report: solver query and answer
     counts, executor and verification totals, per-phase turn/coverage
     stats, fault and quarantine totals, plus span and histogram
     snapshots from the run's registry (populated only when that

@@ -4,7 +4,7 @@
    extends an already-seen prefix by a handful of constraints: the
    state's previous query plus the pins and branch conditions assumed
    since, a sibling fork's shared prefix, a lazy child verified against
-   its parent's path, an escalating retry of the same query. The old
+   its parent's path, a reissue of the same query. The old
    entry point re-walked the whole path per query to find the
    constraints sharing bytes with [extra].
 

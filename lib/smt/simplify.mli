@@ -2,8 +2,8 @@
     Pure helpers shared by {!Solver}'s entry points. *)
 
 val cache_key : Expr.t list -> int list
-(** Sorted hash-consed ids of a conjunction — the canonical cache /
-    retry key (permutation-insensitive). *)
+(** Sorted hash-consed ids of a conjunction — the canonical group cache
+    key (permutation-insensitive). *)
 
 val partition_constants : Expr.t list -> (Expr.t list, unit) result
 (** Drop constant-true constraints; [Error ()] on a constant-false one

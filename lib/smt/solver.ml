@@ -17,39 +17,29 @@ type stats = {
   mutable prefix_model_hits : int;
   mutable search_nodes : int;
   mutable work : int;
-  mutable retries : int;
-  mutable escalations : int;
-  mutable retry_resolved : int;
   mutable prefix_evictions : int;
 }
 
 type t = {
   budget : int;
-  retry_cap : int;
   st : stats;
   cache : (int list, Search_core.group_result) Hashtbl.t;
   reads_memo : (int, int list) Hashtbl.t; (* expr id -> sorted input indices *)
-  retryable : (int list, int) Hashtbl.t; (* query key -> budget it failed at *)
   prefixes : Prefix_ctx.t;
   (* registry instruments (docs/telemetry.md); mutation is gated on the
      owning registry's enabled flag, so uninstrumented runs pay one
      boolean load *)
   tm_query_work : Telemetry.histogram;
-  tm_retry_budget : Telemetry.histogram;
 }
 
 exception Out_of_budget = Search_core.Out_of_budget
 
-let create ?(budget = 60_000) ?retry_cap ?prefix_cap ?registry () =
-  let retry_cap =
-    match retry_cap with Some c -> Int.max budget c | None -> 8 * budget
-  in
+let create ?(budget = 60_000) ?prefix_cap ?registry () =
   let registry =
     match registry with Some r -> r | None -> Telemetry.Registry.create ()
   in
   {
     budget;
-    retry_cap;
     st =
       {
         queries = 0;
@@ -63,17 +53,12 @@ let create ?(budget = 60_000) ?retry_cap ?prefix_cap ?registry () =
         prefix_model_hits = 0;
         search_nodes = 0;
         work = 0;
-        retries = 0;
-        escalations = 0;
-        retry_resolved = 0;
         prefix_evictions = 0;
       };
     cache = Hashtbl.create 4096;
     reads_memo = Hashtbl.create 4096;
-    retryable = Hashtbl.create 256;
     prefixes = Prefix_ctx.create ?cap:prefix_cap ();
     tm_query_work = Telemetry.Registry.histogram registry "solver.query_work";
-    tm_retry_budget = Telemetry.Registry.histogram registry "solver.retry_budget";
   }
 
 let stats t = t.st
@@ -135,61 +120,23 @@ let solve_groups t meter ~hint ~focus ~bounds ?on_unsat_core groups =
   List.iter solve_one groups;
   if !unsat then Unsat else if !unknown then Unknown else Sat !model
 
-(* Retry with escalating budgets: a query that went [Unknown] because its
-   budget ran out is remembered (keyed on its expression ids) together
-   with the budget it failed at. When the same query is issued again, it
-   runs with twice that budget, doubling on each failure up to
-   [retry_cap] — a deterministic, virtual-budget-based escalation with no
-   wall clock. A later definitive answer retires the entry. *)
-let with_meter t ?retry_key body =
+(* Every query runs under the same budget, and an [Unknown] answer is
+   final: reissuing the query spends the same allowance again, as KLEE
+   does after an STP timeout. *)
+let with_meter t body =
   t.st.queries <- t.st.queries + 1;
-  let key = lazy (match retry_key with Some f -> Some (f ()) | None -> None) in
-  let limit =
-    if Hashtbl.length t.retryable = 0 then t.budget
-    else
-      match Lazy.force key with
-      | None -> t.budget
-      | Some k -> (
-        match Hashtbl.find_opt t.retryable k with
-        | None -> t.budget
-        | Some prev ->
-          t.st.retries <- t.st.retries + 1;
-          let escalated = Int.min t.retry_cap (2 * prev) in
-          if escalated > prev then begin
-            t.st.escalations <- t.st.escalations + 1;
-            Telemetry.observe t.tm_retry_budget escalated
-          end;
-          escalated)
-  in
-  let meter = Search_core.meter ~limit in
+  let meter = Search_core.meter ~limit:t.budget in
   let result = try body meter with Out_of_budget -> Unknown in
   (match result with
    | Sat _ -> t.st.sat <- t.st.sat + 1
    | Unsat -> t.st.unsat <- t.st.unsat + 1
    | Unknown -> t.st.unknown <- t.st.unknown + 1);
   Telemetry.observe t.tm_query_work meter.Search_core.spent;
-  (match result with
-   | Unknown -> (
-     match Lazy.force key with
-     | Some k ->
-       if Hashtbl.length t.retryable > 65_536 then Hashtbl.reset t.retryable;
-       Hashtbl.replace t.retryable k limit
-     | None -> ())
-   | Sat _ | Unsat ->
-     if Hashtbl.length t.retryable > 0 then (
-       match Lazy.force key with
-       | Some k when Hashtbl.mem t.retryable k ->
-         Hashtbl.remove t.retryable k;
-         t.st.retry_resolved <- t.st.retry_resolved + 1
-       | Some _ | None -> ()));
   t.st.work <- t.st.work + meter.Search_core.spent;
   (result, meter.Search_core.spent)
 
 let check_assuming t ?(hint = Model.empty) ?on_unsat_core ~path extra =
-  (* the key identifies the query by its [extra] constraints only: cheap
-     to compute on the hot path, and a collision across states merely
-     shares the (harmless) budget escalation for that branch *)
-  with_meter t ~retry_key:(fun () -> Simplify.cache_key extra) (fun meter ->
+  with_meter t (fun meter ->
       match Simplify.partition_constants extra with
       | Error () -> Unsat
       | Ok extra ->
@@ -208,7 +155,7 @@ let check_assuming t ?(hint = Model.empty) ?on_unsat_core ~path extra =
           t.st.prefix_builds <- t.st.prefix_builds + o.Prefix_ctx.built;
           t.st.prefix_evictions <- Prefix_ctx.evictions t.prefixes;
           (* charged after the contexts are cached: if the charge
-             exhausts the budget, the retry hits instead of rebuilding *)
+             exhausts the budget, a reissue hits instead of rebuilding *)
           Search_core.spend meter o.Prefix_ctx.cost;
           (* the prefix's last witness satisfies the whole path; reuse it
              when it also covers the new constraints *)

@@ -17,12 +17,8 @@
     [Unknown] means the work budget ran out. Each call reports the work
     it performed so the engine can charge virtual time for solver effort.
 
-    [Unknown] answers are additionally cached as {e retryable} with the
-    budget they failed at: re-issuing the same query retries with twice
-    that budget, doubling on each failure up to [retry_cap]. The
-    escalation is deterministic (work units, no wall clock), so hard
-    queries near phase boundaries eventually resolve instead of silently
-    truncating exploration.
+    An [Unknown] answer is final, as an STP timeout is for KLEE:
+    re-issuing the same query runs under the same budget again.
 
     [check_assuming] additionally solves {e incrementally} against the
     path prefix ({!Prefix_ctx}): the path is indexed once per distinct
@@ -49,9 +45,6 @@ type stats = {
   mutable prefix_model_hits : int; (* queries answered by a prefix's cached model *)
   mutable search_nodes : int;
   mutable work : int; (* total work units across all queries *)
-  mutable retries : int; (* re-issues of a previously Unknown query *)
-  mutable escalations : int; (* retries that ran with a raised budget *)
-  mutable retry_resolved : int; (* retryable queries later answered *)
   mutable prefix_evictions : int; (* prefix contexts dropped by the LRU bound *)
 }
 
@@ -59,17 +52,14 @@ type t
 
 val create :
   ?budget:int ->
-  ?retry_cap:int ->
   ?prefix_cap:int ->
   ?registry:Pbse_telemetry.Telemetry.Registry.t ->
   unit ->
   t
-(** [budget] is the work allowance per query (default 60_000).
-    [retry_cap] bounds the escalating retry budget (default
-    [8 * budget]; clamped to at least [budget]). [prefix_cap] bounds the
-    prefix-context LRU ({!Prefix_ctx.create}). [registry] owns the
-    solver's telemetry instruments (default: a fresh private registry,
-    disabled). *)
+(** [budget] is the work allowance of every query (default 60_000).
+    [prefix_cap] bounds the prefix-context LRU ({!Prefix_ctx.create}).
+    [registry] owns the solver's telemetry instruments (default: a fresh
+    private registry, disabled). *)
 
 val stats : t -> stats
 

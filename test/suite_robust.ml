@@ -1,5 +1,5 @@
-(* Robustness pipeline tests: fault-injection plans, solver retry
-   escalation, quarantine, and crash-freedom of the supervised driver
+(* Robustness pipeline tests: fault-injection plans, final solver
+   Unknown answers, quarantine, and crash-freedom of the supervised driver
    under injected faults (docs/robustness.md). *)
 
 module Driver = Pbse.Driver
@@ -173,85 +173,35 @@ let test_inject_concolic_channel () =
     (draw "seed=11,solver=0.3,abort=0.2,mem=0.1"
     = draw "seed=11,solver=0.3,abort=0.2,mem=0.1,concolic=0.9")
 
-(* --- solver retry escalation ---------------------------------------------- *)
+(* --- an Unknown answer is final ---------------------------------------- *)
 
-(* A satisfiable sum-of-bytes equality: hopeless under a 10-unit budget,
-   solvable once escalation grows the allowance a few doublings later. *)
+(* A satisfiable sum-of-bytes equality, hopeless under a small budget. *)
 let hard_query () =
   let rec sum i acc =
     if i >= 8 then acc else sum (i + 1) (Expr.bin T.Add acc (Expr.read i))
   in
   [ Expr.bin T.Eq (sum 1 (Expr.read 0)) (Expr.const 900L) ]
 
-let test_solver_retry_escalates_to_sat () =
-  (* budget 30 admits the per-query expression walk (so cache hits can
-     answer) but is hopeless for the actual search *)
-  let solver = Solver.create ~budget:30 ~retry_cap:1_000_000 () in
+let test_solver_unknown_is_final () =
+  (* budget 100 admits the per-query expression walk but is hopeless for
+     the search. Every reissue runs under that same budget: none resolves,
+     and none spends more than the budget plus the one charge that
+     overran it (no charge for this 17-node constraint exceeds 17) *)
+  let budget = 100 in
+  let solver = Solver.create ~budget () in
   let q = hard_query () in
-  (match Solver.check_assuming solver ~path:[] q with
-   | Solver.Unknown, _ -> ()
-   | _ -> Alcotest.fail "expected unknown on first attempt");
-  let rec retry n =
-    if n > 40 then Alcotest.fail "never resolved under escalation"
-    else
-      match Solver.check_assuming solver ~path:[] q with
-      | Solver.Sat model, _ ->
-        let sum = ref 0 in
-        for i = 0 to 7 do
-          sum := !sum + Pbse_smt.Model.get model i
-        done;
-        Alcotest.(check int) "model satisfies query" 900 !sum;
-        n
-      | Solver.Unknown, _ -> retry (n + 1)
-      | Solver.Unsat, _ -> Alcotest.fail "query is satisfiable"
-  in
-  let attempts = retry 1 in
-  let st = Solver.stats solver in
-  Alcotest.(check bool) "took a few doublings" true (attempts >= 3);
-  Alcotest.(check int) "every reissue counted" attempts st.Solver.retries;
-  Alcotest.(check bool) "budgets escalated" true (st.Solver.escalations >= 3);
-  Alcotest.(check int) "resolution retired the entry" 1 st.Solver.retry_resolved;
-  (* once resolved the escalation record is gone: a fresh identical query
-     is not a retry. It cannot reach the query cache at the base budget,
-     though: check_assuming walks its 17 nodes twice (the hint probe,
-     then the empty path's cached witness) before any group lookup, and
-     34 units overrun 30, so the answer is Unknown *)
-  (match Solver.check_assuming solver ~path:[] q with
-   | Solver.Unknown, _ -> ()
-   | _ -> Alcotest.fail "expected unknown: two walks overrun the base budget");
-  Alcotest.(check int) "no further retries" attempts (Solver.stats solver).Solver.retries
-
-let test_solver_retry_cap_bounds_escalation () =
-  (* cap at 4x budget: 10 -> 20 -> 40, then the limit stays pinned *)
-  let solver = Solver.create ~budget:10 ~retry_cap:40 () in
-  let q = hard_query () in
-  for _ = 1 to 10 do
+  for attempt = 1 to 12 do
     match Solver.check_assuming solver ~path:[] q with
     | Solver.Unknown, work ->
-      Alcotest.(check bool) "work bounded by cap" true (work <= 40 + 64)
-    | _ -> Alcotest.fail "must stay unknown below the cap"
+      Alcotest.(check bool)
+        (Printf.sprintf "attempt %d spends at most the base budget (%d)" attempt work)
+        true
+        (work <= budget + 17)
+    | (Solver.Sat _ | Solver.Unsat), _ ->
+      Alcotest.failf "attempt %d: an Unknown query must stay Unknown" attempt
   done;
   let st = Solver.stats solver in
-  Alcotest.(check int) "reissues counted" 9 st.Solver.retries;
-  Alcotest.(check int) "escalations stop at the cap" 2 st.Solver.escalations;
-  Alcotest.(check int) "nothing resolved" 0 st.Solver.retry_resolved
-
-let test_solver_retry_deterministic () =
-  let run () =
-    let solver = Solver.create ~budget:10 ~retry_cap:1_000_000 () in
-    let q = hard_query () in
-    let rec retry n =
-      if n > 40 then n
-      else
-        match Solver.check_assuming solver ~path:[] q with
-        | Solver.Sat _, _ -> n
-        | _, _ -> retry (n + 1)
-    in
-    let attempts = retry 1 in
-    let st = Solver.stats solver in
-    (attempts, st.Solver.retries, st.Solver.escalations, st.Solver.work)
-  in
-  Alcotest.(check bool) "identical escalation trajectory" true (run () = run ())
+  Alcotest.(check int) "every attempt answered Unknown" 12 st.Solver.unknown
 
 (* --- driver under injection ------------------------------------------------ *)
 
@@ -367,12 +317,7 @@ let suite =
     Alcotest.test_case "inject zero rate never fires" `Quick
       test_inject_zero_rate_never_fires;
     Alcotest.test_case "inject concolic channel" `Quick test_inject_concolic_channel;
-    Alcotest.test_case "solver retry escalates to sat" `Quick
-      test_solver_retry_escalates_to_sat;
-    Alcotest.test_case "solver retry cap bounds escalation" `Quick
-      test_solver_retry_cap_bounds_escalation;
-    Alcotest.test_case "solver retry deterministic" `Quick
-      test_solver_retry_deterministic;
+    Alcotest.test_case "solver unknown is final" `Quick test_solver_unknown_is_final;
     Alcotest.test_case "driver quarantines under total solver failure" `Quick
       test_driver_quarantines_under_total_solver_failure;
     Alcotest.test_case "driver contains concolic drops" `Quick

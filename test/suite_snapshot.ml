@@ -348,7 +348,7 @@ let golden_config () =
     |> with_robust (fun r -> { r with inject; watchdog_factor = 1 }))
 
 let golden_snapshot_digest = "1a6d5ab04a33c0245529f4d5200bf2f7"
-let golden_report_digest = "a93a4d01a6656092725652c693be16bb"
+let golden_report_digest = "3eb5366bbb8fb3d87a751846d9fbe515"
 
 let test_golden_pool_bytes () =
   let config = golden_config () in
@@ -447,10 +447,10 @@ let test_watchdog_flags_overrunning_turns () =
     in
     Alcotest.(check bool) "struck seeds reported" true (struck > 0)
 
-let test_resume_pool_shape_mismatch_degrades () =
-  (* a snapshot for a different seed pool must not crash the resume: it
-     restarts fresh with a Resume_mismatch on the record *)
-  let path = Filename.temp_file "pbse_shape" ".json" in
+(* The mini pool's round-robin campaign halted at its first barrier,
+   and the checkpoint file it wrote. *)
+let halted_mini_snapshot name =
+  let path = Filename.temp_file name ".json" in
   let ck =
     Driver.checkpoint ~meta:[ ("target", "mini") ] ~halt_after:1 ~path ~every:1 ()
   in
@@ -458,11 +458,22 @@ let test_resume_pool_shape_mismatch_degrades () =
     Driver.run_pool ~scheduler:"round-robin" ~checkpoint:ck (mini_program ())
       ~seeds:(pool_seeds ()) ~deadline:150_000
   in
-  let sn =
-    match Driver.load_snapshot ~path with
-    | Error e -> Alcotest.fail e
-    | Ok (sn, _) -> sn
-  in
+  match Driver.load_snapshot ~path with
+  | Error e -> Alcotest.fail e
+  | Ok (sn, _) -> (sn, path)
+
+(* [sn] saved with a valid checksum and read back, as a resume reads it *)
+let rewritten ~path sn =
+  save ~path sn;
+  match Driver.load_snapshot ~path with
+  | Ok (sn, None) -> sn
+  | Ok (_, Some why) -> Alcotest.fail ("unexpected fallback: " ^ why)
+  | Error e -> Alcotest.fail e
+
+let test_resume_pool_shape_mismatch_degrades () =
+  (* a snapshot for a different seed pool must not crash the resume: it
+     restarts fresh with a Resume_mismatch on the record *)
+  let sn, path = halted_mini_snapshot "pbse_shape" in
   let resume_degrades what ~seeds sn =
     match Driver.resume_pool sn (mini_program ()) ~seeds with
     | Error e -> Alcotest.fail e
@@ -471,19 +482,26 @@ let test_resume_pool_shape_mismatch_degrades () =
         (Fault.count pool.Driver.pool_faults Fault.Resume_mismatch > 0);
       pool
   in
-  let pool = resume_degrades "pool shape" ~seeds:[ Bytes.of_string "XX" ] sn in
+  let other_pool = [ Bytes.of_string "XX" ] in
+  let pool = resume_degrades "pool shape" ~seeds:other_pool sn in
   Alcotest.(check int) "campaign ran fresh over the new pool" 1
     (List.length pool.Driver.seed_rows);
+  (* the fresh start takes nothing from the rejected snapshot, the
+     scheduler's counters included *)
+  let fresh =
+    Driver.run_pool ~scheduler:"round-robin" (mini_program ()) ~seeds:other_pool
+      ~deadline:150_000
+  in
+  List.iter
+    (fun key ->
+      Alcotest.(check int) ("fresh start's " ^ key)
+        (Report.metric (Driver.pool_run_report fresh) key)
+        (Report.metric (Driver.pool_run_report pool) key))
+    [ "pool.turns"; "pool.rotations" ];
   (* slot numbers are untrusted input: a well-formed, correctly
      checksummed snapshot naming a slot outside the pool degrades the
      same way instead of indexing out of bounds *)
-  let rewritten sn =
-    save ~path sn;
-    match Driver.load_snapshot ~path with
-    | Ok (sn, None) -> sn
-    | Ok (_, Some why) -> Alcotest.fail ("unexpected fallback: " ^ why)
-    | Error e -> Alcotest.fail e
-  in
+  let rewritten = rewritten ~path in
   let seeds = pool_seeds () in
   ignore
     (resume_degrades "opened slot 99" ~seeds
@@ -497,6 +515,20 @@ let test_resume_pool_shape_mismatch_degrades () =
               sn.Snapshot.sn_bugs
               @ [ { Snapshot.br_slot = 99; br_gid = 1; br_kind = "div-by-zero" } ];
           }))
+
+let test_resume_repeated_ordinal_is_mismatch () =
+  (* an opened ordinal listed twice is replayed once, with one mismatch
+     on record, instead of summing that seed's run twice *)
+  let sn, path = halted_mini_snapshot "pbse_repeat" in
+  Alcotest.(check (list int)) "every seed opened in round 1" [ 1; 2; 3 ]
+    sn.Snapshot.sn_opened;
+  let repeated = rewritten ~path { sn with Snapshot.sn_opened = [ 1; 2; 3; 1 ] } in
+  match Driver.resume_pool repeated (mini_program ()) ~seeds:(pool_seeds ()) with
+  | Error e -> Alcotest.fail e
+  | Ok pool ->
+    Alcotest.(check int) "one run per seed" 3 (List.length pool.Driver.runs);
+    Alcotest.(check int) "the repeat is one mismatch" 1
+      (Fault.count pool.Driver.pool_faults Fault.Resume_mismatch)
 
 let test_resume_rejects_bad_config () =
   (* snapshot meta is untrusted input: with a valid checksum, a config
@@ -693,6 +725,8 @@ let suite =
       test_watchdog_flags_overrunning_turns;
     Alcotest.test_case "resume pool-shape mismatch degrades" `Quick
       test_resume_pool_shape_mismatch_degrades;
+    Alcotest.test_case "resume repeated opened ordinal is a mismatch" `Quick
+      test_resume_repeated_ordinal_is_mismatch;
     Alcotest.test_case "injected snapshot corruption detected" `Quick
       test_injected_snapshot_corruption_is_detected;
     Alcotest.test_case "config kvs roundtrip" `Quick test_config_kvs_roundtrip;

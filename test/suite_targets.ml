@@ -143,6 +143,29 @@ let test_buggy_seed_through_symbolic_engine () =
         t.Registry.buggy_seeds)
     Registry.all
 
+(* The paper's Fig 5 case study: from the benign small seed, pbSE reaches
+   tiff2rgba's CIELab read (the put_cielab oob-read) within 10
+   paper-hours of 120 000 units. bench/main.exe claims checks the same
+   at full budget, with KLEE's miss beside it. *)
+let test_fig5_cielab_read_from_benign_seed () =
+  let t = Option.get (Registry.by_name "tiff2rgba") in
+  let report =
+    Pbse_session.Session.run (Registry.program t) ~seed:(Registry.seed t "small")
+      ~deadline:1_200_000
+  in
+  let cielab =
+    List.filter
+      (fun ((b : Pbse_exec.Bug.t), _) ->
+        b.Pbse_exec.Bug.kind = "oob-read"
+        && String.starts_with ~prefix:"put_cielab/" b.Pbse_exec.Bug.location)
+      report.Pbse.Driver.bugs
+  in
+  match cielab with
+  | [] -> Alcotest.fail "pbSE missed the CIELab read within 10h"
+  | (bug, phase) :: _ ->
+    Alcotest.(check bool) "witness confirmed by replay" true bug.Pbse_exec.Bug.confirmed;
+    Alcotest.(check bool) "found past the first phase" true (phase > 1)
+
 let test_sources_carry_bug_annotations () =
   List.iter
     (fun t ->
@@ -239,6 +262,8 @@ let suite =
     Alcotest.test_case "seed pools sized" `Quick test_seed_pools_have_sizes;
     Alcotest.test_case "buggy seeds through engine" `Quick
       test_buggy_seed_through_symbolic_engine;
+    Alcotest.test_case "fig5 cielab read from benign seed" `Slow
+      test_fig5_cielab_read_from_benign_seed;
     Alcotest.test_case "sources annotate bugs" `Quick test_sources_carry_bug_annotations;
     Alcotest.test_case "prelude uleb" `Quick test_prelude_uleb;
     Alcotest.test_case "bug to_string" `Quick test_bug_to_string_mentions_fields;
