@@ -59,7 +59,7 @@ let target name =
 let heading title =
   Printf.printf "\n=== %s ===\n%!" title
 
-(* --- per-run telemetry rows (results/runs.csv) --------------------------------- *)
+(* --- per-run telemetry rows (results/runs*.csv) -------------------------------- *)
 
 (* Every pbSE driver run performed by the harness contributes one CSV row
    of solver/fault/phase telemetry, harvested through the same
@@ -155,12 +155,23 @@ let note_pool_run ?(jobs = 1) ?(lease = 1) ?(wall_ms = 0) ?(speedup_pct = 0)
   in
   run_rows := row :: !run_rows
 
-let flush_runs ?(file = "runs.csv") () =
+let subcommand = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all"
+
+(* The checked-in results/runs.csv holds the paper experiments' rows, so
+   only [claims] and [all] write it; every other subcommand writes
+   results/runs_<subcommand>.csv and leaves that record alone. *)
+let runs_file =
+  match subcommand with
+  | "claims" | "all" -> "runs.csv"
+  | other -> Printf.sprintf "runs_%s.csv" other
+
+let flush_runs () =
   match !run_rows with
   | [] -> ()
   | rows ->
-    write_file file (String.concat "\n" (run_csv_header :: List.rev rows) ^ "\n");
-    Printf.printf "per-run telemetry: %d row(s) -> results/%s\n%!" (List.length rows) file;
+    write_file runs_file (String.concat "\n" (run_csv_header :: List.rev rows) ^ "\n");
+    Printf.printf "per-run telemetry: %d row(s) -> results/%s\n%!" (List.length rows)
+      runs_file;
     run_rows := []
 
 (* --- Table I ----------------------------------------------------------------- *)
@@ -841,7 +852,7 @@ let kernels () =
 
 (* Seed-level scheduling policies compared on one multi-seed target: the
    whole benign pool under the same deadline, one campaign per policy.
-   The acceptance bar (results/runs.csv rows, suite "pool") is that
+   The acceptance bar (results/runs_pool.csv rows, suite "pool") is that
    coverage-greedy reaches merged coverage at least equal to the paper's
    equal-split smallest-first pass. *)
 let pool_bench () =
@@ -1090,8 +1101,8 @@ let pool_jobs_bench ?(lease = 1) () =
    halts the campaign at a round barrier), the latest snapshot is loaded
    back and resumed, and the resumed pool report must be byte-identical
    to an uninterrupted run of the same campaign (docs/robustness.md).
-   The runs.csv row carries the serialisation cost (snapshot_ms) and the
-   resume count. *)
+   The results/runs_crash-resume.csv row carries the serialisation cost
+   (snapshot_ms) and the resume count. *)
 let crash_resume_bench ?(jobs = 2) ?(lease = 2) () =
   heading "Crash-resume: checkpoint every turn, kill at a barrier, resume, compare";
   let t = target "dwarfdump" in
@@ -1488,7 +1499,7 @@ let claims () =
 (* --- Smoke (CI) ----------------------------------------------------------------- *)
 
 (* One tiny end-to-end run with telemetry enabled; used by the CI
-   bench-smoke job, which checks results/runs.csv and
+   bench-smoke job, which checks results/runs_smoke.csv and
    results/smoke_report.json for the telemetry columns. *)
 let smoke ?(jobs = 1) () =
   heading "Smoke: one tiny telemetry-instrumented run (CI artifact)";
@@ -1583,7 +1594,6 @@ let smoke ?(jobs = 1) () =
 (* --- main ------------------------------------------------------------------------ *)
 
 let () =
-  let what = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
   (* two flags, shared by the subcommands that campaign: --jobs N and
      --lease K *)
   let flag name default =
@@ -1598,7 +1608,7 @@ let () =
   let jobs = flag "--jobs" 1 in
   let lease = flag "--lease" 1 in
   Printf.printf "pbSE benchmark harness: 1h = %d virtual time units (PBSE_HOUR)\n" hour;
-  (match what with
+  (match subcommand with
    | "table1" -> ignore (table1 ())
    | "table2" -> ignore (table2 ())
    | "table3" -> ignore (table3 ())

@@ -70,7 +70,7 @@ let run_rounds ?(on_round = fun _ -> ()) ?(after_round = fun () -> true) ?(lease
           round_wrap (fun () ->
           on_round (List.length runnable);
           let results =
-            Domain_pool.run pool ~jobs:(jobs ())
+            Domain_pool.run pool ~jobs
               ~home:(fun (slot, _, _) -> slot.Seed_slot.ordinal - 1)
               (fun (slot, budget, turns) ->
                 (* sub-turns step the same session: strictly in order *)

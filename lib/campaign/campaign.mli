@@ -25,7 +25,7 @@ val run_rounds :
   pool:Domain_pool.t ->
   sched:Pool_scheduler.t ->
   deadline:int ->
-  jobs:(unit -> int) ->
+  jobs:int ->
   run:(Seed_slot.t -> budget:int -> 'r) ->
   merge:(Seed_slot.t -> budget:int -> 'r -> outcome) ->
   unit ->
@@ -65,13 +65,10 @@ val run_rounds :
     domain. [on_round] fires before each executed round with the number
     of runnable leases in it.
 
-    [pool] is the campaign's worker pool; the caller owns it. [jobs] is
-    consulted once per round, so a caller may narrow the pool width
-    mid-campaign (graceful degradation) — the width is invisible to
-    plans and merges, so reports are unaffected. [after_round] fires
-    after each executed round's merges; returning [false] stops the
-    campaign at that barrier (checkpoint-and-halt), leaving all slot
-    state consistent for a later resume.
+    [pool] is the campaign's worker pool; the caller owns it.
+    [after_round] fires after each executed round's merges; returning
+    [false] stops the campaign at that barrier (checkpoint-and-halt),
+    leaving all slot state consistent for a later resume.
 
     [round_wrap] (default [fun f -> f ()]) brackets each executed round,
     from dispatch through the last merge — a server multiplexing several

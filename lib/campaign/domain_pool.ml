@@ -161,8 +161,8 @@ let run t ~jobs ~home f xs =
     let results = Array.make n Pending in
     let active = max 1 (min (min jobs t.width) n) in
     if active <= 1 then begin
-      (* degraded or sequential round: run inline, spawned workers (if
-         any) sleep through it — the epoch never advances *)
+      (* a sequential round: run inline, spawned workers (if any)
+         sleep through it — the epoch never advances *)
       for i = 0 to n - 1 do
         run_task f tasks results i
       done;

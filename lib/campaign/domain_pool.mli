@@ -33,15 +33,14 @@ val create : jobs:int -> t
 val run : t -> jobs:int -> home:('a -> int) -> ('a -> 'b) -> 'a list -> 'b list
 (** [run t ~jobs ~home f xs] applies [f] to every element of [xs] on the
     pool's workers and returns the results in input order. At most
-    [jobs] of the pool's workers participate (so a caller may narrow the
-    width per round — graceful degradation — without re-spawning);
-    [jobs <= 1] runs inline on the calling domain. Each element is
-    queued on worker [home x mod active]: tasks sharing a home key run
-    on the same worker, in input order, unless another worker runs dry
-    and steals them. If any application raises, the round still
-    completes on every worker and then the exception of the earliest
-    failing input is re-raised with its backtrace; the pool remains
-    usable. Not reentrant: one [run] at a time per pool. *)
+    [jobs] of the pool's workers participate; [jobs <= 1] runs inline on
+    the calling domain. Each element is queued on worker
+    [home x mod active]: tasks sharing a home key run on the same
+    worker, in input order, unless another worker runs dry and steals
+    them. If any application raises, the round still completes on every
+    worker and then the exception of the earliest failing input is
+    re-raised with its backtrace; the pool remains usable. Not
+    reentrant: one [run] at a time per pool. *)
 
 val pinned : t -> int
 (** Tasks executed by their home worker since {!create} (reported as

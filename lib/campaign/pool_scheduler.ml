@@ -14,8 +14,6 @@ type t = {
   plan : remaining:int -> turn list;
   credit : Seed_slot.t -> unit;
   retire : Seed_slot.t -> unit;
-  drained : unit -> bool;
-  active : unit -> Seed_slot.t list;
   stats : stats;
   state : unit -> (string * int) list;
   restore_state : (string * int) list -> unit;
@@ -78,8 +76,6 @@ let smallest_first ~time_period:_ slot_list =
       (fun s ->
         note_retirement stats;
         array_remove slots s);
-    drained = (fun () -> Array.length !slots = 0);
-    active = (fun () -> Array.to_list !slots);
     stats;
     state = fst no_state;
     restore_state = snd no_state;
@@ -124,8 +120,6 @@ let round_robin ~time_period slot_list =
         note_retirement stats;
         array_remove slots s;
         wrap ());
-    drained = (fun () -> Array.length !slots = 0);
-    active = (fun () -> Array.to_list !slots);
     stats;
     state = (fun () -> [ ("pos", !pos) ]);
     restore_state =
@@ -168,8 +162,6 @@ let coverage_greedy ~time_period slot_list =
       (fun s ->
         note_retirement stats;
         array_remove slots s);
-    drained = (fun () -> Array.length !slots = 0);
-    active = (fun () -> Array.to_list !slots);
     stats;
     state = fst no_state;
     restore_state = snd no_state;

@@ -34,9 +34,6 @@ type t = {
           [smallest-first] the seed's single share is spent, so credit
           also retires it). *)
   retire : Seed_slot.t -> unit;  (** Remove the seed from the rotation. *)
-  drained : unit -> bool;  (** No slots left to schedule. *)
-  active : unit -> Seed_slot.t list;
-      (** Slots still schedulable, in policy order. *)
   stats : stats;
   state : unit -> (string * int) list;
       (** Policy-internal position beyond [stats] and the live-slot set

@@ -6,7 +6,7 @@ type turn_event =
       deadline : int;
       budget : int;
     }
-  | Crash of string
+  | Crash
 
 type slot_state = {
   sl_ordinal : int;
@@ -22,7 +22,6 @@ type slot_state = {
   sl_retired : bool;
   sl_clock : int;
   sl_coverage : int;
-  sl_prefix_cap : int;
   sl_crash_draws : int;
   sl_events : turn_event list;
 }
@@ -42,7 +41,6 @@ type t = {
   sn_merge_blocks : int;
   sn_merge_bugs : int;
   sn_checkpoints : int;
-  sn_degrade_faults : int;
   sn_sched_turns : int;
   sn_sched_rotations : int;
   sn_sched_retirements : int;
@@ -60,7 +58,7 @@ let schema = "pbse-snapshot/1"
 let event_to_json = function
   | Step { deadline; budget } ->
     Json.Obj [ ("d", Json.Int deadline); ("b", Json.Int budget) ]
-  | Crash detail -> Json.Obj [ ("crash", Json.Str detail) ]
+  | Crash -> Json.Obj [ ("crash", Json.Bool true) ]
 
 let slot_to_json s =
   Json.Obj
@@ -78,7 +76,6 @@ let slot_to_json s =
       ("retired", Json.Bool s.sl_retired);
       ("clock", Json.Int s.sl_clock);
       ("coverage", Json.Int s.sl_coverage);
-      ("prefix_cap", Json.Int s.sl_prefix_cap);
       ("crash_draws", Json.Int s.sl_crash_draws);
       ("events", Json.List (List.map event_to_json s.sl_events));
     ]
@@ -104,7 +101,6 @@ let payload_to_json t =
       ("merge_blocks", Json.Int t.sn_merge_blocks);
       ("merge_bugs", Json.Int t.sn_merge_bugs);
       ("checkpoints", Json.Int t.sn_checkpoints);
-      ("degrade_faults", Json.Int t.sn_degrade_faults);
       ( "sched",
         Json.Obj
           [
@@ -152,9 +148,11 @@ let get_list field json =
   | Some items -> items
   | None -> []
 
+(* any "crash" member marks a kill, whatever its value: older writers
+   stored a detail string there *)
 let event_of_json json =
-  match Option.bind (Json.member "crash" json) Json.to_str with
-  | Some detail -> Crash detail
+  match Json.member "crash" json with
+  | Some _ -> Crash
   | None -> Step { deadline = get_int "d" json; budget = get_int "b" json }
 
 let slot_of_json json =
@@ -172,7 +170,6 @@ let slot_of_json json =
     sl_retired = get_bool "retired" json;
     sl_clock = get_int "clock" json;
     sl_coverage = get_int "coverage" json;
-    sl_prefix_cap = get_int "prefix_cap" json;
     sl_crash_draws = get_int "crash_draws" json;
     sl_events = List.map event_of_json (get_list "events" json);
   }
@@ -206,7 +203,6 @@ let payload_of_json json =
     sn_merge_blocks = get_int "merge_blocks" json;
     sn_merge_bugs = get_int "merge_bugs" json;
     sn_checkpoints = get_int "checkpoints" json;
-    sn_degrade_faults = get_int "degrade_faults" json;
     sn_sched_turns = get_int "turns" sched;
     sn_sched_rotations = get_int "rotations" sched;
     sn_sched_retirements = get_int "retirements" sched;

@@ -3,13 +3,13 @@
     A snapshot is the durable record of a seed-pool campaign at a round
     barrier: slot counters and remaining budgets, each opened session's
     granted-turn history (the {e event ledger}), the merged-bug dedup
-    keys, scheduler position, pool fault counts and the
-    checkpoint/degradation bookkeeping. Engine state (searcher queues,
-    symbolic stores, expression arenas) is deliberately {e not}
-    serialised — the engine is deterministic in virtual time, so
-    [Pbse.Driver.resume_pool] reconstructs it by replaying each
-    session's ledger against the same seed, then verifies the replayed
-    clock and coverage against the values recorded here.
+    keys, scheduler position, pool fault counts and the checkpoint
+    count. Engine state (searcher queues, symbolic stores, expression
+    arenas) is deliberately {e not} serialised — the engine is
+    deterministic in virtual time, so [Pbse.Driver.resume_pool]
+    reconstructs it by replaying each session's ledger against the same
+    seed, then verifies the replayed clock and coverage against the
+    values recorded here.
 
     The on-disk form is a [pbse-snapshot/1] JSON document whose payload
     is guarded by an FNV-1a checksum; writes are atomic (tmp + rename)
@@ -22,7 +22,7 @@ type turn_event =
       deadline : int; (* the turn's virtual-clock deadline *)
       budget : int; (* the budget the scheduler granted *)
     }  (** a normally executed turn *)
-  | Crash of string  (** a turn killed at entry; the normalized detail *)
+  | Crash  (** a turn killed at entry *)
 
 type slot_state = {
   sl_ordinal : int;
@@ -38,7 +38,6 @@ type slot_state = {
   sl_retired : bool;
   sl_clock : int; (* session virtual time; replay must land here *)
   sl_coverage : int; (* session covered-block count; ditto *)
-  sl_prefix_cap : int; (* prefix cap at open time; -1 = unbounded *)
   sl_crash_draws : int; (* turn-crash channel draws to re-burn *)
   sl_events : turn_event list; (* granted turns, oldest first *)
 }
@@ -58,7 +57,6 @@ type t = {
   sn_merge_blocks : int;
   sn_merge_bugs : int;
   sn_checkpoints : int; (* checkpoints written (snapshot-channel draws) *)
-  sn_degrade_faults : int; (* pool-level faults driving degradation *)
   sn_sched_turns : int;
   sn_sched_rotations : int;
   sn_sched_retirements : int;
@@ -81,6 +79,10 @@ type error = Pbse_telemetry.Checked_file.error =
 val error_message : error -> string
 
 val of_string : string -> (t, error) result
+(** Decode and validate a document. Members the payload does not name
+    are ignored, so documents that still carry what an older writer
+    stored (each slot's prefix cap, the pool's fault score, a crash
+    event's detail string) load too. *)
 
 val load : path:string -> (t, error) result
 (** Read and validate [path]; I/O errors surface as [Corrupt]. *)

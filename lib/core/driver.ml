@@ -148,9 +148,8 @@ let campaign_fingerprint ?(config = Session.default_config)
    snapshot never stored. A clean kill-and-resume therefore yields a
    pool report byte-identical to the uninterrupted run. Watchdogged
    turns (spent > factor x budget), injected turn kills and contained
-   turn exceptions all strike their seed toward forced retirement and
-   step the effective [--jobs] and prefix cap down (graceful
-   degradation) without ever aborting the campaign.
+   turn exceptions all strike their seed toward forced retirement
+   without ever aborting the campaign.
 
    The loop is a sequence of named steps over one [state]: [create],
    [apply_resume] (which runs [replay_slot] per opened session),
@@ -158,9 +157,8 @@ let campaign_fingerprint ?(config = Session.default_config)
    the workers and [merge_turn] and [after_round] (hence
    [write_checkpoint]) at each barrier, and [finish]. *)
 
-(* Pool-level faults per graceful-degradation step, and watchdog or
-   crash strikes before a seed is force-retired (docs/robustness.md). *)
-let degrade_after = 4
+(* Watchdog or crash strikes before a seed is force-retired
+   (docs/robustness.md). *)
 let watchdog_strikes = 3
 
 type state = {
@@ -191,12 +189,10 @@ type state = {
      checkpoint write, on the coordinating domain. *)
   crash_injects : Inject.t array;
   pool_inject : Inject.t;
-  (* Durability records: RNG draws to re-burn on resume, the
-     granted-turn ledger (newest first) and the prefix cap each session
-     opened under (-1 = not opened). *)
+  (* Durability records: RNG draws to re-burn on resume and the
+     granted-turn ledger (newest first). *)
   crash_draws : int array;
   turn_events : Snapshot.turn_event list array;
-  opened_caps : int array;
   merged : (int, unit) Hashtbl.t; (* the coverage union's block ids *)
   bug_keys : (int * string, unit) Hashtbl.t;
   mutable merged_bugs : (Bug.t * int) list; (* newest first *)
@@ -209,8 +205,6 @@ type state = {
   mutable spent : int; (* virtual time consumed, resumed part included *)
   mutable turns_since_ck : int;
   mutable checkpoints_written : int;
-  (* every watchdog strike, crashed turn or pool-level fault *)
-  mutable degrade_faults : int;
   (* diagnostic baselines; the report carries deltas *)
   steals0 : int;
   pinned0 : int;
@@ -292,7 +286,6 @@ let create ~config ~scheduler ?runtime ~jobs ~lease ?checkpoint ?pool ?share pro
     pool_inject = Inject.create plan;
     crash_draws = Array.make (nslots + 1) 0;
     turn_events = Array.make (nslots + 1) [];
-    opened_caps = Array.make (nslots + 1) (-1);
     merged = Hashtbl.create 1024;
     bug_keys = Hashtbl.create 32;
     merged_bugs = [];
@@ -305,7 +298,6 @@ let create ~config ~scheduler ?runtime ~jobs ~lease ?checkpoint ?pool ?share pro
     spent = 0;
     turns_since_ck = 0;
     checkpoints_written = 0;
-    degrade_faults = 0;
     steals0 = Domain_pool.steals pool;
     pinned0 = Domain_pool.pinned pool;
     id_refills0 = Expr.id_block_refills ();
@@ -319,32 +311,15 @@ let release t () = if t.own_pool then Domain_pool.shutdown t.pool
 let in_range t ordinal = ordinal >= 1 && ordinal < Array.length t.sessions
 let session_at t ordinal = if in_range t ordinal then t.sessions.(ordinal) else None
 
-(* A fault on the pool's own record, counted toward degradation. *)
-let pool_fault t kind =
-  Fault.record t.pool_faults kind;
-  t.degrade_faults <- t.degrade_faults + 1
-
-(* Graceful degradation: each [degrade_after] faults halve the
-   domain-pool width and the prefix cap recorded for sessions opened
-   afterwards. Neither knob is visible to plans or merges, so reports are
-   unaffected. *)
-let degrade_steps t = t.degrade_faults / degrade_after
-let eff_jobs t () = max 1 (t.jobs asr degrade_steps t)
-let eff_prefix_cap t =
-  max 16 (t.config.Session.solver.Session.prefix_cap asr degrade_steps t)
-
 (* Open [slot]'s session under a private runtime — a fresh registry,
    enabled exactly when the pool's is, the RNG reseeded from the config
    so every seed's run is reproducible in isolation, a fresh quarantine
-   and arena — carrying the prefix cap it opens under. [deadline] bounds
-   the concolic pass. *)
-let open_slot t (slot : Seed_slot.t) ~cap ~deadline =
+   and arena. [deadline] bounds the concolic pass. *)
+let open_slot t (slot : Seed_slot.t) ~deadline =
   let registry =
     Telemetry.Registry.create ~enabled:(Telemetry.Registry.enabled t.pool_registry) ()
   in
-  let rt =
-    { (Session.runtime_of_config ~registry t.config) with Runtime.prefix_cap = cap }
-  in
+  let rt = Session.runtime_of_config ~registry t.config in
   ( rt,
     Session.open_session ~config:t.config ~runtime:rt ?share:t.share t.prog
       ~seed:slot.Seed_slot.seed ~deadline )
@@ -358,7 +333,7 @@ let open_slot t (slot : Seed_slot.t) ~cap ~deadline =
    True when the turn strikes its seed: a kill, a contained exception or
    an overrun. *)
 let run_event t s = function
-  | Snapshot.Crash _ ->
+  | Snapshot.Crash ->
     Session.record_crash s;
     true
   | Snapshot.Step { deadline; budget } ->
@@ -371,19 +346,14 @@ let run_event t s = function
       Fault.record (Executor.faults (Session.session_executor s)) Fault.Turn_timeout;
     overran || status = `Failed
 
-(* Re-execute one opened session's ledger from scratch: open under the
-   recorded prefix cap (a negative one, the old "unbounded" mark, under
-   the config's), then run exactly the recorded turns. Runs on a worker
-   domain (the session is slot-private). *)
+(* Re-execute one opened session's ledger from scratch: open it, then
+   run exactly the recorded turns. Runs on a worker domain (the session
+   is slot-private). *)
 let replay_slot t (slot : Seed_slot.t) (st : Snapshot.slot_state) =
   match st.Snapshot.sl_events with
-  | [] | Snapshot.Crash _ :: _ -> None (* the opening turn is always a Step *)
+  | [] | Snapshot.Crash :: _ -> None (* the opening turn is always a Step *)
   | Snapshot.Step { deadline; _ } :: _ as events ->
-    let cap =
-      if st.Snapshot.sl_prefix_cap >= 0 then st.Snapshot.sl_prefix_cap
-      else t.config.Session.solver.Session.prefix_cap
-    in
-    let rt, s = open_slot t slot ~cap ~deadline in
+    let rt, s = open_slot t slot ~deadline in
     List.iter (fun ev -> ignore (run_event t s ev)) events;
     Some (rt, s)
 
@@ -400,7 +370,7 @@ let apply_resume t ((sn : Snapshot.t), fallback) =
          sn.Snapshot.sn_slots t.slots
   in
   if not compatible then begin
-    pool_fault t Fault.Resume_mismatch;
+    Fault.record t.pool_faults Fault.Resume_mismatch;
     false
   end
   else begin
@@ -411,9 +381,8 @@ let apply_resume t ((sn : Snapshot.t), fallback) =
     t.merge_blocks <- sn.Snapshot.sn_merge_blocks;
     t.merge_bug_count <- sn.Snapshot.sn_merge_bugs;
     t.checkpoints_written <- sn.Snapshot.sn_checkpoints;
-    t.degrade_faults <- sn.Snapshot.sn_degrade_faults;
     (* the primary checkpoint was bad; we are running from [.bak] *)
-    if Option.is_some fallback then pool_fault t Fault.Snapshot_corrupt;
+    if Option.is_some fallback then Fault.record t.pool_faults Fault.Snapshot_corrupt;
     (* reposition the injection streams where the original left them *)
     for _ = 1 to sn.Snapshot.sn_checkpoints do
       ignore (Inject.fire_snapshot_corrupt t.pool_inject)
@@ -430,7 +399,6 @@ let apply_resume t ((sn : Snapshot.t), fallback) =
         slot.Seed_slot.strikes <- st.Snapshot.sl_strikes;
         slot.Seed_slot.timeouts <- st.Snapshot.sl_timeouts;
         slot.Seed_slot.retired <- st.Snapshot.sl_retired;
-        t.opened_caps.(ordinal) <- st.Snapshot.sl_prefix_cap;
         t.crash_draws.(ordinal) <- st.Snapshot.sl_crash_draws;
         t.turn_events.(ordinal) <- List.rev st.Snapshot.sl_events;
         for _ = 1 to st.Snapshot.sl_crash_draws do
@@ -451,12 +419,12 @@ let apply_resume t ((sn : Snapshot.t), fallback) =
            [] sn.Snapshot.sn_opened)
     in
     if List.compare_lengths opened sn.Snapshot.sn_opened <> 0 then
-      pool_fault t Fault.Resume_mismatch;
+      Fault.record t.pool_faults Fault.Resume_mismatch;
     (* replay opened sessions concurrently, like the turns they rerun —
        homed on their ordinal so each lands on its campaign-long home
        domain straight away *)
     let replayed =
-      Domain_pool.run t.pool ~jobs:(eff_jobs t ())
+      Domain_pool.run t.pool ~jobs:t.jobs
         ~home:(fun ordinal -> ordinal - 1)
         (fun ordinal ->
           match if in_range t ordinal then by_ordinal.(ordinal) else None with
@@ -467,7 +435,7 @@ let apply_resume t ((sn : Snapshot.t), fallback) =
     List.iter
       (fun (ordinal, result) ->
         match result with
-        | None -> pool_fault t Fault.Resume_mismatch
+        | None -> Fault.record t.pool_faults Fault.Resume_mismatch
         | Some (rt, s) ->
           t.sessions.(ordinal) <- Some (rt, s);
           t.opened <- slot_arr.(ordinal - 1) :: t.opened;
@@ -476,9 +444,9 @@ let apply_resume t ((sn : Snapshot.t), fallback) =
           let st = Option.get by_ordinal.(ordinal) in
           let coverage = Executor.coverage (Session.session_executor s) in
           if Session.session_time s <> st.Snapshot.sl_clock then
-            pool_fault t Fault.Resume_mismatch;
+            Fault.record t.pool_faults Fault.Resume_mismatch;
           if Coverage.count coverage <> st.Snapshot.sl_coverage then
-            pool_fault t Fault.Resume_mismatch;
+            Fault.record t.pool_faults Fault.Resume_mismatch;
           (* the merged coverage set is the union over the replayed
              sessions (membership is order-insensitive; the fresh-block
              counters were restored above, so later merges count against
@@ -508,7 +476,7 @@ let apply_resume t ((sn : Snapshot.t), fallback) =
             | None -> false)
           | None -> false
         in
-        if not reattached then pool_fault t Fault.Resume_mismatch)
+        if not reattached then Fault.record t.pool_faults Fault.Resume_mismatch)
       sn.Snapshot.sn_bugs;
     true
   end
@@ -545,12 +513,8 @@ let exec_turn t (slot : Seed_slot.t) ~budget =
       | Some ((_, s) as pair) -> (pair, Session.session_time s)
       | None ->
         (* first turn: the session's setup (concolic pass, phase
-           division, seeding) is charged against this turn's budget, and
-           it opens under the pool's current (possibly degraded) prefix
-           cap, recorded for replay *)
-        let cap = eff_prefix_cap t in
-        t.opened_caps.(ordinal) <- cap;
-        let pair = open_slot t slot ~cap ~deadline:budget in
+           division, seeding) is charged against this turn's budget *)
+        let pair = open_slot t slot ~deadline:budget in
         t.sessions.(ordinal) <- Some pair;
         (pair, 0)
     in
@@ -560,7 +524,7 @@ let exec_turn t (slot : Seed_slot.t) ~budget =
     (* injected kills ledger as a tick; everything else, real contained
        crashes included (they are deterministic), as a normal step *)
     let event =
-      if crashed then Snapshot.Crash "injected-crash"
+      if crashed then Snapshot.Crash
       else Snapshot.Step { deadline = start + budget; budget }
     in
     let struck = run_event t s event in
@@ -576,11 +540,8 @@ let exec_turn t (slot : Seed_slot.t) ~budget =
         struck;
       }
 
-(* One strike against [slot]: toward its forced retirement and toward
-   degradation. *)
-let strike t (slot : Seed_slot.t) =
-  slot.Seed_slot.timeouts <- slot.Seed_slot.timeouts + 1;
-  t.degrade_faults <- t.degrade_faults + 1
+(* One strike against [slot], toward its forced retirement. *)
+let strike (slot : Seed_slot.t) = slot.Seed_slot.timeouts <- slot.Seed_slot.timeouts + 1
 
 let merge_coverage t session =
   let fresh =
@@ -623,7 +584,7 @@ let merge_turn t (slot : Seed_slot.t) ~budget:_ tx =
          seed; this way it retries opening next round) and record the
          kill at pool level — there is no session to carry the fault *)
       Fault.record t.pool_faults Fault.Exec_exception;
-      strike t slot;
+      strike slot;
       (1, 0, false)
     | Ran r ->
       let ordinal = slot.Seed_slot.ordinal in
@@ -633,7 +594,7 @@ let merge_turn t (slot : Seed_slot.t) ~budget:_ tx =
       slot.Seed_slot.strikes <- slot.Seed_slot.strikes + r.strikes;
       harvest_bugs t slot r.session;
       let fresh = merge_coverage t r.session in
-      if r.struck then strike t slot;
+      if r.struck then strike slot;
       (r.stop - r.start, fresh, Session.session_drained r.session)
   in
   t.spent <- t.spent + spent;
@@ -670,7 +631,6 @@ let slot_state t (slot : Seed_slot.t) =
     sl_retired = slot.Seed_slot.retired;
     sl_clock = clock;
     sl_coverage = coverage;
-    sl_prefix_cap = t.opened_caps.(ordinal);
     sl_crash_draws = t.crash_draws.(ordinal);
     sl_events = List.rev t.turn_events.(ordinal);
   }
@@ -700,7 +660,6 @@ let write_checkpoint t (sched : Pool_scheduler.t) ck =
       (* count this write too: resume burns one snapshot-channel draw per
          write, including the one just below *)
       sn_checkpoints = t.checkpoints_written + 1;
-      sn_degrade_faults = t.degrade_faults;
       sn_sched_turns = stats.Pool_scheduler.turns;
       sn_sched_rotations = stats.Pool_scheduler.rotations;
       sn_sched_retirements = stats.Pool_scheduler.retirements;
@@ -807,13 +766,13 @@ let campaign ~resume ?(config = Session.default_config)
   in
   Fun.protect ~finally:(release t) @@ fun () ->
   let accepted = match resume with Some r -> apply_resume t r | None -> false in
-  List.iter (pool_fault t) preload_faults;
+  List.iter (Fault.record t.pool_faults) preload_faults;
   let sched = start_scheduler t (if accepted then resume else None) in
   (* [merge_turn] accumulates what the rounds spend into [t.spent] *)
   let _ : int =
     Campaign.run_rounds ~on_round:(on_round t) ~after_round:(after_round t sched)
       ~lease:t.lease ?round_wrap ~pool:t.pool ~sched ~deadline:(deadline - t.spent)
-      ~jobs:(eff_jobs t) ~run:(exec_turn t) ~merge:(merge_turn t) ()
+      ~jobs:t.jobs ~run:(exec_turn t) ~merge:(merge_turn t) ()
   in
   finish t sched
 

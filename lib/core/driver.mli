@@ -166,8 +166,8 @@ val run_pool :
     snapshot. A turn overrunning
     [watchdog_factor] x budget, an injected turn kill ([crash=R]) or a
     contained turn exception strikes its seed; 3 strikes force-retire
-    it. Every 4 accumulated faults halve the effective [jobs] without
-    aborting the campaign. [preload_faults] enters faults on the pool
+    it, and no fault aborts the campaign or narrows its [jobs] width.
+    [preload_faults] enters faults on the pool
     record before the first round — the CLI uses it when a campaign
     restarts fresh because every checkpoint was unusable.
 

@@ -514,7 +514,7 @@ let open_session ?(config = default_config) ?runtime ?share prog ~seed ~deadline
   let tm_phase_analysis = Telemetry.Registry.span registry "driver.phase_analysis" in
   let clock = Vclock.create () in
   let exec =
-    Executor.create ~solver_prefix_cap:config.solver.prefix_cap ~inject:rt.Runtime.inject
+    Executor.create ~solver_prefix_cap:rt.Runtime.prefix_cap ~inject:rt.Runtime.inject
       ~subsumption:config.pathcond.subsumption ~registry ~clock prog ~input:seed
   in
   (* prefix-context residue published by finished sessions: arena-free

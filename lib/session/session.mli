@@ -69,7 +69,9 @@ type solver_config = {
   prefix_cap : int; (* prefix-context LRU bound (Pbse_smt.Prefix_ctx) *)
 }
 (** The per-query work budget (60 000 units) is the solver's fixed
-    default ({!Pbse_smt.Solver.create}). *)
+    default ({!Pbse_smt.Solver.create}). [prefix_cap] reaches the solver
+    only through {!runtime_of_config}: a session's solver runs under its
+    runtime's [prefix_cap]. *)
 
 type robust_config = {
   max_strikes : int; (* faults a state survives before quarantine *)
@@ -80,8 +82,7 @@ type robust_config = {
 }
 (** Fault containment. Every bug witness is replay-confirmed through
     the concrete interpreter; a pool seed is force-retired after 3
-    watchdog or crash strikes, and every 4 pool-level faults halve the
-    effective [--jobs] (docs/robustness.md). *)
+    watchdog or crash strikes (docs/robustness.md). *)
 
 type pathcond_config = {
   subsumption : bool; (* block-boundary unsat-core subsumption cache *)
@@ -245,7 +246,8 @@ val open_session :
 (** Runs the concolic and phase-analysis steps (charged to the
     session's clock) and seeds the phase queues; [deadline] bounds the
     concolic pass only. [runtime] is the session's context — registry,
-    RNG, inject plan, quarantine, expression arena — and the steps run
+    RNG, inject plan, quarantine, expression arena, the solver's prefix
+    cap — and the steps run
     under {!Runtime.with_active}; omitted, it is
     [runtime_of_config config]. [share], consulted only when
     [config.search.share_seed_states] is on, drops seedStates whose

@@ -101,7 +101,7 @@ let test_pool_by_name_covers_names () =
 let run_campaign ~sched ~deadline turn =
   let pool = Pbse_campaign.Domain_pool.create ~jobs:1 in
   Fun.protect ~finally:(fun () -> Pbse_campaign.Domain_pool.shutdown pool) (fun () ->
-      Campaign.run_rounds ~pool ~sched ~deadline ~jobs:(fun () -> 1) ~run:turn
+      Campaign.run_rounds ~pool ~sched ~deadline ~jobs:1 ~run:turn
         ~merge:(fun _ ~budget:_ o -> o)
         ())
 
@@ -136,7 +136,8 @@ let test_campaign_retires_finished_and_stuck () =
   Alcotest.(check int) "only the productive turn spent" 500 spent;
   Alcotest.(check bool) "both retired" true (s1.Seed_slot.retired && s2.Seed_slot.retired);
   Alcotest.(check int) "stuck seed got exactly one turn" 1 s2.Seed_slot.turns;
-  Alcotest.(check bool) "rotation drained" true (sched.Pool_scheduler.drained ())
+  Alcotest.(check bool) "rotation drained" true
+    (sched.Pool_scheduler.plan ~remaining:100_000 = [])
 
 let test_campaign_zero_deadline () =
   let s1 = slot 1 in

@@ -1,8 +1,12 @@
-(* Session-layer tests: determinism of cross-seed seedState sharing and
-   the share table's prefix-hint roundtrip. *)
+(* Session-layer tests: determinism of cross-seed seedState sharing, the
+   share table's prefix-hint roundtrip and the runtime's prefix cap. *)
 
 module Driver = Pbse.Driver
 module Session = Pbse_session.Session
+module Runtime = Pbse_session.Runtime
+module Executor = Pbse_exec.Executor
+module Solver = Pbse_smt.Solver
+module Registry = Pbse_targets.Registry
 
 let mini_program = Suite_core.mini_program
 
@@ -105,6 +109,22 @@ let test_seedstate_prefix_keys_match_fold () =
        [ (12, 1); (0, 2); (3, 3); (25, 4); (12, 5); (5, 6); (20, 7); (3, 3) ]);
   check "no states" trace []
 
+(* The runtime's prefix cap is the bound the session's solver runs
+   under: at 16 contexts readelf's small seed evicts within 0.1 h, at the
+   default bound it never does. *)
+let test_runtime_prefix_cap_reaches_solver () =
+  let t = Option.get (Registry.by_name "readelf") in
+  let evictions runtime =
+    let r =
+      Session.run ~runtime (Registry.program t) ~seed:(Registry.default_seed t)
+        ~deadline:12_000
+    in
+    (Solver.stats (Executor.solver r.Session.executor)).Solver.prefix_evictions
+  in
+  Alcotest.(check bool) "a cap of 16 evicts" true
+    (evictions (Runtime.create ~prefix_cap:16 ()) > 0);
+  Alcotest.(check int) "the default cap never evicts" 0 (evictions (Runtime.create ()))
+
 let suite =
   [
     Alcotest.test_case "seedState sharing deterministic" `Slow
@@ -113,4 +133,6 @@ let suite =
       test_share_prefix_hint_roundtrip;
     Alcotest.test_case "seedState prefix keys = per-state fold" `Quick
       test_seedstate_prefix_keys_match_fold;
+    Alcotest.test_case "runtime prefix cap reaches the solver" `Quick
+      test_runtime_prefix_cap_reaches_solver;
   ]

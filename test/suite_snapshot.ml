@@ -34,7 +34,6 @@ let sample_snapshot () =
     sn_merge_blocks = 17;
     sn_merge_bugs = 2;
     sn_checkpoints = 2;
-    sn_degrade_faults = 1;
     sn_sched_turns = 9;
     sn_sched_rotations = 3;
     sn_sched_retirements = 1;
@@ -57,12 +56,11 @@ let sample_snapshot () =
           sl_retired = false;
           sl_clock = 28_000;
           sl_coverage = 12;
-          sl_prefix_cap = 256;
           sl_crash_draws = 3;
           sl_events =
             [
               Snapshot.Step { deadline = 10_000; budget = 10_000 };
-              Snapshot.Crash "injected-crash";
+              Snapshot.Crash;
               Snapshot.Step { deadline = 21_000; budget = 10_000 };
             ];
         };
@@ -80,7 +78,6 @@ let sample_snapshot () =
           sl_retired = true;
           sl_clock = 0;
           sl_coverage = 0;
-          sl_prefix_cap = -1;
           sl_crash_draws = 1;
           sl_events = [];
         };
@@ -107,7 +104,7 @@ let test_snapshot_roundtrip_bytes () =
     Alcotest.(check int) "events survive" 3 (List.length s1.Snapshot.sl_events);
     Alcotest.(check bool) "crash event survives" true
       (List.exists
-         (function Snapshot.Crash "injected-crash" -> true | _ -> false)
+         (function Snapshot.Crash -> true | Snapshot.Step _ -> false)
          s1.Snapshot.sl_events);
     (* an older writer also stored a "counters" member after "opened";
        the reader ignores it, so such checkpoints still load *)
@@ -332,8 +329,8 @@ let test_kill_resume_rebuilds_interpolant_caches () =
    resumed. Every other identity test compares two runs of one binary;
    this one pins the bytes of the round-2 snapshot and of the final
    report, so a change to the pool loop that shifts either (the turn
-   ledger, the watchdog's faults, the degradation count, the injection
-   streams) fails here even when it shifts both runs alike. The campaign
+   ledger, the watchdog's faults, the injection streams) fails here even
+   when it shifts both runs alike. The campaign
    ends after round 2: a halt at round 1 resumes into live rounds, a
    halt at round 2 replays every ledger event. *)
 let golden_config () =
@@ -347,7 +344,7 @@ let golden_config () =
     |> with_concolic (fun c -> { c with time_period = 200 })
     |> with_robust (fun r -> { r with inject; watchdog_factor = 1 }))
 
-let golden_snapshot_digest = "1a6d5ab04a33c0245529f4d5200bf2f7"
+let golden_snapshot_digest = "083695f2a75d98212c087f797a6152c9"
 let golden_report_digest = "3eb5366bbb8fb3d87a751846d9fbe515"
 
 let test_golden_pool_bytes () =
@@ -397,7 +394,47 @@ let test_golden_pool_bytes () =
         Alcotest.(check bool) (key ^ " > 0") true (Report.metric r key > 0))
       [ "fault.turn-timeout"; "fault.exec-exception"; "pool.fault.exec-exception" ]
 
-(* --- graceful degradation --------------------------------------------------- *)
+(* The same halt@2 checkpoint as written before snapshots dropped each
+   slot's prefix cap, the pool's fault score and the detail string of
+   crash events. The decoder ignores those members, so the file must
+   still resume to the uninterrupted report with no mismatch or
+   corruption on record. The path is relative to the test directory
+   ([dune runtest]) or to the repository root ([dune exec]). *)
+let test_legacy_golden_snapshot_resumes () =
+  let legacy_golden_path =
+    List.find Sys.file_exists
+      [ "fixtures/golden_halt2_legacy.json"; "test/fixtures/golden_halt2_legacy.json" ]
+  in
+  let config = golden_config () in
+  let baseline =
+    uninterrupted_json ~config ~lease:2 ~scheduler:"round-robin" ~jobs:1 ()
+  in
+  let doc =
+    match Checked_file.read ~path:legacy_golden_path with
+    | Ok d -> d
+    | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun key ->
+      Alcotest.(check bool) ("fixture carries " ^ key) true
+        (Suite_telemetry.contains ~needle:key doc))
+    [ "\"prefix_cap\""; "\"crash\":\"injected-crash\"" ];
+  match Driver.load_snapshot ~path:legacy_golden_path with
+  | Error e -> Alcotest.fail e
+  | Ok (sn, fallback) -> (
+    Alcotest.(check bool) "no fallback needed" true (fallback = None);
+    match Driver.resume_pool ~jobs:2 sn (mini_program ()) ~seeds:(pool_seeds ()) with
+    | Error e -> Alcotest.fail e
+    | Ok pool ->
+      Alcotest.(check string) "resumes to the uninterrupted report" baseline
+        (Report.to_json (Driver.pool_run_report ~meta:report_meta pool));
+      List.iter
+        (fun kind ->
+          Alcotest.(check int) (Fault.label kind ^ " on record") 0
+            (Fault.count pool.Driver.pool_faults kind))
+        [ Fault.Resume_mismatch; Fault.Snapshot_corrupt ])
+
+(* --- contained faults ------------------------------------------------------- *)
 
 let test_certain_crash_retires_pool_without_aborting () =
   (* crash=1.0 kills every turn at entry: every seed strikes out at
@@ -719,6 +756,8 @@ let suite =
       test_kill_resume_rebuilds_interpolant_caches;
     Alcotest.test_case "golden bytes: leased watchdogged crash-injected resume" `Quick
       test_golden_pool_bytes;
+    Alcotest.test_case "legacy golden snapshot resumes" `Quick
+      test_legacy_golden_snapshot_resumes;
     Alcotest.test_case "certain crash retires pool gracefully" `Quick
       test_certain_crash_retires_pool_without_aborting;
     Alcotest.test_case "watchdog flags overrunning turns" `Slow
