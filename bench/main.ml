@@ -718,12 +718,19 @@ let per_run ?(limit = 8) ?(quota = 1.0) instances test =
    shaped like a parser's path condition: a little-endian u32 length
    equality, a loop bound (a u16 count and eight entry bytes below their
    limits) and two magic bytes. Every hint byte is 0xFF, so the hint
-   misses every constraint and the probe falls through to the search. *)
+   misses every constraint and the probe falls through to the search.
+   Then one evaluation of one parser-shaped constraint on its tape, the
+   step the search repeats: a length read in the byte order a magic byte
+   selects, less its header, below a limit. [tape-ivl] loads the
+   interval of each read (the magic byte a point, the length bytes
+   partly narrowed) and runs [Tape.falsified]; [tape-exact] loads a value
+   per read and runs [Tape.holds]. *)
 let search_core_kernel () =
   let open Bechamel in
   let module Expr = Pbse_smt.Expr in
   let module Model = Pbse_smt.Model in
   let module Search_core = Pbse_smt.Search_core in
+  let module Tape = Pbse_smt.Tape in
   let module T = Pbse_ir.Types in
   let bytes =
     [| 4; 9; 17; 30; 44; 61; 80; 101; 125; 151; 180; 211; 245; 282; 321; 363 |]
@@ -749,7 +756,7 @@ let search_core_kernel () =
         Expr.bin T.Eq (Expr.read bytes.(15)) (const 0x50);
       ]
   in
-  let group = Search_core.build_group ~reads:Expr.reads constraints in
+  let group = Search_core.build_group ~tape:Tape.compile constraints in
   let hint = Array.fold_left (fun m i -> Model.set m i 0xFF) Model.empty bytes in
   let focus = [ bytes.(14); bytes.(15) ] in
   let solve () =
@@ -763,20 +770,59 @@ let search_core_kernel () =
    | Search_core.Gsat _ -> ()
    | Search_core.Gunsat | Search_core.Gunknown ->
      failwith "search-core kernel: the group must be sat");
-  let test = Test.make ~name:"search-core" (Staged.stage (fun () -> ignore (solve ()))) in
+  (* bytes 0-2: the magic byte, then a u16 length in either byte order *)
+  let length =
+    Expr.ite
+      (Expr.bin T.Eq (Expr.read 0) (const 0x49))
+      (field [| 1; 2 |])
+      (Expr.bin T.Or (Expr.bin T.Shl (Expr.read 1) (const 8)) (Expr.read 2))
+  in
+  let tape =
+    Tape.compile (Expr.bin T.Ult (Expr.bin T.Sub length (const 8)) (const 504))
+  in
+  let intervals = [| (0x49, 0x49); (0, 255); (0, 7) |] in
+  let values = [| 0x49; 0x20; 0x01 |] in
+  let eval_interval () =
+    for k = 0 to 2 do
+      let lo, hi = intervals.(k) in
+      Tape.set_interval tape k lo hi
+    done;
+    Tape.falsified tape
+  in
+  let eval_exact () =
+    for k = 0 to 2 do
+      Tape.set_value tape k values.(k)
+    done;
+    Tape.holds tape
+  in
+  if eval_interval () || not (eval_exact ()) then
+    failwith "tape kernel: the constraint must hold on the values and their intervals";
   let estimate = function Some e -> Printf.sprintf "%.0f" e | None -> "-" in
-  Printf.printf "\n  %-10s %5s %14s %18s\n%!" "kernel" "vars" "ns/solve"
-    "minor words/solve";
-  match
-    per_run ~limit:500 ~quota:0.5
-      Toolkit.Instance.[ monotonic_clock; minor_allocated ]
-      test
-  with
-  | [ ns; words ] ->
-    Printf.printf "  %-10s %5d %14s %18s\n%!" "search"
-      (Array.length (Search_core.group_vars group))
-      (estimate ns) (estimate words)
-  | _ -> assert false
+  Printf.printf "\n  %-10s %5s %14s %18s   %s\n%!" "kernel" "vars" "ns/call"
+    "minor words/call" "(a call: one solve, or one tape evaluation)";
+  List.iter
+    (fun (name, vars, run) ->
+      let test = Test.make ~name (Staged.stage run) in
+      (* minor words counted directly over [calls] calls: Bechamel's
+         estimate of them reads 0 for calls that allocate a few thousand
+         words on this runtime *)
+      let calls = 1000 in
+      let before = Gc.minor_words () in
+      for _ = 1 to calls do
+        run ()
+      done;
+      let words = (Gc.minor_words () -. before) /. float_of_int calls in
+      match per_run ~limit:500 ~quota:0.5 Toolkit.Instance.[ monotonic_clock ] test with
+      | [ ns ] ->
+        Printf.printf "  %-10s %5d %14s %18.0f\n%!" name vars (estimate ns) words
+      | _ -> assert false)
+    [
+      ( "search",
+        Array.length (Search_core.group_vars group),
+        fun () -> ignore (solve ()) );
+      ("tape-ivl", Array.length (Tape.reads tape), fun () -> ignore (eval_interval ()));
+      ("tape-exact", Array.length (Tape.reads tape), fun () -> ignore (eval_exact ()));
+    ]
 
 (* Phase division alone, timed per target on the BBVs of its smallest
    seed's one-hour concolic pass: wall time and minor-heap words per
@@ -784,8 +830,8 @@ let search_core_kernel () =
    reductions its kernel relies on (block ids that occur against
    1 + the largest, distinct BBVs against all); then that concolic pass
    itself, in a fresh arena on a fresh executor as a session opens it
-   ([concolic_kernel]); then the solver's search on a fixed group
-   ([search_core_kernel]). *)
+   ([concolic_kernel]); then the solver's search on a fixed group and
+   one constraint's tape ([search_core_kernel]). *)
 let concolic_kernel passes =
   let open Bechamel in
   let module Expr = Pbse_smt.Expr in
@@ -814,7 +860,7 @@ let concolic_kernel passes =
 let kernels () =
   heading
     "Per-layer kernels: Phase.divide and the concolic pass on each target's \
-     smallest seed, Search_core.solve_group";
+     smallest seed, Search_core.solve_group, one constraint's tape";
   let open Bechamel in
   Printf.printf "  %-10s %5s %14s %18s %11s %11s\n%!" "target" "bbvs" "ns/division"
     "minor words/div" "dims" "distinct";

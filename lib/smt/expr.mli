@@ -20,9 +20,9 @@ type t = private {
   (* tree size (a shared subterm counts once per occurrence), for
      budget heuristics; wraps around on deep self-sharing DAGs *)
   walkable : bool;
-  (* at most 256 tree nodes: the evaluators ({!eval}, [Interval.eval])
-     walk the tree with no memo table, in at most [nodes] steps. False
-     whenever [nodes] wrapped around, even back into range. *)
+  (* at most 256 tree nodes: {!eval} walks the tree with no memo table,
+     in at most [nodes] steps. False whenever [nodes] wrapped around,
+     even back into range. *)
   bits : int64;
   (* sound superset of the bits the value can have set; when non-negative
      it doubles as an unsigned upper bound. Lets the solver treat

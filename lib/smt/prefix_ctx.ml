@@ -119,17 +119,27 @@ let evict_lru t =
    advance the endpoints while the constraint is definitely false there,
    other bytes held at their learned hulls. Sound: every removed value
    provably violates [c], a constraint any solve involving this byte
-   must include (see [closure]). *)
+   must include (see [closure]). Runs [c]'s interval tape: the other
+   reads are loaded once, then each probe only moves byte [v]'s slot. *)
 let max_trim_steps = 64
 
-let trim_bound bounds cost v iv (c : Expr.t) =
-  let hull i =
-    match Imap.find_opt i bounds with Some b -> b | None -> Interval.make 0L 255L
-  in
+let trim_bound tape bounds cost v (iv : Interval.t) (c : Expr.t) =
+  let reads = Tape.reads tape in
+  let kv = ref 0 in
+  for k = 0 to Array.length reads - 1 do
+    let i = reads.(k) in
+    if i = v then kv := k
+    else
+      match Imap.find_opt i bounds with
+      | Some (b : Interval.t) ->
+        Tape.set_interval tape k (Int64.to_int b.Interval.lo) (Int64.to_int b.Interval.hi)
+      | None -> Tape.set_interval tape k 0 255
+  done;
+  let kv = !kv in
   let false_at x =
     cost := !cost + c.Expr.nodes;
-    let lookup i = if i = v then Interval.point (Int64.of_int x) else hull i in
-    Interval.definitely_false (Interval.eval lookup c)
+    Tape.set_interval tape kv x x;
+    Tape.falsified tape
   in
   let lo = ref (Int64.to_int iv.Interval.lo) in
   let hi = ref (Int64.to_int iv.Interval.hi) in
@@ -147,7 +157,7 @@ let trim_bound bounds cost v iv (c : Expr.t) =
 
 (* Extend [parent] with one constraint [c]; [path] is the physical list
    [c :: parent.path]. O(reads of c). *)
-let extend ~reads cost path (c : Expr.t) parent =
+let extend ~reads ~tape cost path (c : Expr.t) parent =
   match Expr.is_const c with
   | Some _ ->
     (* constants never join a component; the context only re-anchors *)
@@ -167,12 +177,13 @@ let extend ~reads cost path (c : Expr.t) parent =
        parent's learned interval — incremental, O(delta) *)
     let bounds =
       if List.length r <= 2 then
+        let tape = tape c in
         List.fold_left
           (fun m v ->
             let iv =
               match Imap.find_opt v m with Some b -> b | None -> Interval.make 0L 255L
             in
-            let iv' = trim_bound parent.bounds cost v iv c in
+            let iv' = trim_bound tape parent.bounds cost v iv c in
             if iv'.Interval.lo = iv.Interval.lo && iv'.Interval.hi = iv.Interval.hi
             then m
             else Imap.add v iv' m)
@@ -276,7 +287,7 @@ type outcome = {
    context. Amortised O(delta): the common caller pattern — query, pin a
    few constraints, query again — finds the previous query's context
    after a few steps. *)
-let find_or_build t ~reads path =
+let find_or_build t ~reads ~tape path =
   t.tick <- t.tick + 1;
   let rec walk path pending =
     match path with
@@ -293,7 +304,7 @@ let find_or_build t ~reads path =
   let ctx =
     List.fold_left
       (fun parent (sub, c) ->
-        let e = extend ~reads cost sub c parent in
+        let e = extend ~reads ~tape cost sub c parent in
         insert t e;
         try_hint t e;
         e)

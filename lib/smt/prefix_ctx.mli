@@ -40,8 +40,11 @@ type outcome = {
   cost : int; (* work units construction spent (charge to the meter) *)
 }
 
-val find_or_build : t -> reads:(Expr.t -> int list) -> Expr.t list -> outcome
+val find_or_build :
+  t -> reads:(Expr.t -> int list) -> tape:(Expr.t -> Tape.t) -> Expr.t list -> outcome
 (** Context for this exact path (newest first, as stored on states).
+    [tape c] is [c]'s compiled tape, on which an added constraint's
+    learned bounds are trimmed.
     Walks down to the deepest indexed prefix, then extends upward,
     caching every intermediate context; [cost] is reported rather than
     charged so the caller can meter it {e after} the contexts are safely

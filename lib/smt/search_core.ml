@@ -1,7 +1,10 @@
 (* The solving core: budgeted backtracking search over per-byte domains
    with interval propagation, plus the hint-neighbourhood probe that
-   short-circuits it. Stateless apart from the caller's meter — solver
-   bookkeeping (stats, caches) stays in [Solver]. *)
+   short-circuits it. Every constraint is evaluated on its compiled tape
+   ([Tape]), loaded with the bytes or domain hulls of the group positions
+   it reads. Stateless apart from the caller's meter and the tapes'
+   registers — solver bookkeeping (stats, caches, the tapes) stays in
+   [Solver]. *)
 
 (* --- work accounting ------------------------------------------------------ *)
 
@@ -47,19 +50,14 @@ let domain_remove d v =
     end
   end
 
-(* Full and singleton domains, the common shapes, share their intervals. *)
-let domain_interval d =
-  if d.dlo = 0 && d.dhi = 255 then Interval.byte_any
-  else if d.dlo = d.dhi then Interval.byte_point d.dlo
-  else Interval.make (Int64.of_int d.dlo) (Int64.of_int d.dhi)
-
 (* --- groups --------------------------------------------------------------- *)
 
 type group = {
   constraints : Expr.t array;
+  tapes : Tape.t array; (* constraint -> its compiled tape *)
   vars : int array; (* sorted input indices *)
   by_var : int list array; (* position -> constraint indices *)
-  creads : int list array; (* constraint -> input indices *)
+  cpos : int array array; (* constraint -> position of each of its tape's reads *)
 }
 
 (* Position of input index [v] in the sorted [vars], or -1: a binary
@@ -79,25 +77,26 @@ let sorted_position vars v = search_sorted vars v 0 (Array.length vars)
 
 let rec mem_int (v : int) = function [] -> false | x :: rest -> x = v || mem_int v rest
 
-let build_group ~reads exprs =
+let build_group ~tape exprs =
   let constraints = Array.of_list exprs in
-  let creads = Array.map reads constraints in
+  let tapes = Array.map tape constraints in
   let var_set = Hashtbl.create 16 in
-  Array.iter (List.iter (fun v -> Hashtbl.replace var_set v ())) creads;
+  Array.iter
+    (fun tp -> Array.iter (fun v -> Hashtbl.replace var_set v ()) (Tape.reads tp))
+    tapes;
   let vars =
     Hashtbl.fold (fun v () acc -> v :: acc) var_set [] |> List.sort Int.compare
     |> Array.of_list
   in
+  let cpos =
+    Array.map (fun tp -> Array.map (sorted_position vars) (Tape.reads tp)) tapes
+  in
   let by_var = Array.make (Array.length vars) [] in
   Array.iteri
-    (fun ci reads ->
-      List.iter
-        (fun v ->
-          let pos = sorted_position vars v in
-          by_var.(pos) <- ci :: by_var.(pos))
-        reads)
-    creads;
-  { constraints; vars; by_var; creads }
+    (fun ci positions ->
+      Array.iter (fun pos -> by_var.(pos) <- ci :: by_var.(pos)) positions)
+    cpos;
+  { constraints; tapes; vars; by_var; cpos }
 
 let group_vars g = g.vars
 
@@ -106,54 +105,57 @@ type group_result =
   | Gunsat
   | Gunknown
 
+(* Load constraint [ci]'s exact tape with the byte at each group position. *)
+let load_values group ci (vals : int array) =
+  let tape = group.tapes.(ci) and positions = group.cpos.(ci) in
+  for k = 0 to Array.length positions - 1 do
+    Tape.set_value tape k vals.(positions.(k))
+  done
+
 (* --- hint-neighbourhood probe --------------------------------------------- *)
 
 (* Fast path: most fork queries in loops ask for "one more iteration" —
    a model one small step away from the hint on the newly constrained
    bytes. Probe hint +/- powers of two on each focus byte before any
-   domain work; constraints are evaluated lazily and the probe aborts on
-   the first falsified one, so failed probes are nearly free. *)
+   domain work; constraints are evaluated in order and the probe aborts
+   on the first falsified one, so failed probes are nearly free. [vals]
+   holds the hint's byte at each group position; a probe overwrites one
+   and puts it back. *)
 let probe_deltas = [ 1; -1; 2; -2; 4; -4; 8; -8; 16; -16; 32; -32; 64; -64; 128 ]
 
-let probe_neighborhood meter ~hint group focus =
-  let satisfied lookup =
-    Array.for_all
-      (fun (c : Expr.t) ->
-        spend meter (Int.min c.Expr.nodes 64);
-        Semantics.truthy (Expr.eval lookup c))
-      group.constraints
+let probe_neighborhood meter group (vals : int array) focus =
+  let n = Array.length group.constraints in
+  let rec satisfied ci =
+    ci >= n
+    || begin
+      spend meter (Int.min group.constraints.(ci).Expr.nodes 64);
+      load_values group ci vals;
+      Tape.holds group.tapes.(ci) && satisfied (ci + 1)
+    end
   in
-  (* [overrides] holds at most one (input index, value) pair *)
-  let try_model overrides =
-    let lookup (i : int) =
-      match overrides with
-      | [ (j, v) ] when j = i -> v land 0xFF
-      | _ -> Model.get hint i
-    in
-    if satisfied lookup then
-      Some (Array.to_list (Array.map (fun v -> (v, lookup v)) group.vars))
-    else None
+  let bindings () =
+    Array.to_list (Array.mapi (fun pos v -> (v, vals.(pos))) group.vars)
   in
-  let rec try_var vars =
-    match vars with
+  (* [focus] holds group positions *)
+  let rec try_var = function
     | [] -> None
-    | v :: rest ->
-      let base = Model.get hint v in
+    | pos :: rest ->
+      let base = vals.(pos) in
       let rec try_delta = function
         | [] -> try_var rest
         | d :: ds ->
           let candidate = base + d in
-          if candidate >= 0 && candidate <= 255 then
-            match try_model [ (v, candidate) ] with
-            | Some bindings -> Some bindings
-            | None -> try_delta ds
+          if candidate >= 0 && candidate <= 255 then begin
+            vals.(pos) <- candidate;
+            let found = if satisfied 0 then Some (bindings ()) else None in
+            vals.(pos) <- base;
+            match found with Some _ -> found | None -> try_delta ds
+          end
           else try_delta ds
       in
       try_delta probe_deltas
   in
-  match try_model [] with
-  | Some bindings -> Some bindings
-  | None -> try_var focus
+  if satisfied 0 then Some (bindings ()) else try_var focus
 
 (* --- backtracking search -------------------------------------------------- *)
 
@@ -162,8 +164,9 @@ let probe_neighborhood meter ~hint group focus =
    a bound for byte [v] is implied by constraints that read [v], all of
    which the caller includes in [v]'s group, so the pruned values could
    never appear in a solution of this group anyway. [on_node] is the
-   caller's search-node counter. *)
-let solve_group_search ~on_node meter ~hint ~bounds group =
+   caller's search-node counter; [hint_vals] holds the hint's byte at
+   each group position. *)
+let solve_group_search ~on_node meter ~hint_vals ~bounds group =
   let nvars = Array.length group.vars in
   let domains = Array.init nvars (fun _ -> domain_full ()) in
   (* seed the domains with the learned bounds *)
@@ -183,25 +186,28 @@ let solve_group_search ~on_node meter ~hint ~bounds group =
   let assignment = Array.make nvars (-1) in
   (* Interval environment: assigned variables are points, unassigned ones
      are the hull of their remaining domain. *)
-  let lookup_interval input_index =
-    let pos = sorted_position group.vars input_index in
-    if pos < 0 then Interval.byte_any
-    else if assignment.(pos) >= 0 then Interval.byte_point assignment.(pos)
-    else domain_interval domains.(pos)
-  in
   let interval_check ci =
-    let c = group.constraints.(ci) in
-    spend meter c.Expr.nodes;
-    not (Interval.definitely_false (Interval.eval lookup_interval c))
+    spend meter group.constraints.(ci).Expr.nodes;
+    let tape = group.tapes.(ci) and positions = group.cpos.(ci) in
+    for k = 0 to Array.length positions - 1 do
+      let pos = positions.(k) in
+      let a = assignment.(pos) in
+      if a >= 0 then Tape.set_interval tape k a a
+      else
+        let d = domains.(pos) in
+        Tape.set_interval tape k d.dlo d.dhi
+    done;
+    not (Tape.falsified tape)
   in
   let exact_check ci =
-    let c = group.constraints.(ci) in
-    spend meter c.Expr.nodes;
-    let lookup i =
-      let pos = sorted_position group.vars i in
-      if pos >= 0 && assignment.(pos) >= 0 then assignment.(pos) else Model.get hint i
-    in
-    Semantics.truthy (Expr.eval lookup c)
+    spend meter group.constraints.(ci).Expr.nodes;
+    let tape = group.tapes.(ci) and positions = group.cpos.(ci) in
+    for k = 0 to Array.length positions - 1 do
+      let pos = positions.(k) in
+      let a = assignment.(pos) in
+      Tape.set_value tape k (if a >= 0 then a else hint_vals.(pos))
+    done;
+    Tape.holds tape
   in
   (* Bound-consistency pass: trim each variable's domain endpoints while
      a constraint is definitely false there (holding the other variables
@@ -219,17 +225,24 @@ let solve_group_search ~on_node meter ~hint ~bounds group =
       incr rounds;
       for pos = 0 to nvars - 1 do
         let narrow ci =
-          if List.length group.creads.(ci) <= 6 then begin
-            let c = group.constraints.(ci) in
+          let positions = group.cpos.(ci) in
+          if Array.length positions <= 6 then begin
+            let nodes = group.constraints.(ci).Expr.nodes in
+            let tape = group.tapes.(ci) in
+            (* the other reads hold their hulls while [pos]'s endpoints move *)
+            let kpos = ref 0 in
+            for k = 0 to Array.length positions - 1 do
+              let p = positions.(k) in
+              if p = pos then kpos := k
+              else
+                let d = domains.(p) in
+                Tape.set_interval tape k d.dlo d.dhi
+            done;
+            let kpos = !kpos in
             let false_at v =
-              spend meter c.Expr.nodes;
-              let lookup i =
-                let p = sorted_position group.vars i in
-                if p = pos then Interval.byte_point v
-                else if p >= 0 then domain_interval domains.(p)
-                else Interval.byte_any
-              in
-              Interval.definitely_false (Interval.eval lookup c)
+              spend meter nodes;
+              Tape.set_interval tape kpos v v;
+              Tape.falsified tape
             in
             let d = domains.(pos) in
             while d.size > 0 && false_at d.dlo do
@@ -247,11 +260,7 @@ let solve_group_search ~on_node meter ~hint ~bounds group =
       done
     done
   in
-  let unassigned ci =
-    List.exists
-      (fun v -> assignment.(sorted_position group.vars v) < 0)
-      group.creads.(ci)
-  in
+  let unassigned ci = Array.exists (fun pos -> assignment.(pos) < 0) group.cpos.(ci) in
   (* Depth-first search over variables, cheapest domain first, hint value
      tried first. *)
   let order = Array.init nvars (fun i -> i) in
@@ -291,7 +300,7 @@ let solve_group_search ~on_node meter ~hint ~bounds group =
       in
       (* neighbourhood-first value order: loop-step queries succeed a small
          delta away from the hint; the tail scan keeps the search complete *)
-      let hint_v = Model.get hint group.vars.(pos) land 0xFF in
+      let hint_v = hint_vals.(pos) land 0xFF in
       let deltas = [ 0; 1; -1; 2; -2; 4; -4; 8; -8; 16; -16; 32; -32; 64; -64; 128 ] in
       let near =
         List.filter_map
@@ -330,7 +339,14 @@ let solve_group_search ~on_node meter ~hint ~bounds group =
   | `Unsat -> Gunsat
 
 let solve_group ~on_node meter ~hint ~focus ~bounds group =
-  let focus = List.filter (fun v -> sorted_position group.vars v >= 0) focus in
-  match probe_neighborhood meter ~hint group focus with
+  let hint_vals = Array.map (Model.get hint) group.vars in
+  let focus =
+    List.filter_map
+      (fun v ->
+        let pos = sorted_position group.vars v in
+        if pos >= 0 then Some pos else None)
+      focus
+  in
+  match probe_neighborhood meter group hint_vals focus with
   | Some bindings -> Gsat bindings
-  | None -> solve_group_search ~on_node meter ~hint ~bounds group
+  | None -> solve_group_search ~on_node meter ~hint_vals ~bounds group

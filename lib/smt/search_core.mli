@@ -1,8 +1,12 @@
 (** The solving core: budgeted backtracking over per-byte domains.
 
-    Stateless apart from the caller's {!meter}: the probe and search
-    mutate nothing but their own scratch structures, so {!Solver} keeps
-    all caches and statistics. *)
+    Every constraint is evaluated on its compiled {!Tape}: exactly in the
+    hint probe and once all the bytes it reads are assigned, as intervals
+    while domains are narrowed and while some of its bytes are free.
+    Stateless apart from the caller's {!meter} and the tapes' registers:
+    the probe and search mutate nothing else but their own scratch
+    structures, so {!Solver} keeps all caches (the tapes included) and
+    statistics. *)
 
 exception Out_of_budget
 
@@ -17,10 +21,13 @@ val spend : meter -> int -> unit
 (** Charge work units; raises {!Out_of_budget} past [limit]. *)
 
 type group
-(** A set of constraints over the input bytes they mention, indexed for
-    propagation ([by_var], [creads]). *)
+(** A set of constraints over the input bytes they mention, with each
+    constraint's tape and the group position of each byte the tape
+    reads, indexed for propagation by byte. *)
 
-val build_group : reads:(Expr.t -> int list) -> Expr.t list -> group
+val build_group : tape:(Expr.t -> Tape.t) -> Expr.t list -> group
+(** [tape e] is [e]'s compiled tape, usually from the solver's
+    per-session cache; the probe and search load and run it in place. *)
 
 val group_vars : group -> int array
 (** Sorted input indices the group constrains. *)

@@ -25,6 +25,7 @@ type t = {
   st : stats;
   cache : (int list, Search_core.group_result) Hashtbl.t;
   reads_memo : (int, int list) Hashtbl.t; (* expr id -> sorted input indices *)
+  tapes : (int, Tape.t) Hashtbl.t; (* expr id -> compiled constraint *)
   prefixes : Prefix_ctx.t;
   (* registry instruments (docs/telemetry.md); mutation is gated on the
      owning registry's enabled flag, so uninstrumented runs pay one
@@ -57,6 +58,7 @@ let create ?(budget = 60_000) ?prefix_cap ?registry () =
       };
     cache = Hashtbl.create 4096;
     reads_memo = Hashtbl.create 4096;
+    tapes = Hashtbl.create 4096;
     prefixes = Prefix_ctx.create ?cap:prefix_cap ();
     tm_query_work = Telemetry.Registry.histogram registry "solver.query_work";
   }
@@ -70,6 +72,20 @@ let reads_of t (e : Expr.t) =
     let r = Expr.reads e in
     Hashtbl.replace t.reads_memo e.id r;
     r
+
+(* Each constraint is compiled the first time a query meets it. Ids are
+   the session arena's, so the cache is the session's own; a tape is a
+   pure function of its constraint, so a reset changes no answer. *)
+let max_tapes = 65_536
+
+let tape_of t (e : Expr.t) =
+  match Hashtbl.find_opt t.tapes e.id with
+  | Some tape -> tape
+  | None ->
+    let tape = Tape.compile e in
+    if Hashtbl.length t.tapes >= max_tapes then Hashtbl.reset t.tapes;
+    Hashtbl.replace t.tapes e.id tape;
+    tape
 
 (* --- group solving -------------------------------------------------------- *)
 
@@ -89,7 +105,7 @@ let solve_groups t meter ~hint ~focus ~bounds ?on_unsat_core groups =
           t.st.cache_hits <- t.st.cache_hits + 1;
           r
         | None ->
-          let group = Search_core.build_group ~reads:(reads_of t) exprs in
+          let group = Search_core.build_group ~tape:(tape_of t) exprs in
           let r =
             if Array.length (Search_core.group_vars group) > max_group_vars then
               Search_core.Gunknown
@@ -149,7 +165,9 @@ let check_assuming t ?(hint = Model.empty) ?on_unsat_core ~path extra =
           (* incremental prefix solving: the path is indexed once and
              extended as it grows, so each query pays for its delta and
              its component, not the whole path *)
-          let o = Prefix_ctx.find_or_build t.prefixes ~reads:(reads_of t) path in
+          let o =
+            Prefix_ctx.find_or_build t.prefixes ~reads:(reads_of t) ~tape:(tape_of t) path
+          in
           let entry = o.Prefix_ctx.ctx in
           if o.Prefix_ctx.reused then t.st.prefix_hits <- t.st.prefix_hits + 1;
           t.st.prefix_builds <- t.st.prefix_builds + o.Prefix_ctx.built;

@@ -90,12 +90,23 @@ let prop_lognot_negates =
 let contains (iv : Interval.t) v =
   Int64.unsigned_compare iv.lo v <= 0 && Int64.unsigned_compare v iv.hi <= 0
 
+(* [e]'s interval on its tape, read [k] (input byte [i]) ranging over
+   [bound i]. *)
+let tape_interval e bound =
+  let tape = Tape.compile e in
+  Array.iteri
+    (fun k i ->
+      let lo, hi = bound i in
+      Tape.set_interval tape k lo hi)
+    (Tape.reads tape);
+  Tape.interval tape
+
 let prop_interval_sound =
   QCheck.Test.make ~count:2000 ~name:"interval analysis bounds concrete evaluation"
     (arb_spec_and_bytes 4)
     (fun (spec, bytes) ->
       let e = build spec in
-      let iv = Interval.eval (fun _ -> Interval.make 0L 255L) e in
+      let iv = tape_interval e (fun _ -> (0, 255)) in
       contains iv (Expr.eval (fun i -> bytes.(i)) e))
 
 let prop_interval_point_precision =
@@ -103,8 +114,23 @@ let prop_interval_point_precision =
     (arb_spec_and_bytes 4)
     (fun (spec, bytes) ->
       let e = build spec in
-      let iv = Interval.eval (fun i -> Interval.point (Int64.of_int bytes.(i))) e in
+      let iv = tape_interval e (fun i -> (bytes.(i), bytes.(i))) in
       contains iv (Expr.eval (fun i -> bytes.(i)) e))
+
+(* [Semantics] divides unsigned inline; the standard library is the
+   reference, on operands spread over the whole 64-bit range. *)
+let prop_unsigned_division =
+  let edge = [ 0L; 1L; 2L; 255L; Int64.max_int; Int64.min_int; -1L; -2L ] in
+  let gen_int64 =
+    QCheck.Gen.(
+      oneof [ oneofl edge; map Int64.of_int (int_range (-1000) 1000); ui64 ])
+  in
+  QCheck.Test.make ~count:5000 ~name:"semantics unsigned division = stdlib"
+    (QCheck.make QCheck.Gen.(pair gen_int64 gen_int64))
+    (fun (a, b) ->
+      let div = Semantics.binop T.Udiv a b and rem = Semantics.binop T.Urem a b in
+      if b = 0L then div = 0L && rem = a
+      else div = Int64.unsigned_div a b && rem = Int64.unsigned_rem a b)
 
 let prop_bits_sound =
   QCheck.Test.make ~count:2000 ~name:"possible-bits mask covers every concrete value"
@@ -235,9 +261,10 @@ let prop_check_assuming_matches_brute_force =
 
 (* --- evaluators vs the memoised walk -------------------------------------- *)
 
-(* [Expr.eval] and [Interval.eval] of the commit before small expressions
-   were walked as trees, copied verbatim (names qualified): the oracles
-   for both walks. *)
+(* The oracles for the evaluators: [Expr.eval] as it was before small
+   expressions were walked as trees, and the record-based interval
+   analysis that the tape's step replaced, copied verbatim (names
+   qualified, the interval record given its own type here). *)
 module Oracle_eval = struct
   open Expr
 
@@ -263,9 +290,153 @@ module Oracle_eval = struct
     in
     go e
 
+  open Pbse_ir.Types
+
+  type t = {
+    lo : int64;
+    hi : int64;
+  }
+
+  let ucmp = Int64.unsigned_compare
+  let umin a b = if ucmp a b <= 0 then a else b
+  let umax a b = if ucmp a b >= 0 then a else b
+
+  let make lo hi =
+    if ucmp lo hi > 0 then invalid_arg "Interval.make: lo >u hi";
+    { lo; hi }
+
+  let point v = { lo = v; hi = v }
+  let top = { lo = 0L; hi = -1L }
+  let bool_any = { lo = 0L; hi = 1L }
+  let byte_any = { lo = 0L; hi = 255L }
+
+  let is_point t = if t.lo = t.hi then Some t.lo else None
+  let hull a b = { lo = umin a.lo b.lo; hi = umax a.hi b.hi }
+
+  let definitely_true t = t.lo <> 0L
+  let definitely_false t = t.lo = 0L && t.hi = 0L
+
+  let bool_of b = if b then point 1L else point 0L
+
+  (* Whether every value of the interval lies in the non-negative signed
+     half-range, i.e. signed and unsigned orders coincide on it. *)
+  let nonneg t = t.hi >= 0L
+
+  (* Unsigned addition overflow test. *)
+  let add_overflows a b = ucmp (Int64.add a b) a < 0
+
+  let mul_overflows a b =
+    a <> 0L && b <> 0L && ucmp (Int64.unsigned_div (-1L) a) b < 0
+
+  (* Smallest all-ones mask covering v (unsigned). *)
+  let mask_above v =
+    let rec widen m =
+      if ucmp m v >= 0 then m else widen (Int64.logor (Int64.shift_left m 1) 1L)
+    in
+    if v = 0L then 0L else if v < 0L then -1L else widen 1L
+
+  let shift_left_total a n =
+    if n >= 64 || n < 0 then 0L else Int64.shift_left a n
+
+  let shift_right_total a n =
+    if n >= 64 || n < 0 then 0L else Int64.shift_right_logical a n
+
+  (* Every value in the interval is strictly negative when read as signed —
+     the common shape of "x - k" encoded as x + (-k). The [neg hi > 0]
+     conjunct excludes [min_int], whose negation is itself, guaranteeing the
+     negated interval is strictly positive (no rewriting loop). *)
+  let all_negative iv = iv.lo < 0L && Int64.neg iv.hi > 0L
+
+  let negate iv = { lo = Int64.neg iv.hi; hi = Int64.neg iv.lo }
+
+  let rec binop op a b =
+    match op with
+    | Add ->
+      (* x + (-k) is x - k; rewriting keeps loop-counter bounds precise *)
+      if all_negative b then binop Sub a (negate b)
+      else if all_negative a then binop Sub b (negate a)
+      else if add_overflows a.hi b.hi then top
+      else { lo = Int64.add a.lo b.lo; hi = Int64.add a.hi b.hi }
+    | Sub ->
+      if all_negative b then binop Add a (negate b)
+      else if ucmp a.lo b.hi >= 0 then
+        { lo = Int64.sub a.lo b.hi; hi = Int64.sub a.hi b.lo }
+      else top
+    | Mul ->
+      if mul_overflows a.hi b.hi then top
+      else { lo = Int64.mul a.lo b.lo; hi = Int64.mul a.hi b.hi }
+    | Udiv ->
+      (* division by zero yields 0 in our total semantics *)
+      if b.lo = 0L then { lo = 0L; hi = a.hi }
+      else { lo = Int64.unsigned_div a.lo b.hi; hi = Int64.unsigned_div a.hi b.lo }
+    | Urem ->
+      if b.lo = 0L then { lo = 0L; hi = a.hi }
+      else { lo = 0L; hi = umin a.hi (Int64.sub b.hi 1L) }
+    | Sdiv -> if nonneg a && nonneg b then binop_sdiv_nonneg a b else top
+    | Srem ->
+      if nonneg a && nonneg b then
+        if b.lo = 0L then { lo = 0L; hi = a.hi }
+        else { lo = 0L; hi = umin a.hi (Int64.sub b.hi 1L) }
+      else top
+    | And -> { lo = 0L; hi = umin a.hi b.hi }
+    | Or -> { lo = umax a.lo b.lo; hi = mask_above (Int64.logor a.hi b.hi) }
+    | Xor -> { lo = 0L; hi = mask_above (Int64.logor a.hi b.hi) }
+    | Shl -> (
+      match is_point b with
+      | Some n when ucmp n 64L < 0 ->
+        let n = Int64.to_int n in
+        if a.hi <> 0L && ucmp a.hi (shift_right_total (-1L) n) > 0 then top
+        else { lo = shift_left_total a.lo n; hi = shift_left_total a.hi n }
+      | Some _ -> point 0L
+      | None -> top)
+    | Lshr ->
+      (* monotone: larger shifts give smaller results *)
+      let lo =
+        if ucmp b.hi 64L >= 0 then 0L else shift_right_total a.lo (Int64.to_int b.hi)
+      in
+      { lo; hi = shift_right_total a.hi (Int64.to_int (umin b.lo 63L)) }
+    | Ashr -> if nonneg a then binop Lshr a b else top
+    | Eq -> (
+      match (is_point a, is_point b) with
+      | Some x, Some y -> bool_of (x = y)
+      | _ -> if ucmp a.hi b.lo < 0 || ucmp b.hi a.lo < 0 then point 0L else bool_any)
+    | Ne -> (
+      match (is_point a, is_point b) with
+      | Some x, Some y -> bool_of (x <> y)
+      | _ -> if ucmp a.hi b.lo < 0 || ucmp b.hi a.lo < 0 then point 1L else bool_any)
+    | Ult ->
+      if ucmp a.hi b.lo < 0 then point 1L
+      else if ucmp b.hi a.lo <= 0 then point 0L
+      else bool_any
+    | Ule ->
+      if ucmp a.hi b.lo <= 0 then point 1L
+      else if ucmp b.hi a.lo < 0 then point 0L
+      else bool_any
+    | Slt -> if nonneg a && nonneg b then binop Ult a b else bool_any
+    | Sle -> if nonneg a && nonneg b then binop Ule a b else bool_any
+
+  and binop_sdiv_nonneg a b =
+    if b.lo = 0L then { lo = 0L; hi = a.hi }
+    else { lo = Int64.div a.lo b.hi; hi = Int64.div a.hi b.lo }
+
+  let unop op a =
+    match op with
+    | Neg -> if a.lo = 0L && a.hi = 0L then point 0L else top
+    | Not ->
+      (* complement reverses unsigned order *)
+      { lo = Int64.lognot a.hi; hi = Int64.lognot a.lo }
+    | Sext8 -> if ucmp a.hi 0x7FL <= 0 then a else top
+    | Sext16 -> if ucmp a.hi 0x7FFFL <= 0 then a else top
+    | Sext32 -> if ucmp a.hi 0x7FFFFFFFL <= 0 then a else top
+    | Trunc8 -> if ucmp a.hi 0xFFL <= 0 then a else { lo = 0L; hi = 0xFFL }
+    | Trunc16 -> if ucmp a.hi 0xFFFFL <= 0 then a else { lo = 0L; hi = 0xFFFFL }
+    | Trunc32 -> if ucmp a.hi 0xFFFFFFFFL <= 0 then a else { lo = 0L; hi = 0xFFFFFFFFL }
+
+  (* One shared record per byte value. *)
+  let byte_points = Array.init 256 (fun v -> point (Int64.of_int v))
+  let byte_point v = byte_points.(v)
+
   let interval_eval lookup e =
-    let open Interval in
-    let ucmp = Int64.unsigned_compare in
     let memo = Hashtbl.create 64 in
     let rec go (e : Expr.t) =
       match e.node with
@@ -298,6 +469,11 @@ module Oracle_eval = struct
           v)
     in
     go e
+
+  (* The tape's reads take byte bounds: a wider bound reads as any byte,
+     as [interval_eval] reads it. *)
+  let byte_bound (iv : t) =
+    if ucmp iv.hi 255L > 0 then (0, 255) else (Int64.to_int iv.lo, Int64.to_int iv.hi)
 end
 
 (* One DAG-building step. An operand is an input byte, a constant, or a
@@ -386,13 +562,13 @@ let gen_byte_interval =
   let open QCheck.Gen in
   frequency
     [
-      (1, return (Interval.make 0L 255L));
-      (2, map (fun v -> Interval.point (Int64.of_int v)) (int_range 0 255));
+      (1, return (Oracle_eval.make 0L 255L));
+      (2, map (fun v -> Oracle_eval.point (Int64.of_int v)) (int_range 0 255));
       ( 3,
         map2
-          (fun a b -> Interval.make (Int64.of_int (min a b)) (Int64.of_int (max a b)))
+          (fun a b -> Oracle_eval.make (Int64.of_int (min a b)) (Int64.of_int (max a b)))
           (int_range 0 255) (int_range 0 255) );
-      (1, return (Interval.make 0L (-1L)));
+      (1, return (Oracle_eval.make 0L (-1L)));
     ]
 
 let arb_dag =
@@ -417,9 +593,21 @@ let prop_interval_eval_matches_memo_oracle =
     (fun (size, steps, _, bounds) ->
       let e = build_dag size steps in
       let lookup i = bounds.(i) in
-      let got = Interval.eval lookup e and want = Oracle_eval.interval_eval lookup e in
-      Int64.equal got.Interval.lo want.Interval.lo
-      && Int64.equal got.Interval.hi want.Interval.hi)
+      let got = tape_interval e (fun i -> Oracle_eval.byte_bound bounds.(i)) in
+      let want = Oracle_eval.interval_eval lookup e in
+      Int64.equal got.Interval.lo want.Oracle_eval.lo
+      && Int64.equal got.Interval.hi want.Oracle_eval.hi)
+
+let prop_tape_value_matches_memo_oracle =
+  QCheck.Test.make ~count:2000 ~name:"tape value = memoised oracle on shared DAGs"
+    arb_dag
+    (fun (size, steps, bytes, _) ->
+      let e = build_dag size steps in
+      let tape = Tape.compile e in
+      Array.iteri (fun k i -> Tape.set_value tape k bytes.(i)) (Tape.reads tape);
+      let value = Tape.value tape in
+      Int64.equal value (Oracle_eval.eval (fun i -> bytes.(i)) e)
+      && Bool.equal (Tape.holds tape) (Semantics.truthy value))
 
 (* 80 nested self-squarings: the tree has 2^81 - 1 nodes, so [nodes]
    overflows (to -1). One more binary node over it wraps [nodes] back to
@@ -438,15 +626,20 @@ let test_eval_overflowing_nodes () =
         (w.Expr.nodes > 0 && w.Expr.nodes <= 256))
     wrapped;
   let lookup _ = 3 in
-  let bound _ = Interval.make 2L 9L in
+  let bound _ = Oracle_eval.make 2L 9L in
   List.iter
     (fun (name, x) ->
       Alcotest.(check bool) (name ^ ": not walkable") false x.Expr.walkable;
       Alcotest.(check int64)
         (name ^ ": value") (Oracle_eval.eval lookup x) (Expr.eval lookup x);
-      let got = Interval.eval bound x and want = Oracle_eval.interval_eval bound x in
+      let tape = Tape.compile x in
+      Array.iteri (fun k _ -> Tape.set_value tape k 3) (Tape.reads tape);
+      Alcotest.(check int64) (name ^ ": tape value") (Oracle_eval.eval lookup x)
+        (Tape.value tape);
+      let got = tape_interval x (fun _ -> (2, 9)) in
+      let want = Oracle_eval.interval_eval bound x in
       Alcotest.(check (pair int64 int64))
-        (name ^ ": interval") (want.Interval.lo, want.Interval.hi)
+        (name ^ ": interval") (want.Oracle_eval.lo, want.Oracle_eval.hi)
         (got.Interval.lo, got.Interval.hi))
     (("squares", e) :: wrapped)
 
@@ -476,7 +669,7 @@ let prop_search_core_matches_brute_force =
            (list_size (int_range 0 3) (int_range 0 2))))
     (fun (specs, (h0, h1), focus) ->
       let exprs = List.map build specs in
-      let group = Search_core.build_group ~reads:Expr.reads exprs in
+      let group = Search_core.build_group ~tape:Tape.compile exprs in
       let models = brute_force_models specs in
       let hull pick =
         match models with
@@ -604,7 +797,7 @@ let prop_search_core_sparse_wide_groups =
   QCheck.Test.make ~count:200 ~name:"search core solves planted sparse wide groups"
     (QCheck.make ~print:print_planted gen_planted)
     (fun c ->
-      let group = Search_core.build_group ~reads:Expr.reads c.constraints in
+      let group = Search_core.build_group ~tape:Tape.compile c.constraints in
       (* far above what these groups need: a blown budget is a failure *)
       let meter = Search_core.meter ~limit:5_000_000 in
       match
@@ -622,6 +815,396 @@ let prop_search_core_sparse_wide_groups =
         && Model.get model c.outside = Model.get c.hint c.outside
       | Search_core.Gunsat | Search_core.Gunknown -> false
       | exception Search_core.Out_of_budget -> false)
+
+(* --- Search_core vs the tree-walking search ------------------------------- *)
+
+(* [Search_core]'s probe and search as they were before constraints were
+   compiled to tapes, copied verbatim (names qualified; intervals are
+   [Oracle_eval]'s records, evaluated by its memoised walk): the oracle
+   for [Search_core.solve_group]. *)
+module Oracle_search = struct
+  open Search_core
+
+  (* Mutable domain of one input byte during a group solve. *)
+  type domain = {
+    allowed : Bytes.t; (* 256 flags *)
+    mutable size : int;
+    mutable dlo : int;
+    mutable dhi : int;
+  }
+
+  let domain_full () = { allowed = Bytes.make 256 '\001'; size = 256; dlo = 0; dhi = 255 }
+
+  let domain_mem d v = Bytes.get d.allowed v <> '\000'
+
+  let domain_remove d v =
+    if domain_mem d v then begin
+      Bytes.set d.allowed v '\000';
+      d.size <- d.size - 1;
+      if d.size > 0 then begin
+        while d.dlo < 256 && not (domain_mem d d.dlo) do
+          d.dlo <- d.dlo + 1
+        done;
+        while d.dhi >= 0 && not (domain_mem d d.dhi) do
+          d.dhi <- d.dhi - 1
+        done
+      end
+    end
+
+  (* Full and singleton domains, the common shapes, share their intervals. *)
+  let domain_interval d =
+    if d.dlo = 0 && d.dhi = 255 then Oracle_eval.byte_any
+    else if d.dlo = d.dhi then Oracle_eval.byte_point d.dlo
+    else Oracle_eval.make (Int64.of_int d.dlo) (Int64.of_int d.dhi)
+
+  type group = {
+    constraints : Expr.t array;
+    vars : int array; (* sorted input indices *)
+    by_var : int list array; (* position -> constraint indices *)
+    creads : int list array; (* constraint -> input indices *)
+  }
+
+  let rec search_sorted (vars : int array) (v : int) lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) lsr 1 in
+      let x = vars.(mid) in
+      if x = v then mid
+      else if x < v then search_sorted vars v (mid + 1) hi
+      else search_sorted vars v lo mid
+
+  let sorted_position vars v = search_sorted vars v 0 (Array.length vars)
+
+  let rec mem_int (v : int) = function [] -> false | x :: rest -> x = v || mem_int v rest
+
+  let build_group ~reads exprs =
+    let constraints = Array.of_list exprs in
+    let creads = Array.map reads constraints in
+    let var_set = Hashtbl.create 16 in
+    Array.iter (List.iter (fun v -> Hashtbl.replace var_set v ())) creads;
+    let vars =
+      Hashtbl.fold (fun v () acc -> v :: acc) var_set [] |> List.sort Int.compare
+      |> Array.of_list
+    in
+    let by_var = Array.make (Array.length vars) [] in
+    Array.iteri
+      (fun ci reads ->
+        List.iter
+          (fun v ->
+            let pos = sorted_position vars v in
+            by_var.(pos) <- ci :: by_var.(pos))
+          reads)
+      creads;
+    { constraints; vars; by_var; creads }
+
+  let probe_deltas = [ 1; -1; 2; -2; 4; -4; 8; -8; 16; -16; 32; -32; 64; -64; 128 ]
+
+  let probe_neighborhood meter ~hint group focus =
+    let satisfied lookup =
+      Array.for_all
+        (fun (c : Expr.t) ->
+          spend meter (Int.min c.Expr.nodes 64);
+          Semantics.truthy (Expr.eval lookup c))
+        group.constraints
+    in
+    (* [overrides] holds at most one (input index, value) pair *)
+    let try_model overrides =
+      let lookup (i : int) =
+        match overrides with
+        | [ (j, v) ] when j = i -> v land 0xFF
+        | _ -> Model.get hint i
+      in
+      if satisfied lookup then
+        Some (Array.to_list (Array.map (fun v -> (v, lookup v)) group.vars))
+      else None
+    in
+    let rec try_var vars =
+      match vars with
+      | [] -> None
+      | v :: rest ->
+        let base = Model.get hint v in
+        let rec try_delta = function
+          | [] -> try_var rest
+          | d :: ds ->
+            let candidate = base + d in
+            if candidate >= 0 && candidate <= 255 then
+              match try_model [ (v, candidate) ] with
+              | Some bindings -> Some bindings
+              | None -> try_delta ds
+            else try_delta ds
+        in
+        try_delta probe_deltas
+    in
+    match try_model [] with
+    | Some bindings -> Some bindings
+    | None -> try_var focus
+
+  let solve_group_search ~on_node meter ~hint ~bounds group =
+    let nvars = Array.length group.vars in
+    let domains = Array.init nvars (fun _ -> domain_full ()) in
+    (* seed the domains with the learned bounds *)
+    Array.iteri
+      (fun pos v ->
+        match bounds v with
+        | None -> ()
+        | Some (iv : Interval.t) ->
+          let lo = Int64.to_int iv.Interval.lo and hi = Int64.to_int iv.Interval.hi in
+          if lo > 0 || hi < 255 then begin
+            let d = domains.(pos) in
+            for x = 0 to 255 do
+              if x < lo || x > hi then domain_remove d x
+            done
+          end)
+      group.vars;
+    let assignment = Array.make nvars (-1) in
+    (* Interval environment: assigned variables are points, unassigned ones
+       are the hull of their remaining domain. *)
+    let lookup_interval input_index =
+      let pos = sorted_position group.vars input_index in
+      if pos < 0 then Oracle_eval.byte_any
+      else if assignment.(pos) >= 0 then Oracle_eval.byte_point assignment.(pos)
+      else domain_interval domains.(pos)
+    in
+    let interval_check ci =
+      let c = group.constraints.(ci) in
+      spend meter c.Expr.nodes;
+      not (Oracle_eval.definitely_false (Oracle_eval.interval_eval lookup_interval c))
+    in
+    let exact_check ci =
+      let c = group.constraints.(ci) in
+      spend meter c.Expr.nodes;
+      let lookup i =
+        let pos = sorted_position group.vars i in
+        if pos >= 0 && assignment.(pos) >= 0 then assignment.(pos) else Model.get hint i
+      in
+      Semantics.truthy (Expr.eval lookup c)
+    in
+    let propagate () =
+      let changed = ref true in
+      let rounds = ref 0 in
+      while !changed && !rounds < 6 do
+        changed := false;
+        incr rounds;
+        for pos = 0 to nvars - 1 do
+          let narrow ci =
+            if List.length group.creads.(ci) <= 6 then begin
+              let c = group.constraints.(ci) in
+              let false_at v =
+                spend meter c.Expr.nodes;
+                let lookup i =
+                  let p = sorted_position group.vars i in
+                  if p = pos then Oracle_eval.byte_point v
+                  else if p >= 0 then domain_interval domains.(p)
+                  else Oracle_eval.byte_any
+                in
+                Oracle_eval.definitely_false (Oracle_eval.interval_eval lookup c)
+              in
+              let d = domains.(pos) in
+              while d.size > 0 && false_at d.dlo do
+                domain_remove d d.dlo;
+                changed := true
+              done;
+              while d.size > 0 && false_at d.dhi do
+                domain_remove d d.dhi;
+                changed := true
+              done
+            end
+          in
+          List.iter narrow group.by_var.(pos);
+          if domains.(pos).size = 0 then raise Exit
+        done
+      done
+    in
+    let unassigned ci =
+      List.exists
+        (fun v -> assignment.(sorted_position group.vars v) < 0)
+        group.creads.(ci)
+    in
+    let order = Array.init nvars (fun i -> i) in
+    let finished = ref None in
+    let rec assign depth =
+      if depth = nvars then begin
+        let n = Array.length group.constraints in
+        let rec all_exact ci = ci >= n || (exact_check ci && all_exact (ci + 1)) in
+        if all_exact 0 then begin
+          finished :=
+            Some
+              (Array.to_list
+                 (Array.mapi
+                    (fun pos _ -> (group.vars.(pos), assignment.(pos)))
+                    group.vars));
+          true
+        end
+        else false
+      end
+      else begin
+        let pos = order.(depth) in
+        let d = domains.(pos) in
+        let try_value v =
+          if not (domain_mem d v) then false
+          else begin
+            on_node ();
+            spend meter 1;
+            assignment.(pos) <- v;
+            let consistent =
+              List.for_all
+                (fun ci -> if unassigned ci then interval_check ci else exact_check ci)
+                group.by_var.(pos)
+            in
+            let found = consistent && assign (depth + 1) in
+            if not found then assignment.(pos) <- -1;
+            found
+          end
+        in
+        let hint_v = Model.get hint group.vars.(pos) land 0xFF in
+        let deltas = [ 0; 1; -1; 2; -2; 4; -4; 8; -8; 16; -16; 32; -32; 64; -64; 128 ] in
+        let near =
+          List.filter_map
+            (fun delta ->
+              let v = hint_v + delta in
+              if v >= 0 && v <= 255 then Some v else None)
+            deltas
+        in
+        let rec try_near = function
+          | [] ->
+            let rec scan v =
+              if v > d.dhi then false
+              else if (not (mem_int v near)) && try_value v then true
+              else scan (v + 1)
+            in
+            scan d.dlo
+          | v :: rest -> if try_value v then true else try_near rest
+        in
+        try_near near
+      end
+    in
+    match
+      (try
+         if Array.exists (fun d -> d.size = 0) domains then raise Exit;
+         propagate ();
+         Array.sort (fun a b -> Int.compare domains.(a).size domains.(b).size) order;
+         if assign 0 then `Sat else `Unsat
+       with
+      | Exit -> `Unsat)
+    with
+    | `Sat -> (
+      match !finished with
+      | Some bindings -> Gsat bindings
+      | None -> Gunknown)
+    | `Unsat -> Gunsat
+
+  let solve_group ~on_node meter ~hint ~focus ~bounds group =
+    let focus = List.filter (fun v -> sorted_position group.vars v >= 0) focus in
+    match probe_neighborhood meter ~hint group focus with
+    | Some bindings -> Gsat bindings
+    | None -> solve_group_search ~on_node meter ~hint ~bounds group
+end
+
+(* A random group over input bytes 0-2: random terms (if-then-else
+   included), little-endian u16 fields (so disjoint-bit ors reach the
+   interval rules), sums of two or three bytes and single bytes compared
+   with constants; with random byte bounds (sound or not: both searches
+   must agree on any), a random hint, focus bytes (3 is outside the
+   group) and a work limit that is often too small. *)
+type search_case = {
+  s_exprs : Expr.t list;
+  s_bounds : (int * int) option array;
+  s_hint : int array;
+  s_focus : int list;
+  s_limit : int;
+}
+
+let gen_search_case =
+  let open QCheck.Gen in
+  let read = map Expr.read (int_range 0 2) in
+  let const hi = map (fun c -> Expr.const (Int64.of_int c)) (int_range 0 hi) in
+  let cmp = oneofl [ T.Eq; T.Ne; T.Ult; T.Ule ] in
+  let field =
+    map3
+      (fun (i, j) op c -> Expr.bin op (le_field [ i; j ]) c)
+      (pair (int_range 0 2) (int_range 0 2))
+      cmp (const 0x10000)
+  in
+  let sum =
+    map3
+      (fun (a, b, c) op k -> Expr.bin op (Expr.bin T.Add (Expr.bin T.Add a b) c) k)
+      (triple read read (oneof [ read; const 0 ]))
+      cmp (const 765)
+  in
+  let byte = map3 (fun a op c -> Expr.bin op a c) read cmp (const 255) in
+  let bound =
+    frequency
+      [
+        (2, return None);
+        ( 3,
+          map2 (fun a b -> Some (min a b, max a b)) (int_range 0 255) (int_range 0 255) );
+      ]
+  in
+  let limit =
+    frequency [ (1, int_range 0 400); (2, int_range 400 5_000); (3, return 200_000) ]
+  in
+  map
+    (fun ((exprs, s_bounds), (s_hint, s_focus, s_limit)) ->
+      { s_exprs = exprs; s_bounds; s_hint; s_focus; s_limit })
+    (pair
+       (pair
+          (list_size (int_range 1 6)
+             (frequency
+                [ (2, map build (gen_spec 3)); (2, field); (2, sum); (1, byte) ]))
+          (array_repeat 3 bound))
+       (triple (gen_bytes 3) (list_size (int_range 0 3) (int_range 0 3)) limit))
+
+let print_search_case c =
+  Printf.sprintf "constraints:\n%s\nbounds [%s]\nhint [%s]\nfocus [%s]\nlimit %d"
+    (String.concat "\n" (List.map Expr.to_string c.s_exprs))
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (function None -> "-" | Some (lo, hi) -> Printf.sprintf "%d..%d" lo hi)
+             c.s_bounds)))
+    (String.concat "; " (Array.to_list (Array.map string_of_int c.s_hint)))
+    (String.concat "; " (List.map string_of_int c.s_focus))
+    c.s_limit
+
+(* Same answer, same work spent, the same point of running out of budget
+   and the same search-node count as the tree-walking search. *)
+let prop_search_core_matches_oracle_search =
+  QCheck.Test.make ~count:1000 ~name:"search core = tree-walking oracle search"
+    (QCheck.make ~print:print_search_case gen_search_case)
+    (fun c ->
+      let hint =
+        Array.fold_left
+          (fun (m, i) v -> (Model.set m i v, i + 1))
+          (Model.empty, 0) c.s_hint
+        |> fst
+      in
+      let bounds i =
+        if i < 0 || i >= Array.length c.s_bounds then None
+        else
+          Option.map
+            (fun (lo, hi) -> Interval.make (Int64.of_int lo) (Int64.of_int hi))
+            c.s_bounds.(i)
+      in
+      let run solve =
+        let nodes = ref 0 in
+        let meter = Search_core.meter ~limit:c.s_limit in
+        let result =
+          try Some (solve ~on_node:(fun () -> incr nodes) meter)
+          with Search_core.Out_of_budget -> None
+        in
+        (result, meter.Search_core.spent, !nodes)
+      in
+      let got =
+        let group = Search_core.build_group ~tape:Tape.compile c.s_exprs in
+        run (fun ~on_node meter ->
+            Search_core.solve_group ~on_node meter ~hint ~focus:c.s_focus ~bounds group)
+      in
+      let want =
+        let group = Oracle_search.build_group ~reads:Expr.reads c.s_exprs in
+        run (fun ~on_node meter ->
+            Oracle_search.solve_group ~on_node meter ~hint ~focus:c.s_focus ~bounds group)
+      in
+      got = want)
 
 (* --- deterministic unit tests --------------------------------------------- *)
 
@@ -912,6 +1495,7 @@ let suite =
     Alcotest.test_case "eval with overflowing nodes" `Quick test_eval_overflowing_nodes;
     Alcotest.test_case "golden solver counters" `Quick test_golden_solver_counters;
     QCheck_alcotest.to_alcotest prop_bits_sound;
+    QCheck_alcotest.to_alcotest prop_unsigned_division;
     QCheck_alcotest.to_alcotest prop_simplifier_sound;
     QCheck_alcotest.to_alcotest prop_lognot_negates;
     QCheck_alcotest.to_alcotest prop_interval_sound;
@@ -921,6 +1505,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_check_assuming_matches_brute_force;
     QCheck_alcotest.to_alcotest prop_eval_matches_memo_oracle;
     QCheck_alcotest.to_alcotest prop_interval_eval_matches_memo_oracle;
+    QCheck_alcotest.to_alcotest prop_tape_value_matches_memo_oracle;
     QCheck_alcotest.to_alcotest prop_search_core_matches_brute_force;
     QCheck_alcotest.to_alcotest prop_search_core_sparse_wide_groups;
+    QCheck_alcotest.to_alcotest prop_search_core_matches_oracle_search;
   ]
