@@ -697,21 +697,33 @@ let robust () =
 
 (* --- Per-layer kernels ----------------------------------------------------------- *)
 
-(* Bechamel's OLS estimate, per run of [test], of each of [instances]
-   ([None] where it fits none). *)
-let per_run ?(limit = 8) ?(quota = 1.0) instances test =
+(* The cost of one call of [run]: wall time in ns, Bechamel's OLS
+   estimate over repeated runs ("-" where it fits none), and minor-heap
+   words, counted with [Gc.minor_words] over [calls] calls. Bechamel's
+   own estimate of minor words under-reads on OCaml 5.1: it read 0 for
+   calls that allocate a few thousand words. *)
+let kernel_cost ~calls ~limit name run =
   let open Bechamel in
-  let cfg = Benchmark.cfg ~limit ~quota:(Time.second quota) ~kde:(Some 8) () in
-  let results = Benchmark.all cfg instances (Test.make_grouped ~name:"g" [ test ]) in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    run ()
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int calls in
+  let cfg = Benchmark.cfg ~limit ~quota:(Time.second 0.5) ~kde:(Some 8) () in
+  let test = Test.make_grouped ~name:"g" [ Test.make ~name (Staged.stage run) ] in
+  let clock = Toolkit.Instance.monotonic_clock in
+  let results = Benchmark.all cfg [ clock ] test in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  List.map
-    (fun instance ->
-      Hashtbl.fold
-        (fun _ result _ ->
-          match Analyze.OLS.estimates result with Some [ est ] -> Some est | _ -> None)
-        (Analyze.all ols instance results)
-        None)
-    instances
+  let ns =
+    Hashtbl.fold
+      (fun _ result _ ->
+        match Analyze.OLS.estimates result with
+        | Some [ est ] -> Printf.sprintf "%.0f" est
+        | _ -> "-")
+      (Analyze.all ols clock results)
+      "-"
+  in
+  (ns, words)
 
 (* The solver's search alone: wall time and minor-heap words per
    [Search_core.solve_group] on one fixed group of 16 sparse input bytes,
@@ -726,7 +738,6 @@ let per_run ?(limit = 8) ?(quota = 1.0) instances test =
    partly narrowed) and runs [Tape.falsified]; [tape-exact] loads a value
    per read and runs [Tape.holds]. *)
 let search_core_kernel () =
-  let open Bechamel in
   let module Expr = Pbse_smt.Expr in
   let module Model = Pbse_smt.Model in
   let module Search_core = Pbse_smt.Search_core in
@@ -797,25 +808,12 @@ let search_core_kernel () =
   in
   if eval_interval () || not (eval_exact ()) then
     failwith "tape kernel: the constraint must hold on the values and their intervals";
-  let estimate = function Some e -> Printf.sprintf "%.0f" e | None -> "-" in
   Printf.printf "\n  %-10s %5s %14s %18s   %s\n%!" "kernel" "vars" "ns/call"
     "minor words/call" "(a call: one solve, or one tape evaluation)";
   List.iter
     (fun (name, vars, run) ->
-      let test = Test.make ~name (Staged.stage run) in
-      (* minor words counted directly over [calls] calls: Bechamel's
-         estimate of them reads 0 for calls that allocate a few thousand
-         words on this runtime *)
-      let calls = 1000 in
-      let before = Gc.minor_words () in
-      for _ = 1 to calls do
-        run ()
-      done;
-      let words = (Gc.minor_words () -. before) /. float_of_int calls in
-      match per_run ~limit:500 ~quota:0.5 Toolkit.Instance.[ monotonic_clock ] test with
-      | [ ns ] ->
-        Printf.printf "  %-10s %5d %14s %18.0f\n%!" name vars (estimate ns) words
-      | _ -> assert false)
+      let ns, words = kernel_cost ~calls:1000 ~limit:500 name run in
+      Printf.printf "  %-10s %5d %14s %18.0f\n%!" name vars ns words)
     [
       ( "search",
         Array.length (Search_core.group_vars group),
@@ -833,7 +831,6 @@ let search_core_kernel () =
    ([concolic_kernel]); then the solver's search on a fixed group and
    one constraint's tape ([search_core_kernel]). *)
 let concolic_kernel passes =
-  let open Bechamel in
   let module Expr = Pbse_smt.Expr in
   Printf.printf "\n  %-10s %8s %14s %18s\n%!" "concolic" "interval" "ns/pass"
     "minor words/pass";
@@ -844,24 +841,14 @@ let concolic_kernel passes =
         let exec = Executor.create ~clock:(Vclock.create ()) prog ~input:seed in
         ignore (Concolic.run ~interval_length ~deadline:hour exec (Trace.indexer ()))
       in
-      let test = Test.make ~name (Staged.stage pass) in
-      let estimate = function Some e -> Printf.sprintf "%.0f" e | None -> "-" in
-      match
-        per_run ~limit:200 ~quota:0.5
-          Toolkit.Instance.[ monotonic_clock; minor_allocated ]
-          test
-      with
-      | [ ns; words ] ->
-        Printf.printf "  %-10s %8d %14s %18s\n%!" name interval_length (estimate ns)
-          (estimate words)
-      | _ -> assert false)
+      let ns, words = kernel_cost ~calls:3 ~limit:200 name pass in
+      Printf.printf "  %-10s %8d %14s %18.0f\n%!" name interval_length ns words)
     passes
 
 let kernels () =
   heading
     "Per-layer kernels: Phase.divide and the concolic pass on each target's \
      smallest seed, Search_core.solve_group, one constraint's tape";
-  let open Bechamel in
   Printf.printf "  %-10s %5s %14s %18s %11s %11s\n%!" "target" "bbvs" "ns/division"
     "minor words/div" "dims" "distinct";
   let passes =
@@ -871,23 +858,15 @@ let kernels () =
         let session = Session.open_session prog ~seed ~deadline:hour in
         let report = Session.finish_session session in
         let bbvs = report.Session.bbvs in
-        let test =
-          Test.make ~name:t.Registry.name
-            (Staged.stage (fun () -> ignore (Phase.divide (Rng.create 1) bbvs)))
+        let ns, words =
+          kernel_cost ~calls:10 ~limit:500 t.Registry.name (fun () ->
+              ignore (Phase.divide (Rng.create 1) bbvs))
         in
-        let estimate = function Some e -> Printf.sprintf "%.0f" e | None -> "-" in
-        (match
-           per_run ~limit:500 ~quota:0.5
-             Toolkit.Instance.[ monotonic_clock; minor_allocated ]
-             test
-         with
-         | [ ns; words ] ->
-           let shape = Phase.shape bbvs in
-           Printf.printf "  %-10s %5d %14s %18s %11s %11s\n%!" t.Registry.name
-             (List.length bbvs) (estimate ns) (estimate words)
-             (Printf.sprintf "%d/%d" shape.Phase.blocks shape.Phase.block_span)
-             (Printf.sprintf "%d/%d" shape.Phase.distinct shape.Phase.bbvs)
-         | _ -> assert false);
+        let shape = Phase.shape bbvs in
+        Printf.printf "  %-10s %5d %14s %18.0f %11s %11s\n%!" t.Registry.name
+          (List.length bbvs) ns words
+          (Printf.sprintf "%d/%d" shape.Phase.blocks shape.Phase.block_span)
+          (Printf.sprintf "%d/%d" shape.Phase.distinct shape.Phase.bbvs);
         (t.Registry.name, prog, seed, report.Session.interval_length))
       Registry.all
   in

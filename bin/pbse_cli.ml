@@ -272,9 +272,6 @@ let print_pool_campaign (report : Driver.pool_report) =
   Printf.printf "pool workers: %d turn(s) pinned, %d stolen; %d id-block refill(s)\n"
     report.Driver.pool_pinned_turns report.Driver.pool_steal_count
     report.Driver.pool_id_refills;
-  if report.Driver.pool_shared_seedstates > 0 then
-    Printf.printf "seedStates shared across seeds: %d skipped\n"
-      report.Driver.pool_shared_seedstates;
   print_seed_rows report.Driver.seed_rows;
   List.iter
     (fun ((bug : Bug.t), phase) ->
@@ -334,18 +331,7 @@ let run_cmd =
     in
     Arg.(value & opt int 1 & info [ "lease" ] ~docv:"K" ~doc)
   in
-  let share_arg =
-    let doc =
-      "With --pool: share seedStates and solver prefix residue across the \
-       campaign's sessions (a fork point another seed already published is \
-       scheduled once campaign-wide). Per-run reports are only \
-       jobs-invariant with sharing off; the merged campaign report stays \
-       deterministic at --jobs 1."
-    in
-    Arg.(value & flag & info [ "share-seedstates" ] ~doc)
-  in
-  let run name seed_label hours pool pool_scheduler jobs lease share ck config
-      report_file =
+  let run name seed_label hours pool pool_scheduler jobs lease ck config report_file =
     match (lookup_target name, config) with
     | Error e, _ | _, Error e ->
       prerr_endline e;
@@ -363,22 +349,12 @@ let run_cmd =
     | _, _ when (not pool) && fst ck <> None ->
       prerr_endline "--checkpoint needs --pool (single runs are not checkpointed)";
       1
-    | _, _ when share && not pool ->
-      prerr_endline "--share-seedstates needs --pool (sharing is across a campaign's seeds)";
-      1
     | Ok t, Ok config ->
       let deadline = deadline_of_hours hours in
       let meta seed_label =
         [ ("target", name); ("seed", seed_label); ("deadline", string_of_int deadline) ]
       in
       if pool then begin
-        let config =
-          if share then
-            Session.with_search
-              (fun s -> { s with Session.share_seed_states = true })
-              config
-          else config
-        in
         let report =
           Driver.run_pool ~config ~scheduler:pool_scheduler
             ~runtime:(report_runtime report_file config)
@@ -411,7 +387,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Phase-based symbolic execution on a target")
     Term.(
       const run $ target_arg $ seed_arg $ hours_arg $ pool_arg
-      $ pool_scheduler_arg $ jobs_arg $ lease_arg $ share_arg $ checkpoint_args
+      $ pool_scheduler_arg $ jobs_arg $ lease_arg $ checkpoint_args
       $ config_term $ report_arg)
 
 (* --- resume ---------------------------------------------------------------------- *)

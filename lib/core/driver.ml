@@ -66,11 +66,6 @@ type pool_report = {
   pool_steal_count : int; (* turns run by a non-home pool worker *)
   pool_pinned_turns : int; (* turns run by their slot's home worker *)
   pool_id_refills : int; (* expr id-block refills during the campaign *)
-  pool_shared_seedstates : int;
-      (* seedStates skipped because another session of this campaign
-         already published their fork point (share hits). Diagnostic
-         like the above: the sharing feature itself is config-gated, and
-         at [jobs > 1] which session publishes first is timing-dependent *)
 }
 
 type checkpoint = {
@@ -103,7 +98,10 @@ let checkpoint ?(meta = []) ?halt_after ?note_ms ~path ~every () =
    left the config for constants: the config fingerprint hashes every
    rendered key, so entries stored before miss once and are rebuilt.
    "unknown-final" keys out reports stored before the solver's Unknown
-   answers became final: they carry three retired solver metrics. *)
+   answers became final: they carry three retired solver metrics. Keys
+   changed once more when the seedState-sharing key left the config:
+   entries stored before miss once and are rebuilt, and no request can
+   reach an old entry stored with sharing on. *)
 let campaign_fingerprint ?(config = Session.default_config)
     ?(scheduler = Pool_scheduler.default) ?(lease = 1) ~target ~seeds ~deadline () =
   let ordered =
@@ -169,9 +167,6 @@ type state = {
   lease : int;
   deadline : int;
   checkpoint : checkpoint option;
-  (* the share table consulted by every [open_session] (config-gated):
-     the caller's, which may span campaigns, or one for this campaign *)
-  share : Session.share option;
   pool : Domain_pool.t;
   own_pool : bool;
   pool_registry : Telemetry.Registry.t;
@@ -209,7 +204,6 @@ type state = {
   steals0 : int;
   pinned0 : int;
   id_refills0 : int;
-  share_hits0 : int;
 }
 
 (* Worker-side record of one executed sub-turn. Everything a merge needs
@@ -230,8 +224,8 @@ type turn_exec =
       struck : bool; (* it counts against its seed ([run_event]) *)
     }
 
-let create ~config ~scheduler ?runtime ~jobs ~lease ?checkpoint ?pool ?share prog
-    ~seeds ~deadline =
+let create ~config ~scheduler ?runtime ~jobs ~lease ?checkpoint ?pool prog ~seeds
+    ~deadline =
   let factory =
     match Pool_scheduler.by_name scheduler with
     | Some f -> f
@@ -239,11 +233,6 @@ let create ~config ~scheduler ?runtime ~jobs ~lease ?checkpoint ?pool ?share pro
   in
   let ordered =
     List.sort (fun a b -> Int.compare (Bytes.length a) (Bytes.length b)) seeds
-  in
-  let share =
-    if config.Session.search.share_seed_states then
-      Some (match share with Some sh -> sh | None -> Session.share_create ())
-    else None
   in
   (* Per-domain minor heaps below ~8 MB thrash the stop-the-world minor
      collection once several domains allocate at engine rates (every
@@ -268,7 +257,6 @@ let create ~config ~scheduler ?runtime ~jobs ~lease ?checkpoint ?pool ?share pro
     lease = max 1 lease;
     deadline;
     checkpoint;
-    share;
     pool;
     own_pool;
     (* only the registry is read from the caller's runtime: sessions
@@ -301,7 +289,6 @@ let create ~config ~scheduler ?runtime ~jobs ~lease ?checkpoint ?pool ?share pro
     steals0 = Domain_pool.steals pool;
     pinned0 = Domain_pool.pinned pool;
     id_refills0 = Expr.id_block_refills ();
-    share_hits0 = (match share with Some sh -> snd (Session.share_stats sh) | None -> 0);
   }
 
 let release t () = if t.own_pool then Domain_pool.shutdown t.pool
@@ -321,8 +308,8 @@ let open_slot t (slot : Seed_slot.t) ~deadline =
   in
   let rt = Session.runtime_of_config ~registry t.config in
   ( rt,
-    Session.open_session ~config:t.config ~runtime:rt ?share:t.share t.prog
-      ~seed:slot.Seed_slot.seed ~deadline )
+    Session.open_session ~config:t.config ~runtime:rt t.prog ~seed:slot.Seed_slot.seed
+      ~deadline )
 
 (* Run one ledger event on [s] — the one turn path, taken by live turns
    and resume replay alike. A step runs contained up to its deadline and
@@ -711,11 +698,6 @@ let finish t (sched : Pool_scheduler.t) =
         | Some (rt, s) ->
           slot.Seed_slot.faults <-
             Fault.total (Executor.faults (Session.session_executor s));
-          (* publish the session's solver residue for future sessions of
-             this share (ordinal order, first writer per prefix wins) *)
-          (match t.share with
-           | Some sh -> Session.share_publish_hints sh (Session.export_prefix_hints s)
-           | None -> ());
           (* fold the session's instruments into the pool registry, in
              ordinal order — the aggregate report covers the campaign *)
           Telemetry.Registry.merge_into ~into:t.pool_registry rt.Runtime.registry;
@@ -749,19 +731,15 @@ let finish t (sched : Pool_scheduler.t) =
     pool_steal_count = Domain_pool.steals t.pool - t.steals0;
     pool_pinned_turns = Domain_pool.pinned t.pool - t.pinned0;
     pool_id_refills = Expr.id_block_refills () - t.id_refills0;
-    pool_shared_seedstates =
-      (match t.share with
-       | Some sh -> snd (Session.share_stats sh) - t.share_hits0
-       | None -> 0);
   }
 
 (* Resuming takes the snapshot as [resume]; {!run_pool} is the fresh
    start. *)
 let campaign ~resume ?(config = Session.default_config)
     ?(scheduler = Pool_scheduler.default) ?runtime ?(jobs = 1) ?(lease = 1) ?checkpoint
-    ?(preload_faults = []) ?pool ?share ?round_wrap prog ~seeds ~deadline =
+    ?(preload_faults = []) ?pool ?round_wrap prog ~seeds ~deadline =
   let t =
-    create ~config ~scheduler ?runtime ~jobs ~lease ?checkpoint ?pool ?share prog ~seeds
+    create ~config ~scheduler ?runtime ~jobs ~lease ?checkpoint ?pool prog ~seeds
       ~deadline
   in
   Fun.protect ~finally:(release t) @@ fun () ->

@@ -6,7 +6,7 @@
     directly. What the driver owns is the campaign: {!run_pool} drives
     a seed pool through seed-level scheduling policies
     ({!Pbse_campaign.Pool_scheduler}) built on resumable sessions —
-    checkpointed, resumable and shared-seedState-aware — and
+    checkpointed and resumable — and
     {!pool_run_report} renders the aggregate into the same
     [pbse-report/1] document single runs use. *)
 
@@ -72,12 +72,6 @@ type pool_report = {
   pool_id_refills : int;
       (* expression id-block refills during the campaign
          ({!Pbse_smt.Expr.id_block_refills}) *)
-  pool_shared_seedstates : int;
-      (* seedStates skipped because another session of this campaign
-         already published their fork point
-         ({!Pbse_session.Session.share_stats}
-         hits, as a delta over this campaign). Diagnostic like the
-         above: 0 unless [search.share_seed_states] is on *)
 }
 
 type checkpoint
@@ -126,7 +120,6 @@ val run_pool :
   ?checkpoint:checkpoint ->
   ?preload_faults:Pbse_robust.Fault.kind list ->
   ?pool:Pbse_campaign.Domain_pool.t ->
-  ?share:Pbse_session.Session.share ->
   ?round_wrap:((unit -> unit) -> unit) ->
   Pbse_ir.Types.program ->
   seeds:bytes list ->
@@ -157,8 +150,8 @@ val run_pool :
     is). Every field of the result — and the
     byte-exact {!pool_run_report} JSON — is identical for every [jobs]
     value at any fixed [lease] (docs/parallelism.md); the
-    [pool_steal_count]/[pool_pinned_turns]/[pool_id_refills]/
-    [pool_shared_seedstates] diagnostics are the deliberate exception.
+    [pool_steal_count]/[pool_pinned_turns]/[pool_id_refills]
+    diagnostics are the deliberate exception.
     Raises [Invalid_argument] on an unknown policy name.
 
     Robustness (docs/robustness.md): [checkpoint] snapshots the campaign
@@ -176,13 +169,9 @@ val run_pool :
     by default the campaign creates and shuts down its own), and
     [round_wrap] brackets each executed round (dispatch through merges)
     — together they let a server multiplex several campaigns onto one
-    shared pool with round-granular fair sharing. With
-    [config.search.share_seed_states] on, every session of the campaign
-    publishes and consults a shared seedState table — [share] when
-    given (the serve layer passes one that spans its campaigns), a
-    fresh one otherwise: fork points already published by another
-    session are scheduled once campaign-wide, and finished sessions'
-    solver prefix residue seeds fresh ones. *)
+    shared pool with round-granular fair sharing. Each seed's phases
+    run on their own, as in Algorithm 1: sessions of one campaign share
+    no seedStates and no solver state. *)
 
 val load_snapshot :
   path:string -> (Pbse_campaign.Snapshot.t * string option, string) result

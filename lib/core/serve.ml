@@ -67,11 +67,10 @@ let arbiter_wrap arb f =
 (* --- campaign execution ----------------------------------------------------
 
    The CLI's exact `run --pool --report` recipe, against the server's
-   shared pool and seedState share table: default config (plus the
-   request's phase scheduler and sharing switch), a fresh runtime per
-   request over a private telemetry-enabled registry — concurrent
-   requests share no registry — and the same report metadata the CLI
-   writes. *)
+   shared pool: default config (plus the request's phase scheduler), a
+   fresh runtime per request over a private telemetry-enabled registry —
+   concurrent requests share no registry — and the same report metadata
+   the CLI writes. *)
 
 let config_of_request (req : Protocol.request) =
   Session.default_config
@@ -80,7 +79,6 @@ let config_of_request (req : Protocol.request) =
            s with
            Session.scheduler =
              Option.value req.Protocol.rq_scheduler ~default:s.Session.scheduler;
-           share_seed_states = req.Protocol.rq_share;
          })
 
 let pool_scheduler_of (req : Protocol.request) =
@@ -89,7 +87,11 @@ let pool_scheduler_of (req : Protocol.request) =
 
 let validate (req : Protocol.request) =
   let sched = pool_scheduler_of req in
-  if not (List.mem sched Pool_scheduler.names) then
+  if req.Protocol.rq_share then
+    Error
+      ( Protocol.Bad_request,
+        "\"share\": true is not supported: seedState sharing was removed" )
+  else if not (List.mem sched Pool_scheduler.names) then
     Error
       ( Protocol.Unknown_scheduler,
         Printf.sprintf "unknown pool scheduler %s (available: %s)" sched
@@ -103,7 +105,7 @@ let validate (req : Protocol.request) =
             (String.concat ", " Pbse_sched.Scheduler.names) )
     | _ -> Ok ()
 
-let run_request ~pool ~share ~arb ~jobs ?on_round (req : Protocol.request) prog
+let run_request ~pool ~arb ~jobs ?on_round (req : Protocol.request) prog
     seeds =
   let config = config_of_request req in
   let runtime =
@@ -116,7 +118,7 @@ let run_request ~pool ~share ~arb ~jobs ?on_round (req : Protocol.request) prog
   match
     Driver.run_pool ~config ~scheduler:(pool_scheduler_of req) ~runtime
       ~jobs:(Option.value req.Protocol.rq_jobs ~default:jobs)
-      ~lease:req.Protocol.rq_lease ~pool ~share ~round_wrap prog ~seeds
+      ~lease:req.Protocol.rq_lease ~pool ~round_wrap prog ~seeds
       ~deadline:req.Protocol.rq_deadline
   with
   | report ->
@@ -145,7 +147,6 @@ let write_all fd s =
 type server = {
   srv_pool : Domain_pool.t;
   srv_store : Session_store.t;
-  srv_share : Session.share; (* seedState/prefix-hint table spanning campaigns *)
   srv_arb : arbiter;
   srv_admission : Admission.t;
   srv_jobs : int;
@@ -230,8 +231,8 @@ let handle srv fd =
               end
             in
             (match
-               run_request ~pool:srv.srv_pool ~share:srv.srv_share
-                 ~arb:srv.srv_arb ~jobs:srv.srv_jobs ~on_round req prog seeds
+               run_request ~pool:srv.srv_pool ~arb:srv.srv_arb ~jobs:srv.srv_jobs
+                 ~on_round req prog seeds
              with
              | Error e -> fail e
              | Ok body ->
@@ -289,7 +290,6 @@ let serve ~endpoints ?(jobs = 2) ?store_cap ?store_file ?(max_inflight = 0)
     {
       srv_pool = Domain_pool.create ~jobs;
       srv_store = store;
-      srv_share = Session.share_create ();
       srv_arb = arbiter_create ();
       srv_admission =
         Admission.create ~max_inflight ~quota_burst ~quota_refill ();

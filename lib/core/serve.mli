@@ -2,12 +2,11 @@
     [pbse-serve/2] (docs/serve.md) over Unix-domain and/or TCP
     endpoints.
 
-    One process holds one persistent {!Pbse_campaign.Domain_pool}, one
-    seedState share table and one {!Pbse_session.Session_store} of
-    rendered responses; each client connection carries
-    one campaign request, passes an admission arbiter (global in-flight
-    cap plus per-client token-bucket quotas — rejected requests get a
-    structured [over-capacity] error with [retry_after] seconds instead
+    One process holds one persistent {!Pbse_campaign.Domain_pool} and
+    one {!Pbse_session.Session_store} of rendered responses; each client
+    connection carries one campaign request, passes an admission arbiter
+    (global in-flight cap plus per-client token-bucket quotas — rejected
+    requests get a structured [over-capacity] error with [retry_after] seconds instead
     of silently queueing), runs as a {!Driver.run_pool} campaign
     multiplexed onto the shared pool with fair-share round scheduling,
     and streams back a [pbse-report/1] document byte-identical to what
@@ -68,8 +67,8 @@ val serve :
 
     Each client is handled on its own thread; every campaign runs under
     a private runtime and telemetry registry, so requests share only
-    the domain pool (arbitrated per round), the admission arbiter, the
-    seedState share table and the mutex-guarded store. A client that disconnects mid-campaign
+    the domain pool (arbitrated per round), the admission arbiter and
+    the mutex-guarded store. A client that disconnects mid-campaign
     stops receiving frames but its campaign completes — the shared pool
     stays healthy. Raises [Invalid_argument] on an empty endpoint
     list. *)

@@ -59,7 +59,10 @@ type request = {
   rq_scheduler : string option; (* phase-scheduling policy override *)
   rq_jobs : int option; (* per-request width, clamped to the pool's *)
   rq_lease : int;
-  rq_share : bool; (* search.share_seed_states for this campaign *)
+  rq_share : bool;
+      (* seedState sharing was removed: the server answers true with
+         bad-request. The field stays because the benchmark harness
+         builds this record with [rq_share = false]. *)
 }
 
 (* --- parsing ---------------------------------------------------------------

@@ -42,6 +42,9 @@ type request = {
   rq_jobs : int option;
   rq_lease : int;
   rq_share : bool;
+      (** Retired: seedState sharing was removed, and the server answers
+          [true] with [Bad_request]. Kept only because the benchmark
+          harness builds this record with [rq_share = false]. *)
 }
 
 val parse_request : string -> (request, error_code * string) result

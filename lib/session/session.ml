@@ -32,7 +32,6 @@ type search_config = {
   scheduler : string;
   dedup_seed_states : bool;
   max_k : int;
-  share_seed_states : bool; (* consult/publish the campaign share table *)
 }
 
 type solver_config = {
@@ -73,7 +72,6 @@ let default_config =
         scheduler = "round-robin";
         dedup_seed_states = true;
         max_k = 20;
-        share_seed_states = false;
       };
     solver = { prefix_cap = 16_384 };
     robust = { max_strikes = 4; inject = Inject.none; watchdog_factor = 4 };
@@ -106,7 +104,6 @@ let config_to_kvs config =
     ("search.scheduler", config.search.scheduler);
     ("search.dedup_seed_states", if config.search.dedup_seed_states then "1" else "0");
     ("search.max_k", string_of_int config.search.max_k);
-    ("search.share_seed_states", if config.search.share_seed_states then "1" else "0");
     ("solver.prefix_cap", string_of_int config.solver.prefix_cap);
     ("robust.max_strikes", string_of_int config.robust.max_strikes);
     ("robust.inject", Inject.to_string config.robust.inject);
@@ -175,7 +172,11 @@ let config_of_kvs kvs =
             int_field ~min:1 ~max:4096 key v (fun i ->
                 search (fun s -> { s with max_k = i }))
           | "search.share_seed_states" ->
-            bool_field key v (fun b -> search (fun s -> { s with share_seed_states = b }))
+            (* a retired key: cross-seed seedState sharing was removed, so
+               a snapshot taken with it on cannot be replayed *)
+            Result.bind (bool_field key v Fun.id) (fun on ->
+                if on then Error (key ^ "=" ^ v ^ ": seedState sharing was removed")
+                else Ok config)
           | "solver.prefix_cap" ->
             int_field key v (fun i -> solver (fun _ -> { prefix_cap = i }))
           | "robust.max_strikes" ->
@@ -203,76 +204,6 @@ let interval_length_for config prog ~seed =
   | None ->
     let probe = Pbse_exec.Concrete.run prog ~input:seed ~fuel:20_000_000 in
     max 50 (probe.Pbse_exec.Concrete.steps / max 1 config.concolic.intervals_target)
-
-(* --- cross-session sharing ------------------------------------------------- *)
-
-(* The share table a campaign pool (or a session store) threads through
-   every [open_session]: seedStates are published under their
-   path-prefix key so identical fork points reached by several seeds are
-   scheduled once, and solver prefix-context residue (arena-free model
-   hints keyed by the structural fingerprint of the path) carries
-   witnesses from finished sessions into fresh ones. Everything behind
-   the mutex is plain ints/lists, so concurrent opens on pool domains
-   are safe; the publication order still depends on turn timing, which
-   is why sharing is config-gated off by default (byte-identity across
-   [--jobs] widths is only contractual with sharing off). *)
-type share = {
-  sh_mutex : Mutex.t;
-  sh_seedstates : (int, unit) Hashtbl.t; (* path-prefix key -> published *)
-  sh_hints : (int, (int * int) list) Hashtbl.t; (* prefix fp -> model bytes *)
-  mutable sh_published : int;
-  mutable sh_hits : int;
-}
-
-let share_create () =
-  {
-    sh_mutex = Mutex.create ();
-    sh_seedstates = Hashtbl.create 256;
-    sh_hints = Hashtbl.create 256;
-    sh_published = 0;
-    sh_hits = 0;
-  }
-
-let share_stats sh =
-  Mutex.protect sh.sh_mutex (fun () -> (sh.sh_published, sh.sh_hits))
-
-let share_publish_hints sh hints =
-  Mutex.protect sh.sh_mutex (fun () ->
-      List.iter
-        (fun (fp, bindings) ->
-          if not (Hashtbl.mem sh.sh_hints fp) then Hashtbl.replace sh.sh_hints fp bindings)
-        hints)
-
-let share_hints sh =
-  Mutex.protect sh.sh_mutex (fun () ->
-      Hashtbl.fold (fun fp bindings acc -> (fp, bindings) :: acc) sh.sh_hints [])
-
-(* Path-prefix key of a seedState: the chronological block-entry trace up
-   to its fork point, folded with the fork's global block id. Two seeds
-   whose concrete runs agree up to a fork point produce the same key for
-   it (plot indices are assigned in first-execution order, identical
-   along identical prefixes). The trace's times never decrease, so the
-   points up to a fork time are a prefix of it: one pass over the trace,
-   visiting the states in fork-time order, folds every key. *)
-let seedstate_prefix_keys trace (seed_states : Concolic.seed_state list) =
-  let mix h x = (h * 0x01000193) lxor x in
-  let states = Array.of_list seed_states in
-  let order = Array.init (Array.length states) Fun.id in
-  let fork_vtime j = states.(j).Concolic.fork_vtime in
-  Array.stable_sort (fun a b -> Int.compare (fork_vtime a) (fork_vtime b)) order;
-  let keys = Array.make (Array.length states) 0 in
-  let rec fold h points j =
-    if j < Array.length order then
-      let ss = states.(order.(j)) in
-      match points with
-      | (p : Trace.point) :: rest when p.Trace.vtime <= ss.Concolic.fork_vtime ->
-        fold (mix (mix h p.Trace.vtime) p.Trace.bb) rest j
-      | _ ->
-        keys.(order.(j)) <- mix h ss.Concolic.fork_gid;
-        fold h points (j + 1)
-  in
-  fold 0x811c9dc5 (Trace.points trace) 0;
-  Array.to_list keys
 
 (* --- run reports ----------------------------------------------------------- *)
 
@@ -315,7 +246,7 @@ let make_scheduler config =
   | Some make -> make
   | None -> invalid_arg ("Session: unknown scheduler " ^ config.search.scheduler)
 
-let map_seed_states config ~interval_length ?share ~trace division bbvs
+let map_seed_states config ~interval_length division bbvs
     (seed_states : Concolic.seed_state list) =
   (* phase id for each seedState via its fork interval *)
   let phase_of = Phase.phase_of_interval division bbvs in
@@ -330,43 +261,20 @@ let map_seed_states config ~interval_length ?share ~trace division bbvs
         | None -> None)
       seed_states
   in
-  let tagged =
-    if not config.search.dedup_seed_states then tagged
-    else begin
-      (* keep the earliest seedState per (phase, fork location) *)
-      let seen = Hashtbl.create 256 in
-      List.filter
-        (fun (ss : Concolic.seed_state) ->
-          let key = (ss.Concolic.state.State.phase, ss.Concolic.fork_gid) in
-          if Hashtbl.mem seen key then false
-          else begin
-            Hashtbl.replace seen key ();
-            true
-          end)
-        tagged
-    end
-  in
-  match share with
-  | None -> tagged
-  | Some sh ->
-    (* campaign-wide dedup: a fork point another session already
-       published (same concrete path prefix, same fork location) is
-       that session's to explore; this one spends its budget elsewhere.
-       The keys are folded before the mutex is taken. *)
-    let keyed = List.combine (seedstate_prefix_keys trace tagged) tagged in
-    Mutex.protect sh.sh_mutex (fun () ->
-        List.filter_map
-          (fun (key, ss) ->
-            if Hashtbl.mem sh.sh_seedstates key then begin
-              sh.sh_hits <- sh.sh_hits + 1;
-              None
-            end
-            else begin
-              Hashtbl.replace sh.sh_seedstates key ();
-              sh.sh_published <- sh.sh_published + 1;
-              Some ss
-            end)
-          keyed)
+  if not config.search.dedup_seed_states then tagged
+  else begin
+    (* keep the earliest seedState per (phase, fork location) *)
+    let seen = Hashtbl.create 256 in
+    List.filter
+      (fun (ss : Concolic.seed_state) ->
+        let key = (ss.Concolic.state.State.phase, ss.Concolic.fork_gid) in
+        if Hashtbl.mem seen key then false
+        else begin
+          Hashtbl.replace seen key ();
+          true
+        end)
+      tagged
+  end
 
 (* The shared engine loop: Algorithm 3 under supervision, generic over
    the scheduling policy. Which phase runs next, for how long, and when
@@ -501,7 +409,7 @@ let runtime_of_config ?registry config =
   Runtime.create ?registry ~rng_seed:config.rng_seed ~inject:config.robust.inject
     ~max_strikes:config.robust.max_strikes ~prefix_cap:config.solver.prefix_cap ()
 
-let open_session ?(config = default_config) ?runtime ?share prog ~seed ~deadline =
+let open_session ?(config = default_config) ?runtime prog ~seed ~deadline =
   (* validate the policy name before the expensive concolic step *)
   let scheduler_factory = make_scheduler config in
   let rt =
@@ -517,14 +425,6 @@ let open_session ?(config = default_config) ?runtime ?share prog ~seed ~deadline
     Executor.create ~solver_prefix_cap:rt.Runtime.prefix_cap ~inject:rt.Runtime.inject
       ~subsumption:config.pathcond.subsumption ~registry ~clock prog ~input:seed
   in
-  (* prefix-context residue published by finished sessions: arena-free
-     model hints, installed before any query is issued *)
-  (match share with
-   | Some sh when config.search.share_seed_states -> (
-     match share_hints sh with
-     | [] -> ()
-     | hints -> Solver.import_prefix_hints (Executor.solver exec) hints)
-   | _ -> ());
   (* every stochastic choice below (k-means restarts, searcher splits)
      derives from the runtime's RNG, itself seeded from config.rng_seed *)
   let rng = rt.Runtime.rng in
@@ -561,10 +461,8 @@ let open_session ?(config = default_config) ?runtime ?share prog ~seed ~deadline
      when a seedState is first scheduled — exactly the paper's "lazy pass
      through": the concolic step recorded fork points without exploring
      or deciding them. *)
-  let share = if config.search.share_seed_states then share else None in
   let seed_states =
-    map_seed_states config ~interval_length ?share
-      ~trace:concolic.Concolic.trace division concolic.Concolic.bbvs
+    map_seed_states config ~interval_length division concolic.Concolic.bbvs
       concolic.Concolic.seed_states
   in
   (* build phase queues in first-appearance order *)
@@ -675,8 +573,6 @@ let record_crash s =
   (* an injected kill charged one tick and touched nothing else *)
   Vclock.advance s.s_clock 1;
   Fault.record (Executor.faults s.s_exec) Fault.Exec_exception
-
-let export_prefix_hints s = Solver.export_prefix_hints (Executor.solver s.s_exec)
 
 let finish_session s =
   let bugs =

@@ -54,13 +54,6 @@ type search_config = {
                          "sequential" the ablation *)
   dedup_seed_states : bool; (* keep earliest per fork point (paper) *)
   max_k : int; (* k-means upper bound (paper: 20) *)
-  share_seed_states : bool;
-      (* consult/publish the campaign share table at phase-seeding time:
-         a fork point another session of the same campaign already
-         published (identical concrete path prefix) is skipped here.
-         Default false — with sharing on, which session publishes a
-         shared fork point depends on turn timing at [jobs > 1], so
-         per-run reports are only jobs-invariant with sharing off *)
 }
 (** State search and phase scheduling. The live-state cap is the
     executor's fixed 8192 ({!Pbse_exec.Executor.create}). *)
@@ -122,7 +115,10 @@ val config_of_kvs : (string * string) list -> (config, string) result
     is one the engine would fail on later: [search.max_k] or
     [concolic.interval_length] below 1, [search.max_k] above 4096, or a
     [search.scheduler] or [search.phase_searcher] not in
-    {!Pbse_sched.Scheduler.names} or {!Pbse_exec.Searcher.names}. *)
+    {!Pbse_sched.Scheduler.names} or {!Pbse_exec.Searcher.names}. The
+    retired key [search.share_seed_states] is accepted when off and is
+    an error when on: cross-seed seedState sharing was removed, and a
+    snapshot taken with it on would replay unshared and diverge. *)
 
 val config_fingerprint : config -> string
 (** Hex digest of {!config_to_kvs}; two configs fingerprint equal iff
@@ -134,41 +130,6 @@ val interval_length_for :
 (** The BBV interval the driver will use for [seed]: the configured
     [interval_length] if set, otherwise sized from a concrete pre-run so
     the run yields about [intervals_target] BBVs. *)
-
-(** {1 Cross-session sharing} *)
-
-type share
-(** The table a campaign pool (or a {!Session_store}) threads through
-    every {!open_session} when [search.share_seed_states] is on:
-    seedStates are published under their path-prefix key — the
-    chronological block-entry trace up to the fork point, folded with
-    the fork's global block id — so identical fork points reached by
-    several seeds are scheduled once campaign-wide, and solver
-    prefix-context residue (arena-free model hints keyed by the
-    structural fingerprint of the path, {!Pbse_smt.Prefix_ctx.export})
-    carries witnesses from finished sessions into fresh ones. All
-    mutation is mutex-guarded; safe to share across pool domains. *)
-
-val share_create : unit -> share
-
-val share_stats : share -> int * int
-(** [(published, hits)] — fork points published first by some session,
-    and seedStates dropped because their fork point was already
-    published. *)
-
-val share_publish_hints : share -> (int * (int * int) list) list -> unit
-(** Merge exported prefix-context model hints
-    ({!Pbse_smt.Solver.export_prefix_hints}) into the share; first
-    writer per fingerprint wins. *)
-
-val share_hints : share -> (int * (int * int) list) list
-(** Current hint residue, for {!Pbse_smt.Solver.import_prefix_hints}. *)
-
-val seedstate_prefix_keys :
-  Pbse_concolic.Trace.t -> Pbse_concolic.Concolic.seed_state list -> int list
-(** The share table's key of each seedState, in list order: the trace's
-    points up to the state's fork time folded with its fork's global
-    block id. Folded in one pass over the chronological trace. *)
 
 (** {1 Single runs} *)
 
@@ -238,7 +199,6 @@ type t
 val open_session :
   ?config:config ->
   ?runtime:Runtime.t ->
-  ?share:share ->
   Pbse_ir.Types.program ->
   seed:bytes ->
   deadline:int ->
@@ -249,12 +209,7 @@ val open_session :
     RNG, inject plan, quarantine, expression arena, the solver's prefix
     cap — and the steps run
     under {!Runtime.with_active}; omitted, it is
-    [runtime_of_config config]. [share], consulted only when
-    [config.search.share_seed_states] is on, drops seedStates whose
-    path-prefix key another session already published (counted in the
-    share's hit total, which pool reports render as
-    [pool_shared_seedstates]) and imports the share's solver prefix
-    hints before the concolic step. *)
+    [runtime_of_config config]. *)
 
 val step_session : t -> deadline:int -> unit
 (** Phase-scheduled symbolic execution until [deadline] on the
@@ -285,11 +240,6 @@ val session_executor : t -> Pbse_exec.Executor.t
 val session_bug_phase : t -> Pbse_exec.Bug.t -> int
 (** 1-based ordinal of the phase whose turn first surfaced this bug's
     dedup key; 0 when unknown (found by the concolic step). *)
-
-val export_prefix_hints : t -> (int * (int * int) list) list
-(** The session solver's prefix-context residue
-    ({!Pbse_smt.Solver.export_prefix_hints}), for
-    {!share_publish_hints}. *)
 
 val finish_session : t -> report
 (** Assemble the run report from the session's current state. The

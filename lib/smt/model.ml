@@ -14,8 +14,6 @@ let get t i = match Imap.find_opt i t with Some v -> v | None -> 0
 
 let set t i v = Imap.add i (v land 0xFF) t
 
-let bindings t = Imap.bindings t
-
 let eval t e = Expr.eval (get t) e
 
 let satisfies t cs = List.for_all (fun c -> Semantics.truthy (eval t c)) cs

@@ -14,9 +14,6 @@ val of_bytes : bytes -> t
 val get : t -> int -> int
 val set : t -> int -> int -> t
 
-val bindings : t -> (int * int) list
-(** Sorted by index. *)
-
 val eval : t -> Expr.t -> int64
 
 val satisfies : t -> Expr.t list -> bool

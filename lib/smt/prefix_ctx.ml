@@ -46,8 +46,6 @@ type t = {
   mutable evictions : int; (* entries dropped by the LRU bound *)
   cap : int;
   root : entry;
-  fps : (int, int) Hashtbl.t; (* expr id -> structural fingerprint *)
-  hints : (int, Model.t) Hashtbl.t; (* imported: path fingerprint -> witness *)
 }
 
 let default_cap = 16_384
@@ -71,8 +69,6 @@ let create ?(cap = default_cap) () =
     evictions = 0;
     cap = Int.max 16 cap;
     root = make_root ();
-    fps = Hashtbl.create 1024;
-    hints = Hashtbl.create 64;
   }
 
 let evictions t = t.evictions
@@ -200,64 +196,6 @@ let extend ~reads ~tape cost path (c : Expr.t) parent =
     in
     { path; depth = parent.depth + 1; by_var; creads; bounds; model; last_use = 0 }
 
-(* --- cross-context residue -------------------------------------------------
-
-   Entry lookup keys on physical identity and expr ids key on the
-   context's own arena, so neither survives a session boundary. What
-   does is a *structural* fingerprint of the path (recursing on
-   [Expr.node], never on ids) paired with the entry's last Sat model —
-   models are arena-free index/value maps. A finished session exports
-   (fingerprint, model) pairs; a fresh session imports them as hints and
-   installs a hint on any newly built entry whose path fingerprints
-   equal, after checking the model actually satisfies the path (so a
-   fingerprint collision costs one check, never a wrong witness). *)
-
-let mix h x = (h * 0x01000193) lxor (x land max_int)
-
-let rec expr_fp t (e : Expr.t) =
-  match Hashtbl.find_opt t.fps e.Expr.id with
-  | Some h -> h
-  | None ->
-    let h =
-      match e.Expr.node with
-      | Expr.Const c -> mix (mix 1 (Int64.to_int c)) (Int64.to_int (Int64.shift_right_logical c 31))
-      | Expr.Read v -> mix 2 v
-      | Expr.Bin (op, a, b) ->
-        mix (mix (mix 3 (Hashtbl.hash op)) (expr_fp t a)) (expr_fp t b)
-      | Expr.Un (op, a) -> mix (mix 4 (Hashtbl.hash op)) (expr_fp t a)
-      | Expr.Ite (c, a, b) ->
-        mix (mix (mix 5 (expr_fp t c)) (expr_fp t a)) (expr_fp t b)
-    in
-    Hashtbl.replace t.fps e.Expr.id h;
-    h
-
-let path_fp t path = List.fold_left (fun h e -> mix h (expr_fp t e)) 0x811c9dc5 path
-
-let export t =
-  Hashtbl.fold
-    (fun _ entries acc ->
-      List.fold_left
-        (fun acc e ->
-          match e.model with
-          | Some m -> (path_fp t e.path, Model.bindings m) :: acc
-          | None -> acc)
-        acc entries)
-    t.table []
-
-let import t hints =
-  List.iter
-    (fun (fp, bindings) ->
-      if not (Hashtbl.mem t.hints fp) then
-        Hashtbl.replace t.hints fp
-          (List.fold_left (fun m (i, v) -> Model.set m i v) Model.empty bindings))
-    hints
-
-let try_hint t e =
-  if Hashtbl.length t.hints > 0 && e.model = None then
-    match Hashtbl.find_opt t.hints (path_fp t e.path) with
-    | Some m when Model.satisfies m e.path -> e.model <- Some m
-    | _ -> ()
-
 let head_id (path : Expr.t list) =
   match path with [] -> assert false | e :: _ -> e.Expr.id
 
@@ -306,7 +244,6 @@ let find_or_build t ~reads ~tape path =
       (fun parent (sub, c) ->
         let e = extend ~reads ~tape cost sub c parent in
         insert t e;
-        try_hint t e;
         e)
       base pending
   in

@@ -69,23 +69,3 @@ val model : entry -> Model.t option
     satisfies the new query's extra constraints. *)
 
 val note_model : entry -> Model.t -> unit
-
-(** {1 Cross-context residue}
-
-    Entries key on physical path identity and arena-local expr ids, so
-    they can't cross a session boundary — but a {e structural}
-    fingerprint of the path (recursing on {!Expr.node}) paired with the
-    entry's last Sat model can: models are arena-free index/value maps.
-    A finished session {!export}s its residue; a fresh session
-    {!import}s it as hints, installed on newly built entries whose path
-    fingerprints match, after a [Model.satisfies] check against the
-    entry's own path (a fingerprint collision costs one check, never a
-    wrong witness). *)
-
-val export : t -> (int * (int * int) list) list
-(** [(path fingerprint, model bindings)] for every cached context that
-    holds a witness model. *)
-
-val import : t -> (int * (int * int) list) list -> unit
-(** Register exported residue as hints; first import per fingerprint
-    wins. *)

@@ -208,6 +208,3 @@ let check_assuming t ?(hint = Model.empty) ?on_unsat_core ~path extra =
              | Unsat | Unknown -> ());
             result
         end)
-
-let export_prefix_hints t = Prefix_ctx.export t.prefixes
-let import_prefix_hints t hints = Prefix_ctx.import t.prefixes hints

@@ -91,14 +91,3 @@ val check_assuming :
     queries never reach the search. The path-condition layer
     ({!Pbse_pathcond}-side subsumption) records these cores per block
     boundary and answers superset queries without solving. *)
-
-val export_prefix_hints : t -> (int * (int * int) list) list
-(** Arena-free prefix-context residue — [(structural path fingerprint,
-    witness-model bindings)] pairs ({!Prefix_ctx.export}) — for carrying
-    solver facts across sessions. *)
-
-val import_prefix_hints : t -> (int * (int * int) list) list -> unit
-(** Install residue exported from another solver as prefix-model hints
-    ({!Prefix_ctx.import}): a newly indexed prefix whose structural
-    fingerprint matches starts with the exporter's witness, subject to a
-    satisfiability check against its own path. *)

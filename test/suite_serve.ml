@@ -57,6 +57,8 @@ let test_envelope_roundtrip () =
       rq_scheduler = Some "round-robin";
       rq_jobs = Some 3;
       rq_lease = 2;
+      (* still wire-legal: the server, not the parser, refuses it
+         (serve structured errors) *)
       rq_share = true;
     }
   in
@@ -447,6 +449,17 @@ let test_serve_structured_errors () =
         expect_code "unknown pool scheduler" "unknown-scheduler"
           (Serve.request ~connect:endpoint
              "{\"pbse\": 2, \"params\": {\"target\": \"mini\", \"pool_scheduler\": \"nosuch\"}}");
+        (* seedState sharing was removed: true is refused by name *)
+        (match
+           Serve.request ~connect:endpoint
+             "{\"pbse\": 2, \"params\": {\"target\": \"mini\", \"share\": true}}"
+         with
+         | Ok _ -> Alcotest.fail "\"share\": true was served"
+         | Error e ->
+           Alcotest.(check string) "share true" "bad-request" e.Serve.err_code;
+           let why = e.Serve.err_message in
+           Alcotest.(check bool) why true
+             (Suite_telemetry.contains ~needle:"sharing was removed" why));
         (* an oversized request line is answered, structured, not dropped *)
         let huge =
           Printf.sprintf "{\"pbse\": 2, \"params\": {\"target\": \"mini\", \"scheduler\": %S}}"
@@ -455,11 +468,19 @@ let test_serve_structured_errors () =
         expect_code "oversized request" "oversized-request"
           (Serve.request ~connect:endpoint huge);
         (* after every error the server still serves a real campaign *)
-        expect_body "pool healthy after errors" (local_json ())
-          (Serve.request ~connect:endpoint (v2_line ())))
+        let expected = local_json () in
+        expect_body "pool healthy after errors" expected
+          (Serve.request ~connect:endpoint (v2_line ()));
+        (* "share": false is still accepted, as the same campaign *)
+        expect_body "share false" expected
+          (Serve.request ~connect:endpoint
+             (Printf.sprintf
+                "{\"pbse\": 2, \"params\": {\"target\": \"mini\", \"deadline\": %d, \
+                 \"share\": false}}"
+                deadline)))
   in
-  Alcotest.(check int) "errors counted" 8 stats.Serve.sv_errors;
-  Alcotest.(check int) "one success" 1 stats.Serve.sv_requests
+  Alcotest.(check int) "errors counted" 9 stats.Serve.sv_errors;
+  Alcotest.(check int) "two successes" 2 stats.Serve.sv_requests
 
 let test_serve_quota_rejection () =
   let ((), stats) =

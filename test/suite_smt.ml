@@ -785,7 +785,9 @@ let print_planted c =
     (String.concat "; " (Array.to_list (Array.map string_of_int c.indices)))
     (String.concat "\n" (List.map Expr.to_string c.constraints))
     (String.concat "; "
-       (List.map (fun (i, v) -> Printf.sprintf "%d=%d" i v) (Model.bindings c.hint)))
+       (List.map
+          (fun i -> Printf.sprintf "%d=%d" i (Model.get c.hint i))
+          (Array.to_list c.indices @ [ c.outside ])))
     (String.concat "; " (List.map string_of_int c.focus))
     c.outside
 

@@ -344,7 +344,7 @@ let golden_config () =
     |> with_concolic (fun c -> { c with time_period = 200 })
     |> with_robust (fun r -> { r with inject; watchdog_factor = 1 }))
 
-let golden_snapshot_digest = "083695f2a75d98212c087f797a6152c9"
+let golden_snapshot_digest = "8c5320a6a17e97cc0c6c69510a823091"
 let golden_report_digest = "3eb5366bbb8fb3d87a751846d9fbe515"
 
 let test_golden_pool_bytes () =
@@ -400,11 +400,12 @@ let test_golden_pool_bytes () =
    still resume to the uninterrupted report with no mismatch or
    corruption on record. The path is relative to the test directory
    ([dune runtest]) or to the repository root ([dune exec]). *)
+let legacy_golden_path () =
+  List.find Sys.file_exists
+    [ "fixtures/golden_halt2_legacy.json"; "test/fixtures/golden_halt2_legacy.json" ]
+
 let test_legacy_golden_snapshot_resumes () =
-  let legacy_golden_path =
-    List.find Sys.file_exists
-      [ "fixtures/golden_halt2_legacy.json"; "test/fixtures/golden_halt2_legacy.json" ]
-  in
+  let legacy_golden_path = legacy_golden_path () in
   let config = golden_config () in
   let baseline =
     uninterrupted_json ~config ~lease:2 ~scheduler:"round-robin" ~jobs:1 ()
@@ -567,6 +568,33 @@ let test_resume_repeated_ordinal_is_mismatch () =
     Alcotest.(check int) "the repeat is one mismatch" 1
       (Fault.count pool.Driver.pool_faults Fault.Resume_mismatch)
 
+(* The legacy fixture was taken with seedState sharing off and resumes
+   (above). Turned on, the retired key names a campaign that would
+   replay unshared and diverge, so the resume is refused. *)
+let test_resume_refuses_shared_snapshot () =
+  let key = "search.share_seed_states" in
+  let sn =
+    match Driver.load_snapshot ~path:(legacy_golden_path ()) with
+    | Ok (sn, _) -> sn
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check (option string))
+    "the fixture has sharing off" (Some "0")
+    (List.assoc_opt key sn.Snapshot.sn_meta);
+  let meta =
+    List.map (fun (k, v) -> if k = key then (k, "1") else (k, v)) sn.Snapshot.sn_meta
+  in
+  let shared =
+    rewritten
+      ~path:(Filename.temp_file "pbse_shared" ".json")
+      { sn with Snapshot.sn_meta = meta }
+  in
+  match Driver.resume_pool ~jobs:2 shared (mini_program ()) ~seeds:(pool_seeds ()) with
+  | Ok _ -> Alcotest.fail "a snapshot with sharing on resumed"
+  | Error e ->
+    Alcotest.(check bool) e true
+      (Suite_telemetry.contains ~needle:"sharing was removed" e)
+
 let test_resume_rejects_bad_config () =
   (* snapshot meta is untrusted input: with a valid checksum, a config
      value the engine would fail on mid-campaign is a resume error *)
@@ -686,7 +714,7 @@ let test_config_kvs_ignores_unknown_and_rejects_bad () =
      loop-summary switch; the solver budget and retry cap, the live-state
      cap, bug confirmation, the strike limit and the degradation step,
      all fixed constants now), decode to the defaults, whatever their
-     value *)
+     value; the retired sharing switch does so only when off *)
   List.iter
     (fun kvs ->
       match Session.config_of_kvs kvs with
@@ -709,10 +737,20 @@ let test_config_kvs_ignores_unknown_and_rejects_bad () =
         ("robust.degrade_after", "0");
       ];
       [ ("solver.budget", "lots"); ("robust.confirm_bugs", "maybe") ];
+      [ ("search.share_seed_states", "0") ];
+      [ ("search.share_seed_states", "false") ];
     ];
-  match Session.config_of_kvs [ ("solver.prefix_cap", "lots") ] with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "malformed value accepted"
+  List.iter
+    (fun kv ->
+      match Session.config_of_kvs [ kv ] with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s=%s accepted" (fst kv) (snd kv))
+    [
+      ("solver.prefix_cap", "lots");
+      ("search.share_seed_states", "1");
+      ("search.share_seed_states", "true");
+      ("search.share_seed_states", "maybe");
+    ]
 
 let test_inject_parse_new_channels () =
   match Inject.parse "seed=4,crash=0.5,snapshot=0.125" with
@@ -770,6 +808,8 @@ let suite =
       test_injected_snapshot_corruption_is_detected;
     Alcotest.test_case "config kvs roundtrip" `Quick test_config_kvs_roundtrip;
     Alcotest.test_case "resume rejects bad config" `Quick test_resume_rejects_bad_config;
+    Alcotest.test_case "resume refuses a snapshot with sharing on" `Quick
+      test_resume_refuses_shared_snapshot;
     Alcotest.test_case "resume survives extreme integer keys" `Quick
       test_resume_extreme_int_keys;
     Alcotest.test_case "config kvs unknown/bad keys" `Quick
