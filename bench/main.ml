@@ -822,6 +822,101 @@ let search_core_kernel () =
       ("tape-exact", Array.length (Tape.reads tape), fun () -> ignore (eval_exact ()));
     ]
 
+(* State selection after a fork: a covnew searcher over [live] states of
+   gif2tiff's program, spread over its blocks with every fifth state
+   freshly covering, on a coverage map with every third block covered. A
+   call forks one child (which voids the snapshot), selects (which
+   rebuilds it over [live] + 1 states) and removes the child again. *)
+let select_kernel () =
+  let module Cfg = Pbse_ir.Cfg in
+  let module State = Pbse_exec.State in
+  let prog = Registry.program (target "gif2tiff") in
+  let cfg = Cfg.build prog in
+  let coverage = Coverage.create (Cfg.nblocks cfg) in
+  for gid = 0 to Cfg.nblocks cfg - 1 do
+    if gid mod 3 = 0 then ignore (Coverage.cover coverage gid)
+  done;
+  let funcs = prog.Pbse_ir.Types.funcs in
+  let state id =
+    let fidx = id mod Array.length funcs in
+    let st =
+      State.create ~id ~nregs:1 ~mem:Pbse_exec.Mem.empty ~model:Pbse_smt.Model.empty ~fidx
+        ~born:0
+    in
+    st.State.bidx <- id mod Array.length funcs.(fidx).Pbse_ir.Types.blocks;
+    st.State.fresh_cover <- id mod 5 = 0;
+    st
+  in
+  Printf.printf "\n  %-10s %5s %14s %18s   %s\n%!" "select" "live" "ns/call"
+    "minor words/call" "(a call: one fork, one covnew select, one removal)";
+  List.iter
+    (fun live ->
+      let s = (Option.get (Searcher.by_name "covnew")) (Rng.create 1) cfg coverage in
+      let states = List.init live state in
+      List.iter s.Searcher.add states;
+      let parent = List.hd states and child = state live in
+      let call () =
+        s.Searcher.fork ~parent child;
+        ignore (s.Searcher.select ());
+        s.Searcher.remove child
+      in
+      let ns, words = kernel_cost ~calls:1000 ~limit:500 "covnew" call in
+      Printf.printf "  %-10s %5d %14s %18.0f\n%!" "covnew" live ns words)
+    [ 100; 1_000 ]
+
+(* A query whose one group exhausts the solver's default budget: two
+   contradictory residues of a product of two bytes, which interval
+   propagation cannot refute, so the search walks until the budget runs
+   out. [fresh] asks it of a solver that has never seen it (one solver
+   per call, made before the clock starts) and so searches; [replayed]
+   asks it again of one solver, which answers from its memo of exhausted
+   searches with the same charge. Both are timed over a loop, the median
+   of five rounds. *)
+let exhaust_kernel () =
+  let module Expr = Pbse_smt.Expr in
+  let module Solver = Pbse_smt.Solver in
+  let module T = Pbse_ir.Types in
+  let residue k =
+    Expr.bin T.Eq
+      (Expr.bin T.Urem (Expr.bin T.Mul (Expr.read 0) (Expr.read 1)) (Expr.const 251L))
+      (Expr.const k)
+  in
+  let query = [ residue 13L; residue 14L ] in
+  let ask solver =
+    match Solver.check_assuming solver ~path:[] query with
+    | Solver.Unknown, work -> work
+    | (Solver.Sat _ | Solver.Unsat), _ -> failwith "exhaust kernel: the query must exhaust"
+  in
+  let warm = Solver.create () in
+  let work = ask warm in
+  if ask warm <> work then failwith "exhaust kernel: a replay must charge what its search did";
+  let round calls run =
+    let solvers = Array.init calls (fun _ -> run ()) in
+    let words = Gc.minor_words () in
+    let t0 = Unix.gettimeofday () in
+    Array.iter (fun f -> ignore (f ())) solvers;
+    let ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int calls in
+    (ns, (Gc.minor_words () -. words) /. float_of_int calls)
+  in
+  let median rounds =
+    let sorted = List.sort compare rounds in
+    List.nth sorted (List.length sorted / 2)
+  in
+  Printf.printf "\n  %-10s %5s %14s %18s   %s\n%!" "exhausted" "work" "ns/call"
+    "minor words/call" "(a call: one query whose one group runs out of budget)";
+  List.iter
+    (fun (name, calls, prepare) ->
+      let ns, words = median (List.init 5 (fun _ -> round calls prepare)) in
+      Printf.printf "  %-10s %5d %14.0f %18.0f\n%!" name work ns words)
+    [
+      ( "fresh",
+        16,
+        fun () ->
+          let solver = Solver.create () in
+          fun () -> ask solver );
+      ("replayed", 1_000, fun () () -> ask warm);
+    ]
+
 (* Phase division alone, timed per target on the BBVs of its smallest
    seed's one-hour concolic pass: wall time and minor-heap words per
    [Phase.divide] (k-means for every k in 1..20), beside the two
@@ -829,7 +924,9 @@ let search_core_kernel () =
    1 + the largest, distinct BBVs against all); then that concolic pass
    itself, in a fresh arena on a fresh executor as a session opens it
    ([concolic_kernel]); then the solver's search on a fixed group and
-   one constraint's tape ([search_core_kernel]). *)
+   one constraint's tape ([search_core_kernel]), covnew's select after a
+   fork ([select_kernel]) and a query that exhausts its budget, searched
+   and replayed ([exhaust_kernel]). *)
 let concolic_kernel passes =
   let module Expr = Pbse_smt.Expr in
   Printf.printf "\n  %-10s %8s %14s %18s\n%!" "concolic" "interval" "ns/pass"
@@ -848,7 +945,8 @@ let concolic_kernel passes =
 let kernels () =
   heading
     "Per-layer kernels: Phase.divide and the concolic pass on each target's \
-     smallest seed, Search_core.solve_group, one constraint's tape";
+     smallest seed, Search_core.solve_group, one constraint's tape, a covnew \
+     select after a fork, an exhausted search fresh and replayed";
   Printf.printf "  %-10s %5s %14s %18s %11s %11s\n%!" "target" "bbvs" "ns/division"
     "minor words/div" "dims" "distinct";
   let passes =
@@ -871,7 +969,9 @@ let kernels () =
       Registry.all
   in
   concolic_kernel passes;
-  search_core_kernel ()
+  search_core_kernel ();
+  select_kernel ();
+  exhaust_kernel ()
 
 (* --- Pool campaigns ---------------------------------------------------------------- *)
 

@@ -213,49 +213,66 @@ type dmap = {
 let dmap_create cfg coverage =
   { cfg; coverage; dist = [||]; at_version = -1 }
 
-let dmap_get d gid =
+let dmap_refresh d =
   if d.at_version < 0 || Coverage.version d.coverage > d.at_version + 8 then begin
     d.dist <- Cfg.distances_to d.cfg ~targets:(fun g -> not (Coverage.is_covered d.coverage g));
     d.at_version <- Coverage.version d.coverage
-  end;
-  if Array.length d.dist = 0 then max_int else d.dist.(gid)
+  end
 
-let weighted name rng cfg coverage ~weight_of =
+(* A state's weight is [1 / (1 + distance to uncovered code)] ([1e-6] when
+   nothing uncovered is reachable), times [boost] while the state has
+   freshly covered code: 8 for covnew, 1 for md2u. Selection draws from a
+   snapshot of the pool: each state's cumulative weight, summed left to
+   right in pool order. The snapshot is rebuilt after 64 selects, after
+   any add or fork and after 8 draws of removed states, into buffers that
+   grow with the pool and are otherwise reused. *)
+let weighted name rng cfg coverage ~boost =
   let p = pool_create () in
   let dmap = dmap_create cfg coverage in
   let cum = ref [||] in
   let snapshot_states = ref [||] in
+  let snapshot_len = ref 0 in
   let since_snapshot = ref max_int in
   let rebuild () =
     let n = p.len in
-    let states = Array.init n (fun i -> pool_get p i) in
-    let weights =
-      Array.map
-        (fun st ->
-          let gid = Cfg.id cfg st.State.fidx st.State.bidx in
-          let dist = dmap_get dmap gid in
-          weight_of st dist)
-        states
-    in
+    if n > Array.length !cum then begin
+      let cap = Int.max n (2 * Array.length !cum) in
+      cum := Array.make cap 0.0;
+      snapshot_states := Array.make cap None
+    end;
+    let cumulative = !cum and states = !snapshot_states in
+    (* coverage cannot move during a rebuild, so one refresh check stands
+       for a check per state *)
+    if n > 0 then dmap_refresh dmap;
+    let dist = dmap.dist in
     let acc = ref 0.0 in
-    let cumulative =
-      Array.map
-        (fun w ->
-          acc := !acc +. (w +. 1e-9);
-          !acc)
-        weights
-    in
-    cum := cumulative;
-    snapshot_states := states;
+    for i = 0 to n - 1 do
+      let slot = p.arr.(i) in
+      states.(i) <- slot;
+      let st = match slot with Some st -> st | None -> assert false in
+      let dist =
+        if Array.length dist = 0 then max_int
+        else dist.(Cfg.id cfg st.State.fidx st.State.bidx)
+      in
+      let base = if dist = max_int then 1e-6 else 1.0 /. float_of_int (1 + dist) in
+      let w = if st.State.fresh_cover then boost *. base else base in
+      acc := !acc +. (w +. 1e-9);
+      cumulative.(i) <- !acc
+    done;
+    (* drop the last snapshot's surplus, so removed states can be freed *)
+    for i = n to !snapshot_len - 1 do
+      states.(i) <- None
+    done;
+    snapshot_len := n;
     since_snapshot := 0
   in
   let select () =
     if p.len = 0 then None
     else begin
-      if !since_snapshot >= 64 || Array.length !snapshot_states = 0 then rebuild ();
+      if !since_snapshot >= 64 || !snapshot_len = 0 then rebuild ();
       incr since_snapshot;
       let cumulative = !cum and states = !snapshot_states in
-      let n = Array.length states in
+      let n = !snapshot_len in
       if n = 0 then None
       else begin
         let total = cumulative.(n - 1) in
@@ -272,8 +289,9 @@ let weighted name rng cfg coverage ~weight_of =
               let mid = (!lo + !hi) / 2 in
               if cumulative.(mid) > r then hi := mid else lo := mid + 1
             done;
-            let st = states.(!lo) in
-            if Hashtbl.mem p.index st.State.id then Some st else attempt (tries - 1)
+            match states.(!lo) with
+            | Some st when Hashtbl.mem p.index st.State.id -> Some st
+            | Some _ | None -> attempt (tries - 1)
           end
         in
         attempt 8
@@ -295,18 +313,8 @@ let weighted name rng cfg coverage ~weight_of =
     size = (fun () -> p.len);
   }
 
-let md2u rng cfg coverage =
-  let weight_of _st dist =
-    if dist = max_int then 1e-6 else 1.0 /. float_of_int (1 + dist)
-  in
-  weighted "md2u" rng cfg coverage ~weight_of
-
-let covnew rng cfg coverage =
-  let weight_of st dist =
-    let base = if dist = max_int then 1e-6 else 1.0 /. float_of_int (1 + dist) in
-    if st.State.fresh_cover then 8.0 *. base else base
-  in
-  weighted "covnew" rng cfg coverage ~weight_of
+let md2u rng cfg coverage = weighted "md2u" rng cfg coverage ~boost:1.0
+let covnew rng cfg coverage = weighted "covnew" rng cfg coverage ~boost:8.0
 
 (* --- composition ------------------------------------------------------------ *)
 

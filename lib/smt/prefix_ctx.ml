@@ -264,40 +264,42 @@ let note_model e m = e.model <- Some m
 
 (* Component closure: [extra] plus every prefix constraint transitively
    sharing an input byte with it — a BFS over the by-byte index, O(size
-   of the component) instead of O(path) per fixpoint round. [spend] is
-   charged once per selected prefix constraint. *)
-let closure e ~reads ~spend extra =
-  let in_component = Hashtbl.create 64 in
-  let seen : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let queue = Queue.create () in
+   of the component) instead of O(path) per fixpoint round, marking bytes
+   and constraints in the solver's workspace [w]. [spend] is charged once
+   per selected prefix constraint. *)
+let closure w e ~reads ~spend extra =
+  Workspace.reset w;
   let selected = ref extra in
-  let add_var v =
-    if not (Hashtbl.mem in_component v) then begin
-      Hashtbl.replace in_component v ();
-      Queue.add v queue
-    end
+  let rec visit_all = function
+    | [] -> ()
+    | v :: rest ->
+      Workspace.visit_byte w v;
+      visit_all rest
   in
   List.iter
     (fun (x : Expr.t) ->
       (* never re-select a prefix constraint already present in [extra] *)
-      Hashtbl.replace seen x.Expr.id ();
-      List.iter add_var (reads x))
+      ignore (Workspace.visit_id w x.Expr.id);
+      visit_all (reads x))
     extra;
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    match Imap.find_opt v e.by_var with
-    | None -> ()
-    | Some cs ->
-      List.iter
-        (fun (c : Expr.t) ->
-          if not (Hashtbl.mem seen c.Expr.id) then begin
-            Hashtbl.replace seen c.Expr.id ();
-            spend 1;
-            selected := c :: !selected;
-            match Imap.find_opt c.Expr.id e.creads with
-            | Some r -> List.iter add_var r
-            | None -> ()
-          end)
-        cs
-  done;
+  let rec select_all = function
+    | [] -> ()
+    | (c : Expr.t) :: rest ->
+      if Workspace.visit_id w c.Expr.id then begin
+        spend 1;
+        selected := c :: !selected;
+        match Imap.find_opt c.Expr.id e.creads with
+        | Some r -> visit_all r
+        | None -> ()
+      end;
+      select_all rest
+  in
+  let rec drain () =
+    let v = Workspace.next_byte w in
+    if v >= 0 then begin
+      (match Imap.find_opt v e.by_var with None -> () | Some cs -> select_all cs);
+      drain ()
+    end
+  in
+  drain ();
   !selected

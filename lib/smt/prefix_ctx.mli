@@ -51,11 +51,16 @@ val find_or_build :
     cached (an out-of-budget retry then hits instead of rebuilding). *)
 
 val closure :
-  entry -> reads:(Expr.t -> int list) -> spend:(int -> unit) -> Expr.t list -> Expr.t list
-(** [closure e ~reads ~spend extra] — [extra] plus every prefix
+  Workspace.t ->
+  entry ->
+  reads:(Expr.t -> int list) ->
+  spend:(int -> unit) ->
+  Expr.t list ->
+  Expr.t list
+(** [closure w e ~reads ~spend extra] — [extra] plus every prefix
     constraint transitively sharing an input byte with it (BFS over the
-    by-byte index). [spend] is charged once per selected prefix
-    constraint. *)
+    by-byte index, marking in the workspace [w]), newest selection
+    first. [spend] is charged once per selected prefix constraint. *)
 
 val bound : entry -> int -> Interval.t option
 (** Learned interval for an input byte, if any tightening was found.

@@ -338,6 +338,45 @@ let solve_group_search ~on_node meter ~hint_vals ~bounds group =
     | None -> Gunknown)
   | `Unsat -> Gunsat
 
+(* Everything [solve_group] reads, as one key: the work spent on entry,
+   the constraint ids in order (which fix the tapes and the variables),
+   then per variable its hint byte and learned bound ([-1, -1] for none),
+   then the focus positions in order. The limit is the caller's to fix. *)
+let replay_key meter ~hint ~focus ~bounds group =
+  let n = Array.length group.constraints and m = Array.length group.vars in
+  let nfocus =
+    List.fold_left
+      (fun k v -> if sorted_position group.vars v >= 0 then k + 1 else k)
+      0 focus
+  in
+  let key = Array.make (2 + n + (3 * m) + nfocus) (-1) in
+  key.(0) <- meter.spent;
+  key.(1) <- n;
+  for i = 0 to n - 1 do
+    key.(2 + i) <- group.constraints.(i).Expr.id
+  done;
+  let hints = 2 + n in
+  let bounds_at = hints + m in
+  for pos = 0 to m - 1 do
+    let v = group.vars.(pos) in
+    key.(hints + pos) <- Model.get hint v;
+    match bounds v with
+    | None -> ()
+    | Some (iv : Interval.t) ->
+      key.(bounds_at + (2 * pos)) <- Int64.to_int iv.Interval.lo;
+      key.(bounds_at + (2 * pos) + 1) <- Int64.to_int iv.Interval.hi
+  done;
+  let k = ref (bounds_at + (2 * m)) in
+  List.iter
+    (fun v ->
+      let pos = sorted_position group.vars v in
+      if pos >= 0 then begin
+        key.(!k) <- pos;
+        incr k
+      end)
+    focus;
+  key
+
 let solve_group ~on_node meter ~hint ~focus ~bounds group =
   let hint_vals = Array.map (Model.get hint) group.vars in
   let focus =

@@ -51,3 +51,20 @@ val solve_group :
     intersected into the initial domains; sound as long as each bound is
     implied by constraints present in the group. [on_node] fires once
     per search-tree node (the caller's statistics hook). *)
+
+val replay_key :
+  meter ->
+  hint:Model.t ->
+  focus:int list ->
+  bounds:(int -> Interval.t option) ->
+  group ->
+  int array
+(** Everything {!solve_group} reads apart from the meter's limit, so
+    two calls under one limit with equal keys spend the same work, count
+    the same nodes and end the same way. The layout is
+    [[| spent; n; id_1; ...; id_n; h_1; ...; h_m; lo_1; hi_1; ...;
+    lo_m; hi_m; f_1; ...; f_k |]]: the work spent on entry, the
+    constraint count and ids in order, then for each of the [m] group
+    variables (ascending) its hint byte, then its learned bound
+    ([-1], [-1] when there is none), then the group positions of the
+    focus bytes that are in the group, in order. *)

@@ -22,36 +22,23 @@ let partition_constants exprs =
   if !contradiction then Error () else Ok (List.rev !symbolic)
 
 (* Partition constraints into independence groups by shared input bytes
-   (union-find over byte indices). [reads] memoises [Expr.reads] for the
-   caller. *)
-let group_constraints ~reads exprs =
-  let parent = Hashtbl.create 64 in
-  let rec find (v : int) =
-    match Hashtbl.find_opt parent v with
-    | None -> v
-    | Some p ->
-      let root = find p in
-      if root <> p then Hashtbl.replace parent v root;
-      root
+   (union-find over byte indices, in the solver's workspace [w]).
+   [reads] memoises [Expr.reads] for the caller. *)
+let group_constraints w ~reads exprs =
+  Workspace.reset w;
+  let rec union_all first = function
+    | [] -> ()
+    | v :: rest ->
+      Workspace.union w first v;
+      union_all first rest
   in
-  let union a b =
-    let ra = find a and rb = find b in
-    if ra <> rb then Hashtbl.replace parent ra rb
-  in
+  List.iter
+    (fun e -> match reads e with [] -> () | first :: rest -> union_all first rest)
+    exprs;
   List.iter
     (fun e ->
       match reads e with
       | [] -> ()
-      | first :: rest -> List.iter (union first) rest)
+      | first :: _ -> Workspace.add_to_group w (Workspace.find w first) e)
     exprs;
-  let groups = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
-      match reads e with
-      | [] -> ()
-      | first :: _ ->
-        let root = find first in
-        let existing = try Hashtbl.find groups root with Not_found -> [] in
-        Hashtbl.replace groups root (e :: existing))
-    exprs;
-  Hashtbl.fold (fun _ es acc -> es :: acc) groups []
+  Workspace.groups w

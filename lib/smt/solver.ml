@@ -20,10 +20,35 @@ type stats = {
   mutable prefix_evictions : int;
 }
 
+(* Exhausted group searches, keyed by [Search_core.replay_key]: the
+   work spent when the search ran out, and the search nodes it counted. *)
+module Replays = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : int array) (b : int array) =
+    let n = Array.length a in
+    let rec same i = i >= n || (a.(i) = b.(i) && same (i + 1)) in
+    n = Array.length b && same 0
+
+  let hash (a : int array) =
+    let h = ref (Array.length a) in
+    for i = 0 to Array.length a - 1 do
+      h := (!h * 0x100000001b3) lxor a.(i)
+    done;
+    !h lxor (!h lsr 29) land max_int
+end)
+
+type replay = {
+  spent_after : int;
+  nodes : int;
+}
+
 type t = {
   budget : int;
   st : stats;
   cache : (int list, Search_core.group_result) Hashtbl.t;
+  replays : replay Replays.t; (* exhausted searches; Sat and Unsat go to [cache] *)
+  work_area : Workspace.t; (* closure and grouping scratch *)
   reads_memo : (int, int list) Hashtbl.t; (* expr id -> sorted input indices *)
   tapes : (int, Tape.t) Hashtbl.t; (* expr id -> compiled constraint *)
   prefixes : Prefix_ctx.t;
@@ -57,6 +82,8 @@ let create ?(budget = 60_000) ?prefix_cap ?registry () =
         prefix_evictions = 0;
       };
     cache = Hashtbl.create 4096;
+    replays = Replays.create 1024;
+    work_area = Workspace.create ();
     reads_memo = Hashtbl.create 4096;
     tapes = Hashtbl.create 4096;
     prefixes = Prefix_ctx.create ?cap:prefix_cap ();
@@ -91,6 +118,29 @@ let tape_of t (e : Expr.t) =
 
 let max_group_vars = 48
 
+(* A search that runs out of budget is replayed, not rerun, when it is
+   asked again with everything it reads unchanged: same constraints,
+   hint bytes, bounds and focus, and the same work spent on entry, under
+   the solver's one limit. The replay spends what the search spent and
+   counts the nodes it counted, so no charge or counter moves. *)
+let max_replays = 16_384
+
+let search_group t meter ~on_node ~hint ~focus ~bounds group =
+  let key = Search_core.replay_key meter ~hint ~focus ~bounds group in
+  match Replays.find_opt t.replays key with
+  | Some r ->
+    meter.Search_core.spent <- r.spent_after;
+    t.st.search_nodes <- t.st.search_nodes + r.nodes;
+    Search_core.Gunknown
+  | None -> (
+    let nodes_before = t.st.search_nodes in
+    try Search_core.solve_group ~on_node meter ~hint ~focus ~bounds group
+    with Out_of_budget ->
+      if Replays.length t.replays >= max_replays then Replays.reset t.replays;
+      Replays.replace t.replays key
+        { spent_after = meter.Search_core.spent; nodes = t.st.search_nodes - nodes_before };
+      Search_core.Gunknown)
+
 let solve_groups t meter ~hint ~focus ~bounds ?on_unsat_core groups =
   let model = ref hint in
   let unknown = ref false in
@@ -110,8 +160,7 @@ let solve_groups t meter ~hint ~focus ~bounds ?on_unsat_core groups =
             if Array.length (Search_core.group_vars group) > max_group_vars then
               Search_core.Gunknown
             else
-              try Search_core.solve_group ~on_node meter ~hint ~focus ~bounds group
-              with Out_of_budget -> Search_core.Gunknown
+              search_group t meter ~on_node ~hint ~focus ~bounds group
           in
           (* only definitive answers are budget-independent *)
           (match r with
@@ -194,14 +243,14 @@ let check_assuming t ?(hint = Model.empty) ?on_unsat_core ~path extra =
             (* component closure over the prefix index; only constraints
                sharing bytes with [extra] can be affected by rebinding *)
             let selected =
-              Prefix_ctx.closure entry ~reads:(reads_of t)
+              Prefix_ctx.closure t.work_area entry ~reads:(reads_of t)
                 ~spend:(Search_core.spend meter) extra
             in
             let focus = List.concat_map (reads_of t) extra in
             let result =
               solve_groups t meter ~hint ~focus ~bounds:(Prefix_ctx.bound entry)
                 ?on_unsat_core
-                (Simplify.group_constraints ~reads:(reads_of t) selected)
+                (Simplify.group_constraints t.work_area ~reads:(reads_of t) selected)
             in
             (match result with
              | Sat m -> Prefix_ctx.note_model entry m

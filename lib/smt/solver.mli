@@ -20,6 +20,16 @@
     An [Unknown] answer is final, as an STP timeout is for KLEE:
     re-issuing the same query runs under the same budget again.
 
+    A group search that runs out of budget is remembered, and is
+    {e replayed} rather than run again when a later query asks it with
+    everything it reads unchanged ({!Search_core.replay_key}): the same
+    constraints in the same order, hint bytes, learned bounds and focus,
+    and the same work spent on entry. A replayed [Unknown] charges
+    exactly the work its search charged and counts exactly its search
+    nodes, so it moves no counter, charge or report byte; only the wall
+    time of the repeat goes. The memo belongs to the solver, and so to
+    one session, and is emptied when it reaches 16,384 searches.
+
     [check_assuming] additionally solves {e incrementally} against the
     path prefix ({!Prefix_ctx}): the path is indexed once per distinct
     prefix, and each query against it pays only for the component of

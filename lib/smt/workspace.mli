@@ -1,0 +1,46 @@
+(** Reused scratch for a solver's query preprocessing:
+    {!Prefix_ctx.closure} and {!Simplify.group_constraints}.
+
+    One workspace belongs to one solver, and so to one session: two
+    callers must not use it at once. Each call starts with {!reset},
+    which opens a new epoch; a mark, parent link, queue entry or group
+    of an earlier epoch counts as absent, so a call that
+    [Out_of_budget] interrupted leaves nothing behind. Nothing is
+    allocated per call once the buffers have grown to the largest query
+    seen, apart from the groups' lists. *)
+
+type t
+
+val create : unit -> t
+
+val reset : t -> unit
+(** Start a new epoch: no byte or id is visited, the queue is empty,
+    every byte is its own root and there are no groups. *)
+
+(** {2 Closure} *)
+
+val visit_byte : t -> int -> unit
+(** Mark input byte [v] visited and queue it, unless it already is. *)
+
+val next_byte : t -> int
+(** The oldest queued byte, removed from the queue; [-1] when empty. *)
+
+val visit_id : t -> int -> bool
+(** Mark expression id [id] visited; [true] iff it was not yet. *)
+
+(** {2 Grouping} *)
+
+val find : t -> int -> int
+(** Union-find root of input byte [v], compressing the path. *)
+
+val union : t -> int -> int -> unit
+(** [union t a b] links [a]'s root under [b]'s. *)
+
+val add_to_group : t -> int -> Expr.t -> unit
+(** [add_to_group t root e] puts [e] at the front of [root]'s group,
+    opening the group on its first constraint. *)
+
+val groups : t -> Expr.t list list
+(** The groups, in the order [Hashtbl.fold] lists a fresh
+    [Hashtbl.create 16] that maps each root to its group and gained
+    each root when its group opened. *)

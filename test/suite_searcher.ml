@@ -158,6 +158,221 @@ let test_by_name_covers_names () =
     Searcher.names;
   Alcotest.(check bool) "unknown" true (Searcher.by_name "zigzag" = None)
 
+(* The weighted searcher as it was before its snapshot was rebuilt into
+   reused buffers: fresh arrays, a per-state [weight_of] closure and a
+   boxed weight per state at every rebuild. Kept as the reference that
+   the buffered one must match draw for draw. *)
+module Reference_weighted = struct
+  module Cfg = Pbse_ir.Cfg
+
+  type pool = {
+    mutable arr : State.t option array;
+    mutable len : int;
+    index : (int, int) Hashtbl.t;
+  }
+
+  let pool_create () = { arr = Array.make 64 None; len = 0; index = Hashtbl.create 64 }
+
+  let pool_add p st =
+    if p.len >= Array.length p.arr then begin
+      let bigger = Array.make (2 * Array.length p.arr) None in
+      Array.blit p.arr 0 bigger 0 p.len;
+      p.arr <- bigger
+    end;
+    p.arr.(p.len) <- Some st;
+    Hashtbl.replace p.index st.State.id p.len;
+    p.len <- p.len + 1
+
+  let pool_remove p st =
+    match Hashtbl.find_opt p.index st.State.id with
+    | None -> ()
+    | Some slot ->
+      Hashtbl.remove p.index st.State.id;
+      let last = p.len - 1 in
+      (match p.arr.(last) with
+       | Some moved when slot <> last ->
+         p.arr.(slot) <- Some moved;
+         Hashtbl.replace p.index moved.State.id slot
+       | Some _ | None -> ());
+      p.arr.(last) <- None;
+      p.len <- last
+
+  let pool_get p i = match p.arr.(i) with Some st -> st | None -> assert false
+
+  type dmap = {
+    cfg : Cfg.t;
+    coverage : Coverage.t;
+    mutable dist : int array;
+    mutable at_version : int;
+  }
+
+  let dmap_get d gid =
+    if d.at_version < 0 || Coverage.version d.coverage > d.at_version + 8 then begin
+      d.dist <-
+        Cfg.distances_to d.cfg ~targets:(fun g -> not (Coverage.is_covered d.coverage g));
+      d.at_version <- Coverage.version d.coverage
+    end;
+    if Array.length d.dist = 0 then max_int else d.dist.(gid)
+
+  let weighted name rng cfg coverage ~weight_of =
+    let p = pool_create () in
+    let dmap = { cfg; coverage; dist = [||]; at_version = -1 } in
+    let cum = ref [||] in
+    let snapshot_states = ref [||] in
+    let since_snapshot = ref max_int in
+    let rebuild () =
+      let n = p.len in
+      let states = Array.init n (fun i -> pool_get p i) in
+      let weights =
+        Array.map
+          (fun st ->
+            let gid = Cfg.id cfg st.State.fidx st.State.bidx in
+            weight_of st (dmap_get dmap gid))
+          states
+      in
+      let acc = ref 0.0 in
+      cum :=
+        Array.map
+          (fun w ->
+            acc := !acc +. (w +. 1e-9);
+            !acc)
+          weights;
+      snapshot_states := states;
+      since_snapshot := 0
+    in
+    let select () =
+      if p.len = 0 then None
+      else begin
+        if !since_snapshot >= 64 || Array.length !snapshot_states = 0 then rebuild ();
+        incr since_snapshot;
+        let cumulative = !cum and states = !snapshot_states in
+        let n = Array.length states in
+        if n = 0 then None
+        else begin
+          let total = cumulative.(n - 1) in
+          let rec attempt tries =
+            if tries = 0 then begin
+              rebuild ();
+              if p.len = 0 then None else Some (pool_get p (Rng.int rng p.len))
+            end
+            else begin
+              let r = Rng.float rng total in
+              let lo = ref 0 and hi = ref (n - 1) in
+              while !lo < !hi do
+                let mid = (!lo + !hi) / 2 in
+                if cumulative.(mid) > r then hi := mid else lo := mid + 1
+              done;
+              let st = states.(!lo) in
+              if Hashtbl.mem p.index st.State.id then Some st else attempt (tries - 1)
+            end
+          in
+          attempt 8
+        end
+      end
+    in
+    {
+      Searcher.name;
+      add =
+        (fun st ->
+          pool_add p st;
+          since_snapshot := max_int);
+      fork =
+        (fun ~parent:_ child ->
+          pool_add p child;
+          since_snapshot := max_int);
+      remove = pool_remove p;
+      select;
+      size = (fun () -> p.len);
+    }
+
+  let base dist = if dist = max_int then 1e-6 else 1.0 /. float_of_int (1 + dist)
+
+  let md2u rng cfg coverage =
+    weighted "md2u" rng cfg coverage ~weight_of:(fun _st dist -> base dist)
+
+  let covnew rng cfg coverage =
+    weighted "covnew" rng cfg coverage ~weight_of:(fun st dist ->
+        if st.State.fresh_cover then 8.0 *. base dist else base dist)
+end
+
+(* One script of random adds, forks, removals and selects, with states
+   moving between blocks, gaining and losing their fresh-cover flag,
+   coverage growing and the pool draining in stretches, drives the reference and the buffered searcher; both
+   draw from their own copy of one RNG seed and must pick the same state
+   at every select. *)
+let test_weighted_matches_reference () =
+  let prog =
+    Pbse_lang.Frontend.compile
+      "fn main() { var i = 0; var s = 0; while (i < in(0)) { if (in(i) > 7) { s = s + 1; } \
+       else { s = s + 2; } i = i + 1; } if (s > 3) { out(s); } if (s == 9) { out(i); } \
+       return 0; }"
+  in
+  let cfg = Pbse_ir.Cfg.build prog in
+  let nblocks = Pbse_ir.Cfg.nblocks cfg in
+  List.iter
+    (fun (name, reference) ->
+      List.iter
+        (fun seed ->
+          let coverage = Coverage.create nblocks in
+          let driver = Rng.create (1000 + seed) in
+          let fresh = (Option.get (Searcher.by_name name)) (Rng.create seed) cfg coverage in
+          let old = reference (Rng.create seed) cfg coverage in
+          let live = ref [||] in
+          let next_id = ref 0 in
+          let new_state () =
+            let st = dummy_state !next_id in
+            incr next_id;
+            st.State.bidx <- Rng.int driver nblocks;
+            st.State.fresh_cover <- Rng.int driver 4 = 0;
+            live := Array.append !live [| st |];
+            st
+          in
+          let pick () = !live.(Rng.int driver (Array.length !live)) in
+          let selects = ref 0 in
+          for step = 1 to 3000 do
+            let n = Array.length !live in
+            (* every other 500 steps the pool only drains, so snapshots
+               go stale and draws land on removed states *)
+            let draining = step / 500 mod 2 = 1 in
+            match Rng.int driver 100 with
+            | r when draining && r < 30 && n > 0 ->
+              let st = pick () in
+              fresh.Searcher.remove st;
+              old.Searcher.remove st;
+              live := Array.of_list (List.filter (fun s -> s != st) (Array.to_list !live))
+            | r when draining && r < 30 -> ()
+            | r when (r < 8 && not draining) || n = 0 ->
+              let st = new_state () in
+              fresh.Searcher.add st;
+              old.Searcher.add st
+            | r when r < 20 && not draining ->
+              let parent = pick () in
+              let child = new_state () in
+              fresh.Searcher.fork ~parent child;
+              old.Searcher.fork ~parent child
+            | r when r < 30 ->
+              let st = pick () in
+              fresh.Searcher.remove st;
+              old.Searcher.remove st;
+              live := Array.of_list (List.filter (fun s -> s != st) (Array.to_list !live))
+            | r when r < 40 ->
+              let st = pick () in
+              st.State.bidx <- Rng.int driver nblocks;
+              st.State.fresh_cover <- not st.State.fresh_cover
+            | r when r < 45 -> ignore (Coverage.cover coverage (Rng.int driver nblocks))
+            | _ ->
+              incr selects;
+              let id = Option.map (fun st -> st.State.id) in
+              Alcotest.(check (option int))
+                (Printf.sprintf "%s seed %d step %d" name seed step)
+                (id (old.Searcher.select ()))
+                (id (fresh.Searcher.select ()))
+          done;
+          Alcotest.(check int) "same size" (old.Searcher.size ()) (fresh.Searcher.size ());
+          Alcotest.(check bool) "selects were drawn" true (!selects > 1000))
+        [ 1; 2; 3; 4 ])
+    [ ("covnew", Reference_weighted.covnew); ("md2u", Reference_weighted.md2u) ]
+
 let suite =
   [
     Alcotest.test_case "dfs lifo" `Quick test_dfs_lifo;
@@ -167,6 +382,7 @@ let suite =
     Alcotest.test_case "random-path tree" `Quick test_random_path_tree;
     Alcotest.test_case "weighted searchers" `Quick test_weighted_searchers_basic;
     Alcotest.test_case "covnew boost" `Quick test_covnew_prefers_fresh_cover;
+    Alcotest.test_case "weighted = reference draws" `Quick test_weighted_matches_reference;
     Alcotest.test_case "interleave alternates" `Quick test_interleave_alternates;
     Alcotest.test_case "interleave rejects empty" `Quick test_interleave_rejects_empty;
     Alcotest.test_case "by_name" `Quick test_by_name_covers_names;

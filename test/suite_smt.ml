@@ -1208,6 +1208,369 @@ let prop_search_core_matches_oracle_search =
       in
       got = want)
 
+(* --- replayed exhausted searches -------------------------------------------- *)
+
+(* A search case run from a work count near its limit, and a second call
+   that repeats it exactly, starts [r_more] units later, or moves hint
+   byte [r_byte] to [r_value]. *)
+type replay_case = {
+  r_case : search_case;
+  r_entry : int;
+  r_variant : [ `Same | `Later | `Hint ];
+  r_more : int;
+  r_byte : int;
+  r_value : int;
+}
+
+let gen_replay_case =
+  let open QCheck.Gen in
+  map
+    (fun (c, back, (variant, more, (byte, value))) ->
+      {
+        r_case = c;
+        r_entry = Int.max 0 (c.s_limit - back);
+        r_variant = variant;
+        r_more = more;
+        r_byte = byte;
+        r_value = value;
+      })
+    (triple gen_search_case (int_range 0 600)
+       (triple
+          (oneofl [ `Same; `Later; `Hint ])
+          (int_range 1 40)
+          (pair (int_range 0 2) (int_range 0 255))))
+
+let print_replay_case r =
+  Printf.sprintf "%s\nentry %d, variant %s (+%d, byte %d := %d)"
+    (print_search_case r.r_case) r.r_entry
+    (match r.r_variant with `Same -> "same" | `Later -> "later" | `Hint -> "hint")
+    r.r_more r.r_byte r.r_value
+
+(* [key_of] stands in for the solver's replay key: a first call that runs
+   out of budget is remembered under its key with the work it spent and
+   the nodes it counted, and a second call with an equal key is answered
+   from that, as the solver's memo answers it. The answer must be the
+   one a fresh search of the second call gives. *)
+let replay_agrees key_of r =
+  let c = r.r_case in
+  let hint_of bytes =
+    Array.fold_left (fun (m, i) v -> (Model.set m i v, i + 1)) (Model.empty, 0) bytes
+    |> fst
+  in
+  let bounds i =
+    if i < 0 || i >= Array.length c.s_bounds then None
+    else
+      Option.map
+        (fun (lo, hi) -> Interval.make (Int64.of_int lo) (Int64.of_int hi))
+        c.s_bounds.(i)
+  in
+  let group = Search_core.build_group ~tape:Tape.compile c.s_exprs in
+  let call ~entry ~hint =
+    let meter = Search_core.meter ~limit:c.s_limit in
+    meter.Search_core.spent <- entry;
+    let key = key_of group (Search_core.replay_key meter ~hint ~focus:c.s_focus ~bounds group) in
+    let nodes = ref 0 in
+    let exhausted =
+      match
+        Search_core.solve_group ~on_node:(fun () -> incr nodes) meter ~hint
+          ~focus:c.s_focus ~bounds group
+      with
+      | _ -> false
+      | exception Search_core.Out_of_budget -> true
+    in
+    (key, exhausted, meter.Search_core.spent, !nodes)
+  in
+  let first_hint = hint_of c.s_hint in
+  let key1, exhausted1, spent1, nodes1 = call ~entry:r.r_entry ~hint:first_hint in
+  let entry2, hint2 =
+    match r.r_variant with
+    | `Same -> (r.r_entry, first_hint)
+    | `Later -> (r.r_entry + r.r_more, first_hint)
+    | `Hint -> (r.r_entry, Model.set first_hint r.r_byte r.r_value)
+  in
+  let key2, exhausted2, spent2, nodes2 = call ~entry:entry2 ~hint:hint2 in
+  (not exhausted1) || key1 <> key2 || (exhausted2 && spent2 = spent1 && nodes2 = nodes1)
+
+let arb_replay_case = QCheck.make ~print:print_replay_case gen_replay_case
+
+let prop_replayed_search_matches_fresh =
+  QCheck.Test.make ~count:1000 ~name:"replayed exhausted search = fresh search"
+    arb_replay_case
+    (replay_agrees (fun _group key -> key))
+
+(* The key must hold the work spent on entry and the hint bytes: with
+   either dropped, the same script finds a second call that the memo
+   would answer wrongly. *)
+let test_replay_key_needs_spent_and_hint () =
+  let without_spent _group key = Array.sub key 1 (Array.length key - 1) in
+  let without_hint group key =
+    let hints = 2 + key.(1) and m = Array.length (Search_core.group_vars group) in
+    Array.append (Array.sub key 0 hints)
+      (Array.sub key (hints + m) (Array.length key - hints - m))
+  in
+  List.iter
+    (fun (name, key_of) ->
+      let test = QCheck.Test.make ~count:2000 ~name arb_replay_case (replay_agrees key_of) in
+      let refuted =
+        match QCheck.Test.check_exn ~rand:(Random.State.make [| 30 |]) test with
+        | () -> false
+        | exception QCheck2.Test.Test_fail _ -> true
+      in
+      Alcotest.(check bool) (name ^ " is refuted") true refuted)
+    [ ("key without spent", without_spent); ("key without hint", without_hint) ]
+
+(* A query that runs out of budget charges the same work and counts the
+   same nodes when it is asked again, on the same solver (a replay) as on
+   a fresh one (a search). *)
+let test_solver_replays_exhausted_query () =
+  let x = Expr.read 0 and y = Expr.read 1 and z = Expr.read 2 in
+  let sum = Expr.bin T.Add (Expr.bin T.Add x y) z in
+  let query =
+    [
+      Expr.bin T.Eq (Expr.bin T.Mul sum sum) (Expr.const 0x1F3D1L);
+      Expr.bin T.Ult x y;
+      Expr.bin T.Ult y z;
+    ]
+  in
+  let ask solver =
+    let nodes = (Solver.stats solver).Solver.search_nodes in
+    let result, work = Solver.check_assuming solver ~path:[] query in
+    (result, work, (Solver.stats solver).Solver.search_nodes - nodes)
+  in
+  let solver = Solver.create ~budget:3_000 () in
+  let first = ask solver in
+  let again = ask solver in
+  let fresh = ask (Solver.create ~budget:3_000 ()) in
+  let show (r, work, nodes) =
+    Printf.sprintf "%s work %d nodes %d"
+      (match r with Solver.Sat _ -> "sat" | Solver.Unsat -> "unsat" | Solver.Unknown -> "unknown")
+      work nodes
+  in
+  Alcotest.(check bool) "the budget runs out" true
+    (match first with Solver.Unknown, _, _ -> true | (Solver.Sat _ | Solver.Unsat), _, _ -> false);
+  Alcotest.(check string) "repeat = first" (show first) (show again);
+  Alcotest.(check string) "repeat = fresh solver" (show fresh) (show again)
+
+(* --- preprocessing workspace ---------------------------------------------- *)
+
+(* The component closure and the independence grouping as they were
+   before they shared the solver's workspace: hash tables and a queue per
+   call. The closure runs over the prefix index that [Prefix_ctx] builds,
+   rebuilt here from the path: oldest constraint first, constants
+   skipped, each reading byte listing its constraints newest first. *)
+module Reference_preprocessing = struct
+  let index path =
+    let by_var = Hashtbl.create 64 and creads = Hashtbl.create 64 in
+    List.iter
+      (fun (c : Expr.t) ->
+        match Expr.is_const c with
+        | Some _ -> ()
+        | None ->
+          let r = Expr.reads c in
+          List.iter
+            (fun v ->
+              let existing = Option.value ~default:[] (Hashtbl.find_opt by_var v) in
+              Hashtbl.replace by_var v (c :: existing))
+            r;
+          Hashtbl.replace creads c.Expr.id r)
+      (List.rev path);
+    (by_var, creads)
+
+  let closure (by_var, creads) ~reads ~spend extra =
+    let in_component = Hashtbl.create 64 in
+    let seen : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+    let queue = Queue.create () in
+    let selected = ref extra in
+    let add_var v =
+      if not (Hashtbl.mem in_component v) then begin
+        Hashtbl.replace in_component v ();
+        Queue.add v queue
+      end
+    in
+    List.iter
+      (fun (x : Expr.t) ->
+        Hashtbl.replace seen x.Expr.id ();
+        List.iter add_var (reads x))
+      extra;
+    while not (Queue.is_empty queue) do
+      let v = Queue.pop queue in
+      match Hashtbl.find_opt by_var v with
+      | None -> ()
+      | Some cs ->
+        List.iter
+          (fun (c : Expr.t) ->
+            if not (Hashtbl.mem seen c.Expr.id) then begin
+              Hashtbl.replace seen c.Expr.id ();
+              spend 1;
+              selected := c :: !selected;
+              match Hashtbl.find_opt creads c.Expr.id with
+              | Some r -> List.iter add_var r
+              | None -> ()
+            end)
+          cs
+    done;
+    !selected
+
+  let group_constraints ~reads exprs =
+    let parent = Hashtbl.create 64 in
+    let rec find (v : int) =
+      match Hashtbl.find_opt parent v with
+      | None -> v
+      | Some p ->
+        let root = find p in
+        if root <> p then Hashtbl.replace parent v root;
+        root
+    in
+    let union a b =
+      let ra = find a and rb = find b in
+      if ra <> rb then Hashtbl.replace parent ra rb
+    in
+    List.iter
+      (fun e -> match reads e with [] -> () | first :: rest -> List.iter (union first) rest)
+      exprs;
+    let groups = Hashtbl.create 16 in
+    List.iter
+      (fun e ->
+        match reads e with
+        | [] -> ()
+        | first :: _ ->
+          let root = find first in
+          let existing = try Hashtbl.find groups root with Not_found -> [] in
+          Hashtbl.replace groups root (e :: existing))
+      exprs;
+    Hashtbl.fold (fun _ es acc -> es :: acc) groups []
+end
+
+(* Constraints drawn with repeats from a pool over bytes [0, span): single
+   bytes against constants (many small groups), sums and u16 fields over
+   two or three bytes (merging them), and constants. *)
+let gen_constraint_pool span =
+  let open QCheck.Gen in
+  let byte = int_range 0 (span - 1) in
+  let single =
+    map3
+      (fun v op k -> Expr.bin op (Expr.read v) (Expr.const (Int64.of_int k)))
+      byte
+      (oneofl [ T.Eq; T.Ne; T.Ult; T.Ule ])
+      (int_range 1 254)
+  in
+  let sum =
+    map3
+      (fun a b c ->
+        Expr.bin T.Ult (Expr.bin T.Add (Expr.bin T.Add (Expr.read a) (Expr.read b)) (Expr.read c))
+          (Expr.const 300L))
+      byte byte byte
+  in
+  let field = map2 (fun a b -> Expr.bin T.Ne (le_field [ a; b ]) (Expr.const 0x1234L)) byte byte in
+  let constant = oneofl [ Expr.one; Expr.const 7L ] in
+  array_size (int_range 1 40)
+    (frequency [ (6, single); (2, sum); (2, field); (1, constant) ])
+
+let gen_drawn pool n = QCheck.Gen.(list_size n (map (fun i -> pool.(i)) (int_range 0 (Array.length pool - 1))))
+
+type preprocessing_case = {
+  p_path : Expr.t list;
+  p_extra : Expr.t list;
+  p_grouped : Expr.t list;
+  p_cut : int;
+}
+
+let gen_preprocessing_case =
+  let open QCheck.Gen in
+  oneofl [ 8; 40; 700 ] >>= fun span ->
+  gen_constraint_pool span >>= fun pool ->
+  map
+    (fun (((path, extra), grouped), cut) ->
+      { p_path = path; p_extra = extra; p_grouped = grouped; p_cut = cut })
+    (pair
+       (pair
+          (pair (gen_drawn pool (int_range 0 30)) (gen_drawn pool (int_range 1 4)))
+          (gen_drawn pool (int_range 0 150)))
+       (int_range 0 8))
+
+let print_preprocessing_case c =
+  let show l = String.concat "; " (List.map Expr.to_string l) in
+  Printf.sprintf "path [%s]\nextra [%s]\ngrouped [%s]\ncut after %d" (show c.p_path)
+    (show c.p_extra) (show c.p_grouped) c.p_cut
+
+let ids groups = List.map (List.map (fun (e : Expr.t) -> e.Expr.id)) groups
+
+(* One workspace serves every case, as one solver's serves its queries.
+   Each case first runs a closure that [Out_of_budget] cuts after
+   [p_cut] units, then a clean closure and a grouping: both must equal
+   the reference, charges and order included. *)
+let prop_workspace_matches_reference =
+  let w = Workspace.create () in
+  QCheck.Test.make ~count:500 ~name:"workspace closure and grouping = reference"
+    (QCheck.make ~print:print_preprocessing_case gen_preprocessing_case)
+    (fun c ->
+      let prefixes = Prefix_ctx.create () in
+      let entry =
+        (Prefix_ctx.find_or_build prefixes ~reads:Expr.reads ~tape:Tape.compile c.p_path)
+          .Prefix_ctx.ctx
+      in
+      let budget = ref c.p_cut in
+      (try
+         ignore
+           (Prefix_ctx.closure w entry ~reads:Expr.reads
+              ~spend:(fun n ->
+                budget := !budget - n;
+                if !budget < 0 then raise Search_core.Out_of_budget)
+              c.p_extra)
+       with Search_core.Out_of_budget -> ());
+      let run closure =
+        let spent = ref 0 in
+        let selected = closure ~reads:Expr.reads ~spend:(fun n -> spent := !spent + n) c.p_extra in
+        (ids [ selected ], !spent)
+      in
+      let got = run (Prefix_ctx.closure w entry) in
+      let want = run (Reference_preprocessing.closure (Reference_preprocessing.index c.p_path)) in
+      let symbolic = List.filter (fun e -> Expr.is_const e = None) c.p_grouped in
+      got = want
+      && ids (Simplify.group_constraints w ~reads:Expr.reads symbolic)
+         = ids (Reference_preprocessing.group_constraints ~reads:Expr.reads symbolic))
+
+(* Past 32 and 64 groups the reference table doubles its buckets, which
+   reorders its groups; the workspace must follow. A closure over a
+   chain of 300 bytes past byte 500 outgrows the workspace's queue, id
+   set and byte arrays on the way. *)
+let test_workspace_past_its_buffers () =
+  let w = Workspace.create () in
+  let chain =
+    List.init 300 (fun i ->
+        Expr.bin T.Ult
+          (Expr.bin T.Add (Expr.read (500 + i)) (Expr.read (501 + i)))
+          (Expr.const 400L))
+  in
+  let path = List.rev chain in
+  let entry =
+    (Prefix_ctx.find_or_build (Prefix_ctx.create ()) ~reads:Expr.reads ~tape:Tape.compile path)
+      .Prefix_ctx.ctx
+  in
+  let extra = [ Expr.bin T.Eq (Expr.read 650) (Expr.const 3L) ] in
+  let run closure =
+    let spent = ref 0 in
+    let selected = closure ~reads:Expr.reads ~spend:(fun n -> spent := !spent + n) extra in
+    (ids [ selected ], !spent)
+  in
+  let want = run (Reference_preprocessing.closure (Reference_preprocessing.index path)) in
+  Alcotest.(check (pair (list (list int)) int)) "long chain closure" want
+    (run (Prefix_ctx.closure w entry));
+  Alcotest.(check int) "whole chain selected" 300 (snd want);
+  List.iter
+    (fun n ->
+      let exprs =
+        List.init n (fun i ->
+            let v = (i * 37) mod 1000 in
+            Expr.bin T.Ult (Expr.read v) (Expr.const (Int64.of_int (1 + (i mod 200)))))
+      in
+      let exprs = exprs @ List.filteri (fun i _ -> i mod 3 = 0) exprs in
+      Alcotest.(check (list (list int)))
+        (Printf.sprintf "%d groups" n)
+        (ids (Reference_preprocessing.group_constraints ~reads:Expr.reads exprs))
+        (ids (Simplify.group_constraints w ~reads:Expr.reads exprs)))
+    [ 1; 2; 16; 31; 32; 33; 64; 65; 66; 129; 400 ]
+
 (* --- deterministic unit tests --------------------------------------------- *)
 
 let check_simpl name expected e =
@@ -1441,27 +1804,28 @@ let test_solver_unsat_chain () =
    memo table and before [Search_core] dropped its per-group hash table,
    on the commit whose kernel both changes had to match unit for unit,
    and retaken when solver Unknown answers became final (readelf's and
-   gif2tiff's did not move): a later
-   kernel change that moves a charged work unit, a search node or a
-   subsumption prune fails here by name. *)
+   gif2tiff's did not move). The Unknown answers and quarantine strikes
+   were read on the commit before exhausted searches were replayed from a
+   memo: a later kernel change that moves a charged work unit, a search
+   node, a subsumption prune or an exhausted search fails here by name. *)
 let golden_solver_counters =
   (* target, solver.queries, solver.work, solver.search_nodes,
-     smt.subsumed_states *)
+     smt.subsumed_states, solver.unknown, quarantine.strikes *)
   [
-    ("readelf", 1000, 1522668, 925, 172);
-    ("pngtest", 168, 2367128, 1528, 87);
-    ("gif2tiff", 1273, 752946, 4099, 118);
-    ("tiff2rgba", 162, 2304659, 18736, 2);
-    ("tiff2bw", 523, 2343707, 12280, 0);
-    ("dwarfdump", 303, 1977673, 67902, 92);
-    ("tcpdump", 474, 2792568, 63172, 68);
+    ("readelf", 1000, 1522668, 925, 172, 0, 0);
+    ("pngtest", 168, 2367128, 1528, 87, 25, 8);
+    ("gif2tiff", 1273, 752946, 4099, 118, 0, 0);
+    ("tiff2rgba", 162, 2304659, 18736, 2, 36, 2);
+    ("tiff2bw", 523, 2343707, 12280, 0, 33, 0);
+    ("dwarfdump", 303, 1977673, 67902, 92, 20, 0);
+    ("tcpdump", 474, 2792568, 63172, 68, 22, 4);
   ]
 
 let test_golden_solver_counters () =
   let module Registry = Pbse_targets.Registry in
   let module Session = Pbse_session.Session in
   List.iter
-    (fun (name, queries, work, nodes, subsumed) ->
+    (fun (name, queries, work, nodes, subsumed, unknown, strikes) ->
       let t = Option.get (Registry.by_name name) in
       let report =
         Session.run (Registry.program t) ~seed:(Registry.smallest_seed t) ~deadline:30_000
@@ -1473,7 +1837,9 @@ let test_golden_solver_counters () =
       check "solver.queries" queries;
       check "solver.work" work;
       check "solver.search_nodes" nodes;
-      check "smt.subsumed_states" subsumed)
+      check "smt.subsumed_states" subsumed;
+      check "solver.unknown" unknown;
+      check "quarantine.strikes" strikes)
     golden_solver_counters
 
 let suite =
@@ -1511,4 +1877,11 @@ let suite =
     QCheck_alcotest.to_alcotest prop_search_core_matches_brute_force;
     QCheck_alcotest.to_alcotest prop_search_core_sparse_wide_groups;
     QCheck_alcotest.to_alcotest prop_search_core_matches_oracle_search;
+    QCheck_alcotest.to_alcotest prop_replayed_search_matches_fresh;
+    Alcotest.test_case "replay key needs spent and hint" `Quick
+      test_replay_key_needs_spent_and_hint;
+    Alcotest.test_case "solver replays exhausted query" `Quick
+      test_solver_replays_exhausted_query;
+    QCheck_alcotest.to_alcotest prop_workspace_matches_reference;
+    Alcotest.test_case "workspace past its buffers" `Quick test_workspace_past_its_buffers;
   ]
