@@ -731,7 +731,13 @@ let kernel_cost ~calls ~limit name run =
    equality, a loop bound (a u16 count and eight entry bytes below their
    limits) and two magic bytes. Every hint byte is 0xFF, so the hint
    misses every constraint and the probe falls through to the search.
-   Then one evaluation of one parser-shaped constraint on its tape, the
+   Two more groups split the search's kernels: [propagate] is dominated
+   by interval propagation (four magic-byte equalities, each trimmed
+   value by value from both ends, and a 2-byte little-endian loop
+   bound), [assign] by assignment (a product residue and a sum residue
+   of two bytes, which intervals cannot narrow, so the search tries
+   value after value, each with its exact checks). Then one evaluation
+   of one parser-shaped constraint on its tape, the
    step the search repeats: a length read in the byte order a magic byte
    selects, less its header, below a limit. [tape-ivl] loads the
    interval of each read (the magic byte a point, the length bytes
@@ -767,11 +773,12 @@ let search_core_kernel () =
         Expr.bin T.Eq (Expr.read bytes.(15)) (const 0x50);
       ]
   in
-  let group = Search_core.build_group ~tape:Tape.compile constraints in
+  let ws = Pbse_smt.Workspace.create () in
+  let group = Search_core.build_group ws ~tape:Tape.compile constraints in
   let hint = Array.fold_left (fun m i -> Model.set m i 0xFF) Model.empty bytes in
   let focus = [ bytes.(14); bytes.(15) ] in
   let solve () =
-    Search_core.solve_group ~on_node:ignore
+    Search_core.solve_group ws ~on_node:ignore
       (Search_core.meter ~limit:max_int)
       ~hint ~focus
       ~bounds:(fun _ -> None)
@@ -781,6 +788,40 @@ let search_core_kernel () =
    | Search_core.Gsat _ -> ()
    | Search_core.Gunsat | Search_core.Gunknown ->
      failwith "search-core kernel: the group must be sat");
+  let byte_eq i v = Expr.bin T.Eq (Expr.read i) (const v) in
+  let residue e m k = Expr.bin T.Eq (Expr.bin T.Urem e (const m)) (const k) in
+  let solver_of name constraints =
+    let group = Search_core.build_group ws ~tape:Tape.compile constraints in
+    let vars = Search_core.group_vars group in
+    let hint = Array.fold_left (fun m i -> Model.set m i 0xFF) Model.empty vars in
+    let solve () =
+      Search_core.solve_group ws ~on_node:ignore
+        (Search_core.meter ~limit:max_int)
+        ~hint ~focus:[ vars.(0) ]
+        ~bounds:(fun _ -> None)
+        group
+    in
+    (match solve () with
+     | Search_core.Gsat _ -> ()
+     | Search_core.Gunsat | Search_core.Gunknown ->
+       failwith (name ^ " kernel: the group must be sat"));
+    (Array.length vars, solve)
+  in
+  let propagate =
+    solver_of "propagate"
+      [
+        byte_eq 8 0x89;
+        byte_eq 9 0x50;
+        byte_eq 10 0x4E;
+        byte_eq 11 0x47;
+        Expr.bin T.Ult (field [| 20; 21 |]) (const 300);
+      ]
+  in
+  let assign =
+    let x = Expr.read 30 and y = Expr.read 31 in
+    solver_of "assign"
+      [ residue (Expr.bin T.Mul x y) 251 13; residue (Expr.bin T.Add x y) 16 5 ]
+  in
   (* bytes 0-2: the magic byte, then a u16 length in either byte order *)
   let length =
     Expr.ite
@@ -818,6 +859,8 @@ let search_core_kernel () =
       ( "search",
         Array.length (Search_core.group_vars group),
         fun () -> ignore (solve ()) );
+      ("propagate", fst propagate, fun () -> ignore (snd propagate ()));
+      ("assign", fst assign, fun () -> ignore (snd assign ()));
       ("tape-ivl", Array.length (Tape.reads tape), fun () -> ignore (eval_interval ()));
       ("tape-exact", Array.length (Tape.reads tape), fun () -> ignore (eval_exact ()));
     ]
@@ -945,7 +988,7 @@ let concolic_kernel passes =
 let kernels () =
   heading
     "Per-layer kernels: Phase.divide and the concolic pass on each target's \
-     smallest seed, Search_core.solve_group, one constraint's tape, a covnew \
+     smallest seed, Search_core.solve_group on three groups, one constraint's tape, a covnew \
      select after a fork, an exhausted search fresh and replayed";
   Printf.printf "  %-10s %5s %14s %18s %11s %11s\n%!" "target" "bbvs" "ns/division"
     "minor words/div" "dims" "distinct";

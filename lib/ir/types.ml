@@ -105,10 +105,10 @@ let find_func program name =
   in
   search 0
 
-(* Names the executors resolve internally instead of via [funcs]. *)
-let intrinsics = [ "in_byte"; "in_size"; "out" ]
-
-let is_intrinsic name = List.mem name intrinsics
+(* Names the executors resolve internally instead of via [funcs]. A
+   string match, so both interpreters' test on every [Call] compares
+   strings directly instead of calling the polymorphic compare. *)
+let is_intrinsic = function "in_byte" | "in_size" | "out" -> true | _ -> false
 
 let block_count program =
   Array.fold_left (fun acc f -> acc + Array.length f.blocks) 0 program.funcs

@@ -119,6 +119,10 @@ let evict_lru t =
    reads are loaded once, then each probe only moves byte [v]'s slot. *)
 let max_trim_steps = 64
 
+let falsified_at tape k x =
+  Tape.set_interval tape k x x;
+  Tape.falsified tape
+
 let trim_bound tape bounds cost v (iv : Interval.t) (c : Expr.t) =
   let reads = Tape.reads tape in
   let kv = ref 0 in
@@ -131,21 +135,31 @@ let trim_bound tape bounds cost v (iv : Interval.t) (c : Expr.t) =
         Tape.set_interval tape k (Int64.to_int b.Interval.lo) (Int64.to_int b.Interval.hi)
       | None -> Tape.set_interval tape k 0 255
   done;
-  let kv = !kv in
-  let false_at x =
-    cost := !cost + c.Expr.nodes;
-    Tape.set_interval tape kv x x;
-    Tape.falsified tape
-  in
+  let kv = !kv and nodes = c.Expr.nodes in
   let lo = ref (Int64.to_int iv.Interval.lo) in
   let hi = ref (Int64.to_int iv.Interval.hi) in
   let steps = ref 0 in
-  while !lo < !hi && !steps < max_trim_steps && false_at !lo do
+  (* each probe is charged [nodes] before it runs *)
+  while
+    !lo < !hi
+    && !steps < max_trim_steps
+    && begin
+      cost := !cost + nodes;
+      falsified_at tape kv !lo
+    end
+  do
     incr lo;
     incr steps
   done;
   steps := 0;
-  while !hi > !lo && !steps < max_trim_steps && false_at !hi do
+  while
+    !hi > !lo
+    && !steps < max_trim_steps
+    && begin
+      cost := !cost + nodes;
+      falsified_at tape kv !hi
+    end
+  do
     decr hi;
     incr steps
   done;

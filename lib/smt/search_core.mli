@@ -3,10 +3,9 @@
     Every constraint is evaluated on its compiled {!Tape}: exactly in the
     hint probe and once all the bytes it reads are assigned, as intervals
     while domains are narrowed and while some of its bytes are free.
-    Stateless apart from the caller's {!meter} and the tapes' registers:
-    the probe and search mutate nothing else but their own scratch
-    structures, so {!Solver} keeps all caches (the tapes included) and
-    statistics. *)
+    Stateless apart from the caller's {!meter}, the tapes' registers and
+    the caller's {!Workspace}: the probe and search mutate nothing else,
+    so {!Solver} keeps all caches (the tapes included) and statistics. *)
 
 exception Out_of_budget
 
@@ -25,9 +24,11 @@ type group
     constraint's tape and the group position of each byte the tape
     reads, indexed for propagation by byte. *)
 
-val build_group : tape:(Expr.t -> Tape.t) -> Expr.t list -> group
+val build_group : Workspace.t -> tape:(Expr.t -> Tape.t) -> Expr.t list -> group
 (** [tape e] is [e]'s compiled tape, usually from the solver's
-    per-session cache; the probe and search load and run it in place. *)
+    per-session cache; the probe and search load and run it in place.
+    The group's bytes are collected in the workspace, so this starts a
+    new workspace epoch. *)
 
 val group_vars : group -> int array
 (** Sorted input indices the group constrains. *)
@@ -38,6 +39,7 @@ type group_result =
   | Gunknown
 
 val solve_group :
+  Workspace.t ->
   on_node:(unit -> unit) ->
   meter ->
   hint:Model.t ->
@@ -50,7 +52,9 @@ val solve_group :
     externally learned per-byte intervals (e.g. a prefix context's),
     intersected into the initial domains; sound as long as each bound is
     implied by constraints present in the group. [on_node] fires once
-    per search-tree node (the caller's statistics hook). *)
+    per search-tree node (the caller's statistics hook). The search
+    keeps its byte domains in the workspace, so a probe, a check or an
+    assignment allocates nothing. *)
 
 val replay_key :
   meter ->

@@ -48,7 +48,7 @@ type t = {
   st : stats;
   cache : (int list, Search_core.group_result) Hashtbl.t;
   replays : replay Replays.t; (* exhausted searches; Sat and Unsat go to [cache] *)
-  work_area : Workspace.t; (* closure and grouping scratch *)
+  work_area : Workspace.t; (* closure, grouping and search scratch *)
   reads_memo : (int, int list) Hashtbl.t; (* expr id -> sorted input indices *)
   tapes : (int, Tape.t) Hashtbl.t; (* expr id -> compiled constraint *)
   prefixes : Prefix_ctx.t;
@@ -134,7 +134,7 @@ let search_group t meter ~on_node ~hint ~focus ~bounds group =
     Search_core.Gunknown
   | None -> (
     let nodes_before = t.st.search_nodes in
-    try Search_core.solve_group ~on_node meter ~hint ~focus ~bounds group
+    try Search_core.solve_group t.work_area ~on_node meter ~hint ~focus ~bounds group
     with Out_of_budget ->
       if Replays.length t.replays >= max_replays then Replays.reset t.replays;
       Replays.replace t.replays key
@@ -155,7 +155,7 @@ let solve_groups t meter ~hint ~focus ~bounds ?on_unsat_core groups =
           t.st.cache_hits <- t.st.cache_hits + 1;
           r
         | None ->
-          let group = Search_core.build_group ~tape:(tape_of t) exprs in
+          let group = Search_core.build_group t.work_area ~tape:(tape_of t) exprs in
           let r =
             if Array.length (Search_core.group_vars group) > max_group_vars then
               Search_core.Gunknown

@@ -1,10 +1,22 @@
-(* Reused scratch of one solver's query preprocessing: the component
-   closure's visited bytes, constraints and breadth-first queue, and the
-   independence grouping's union-find and groups. Every mark carries the
-   epoch it was made in, so [reset] voids them all in O(1), also after a
-   call that [Out_of_budget] cut short. Per-byte arrays are indexed by
-   input byte and grow on demand; expression ids are process-wide and
-   unbounded, so visited constraints live in an open-addressed set. *)
+(* Reused scratch of one solver's query preprocessing and group search:
+   the component closure's visited bytes, constraints and breadth-first
+   queue, the independence grouping's union-find and groups, and the
+   search's byte domains. Every mark carries the epoch it was made in, so
+   [reset] voids them all in O(1), also after a call that [Out_of_budget]
+   cut short. Per-byte arrays are indexed by input byte and grow on
+   demand; expression ids are process-wide and unbounded, so visited
+   constraints live in an open-addressed set. *)
+
+type domains = {
+  mutable allowed : Bytes.t;
+  mutable near_mask : Bytes.t;
+  mutable size : int array;
+  mutable dlo : int array;
+  mutable dhi : int array;
+  mutable assigned : int array;
+  mutable near : int array;
+  mutable near_len : int array;
+}
 
 type t = {
   mutable epoch : int;
@@ -23,6 +35,7 @@ type t = {
   mutable buckets : int array; (* slot -> bucket in the reference table *)
   mutable order : int array;
   mutable ngroups : int;
+  search : domains;
 }
 
 let create () =
@@ -43,6 +56,17 @@ let create () =
     buckets = Array.make 16 0;
     order = Array.make 16 0;
     ngroups = 0;
+    search =
+      {
+        allowed = Bytes.empty;
+        near_mask = Bytes.empty;
+        size = [||];
+        dlo = [||];
+        dhi = [||];
+        assigned = [||];
+        near = [||];
+        near_len = [||];
+      };
   }
 
 let reset w =
@@ -77,6 +101,8 @@ let visit_byte w v =
     w.queue.(w.qtail) <- v;
     w.qtail <- w.qtail + 1
   end
+
+let visited w = Array.sub w.queue 0 w.qtail
 
 let next_byte w =
   if w.qhead >= w.qtail then -1
@@ -202,3 +228,20 @@ let groups w =
     w.members.(s) <- []
   done;
   result
+
+(* --- group search ---------------------------------------------------------- *)
+
+let domains w n =
+  let d = w.search in
+  if n > Array.length d.size then begin
+    let n = Int.max n (2 * Array.length d.size) in
+    d.allowed <- Bytes.make (256 * n) '\000';
+    d.near_mask <- Bytes.make (256 * n) '\000';
+    d.size <- Array.make n 0;
+    d.dlo <- Array.make n 0;
+    d.dhi <- Array.make n 0;
+    d.assigned <- Array.make n 0;
+    d.near <- Array.make (16 * n) 0;
+    d.near_len <- Array.make n 0
+  end;
+  d

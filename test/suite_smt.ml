@@ -645,6 +645,10 @@ let test_eval_overflowing_nodes () =
 
 (* --- Search_core vs brute force ------------------------------------------- *)
 
+(* One workspace serves every search of this suite, as one solver's
+   serves its queries. *)
+let search_ws = Workspace.create ()
+
 (* Every assignment of bytes 0 and 1 that satisfies every spec. *)
 let brute_force_models specs =
   let models = ref [] in
@@ -669,7 +673,7 @@ let prop_search_core_matches_brute_force =
            (list_size (int_range 0 3) (int_range 0 2))))
     (fun (specs, (h0, h1), focus) ->
       let exprs = List.map build specs in
-      let group = Search_core.build_group ~tape:Tape.compile exprs in
+      let group = Search_core.build_group search_ws ~tape:Tape.compile exprs in
       let models = brute_force_models specs in
       let hull pick =
         match models with
@@ -687,7 +691,7 @@ let prop_search_core_matches_brute_force =
       let hint = Model.set (Model.set Model.empty 0 h0) 1 h1 in
       let meter = Search_core.meter ~limit:max_int in
       match
-        Search_core.solve_group ~on_node:ignore meter ~hint ~focus ~bounds group
+        Search_core.solve_group search_ws ~on_node:ignore meter ~hint ~focus ~bounds group
       with
       | Search_core.Gsat bindings ->
         let lookup i = Option.value (List.assoc_opt i bindings) ~default:0 in
@@ -799,11 +803,11 @@ let prop_search_core_sparse_wide_groups =
   QCheck.Test.make ~count:200 ~name:"search core solves planted sparse wide groups"
     (QCheck.make ~print:print_planted gen_planted)
     (fun c ->
-      let group = Search_core.build_group ~tape:Tape.compile c.constraints in
+      let group = Search_core.build_group search_ws ~tape:Tape.compile c.constraints in
       (* far above what these groups need: a blown budget is a failure *)
       let meter = Search_core.meter ~limit:5_000_000 in
       match
-        Search_core.solve_group ~on_node:ignore meter ~hint:c.hint ~focus:c.focus
+        Search_core.solve_group search_ws ~on_node:ignore meter ~hint:c.hint ~focus:c.focus
           ~bounds:(fun _ -> None) group
       with
       | Search_core.Gsat bindings ->
@@ -1197,9 +1201,9 @@ let prop_search_core_matches_oracle_search =
         (result, meter.Search_core.spent, !nodes)
       in
       let got =
-        let group = Search_core.build_group ~tape:Tape.compile c.s_exprs in
+        let group = Search_core.build_group search_ws ~tape:Tape.compile c.s_exprs in
         run (fun ~on_node meter ->
-            Search_core.solve_group ~on_node meter ~hint ~focus:c.s_focus ~bounds group)
+            Search_core.solve_group search_ws ~on_node meter ~hint ~focus:c.s_focus ~bounds group)
       in
       let want =
         let group = Oracle_search.build_group ~reads:Expr.reads c.s_exprs in
@@ -1264,7 +1268,7 @@ let replay_agrees key_of r =
         (fun (lo, hi) -> Interval.make (Int64.of_int lo) (Int64.of_int hi))
         c.s_bounds.(i)
   in
-  let group = Search_core.build_group ~tape:Tape.compile c.s_exprs in
+  let group = Search_core.build_group search_ws ~tape:Tape.compile c.s_exprs in
   let call ~entry ~hint =
     let meter = Search_core.meter ~limit:c.s_limit in
     meter.Search_core.spent <- entry;
@@ -1272,7 +1276,7 @@ let replay_agrees key_of r =
     let nodes = ref 0 in
     let exhausted =
       match
-        Search_core.solve_group ~on_node:(fun () -> incr nodes) meter ~hint
+        Search_core.solve_group search_ws ~on_node:(fun () -> incr nodes) meter ~hint
           ~focus:c.s_focus ~bounds group
       with
       | _ -> false
@@ -1350,6 +1354,615 @@ let test_solver_replays_exhausted_query () =
     (match first with Solver.Unknown, _, _ -> true | (Solver.Sat _ | Solver.Unsat), _, _ -> false);
   Alcotest.(check string) "repeat = first" (show first) (show again);
   Alcotest.(check string) "repeat = fresh solver" (show fresh) (show again)
+
+(* --- Search kernels vs the allocating kernels ------------------------------ *)
+
+(* [Search_core]'s probe, search and group building, and
+   [Prefix_ctx]'s endpoint trimming, as they were before their kernels
+   stopped allocating: a closure per probe, a near-hint list per
+   assignment, a fresh 256-byte domain per variable trimmed value by
+   value, a hash table and a list sort per group. Copied verbatim (the
+   result type is [Search_core]'s): the oracle for the kernels' answers
+   and charges. *)
+module Reference_kernels = struct
+  open Search_core
+  module Imap = Map.Make (Int)
+
+  (* Mutable domain of one input byte during a group solve. *)
+  type domain = {
+    allowed : Bytes.t; (* 256 flags *)
+    mutable size : int;
+    mutable dlo : int;
+    mutable dhi : int;
+  }
+
+  let domain_full () = { allowed = Bytes.make 256 '\001'; size = 256; dlo = 0; dhi = 255 }
+
+  let domain_mem d v = Bytes.get d.allowed v <> '\000'
+
+  let domain_remove d v =
+    if domain_mem d v then begin
+      Bytes.set d.allowed v '\000';
+      d.size <- d.size - 1;
+      if d.size > 0 then begin
+        while d.dlo < 256 && not (domain_mem d d.dlo) do
+          d.dlo <- d.dlo + 1
+        done;
+        while d.dhi >= 0 && not (domain_mem d d.dhi) do
+          d.dhi <- d.dhi - 1
+        done
+      end
+    end
+
+  (* --- groups --------------------------------------------------------------- *)
+
+  type group = {
+    constraints : Expr.t array;
+    tapes : Tape.t array; (* constraint -> its compiled tape *)
+    vars : int array; (* sorted input indices *)
+    by_var : int list array; (* position -> constraint indices *)
+    cpos : int array array; (* constraint -> position of each of its tape's reads *)
+  }
+
+  (* Position of input index [v] in the sorted [vars], or -1: a binary
+     search, cheap at the solver's group sizes (at most 48 variables). A
+     top-level loop, so a lookup allocates no closure; typed [int], so its
+     comparisons compile inline instead of calling the polymorphic compare. *)
+  let rec search_sorted (vars : int array) (v : int) lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) lsr 1 in
+      let x = vars.(mid) in
+      if x = v then mid
+      else if x < v then search_sorted vars v (mid + 1) hi
+      else search_sorted vars v lo mid
+
+  let sorted_position vars v = search_sorted vars v 0 (Array.length vars)
+
+  let rec mem_int (v : int) = function [] -> false | x :: rest -> x = v || mem_int v rest
+
+  let build_group ~tape exprs =
+    let constraints = Array.of_list exprs in
+    let tapes = Array.map tape constraints in
+    let var_set = Hashtbl.create 16 in
+    Array.iter
+      (fun tp -> Array.iter (fun v -> Hashtbl.replace var_set v ()) (Tape.reads tp))
+      tapes;
+    let vars =
+      Hashtbl.fold (fun v () acc -> v :: acc) var_set [] |> List.sort Int.compare
+      |> Array.of_list
+    in
+    let cpos =
+      Array.map (fun tp -> Array.map (sorted_position vars) (Tape.reads tp)) tapes
+    in
+    let by_var = Array.make (Array.length vars) [] in
+    Array.iteri
+      (fun ci positions ->
+        Array.iter (fun pos -> by_var.(pos) <- ci :: by_var.(pos)) positions)
+      cpos;
+    { constraints; tapes; vars; by_var; cpos }
+
+  (* Load constraint [ci]'s exact tape with the byte at each group position. *)
+  let load_values group ci (vals : int array) =
+    let tape = group.tapes.(ci) and positions = group.cpos.(ci) in
+    for k = 0 to Array.length positions - 1 do
+      Tape.set_value tape k vals.(positions.(k))
+    done
+
+  (* --- hint-neighbourhood probe --------------------------------------------- *)
+
+  (* Fast path: most fork queries in loops ask for "one more iteration" —
+     a model one small step away from the hint on the newly constrained
+     bytes. Probe hint +/- powers of two on each focus byte before any
+     domain work; constraints are evaluated in order and the probe aborts
+     on the first falsified one, so failed probes are nearly free. [vals]
+     holds the hint's byte at each group position; a probe overwrites one
+     and puts it back. *)
+  let probe_deltas = [ 1; -1; 2; -2; 4; -4; 8; -8; 16; -16; 32; -32; 64; -64; 128 ]
+
+  let probe_neighborhood meter group (vals : int array) focus =
+    let n = Array.length group.constraints in
+    let rec satisfied ci =
+      ci >= n
+      || begin
+        spend meter (Int.min group.constraints.(ci).Expr.nodes 64);
+        load_values group ci vals;
+        Tape.holds group.tapes.(ci) && satisfied (ci + 1)
+      end
+    in
+    let bindings () =
+      Array.to_list (Array.mapi (fun pos v -> (v, vals.(pos))) group.vars)
+    in
+    (* [focus] holds group positions *)
+    let rec try_var = function
+      | [] -> None
+      | pos :: rest ->
+        let base = vals.(pos) in
+        let rec try_delta = function
+          | [] -> try_var rest
+          | d :: ds ->
+            let candidate = base + d in
+            if candidate >= 0 && candidate <= 255 then begin
+              vals.(pos) <- candidate;
+              let found = if satisfied 0 then Some (bindings ()) else None in
+              vals.(pos) <- base;
+              match found with Some _ -> found | None -> try_delta ds
+            end
+            else try_delta ds
+        in
+        try_delta probe_deltas
+    in
+    if satisfied 0 then Some (bindings ()) else try_var focus
+
+  (* --- backtracking search -------------------------------------------------- *)
+
+  (* [bounds] supplies externally learned per-byte intervals (the prefix
+     context's); they are intersected into the initial domains. Soundness:
+     a bound for byte [v] is implied by constraints that read [v], all of
+     which the caller includes in [v]'s group, so the pruned values could
+     never appear in a solution of this group anyway. [on_node] is the
+     caller's search-node counter; [hint_vals] holds the hint's byte at
+     each group position. *)
+  let solve_group_search ~on_node meter ~hint_vals ~bounds group =
+    let nvars = Array.length group.vars in
+    let domains = Array.init nvars (fun _ -> domain_full ()) in
+    (* seed the domains with the learned bounds *)
+    Array.iteri
+      (fun pos v ->
+        match bounds v with
+        | None -> ()
+        | Some (iv : Interval.t) ->
+          let lo = Int64.to_int iv.Interval.lo and hi = Int64.to_int iv.Interval.hi in
+          if lo > 0 || hi < 255 then begin
+            let d = domains.(pos) in
+            for x = 0 to 255 do
+              if x < lo || x > hi then domain_remove d x
+            done
+          end)
+      group.vars;
+    let assignment = Array.make nvars (-1) in
+    (* Interval environment: assigned variables are points, unassigned ones
+       are the hull of their remaining domain. *)
+    let interval_check ci =
+      spend meter group.constraints.(ci).Expr.nodes;
+      let tape = group.tapes.(ci) and positions = group.cpos.(ci) in
+      for k = 0 to Array.length positions - 1 do
+        let pos = positions.(k) in
+        let a = assignment.(pos) in
+        if a >= 0 then Tape.set_interval tape k a a
+        else
+          let d = domains.(pos) in
+          Tape.set_interval tape k d.dlo d.dhi
+      done;
+      not (Tape.falsified tape)
+    in
+    let exact_check ci =
+      spend meter group.constraints.(ci).Expr.nodes;
+      let tape = group.tapes.(ci) and positions = group.cpos.(ci) in
+      for k = 0 to Array.length positions - 1 do
+        let pos = positions.(k) in
+        let a = assignment.(pos) in
+        Tape.set_value tape k (if a >= 0 then a else hint_vals.(pos))
+      done;
+      Tape.holds tape
+    in
+    (* Bound-consistency pass: trim each variable's domain endpoints while
+       a constraint is definitely false there (holding the other variables
+       at their domain hulls). Trimming is pay-per-prune — a constraint that
+       prunes nothing costs two interval evaluations — yet converges fully
+       for the monotone loop-bound chains and magic-byte equalities that
+       dominate parser path conditions. *)
+    let propagate () =
+      let changed = ref true in
+      let rounds = ref 0 in
+      (* multi-byte equalities narrow one byte per round, highest first;
+         six rounds cover a u32 field plus slack *)
+      while !changed && !rounds < 6 do
+        changed := false;
+        incr rounds;
+        for pos = 0 to nvars - 1 do
+          let narrow ci =
+            let positions = group.cpos.(ci) in
+            if Array.length positions <= 6 then begin
+              let nodes = group.constraints.(ci).Expr.nodes in
+              let tape = group.tapes.(ci) in
+              (* the other reads hold their hulls while [pos]'s endpoints move *)
+              let kpos = ref 0 in
+              for k = 0 to Array.length positions - 1 do
+                let p = positions.(k) in
+                if p = pos then kpos := k
+                else
+                  let d = domains.(p) in
+                  Tape.set_interval tape k d.dlo d.dhi
+              done;
+              let kpos = !kpos in
+              let false_at v =
+                spend meter nodes;
+                Tape.set_interval tape kpos v v;
+                Tape.falsified tape
+              in
+              let d = domains.(pos) in
+              while d.size > 0 && false_at d.dlo do
+                domain_remove d d.dlo;
+                changed := true
+              done;
+              while d.size > 0 && false_at d.dhi do
+                domain_remove d d.dhi;
+                changed := true
+              done
+            end
+          in
+          List.iter narrow group.by_var.(pos);
+          if domains.(pos).size = 0 then raise Exit
+        done
+      done
+    in
+    let unassigned ci = Array.exists (fun pos -> assignment.(pos) < 0) group.cpos.(ci) in
+    (* Depth-first search over variables, cheapest domain first, hint value
+       tried first. *)
+    let order = Array.init nvars (fun i -> i) in
+    let finished = ref None in
+    let rec assign depth =
+      if depth = nvars then begin
+        (* all variables assigned: every constraint must hold exactly *)
+        let n = Array.length group.constraints in
+        let rec all_exact ci = ci >= n || (exact_check ci && all_exact (ci + 1)) in
+        if all_exact 0 then begin
+          finished :=
+            Some
+              (Array.to_list
+                 (Array.mapi (fun pos _ -> (group.vars.(pos), assignment.(pos))) group.vars));
+          true
+        end
+        else false
+      end
+      else begin
+        let pos = order.(depth) in
+        let d = domains.(pos) in
+        let try_value v =
+          if not (domain_mem d v) then false
+          else begin
+            on_node ();
+            spend meter 1;
+            assignment.(pos) <- v;
+            let consistent =
+              List.for_all
+                (fun ci -> if unassigned ci then interval_check ci else exact_check ci)
+                group.by_var.(pos)
+            in
+            let found = consistent && assign (depth + 1) in
+            if not found then assignment.(pos) <- -1;
+            found
+          end
+        in
+        (* neighbourhood-first value order: loop-step queries succeed a small
+           delta away from the hint; the tail scan keeps the search complete *)
+        let hint_v = hint_vals.(pos) land 0xFF in
+        let deltas = [ 0; 1; -1; 2; -2; 4; -4; 8; -8; 16; -16; 32; -32; 64; -64; 128 ] in
+        let near =
+          List.filter_map
+            (fun delta ->
+              let v = hint_v + delta in
+              if v >= 0 && v <= 255 then Some v else None)
+            deltas
+        in
+        let rec try_near = function
+          | [] ->
+            let rec scan v =
+              if v > d.dhi then false
+              else if (not (mem_int v near)) && try_value v then true
+              else scan (v + 1)
+            in
+            scan d.dlo
+          | v :: rest -> if try_value v then true else try_near rest
+        in
+        try_near near
+      end
+    in
+    match
+      (try
+         if Array.exists (fun d -> d.size = 0) domains then raise Exit;
+         propagate ();
+         (* order variables by narrowed domain size *)
+         Array.sort (fun a b -> Int.compare domains.(a).size domains.(b).size) order;
+         if assign 0 then `Sat else `Unsat
+       with
+      | Exit -> `Unsat)
+    with
+    | `Sat -> (
+      match !finished with
+      | Some bindings -> Gsat bindings
+      | None -> Gunknown)
+    | `Unsat -> Gunsat
+
+  let solve_group ~on_node meter ~hint ~focus ~bounds group =
+    let hint_vals = Array.map (Model.get hint) group.vars in
+    let focus =
+      List.filter_map
+        (fun v ->
+          let pos = sorted_position group.vars v in
+          if pos >= 0 then Some pos else None)
+        focus
+    in
+    match probe_neighborhood meter group hint_vals focus with
+    | Some bindings -> Gsat bindings
+    | None -> solve_group_search ~on_node meter ~hint_vals ~bounds group
+
+  let max_trim_steps = 64
+
+  let trim_bound tape bounds cost v (iv : Interval.t) (c : Expr.t) =
+    let reads = Tape.reads tape in
+    let kv = ref 0 in
+    for k = 0 to Array.length reads - 1 do
+      let i = reads.(k) in
+      if i = v then kv := k
+      else
+        match Imap.find_opt i bounds with
+        | Some (b : Interval.t) ->
+          Tape.set_interval tape k (Int64.to_int b.Interval.lo) (Int64.to_int b.Interval.hi)
+        | None -> Tape.set_interval tape k 0 255
+    done;
+    let kv = !kv in
+    let false_at x =
+      cost := !cost + c.Expr.nodes;
+      Tape.set_interval tape kv x x;
+      Tape.falsified tape
+    in
+    let lo = ref (Int64.to_int iv.Interval.lo) in
+    let hi = ref (Int64.to_int iv.Interval.hi) in
+    let steps = ref 0 in
+    while !lo < !hi && !steps < max_trim_steps && false_at !lo do
+      incr lo;
+      incr steps
+    done;
+    steps := 0;
+    while !hi > !lo && !steps < max_trim_steps && false_at !hi do
+      decr hi;
+      incr steps
+    done;
+    Interval.make (Int64.of_int !lo) (Int64.of_int !hi)
+end
+
+(* A group over input bytes 0-7 drawn with repeats from a pool of up to
+   six constraints: sums of one to seven reads (seven is past
+   propagation's limit) against constants, little-endian u16 fields,
+   product residues and random terms; bounds that are absent,
+   empty (past 255, or wrapping), single-valued, at 0 or 255, or
+   random; hint bytes at 0, at 255 or random; focus bytes (8 is outside
+   the group) and a work limit that is often too small. *)
+type kernel_case = {
+  k_exprs : Expr.t list;
+  k_bounds : Interval.t option array;
+  k_hint : int array;
+  k_focus : int list;
+  k_limit : int;
+}
+
+let gen_kernel_case =
+  let open QCheck.Gen in
+  let byte = int_range 0 7 in
+  let cmp = oneofl [ T.Eq; T.Ne; T.Ult; T.Ule ] in
+  let const hi = map (fun c -> Expr.const (Int64.of_int c)) (int_range 0 hi) in
+  let sum =
+    int_range 1 7 >>= fun k ->
+    map3
+      (fun reads op c ->
+        let total =
+          List.fold_left (fun acc i -> Expr.bin T.Add acc (Expr.read i)) (Expr.read (List.hd reads))
+            (List.tl reads)
+        in
+        Expr.bin op total c)
+      (list_repeat k byte) cmp (const (k * 255))
+  in
+  let field = map3 (fun (i, j) op c -> Expr.bin op (le_field [ i; j ]) c) (pair byte byte) cmp (const 0x10000) in
+  let residue =
+    map3
+      (fun (i, j) m c ->
+        Expr.bin T.Eq
+          (Expr.bin T.Urem (Expr.bin T.Mul (Expr.read i) (Expr.read j)) (Expr.const (Int64.of_int m)))
+          (Expr.const (Int64.of_int (c mod m))))
+      (pair byte byte) (int_range 2 251) (int_range 0 250)
+  in
+  let term = map build (gen_spec 8) in
+  let constraint_ = frequency [ (3, sum); (2, field); (1, residue); (2, term) ] in
+  let byte_value = frequency [ (1, return 0); (1, return 255); (2, int_range 0 255) ] in
+  let bound =
+    let iv lo hi = Some (Interval.make (Int64.of_int lo) (Int64.of_int hi)) in
+    frequency
+      [
+        (6, return None);
+        (1, return (iv 256 300));
+        (1, return (Some (Interval.make 7L (-1L))));
+        (4, map (fun v -> iv v v) byte_value);
+        (2, map (fun v -> iv 0 v) (int_range 0 255));
+        (2, map (fun v -> iv v 255) (int_range 0 255));
+        (4, map2 (fun a b -> iv (min a b) (max a b)) (int_range 0 255) (int_range 0 255));
+      ]
+  in
+  let limit = frequency [ (1, int_range 0 400); (2, int_range 400 5_000); (3, return 200_000) ] in
+  list_size (int_range 1 6) constraint_ >>= fun pool ->
+  let pool = Array.of_list pool in
+  map
+    (fun ((exprs, k_bounds), (k_hint, k_focus, k_limit)) ->
+      { k_exprs = List.map (fun i -> pool.(i)) exprs; k_bounds; k_hint; k_focus; k_limit })
+    (pair
+       (pair (list_size (int_range 1 8) (int_range 0 (Array.length pool - 1))) (array_repeat 8 bound))
+       (triple (array_repeat 8 byte_value) (list_size (int_range 0 3) (int_range 0 8)) limit))
+
+let print_kernel_case c =
+  Printf.sprintf "constraints:\n%s\nbounds [%s]\nhint [%s]\nfocus [%s]\nlimit %d"
+    (String.concat "\n" (List.map Expr.to_string c.k_exprs))
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (function
+               | None -> "-"
+               | Some (iv : Interval.t) -> Printf.sprintf "%Ld..%Ld" iv.Interval.lo iv.Interval.hi)
+             c.k_bounds)))
+    (String.concat "; " (Array.to_list (Array.map string_of_int c.k_hint)))
+    (String.concat "; " (List.map string_of_int c.k_focus))
+    c.k_limit
+
+(* The answer, the work spent, the node count and whether the budget ran
+   out, under [limit], for the kernels and for the reference. *)
+let run_kernels c ~limit =
+  let hint =
+    Array.fold_left (fun (m, i) v -> (Model.set m i v, i + 1)) (Model.empty, 0) c.k_hint |> fst
+  in
+  let bounds i = if i >= 0 && i < Array.length c.k_bounds then c.k_bounds.(i) else None in
+  let run solve =
+    let nodes = ref 0 in
+    let meter = Search_core.meter ~limit in
+    let result =
+      try Some (solve ~on_node:(fun () -> incr nodes) meter)
+      with Search_core.Out_of_budget -> None
+    in
+    (result, meter.Search_core.spent, !nodes)
+  in
+  let got =
+    let group = Search_core.build_group search_ws ~tape:Tape.compile c.k_exprs in
+    run (fun ~on_node meter ->
+        Search_core.solve_group search_ws ~on_node meter ~hint ~focus:c.k_focus ~bounds group)
+  in
+  let want =
+    let group = Reference_kernels.build_group ~tape:Tape.compile c.k_exprs in
+    run (fun ~on_node meter ->
+        Reference_kernels.solve_group ~on_node meter ~hint ~focus:c.k_focus ~bounds group)
+  in
+  (got, want)
+
+let arb_kernel_case = QCheck.make ~print:print_kernel_case gen_kernel_case
+
+let prop_search_kernels_match_reference =
+  QCheck.Test.make ~count:1000 ~name:"search kernels = allocating kernels" arb_kernel_case
+    (fun c ->
+      let got, want = run_kernels c ~limit:c.k_limit in
+      got = want)
+
+(* Small cases, cut at every unit of work they spend: the kernels must
+   run out of budget at the same point, with the same nodes counted. *)
+let prop_search_kernels_match_reference_at_every_cut =
+  QCheck.Test.make ~count:150 ~name:"search kernels = allocating kernels at every budget cut"
+    arb_kernel_case (fun c ->
+      let (_, spent, _), _ = run_kernels c ~limit:200_000 in
+      QCheck.assume (spent <= 1_500);
+      let rec agree limit =
+        limit > spent + 1
+        || begin
+          let got, want = run_kernels c ~limit in
+          got = want && agree (limit + 1)
+        end
+      in
+      agree 0)
+
+(* A path over bytes 0-3, newest constraint first: single bytes, sums
+   and u16 fields against constants, now and then a 3-byte sum (which
+   learns no bound) or a constant. *)
+let gen_trim_path =
+  let open QCheck.Gen in
+  let byte = int_range 0 3 in
+  let cmp = oneofl [ T.Eq; T.Ne; T.Ult; T.Ule ] in
+  let const hi = map (fun c -> Expr.const (Int64.of_int c)) (int_range 0 hi) in
+  let single = map3 (fun i op c -> Expr.bin op (Expr.read i) c) byte cmp (const 255) in
+  let flipped = map3 (fun i op c -> Expr.bin op c (Expr.read i)) byte cmp (const 255) in
+  let sum2 =
+    map3 (fun (i, j) op c -> Expr.bin op (Expr.bin T.Add (Expr.read i) (Expr.read j)) c) (pair byte byte) cmp
+      (const 510)
+  in
+  let field = map3 (fun (i, j) op c -> Expr.bin op (le_field [ i; j ]) c) (pair byte byte) cmp (const 0x10000) in
+  let sum3 =
+    map2
+      (fun (i, j, k) c ->
+        Expr.bin T.Ult (Expr.bin T.Add (Expr.bin T.Add (Expr.read i) (Expr.read j)) (Expr.read k)) c)
+      (triple byte byte byte) (const 765)
+  in
+  list_size (int_range 1 12)
+    (frequency
+       [ (3, single); (2, flipped); (2, sum2); (2, field); (1, sum3); (1, oneofl [ Expr.one; Expr.const 3L ]) ])
+
+(* The bounds a fresh prefix context learns along [path] and the work it
+   charges, with [Reference_kernels.trim_bound] in [Prefix_ctx.extend]'s
+   place: no model is noted, so the charge is the index's and the
+   trimming's. *)
+let reference_trimmed path =
+  let module Imap = Reference_kernels.Imap in
+  let cost = ref 0 in
+  let bounds =
+    List.fold_left
+      (fun parent (c : Expr.t) ->
+        match Expr.is_const c with
+        | Some _ -> parent
+        | None ->
+          let r = Expr.reads c in
+          cost := !cost + 1 + List.length r;
+          if List.length r <= 2 then begin
+            let tape = Tape.compile c in
+            List.fold_left
+              (fun m v ->
+                let iv = Option.value (Imap.find_opt v m) ~default:(Interval.make 0L 255L) in
+                let iv' = Reference_kernels.trim_bound tape parent cost v iv c in
+                if iv'.Interval.lo = iv.Interval.lo && iv'.Interval.hi = iv.Interval.hi then m
+                else Imap.add v iv' m)
+              parent r
+          end
+          else parent)
+      Imap.empty (List.rev path)
+  in
+  (List.init 4 (fun v -> Imap.find_opt v bounds), !cost)
+
+let prop_trim_bound_matches_reference =
+  QCheck.Test.make ~count:1000 ~name:"prefix endpoint trimming = allocating trimming"
+    (QCheck.make ~print:(fun p -> String.concat "\n" (List.map Expr.to_string p)) gen_trim_path)
+    (fun path ->
+      let o = Prefix_ctx.find_or_build (Prefix_ctx.create ()) ~reads:Expr.reads ~tape:Tape.compile path in
+      let show = Option.map (fun (iv : Interval.t) -> (iv.Interval.lo, iv.Interval.hi)) in
+      let got = (List.init 4 (fun v -> show (Prefix_ctx.bound o.Prefix_ctx.ctx v)), o.Prefix_ctx.cost) in
+      let bounds, cost = reference_trimmed path in
+      got = (List.map show bounds, cost))
+
+(* A search that exhausts the solver's default budget allocates no words
+   of its own per probe, check or assignment. The group is pigeonhole:
+   seven bytes below 6, pairwise distinct. Interval propagation trims
+   each byte to [0, 5] and then cannot refute the distinctness, so the
+   search walks until the budget runs out. What it allocates is the
+   tapes': where [Semantics] is not inlined into them (the dev build),
+   each exact step boxes its operands. The dev build measured 135,014
+   words for this search, and 382,636 with the kernels that built a
+   near-hint list per assignment and a closure per probe; the bound is
+   twice the former. *)
+let exhausted_search_word_bound = 270_028
+
+let test_exhausted_search_allocation () =
+  let n = 7 in
+  let below = List.init n (fun i -> Expr.bin T.Ult (Expr.read i) (Expr.const 6L)) in
+  let distinct =
+    List.concat
+      (List.init n (fun i ->
+           List.init (n - 1 - i) (fun k -> Expr.bin T.Ne (Expr.read i) (Expr.read (i + 1 + k)))))
+  in
+  let ws = Workspace.create () in
+  let group = Search_core.build_group ws ~tape:Tape.compile (below @ distinct) in
+  let search () =
+    let meter = Search_core.meter ~limit:60_000 in
+    match
+      Search_core.solve_group ws ~on_node:ignore meter ~hint:Model.empty ~focus:[ 0 ]
+        ~bounds:(fun _ -> None) group
+    with
+    | _ -> Alcotest.fail "the search must run out of budget"
+    | exception Search_core.Out_of_budget -> meter.Search_core.spent
+  in
+  (* the first search grows the workspace's buffers *)
+  let first = search () in
+  let before = Gc.minor_words () in
+  let spent = search () in
+  let words = Gc.minor_words () -. before in
+  Printf.printf "exhausted search: %d units, %.0f minor words\n%!" spent words;
+  Alcotest.(check int) "same work both times" first spent;
+  Alcotest.(check bool) "past the budget" true (spent > 60_000);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words within %d" words exhausted_search_word_bound)
+    true
+    (words <= float_of_int exhausted_search_word_bound)
 
 (* --- preprocessing workspace ---------------------------------------------- *)
 
@@ -1882,6 +2495,10 @@ let suite =
       test_replay_key_needs_spent_and_hint;
     Alcotest.test_case "solver replays exhausted query" `Quick
       test_solver_replays_exhausted_query;
+    QCheck_alcotest.to_alcotest prop_search_kernels_match_reference;
+    QCheck_alcotest.to_alcotest prop_search_kernels_match_reference_at_every_cut;
+    QCheck_alcotest.to_alcotest prop_trim_bound_matches_reference;
+    Alcotest.test_case "exhausted search allocation" `Quick test_exhausted_search_allocation;
     QCheck_alcotest.to_alcotest prop_workspace_matches_reference;
     Alcotest.test_case "workspace past its buffers" `Quick test_workspace_past_its_buffers;
   ]
