@@ -731,14 +731,16 @@ let kernel_cost ~calls ~limit name run =
    equality, a loop bound (a u16 count and eight entry bytes below their
    limits) and two magic bytes. Every hint byte is 0xFF, so the hint
    misses every constraint and the probe falls through to the search.
-   Two more groups split the search's kernels: [propagate] is dominated
+   Three more groups split the search's kernels: [propagate] is dominated
    by interval propagation (four magic-byte equalities, each trimmed
-   value by value from both ends, and a 2-byte little-endian loop
-   bound), [assign] by assignment (a product residue and a sum residue
-   of two bytes, which intervals cannot narrow, so the search tries
-   value after value, each with its exact checks). Then one evaluation
-   of one parser-shaped constraint on its tape, the
-   step the search repeats: a length read in the byte order a magic byte
+   from both ends, and a 2-byte little-endian loop bound),
+   [propagate-field] by propagation through field reads (a u32
+   little-endian equality, trimmed one byte per round, highest first,
+   and a signed bound on a u16 field), [assign] by assignment (a
+   product residue and a sum residue of two bytes, which intervals
+   cannot narrow, so the search tries value after value, each with its
+   exact checks). Then one evaluation of one parser-shaped constraint
+   on its tape, the step the search repeats: a length read in the byte order a magic byte
    selects, less its header, below a limit. [tape-ivl] loads the
    interval of each read (the magic byte a point, the length bytes
    partly narrowed) and runs [Tape.falsified]; [tape-exact] loads a value
@@ -817,6 +819,13 @@ let search_core_kernel () =
         Expr.bin T.Ult (field [| 20; 21 |]) (const 300);
       ]
   in
+  let propagate_field =
+    solver_of "propagate-field"
+      [
+        Expr.bin T.Eq (field [| 40; 41; 42; 43 |]) (const 0x0A1B2C3D);
+        Expr.bin T.Sle (field [| 44; 45 |]) (const 0x1234);
+      ]
+  in
   let assign =
     let x = Expr.read 30 and y = Expr.read 31 in
     solver_of "assign"
@@ -849,17 +858,18 @@ let search_core_kernel () =
   in
   if eval_interval () || not (eval_exact ()) then
     failwith "tape kernel: the constraint must hold on the values and their intervals";
-  Printf.printf "\n  %-10s %5s %14s %18s   %s\n%!" "kernel" "vars" "ns/call"
+  Printf.printf "\n  %-15s %5s %14s %18s   %s\n%!" "kernel" "vars" "ns/call"
     "minor words/call" "(a call: one solve, or one tape evaluation)";
   List.iter
     (fun (name, vars, run) ->
       let ns, words = kernel_cost ~calls:1000 ~limit:500 name run in
-      Printf.printf "  %-10s %5d %14s %18.0f\n%!" name vars ns words)
+      Printf.printf "  %-15s %5d %14s %18.0f\n%!" name vars ns words)
     [
       ( "search",
         Array.length (Search_core.group_vars group),
         fun () -> ignore (solve ()) );
       ("propagate", fst propagate, fun () -> ignore (snd propagate ()));
+      ("propagate-field", fst propagate_field, fun () -> ignore (snd propagate_field ()));
       ("assign", fst assign, fun () -> ignore (snd assign ()));
       ("tape-ivl", Array.length (Tape.reads tape), fun () -> ignore (eval_interval ()));
       ("tape-exact", Array.length (Tape.reads tape), fun () -> ignore (eval_exact ()));

@@ -113,15 +113,14 @@ let evict_lru t =
 
 (* Endpoint trimming of one byte's interval against one constraint:
    advance the endpoints while the constraint is definitely false there,
-   other bytes held at their learned hulls. Sound: every removed value
-   provably violates [c], a constraint any solve involving this byte
-   must include (see [closure]). Runs [c]'s interval tape: the other
-   reads are loaded once, then each probe only moves byte [v]'s slot. *)
+   other bytes held at their learned hulls, at most [max_trim_steps]
+   values per end. Sound: every removed value provably violates [c], a
+   constraint any solve involving this byte must include (see
+   [closure]). Runs [c]'s interval tape: the other reads are loaded
+   once, then [Tape.first_unfalsified] and [Tape.last_unfalsified] move
+   byte [v]'s slot. [cost] pays [c]'s nodes per value probed, the value
+   that stops a trim included. *)
 let max_trim_steps = 64
-
-let falsified_at tape k x =
-  Tape.set_interval tape k x x;
-  Tape.falsified tape
 
 let trim_bound tape bounds cost v (iv : Interval.t) (c : Expr.t) =
   let reads = Tape.reads tape in
@@ -136,34 +135,15 @@ let trim_bound tape bounds cost v (iv : Interval.t) (c : Expr.t) =
       | None -> Tape.set_interval tape k 0 255
   done;
   let kv = !kv and nodes = c.Expr.nodes in
-  let lo = ref (Int64.to_int iv.Interval.lo) in
-  let hi = ref (Int64.to_int iv.Interval.hi) in
-  let steps = ref 0 in
-  (* each probe is charged [nodes] before it runs *)
-  while
-    !lo < !hi
-    && !steps < max_trim_steps
-    && begin
-      cost := !cost + nodes;
-      falsified_at tape kv !lo
-    end
-  do
-    incr lo;
-    incr steps
-  done;
-  steps := 0;
-  while
-    !hi > !lo
-    && !steps < max_trim_steps
-    && begin
-      cost := !cost + nodes;
-      falsified_at tape kv !hi
-    end
-  do
-    decr hi;
-    incr steps
-  done;
-  Interval.make (Int64.of_int !lo) (Int64.of_int !hi)
+  let lo = Int64.to_int iv.Interval.lo and hi = Int64.to_int iv.Interval.hi in
+  (* the walk up probes [lo, stop] and stops short of [hi] *)
+  let stop = Int.min (hi - 1) (lo + max_trim_steps - 1) in
+  let lo' = Tape.first_unfalsified tape kv lo stop in
+  cost := !cost + (nodes * (Int.min lo' stop - lo + 1));
+  let stop = Int.max (lo' + 1) (hi - max_trim_steps + 1) in
+  let hi' = Tape.last_unfalsified tape kv stop hi in
+  cost := !cost + (nodes * (hi - Int.max hi' stop + 1));
+  Interval.make (Int64.of_int lo') (Int64.of_int hi')
 
 (* Extend [parent] with one constraint [c]; [path] is the physical list
    [c :: parent.path]. O(reads of c). *)

@@ -23,55 +23,37 @@ let[@inline] spend m n =
   m.spent <- m.spent + n;
   if m.spent > m.limit then raise Out_of_budget
 
-(* --- byte domains --------------------------------------------------------- *)
-
-(* The domain of the byte at group position [pos] during a group solve
-   lives in the solver's workspace: 256 flags at [256 * pos] of
-   [allowed], and its size and endpoints. *)
-
-let[@inline] domain_mem (d : Workspace.domains) pos v =
-  Bytes.get d.allowed ((pos lsl 8) + v) <> '\000'
-
-let domain_remove (d : Workspace.domains) pos v =
-  let allowed = d.allowed and base = pos lsl 8 in
-  if Bytes.get allowed (base + v) <> '\000' then begin
-    Bytes.set allowed (base + v) '\000';
-    let size = d.size.(pos) - 1 in
-    d.size.(pos) <- size;
-    if size > 0 then begin
-      let lo = ref d.dlo.(pos) in
-      while !lo < 256 && Bytes.get allowed (base + !lo) = '\000' do
-        incr lo
-      done;
-      d.dlo.(pos) <- !lo;
-      let hi = ref d.dhi.(pos) in
-      while !hi >= 0 && Bytes.get allowed (base + !hi) = '\000' do
-        decr hi
-      done;
-      d.dhi.(pos) <- !hi
+(* [n] charges of [nodes] units each, as [n] calls of [spend m nodes]
+   make them: past the limit, the meter stops at the first charge that
+   crossed it. *)
+let spend_runs m nodes n =
+  if n > 0 then begin
+    let total = m.spent + (nodes * n) in
+    if total <= m.limit then m.spent <- total
+    else begin
+      let first_over =
+        if nodes = 0 || m.spent > m.limit then 1 else ((m.limit - m.spent) / nodes) + 1
+      in
+      m.spent <- m.spent + (nodes * first_over);
+      raise Out_of_budget
     end
   end
 
-(* Position [pos]'s domain: the bytes [lo <= v <= hi]. This is the full
-   domain with every value outside removed one by one, in ascending
-   order: an empty domain ends with both endpoints at 255, where that
-   removal leaves them. *)
+(* --- byte domains --------------------------------------------------------- *)
+
+(* The domain of the byte at group position [pos] during a group solve
+   is the range [dlo, dhi] of the solver's workspace, empty when
+   [dlo > dhi]: a search only ever trims its endpoints. *)
+
+let[@inline] domain_mem (d : Workspace.domains) pos v =
+  v >= d.dlo.(pos) && v <= d.dhi.(pos)
+
+let[@inline] domain_empty (d : Workspace.domains) pos = d.dlo.(pos) > d.dhi.(pos)
+
+(* Position [pos]'s domain: the bytes [lo <= v <= hi]. *)
 let domain_init (d : Workspace.domains) pos lo hi =
-  let a = Int.max lo 0 and b = Int.min hi 255 and base = pos lsl 8 in
-  if a > b then begin
-    Bytes.fill d.allowed base 256 '\000';
-    d.size.(pos) <- 0;
-    d.dlo.(pos) <- 255;
-    d.dhi.(pos) <- 255
-  end
-  else begin
-    Bytes.fill d.allowed base a '\000';
-    Bytes.fill d.allowed (base + a) (b - a + 1) '\001';
-    Bytes.fill d.allowed (base + b + 1) (255 - b) '\000';
-    d.size.(pos) <- b - a + 1;
-    d.dlo.(pos) <- a;
-    d.dhi.(pos) <- b
-  end
+  d.dlo.(pos) <- Int.max lo 0;
+  d.dhi.(pos) <- Int.min hi 255
 
 (* Neighbourhood-first value order: loop-step queries succeed a small
    delta away from the hint; the tail scan keeps the search complete.
@@ -257,20 +239,21 @@ let exact_check s ci =
 
 (* Bound-consistency pass: trim each variable's domain endpoints while
    a constraint is definitely false there (holding the other variables
-   at their domain hulls). Trimming is pay-per-prune — a constraint that
-   prunes nothing costs two interval evaluations — yet converges fully
-   for the monotone loop-bound chains and magic-byte equalities that
-   dominate parser path conditions. *)
-let false_at meter nodes tape k v =
-  spend meter nodes;
-  Tape.set_interval tape k v v;
-  Tape.falsified tape
+   at their domain hulls). The charge is still per value, one
+   evaluation of the constraint's [nodes] per pruned value plus one for
+   the value that stops the trim, as a walk of point runs would pay; the
+   wall cost is per range, since [Tape.first_unfalsified] proves a block
+   of values false with one interval run. A constraint that prunes
+   nothing costs two point runs, yet trimming converges fully for the
+   monotone loop-bound chains and magic-byte equalities that dominate
+   parser path conditions. *)
 
 (* Trim [pos]'s endpoints against constraint [ci]; [true] iff a value
    went. *)
 let narrow s pos ci =
   let positions = s.group.cpos.(ci) and d = s.d in
   Array.length positions <= 6
+  && (not (domain_empty d pos))
   && begin
     let nodes = s.group.constraints.(ci).Expr.nodes and tape = s.group.tapes.(ci) in
     (* the other reads hold their hulls while [pos]'s endpoints move *)
@@ -279,17 +262,23 @@ let narrow s pos ci =
       let p = positions.(k) in
       if p = pos then kpos := k else Tape.set_interval tape k d.dlo.(p) d.dhi.(p)
     done;
-    let kpos = !kpos in
-    let changed = ref false in
-    while d.size.(pos) > 0 && false_at s.meter nodes tape kpos d.dlo.(pos) do
-      domain_remove d pos d.dlo.(pos);
-      changed := true
-    done;
-    while d.size.(pos) > 0 && false_at s.meter nodes tape kpos d.dhi.(pos) do
-      domain_remove d pos d.dhi.(pos);
-      changed := true
-    done;
-    !changed
+    let kpos = !kpos and lo = d.dlo.(pos) and hi = d.dhi.(pos) in
+    let first = Tape.first_unfalsified tape kpos lo hi in
+    if first > hi then begin
+      (* every value went, and no value stopped the trim *)
+      spend_runs s.meter nodes (hi - lo + 1);
+      d.dlo.(pos) <- first;
+      true
+    end
+    else begin
+      (* the walk down stops at [first] at the latest *)
+      let last = Tape.last_unfalsified tape kpos (first + 1) hi in
+      (* every value pruned, and the two that stopped the walks *)
+      spend_runs s.meter nodes (first - lo + (hi - last) + 2);
+      d.dlo.(pos) <- first;
+      d.dhi.(pos) <- last;
+      first > lo || last < hi
+    end
   end
 
 let rec narrow_all s pos changed = function
@@ -306,7 +295,7 @@ let propagate s =
     incr rounds;
     for pos = 0 to Array.length s.group.vars - 1 do
       if narrow_all s pos false s.group.by_var.(pos) then changed := true;
-      if s.d.size.(pos) = 0 then raise Exit
+      if domain_empty s.d pos then raise Exit
     done
   done
 
@@ -362,7 +351,7 @@ and scan s depth pos v =
      || scan s depth pos (v + 1))
 
 let rec any_empty (d : Workspace.domains) n pos =
-  pos < n && (d.size.(pos) = 0 || any_empty d n (pos + 1))
+  pos < n && (domain_empty d pos || any_empty d n (pos + 1))
 
 (* [bounds] supplies externally learned per-byte intervals (the prefix
    context's); they are intersected into the initial domains. Soundness:
@@ -389,8 +378,9 @@ let solve_group_search w ~on_node meter ~hint_vals ~bounds group =
     if any_empty d nvars 0 then raise Exit;
     propagate s;
     (* order variables by narrowed domain size *)
-    let size = d.size in
-    Array.sort (fun a b -> Int.compare size.(a) size.(b)) s.order;
+    Array.sort
+      (fun a b -> Int.compare (d.dhi.(a) - d.dlo.(a)) (d.dhi.(b) - d.dlo.(b)))
+      s.order;
     assign s 0
   with
   | true -> Gsat s.finished

@@ -19,6 +19,11 @@ val meter : limit:int -> meter
 val spend : meter -> int -> unit
 (** Charge work units; raises {!Out_of_budget} past [limit]. *)
 
+val spend_runs : meter -> int -> int -> unit
+(** [spend_runs m nodes n] charges what [n] calls of [spend m nodes]
+    charge, in one step: past [limit] it raises {!Out_of_budget} with
+    [m.spent] where the first call to cross the limit leaves it. *)
+
 type group
 (** A set of constraints over the input bytes they mention, with each
     constraint's tape and the group position of each byte the tape

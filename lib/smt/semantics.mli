@@ -14,5 +14,10 @@
 val binop : Pbse_ir.Types.binop -> int64 -> int64 -> int64
 val unop : Pbse_ir.Types.unop -> int64 -> int64
 
+val unsigned_div : int64 -> int64 -> int64
+(** [Int64.unsigned_div] by a nonzero divisor, inlined where the caller
+    is compiled with cross-module inlining, so its operands stay
+    unboxed. *)
+
 val truthy : int64 -> bool
 (** Branch-condition interpretation: any nonzero value is true. *)

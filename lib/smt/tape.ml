@@ -168,7 +168,7 @@ let[@inline] nonneg hi = hi >= 0L
 let[@inline] add_overflows a b = ucmp (Int64.add a b) a < 0
 
 let[@inline] mul_overflows a b =
-  a <> 0L && b <> 0L && ucmp (Int64.unsigned_div (-1L) a) b < 0
+  a <> 0L && b <> 0L && ucmp (Semantics.unsigned_div (-1L) a) b < 0
 
 (* Smallest all-ones mask covering v (unsigned). *)
 let[@inline] mask_above v =
@@ -238,7 +238,7 @@ let interval_bin t s op x y =
     else write t s (Int64.mul alo blo) (Int64.mul ahi bhi)
   | Udiv ->
     if blo = 0L then write t s 0L ahi
-    else write t s (Int64.unsigned_div alo bhi) (Int64.unsigned_div ahi blo)
+    else write t s (Semantics.unsigned_div alo bhi) (Semantics.unsigned_div ahi blo)
   | Urem -> rem t s ahi blo bhi
   | Sdiv ->
     if nonneg ahi && nonneg bhi then
@@ -314,6 +314,84 @@ let falsified t =
 let interval t =
   run_interval t;
   Interval.make (get t.lo t.root) (get t.hi t.root)
+
+(* --- trimming a read's range ----------------------------------------------
+
+   Every interval step but one is inclusion-isotone: narrower operands
+   give a narrower result. The exception is the [all_negative] rewrite
+   of [Add], [Sub] and [Or_add], which picks its arithmetic from the
+   operands' signs: on [(in[0] << 56) + 1 == 0] the run over read values
+   [127, 254] is falsified, yet the point run at 129 is not. While every
+   operand of those steps lies in one sign half, below [2^63] or
+   strictly above it, each point of the range takes the range's
+   branches, so a falsified range run proves every point run in it
+   falsified. *)
+
+let[@inline] one_sign_half lo hi = hi >= 0L || (lo < 0L && lo <> Int64.min_int)
+
+let[@inline] operand_halves t x = one_sign_half (get t.lo x) (get t.hi x)
+
+let rec sign_guarded t (code : step array) j =
+  j >= Array.length code
+  || (match Array.unsafe_get code j with
+      | Bin ((Add | Sub), x, y) | Or_add (x, y) ->
+        operand_halves t x && operand_halves t y
+      | Bin _ | Un _ | Ite _ -> true)
+     && sign_guarded t code (j + 1)
+
+(* Read [k] over the bytes [a, b] falsifies the constraint at every one
+   of them: a point run when [a = b], a sign-guarded range run
+   otherwise. *)
+let proven t k a b =
+  set t.lo k (Int64.of_int a);
+  set t.hi k (Int64.of_int b);
+  run_interval t;
+  get t.lo t.root = 0L
+  && get t.hi t.root = 0L
+  && (a = b || sign_guarded t t.code 0)
+
+(* Upward: every byte in [lo, v) is falsified. [first_from] gallops,
+   trying [v, v + w - 1] and doubling [w] on success; [first_in] halves
+   a range [v, b] that was not proven, down to a point, and a falsified
+   point starts a new gallop after it. *)
+let rec first_from t k v w hi =
+  if v > hi then v
+  else
+    let b = Int.min (v + w - 1) hi in
+    if proven t k v b then first_from t k (b + 1) (2 * w) hi
+    else if b = v then v
+    else first_in t k v b hi
+
+and first_in t k v b hi =
+  if v = b then if proven t k v v then first_from t k (v + 1) 1 hi else v
+  else
+    let m = v + ((b - v + 1) / 2) - 1 in
+    if proven t k v m then first_in t k (m + 1) b hi else first_in t k v m hi
+
+(* Downward, the mirror image: every byte in (v, hi] is falsified. *)
+let rec last_from t k v w lo =
+  if v < lo then v
+  else
+    let a = Int.max (v - w + 1) lo in
+    if proven t k a v then last_from t k (a - 1) (2 * w) lo
+    else if a = v then v
+    else last_in t k a v lo
+
+and last_in t k a v lo =
+  if a = v then if proven t k v v then last_from t k (v - 1) 1 lo else v
+  else
+    let m = v - ((v - a + 1) / 2) + 1 in
+    if proven t k m v then last_in t k a (m - 1) lo else last_in t k m v lo
+
+(* Two point runs before the first block: a trim of one value costs
+   what the walk pays. *)
+let first_unfalsified t k lo hi =
+  check_read t k;
+  if lo > hi || not (proven t k lo lo) then lo else first_from t k (lo + 1) 1 hi
+
+let last_unfalsified t k lo hi =
+  check_read t k;
+  if lo > hi || not (proven t k hi hi) then hi else last_from t k (hi - 1) 1 lo
 
 (* --- the exact step ------------------------------------------------------- *)
 

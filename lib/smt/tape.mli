@@ -46,6 +46,26 @@ val falsified : t -> bool
 val interval : t -> Interval.t
 (** Run the interval tape and return the constraint's interval. *)
 
+val first_unfalsified : t -> int -> int -> int -> int
+(** [first_unfalsified t k lo hi], with every read but [k] already set:
+    the least byte [v] in [lo, hi] at which {!falsified} is false once
+    read [k] is set to the point [v, v]; [hi + 1] when there is none
+    ([lo] when the range is empty). It answers what that walk upward
+    from [lo] answers, but proves a block of bytes falsified with one
+    interval run over the block whenever every [Add], [Sub] and
+    disjoint-bits [Or] operand of that run lies in one sign half, below
+    [2^63] or strictly above it: every other interval step is
+    inclusion-isotone, and those three pick their arithmetic from their
+    operands' signs. After two point runs it gallops over doubling
+    blocks and halves a block it cannot prove, so a trim of [n] bytes
+    whose blocks the intervals prove costs O(log n) runs. Read [k]'s
+    interval is left as the last run set it. *)
+
+val last_unfalsified : t -> int -> int -> int -> int
+(** The mirror of {!first_unfalsified}, walking down from [hi]: the
+    greatest such byte in [lo, hi]; [lo - 1] when there is none ([hi]
+    when the range is empty). *)
+
 val holds : t -> bool
 (** Run the exact tape: the constraint is truthy under the read values. *)
 

@@ -8,9 +8,7 @@
    constraints live in an open-addressed set. *)
 
 type domains = {
-  mutable allowed : Bytes.t;
   mutable near_mask : Bytes.t;
-  mutable size : int array;
   mutable dlo : int array;
   mutable dhi : int array;
   mutable assigned : int array;
@@ -58,9 +56,7 @@ let create () =
     ngroups = 0;
     search =
       {
-        allowed = Bytes.empty;
         near_mask = Bytes.empty;
-        size = [||];
         dlo = [||];
         dhi = [||];
         assigned = [||];
@@ -233,11 +229,9 @@ let groups w =
 
 let domains w n =
   let d = w.search in
-  if n > Array.length d.size then begin
-    let n = Int.max n (2 * Array.length d.size) in
-    d.allowed <- Bytes.make (256 * n) '\000';
+  if n > Array.length d.dlo then begin
+    let n = Int.max n (2 * Array.length d.dlo) in
     d.near_mask <- Bytes.make (256 * n) '\000';
-    d.size <- Array.make n 0;
     d.dlo <- Array.make n 0;
     d.dhi <- Array.make n 0;
     d.assigned <- Array.make n 0;

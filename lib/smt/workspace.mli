@@ -11,13 +11,12 @@
     seen, apart from the groups' lists. *)
 
 type domains = {
-  mutable allowed : Bytes.t;
-      (** 256 flags per group position: the value is in its domain *)
   mutable near_mask : Bytes.t;
       (** 256 flags per group position: the value is in its [near] order *)
-  mutable size : int array;  (** values in the domain *)
   mutable dlo : int array;  (** lowest value in the domain *)
-  mutable dhi : int array;  (** highest value in the domain *)
+  mutable dhi : int array;
+      (** highest value in the domain; the domain is the bytes
+          [dlo <= v <= dhi], empty when [dlo > dhi] *)
   mutable assigned : int array;  (** the value assigned, or [-1] *)
   mutable near : int array;
       (** 16 per group position: the values near the hint, in the order

@@ -1855,9 +1855,179 @@ let prop_search_kernels_match_reference_at_every_cut =
       in
       agree 0)
 
+(* --- trimming a read's range ------------------------------------------------ *)
+
+(* A little-endian field of reads ([`R i]) and constant bytes ([`K b]),
+   lowest byte first, composed as a parser composes it. *)
+let mixed_field parts =
+  let shifted i p =
+    let x = match p with `R r -> Expr.read r | `K b -> Expr.const (Int64.of_int b) in
+    if i = 0 then x else Expr.bin T.Shl x (Expr.const (Int64.of_int (8 * i)))
+  in
+  match List.mapi shifted parts with
+  | [] -> invalid_arg "mixed_field"
+  | first :: rest -> List.fold_left (fun acc x -> Expr.bin T.Or acc x) first rest
+
+(* Constraints over bytes 0-2 shaped to straddle the signed half-ranges
+   that the interval step's [all_negative] rewrite tells apart: a byte
+   shifted into the top bits, complemented, subtracted from a constant
+   or offset by a constant at or past [2^63], summed and compared with
+   edge constants; and little-endian fields of reads and constant
+   bytes, compared as the parsers compare them. *)
+let gen_straddling =
+  let open QCheck.Gen in
+  let byte = int_range 0 2 in
+  let big = oneofl [ Int64.min_int; Int64.add Int64.min_int 1L; -1L; -2L; -128L; -256L ] in
+  let edge = oneof [ big; map Int64.of_int (int_range 0 300); oneofl [ Int64.max_int; 0x100L ] ] in
+  let const_of g = map Expr.const g in
+  let base =
+    oneof
+      [
+        map Expr.read byte;
+        map2 (fun i n -> Expr.bin T.Shl (Expr.read i) (Expr.const (Int64.of_int n))) byte
+          (oneofl [ 48; 55; 56; 57; 63 ]);
+        map (fun i -> Expr.un T.Not (Expr.read i)) byte;
+        map2 (fun c i -> Expr.bin T.Sub c (Expr.read i)) (const_of edge) byte;
+        map2 (fun i c -> Expr.bin T.Add (Expr.read i) c) byte (const_of big);
+      ]
+  in
+  let term =
+    frequency
+      [
+        (3, base);
+        (2, map3 (fun op a b -> Expr.bin op a b) (oneofl [ T.Add; T.Sub; T.Or ]) base base);
+        ( 1,
+          map2
+            (fun a c -> Expr.bin T.Add (Expr.bin T.Shl a (Expr.const 56L)) c)
+            base (const_of edge) );
+      ]
+  in
+  let part =
+    frequency [ (2, map (fun i -> `R i) byte); (1, map (fun b -> `K b) (int_range 0 255)) ]
+  in
+  let field =
+    map3
+      (fun parts op c -> Expr.bin op (mixed_field parts) (Expr.const (Int64.of_int c)))
+      (oneof [ list_repeat 2 part; list_repeat 4 part ])
+      (oneofl [ T.Eq; T.Ne; T.Ult; T.Ule; T.Sle; T.Slt ])
+      (oneof [ int_range 0 0xFFFF; int_range 0 0x3FFFFFFF ])
+  in
+  let cmp = oneofl [ T.Eq; T.Ne; T.Ult; T.Ule; T.Slt; T.Sle ] in
+  frequency
+    [
+      (4, map3 (fun op a c -> Expr.bin op a c) cmp term (const_of edge));
+      (1, map3 (fun op a b -> Expr.bin op a b) cmp term term);
+      (2, field);
+      (1, map build (gen_spec 3));
+    ]
+
+(* A constraint, the read [k] to trim, the other reads' intervals and a
+   range [lo, hi], now and then empty ([lo = hi + 1]). *)
+let gen_trim_kernel_case =
+  let open QCheck.Gen in
+  let interval = map2 (fun a b -> (Int.min a b, Int.max a b)) (int_range 0 255) (int_range 0 255) in
+  let range =
+    frequency
+      [
+        (4, interval);
+        (1, return (0, 255));
+        (1, map (fun v -> (v, v)) (int_range 0 255));
+        (1, map (fun v -> (v + 1, v)) (int_range 0 254));
+      ]
+  in
+  quad gen_straddling (int_range 0 2) (array_repeat 3 interval) range
+
+let print_trim_kernel_case (e, k, others, (lo, hi)) =
+  Printf.sprintf "%s\nread %d over [%d, %d], others [%s]" (Expr.to_string e) k lo hi
+    (String.concat "; "
+       (Array.to_list (Array.map (fun (a, b) -> Printf.sprintf "%d..%d" a b) others)))
+
+(* The walks the kernels replace: one point run per byte. *)
+let point_falsified tape k v =
+  Tape.set_interval tape k v v;
+  Tape.falsified tape
+
+let rec walk_up tape k v hi =
+  if v <= hi && point_falsified tape k v then walk_up tape k (v + 1) hi else v
+
+let rec walk_down tape k v lo =
+  if v >= lo && point_falsified tape k v then walk_down tape k (v - 1) lo else v
+
+let prop_trim_kernels_match_point_walks =
+  QCheck.Test.make ~count:3000 ~name:"first/last_unfalsified = point-run walks"
+    (QCheck.make ~print:print_trim_kernel_case gen_trim_kernel_case)
+    (fun (e, k, others, (lo, hi)) ->
+      let tape = Tape.compile e in
+      let reads = Tape.reads tape in
+      QCheck.assume (Array.length reads > 0);
+      let k = k mod Array.length reads in
+      Array.iteri
+        (fun j _ -> if j <> k then Tape.set_interval tape j (fst others.(j)) (snd others.(j)))
+        reads;
+      let first = Tape.first_unfalsified tape k lo hi in
+      let last = Tape.last_unfalsified tape k lo hi in
+      first = walk_up tape k lo hi && last = walk_down tape k hi lo)
+
+(* A range run over [127, 254] of [(in[0] << 56) + 1 == 0] is falsified,
+   but its sum straddles [2^63]: the point run at 129 is not. *)
+let test_trim_kernel_sign_guard () =
+  let e =
+    Expr.bin T.Eq
+      (Expr.bin T.Add (Expr.bin T.Shl (Expr.read 0) (Expr.const 56L)) Expr.one)
+      (Expr.const 0L)
+  in
+  let tape = Tape.compile e in
+  Tape.set_interval tape 0 127 254;
+  Alcotest.(check bool) "the range run reads falsified" true (Tape.falsified tape);
+  (* from 3, the gallop's block [67, 130] straddles 2^63 *)
+  for lo = 0 to 129 do
+    Alcotest.(check int)
+      (Printf.sprintf "first from %d" lo)
+      129
+      (Tape.first_unfalsified tape 0 lo 255)
+  done;
+  Alcotest.(check int) "last downward" 255 (Tape.last_unfalsified tape 0 0 255);
+  Alcotest.(check int) "none below 129" (-1) (Tape.last_unfalsified tape 0 0 128)
+
+(* [n] charges of [nodes] lumped into one stop where [n] single charges
+   stop, for every limit around every charge boundary. *)
+let test_spend_runs_cuts () =
+  let single spent limit nodes n =
+    let m = { (Search_core.meter ~limit) with Search_core.spent } in
+    match
+      for _ = 1 to n do
+        Search_core.spend m nodes
+      done
+    with
+    | () -> (false, m.Search_core.spent)
+    | exception Search_core.Out_of_budget -> (true, m.Search_core.spent)
+  in
+  let lumped spent limit nodes n =
+    let m = { (Search_core.meter ~limit) with Search_core.spent } in
+    match Search_core.spend_runs m nodes n with
+    | () -> (false, m.Search_core.spent)
+    | exception Search_core.Out_of_budget -> (true, m.Search_core.spent)
+  in
+  for nodes = 0 to 5 do
+    for n = 0 to 6 do
+      for spent = 0 to 9 do
+        for limit = spent - 2 to spent + (nodes * n) + 2 do
+          let name = Printf.sprintf "spent %d, limit %d, %d x %d" spent limit n nodes in
+          Alcotest.(check (pair bool int))
+            name (single spent limit nodes n) (lumped spent limit nodes n)
+        done
+      done
+    done
+  done
+
 (* A path over bytes 0-3, newest constraint first: single bytes, sums
    and u16 fields against constants, now and then a 3-byte sum (which
-   learns no bound) or a constant. *)
+   learns no bound) or a constant; windows that bound a byte to
+   [a, a + w - 1] for [w] of 1 (a point), 63, 64 or 65, around the
+   64-value trimming cap, each end reached by a ladder of bounds at
+   most 64 values apart; and 2- and 4-byte little-endian fields that mix
+   at most two reads with constant bytes, compared with a constant near
+   a value the field takes. *)
 let gen_trim_path =
   let open QCheck.Gen in
   let byte = int_range 0 3 in
@@ -1876,9 +2046,60 @@ let gen_trim_path =
         Expr.bin T.Ult (Expr.bin T.Add (Expr.bin T.Add (Expr.read i) (Expr.read j)) (Expr.read k)) c)
       (triple byte byte byte) (const 765)
   in
-  list_size (int_range 1 12)
-    (frequency
-       [ (3, single); (2, flipped); (2, sum2); (2, field); (1, sum3); (1, oneofl [ Expr.one; Expr.const 3L ]) ])
+  let window =
+    map3
+      (fun i w a ->
+        let a = Int.min a (256 - w) in
+        let top = a + w - 1 in
+        let dedup l = List.sort_uniq Int.compare l in
+        let lower =
+          List.map
+            (fun c -> Expr.bin T.Ule (Expr.const (Int64.of_int c)) (Expr.read i))
+            (dedup [ Int.min a 64; Int.min a 128; Int.min a 192; a ])
+        in
+        let upper =
+          List.map
+            (fun c -> Expr.bin T.Ule (Expr.read i) (Expr.const (Int64.of_int c)))
+            (List.rev (dedup [ Int.max top 191; Int.max top 127; Int.max top 63; top ]))
+        in
+        (* newest first *)
+        List.rev (lower @ upper))
+      byte (oneofl [ 1; 63; 64; 65 ]) (int_range 0 255)
+  in
+  let wide_field =
+    let parts = oneof [ list_repeat 2 (int_range 0 3); list_repeat 4 (int_range 0 3) ] in
+    parts >>= fun slots ->
+    (* slot 0 and 1 are the reads [i] and [j], 2 and 3 constant bytes *)
+    map3
+      (fun (i, j) (k0, k1) (op, values, delta) ->
+        let byte_of slot = match slot with 0 -> `R i | 1 -> `R j | 2 -> `K k0 | _ -> `K k1 in
+        let parts = List.map byte_of slots in
+        let value =
+          List.fold_left ( lor ) 0
+            (List.mapi (fun n p -> (match p with `R r -> values.(r) | `K b -> b) lsl (8 * n)) parts)
+        in
+        [ Expr.bin op (mixed_field parts) (Expr.const (Int64.of_int (Int.max 0 (value + delta)))) ])
+      (pair byte byte)
+      (pair (int_range 0 255) (int_range 0 255))
+      (triple
+         (oneofl [ T.Eq; T.Ne; T.Ult; T.Ule; T.Sle ])
+         (array_repeat 4 (int_range 0 255))
+         (int_range (-2) 2))
+  in
+  let one g = map (fun c -> [ c ]) g in
+  map List.concat
+    (list_size (int_range 1 12)
+       (frequency
+          [
+            (3, one single);
+            (2, one flipped);
+            (2, one sum2);
+            (2, one field);
+            (1, one sum3);
+            (1, one (oneofl [ Expr.one; Expr.const 3L ]));
+            (2, window);
+            (2, wide_field);
+          ]))
 
 (* The bounds a fresh prefix context learns along [path] and the work it
    charges, with [Reference_kernels.trim_bound] in [Prefix_ctx.extend]'s
@@ -2498,6 +2719,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_search_kernels_match_reference;
     QCheck_alcotest.to_alcotest prop_search_kernels_match_reference_at_every_cut;
     QCheck_alcotest.to_alcotest prop_trim_bound_matches_reference;
+    QCheck_alcotest.to_alcotest prop_trim_kernels_match_point_walks;
+    Alcotest.test_case "trim kernel sign guard" `Quick test_trim_kernel_sign_guard;
+    Alcotest.test_case "lumped charge cuts" `Quick test_spend_runs_cuts;
     Alcotest.test_case "exhausted search allocation" `Quick test_exhausted_search_allocation;
     QCheck_alcotest.to_alcotest prop_workspace_matches_reference;
     Alcotest.test_case "workspace past its buffers" `Quick test_workspace_past_its_buffers;
