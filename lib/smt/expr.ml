@@ -425,28 +425,6 @@ let lognot e =
 
 (* --- queries ------------------------------------------------------------ *)
 
-let reads e =
-  let seen = Hashtbl.create 64 in
-  let acc = Hashtbl.create 16 in
-  let rec go e =
-    if e.max_read >= 0 && not (Hashtbl.mem seen e.id) then begin
-      Hashtbl.add seen e.id ();
-      match e.node with
-      | Read i -> Hashtbl.replace acc i ()
-      | Const _ -> ()
-      | Bin (_, a, b) ->
-        go a;
-        go b
-      | Un (_, a) -> go a
-      | Ite (c, t, e') ->
-        go c;
-        go t;
-        go e'
-    end
-  in
-  go e;
-  List.sort Int.compare (Hashtbl.fold (fun k () l -> k :: l) acc [])
-
 (* A [walkable] expression is walked as a tree, with no memo table: the
    walk visits at most [nodes] nodes, which is what the solver charges
    per evaluation. Any other keeps the per-call memo. *)

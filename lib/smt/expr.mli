@@ -54,8 +54,6 @@ val lognot : t -> t
     exactly when [e] is. *)
 
 val is_const : t -> int64 option
-val reads : t -> int list
-(** Sorted, distinct input-byte indices mentioned. *)
 
 val eval : (int -> int) -> t -> int64
 (** [eval lookup e] evaluates under the byte assignment [lookup]

@@ -14,12 +14,15 @@
    so an extension costs O(delta) and shares the rest with its parent:
 
    - a by-byte index of the prefix constraints, making the component
-     closure for a query O(component);
+     closure for a query O(component); a constraint's own reads are not
+     stored, the caller's [reads] gives them (the solver keeps them
+     beside each constraint's tape);
    - learned per-byte intervals (endpoint trimming against each newly
      added constraint), handed to the search as initial domain bounds;
    - the last Sat model produced under the prefix — inherited by an
-     extension when it satisfies the added constraints — tried as a
-     witness before any solving.
+     extension when it satisfies the added constraint, checked with one
+     exact run of that constraint's tape — tried as a witness before
+     any solving.
 
    Lookup is by physical identity of the path list: a state's path is a
    persistent cons-list, physically shared with the parent it forked
@@ -33,7 +36,6 @@ type entry = {
   path : Expr.t list; (* the exact (physical) prefix this entry indexes *)
   depth : int;
   by_var : Expr.t list Imap.t; (* input byte -> prefix constraints reading it *)
-  creads : int list Imap.t; (* constraint id -> its reads *)
   bounds : Interval.t Imap.t; (* learned per-byte intervals *)
   mutable model : Model.t option; (* last Sat model under this prefix *)
   mutable last_use : int; (* LRU clock tick of the last lookup hit *)
@@ -55,7 +57,6 @@ let make_root () =
     path = [];
     depth = 0;
     by_var = Imap.empty;
-    creads = Imap.empty;
     bounds = Imap.empty;
     model = None;
     last_use = 0;
@@ -145,6 +146,15 @@ let trim_bound tape bounds cost v (iv : Interval.t) (c : Expr.t) =
   cost := !cost + (nodes * (hi - Int.max hi' stop + 1));
   Interval.make (Int64.of_int lo') (Int64.of_int hi')
 
+(* Whether model [m] satisfies the constraint compiled as [tape]: one
+   exact run on [m]'s bytes for its reads, unset bytes reading 0. *)
+let satisfies tape m =
+  let reads = Tape.reads tape in
+  for k = 0 to Array.length reads - 1 do
+    Tape.set_value tape k (Model.get m reads.(k))
+  done;
+  Tape.holds tape
+
 (* Extend [parent] with one constraint [c]; [path] is the physical list
    [c :: parent.path]. O(reads of c). *)
 let extend ~reads ~tape cost path (c : Expr.t) parent =
@@ -162,7 +172,6 @@ let extend ~reads ~tape cost path (c : Expr.t) parent =
           Imap.add v (c :: existing) m)
         parent.by_var r
     in
-    let creads = Imap.add c.Expr.id r parent.creads in
     (* learn bounds only for the bytes [c] reads, starting from the
        parent's learned interval — incremental, O(delta) *)
     let bounds =
@@ -185,10 +194,10 @@ let extend ~reads ~tape cost path (c : Expr.t) parent =
       match parent.model with
       | Some m ->
         cost := !cost + Int.min c.Expr.nodes 64;
-        if Model.satisfies m [ c ] then Some m else None
+        if satisfies (tape c) m then Some m else None
       | None -> None
     in
-    { path; depth = parent.depth + 1; by_var; creads; bounds; model; last_use = 0 }
+    { path; depth = parent.depth + 1; by_var; bounds; model; last_use = 0 }
 
 let head_id (path : Expr.t list) =
   match path with [] -> assert false | e :: _ -> e.Expr.id
@@ -282,9 +291,7 @@ let closure w e ~reads ~spend extra =
       if Workspace.visit_id w c.Expr.id then begin
         spend 1;
         selected := c :: !selected;
-        match Imap.find_opt c.Expr.id e.creads with
-        | Some r -> visit_all r
-        | None -> ()
+        visit_all (reads c)
       end;
       select_all rest
   in

@@ -8,11 +8,13 @@
     contexts are persistent maps, so an extension costs O(delta) and
     shares the rest with its parent. Each context carries:
 
-    - a by-byte index for O(component) closure computation;
+    - a by-byte index for O(component) closure computation (a
+      constraint's own reads are not stored: {!closure} asks [reads]);
     - learned per-byte intervals (endpoint trimming against each added
       constraint), used as initial search domains;
     - the last Sat model produced under the prefix (inherited across
-      extensions while it satisfies the delta), a candidate witness.
+      extensions while it satisfies the delta, checked on the added
+      constraint's tape), a candidate witness.
 
     Lookup walks the path's physical spine: paths are persistent
     cons-lists shared between a state and its forks, so identity
@@ -43,8 +45,9 @@ type outcome = {
 val find_or_build :
   t -> reads:(Expr.t -> int list) -> tape:(Expr.t -> Tape.t) -> Expr.t list -> outcome
 (** Context for this exact path (newest first, as stored on states).
-    [tape c] is [c]'s compiled tape, on which an added constraint's
-    learned bounds are trimmed.
+    [reads c] is [c]'s sorted, distinct input bytes and [tape c] its
+    compiled tape, on which an added constraint's learned bounds are
+    trimmed and the parent's witness is checked.
     Walks down to the deepest indexed prefix, then extends upward,
     caching every intermediate context; [cost] is reported rather than
     charged so the caller can meter it {e after} the contexts are safely
@@ -60,7 +63,8 @@ val closure :
 (** [closure w e ~reads ~spend extra] — [extra] plus every prefix
     constraint transitively sharing an input byte with it (BFS over the
     by-byte index, marking in the workspace [w]), newest selection
-    first. [spend] is charged once per selected prefix constraint. *)
+    first. [reads c] gives the bytes a selected constraint adds to the
+    search; it must be the function [e] was built with. [spend] is charged once per selected prefix constraint. *)
 
 val bound : entry -> int -> Interval.t option
 (** Learned interval for an input byte, if any tightening was found.

@@ -23,7 +23,8 @@ let partition_constants exprs =
 
 (* Partition constraints into independence groups by shared input bytes
    (union-find over byte indices, in the solver's workspace [w]).
-   [reads] memoises [Expr.reads] for the caller. *)
+   [reads c] is [c]'s sorted input bytes, which the solver takes from
+   [c]'s tape. *)
 let group_constraints w ~reads exprs =
   Workspace.reset w;
   let rec union_all first = function

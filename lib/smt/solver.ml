@@ -43,14 +43,27 @@ type replay = {
   nodes : int;
 }
 
+(* What the solver derives from a constraint, once: its compiled tape
+   and the input bytes it reads, which are the tape's. *)
+type fact = {
+  tape : Tape.t;
+  reads : int list; (* sorted, distinct *)
+}
+
+module Facts = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash (id : int) = id
+end)
+
 type t = {
   budget : int;
   st : stats;
   cache : (int list, Search_core.group_result) Hashtbl.t;
   replays : replay Replays.t; (* exhausted searches; Sat and Unsat go to [cache] *)
   work_area : Workspace.t; (* closure, grouping and search scratch *)
-  reads_memo : (int, int list) Hashtbl.t; (* expr id -> sorted input indices *)
-  tapes : (int, Tape.t) Hashtbl.t; (* expr id -> compiled constraint *)
+  facts : fact Facts.t; (* expr id -> the constraint's tape and reads *)
   prefixes : Prefix_ctx.t;
   (* registry instruments (docs/telemetry.md); mutation is gated on the
      owning registry's enabled flag, so uninstrumented runs pay one
@@ -84,35 +97,31 @@ let create ?(budget = 60_000) ?prefix_cap ?registry () =
     cache = Hashtbl.create 4096;
     replays = Replays.create 1024;
     work_area = Workspace.create ();
-    reads_memo = Hashtbl.create 4096;
-    tapes = Hashtbl.create 4096;
+    facts = Facts.create 4096;
     prefixes = Prefix_ctx.create ?cap:prefix_cap ();
     tm_query_work = Telemetry.Registry.histogram registry "solver.query_work";
   }
 
 let stats t = t.st
 
-let reads_of t (e : Expr.t) =
-  match Hashtbl.find_opt t.reads_memo e.id with
-  | Some r -> r
-  | None ->
-    let r = Expr.reads e in
-    Hashtbl.replace t.reads_memo e.id r;
-    r
-
 (* Each constraint is compiled the first time a query meets it. Ids are
-   the session arena's, so the cache is the session's own; a tape is a
+   the session arena's, so the table is the session's own; a fact is a
    pure function of its constraint, so a reset changes no answer. *)
-let max_tapes = 65_536
+let max_facts = 65_536
 
-let tape_of t (e : Expr.t) =
-  match Hashtbl.find_opt t.tapes e.id with
-  | Some tape -> tape
+let fact t (e : Expr.t) =
+  match Facts.find_opt t.facts e.id with
+  | Some f -> f
   | None ->
     let tape = Tape.compile e in
-    if Hashtbl.length t.tapes >= max_tapes then Hashtbl.reset t.tapes;
-    Hashtbl.replace t.tapes e.id tape;
-    tape
+    let f = { tape; reads = Array.to_list (Tape.reads tape) } in
+    if Facts.length t.facts >= max_facts then Facts.reset t.facts;
+    Facts.replace t.facts e.id f;
+    f
+
+let reads_of t e = (fact t e).reads
+
+let tape_of t e = (fact t e).tape
 
 (* --- group solving -------------------------------------------------------- *)
 

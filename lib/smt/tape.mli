@@ -1,13 +1,14 @@
 (** A path constraint compiled once into a flat evaluation tape.
 
-    Compilation numbers the constraint's input bytes (its sorted
-    {!Expr.reads}), its constants and every other distinct DAG node with
-    one slot each, and lists the computed slots in postorder. An
+    Compilation numbers the constraint's input bytes (the indices of its
+    [Read] leaves, sorted and distinct), its constants and every other
+    distinct DAG node with one slot each, and lists the computed slots in postorder. An
     evaluation sets the read slots, then runs the list once: each step
     reads its operands' slots and writes its own. Values live unboxed in
     register buffers that every evaluation of the tape reuses, so an
     evaluation allocates nothing and one tape must not be evaluated by two
-    callers at once (the solver keeps one tape cache per session).
+    callers at once (the solver keeps one table of compiled constraints
+    per session, and takes a constraint's reads from its tape, {!reads}).
 
     Two evaluations share the tape:
 

@@ -262,11 +262,34 @@ let prop_check_assuming_matches_brute_force =
 (* --- evaluators vs the memoised walk -------------------------------------- *)
 
 (* The oracles for the evaluators: [Expr.eval] as it was before small
-   expressions were walked as trees, and the record-based interval
-   analysis that the tape's step replaced, copied verbatim (names
-   qualified, the interval record given its own type here). *)
+   expressions were walked as trees, [Expr.reads] as it was before the
+   solver took a constraint's reads from its tape, and the record-based
+   interval analysis that the tape's step replaced, copied verbatim
+   (names qualified, the interval record given its own type here). *)
 module Oracle_eval = struct
   open Expr
+
+  let reads e =
+    let seen = Hashtbl.create 64 in
+    let acc = Hashtbl.create 16 in
+    let rec go e =
+      if e.max_read >= 0 && not (Hashtbl.mem seen e.id) then begin
+        Hashtbl.add seen e.id ();
+        match e.node with
+        | Read i -> Hashtbl.replace acc i ()
+        | Const _ -> ()
+        | Bin (_, a, b) ->
+          go a;
+          go b
+        | Un (_, a) -> go a
+        | Ite (c, t, e') ->
+          go c;
+          go t;
+          go e'
+      end
+    in
+    go e;
+    List.sort Int.compare (Hashtbl.fold (fun k () l -> k :: l) acc [])
 
   let eval lookup e =
     let memo = Hashtbl.create 64 in
@@ -515,13 +538,13 @@ let gen_dag_steps =
          (1, map2 (fun a b -> Dfield (a, b)) o o);
        ])
 
-(* The terms the steps build, newest first. *)
-let build_dag_terms steps =
+(* The terms the steps build, newest first; [read i] is operand byte [i]. *)
+let build_dag_terms ?(read = Expr.read) steps =
   let operand built = function
-    | Oread i -> Expr.read i
+    | Oread i -> read i
     | Oconst c -> Expr.const c
     | Oback k -> (
-      match List.nth_opt built k with Some e -> e | None -> Expr.read (k mod 3))
+      match List.nth_opt built k with Some e -> e | None -> read (k mod 3))
   in
   let byte e = Expr.bin T.And e (Expr.const 0xFFL) in
   List.fold_left
@@ -541,21 +564,21 @@ let build_dag_terms steps =
 (* [`Small]: the largest term of at most 256 tree nodes, which the tree
    walk evaluates. [`Large]: the newest term, grown past 256 nodes by
    doubling, which the memoised walk evaluates. *)
-let build_dag size steps =
-  let terms = build_dag_terms steps in
+let build_dag ?(read = Expr.read) size steps =
+  let terms = build_dag_terms ~read steps in
   match size with
   | `Small ->
     List.fold_left
       (fun (best : Expr.t) (e : Expr.t) ->
         if e.Expr.nodes <= 256 && e.Expr.nodes > best.Expr.nodes then e else best)
-      (Expr.read 0) terms
+      (read 0) terms
   | `Large ->
     let rec grow (e : Expr.t) =
       if e.Expr.nodes > 256 then e
-      else grow (Expr.bin T.Add e (Expr.bin T.Mul e (Expr.read 1)))
+      else grow (Expr.bin T.Add e (Expr.bin T.Mul e (read 1)))
     in
     let e = List.hd terms in
-    grow (if e.Expr.max_read < 0 then Expr.read 0 else e)
+    grow (if e.Expr.max_read < 0 then read 0 else e)
 
 (* Per-byte bounds: full, a point, a narrow range, or wider than a byte. *)
 let gen_byte_interval =
@@ -608,6 +631,41 @@ let prop_tape_value_matches_memo_oracle =
       let value = Tape.value tape in
       Int64.equal value (Oracle_eval.eval (fun i -> bytes.(i)) e)
       && Bool.equal (Tape.holds tape) (Semantics.truthy value))
+
+(* The reads a solver fact keeps are its tape's: on every term the steps
+   build and on the grown DAG (past 256 nodes, so not walkable), with
+   operand bytes 0, 1, 2 renamed to 300, 5, 0 so that sorting matters,
+   they equal the reference walk's. *)
+let prop_tape_reads_match_reference =
+  QCheck.Test.make ~count:2000 ~name:"tape reads = reference reads on shared DAGs" arb_dag
+    (fun (size, steps, _, _) ->
+      let read i = Expr.read [| 300; 5; 0 |].(i) in
+      List.for_all
+        (fun e -> Array.to_list (Tape.reads (Tape.compile e)) = Oracle_eval.reads e)
+        (build_dag ~read size steps :: build_dag_terms ~read steps))
+
+(* An extension keeps its parent's witness exactly when the witness
+   satisfies the added constraint, which [Prefix_ctx.extend] checks with
+   one exact tape run: the answer must be [Model.satisfies]'s, on models
+   that set every byte, some or none (an unset byte reads 0). *)
+let prop_extension_witness_matches_satisfies =
+  QCheck.Test.make ~count:2000 ~name:"extension witness check = Model.satisfies"
+    (QCheck.pair arb_dag (QCheck.make QCheck.Gen.(array_repeat 3 bool)))
+    (fun ((size, steps, bytes, _), set) ->
+      let c = build_dag size steps in
+      let m = ref Model.empty in
+      Array.iteri (fun i v -> if set.(i) then m := Model.set !m i v) bytes;
+      let m = !m in
+      let prefixes = Prefix_ctx.create () in
+      let build path =
+        (Prefix_ctx.find_or_build prefixes ~reads:Oracle_eval.reads ~tape:Tape.compile
+           path)
+          .Prefix_ctx.ctx
+      in
+      Prefix_ctx.note_model (build []) m;
+      match Prefix_ctx.model (build [ c ]) with
+      | Some kept -> kept == m && Model.satisfies m [ c ]
+      | None -> not (Model.satisfies m [ c ]))
 
 (* 80 nested self-squarings: the tree has 2^81 - 1 nodes, so [nodes]
    overflows (to -1). One more binary node over it wraps [nodes] back to
@@ -1206,7 +1264,7 @@ let prop_search_core_matches_oracle_search =
             Search_core.solve_group search_ws ~on_node meter ~hint ~focus:c.s_focus ~bounds group)
       in
       let want =
-        let group = Oracle_search.build_group ~reads:Expr.reads c.s_exprs in
+        let group = Oracle_search.build_group ~reads:Oracle_eval.reads c.s_exprs in
         run (fun ~on_node meter ->
             Oracle_search.solve_group ~on_node meter ~hint ~focus:c.s_focus ~bounds group)
       in
@@ -2114,7 +2172,7 @@ let reference_trimmed path =
         match Expr.is_const c with
         | Some _ -> parent
         | None ->
-          let r = Expr.reads c in
+          let r = Oracle_eval.reads c in
           cost := !cost + 1 + List.length r;
           if List.length r <= 2 then begin
             let tape = Tape.compile c in
@@ -2135,7 +2193,10 @@ let prop_trim_bound_matches_reference =
   QCheck.Test.make ~count:1000 ~name:"prefix endpoint trimming = allocating trimming"
     (QCheck.make ~print:(fun p -> String.concat "\n" (List.map Expr.to_string p)) gen_trim_path)
     (fun path ->
-      let o = Prefix_ctx.find_or_build (Prefix_ctx.create ()) ~reads:Expr.reads ~tape:Tape.compile path in
+      let o =
+        Prefix_ctx.find_or_build (Prefix_ctx.create ()) ~reads:Oracle_eval.reads
+          ~tape:Tape.compile path
+      in
       let show = Option.map (fun (iv : Interval.t) -> (iv.Interval.lo, iv.Interval.hi)) in
       let got = (List.init 4 (fun v -> show (Prefix_ctx.bound o.Prefix_ctx.ctx v)), o.Prefix_ctx.cost) in
       let bounds, cost = reference_trimmed path in
@@ -2200,7 +2261,7 @@ module Reference_preprocessing = struct
         match Expr.is_const c with
         | Some _ -> ()
         | None ->
-          let r = Expr.reads c in
+          let r = Oracle_eval.reads c in
           List.iter
             (fun v ->
               let existing = Option.value ~default:[] (Hashtbl.find_opt by_var v) in
@@ -2340,13 +2401,14 @@ let prop_workspace_matches_reference =
     (fun c ->
       let prefixes = Prefix_ctx.create () in
       let entry =
-        (Prefix_ctx.find_or_build prefixes ~reads:Expr.reads ~tape:Tape.compile c.p_path)
+        (Prefix_ctx.find_or_build prefixes ~reads:Oracle_eval.reads ~tape:Tape.compile
+           c.p_path)
           .Prefix_ctx.ctx
       in
       let budget = ref c.p_cut in
       (try
          ignore
-           (Prefix_ctx.closure w entry ~reads:Expr.reads
+           (Prefix_ctx.closure w entry ~reads:Oracle_eval.reads
               ~spend:(fun n ->
                 budget := !budget - n;
                 if !budget < 0 then raise Search_core.Out_of_budget)
@@ -2354,15 +2416,18 @@ let prop_workspace_matches_reference =
        with Search_core.Out_of_budget -> ());
       let run closure =
         let spent = ref 0 in
-        let selected = closure ~reads:Expr.reads ~spend:(fun n -> spent := !spent + n) c.p_extra in
+        let selected =
+          closure ~reads:Oracle_eval.reads ~spend:(fun n -> spent := !spent + n) c.p_extra
+        in
         (ids [ selected ], !spent)
       in
       let got = run (Prefix_ctx.closure w entry) in
       let want = run (Reference_preprocessing.closure (Reference_preprocessing.index c.p_path)) in
       let symbolic = List.filter (fun e -> Expr.is_const e = None) c.p_grouped in
       got = want
-      && ids (Simplify.group_constraints w ~reads:Expr.reads symbolic)
-         = ids (Reference_preprocessing.group_constraints ~reads:Expr.reads symbolic))
+      && ids (Simplify.group_constraints w ~reads:Oracle_eval.reads symbolic)
+         = ids
+             (Reference_preprocessing.group_constraints ~reads:Oracle_eval.reads symbolic))
 
 (* Past 32 and 64 groups the reference table doubles its buckets, which
    reorders its groups; the workspace must follow. A closure over a
@@ -2378,13 +2443,16 @@ let test_workspace_past_its_buffers () =
   in
   let path = List.rev chain in
   let entry =
-    (Prefix_ctx.find_or_build (Prefix_ctx.create ()) ~reads:Expr.reads ~tape:Tape.compile path)
+    (Prefix_ctx.find_or_build (Prefix_ctx.create ()) ~reads:Oracle_eval.reads
+       ~tape:Tape.compile path)
       .Prefix_ctx.ctx
   in
   let extra = [ Expr.bin T.Eq (Expr.read 650) (Expr.const 3L) ] in
   let run closure =
     let spent = ref 0 in
-    let selected = closure ~reads:Expr.reads ~spend:(fun n -> spent := !spent + n) extra in
+    let selected =
+      closure ~reads:Oracle_eval.reads ~spend:(fun n -> spent := !spent + n) extra
+    in
     (ids [ selected ], !spent)
   in
   let want = run (Reference_preprocessing.closure (Reference_preprocessing.index path)) in
@@ -2401,8 +2469,8 @@ let test_workspace_past_its_buffers () =
       let exprs = exprs @ List.filteri (fun i _ -> i mod 3 = 0) exprs in
       Alcotest.(check (list (list int)))
         (Printf.sprintf "%d groups" n)
-        (ids (Reference_preprocessing.group_constraints ~reads:Expr.reads exprs))
-        (ids (Simplify.group_constraints w ~reads:Expr.reads exprs)))
+        (ids (Reference_preprocessing.group_constraints ~reads:Oracle_eval.reads exprs))
+        (ids (Simplify.group_constraints w ~reads:Oracle_eval.reads exprs)))
     [ 1; 2; 16; 31; 32; 33; 64; 65; 66; 129; 400 ]
 
 (* --- deterministic unit tests --------------------------------------------- *)
@@ -2491,7 +2559,8 @@ let test_reads () =
       (Expr.bin T.Mul (Expr.read 3) (Expr.read 1))
       (Expr.bin T.Add (Expr.read 3) (Expr.const 9L))
   in
-  Alcotest.(check (list int)) "sorted distinct reads" [ 1; 3 ] (Expr.reads e);
+  Alcotest.(check (list int)) "sorted distinct reads" [ 1; 3 ]
+    (Array.to_list (Tape.reads (Tape.compile e)));
   Alcotest.(check int) "max_read" 3 e.Expr.max_read
 
 let test_model_roundtrip () =
@@ -2708,6 +2777,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_eval_matches_memo_oracle;
     QCheck_alcotest.to_alcotest prop_interval_eval_matches_memo_oracle;
     QCheck_alcotest.to_alcotest prop_tape_value_matches_memo_oracle;
+    QCheck_alcotest.to_alcotest prop_tape_reads_match_reference;
+    QCheck_alcotest.to_alcotest prop_extension_witness_matches_satisfies;
     QCheck_alcotest.to_alcotest prop_search_core_matches_brute_force;
     QCheck_alcotest.to_alcotest prop_search_core_sparse_wide_groups;
     QCheck_alcotest.to_alcotest prop_search_core_matches_oracle_search;
